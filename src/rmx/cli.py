@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -36,6 +35,7 @@ from .identities import (
     check_qybe,
     check_skew_symmetry,
     check_unitarity,
+    cyclic_sum_cost,
     default_tolerance,
 )
 from .rmatrix import RMatrixSpec, classical_expansion, r_deriv_hbar
@@ -52,7 +52,7 @@ __all__ = ["main", "run_suites"]
 SCHEMA_VERSION = 1
 SUITES = ("scalar", "rmatrix-basic", "nth-order", "applications")
 KINDS = ("rational", "trigonometric", "elliptic")
-DEFAULT_BUDGET = 1e9
+DEFAULT_BUDGET = 1e10
 APPLICATION_SAMPLE_CAP = 5
 WP_MAGNITUDE_CAP = 1e8
 
@@ -397,6 +397,11 @@ def _build_cases(opts):
     cases = []
     skips = []
 
+    def add(case_id, family, n, case_N, runner, *args):
+        # family, n and N go with the case so that an error record keeps them
+        cases.append(((case_id, family, n, case_N),
+                      partial(runner, case_id, *args)))
+
     def skip(suite, kind, case):
         case_id = f"{suite}/{kind}/{case}/s0"
         skips.append(_record(
@@ -409,15 +414,12 @@ def _build_cases(opts):
         for kind in kinds:
             for s in range(opts["samples"]):
                 for n in range(2, opts["n_max"] + 1):
-                    cid = f"scalar/{kind}/cyclic-n{n}/s{s}"
-                    cases.append((cid, partial(
-                        _run_scalar_cyclic, cid, kind, tau, n, seed, tols)))
-                cid = f"scalar/{kind}/fay/s{s}"
-                cases.append((cid, partial(
-                    _run_fay, cid, kind, tau, seed, tols, False)))
-                cid = f"scalar/{kind}/fay-degenerate/s{s}"
-                cases.append((cid, partial(
-                    _run_fay, cid, kind, tau, seed, tols, True)))
+                    add(f"scalar/{kind}/cyclic-n{n}/s{s}", None, n, 1,
+                        _run_scalar_cyclic, kind, tau, n, seed, tols)
+                add(f"scalar/{kind}/fay/s{s}", None, None, 1,
+                    _run_fay, kind, tau, seed, tols, False)
+                add(f"scalar/{kind}/fay-degenerate/s{s}", None, None, 1,
+                    _run_fay, kind, tau, seed, tols, True)
 
     for suite in ("rmatrix-basic", "nth-order", "applications"):
         if suite not in suites:
@@ -435,42 +437,37 @@ def _build_cases(opts):
             if suite == "rmatrix-basic":
                 for s in range(opts["samples"]):
                     for case in _BASIC_CASES:
-                        cid = f"rmatrix-basic/{kind}/{case}/s{s}"
-                        cases.append((cid, partial(
-                            _run_basic, cid, case, family, kind, tau, N,
-                            seed, fixed_hbar, tols)))
+                        add(f"rmatrix-basic/{kind}/{case}/s{s}", family, None,
+                            N, _run_basic, case, family, kind, tau, N, seed,
+                            fixed_hbar, tols)
             elif suite == "nth-order":
                 for s in range(opts["samples"]):
                     for n in range(3, opts["n_max"] + 1):
-                        cid = f"nth-order/{kind}/order-{n}/s{s}"
-                        cases.append((cid, partial(
-                            _run_nth_order, cid, family, kind, tau, N, n,
-                            seed, fixed_hbar, opts["size_cap"], tols)))
+                        add(f"nth-order/{kind}/order-{n}/s{s}", family, n, N,
+                            _run_nth_order, family, kind, tau, N, n, seed,
+                            fixed_hbar, opts["size_cap"], tols)
                         if s == 0:
-                            cid = f"nth-order/{kind}/outer-{n}/s0"
-                            cases.append((cid, partial(
-                                _run_outer_independence, cid, family, kind,
-                                tau, N, n, seed, fixed_hbar,
-                                opts["size_cap"], tols)))
+                            add(f"nth-order/{kind}/outer-{n}/s0", family, n, N,
+                                _run_outer_independence, family, kind, tau, N,
+                                n, seed, fixed_hbar, opts["size_cap"], tols)
             else:
                 for s in range(min(opts["samples"], APPLICATION_SAMPLE_CAP)):
                     for case in _APPLICATION_CASES:
-                        cid = f"applications/{kind}/{case}/s{s}"
-                        cases.append((cid, partial(
-                            _run_application, cid, case, family, kind, tau,
-                            N, seed, fixed_hbar, opts["size_cap"], tols)))
+                        add(f"applications/{kind}/{case}/s{s}", family, None,
+                            N, _run_application, case, family, kind, tau, N,
+                            seed, fixed_hbar, opts["size_cap"], tols)
     return cases, skips
 
 
 def _execute(cases, parallel):
     def run_one(item):
-        case_id, fn = item
+        (case_id, family, n, N), fn = item
         try:
             return fn()
         except RmxError as exc:
-            parts = case_id.split("/")
+            suite, kind = case_id.split("/")[:2]
             return _record(
-                case_id, parts[0], parts[1], None, None, 0, None, None, False,
+                case_id, suite, kind, family, n, N, None, None, False,
                 reason=f"{type(exc).__name__}: {exc}",
             )
 
@@ -516,11 +513,13 @@ def run_suites(
     tau = complex(tau)
     if tau.imag <= 0:
         raise UsageError(f"tau must have positive imaginary part, got {tau}")
-    cost = math.factorial(n_max) * float(site_dim) ** (2 * n_max)
+    # the deepest case, outer-n_max, runs n_max cyclic product sums
+    cost = n_max * cyclic_sum_cost(site_dim, n_max)
     if cost > budget:
         raise BudgetExceeded(
-            f"n_max={n_max}, N={site_dim} implies cost {cost:.3e} above the "
-            f"budget {budget:.3e}; lower n-max or N, or raise --budget"
+            f"n_max={n_max}, N={site_dim} implies {cost:.3e} complex "
+            f"multiply-adds above the budget {budget:.3e}; lower n-max or N, "
+            "or raise --budget"
         )
     if not deterministic:
         seed = int.from_bytes(os.urandom(8), "big")
@@ -690,7 +689,8 @@ def _build_parser():
     verify.add_argument("--size-cap", dest="size_cap", type=int, default=4096,
                         help="largest embedded matrix dimension allowed")
     verify.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
-                        help="work estimate bound n_max! * N^(2 n_max)")
+                        help="bound on the complex multiply-adds of the "
+                        "outer-n_max case, n_max cyclic product sums")
     verify.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="derive all sampling from --seed (default)")

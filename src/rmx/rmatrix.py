@@ -430,6 +430,22 @@ def _default_radius(spec, z):
     return 0.025 * min(1.0, abs(tau), abs(1.0 + tau))
 
 
+def _shortest_period(tau):
+    """Length of the shortest nonzero vector of the lattice Z + tau Z.
+
+    Lagrange-Gauss reduction of the basis (1, tau): it stops when the
+    longer vector has no shorter translate by a multiple of the shorter.
+    """
+    u, v = 1.0 + 0j, complex(tau)
+    while True:
+        if abs(v) < abs(u):
+            u, v = v, u
+        m = round((v / u).real)
+        if m == 0:
+            return abs(u)
+        v -= m * u
+
+
 def classical_expansion(
     spec, z, quadrature_points=32, contour_radius=None, refine_tol=1e-8
 ):
@@ -454,13 +470,10 @@ def classical_expansion(
     if contour_radius <= 0:
         raise ContourHitsPole("contour radius must be positive")
     if spec.kind is RMatrixKind.BELAVIN:
-        N = spec.site_dim
-        lat = spec.lattice
-        nearest = min(
-            float(lat.lattice_distance((a1 + a2 * lat.tau) / N))
-            for a1, a2 in _alpha_grid(N)
-            if (a1, a2) != (0, 0)
-        )
+        # R has its hbar poles on the lattice (Z + tau Z) / N, so the
+        # nearest one besides hbar = 0 lies a shortest period over N away;
+        # at N = 1 these are the lattice points themselves
+        nearest = _shortest_period(spec.lattice.tau) / spec.site_dim
         if contour_radius >= 0.9 * nearest:
             raise ContourHitsPole(
                 f"contour radius {contour_radius} reaches the hbar pole "

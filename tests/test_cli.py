@@ -1,10 +1,11 @@
 import argparse
 import json
+import math
 
 import pytest
 
-from rmx import BudgetExceeded, UsageError, run_suites
-from rmx.cli import _parse_complex, main
+from rmx import BudgetExceeded, UsageError, cyclic_sum_cost, run_suites
+from rmx.cli import DEFAULT_BUDGET, _parse_complex, main
 
 
 def small(**kw):
@@ -74,6 +75,34 @@ class TestRunSuites:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             run_suites(site_dim=3, n_max=9)
+
+    def test_budget_admits_deep_ladders(self):
+        # rmatrix-basic runs no cyclic sum, so only the budget check is costly
+        for N, n_max in ((2, 8), (3, 6)):
+            rep = run_suites(suite="rmatrix-basic", kind="rational",
+                             site_dim=N, n_max=n_max, samples=1)
+            assert rep["summary"]["failed"] == 0
+
+    def test_budget_admits_what_the_factorial_estimate_admitted(self):
+        for N in range(1, 5):
+            for n_max in range(2, 13):
+                if math.factorial(n_max) * N ** (2 * n_max) <= 1e9:
+                    assert n_max * cyclic_sum_cost(N, n_max) <= DEFAULT_BUDGET
+
+    def test_error_records_keep_family_and_sizes(self):
+        rep = run_suites(suite="nth-order", kind="elliptic", site_dim=2,
+                         n_max=3, samples=1, size_cap=4)
+        assert rep["summary"]["failed"] == 2
+        for r in rep["records"]:
+            assert r["reason"].startswith("SizeCapExceeded")
+            assert (r["family"], r["N"], r["n"]) == ("belavin", 2, 3)
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+    def test_rank_one_sweep(self, tau):
+        rep = run_suites(suite="all", site_dim=1, tau=tau)
+        assert rep["summary"]["executed"] == 127
+        assert rep["summary"]["skipped"] == 13
+        assert rep["summary"]["failed"] == 0
 
     def test_option_validation(self):
         with pytest.raises(UsageError):

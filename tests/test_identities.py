@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rmx import identities
 from rmx import (
     DegenerateArguments,
     DimensionMismatch,
@@ -11,6 +12,7 @@ from rmx import (
     LatticeParams,
     RMatrixKind,
     RMatrixSpec,
+    SizeCapExceeded,
     check_aybe,
     check_nth_order,
     check_outer_index_independence,
@@ -18,7 +20,10 @@ from rmx import (
     check_skew_symmetry,
     check_unitarity,
     cyclic_product_sum,
+    cyclic_sum_cost,
     default_tolerance,
+    embed_two_site,
+    r_matrix,
     term_sequences,
     weierstrass_p,
 )
@@ -31,6 +36,7 @@ YANG_PTS_4 = YANG_PTS_3 + [0.7 + 1.1j]
 YANG_PTS_5 = YANG_PTS_4 + [1.7 + 0.8j]
 EL_PTS_3 = [0.31 + 0.11j, 0.62 + 0.29j, 0.18 + 0.41j]
 EL_PTS_4 = EL_PTS_3 + [0.47 + 0.23j]
+EL_PTS_5 = EL_PTS_4 + [0.83 + 0.07j]
 
 
 def yang_spec(N=2, hbar=0.7 + 0.3j):
@@ -137,6 +143,7 @@ class TestNthOrder:
         assert abs(rep.details["coefficient"] - 0.375) < 1e-12
         assert abs(rep.details["expected"] - 0.375) < 1e-15
         assert rep.details["orderings"] == 6
+        assert rep.details["algorithm"] == "subset-dp"
 
     def test_yang_coefficient_formula(self):
         h = 0.7 + 0.3j
@@ -176,6 +183,100 @@ class TestNthOrder:
             check_nth_order(spec, 2, YANG_PTS_3)
         with pytest.raises(DimensionMismatch):
             cyclic_product_sum(spec, 3, YANG_PTS_4)
+
+
+def dense_cyclic_sum(spec, n, points, outer):
+    """The literal sum over orderings of dense embedded chain products."""
+    N = spec.site_dim
+    emb = {
+        (i, j): embed_two_site(
+            r_matrix(spec, points[i - 1] - points[j - 1]), i, j, N, n
+        )
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    }
+    total = np.zeros((N ** n, N ** n), dtype=complex)
+    for ordering in term_sequences(n, outer):
+        chain = (outer,) + ordering + (outer,)
+        prod = emb[chain[0], chain[1]]
+        for u, v in zip(chain[1:-1], chain[2:]):
+            prod = prod @ emb[u, v]
+        total += prod
+    return total
+
+
+def relative_difference(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestCyclicProductSumOracle:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_sum(self, N, n):
+        for spec, pts in ((yang_spec(N), YANG_PTS_5), (belavin_spec(N), EL_PTS_5)):
+            for outer in range(1, n + 1):
+                got = cyclic_product_sum(spec, n, pts[:n], outer)
+                want = dense_cyclic_sum(spec, n, pts[:n], outer)
+                assert relative_difference(got, want) <= 1e-13
+
+    def test_slab_counts(self):
+        # live states within the n(n-1) dense D x D factors of the literal sum
+        assert identities._slab_count(7, 2 ** 7) == 3
+        assert identities._slab_count(5, 3 ** 5) == 2
+        # never more slabs than rows: D = 1 at N = 1
+        assert identities._slab_count(5, 1) == 1
+        assert identities._slab_count(8, 1) == 1
+
+    @pytest.mark.parametrize("slabs", [2, 4, 5, 81])
+    def test_uneven_slabs(self, monkeypatch, slabs):
+        spec = belavin_spec(3)
+        want = dense_cyclic_sum(spec, 4, EL_PTS_4, 2)
+        monkeypatch.setattr(identities, "_slab_count", lambda n, dim: slabs)
+        got = cyclic_product_sum(spec, 4, EL_PTS_4, 2)
+        assert relative_difference(got, want) <= 1e-13
+
+    def test_size_cap_raises_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(identities, "r_matrix",
+                            lambda *a: calls.append(a) or r_matrix(*a))
+        spec = yang_spec(3)
+        with pytest.raises(SizeCapExceeded):
+            cyclic_product_sum(spec, 5, YANG_PTS_5, size_cap=81)
+        with pytest.raises(SizeCapExceeded):
+            check_nth_order(spec, 5, YANG_PTS_5, size_cap=81)
+        with pytest.raises(SizeCapExceeded):
+            check_outer_index_independence(spec, 5, YANG_PTS_5, size_cap=81)
+        assert calls == []
+
+    def test_factors_built_once_per_point_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(identities, "r_matrix",
+                            lambda *a: calls.append(a) or r_matrix(*a))
+        for n in (3, 4, 5):
+            calls.clear()
+            rep = check_outer_index_independence(belavin_spec(2), n, EL_PTS_5[:n])
+            assert rep.passed
+            assert len(calls) == n * (n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_cost_counts_the_steps_taken(self, monkeypatch, n):
+        steps = []
+        step = identities._add_pair_step
+        monkeypatch.setattr(identities, "_add_pair_step",
+                            lambda *a: steps.append(1) or step(*a))
+        spec = RMatrixSpec(kind="belavin", site_dim=1, lattice=EL,
+                           hbar=0.21 + 0.13j)
+        pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
+        cyclic_product_sum(spec, n, pts)
+        assert cyclic_sum_cost(1, n) == len(steps)
+        assert cyclic_sum_cost(2, n) == len(steps) * 2 ** (2 * n + 2)
+
+    def test_bad_site_counts(self):
+        with pytest.raises(DimensionMismatch):
+            cyclic_product_sum(yang_spec(), 1, YANG_PTS_3[:1])
+        with pytest.raises(IndexOutOfRange):
+            cyclic_product_sum(yang_spec(), 3, YANG_PTS_3, outer=4)
 
 
 class TestOuterIndependence:

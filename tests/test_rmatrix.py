@@ -146,7 +146,7 @@ class TestEllipticFamily:
         assert abs(got[0, 0] - want) < 1e-13 * (1 + abs(want))
 
     def test_matches_manual_assembly(self):
-        for N, lat in ((2, EL), (3, ELG)):
+        for N, lat in ((1, EL), (1, ELG), (2, EL), (3, ELG)):
             spec = belavin_spec(N=N, lattice=lat)
             z = 0.39 + 0.18j
             got = r_matrix(spec, z)
@@ -257,7 +257,7 @@ class TestClassicalExpansion:
         assert np.linalg.norm(pair.m) < 1e-12
 
     def test_elliptic_quadrature_agrees_with_closed_form(self):
-        for N, lat in ((2, EL), (3, ELG)):
+        for N, lat in ((1, EL), (1, ELG), (2, EL), (3, ELG)):
             spec = belavin_spec(N=N, lattice=lat)
             z = 0.44 + 0.19j
             pair = classical_expansion(spec, z)
@@ -286,6 +286,14 @@ class TestClassicalExpansion:
             classical_expansion(spec, 0.4 + 0.2j, contour_radius=0.5)
         with pytest.raises(ContourHitsPole):
             classical_expansion(spec, 0.4 + 0.2j, contour_radius=-1.0)
+        # at N = 1 the nearest hbar pole is the shortest period: 1 at
+        # tau = i, |tau - 4| = 0.424 at a skewed tau = 3.7 + 0.3i
+        with pytest.raises(ContourHitsPole):
+            classical_expansion(belavin_spec(N=1), 0.4 + 0.2j, contour_radius=0.95)
+        skewed = LatticeParams(kind="elliptic", tau=3.7 + 0.3j)
+        with pytest.raises(ContourHitsPole):
+            classical_expansion(belavin_spec(N=1, lattice=skewed), 0.4 + 0.2j,
+                                contour_radius=0.4)
 
     def test_too_few_nodes(self):
         spec = yang_spec(2)
