@@ -16,7 +16,6 @@ import re
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -46,6 +45,7 @@ from .special_functions import (
     scalar_cyclic_sum,
     weierstrass_p,
 )
+from .tensor_ops import DEFAULT_SIZE_CAP
 
 __all__ = ["main", "run_suites"]
 
@@ -459,24 +459,18 @@ def _build_cases(opts):
     return cases, skips
 
 
-def _execute(cases, parallel):
-    def run_one(item):
-        (case_id, family, n, N), fn = item
+def _execute(cases):
+    records = []
+    for (case_id, family, n, N), fn in cases:
         try:
-            return fn()
+            records.append(fn())
         except RmxError as exc:
             suite, kind = case_id.split("/")[:2]
-            return _record(
+            records.append(_record(
                 case_id, suite, kind, family, n, N, None, None, False,
                 reason=f"{type(exc).__name__}: {exc}",
-            )
-
-    if parallel:
-        # RMX_THREADS caps the pool; 0 or unset means one worker per cpu
-        workers = int(os.environ.get("RMX_THREADS", "0")) or (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-            return list(pool.map(run_one, cases))
-    return [run_one(c) for c in cases]
+            ))
+    return records
 
 
 def run_suites(
@@ -488,10 +482,9 @@ def run_suites(
     hbar=None,
     seed=12345,
     samples=3,
-    size_cap=4096,
+    size_cap=DEFAULT_SIZE_CAP,
     budget=DEFAULT_BUDGET,
     deterministic=True,
-    parallel=False,
     tol_overrides=None,
 ):
     """Run the verification sweep and return the report dictionary.
@@ -536,13 +529,12 @@ def run_suites(
         "size_cap": size_cap,
         "budget": budget,
         "deterministic": bool(deterministic),
-        "parallel": bool(parallel),
         "tol_overrides": dict(tol_overrides or {}),
     }
 
     start = time.monotonic()
     cases, skips = _build_cases(opts)
-    records = _execute(cases, parallel) + skips
+    records = _execute(cases) + skips
     records.sort(key=lambda r: (r["suite"], r["kind"], r["n"] or 0, r["case_id"]))
     elapsed = time.monotonic() - start
 
@@ -602,25 +594,17 @@ def _extract_tol_flags(argv):
     return rest, tols
 
 
-_CONFIG_KEYS = {
-    "suite": ("suite", str),
-    "kind": ("kind", str),
-    "N": ("site_dim", int),
-    "n-max": ("n_max", int),
-    "tau": ("tau", _parse_complex),
-    "hbar": ("hbar", _parse_complex),
-    "seed": ("seed", int),
-    "samples": ("samples", int),
-    "size-cap": ("size_cap", int),
-    "budget": ("budget", float),
-    "deterministic": ("deterministic", None),
-    "parallel": ("parallel", None),
-    "report": ("report", str),
-}
+def _load_config(path, verify):
+    """key = value file; '#' starts a comment; tol.<name> keys set tolerances.
 
-
-def _load_config(path):
-    """key = value file; '#' starts a comment; tol.<name> keys set tolerances."""
+    The keys are the long flags of the ``verify`` parser without dashes.
+    """
+    keys = {}
+    for action in verify._actions:
+        if action.dest not in ("help", "config"):
+            # a flag that takes no value is set by true / false
+            conv = None if action.nargs == 0 else (action.type or str)
+            keys[action.option_strings[0][2:]] = (action.dest, conv)
     defaults = {}
     tols = {}
     try:
@@ -641,9 +625,9 @@ def _load_config(path):
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: bad tolerance {value!r}")
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        dest, conv = _CONFIG_KEYS[key]
+        dest, conv = keys[key]
         if conv is None:
             low = value.lower()
             if low not in ("true", "false"):
@@ -686,7 +670,8 @@ def _build_parser():
     verify.add_argument("--seed", type=int, default=12345)
     verify.add_argument("--samples", type=int, default=3,
                         help="random draws per case type")
-    verify.add_argument("--size-cap", dest="size_cap", type=int, default=4096,
+    verify.add_argument("--size-cap", dest="size_cap", type=int,
+                        default=DEFAULT_SIZE_CAP,
                         help="largest embedded matrix dimension allowed")
     verify.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                         help="bound on the complex multiply-adds of the "
@@ -694,8 +679,6 @@ def _build_parser():
     verify.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="derive all sampling from --seed (default)")
-    verify.add_argument("--parallel", action="store_true",
-                        help="run cases in a thread pool (RMX_THREADS workers)")
     verify.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON report here")
     verify.add_argument("--config", default=None, metavar="PATH",
@@ -714,7 +697,7 @@ def main(argv=None):
         known, _ = probe.parse_known_args(argv)
         config_tols = {}
         if known.config is not None:
-            defaults, config_tols = _load_config(known.config)
+            defaults, config_tols = _load_config(known.config, verify_parser)
             verify_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
         tols = {**config_tols, **flag_tols}
@@ -730,7 +713,6 @@ def main(argv=None):
             size_cap=args.size_cap,
             budget=args.budget,
             deterministic=args.deterministic,
-            parallel=args.parallel,
             tol_overrides=tols,
         )
     except (UsageError, BudgetExceeded) as exc:

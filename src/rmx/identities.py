@@ -38,7 +38,7 @@ from .errors import (
     PoleProximity,
     ZeroArgument,
 )
-from .special_functions import cyclic_orderings, scalar_cyclic_sum, weierstrass_p
+from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     DEFAULT_SIZE_CAP,
@@ -52,7 +52,6 @@ from .tensor_ops import (
 __all__ = [
     "IdentityReport",
     "default_tolerance",
-    "term_sequences",
     "cyclic_product_sum",
     "cyclic_sum_cost",
     "check_nth_order",
@@ -93,11 +92,6 @@ def default_tolerance(kind, N=1, n=3):
     if N >= 3 and n >= 5:
         return 5e-9
     return 1e-9
-
-
-def term_sequences(n, outer):
-    """The (n-1)! site orderings entering the n-th cyclic sum, 1-based."""
-    return cyclic_orderings(n, outer)
 
 
 def _resolve_hbar(spec, hbar):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,18 +159,13 @@ def _alpha_grid(N):
     return [(a1, a2) for a1 in range(N) for a2 in range(N)]
 
 
-_TT_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _tt_stack(N):
     """Stack of T_alpha tensor T_(-alpha), shape (N^2, N^2, N^2), grid order."""
-    if N not in _TT_CACHE:
-        mats = [
-            np.kron(t_basis(a1, a2, N), t_basis(-a1, -a2, N))
-            for a1, a2 in _alpha_grid(N)
-        ]
-        _TT_CACHE[N] = np.array(mats)
-    return _TT_CACHE[N]
+    return np.array([
+        np.kron(t_basis(a1, a2, N), t_basis(-a1, -a2, N))
+        for a1, a2 in _alpha_grid(N)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -286,15 +286,24 @@ def _e1_derivs_elliptic(z, params, max_order):
 
 
 @lru_cache(maxsize=None)
-def _coth_poly(base, order):
-    """Coefficients (ascending) of the order-th derivative as a polynomial in coth.
+def _coth_poly(order):
+    """Ascending coefficients of the order-th derivative of coth, a polynomial in coth.
 
     d/dz coth = 1 - coth^2, so differentiation maps p(c) to p'(c) (1 - c^2).
     """
     if order == 0:
-        return (0.0, 1.0) if base == "e1" else (-1.0, 0.0, 1.0)
-    prev = np.asarray(_coth_poly(base, order - 1))
+        return (0.0, 1.0)
+    prev = np.asarray(_coth_poly(order - 1))
     return tuple(_poly.polymul(_poly.polyder(prev), (1.0, 0.0, -1.0)))
+
+
+def _e1(z, params, d):
+    """d-th z-derivative of E1 at the off-lattice array z, in the kind of params."""
+    if params.kind is FunctionKind.RATIONAL:
+        return (-1.0) ** d * factorial(d) * z ** (-d - 1)
+    if params.kind is FunctionKind.TRIGONOMETRIC:
+        return _poly.polyval(1.0 / np.tanh(z), np.asarray(_coth_poly(d)))
+    return _e1_derivs_elliptic(z, params, d)[d]
 
 
 def eisenstein_e1(z, params, deriv_order=0):
@@ -310,22 +319,15 @@ def eisenstein_e1(z, params, deriv_order=0):
         )
     arr, scalar = _asarray(z)
     params.require_off_lattice(arr, "E1 argument")
-    if params.kind is FunctionKind.RATIONAL:
-        d = deriv_order
-        out = (-1.0) ** d * factorial(d) * arr ** (-d - 1)
-    elif params.kind is FunctionKind.TRIGONOMETRIC:
-        out = _poly.polyval(1.0 / np.tanh(arr), np.asarray(_coth_poly("e1", deriv_order)))
-    else:
-        out = _e1_derivs_elliptic(arr, params, deriv_order)[deriv_order]
-    return _finish(out, scalar)
+    return _finish(_e1(arr, params, deriv_order), scalar)
 
 
 def weierstrass_p(z, params, deriv_order=0):
     r"""Weierstrass function :math:`\wp(z)` or one of its derivatives.
 
-    Kind dispatch: :math:`1/z^2` (rational), :math:`1/\sinh^2 z`
-    (trigonometric), or :math:`-E_1'(z) + c(\tau)` (elliptic) with the
-    lattice constant :math:`c(\tau) = \vartheta'''(0)/(3\vartheta'(0))`
+    In every kind :math:`\wp(z) = -E_1'(z)`, which is :math:`1/z^2`
+    (rational) and :math:`1/\sinh^2 z` (trigonometric).  The elliptic kind
+    adds the lattice constant :math:`c(\tau) = \vartheta'''(0)/(3\vartheta'(0))`,
     chosen so that :math:`\wp(z) - 1/z^2 \to 0` at the origin.
 
     Parameters
@@ -342,16 +344,9 @@ def weierstrass_p(z, params, deriv_order=0):
         )
     arr, scalar = _asarray(z)
     params.require_off_lattice(arr, "wp argument")
-    if params.kind is FunctionKind.RATIONAL:
-        d = deriv_order
-        out = (-1.0) ** d * factorial(d + 1) * arr ** (-d - 2)
-    elif params.kind is FunctionKind.TRIGONOMETRIC:
-        out = _poly.polyval(1.0 / np.tanh(arr), np.asarray(_coth_poly("wp", deriv_order)))
-    else:
-        e1 = _e1_derivs_elliptic(arr, params, deriv_order + 1)
-        out = -e1[deriv_order + 1]
-        if deriv_order == 0:
-            out = out + _wp_lattice_constant(params)
+    out = -_e1(arr, params, deriv_order + 1)
+    if params.kind is FunctionKind.ELLIPTIC and deriv_order == 0:
+        out = out + _wp_lattice_constant(params)
     return _finish(out, scalar)
 
 
@@ -465,7 +460,7 @@ def cyclic_orderings(n, a):
     return list(itertools.permutations(others))
 
 
-def scalar_cyclic_sum(n, a, eta, points, params, shuffle_seed=None):
+def scalar_cyclic_sum(n, a, eta, points, params):
     r"""Cyclic Kronecker-function sum over all (n-1)! orderings.
 
     Computes
@@ -490,10 +485,6 @@ def scalar_cyclic_sum(n, a, eta, points, params, shuffle_seed=None):
     points : sequence of n complex numbers
         Pairwise differences must be off-lattice.
     params : LatticeParams
-    shuffle_seed : int, optional
-        If given, the terms are accumulated in a seeded shuffled order
-        instead of the default lexicographic order (a floating-point
-        stability check; the result should be unchanged to rounding).
     """
     if n < 2:
         raise IndexOutOfRange(f"cyclic sum needs n >= 2, got {n}")
@@ -501,9 +492,6 @@ def scalar_cyclic_sum(n, a, eta, points, params, shuffle_seed=None):
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
     pts = np.asarray(points, dtype=complex)
     orderings = cyclic_orderings(n, a)
-    if shuffle_seed is not None:
-        rng = np.random.default_rng(shuffle_seed)
-        orderings = [orderings[i] for i in rng.permutation(len(orderings))]
 
     pair_idx = [(i, j) for i in range(n) for j in range(n) if i != j]
     diffs = np.array([pts[i] - pts[j] for i, j in pair_idx])

@@ -8,16 +8,12 @@ dimension N**n is capped to keep accidental blowups out of test runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
 
 __all__ = [
-    "TensorOperator",
     "DEFAULT_SIZE_CAP",
-    "identity_operator",
     "permutation_operator",
     "embed_two_site",
     "is_scalar_operator",
@@ -25,27 +21,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 4096
-
-
-@dataclass(frozen=True)
-class TensorOperator:
-    """Dense operator on (C^N)^{tensor n} with its site structure recorded."""
-
-    matrix: np.ndarray
-    site_dim: int
-    n_sites: int
-
-    def __post_init__(self):
-        dim = self.site_dim ** self.n_sites
-        if self.matrix.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"site_dim**n_sites = {dim}"
-            )
-
-    @property
-    def dim(self):
-        return self.site_dim ** self.n_sites
 
 
 def _check_cap(site_dim, n_sites, size_cap):
@@ -56,11 +31,6 @@ def _check_cap(site_dim, n_sites, size_cap):
             f"size cap {size_cap}"
         )
     return dim
-
-
-def identity_operator(site_dim, n_sites, size_cap=DEFAULT_SIZE_CAP):
-    dim = _check_cap(site_dim, n_sites, size_cap)
-    return np.eye(dim, dtype=complex)
 
 
 def permutation_operator(site_dim):

@@ -30,9 +30,9 @@ from rmx import (
     run_suites,
     same_site_closed_form,
     scalar_cyclic_sum,
-    term_sequences,
     weierstrass_p,
 )
+from rmx.special_functions import cyclic_orderings
 
 RA = LatticeParams(kind="rational")
 TR = LatticeParams(kind="trigonometric")
@@ -189,11 +189,11 @@ class TestAcceptance:
         t0 = time.monotonic()
         rng = np.random.default_rng(1004)
 
-        layout4 = term_sequences(4, 1)
+        layout4 = cyclic_orderings(4, 1)
         layout_ok = layout4 == [
             (2, 3, 4), (2, 4, 3), (3, 2, 4), (3, 4, 2), (4, 2, 3), (4, 3, 2)
         ]
-        got5 = term_sequences(5, 1)
+        got5 = cyclic_orderings(5, 1)
         layout_ok = layout_ok and len(got5) == 24 and set(got5) == {
             (5, 4, 3, 2), (4, 5, 3, 2), (3, 5, 4, 2), (5, 3, 4, 2),
             (3, 4, 5, 2), (4, 3, 5, 2), (2, 5, 4, 3), (2, 4, 5, 3),

@@ -24,9 +24,9 @@ from rmx import (
     default_tolerance,
     embed_two_site,
     r_matrix,
-    term_sequences,
     weierstrass_p,
 )
+from rmx.special_functions import cyclic_orderings
 
 RA = LatticeParams(kind="rational")
 EL = LatticeParams(kind="elliptic", tau=1j)
@@ -50,7 +50,7 @@ def belavin_spec(N=2, hbar=0.17 + 0.09j):
 class TestTermSequences:
     def test_counts(self):
         for n in range(2, 7):
-            assert len(term_sequences(n, 1)) == math.factorial(n - 1)
+            assert len(cyclic_orderings(n, 1)) == math.factorial(n - 1)
 
     def test_four_point_layout_is_lexicographic(self):
         want = [
@@ -61,7 +61,7 @@ class TestTermSequences:
             (4, 2, 3),
             (4, 3, 2),
         ]
-        assert term_sequences(4, 1) == want
+        assert cyclic_orderings(4, 1) == want
 
     def test_five_point_set(self):
         want = {
@@ -72,16 +72,16 @@ class TestTermSequences:
             (3, 5, 2, 4), (5, 2, 3, 4), (2, 3, 4, 5), (2, 4, 3, 5),
             (3, 2, 4, 5), (4, 3, 2, 5), (3, 4, 2, 5), (4, 2, 3, 5),
         }
-        got = term_sequences(5, 1)
+        got = cyclic_orderings(5, 1)
         assert len(got) == 24
         assert set(got) == want
 
     def test_excludes_outer_index(self):
-        assert term_sequences(3, 2) == [(1, 3), (3, 1)]
+        assert cyclic_orderings(3, 2) == [(1, 3), (3, 1)]
 
     def test_outer_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            term_sequences(4, 5)
+            cyclic_orderings(4, 5)
 
 
 class TestDefaultTolerance:
@@ -197,7 +197,7 @@ def dense_cyclic_sum(spec, n, points, outer):
         if i != j
     }
     total = np.zeros((N ** n, N ** n), dtype=complex)
-    for ordering in term_sequences(n, outer):
+    for ordering in cyclic_orderings(n, outer):
         chain = (outer,) + ordering + (outer,)
         prod = emb[chain[0], chain[1]]
         for u, v in zip(chain[1:-1], chain[2:]):

@@ -347,14 +347,6 @@ class TestScalarCyclicSum:
         a3 = scalar_cyclic_sum(4, 3, eta, pts, par)
         assert abs(a1 - a3) <= 1e-10 * (1 + abs(a1))
 
-    def test_shuffle_order_does_not_matter(self):
-        eta = 0.21 + 0.17j
-        pts = [0.3, 1.1 + 0.4j, 2.7 - 0.2j, 0.9 + 1.2j, 1.9 + 0.8j]
-        base = scalar_cyclic_sum(5, 1, eta, pts, RA)
-        for seed in (0, 1, 2):
-            mixed = scalar_cyclic_sum(5, 1, eta, pts, RA, shuffle_seed=seed)
-            assert abs(base - mixed) <= 1e-12 * (1 + abs(base))
-
     def test_index_validation(self):
         pts = [0.3, 1.1 + 0.4j, 2.2]
         with pytest.raises(IndexOutOfRange):

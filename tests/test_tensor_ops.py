@@ -5,10 +5,8 @@ from rmx import (
     DimensionMismatch,
     IndexOutOfRange,
     SizeCapExceeded,
-    TensorOperator,
     embed_two_site,
     frobenius_distance,
-    identity_operator,
     is_scalar_operator,
     permutation_operator,
 )
@@ -115,9 +113,9 @@ class TestEmbed:
         with pytest.raises(SizeCapExceeded):
             embed_two_site(np.eye(4), 1, 2, 2, 13)
         with pytest.raises(SizeCapExceeded):
-            identity_operator(2, 4, size_cap=8)
+            embed_two_site(np.eye(4), 1, 2, 2, 4, size_cap=8)
         # raising the cap unlocks the same call
-        out = identity_operator(2, 4, size_cap=16)
+        out = embed_two_site(np.eye(4), 1, 2, 2, 4, size_cap=16)
         assert out.shape == (16, 16)
 
 
@@ -160,13 +158,3 @@ class TestFrobeniusDistance:
         a = 1e-8 * np.eye(2)
         # norms below 1 fall back to an absolute comparison
         assert frobenius_distance(a, np.zeros((2, 2))) < 1e-7
-
-
-class TestTensorOperator:
-    def test_valid_construction(self):
-        t = TensorOperator(np.eye(8, dtype=complex), 2, 3)
-        assert t.dim == 8
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            TensorOperator(np.eye(7, dtype=complex), 2, 3)
