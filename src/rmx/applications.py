@@ -55,8 +55,8 @@ from .rmatrix import (
 from .special_functions import kronecker_phi
 from .tensor_ops import (
     DEFAULT_SIZE_CAP,
-    embed_two_site,
-    frobenius_distance,
+    _check_cap,
+    apply_two_site,
     is_scalar_operator,
 )
 
@@ -110,12 +110,11 @@ class CalogeroConfig:
 
 
 def lax_rmatrix(config, size_cap=DEFAULT_SIZE_CAP):
-    """Block Lax operator, shape (n, n, N**n, N**n)."""
+    """Block Lax operator, shape (n, n, N**n, N**n); checks the size cap first."""
     spec = config.rspec
     n = config.n_particles
-    N = spec.site_dim
     zs = config.positions
-    dim = N ** n
+    dim = _check_cap(spec.site_dim, n, size_cap)
     blocks = np.zeros((n, n, dim, dim), dtype=complex)
     eye = np.eye(dim, dtype=complex)
     for a in range(n):
@@ -123,8 +122,8 @@ def lax_rmatrix(config, size_cap=DEFAULT_SIZE_CAP):
         for b in range(n):
             if a != b:
                 rm = r_matrix(spec, zs[a] - zs[b])
-                blocks[a, b] = config.coupling * embed_two_site(
-                    rm, a + 1, b + 1, N, n, size_cap
+                blocks[a, b] = config.coupling * apply_two_site(
+                    rm, a + 1, b + 1, n, eye, size_cap
                 )
     return blocks
 
@@ -173,7 +172,6 @@ def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE
     blocks = block_matrix_power(lax_rmatrix(config, size_cap), power)
     scalar = np.linalg.matrix_power(lax_krichever(config), power)
 
-    dim = blocks.shape[-1]
     coeffs = []
     nonscalar = 0.0
     for a in range(n):
@@ -218,7 +216,7 @@ def check_kzb_flatness(
 ):
     """Flatness of the classical connection on a triple of points.
 
-    Builds r and m for the three pairwise differences, embeds them on
+    Builds r and m for the three pairwise differences, applies them on
     three sites, and measures
 
         [r_12, m_13 + m_23] + [r_13, m_12 + m_23]
@@ -235,29 +233,25 @@ def check_kzb_flatness(
     N = spec.site_dim
     if tolerance is None:
         tolerance = default_tolerance(spec.kind, N, 3)
-    z1, z2, z3 = (complex(p) for p in points)
+    z = [complex(p) for p in points]
 
     rm = {}
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        zij = (z1, z2, z3)[i - 1] - (z1, z2, z3)[j - 1]
+        zij = z[i - 1] - z[j - 1]
         if use_closed_form:
             rm[(i, j)] = classical_closed_form(spec, zij)
         else:
             rm[(i, j)] = _pair_classical(spec, zij, quadrature_points, contour_radius)
 
-    def emb(m, i, j):
-        return embed_two_site(m, i, j, N, 3)
+    eye = np.eye(N ** 3, dtype=complex)
+    m = {p: apply_two_site(rm[p][1], *p, 3, eye) for p in rm}
 
-    r12 = emb(rm[(1, 2)][0], 1, 2)
-    r13 = emb(rm[(1, 3)][0], 1, 3)
-    m12 = emb(rm[(1, 2)][1], 1, 2)
-    m13 = emb(rm[(1, 3)][1], 1, 3)
-    m23 = emb(rm[(2, 3)][1], 2, 3)
+    def comm(p, y):
+        # [r_p, y] = r_p y - y r_p, with y r_p = (r_p^T y^T)^T
+        r = rm[p][0]
+        return apply_two_site(r, *p, 3, y) - apply_two_site(r.T, *p, 3, y.T).T
 
-    def comm(x, y):
-        return x @ y - y @ x
-
-    lhs = comm(r12, m13 + m23) + comm(r13, m12 + m23)
+    lhs = comm((1, 2), m[1, 3] + m[2, 3]) + comm((1, 3), m[1, 2] + m[2, 3])
     r_norm = max(np.linalg.norm(rm[p][0]) for p in rm)
     m_norm = max(np.linalg.norm(rm[p][1]) for p in rm)
     scale = max(1.0, r_norm * m_norm)
@@ -285,39 +279,38 @@ def check_hbar_order_relation(
         sum_(c<a<b) ({r_ca, r_ab} + {r_ab, r_bc} + {r_bc, r_ca})
             = -(n - 2) sum_(b != c) m_bc
 
-    with every pair coefficient in closed form and embedded at its sites.
+    with every pair coefficient in closed form and applied at its sites.
+    The size cap is checked before any coefficient is built.
     """
     if n < 3:
         raise DimensionMismatch("the relation needs n >= 3 sites")
     if len(points) != n:
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
     N = spec.site_dim
+    dim = _check_cap(N, n, size_cap)
     if tolerance is None:
         tolerance = default_tolerance(spec.kind, N, 3)
     pts = [complex(p) for p in points]
 
-    r_emb = {}
-    m_emb = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                r_ij, m_ij = classical_closed_form(spec, pts[i - 1] - pts[j - 1])
-                r_emb[(i, j)] = embed_two_site(r_ij, i, j, N, n, size_cap)
-                m_emb[(i, j)] = embed_two_site(m_ij, i, j, N, n, size_cap)
+    eye = np.eye(dim, dtype=complex)
+    r, r_emb, m_sum = {}, {}, np.zeros((dim, dim), dtype=complex)
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        r[i, j], m_ij = classical_closed_form(spec, pts[i - 1] - pts[j - 1])
+        r_emb[i, j] = apply_two_site(r[i, j], i, j, n, eye, size_cap)
+        m_sum += apply_two_site(m_ij, i, j, n, eye, size_cap)
+    rhs = -(n - 2) * m_sum
 
-    def anti(x, y):
-        return x @ y + y @ x
-
-    dim = N ** n
+    # {x, y} + {y, w} + {w, x} = x (y + w) + y (x + w) + w (x + y)
     lhs = np.zeros((dim, dim), dtype=complex)
     for c, a, b in itertools.combinations(range(1, n + 1), 3):
-        lhs += anti(r_emb[(c, a)], r_emb[(a, b)])
-        lhs += anti(r_emb[(a, b)], r_emb[(b, c)])
-        lhs += anti(r_emb[(b, c)], r_emb[(c, a)])
-    rhs = -(n - 2) * sum(m_emb.values())
+        triple = ((c, a), (a, b), (b, c))
+        for p in triple:
+            rest = sum(r_emb[q] for q in triple if q != p)
+            lhs += apply_two_site(r[p], *p, n, rest, size_cap)
     # the anticommutators cancel pairwise, so condition on their size,
-    # not on the (possibly zero) right-hand side
-    r_scale = max(np.linalg.norm(v) for v in r_emb.values())
+    # not on the (possibly zero) right-hand side; embedding at n sites
+    # scales the Frobenius norm of a two-site operator by sqrt(N**(n-2))
+    r_scale = max(np.linalg.norm(v) for v in r.values()) * np.sqrt(N ** (n - 2))
     scale = max(1.0, float(np.linalg.norm(rhs)), r_scale * r_scale)
     residual = float(np.linalg.norm(lhs - rhs)) / scale
     return IdentityReport(

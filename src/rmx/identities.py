@@ -43,7 +43,8 @@ from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     DEFAULT_SIZE_CAP,
     _check_cap,
-    embed_two_site,
+    _product,
+    apply_two_site,
     frobenius_distance,
     is_scalar_operator,
     permutation_operator,
@@ -105,17 +106,16 @@ def _pair_factors(spec, n, points, hbar, size_cap):
     """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j.
 
     The point count and the size cap are checked before any R-matrix is
-    built.  Each factor has shape (N, N, N, N): row legs, then column legs.
+    built.
     """
     if n < 2:
         raise DimensionMismatch(f"the cyclic product sum needs n >= 2, got {n}")
     if len(points) != n:
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
-    N = spec.site_dim
-    _check_cap(N, n, size_cap)
+    _check_cap(spec.site_dim, n, size_cap)
     pts = [complex(p) for p in points]
     return {
-        (i, j): r_matrix(spec, pts[i] - pts[j], hbar).reshape((N,) * 4)
+        (i, j): r_matrix(spec, pts[i] - pts[j], hbar)
         for i in range(n)
         for j in range(n)
         if i != j
@@ -145,30 +145,15 @@ def _slab_count(n, dim):
     return min(-(-live // (n * (n - 1))), dim)
 
 
-def _add_pair_step(acc, state, factor, j, k, n):
-    """acc += state times the factor embedded at 0-based sites (j, k).
-
-    state and acc hold a slab of rows of a D x D operator transposed, with
-    shape (D, rows), so that the rows stay the contiguous innermost axis
-    while the legs j and k are moved; factor has shape (N, N, N, N).
-    """
-    N = factor.shape[0]
-    if j > k:
-        j, k, factor = k, j, factor.transpose(1, 0, 3, 2)
-    shape = (N ** j, N, N ** (k - j - 1), N, N ** (n - k - 1) * state.shape[1])
-    legs = state.reshape(shape).transpose(1, 3, 0, 2, 4).reshape(N * N, -1)
-    out = factor.reshape(N * N, N * N).T @ legs
-    view = acc.reshape(shape)  # acc is contiguous, so this is a view
-    view += out.reshape(N, N, *shape[::2]).transpose(2, 0, 3, 1, 4)
-
-
-def _cyclic_sum(factors, N, n, outer):
+def _cyclic_sum(factors, N, n, outer, size_cap):
     """Subset DP over the chains from 0-based site ``outer`` back to itself.
 
     A state (S, j) holds the sum of the products R_{outer i_1} ... R_{i_m j}
     over all orderings of the set S that end at j; each layer adds one
     site, F[S + {k}, k] = sum_j F[S, j] R_jk.  The rows of the result are
-    independent, so the DP runs once per slab of rows.
+    independent, so the DP runs once per slab of rows.  A state holds its
+    slab of rows transposed, with shape (D, rows), so that each step is
+    one two-site application: (F R)^T = R^T F^T.
     """
     dim = N ** n
     others = [k for k in range(n) if k != outer]
@@ -185,15 +170,18 @@ def _cyclic_sum(factors, N, n, outer):
                     if mask >> k & 1:
                         continue
                     key = (mask | 1 << k, k)
-                    acc = nxt.get(key)
-                    if acc is None:
-                        acc = nxt[key] = np.zeros_like(state)
-                    _add_pair_step(acc, state, factors[j, k], j, k, n)
+                    step = apply_two_site(
+                        factors[j, k].T, j + 1, k + 1, n, state, size_cap
+                    )
+                    if key in nxt:
+                        nxt[key] += step
+                    else:
+                        nxt[key] = step
             layer = nxt
-        out = np.zeros((dim, hi - lo), dtype=complex)
-        for (_, j), state in layer.items():
-            _add_pair_step(out, state, factors[j, outer], j, outer, n)
-        total[lo:hi] = out.T
+        total[lo:hi] = sum(
+            apply_two_site(factors[j, outer].T, j + 1, outer + 1, n, state, size_cap)
+            for (_, j), state in layer.items()
+        ).T
     return total
 
 
@@ -235,7 +223,7 @@ def cyclic_product_sum(
         raise IndexOutOfRange(f"outer index {outer} not in 1..{n}")
     hbar = _resolve_hbar(spec, hbar)
     factors = _pair_factors(spec, n, points, hbar, size_cap)
-    return _cyclic_sum(factors, spec.site_dim, n, outer - 1)
+    return _cyclic_sum(factors, spec.site_dim, n, outer - 1, size_cap)
 
 
 def check_unitarity(spec, z, hbar=None, tolerance=None):
@@ -348,7 +336,7 @@ def check_outer_index_independence(
     if tolerance is None:
         tolerance = default_tolerance(spec.kind, spec.site_dim, n)
     factors = _pair_factors(spec, n, points, hbar, size_cap)
-    sums = [_cyclic_sum(factors, spec.site_dim, n, a) for a in range(n)]
+    sums = [_cyclic_sum(factors, spec.site_dim, n, a, size_cap) for a in range(n)]
     residual = max(
         frobenius_distance(sums[0], s) for s in sums[1:]
     )
@@ -372,16 +360,13 @@ def check_qybe(spec, points, hbar=None, tolerance=None):
     hbar = _resolve_hbar(spec, hbar)
     if tolerance is None:
         tolerance = default_tolerance(spec.kind, spec.site_dim, 3)
-    N = spec.site_dim
     z1, z2, z3 = (complex(p) for p in points)
-
-    def emb(zi, zj, i, j):
-        return embed_two_site(r_matrix(spec, zi - zj, hbar), i, j, N, 3)
-
-    r12 = emb(z1, z2, 1, 2)
-    r13 = emb(z1, z3, 1, 3)
-    r23 = emb(z2, z3, 2, 3)
-    residual = frobenius_distance(r12 @ r13 @ r23, r23 @ r13 @ r12)
+    r12 = (r_matrix(spec, z1 - z2, hbar), 1, 2)
+    r13 = (r_matrix(spec, z1 - z3, hbar), 1, 3)
+    r23 = (r_matrix(spec, z2 - z3, hbar), 2, 3)
+    residual = frobenius_distance(
+        _product(3, r12, r13, r23), _product(3, r23, r13, r12)
+    )
     return IdentityReport(
         name="qybe",
         passed=residual < tolerance,
@@ -420,21 +405,16 @@ def check_aybe(spec, points, second_hbar, hbar=None, tolerance=None):
         raise DegenerateArguments(
             f"AYBE parameters degenerate: {exc}"
         ) from exc
-    N = spec.site_dim
     za, zb, zc = (complex(p) for p in points)
+    r_ac_h = (r_matrix(spec, za - zc, hbar), 1, 3)
+    r_cb_e = (r_matrix(spec, zc - zb, eta), 3, 2)
+    r_ab_e = (r_matrix(spec, za - zb, eta), 1, 2)
+    r_ac_he = (r_matrix(spec, za - zc, hbar - eta), 1, 3)
+    r_cb_eh = (r_matrix(spec, zc - zb, eta - hbar), 3, 2)
+    r_ab_h = (r_matrix(spec, za - zb, hbar), 1, 2)
 
-    def emb(m, i, j):
-        return embed_two_site(m, i, j, N, 3)
-
-    r_ac_h = emb(r_matrix(spec, za - zc, hbar), 1, 3)
-    r_cb_e = emb(r_matrix(spec, zc - zb, eta), 3, 2)
-    r_ab_e = emb(r_matrix(spec, za - zb, eta), 1, 2)
-    r_ac_he = emb(r_matrix(spec, za - zc, hbar - eta), 1, 3)
-    r_cb_eh = emb(r_matrix(spec, zc - zb, eta - hbar), 3, 2)
-    r_ab_h = emb(r_matrix(spec, za - zb, hbar), 1, 2)
-
-    lhs = r_ac_h @ r_cb_e
-    rhs = r_ab_e @ r_ac_he + r_cb_eh @ r_ab_h
+    lhs = _product(3, r_ac_h, r_cb_e)
+    rhs = _product(3, r_ab_e, r_ac_he) + _product(3, r_cb_eh, r_ab_h)
     residual = frobenius_distance(lhs, rhs)
     return IdentityReport(
         name="aybe",

@@ -51,7 +51,7 @@ from .special_functions import (
     kronecker_phi_deta,
     weierstrass_p,
 )
-from .tensor_ops import embed_two_site, frobenius_distance, permutation_operator
+from .tensor_ops import _product, frobenius_distance, permutation_operator
 
 __all__ = [
     "RMatrixKind",
@@ -327,21 +327,17 @@ def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
     hbar = spec.hbar
     deriv = _deriv_hbar_matrix(spec, z_a - z_b, hbar)
 
-    N = spec.site_dim
-    r_ab = r_matrix(spec, z_a - z_b)
-    r_ac = r_matrix(spec, z_a - z_c)
-    r_cb = r_matrix(spec, z_c - z_b)
-    cl_ac = classical_closed_form(spec, z_a - z_c)[0]
-    cl_cb = classical_closed_form(spec, z_c - z_b)[0]
+    r_ab = (r_matrix(spec, z_a - z_b), 1, 2)
+    r_ac = (r_matrix(spec, z_a - z_c), 1, 3)
+    r_cb = (r_matrix(spec, z_c - z_b), 3, 2)
+    cl_ac = (classical_closed_form(spec, z_a - z_c)[0], 1, 3)
+    cl_cb = (classical_closed_form(spec, z_c - z_b)[0], 3, 2)
 
-    def emb(m, i, j):
-        return embed_two_site(m, i, j, N, 3)
-
-    lhs = emb(deriv, 1, 2)
+    lhs = _product(3, (deriv, 1, 2))
     rhs = (
-        emb(r_ab, 1, 2) @ emb(cl_ac, 1, 3)
-        + emb(cl_cb, 3, 2) @ emb(r_ab, 1, 2)
-        - emb(r_ac, 1, 3) @ emb(r_cb, 3, 2)
+        _product(3, r_ab, cl_ac)
+        + _product(3, cl_cb, r_ab)
+        - _product(3, r_ac, r_cb)
     )
     return HbarDerivative(deriv, frobenius_distance(lhs, rhs))
 
@@ -426,22 +422,6 @@ def _default_radius(spec, z):
     return 0.025 * min(1.0, abs(tau), abs(1.0 + tau))
 
 
-def _shortest_period(tau):
-    """Length of the shortest nonzero vector of the lattice Z + tau Z.
-
-    Lagrange-Gauss reduction of the basis (1, tau): it stops when the
-    longer vector has no shorter translate by a multiple of the shorter.
-    """
-    u, v = 1.0 + 0j, complex(tau)
-    while True:
-        if abs(v) < abs(u):
-            u, v = v, u
-        m = round((v / u).real)
-        if m == 0:
-            return abs(u)
-        v -= m * u
-
-
 def classical_expansion(
     spec, z, quadrature_points=32, contour_radius=None, refine_tol=1e-8
 ):
@@ -469,7 +449,7 @@ def classical_expansion(
         # R has its hbar poles on the lattice (Z + tau Z) / N, so the
         # nearest one besides hbar = 0 lies a shortest period over N away;
         # at N = 1 these are the lattice points themselves
-        nearest = _shortest_period(spec.lattice.tau) / spec.site_dim
+        nearest = spec.lattice.shortest_period / spec.site_dim
         if contour_radius >= 0.9 * nearest:
             raise ContourHitsPole(
                 f"contour radius {contour_radius} reaches the hbar pole "

@@ -74,6 +74,7 @@ __all__ = [
     "kronecker_phi",
     "kronecker_phi_deta",
     "fay_check",
+    "cyclic_orderings",
     "scalar_cyclic_sum",
     "MAX_WP_DERIV_ORDER",
 ]
@@ -136,23 +137,30 @@ class LatticeParams:
             raise ValueError(f"max_terms must be at least 8, got {self.max_terms}")
         if not self.exclusion_radius > 0:
             raise ValueError("exclusion_radius must be positive")
+        if self.kind is FunctionKind.ELLIPTIC:
+            object.__setattr__(self, "_cell", _reduced_cell(self.tau))
+
+    @property
+    def shortest_period(self):
+        """Length of the shortest nonzero vector of Z + tau Z (elliptic kind)."""
+        return abs(self._cell[0])
 
     def lattice_distance(self, z):
-        """Distance from ``z`` to the nearest pole/lattice point of this kind."""
+        """Distance from ``z`` to the nearest pole/lattice point of this kind.
+
+        Elliptic kind: the nearest corner of the reduced cell around z.
+        """
         z = np.asarray(z, dtype=complex)
         if self.kind is FunctionKind.RATIONAL:
             return np.abs(z)
         if self.kind is FunctionKind.TRIGONOMETRIC:
             return np.abs(z - 1j * np.pi * np.round(z.imag / np.pi))
-        tau = self.tau
-        y = z.imag / tau.imag
-        x = z.real - y * tau.real
-        best = None
-        for mx in (np.floor(x), np.floor(x) + 1):
-            for my in (np.floor(y), np.floor(y) + 1):
-                d = np.abs(z - (mx + my * tau))
-                best = d if best is None else np.minimum(best, d)
-        return best
+        u, v, du, dv = self._cell
+        r = z - (np.floor((z * du).imag) * u + np.floor((z * dv).imag) * v)
+        return np.minimum(
+            np.minimum(np.abs(r), np.abs(r - u)),
+            np.minimum(np.abs(r - v), np.abs(r - u - v)),
+        )
 
     def require_off_lattice(self, z, what="argument"):
         """Raise :class:`PoleProximity` if any entry of ``z`` is too close to a pole."""
@@ -164,6 +172,27 @@ class LatticeParams:
                 f"{what} {bad} is within {self.exclusion_radius} of a "
                 f"{self.kind.value} lattice point"
             )
+
+
+def _reduced_cell(tau):
+    """Lagrange-Gauss reduced basis (u, v) of Z + tau Z, and the factors
+    du, dv that give the coordinates of z = x u + y v as x = Im(z du),
+    y = Im(z dv).  Reduced means |u| <= |v| and |Re(v / u)| <= 1/2, so one
+    diagonal splits the cell of u and v into two non-obtuse Delaunay
+    triangles, and every point has its nearest lattice point among the
+    corners of the triangle, hence of the cell, that contains it.
+    """
+    u, v = 1.0 + 0j, complex(tau)
+    while True:
+        if abs(v) < abs(u):
+            u, v = v, u
+        m = round((v / u).real)
+        if m == 0:
+            break
+        v -= m * u
+    du = v.conjugate() / (v.conjugate() * u).imag
+    dv = u.conjugate() / (u.conjugate() * v).imag
+    return u, v, du, dv
 
 
 def _asarray(x):

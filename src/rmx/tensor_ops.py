@@ -1,12 +1,14 @@
 """Operators on tensor products of n copies of C^N.
 
-Small utilities for embedding two-site operators into n-site products,
+Small utilities for applying two-site operators inside n-site products,
 building the permutation operator, and testing whether an operator is a
 scalar multiple of the identity.  Everything is dense numpy; the total
 dimension N**n is capped to keep accidental blowups out of test runs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
 __all__ = [
     "DEFAULT_SIZE_CAP",
     "permutation_operator",
-    "embed_two_site",
+    "apply_two_site",
     "is_scalar_operator",
     "frobenius_distance",
 ]
@@ -44,52 +46,65 @@ def permutation_operator(site_dim):
     )
 
 
-def embed_two_site(op, site_a, site_b, site_dim, n_sites, size_cap=DEFAULT_SIZE_CAP):
-    """Embed a two-site operator at sites (site_a, site_b) of an n-site product.
+def apply_two_site(op, site_a, site_b, n_sites, x, size_cap=DEFAULT_SIZE_CAP):
+    """Apply a two-site operator at sites (site_a, site_b) of an n-site product.
+
+    Returns E @ x, where E is op embedded at the ordered pair of sites, an
+    N**n x N**n matrix that is never formed: only the two tensor legs of x
+    that op acts on are moved (one transpose, one N^2 x N^2 matmul, one
+    transpose back), so the cost is N**n * N**2 multiply-adds per column
+    of x instead of N**(2n).
 
     Parameters
     ----------
-    op : ndarray, shape (site_dim**2, site_dim**2)
+    op : ndarray, shape (N**2, N**2)
         Operator acting on the ordered pair of sites.
     site_a, site_b : int
         1-based site labels, distinct.
-    site_dim, n_sites : int
+    n_sites : int
+    x : ndarray, shape (N**n_sites, m)
     size_cap : int
-        Upper bound on the embedded dimension.
+        Upper bound on the total dimension N**n_sites.
 
     Returns
     -------
-    ndarray of shape (site_dim**n_sites,) * 2
+    ndarray of shape (N**n_sites, m), a new array
     """
-    if not 1 <= site_a <= n_sites or not 1 <= site_b <= n_sites:
+    if not (1 <= site_a <= n_sites and 1 <= site_b <= n_sites) or site_a == site_b:
         raise IndexOutOfRange(
-            f"sites ({site_a}, {site_b}) must lie in 1..{n_sites}"
+            f"sites ({site_a}, {site_b}) must be distinct and lie in 1..{n_sites}"
         )
-    if site_a == site_b:
-        raise IndexOutOfRange(f"sites must be distinct, got ({site_a}, {site_b})")
-    dim = _check_cap(site_dim, n_sites, size_cap)
     op = np.asarray(op, dtype=complex)
-    if op.shape != (site_dim ** 2, site_dim ** 2):
+    N = math.isqrt(op.shape[0]) if op.ndim == 2 else 0
+    if N == 0 or op.shape != (N * N, N * N):
         raise DimensionMismatch(
-            f"two-site operator has shape {op.shape}, expected "
-            f"{(site_dim ** 2, site_dim ** 2)}"
+            f"two-site operator has shape {op.shape}, expected (N**2, N**2)"
         )
-    if n_sites == 2 and (site_a, site_b) == (1, 2):
-        return op.copy()
+    dim = _check_cap(N, n_sites, size_cap)
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != dim:
+        raise DimensionMismatch(
+            f"operand has shape {x.shape}, expected ({dim}, m)"
+        )
+    a, b = site_a - 1, site_b - 1
+    op = op.reshape(N, N, N, N)
+    if a > b:
+        a, b, op = b, a, op.transpose(1, 0, 3, 2)
+    cols = x.shape[1]
+    shape = (N ** a, N, N ** (b - a - 1), N, N ** (n_sites - b - 1) * cols)
+    legs = x.reshape(shape).transpose(1, 3, 0, 2, 4)
+    out = op.reshape(N * N, N * N) @ legs.reshape(N * N, dim // (N * N) * cols)
+    return out.reshape(N, N, *shape[::2]).transpose(2, 0, 3, 1, 4).reshape(dim, cols)
 
-    n = site_dim
-    rest = n ** (n_sites - 2)
-    big = np.kron(op, np.eye(rest, dtype=complex)).reshape((n,) * (2 * n_sites))
-    # tensor factors currently ordered (a, b, rest...); route them to place
-    src = {site_a - 1: 0, site_b - 1: 1}
-    nxt = 2
-    for s in range(n_sites):
-        if s not in src:
-            src[s] = nxt
-            nxt += 1
-    perm = [src[s] for s in range(n_sites)]
-    big = big.transpose(perm + [n_sites + p for p in perm])
-    return np.ascontiguousarray(big.reshape(dim, dim))
+
+def _product(n_sites, *factors):
+    """Matrix of the product of two-site factors ``(op, site_a, site_b)`` on
+    n sites, in the order written: each is applied, right to left, to Id."""
+    N = math.isqrt(np.shape(factors[-1][0])[0])
+    out = np.eye(N ** n_sites, dtype=complex)
+    for op, site_a, site_b in reversed(factors):
+        out = apply_two_site(op, site_a, site_b, n_sites, out)
+    return out
 
 
 def is_scalar_operator(matrix, tol=1e-10):

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+from rmx import applications
 from rmx import (
     CalogeroConfig,
     DimensionMismatch,
     LatticeParams,
     QuadratureNotConverged,
     RMatrixSpec,
+    SizeCapExceeded,
     UsageError,
     block_matrix_power,
     check_hbar_order_relation,
     check_kzb_flatness,
     check_trace_power_guess,
+    classical_closed_form,
     lax_krichever,
     lax_rmatrix,
+    r_matrix,
 )
 
 RA = LatticeParams(kind="rational")
@@ -189,3 +193,23 @@ class TestHbarOrderRelation:
             check_hbar_order_relation(yang_spec(2), 2, YANG_PTS_3[:2])
         with pytest.raises(DimensionMismatch):
             check_hbar_order_relation(yang_spec(2), 3, YANG_PTS_4)
+
+
+def test_size_cap_raises_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(applications, "r_matrix",
+                        lambda *a: calls.append(a) or r_matrix(*a))
+    monkeypatch.setattr(applications, "classical_closed_form",
+                        lambda *a: calls.append(a) or classical_closed_form(*a))
+    spec = yang_spec(3)
+    cfg = make_config(spec, 4)
+    with pytest.raises(SizeCapExceeded):
+        lax_rmatrix(cfg, size_cap=80)
+    with pytest.raises(SizeCapExceeded):
+        check_trace_power_guess(cfg, 2, size_cap=80)
+    with pytest.raises(SizeCapExceeded):
+        check_hbar_order_relation(spec, 4, YANG_PTS_4, size_cap=80)
+    assert calls == []
+    # the same calls run at the cap N**n = 81
+    assert lax_rmatrix(cfg, size_cap=81).shape == (4, 4, 81, 81)
+    assert check_hbar_order_relation(spec, 4, YANG_PTS_4, size_cap=81).passed

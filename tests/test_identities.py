@@ -22,11 +22,12 @@ from rmx import (
     cyclic_product_sum,
     cyclic_sum_cost,
     default_tolerance,
-    embed_two_site,
     r_matrix,
     weierstrass_p,
 )
 from rmx.special_functions import cyclic_orderings
+
+from dense_oracle import embed_two_site
 
 RA = LatticeParams(kind="rational")
 EL = LatticeParams(kind="elliptic", tau=1j)
@@ -262,8 +263,8 @@ class TestCyclicProductSumOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_cost_counts_the_steps_taken(self, monkeypatch, n):
         steps = []
-        step = identities._add_pair_step
-        monkeypatch.setattr(identities, "_add_pair_step",
+        step = identities.apply_two_site
+        monkeypatch.setattr(identities, "apply_two_site",
                             lambda *a: steps.append(1) or step(*a))
         spec = RMatrixSpec(kind="belavin", site_dim=1, lattice=EL,
                            hbar=0.21 + 0.13j)

@@ -101,6 +101,41 @@ class TestTheta:
             LatticeParams(kind="elliptic", tau=1.0)
 
 
+def brute_lattice_distance(z, tau):
+    """Distance from z to Z + tau Z: the nearest point of row n is
+    m = round(Re(z - n tau)), and a row more than 1 away from z in the
+    imaginary direction cannot hold the nearest point."""
+    y = np.floor(z.imag / tau.imag)
+    reach = np.ceil(1.0 / tau.imag) + 2
+    rows = np.arange(y - reach, y + reach + 1)
+    w = z - rows * tau
+    return np.min(np.abs(w - np.round(w.real)))
+
+
+class TestLatticeDistance:
+    @pytest.mark.parametrize("tau", [
+        1j, 0.13 + 1.21j, 0.5 + 0.866j, 3.7 + 0.3j, -4.6 + 0.21j,
+        0.05j, 0.37 + 0.05j, 2.5 + 0.07j, -0.49 + 0.06j,
+    ])
+    def test_matches_brute_force(self, tau):
+        lat = LatticeParams(kind="elliptic", tau=tau)
+        rng = np.random.default_rng(41)
+        zs = rng.uniform(-4, 4, 300) + 1j * rng.uniform(-4, 4, 300)
+        got = lat.lattice_distance(zs)
+        want = np.array([brute_lattice_distance(z, tau) for z in zs])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert float(lat.lattice_distance(zs[0])) == got[0]
+
+    def test_skewed_tau(self):
+        lat = LatticeParams(kind="elliptic", tau=3.7 + 0.3j)
+        # the four corners of the skewed cell around z are all farther
+        # than the lattice point 0
+        assert abs(lat.lattice_distance(0.2 + 0.25j) - abs(0.2 + 0.25j)) < 1e-15
+        far = 0.2 + 0.25j + 17 - 9 * lat.tau
+        assert abs(lat.lattice_distance(far) - abs(0.2 + 0.25j)) < 1e-12
+        assert abs(lat.shortest_period - abs(lat.tau - 4)) < 1e-15
+
+
 class TestEisenstein:
     def test_rational_is_inverse(self):
         assert abs(eisenstein_e1(0.5, RA) - 2.0) < 1e-15

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,14 @@ from rmx import (
     DimensionMismatch,
     IndexOutOfRange,
     SizeCapExceeded,
-    embed_two_site,
+    apply_two_site,
     frobenius_distance,
     is_scalar_operator,
     permutation_operator,
 )
+from rmx.tensor_ops import _product
+
+from dense_oracle import embed_two_site
 
 
 class TestPermutation:
@@ -47,11 +53,21 @@ class TestPermutation:
         assert np.allclose(p @ np.kron(a, b) @ p, np.kron(b, a))
 
 
+def embedded(op, site_a, site_b, n_sites):
+    """The matrix of op at the given sites, by applying it to the identity."""
+    dim = math.isqrt(op.shape[0]) ** n_sites
+    return apply_two_site(op, site_a, site_b, n_sites, np.eye(dim, dtype=complex))
+
+
+def random_op(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestEmbed:
     def test_two_site_identity_case(self):
         rng = np.random.default_rng(11)
-        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = embed_two_site(op, 1, 2, 2, 2)
+        op = random_op(rng, (4, 4))
+        out = embedded(op, 1, 2, 2)
         assert np.array_equal(out, op)
         out[0, 0] = 99.0
         assert op[0, 0] != 99.0
@@ -59,64 +75,105 @@ class TestEmbed:
     def test_site_routing_against_kron(self):
         rng = np.random.default_rng(13)
         n = 2
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = random_op(rng, (n, n))
+        b = random_op(rng, (n, n))
         op = np.kron(a, b)
         eye = np.eye(n)
-        got = embed_two_site(op, 2, 3, n, 3)
+        got = embedded(op, 2, 3, 3)
         assert np.allclose(got, np.kron(eye, np.kron(a, b)))
-        got = embed_two_site(op, 1, 3, n, 3)
+        got = embedded(op, 1, 3, 3)
         assert np.allclose(got, np.kron(a, np.kron(eye, b)))
         # reversed site order routes the factors independently
-        got = embed_two_site(op, 3, 1, n, 3)
+        got = embedded(op, 3, 1, 3)
         assert np.allclose(got, np.kron(b, np.kron(eye, a)))
 
     def test_reversed_sites_equal_conjugated_embed(self):
         rng = np.random.default_rng(17)
         n = 3
-        op = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        op = random_op(rng, (9, 9))
         p = permutation_operator(n)
-        lhs = embed_two_site(op, 2, 1, n, 3)
-        rhs = embed_two_site(p @ op @ p, 1, 2, n, 3)
+        lhs = embedded(op, 2, 1, 3)
+        rhs = embedded(p @ op @ p, 1, 2, 3)
         assert np.allclose(lhs, rhs)
 
     def test_composition(self):
         rng = np.random.default_rng(19)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lhs = embed_two_site(x, 2, 4, 2, 4) @ embed_two_site(y, 2, 4, 2, 4)
-        rhs = embed_two_site(x @ y, 2, 4, 2, 4)
+        x = random_op(rng, (4, 4))
+        y = random_op(rng, (4, 4))
+        lhs = apply_two_site(x, 2, 4, 4, embedded(y, 2, 4, 4))
+        rhs = embedded(x @ y, 2, 4, 4)
         assert np.allclose(lhs, rhs)
 
     def test_disjoint_sites_commute(self):
         rng = np.random.default_rng(23)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = embed_two_site(x, 1, 3, 2, 4)
-        b = embed_two_site(y, 2, 4, 2, 4)
+        x = random_op(rng, (4, 4))
+        y = random_op(rng, (4, 4))
+        a = embedded(x, 1, 3, 4)
+        b = embedded(y, 2, 4, 4)
         assert np.allclose(a @ b, b @ a)
 
     def test_index_validation(self):
         op = np.eye(4)
+        x = np.eye(8)
         with pytest.raises(IndexOutOfRange):
-            embed_two_site(op, 0, 2, 2, 3)
+            apply_two_site(op, 0, 2, 3, x)
         with pytest.raises(IndexOutOfRange):
-            embed_two_site(op, 1, 4, 2, 3)
+            apply_two_site(op, 1, 4, 3, x)
         with pytest.raises(IndexOutOfRange):
-            embed_two_site(op, 2, 2, 2, 3)
+            apply_two_site(op, 2, 2, 3, x)
 
     def test_shape_validation(self):
+        x = np.eye(8)
         with pytest.raises(DimensionMismatch):
-            embed_two_site(np.eye(3), 1, 2, 2, 3)
+            apply_two_site(np.eye(3), 1, 2, 3, x)
+        with pytest.raises(DimensionMismatch):
+            apply_two_site(np.eye(4)[:, :3], 1, 2, 3, x)
+        with pytest.raises(DimensionMismatch):
+            apply_two_site(np.ones(4), 1, 2, 3, x)
+        # the operand must have N**n rows and be two-dimensional
+        with pytest.raises(DimensionMismatch):
+            apply_two_site(np.eye(4), 1, 2, 3, np.eye(9))
+        with pytest.raises(DimensionMismatch):
+            apply_two_site(np.eye(4), 1, 2, 3, np.ones(8))
 
     def test_size_cap(self):
+        x = np.eye(16)
+        # the cap is checked before the operand's shape
         with pytest.raises(SizeCapExceeded):
-            embed_two_site(np.eye(4), 1, 2, 2, 13)
+            apply_two_site(np.eye(4), 1, 2, 13, x)
         with pytest.raises(SizeCapExceeded):
-            embed_two_site(np.eye(4), 1, 2, 2, 4, size_cap=8)
+            apply_two_site(np.eye(4), 1, 2, 4, x, size_cap=8)
         # raising the cap unlocks the same call
-        out = embed_two_site(np.eye(4), 1, 2, 2, 4, size_cap=16)
+        out = apply_two_site(np.eye(4), 1, 2, 4, x, size_cap=16)
         assert out.shape == (16, 16)
+
+
+class TestApplyTwoSiteOracle:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_embed(self, N, n):
+        rng = np.random.default_rng(100 * N + n)
+        op = random_op(rng, (N * N, N * N))
+        # a column count unlike N**n, so rows and columns cannot be confused
+        x = random_op(rng, (N ** n, 3))
+        for a, b in itertools.permutations(range(1, n + 1), 2):
+            got = apply_two_site(op, a, b, n, x)
+            want = embed_two_site(op, a, b, N, n) @ x
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_returns_new_array(self):
+        x = np.eye(4, dtype=complex)
+        out = apply_two_site(np.eye(4), 1, 2, 2, x)
+        out[0, 0] = 7.0
+        assert x[0, 0] == 1.0
+
+    def test_product_applies_right_to_left(self):
+        rng = np.random.default_rng(31)
+        x, y, w = (random_op(rng, (4, 4)) for _ in range(3))
+        got = _product(3, (x, 1, 2), (y, 3, 1), (w, 2, 3))
+        want = (embed_two_site(x, 1, 2, 2, 3) @ embed_two_site(y, 3, 1, 2, 3)
+                @ embed_two_site(w, 2, 3, 2, 3))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestScalarDetection:

@@ -1,0 +1,245 @@
+"""The checks that apply two-site factors locally, against dense embeddings.
+
+Each check applies its factors with ``rmx.apply_two_site`` and never forms
+an embedded matrix.  Here every residual is rebuilt from the dense
+embeddings of ``dense_oracle`` and must agree to round-off.  The genuine
+factors satisfy the identities, so both residuals would sit at round-off
+and agree by accident; the factors are therefore shifted by a fixed
+random two-site matrix, which breaks the identities and makes the
+residuals of order one.  A second set of cases keeps the genuine factors
+and moves one of them to the wrong sites: the check must then fail, so no
+rewrite can leave a check that passes whatever it computes.
+"""
+
+import numpy as np
+import pytest
+
+from rmx import (
+    CalogeroConfig,
+    LatticeParams,
+    RMatrixSpec,
+    applications,
+    check_aybe,
+    check_hbar_order_relation,
+    check_kzb_flatness,
+    check_nth_order,
+    check_qybe,
+    check_trace_power_guess,
+    classical_closed_form,
+    frobenius_distance,
+    identities,
+    lax_rmatrix,
+    r_deriv_hbar,
+    r_matrix,
+    rmatrix,
+    tensor_ops,
+)
+
+from dense_oracle import embed_two_site
+
+RA = LatticeParams(kind="rational")
+EL = LatticeParams(kind="elliptic", tau=1j)
+
+YANG_PTS = [0.3, 1.1 + 0.4j, 2.2 - 0.3j, 0.7 + 1.1j]
+EL_PTS = [0.31 + 0.11j, 0.62 + 0.29j, 0.18 + 0.41j, 0.47 + 0.23j]
+MOMENTA = (0.21 - 0.11j, -0.34 + 0.07j, 0.55 + 0.19j)
+
+
+def families(N):
+    return [
+        (RMatrixSpec(kind="yang", site_dim=N, lattice=RA, hbar=0.7 + 0.3j),
+         YANG_PTS, 0.4 - 0.1j),
+        (RMatrixSpec(kind="belavin", site_dim=N, lattice=EL, hbar=0.17 + 0.09j),
+         EL_PTS, 0.07 + 0.04j),
+    ]
+
+
+CASES = [(N, spec, pts, eta) for N in (1, 2, 3) for spec, pts, eta in families(N)]
+CASE_IDS = [f"{spec.kind.value}-N{N}" for N, spec, _, _ in CASES]
+
+
+def shift(N, seed):
+    rng = np.random.default_rng(seed + N)
+    shape = (N * N, N * N)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture
+def shifted(monkeypatch):
+    """Shift r_matrix and classical_closed_form everywhere the checks and
+    this module look them up; return the shifted versions."""
+
+    def shifted_r(spec, z, hbar=None):
+        return r_matrix(spec, z, hbar) + shift(spec.site_dim, 1)
+
+    def shifted_classical(spec, z):
+        r, m = classical_closed_form(spec, z)
+        return r + shift(spec.site_dim, 2), m + shift(spec.site_dim, 3)
+
+    for module in (identities, rmatrix, applications):
+        monkeypatch.setattr(module, "r_matrix", shifted_r)
+    for module in (rmatrix, applications):
+        monkeypatch.setattr(module, "classical_closed_form", shifted_classical)
+    return shifted_r, shifted_classical
+
+
+def agree(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("N, spec, pts, eta", CASES, ids=CASE_IDS)
+class TestResidualsMatchDenseFormulas:
+    def test_qybe(self, shifted, N, spec, pts, eta):
+        rr = shifted[0]
+        z = pts[:3]
+
+        def e(i, j):
+            return embed_two_site(rr(spec, z[i - 1] - z[j - 1]), i, j, N, 3)
+
+        want = frobenius_distance(e(1, 2) @ e(1, 3) @ e(2, 3),
+                                  e(2, 3) @ e(1, 3) @ e(1, 2))
+        assert agree(check_qybe(spec, z).residual, want)
+
+    def test_aybe(self, shifted, N, spec, pts, eta):
+        rr = shifted[0]
+        za, zb, zc = pts[:3]
+        h = spec.hbar
+
+        def e(z, hb, i, j):
+            return embed_two_site(rr(spec, z, hb), i, j, N, 3)
+
+        lhs = e(za - zc, h, 1, 3) @ e(zc - zb, eta, 3, 2)
+        rhs = (e(za - zb, eta, 1, 2) @ e(za - zc, h - eta, 1, 3)
+               + e(zc - zb, eta - h, 3, 2) @ e(za - zb, h, 1, 2))
+        want = frobenius_distance(lhs, rhs)
+        assert agree(check_aybe(spec, pts[:3], eta).residual, want)
+
+    def test_hbar_derivative(self, shifted, N, spec, pts, eta):
+        rr, cl = shifted
+        za, zb, zc = pts[:3]
+        out = r_deriv_hbar(spec, za, zb, aux_point=zc)
+
+        def e(m, i, j):
+            return embed_two_site(m, i, j, N, 3)
+
+        r_ab = e(rr(spec, za - zb), 1, 2)
+        rhs = (r_ab @ e(cl(spec, za - zc)[0], 1, 3)
+               + e(cl(spec, zc - zb)[0], 3, 2) @ r_ab
+               - e(rr(spec, za - zc), 1, 3) @ e(rr(spec, zc - zb), 3, 2))
+        want = frobenius_distance(e(out.matrix, 1, 2), rhs)
+        assert agree(out.structural_residual, want)
+
+    def test_kzb_flatness(self, shifted, N, spec, pts, eta):
+        cl = shifted[1]
+        z = pts[:3]
+        rm = {(i, j): cl(spec, z[i - 1] - z[j - 1])
+              for i, j in ((1, 2), (1, 3), (2, 3))}
+        r = {p: embed_two_site(rm[p][0], *p, N, 3) for p in rm}
+        m = {p: embed_two_site(rm[p][1], *p, N, 3) for p in rm}
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        lhs = (comm(r[1, 2], m[1, 3] + m[2, 3])
+               + comm(r[1, 3], m[1, 2] + m[2, 3]))
+        scale = max(1.0, max(np.linalg.norm(v[0]) for v in rm.values())
+                    * max(np.linalg.norm(v[1]) for v in rm.values()))
+        want = np.linalg.norm(lhs) / scale
+        got = check_kzb_flatness(spec, z, use_closed_form=True).residual
+        assert agree(got, want)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_hbar_order_relation(self, shifted, N, spec, pts, eta, n):
+        cl = shifted[1]
+        r, m = {}, {}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    r_ij, m_ij = cl(spec, pts[i - 1] - pts[j - 1])
+                    r[i, j] = embed_two_site(r_ij, i, j, N, n)
+                    m[i, j] = embed_two_site(m_ij, i, j, N, n)
+
+        def anti(x, y):
+            return x @ y + y @ x
+
+        lhs = sum(anti(r[c, a], r[a, b]) + anti(r[a, b], r[b, c])
+                  + anti(r[b, c], r[c, a])
+                  for c in range(1, n + 1) for a in range(c + 1, n + 1)
+                  for b in range(a + 1, n + 1))
+        rhs = -(n - 2) * sum(m.values())
+        # the scale is taken on the embedded matrices
+        r_scale = max(np.linalg.norm(v) for v in r.values())
+        scale = max(1.0, np.linalg.norm(rhs), r_scale * r_scale)
+        want = np.linalg.norm(lhs - rhs) / scale
+        rep = check_hbar_order_relation(spec, n, pts[:n])
+        assert agree(rep.residual, want)
+        assert agree(rep.details["rhs_norm"], np.linalg.norm(rhs))
+
+    def test_lax_blocks(self, shifted, N, spec, pts, eta):
+        rr = shifted[0]
+        n = 3
+        cfg = CalogeroConfig(rspec=spec, momenta=MOMENTA, positions=pts[:n],
+                             coupling=0.8 - 0.2j)
+        blocks = lax_rmatrix(cfg)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    want = MOMENTA[a] * np.eye(N ** n)
+                else:
+                    want = cfg.coupling * embed_two_site(
+                        rr(spec, pts[a] - pts[b]), a + 1, b + 1, N, n)
+                assert np.linalg.norm(blocks[a, b] - want) <= (
+                    1e-14 * np.linalg.norm(want))
+
+
+def misroute_first_call(monkeypatch, module):
+    """Put the first factor that ``module`` applies on the wrong sites:
+    its second site moves to the lowest site outside the pair."""
+    apply = tensor_ops.apply_two_site
+    calls = []
+
+    def wrong(op, a, b, n_sites, x, *rest):
+        if not calls:
+            b = min(set(range(1, n_sites + 1)) - {a, b})
+        calls.append((a, b))
+        return apply(op, a, b, n_sites, x, *rest)
+
+    monkeypatch.setattr(module, "apply_two_site", wrong)
+    return calls
+
+
+def belavin(N=2):
+    return RMatrixSpec(kind="belavin", site_dim=N, lattice=EL, hbar=0.17 + 0.09j)
+
+
+MISROUTED = {
+    "qybe": (tensor_ops, lambda: check_qybe(belavin(), EL_PTS[:3])),
+    "aybe": (tensor_ops, lambda: check_aybe(belavin(), EL_PTS[:3], 0.07 + 0.04j)),
+    "nth-order": (identities, lambda: check_nth_order(belavin(), 4, EL_PTS)),
+    "kzb-flatness": (applications, lambda: check_kzb_flatness(
+        belavin(), EL_PTS[:3], use_closed_form=True)),
+    "hbar-order": (applications,
+                   lambda: check_hbar_order_relation(belavin(), 4, EL_PTS)),
+    "trace-power": (applications, lambda: check_trace_power_guess(
+        CalogeroConfig(rspec=belavin(), momenta=MOMENTA, positions=EL_PTS[:3]),
+        2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISROUTED))
+def test_check_fails_with_one_factor_on_wrong_sites(monkeypatch, name):
+    module, run = MISROUTED[name]
+    assert run().passed
+    calls = misroute_first_call(monkeypatch, module)
+    rep = run()
+    assert calls
+    assert not rep.passed
+    assert rep.residual > 1e3 * rep.tolerance
+
+
+def test_hbar_derivative_fails_with_one_factor_on_wrong_sites(monkeypatch):
+    args = (belavin(), 0.61 + 0.28j, 0.13 + 0.07j)
+    assert r_deriv_hbar(*args).structural_residual < 1e-12
+    calls = misroute_first_call(monkeypatch, tensor_ops)
+    assert r_deriv_hbar(*args).structural_residual > 1e-3
+    assert calls
