@@ -48,6 +48,7 @@ from .errors import DimensionMismatch, QuadratureNotConverged, UsageError
 from .identities import IdentityReport, default_tolerance
 from .rmatrix import (
     _default_radius,
+    _contour,
     _laurent_coefficients,
     classical_closed_form,
     r_matrix,
@@ -109,6 +110,10 @@ class CalogeroConfig:
         return len(self.momenta)
 
 
+def _pairs(n):
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
 def lax_rmatrix(config, size_cap=DEFAULT_SIZE_CAP):
     """Block Lax operator, shape (n, n, N**n, N**n); checks the size cap first."""
     spec = config.rspec
@@ -119,12 +124,12 @@ def lax_rmatrix(config, size_cap=DEFAULT_SIZE_CAP):
     eye = np.eye(dim, dtype=complex)
     for a in range(n):
         blocks[a, a] = config.momenta[a] * eye
-        for b in range(n):
-            if a != b:
-                rm = r_matrix(spec, zs[a] - zs[b])
-                blocks[a, b] = config.coupling * apply_two_site(
-                    rm, a + 1, b + 1, n, eye, size_cap
-                )
+    pairs = _pairs(n)
+    factors = r_matrix(spec, np.array([zs[a] - zs[b] for a, b in pairs]))
+    for (a, b), rm in zip(pairs, factors):
+        blocks[a, b] = config.coupling * apply_two_site(
+            rm, a + 1, b + 1, n, eye, size_cap
+        )
     return blocks
 
 
@@ -134,14 +139,13 @@ def lax_krichever(config):
     n = config.n_particles
     N = spec.site_dim
     zs = config.positions
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        out[a, a] = config.momenta[a]
-        for b in range(n):
-            if a != b:
-                out[a, b] = config.coupling * N * kronecker_phi(
-                    N * spec.hbar, zs[a] - zs[b], spec.lattice
-                )
+    out = np.diag(np.array(config.momenta, dtype=complex))
+    pairs = _pairs(n)
+    phis = kronecker_phi(
+        N * spec.hbar, np.array([zs[a] - zs[b] for a, b in pairs]), spec.lattice
+    )
+    for (a, b), phi in zip(pairs, phis.tolist()):
+        out[a, b] = config.coupling * N * phi
     return out
 
 
@@ -199,13 +203,6 @@ def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE
     )
 
 
-def _pair_classical(spec, z, quadrature_points, contour_radius):
-    """(r, m) at spectral parameter z from an hbar contour with the given nodes."""
-    radius = contour_radius if contour_radius is not None else _default_radius(spec, z)
-    coeffs = _laurent_coefficients(spec, z, radius, quadrature_points)
-    return coeffs[0], coeffs[1]
-
-
 def check_kzb_flatness(
     spec,
     points,
@@ -234,14 +231,17 @@ def check_kzb_flatness(
     if tolerance is None:
         tolerance = default_tolerance(spec.kind, N, 3)
     z = [complex(p) for p in points]
-
-    rm = {}
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        zij = z[i - 1] - z[j - 1]
-        if use_closed_form:
-            rm[(i, j)] = classical_closed_form(spec, zij)
-        else:
-            rm[(i, j)] = _pair_classical(spec, zij, quadrature_points, contour_radius)
+    pairs = ((1, 2), (1, 3), (2, 3))
+    zs = np.array([z[i - 1] - z[j - 1] for i, j in pairs])
+    if use_closed_form:
+        rm = dict(zip(pairs, zip(*classical_closed_form(spec, zs))))
+    else:
+        if contour_radius is None:
+            contour_radius = _default_radius(spec, zs)
+        # R at every pair and contour node from one r_matrix call
+        nodes, vals = _contour(spec, zs[:, None], contour_radius, quadrature_points)
+        coeffs = [_laurent_coefficients(nodes, v) for v in vals]
+        rm = {p: (c[0], c[1]) for p, c in zip(pairs, coeffs)}
 
     eye = np.eye(N ** 3, dtype=complex)
     m = {p: apply_two_site(rm[p][1], *p, 3, eye) for p in rm}
@@ -293,10 +293,14 @@ def check_hbar_order_relation(
     pts = [complex(p) for p in points]
 
     eye = np.eye(dim, dtype=complex)
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    r_all, m_all = classical_closed_form(
+        spec, np.array([pts[i - 1] - pts[j - 1] for i, j in pairs])
+    )
     r, r_emb, m_sum = {}, {}, np.zeros((dim, dim), dtype=complex)
-    for i, j in itertools.permutations(range(1, n + 1), 2):
-        r[i, j], m_ij = classical_closed_form(spec, pts[i - 1] - pts[j - 1])
-        r_emb[i, j] = apply_two_site(r[i, j], i, j, n, eye, size_cap)
+    for (i, j), r_ij, m_ij in zip(pairs, r_all, m_all):
+        r[i, j] = r_ij
+        r_emb[i, j] = apply_two_site(r_ij, i, j, n, eye, size_cap)
         m_sum += apply_two_site(m_ij, i, j, n, eye, size_cap)
     rhs = -(n - 2) * m_sum
 

@@ -41,6 +41,7 @@ from .rmatrix import RMatrixSpec, classical_expansion, r_deriv_hbar
 from .special_functions import (
     FunctionKind,
     LatticeParams,
+    _wp,
     fay_check,
     scalar_cyclic_sum,
     weierstrass_p,
@@ -93,11 +94,9 @@ def _sample_points(rng, lat, count):
         else:
             pts = rng.uniform(0.3, 3.9, count) + 1j * rng.uniform(0.1, 1.9, count)
         pts = [complex(p) for p in pts]
-        ok = all(float(lat.lattice_distance(p)) > 1e-2 for p in pts)
-        for i in range(count):
-            for j in range(i + 1, count):
-                ok = ok and float(lat.lattice_distance(pts[i] - pts[j])) > separation
-        if ok:
+        diffs = [pts[i] - pts[j] for i in range(count) for j in range(i + 1, count)]
+        d = lat.lattice_distance(np.array(pts + diffs))
+        if np.all(d[:count] > 1e-2) and np.all(d[count:] > separation):
             return pts
     raise RmxError("point sampling failed to avoid the lattice")
 
@@ -109,12 +108,10 @@ def _sample_hbar(rng, lat, N, max_order=0):
             h = (rng.uniform(0.05, 0.45) + rng.uniform(0.05, 0.45) * lat.tau) / N
         else:
             h = rng.uniform(0.3, 1.2) + 1j * rng.uniform(0.1, 0.6)
-        if float(lat.lattice_distance(h)) < 1e-4:
-            continue
-        if float(lat.lattice_distance(N * h)) < 1e-4:
+        if np.any(lat.lattice_distance(np.array([h, N * h])) < 1e-4):
             continue
         orders = range(min(max_order, 6) + 1)
-        if all(abs(weierstrass_p(N * h, lat, d)) <= WP_MAGNITUDE_CAP for d in orders):
+        if np.all(np.abs(_wp(lat, np.asarray(N * h), orders)) <= WP_MAGNITUDE_CAP):
             return complex(h)
     raise RmxError("hbar sampling failed to find a moderate value")
 

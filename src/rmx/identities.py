@@ -114,12 +114,9 @@ def _pair_factors(spec, n, points, hbar, size_cap):
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
     _check_cap(spec.site_dim, n, size_cap)
     pts = [complex(p) for p in points]
-    return {
-        (i, j): r_matrix(spec, pts[i] - pts[j], hbar)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    }
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    z = np.array([pts[i] - pts[j] for i, j in pairs])
+    return dict(zip(pairs, r_matrix(spec, z, hbar)))
 
 
 def cyclic_sum_cost(site_dim, n):
@@ -234,12 +231,11 @@ def check_unitarity(spec, z, hbar=None, tolerance=None):
     if tolerance is None:
         tolerance = default_tolerance(spec.kind, N, 2)
     perm = permutation_operator(N)
-    r12 = r_matrix(spec, z, hbar)
-    r21 = perm @ r_matrix(spec, -z, hbar) @ perm
+    r12, r_neg = r_matrix(spec, np.array([z, -z]), hbar)
+    r21 = perm @ r_neg @ perm
     prod = r12 @ r21
-    expected = N * N * (
-        weierstrass_p(N * hbar, spec.lattice) - weierstrass_p(z, spec.lattice)
-    )
+    wp_nh, wp_z = weierstrass_p(np.array([N * hbar, z]), spec.lattice).tolist()
+    expected = N * N * (wp_nh - wp_z)
     _, coeff, nonscalar = is_scalar_operator(prod, tol=np.inf)
     coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
     residual = max(nonscalar, coeff_resid)
@@ -361,9 +357,8 @@ def check_qybe(spec, points, hbar=None, tolerance=None):
     if tolerance is None:
         tolerance = default_tolerance(spec.kind, spec.site_dim, 3)
     z1, z2, z3 = (complex(p) for p in points)
-    r12 = (r_matrix(spec, z1 - z2, hbar), 1, 2)
-    r13 = (r_matrix(spec, z1 - z3, hbar), 1, 3)
-    r23 = (r_matrix(spec, z2 - z3, hbar), 2, 3)
+    r12, r13, r23 = r_matrix(spec, np.array([z1 - z2, z1 - z3, z2 - z3]), hbar)
+    r12, r13, r23 = (r12, 1, 2), (r13, 1, 3), (r23, 2, 3)
     residual = frobenius_distance(
         _product(3, r12, r13, r23), _product(3, r23, r13, r12)
     )
@@ -406,15 +401,16 @@ def check_aybe(spec, points, second_hbar, hbar=None, tolerance=None):
             f"AYBE parameters degenerate: {exc}"
         ) from exc
     za, zb, zc = (complex(p) for p in points)
-    r_ac_h = (r_matrix(spec, za - zc, hbar), 1, 3)
-    r_cb_e = (r_matrix(spec, zc - zb, eta), 3, 2)
-    r_ab_e = (r_matrix(spec, za - zb, eta), 1, 2)
-    r_ac_he = (r_matrix(spec, za - zc, hbar - eta), 1, 3)
-    r_cb_eh = (r_matrix(spec, zc - zb, eta - hbar), 3, 2)
-    r_ab_h = (r_matrix(spec, za - zb, hbar), 1, 2)
+    ac, cb, ab = za - zc, zc - zb, za - zb
+    r_ac_h, r_cb_e, r_ab_e, r_ac_he, r_cb_eh, r_ab_h = r_matrix(
+        spec,
+        np.array([ac, cb, ab, ac, cb, ab]),
+        np.array([hbar, eta, eta, hbar - eta, eta - hbar, hbar]),
+    )
 
-    lhs = _product(3, r_ac_h, r_cb_e)
-    rhs = _product(3, r_ab_e, r_ac_he) + _product(3, r_cb_eh, r_ab_h)
+    lhs = _product(3, (r_ac_h, 1, 3), (r_cb_e, 3, 2))
+    rhs = (_product(3, (r_ab_e, 1, 2), (r_ac_he, 1, 3))
+           + _product(3, (r_cb_eh, 3, 2), (r_ab_h, 1, 2)))
     residual = frobenius_distance(lhs, rhs)
     return IdentityReport(
         name="aybe",
@@ -432,8 +428,8 @@ def check_skew_symmetry(spec, z, hbar=None, tolerance=None):
         tolerance = default_tolerance(spec.kind, spec.site_dim, 2)
     z = complex(z)
     perm = permutation_operator(spec.site_dim)
-    lhs = r_matrix(spec, z, hbar)
-    rhs = -perm @ r_matrix(spec, -z, -hbar) @ perm
+    lhs, r_neg = r_matrix(spec, np.array([z, -z]), np.array([hbar, -hbar]))
+    rhs = -perm @ r_neg @ perm
     residual = frobenius_distance(lhs, rhs)
     return IdentityReport(
         name="skew-symmetry",

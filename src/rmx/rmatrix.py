@@ -46,10 +46,10 @@ from .errors import (
 from .special_functions import (
     FunctionKind,
     LatticeParams,
-    eisenstein_e1,
+    _classical_parts,
+    _off_lattice,
     kronecker_phi,
     kronecker_phi_deta,
-    weierstrass_p,
 )
 from .tensor_ops import _product, frobenius_distance, permutation_operator
 
@@ -112,12 +112,13 @@ class RMatrixSpec:
                 raise ZeroArgument("Yang R-matrix needs hbar != 0")
 
     def validate_hbar(self, hbar):
+        """Check a quantization parameter, or an array of them, for this spec."""
+        hbar = np.asarray(hbar, dtype=complex)
         if self.kind is RMatrixKind.YANG:
-            if hbar == 0:
+            if np.any(hbar == 0):
                 raise ZeroArgument("Yang R-matrix needs hbar != 0")
             return
-        self.lattice.require_off_lattice(hbar, "hbar")
-        self.lattice.require_off_lattice(self.site_dim * hbar, "N*hbar")
+        _off_lattice(self.lattice, ("hbar", hbar), ("N*hbar", self.site_dim * hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,17 @@ def _alpha_grid(N):
     return [(a1, a2) for a1 in range(N) for a2 in range(N)]
 
 
+@lru_cache(maxsize=64)
+def _alpha_omegas(N, tau):
+    """The second labels alpha_2 and the points omega_alpha = (alpha_1 +
+    alpha_2 tau) / N of the alpha grid, as arrays in grid order."""
+    alphas = np.array(_alpha_grid(N), dtype=float)
+    out = alphas[:, 1], (alphas[:, 0] + alphas[:, 1] * tau) / N
+    for a in out:  # shared by every caller
+        a.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tt_stack(N):
     """Stack of T_alpha tensor T_(-alpha), shape (N^2, N^2, N^2), grid order."""
@@ -172,51 +184,72 @@ def _tt_stack(N):
 # the two families
 # ---------------------------------------------------------------------------
 
+def _n_over(N, z):
+    """N / z entrywise, in Python's complex division, whose last bits differ
+    from numpy's: the Yang entries keep the values of the scalar formula."""
+    return np.array([N / v for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
+
+
 def yang_r(z, hbar, N):
-    """Yang R-matrix Id/hbar + (N/z) P on C^N tensor C^N."""
-    if z == 0:
+    """Yang R-matrix Id/hbar + (N/z) P on C^N tensor C^N.
+
+    Broadcasts over arrays of z and hbar: the shape is their broadcast
+    shape + (N^2, N^2).
+    """
+    z, hbar = np.broadcast_arrays(
+        np.asarray(z, dtype=complex), np.asarray(hbar, dtype=complex)
+    )
+    if np.any(z == 0):
         raise ZeroArgument("Yang R-matrix needs z != 0")
-    if hbar == 0:
+    if np.any(hbar == 0):
         raise ZeroArgument("Yang R-matrix needs hbar != 0")
     dim = N * N
-    return np.eye(dim, dtype=complex) / hbar + (N / z) * permutation_operator(N)
+    return (
+        np.eye(dim, dtype=complex) / hbar[..., None, None]
+        + _n_over(N, z)[..., None, None] * permutation_operator(N)
+    )
 
 
-def _belavin_weights(spec, z, hbars):
-    """Scalar weights of the T tensor T stack at each hbar, shape (K, N^2)."""
+def _belavin_weights(spec, z, hbar):
+    """Scalar weights of the T tensor T stack at broadcast arrays z and
+    hbar, shape (broadcast shape) + (N^2,), from one kronecker_phi call."""
     N = spec.site_dim
-    lat = spec.lattice
-    lat.require_off_lattice(z, "spectral parameter z")
-    alphas = np.array(_alpha_grid(N), dtype=float)
-    omegas = (alphas[:, 0] + alphas[:, 1] * lat.tau) / N
-    hb = np.asarray(hbars, dtype=complex)
-    args = omegas[None, :] + hb[:, None]
-    phis = kronecker_phi(complex(z), args, lat)
-    return np.exp(2j * np.pi * alphas[None, :, 1] * z / N) * phis
+    a2, omegas = _alpha_omegas(N, spec.lattice.tau)
+    z = np.asarray(z, dtype=complex)[..., None]
+    phis = kronecker_phi(z, omegas + np.asarray(hbar, dtype=complex)[..., None],
+                         spec.lattice)
+    return np.exp(2j * np.pi * a2 * z / N) * phis
+
+
+def _weighted_tt(w, tt):
+    """sum_a w[..., a] tt[a], a matrix per leading index of w."""
+    k, dim = tt.shape[:2]
+    return (w @ tt.reshape(k, dim * dim)).reshape(w.shape[:-1] + (dim, dim))
 
 
 def belavin_r(spec, z, hbar=None):
-    """Elliptic R-matrix at spectral parameter z, shape (N^2, N^2)."""
-    if hbar is None:
-        hbar = spec.hbar
-    else:
-        spec.validate_hbar(hbar)
-    w = _belavin_weights(spec, complex(z), np.array([hbar], dtype=complex))
-    return np.einsum("a,aij->ij", w[0], _tt_stack(spec.site_dim))
+    """Elliptic R-matrix at spectral parameter z, shape (N^2, N^2).
 
-
-def r_matrix(spec, z, hbar=None):
-    """Evaluate the R-matrix of the given spec, shape (N^2, N^2).
-
-    hbar overrides spec.hbar when given (validated the same way).
+    Broadcasts over arrays of z and hbar like :func:`yang_r`.
     """
     if hbar is None:
         hbar = spec.hbar
     else:
         spec.validate_hbar(hbar)
+    return _weighted_tt(_belavin_weights(spec, z, hbar), _tt_stack(spec.site_dim))
+
+
+def r_matrix(spec, z, hbar=None):
+    """Evaluate the R-matrix of the given spec, shape (N^2, N^2).
+
+    hbar overrides spec.hbar when given (validated the same way).  Both
+    broadcast: arrays of z and hbar give the broadcast shape + (N^2, N^2),
+    every entry a scalar call's matrix, so a check builds all its factors
+    in one call.
+    """
     if spec.kind is RMatrixKind.YANG:
-        return yang_r(complex(z), complex(hbar), spec.site_dim)
-    return belavin_r(spec, complex(z), hbar)
+        return yang_r(z, spec.hbar if hbar is None else hbar, spec.site_dim)
+    return belavin_r(spec, z, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +288,7 @@ def r_same_site(spec, z, hbar=None, tol=1e-8):
             N * np.eye(N, dtype=complex)
         )
     else:
-        w = _belavin_weights(spec, complex(z), np.array([hbar], dtype=complex))[0]
+        w = _belavin_weights(spec, complex(z), hbar)
         mat = np.zeros((N, N), dtype=complex)
         for coeff, (a1, a2) in zip(w, _alpha_grid(N)):
             mat += coeff * (t_basis(a1, a2, N) @ t_basis(-a1, -a2, N))
@@ -293,14 +326,10 @@ def _deriv_hbar_matrix(spec, z, hbar):
     if spec.kind is RMatrixKind.YANG:
         dim = N * N
         return -np.eye(dim, dtype=complex) / (hbar * hbar)
-    lat = spec.lattice
-    alphas = np.array(_alpha_grid(N), dtype=float)
-    omegas = (alphas[:, 0] + alphas[:, 1] * lat.tau) / N
-    args = omegas + hbar
+    a2, omegas = _alpha_omegas(N, spec.lattice.tau)
     # d/dhbar phi(z, w + hbar) is the slot derivative of phi at (w + hbar, z)
-    dphis = kronecker_phi_deta(args, complex(z), lat)
-    w = np.exp(2j * np.pi * alphas[:, 1] * z / N) * dphis
-    return np.einsum("a,aij->ij", w, _tt_stack(N))
+    dphis = kronecker_phi_deta(omegas + hbar, complex(z), spec.lattice)
+    return _weighted_tt(np.exp(2j * np.pi * a2 * z / N) * dphis, _tt_stack(N))
 
 
 def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
@@ -327,17 +356,14 @@ def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
     hbar = spec.hbar
     deriv = _deriv_hbar_matrix(spec, z_a - z_b, hbar)
 
-    r_ab = (r_matrix(spec, z_a - z_b), 1, 2)
-    r_ac = (r_matrix(spec, z_a - z_c), 1, 3)
-    r_cb = (r_matrix(spec, z_c - z_b), 3, 2)
-    cl_ac = (classical_closed_form(spec, z_a - z_c)[0], 1, 3)
-    cl_cb = (classical_closed_form(spec, z_c - z_b)[0], 3, 2)
+    r_ab, r_ac, r_cb = r_matrix(spec, np.array([z_a - z_b, z_a - z_c, z_c - z_b]))
+    cl_ac, cl_cb = classical_closed_form(spec, np.array([z_a - z_c, z_c - z_b]))[0]
 
     lhs = _product(3, (deriv, 1, 2))
     rhs = (
-        _product(3, r_ab, cl_ac)
-        + _product(3, cl_cb, r_ab)
-        - _product(3, r_ac, r_cb)
+        _product(3, (r_ab, 1, 2), (cl_ac, 1, 3))
+        + _product(3, (cl_cb, 3, 2), (r_ab, 1, 2))
+        - _product(3, (r_ac, 1, 3), (r_cb, 3, 2))
     )
     return HbarDerivative(deriv, frobenius_distance(lhs, rhs))
 
@@ -370,47 +396,43 @@ class ClassicalPair:
 
 
 def classical_closed_form(spec, z):
-    """Closed forms of (r, m) at spectral parameter z."""
+    """Closed forms of (r, m) at spectral parameter z.
+
+    Broadcasts over an array of z: r and m then have shape
+    z.shape + (N^2, N^2).  The elliptic family takes E1, wp and the
+    Kronecker terms from one theta series on [z, omega_alpha, omega_alpha + z].
+    """
     N = spec.site_dim
     dim = N * N
+    z = np.asarray(z, dtype=complex)
     if spec.kind is RMatrixKind.YANG:
-        if z == 0:
+        if np.any(z == 0):
             raise ZeroArgument("classical coefficients need z != 0")
-        return (N / z) * permutation_operator(N), np.zeros((dim, dim), dtype=complex)
-    lat = spec.lattice
-    lat.require_off_lattice(z, "spectral parameter z")
-    e1 = eisenstein_e1(z, lat)
-    wp = weierstrass_p(z, lat)
-    r = e1 * np.eye(dim, dtype=complex)
-    m = 0.5 * (e1 * e1 - wp) * np.eye(dim, dtype=complex)
-    if N > 1:
-        alphas = np.array(_alpha_grid(N), dtype=float)[1:]
-        omegas = (alphas[:, 0] + alphas[:, 1] * lat.tau) / N
-        coeffs = np.exp(2j * np.pi * alphas[:, 1] * z / N)
-        stack = _tt_stack(N)[1:]
-        r = r + np.einsum(
-            "a,aij->ij", coeffs * kronecker_phi(complex(z), omegas, lat), stack
-        )
-        m = m + np.einsum(
-            "a,aij->ij", coeffs * kronecker_phi_deta(omegas, complex(z), lat), stack
-        )
+        r = _n_over(N, z)[..., None, None] * permutation_operator(N)
+        return r, np.zeros(r.shape, dtype=complex)
+    a2, omegas = _alpha_omegas(N, spec.lattice.tau)
+    e1, wp, phi, dphi = _classical_parts(z, omegas[1:], spec.lattice)
+    coeffs = np.exp(2j * np.pi * a2[1:] * z[..., None] / N)
+    eye = np.eye(dim, dtype=complex)
+    tt = _tt_stack(N)[1:]
+    r = e1[..., None, None] * eye + _weighted_tt(coeffs * phi, tt)
+    m = (0.5 * (e1 * e1 - wp))[..., None, None] * eye + _weighted_tt(coeffs * dphi, tt)
     return r, m
 
 
-def _laurent_coefficients(spec, z, radius, points):
+def _contour(spec, z, radius, points):
+    """The hbar contour nodes around 0, and R at z and every node from one
+    r_matrix call (z broadcasts against the nodes)."""
     nodes = radius * np.exp(2j * np.pi * np.arange(points) / points)
-    if spec.kind is RMatrixKind.YANG:
-        dim = spec.site_dim ** 2
-        vals = np.eye(dim, dtype=complex)[None] / nodes[:, None, None] + (
-            spec.site_dim / z
-        ) * permutation_operator(spec.site_dim)[None]
-    else:
-        weights = _belavin_weights(spec, z, nodes)
-        vals = np.einsum("ka,aij->kij", weights, _tt_stack(spec.site_dim))
-    out = {}
-    for j in (-1, 0, 1):
-        out[j] = np.einsum("k,kij->ij", nodes ** (-j), vals) / points
-    return out
+    return nodes, r_matrix(spec, z, nodes)
+
+
+def _laurent_coefficients(nodes, vals):
+    """Trapezoid sums for the hbar^(-1), hbar^0 and hbar^1 coefficients."""
+    return {
+        j: np.einsum("k,kij->ij", nodes ** (-j), vals) / len(nodes)
+        for j in (-1, 0, 1)
+    }
 
 
 def _default_radius(spec, z):
@@ -458,8 +480,13 @@ def classical_expansion(
     if quadrature_points < 8:
         raise QuadratureNotConverged("need at least 8 quadrature points")
 
-    coarse = _laurent_coefficients(spec, z, contour_radius, quadrature_points)
-    fine = _laurent_coefficients(spec, z, contour_radius, 2 * quadrature_points)
+    # the coarse nodes are every other fine node: evaluate R once, and sum
+    # contiguous copies so the coarse sums match a direct evaluation's
+    nodes, vals = _contour(spec, z, contour_radius, 2 * quadrature_points)
+    coarse = _laurent_coefficients(
+        np.ascontiguousarray(nodes[::2]), np.ascontiguousarray(vals[::2])
+    )
+    fine = _laurent_coefficients(nodes, vals)
     extraction = max(frobenius_distance(coarse[j], fine[j]) for j in (-1, 0, 1))
     if extraction > refine_tol:
         raise QuadratureNotConverged(

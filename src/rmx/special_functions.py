@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb, factorial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
@@ -150,28 +151,11 @@ class LatticeParams:
 
         Elliptic kind: the nearest corner of the reduced cell around z.
         """
-        z = np.asarray(z, dtype=complex)
-        if self.kind is FunctionKind.RATIONAL:
-            return np.abs(z)
-        if self.kind is FunctionKind.TRIGONOMETRIC:
-            return np.abs(z - 1j * np.pi * np.round(z.imag / np.pi))
-        u, v, du, dv = self._cell
-        r = z - (np.floor((z * du).imag) * u + np.floor((z * dv).imag) * v)
-        return np.minimum(
-            np.minimum(np.abs(r), np.abs(r - u)),
-            np.minimum(np.abs(r - v), np.abs(r - u - v)),
-        )
+        return _KINDS[self.kind].distance(self, np.asarray(z, dtype=complex))
 
     def require_off_lattice(self, z, what="argument"):
         """Raise :class:`PoleProximity` if any entry of ``z`` is too close to a pole."""
-        d = self.lattice_distance(z)
-        if np.any(d < self.exclusion_radius):
-            zs = np.asarray(z, dtype=complex)
-            bad = zs.reshape(-1)[np.argmin(np.asarray(d).reshape(-1))]
-            raise PoleProximity(
-                f"{what} {bad} is within {self.exclusion_radius} of a "
-                f"{self.kind.value} lattice point"
-            )
+        _off_lattice(self, (what, z))
 
 
 def _reduced_cell(tau):
@@ -195,6 +179,35 @@ def _reduced_cell(tau):
     return u, v, du, dv
 
 
+def _off_lattice(params, *slots):
+    """Join the named arguments of ``slots``, (name, array) pairs, into one
+    flat vector, check it with one lattice_distance call and return it.
+
+    A failure raises :class:`PoleProximity` naming the first slot with an
+    entry within exclusion_radius of a pole, and that slot's nearest entry.
+    """
+    flat = np.concatenate([np.asarray(v, dtype=complex).ravel() for _, v in slots])
+    d = params.lattice_distance(flat)
+    if np.any(d < params.exclusion_radius):
+        edges = np.cumsum([0] + [np.size(v) for _, v in slots])
+        for (what, _), lo, hi in zip(slots, edges, edges[1:]):
+            if np.any(d[lo:hi] < params.exclusion_radius):
+                bad = flat[lo + np.argmin(d[lo:hi])]
+                raise PoleProximity(
+                    f"{what} {bad} is within {params.exclusion_radius} of a "
+                    f"{params.kind.value} lattice point"
+                )
+    return flat
+
+
+def _split(flat, slots):
+    """Cut the last axis of flat, the concatenated entries of the arrays
+    slots, back into arrays of their shapes."""
+    edges = np.cumsum([np.size(s) for s in slots])[:-1]
+    return [p.reshape(p.shape[:-1] + np.shape(s))
+            for p, s in zip(np.split(flat, edges, axis=-1), slots)]
+
+
 def _asarray(x):
     arr = np.asarray(x, dtype=complex)
     return arr, arr.ndim == 0
@@ -208,62 +221,83 @@ def _finish(arr, scalar):
 # theta series
 # ---------------------------------------------------------------------------
 
-def _theta_derivs(z, tau, max_order, series_tol, max_terms):
+#: A theta value whose round-off, eps times the summed magnitudes of its
+#: terms, exceeds this fraction of the value raises SeriesNotConverged.
+_CANCELLATION_TOL = 1e-12
+_EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=128)
+def _theta_chunk(tau, k0, k1, max_order):
+    """Factors of theta's terms k0 <= k < k1 that depend on tau alone: the
+    exponents i pi tau (k+1/2)^2, the wave numbers u = 2 pi i (k+1/2), the
+    weights (-1)^k u^d / i of the orders d = 0..max_order, their moduli,
+    and the columns of the last three terms.  The order-d term is its
+    weight times e+ - (-1)^d e-, e+- = exp(expo +- u z), so the weights are
+    zero-padded to act on [e+ - e-; e+ + e-]: one matmul sums every order.
+    """
+    ks = np.arange(k0, k1)
+    kp = ks + 0.5
+    iu = 2j * np.pi * kp
+    w = (-1.0) ** ks * iu ** np.arange(max_order + 1)[:, None] / 1j
+    odd = np.arange(max_order + 1)[:, None] % 2 == 1
+    weights = np.concatenate([np.where(odd, 0, w), np.where(odd, w, 0)], axis=1)
+    c, lo = k1 - k0, max(k1 - k0 - 3, 0)
+    tail = np.r_[lo:c, c + lo:2 * c]
+    out = 1j * np.pi * tau * kp * kp, iu, weights, np.abs(weights), tail
+    for a in out:  # shared by every caller
+        a.flags.writeable = False
+    return out
+
+
+def _theta_derivs(z, params, max_order):
     """z-derivatives of theta, orders 0..max_order, shape (max_order+1,) + z.shape.
 
-    Terms are summed in chunks; the series stops once the trailing three
-    term magnitudes all fall below series_tol * (|partial sum| + 1).
+    Terms are summed in chunks, one matmul each; the series stops once the
+    trailing three term magnitudes all fall below
+    series_tol * (|partial sum| + 1).  A sum that cancels past
+    _CANCELLATION_TOL of its size raises; exact zeros, such as theta(0), pass.
     """
     z = np.asarray(z, dtype=complex)
-    zdim = z.ndim
-    ds = np.arange(max_order + 1)
-    parity = ((-1.0) ** ds).reshape((max_order + 1, 1) + (1,) * zdim)
-    sums = np.zeros((max_order + 1,) + z.shape, dtype=complex)
-
-    def kshape(a):
-        return a.reshape(a.shape + (1,) * zdim)
-
-    k0 = 0
+    flat = z.reshape(1, -1)
+    sums = np.zeros((max_order + 1, flat.shape[1]), dtype=complex)
+    mags = np.zeros(sums.shape)
+    k0, cap = 0, params.max_terms
     with np.errstate(over="ignore", invalid="ignore"):
-        while k0 < max_terms:
-            ks = np.arange(k0, min(k0 + _SERIES_CHUNK, max_terms))
-            kp = ks + 0.5
-            expo = 1j * np.pi * tau * kp * kp
-            iu = 2j * np.pi * kp
-            ep = np.exp(kshape(expo) + kshape(iu) * z[None])
-            em = np.exp(kshape(expo) - kshape(iu) * z[None])
-            powers = (iu[None, :] ** ds[:, None]).reshape(
-                (max_order + 1, len(ks)) + (1,) * zdim
-            )
-            sign = ((-1.0) ** ks).reshape((1, len(ks)) + (1,) * zdim)
-            terms = sign * powers * (ep[None] - parity * em[None]) / 1j
-            sums = sums + terms.sum(axis=1)
+        while k0 < cap:
+            k1 = min(k0 + _SERIES_CHUNK, cap)
+            expo, iu, w, w_abs, tail = _theta_chunk(params.tau, k0, k1, max_order)
+            ep = np.exp(expo[:, None] + iu[:, None] * flat)
+            em = np.exp(expo[:, None] - iu[:, None] * flat)
+            terms = np.concatenate([ep - em, ep + em])
+            sums += w @ terms
+            mags += w_abs @ np.abs(terms)
             if not np.all(np.isfinite(sums)):
                 raise SeriesNotConverged(
                     "theta series overflowed; argument too far from the "
                     "fundamental cell"
                 )
-            tail = np.abs(terms[:, -3:])
-            bound = series_tol * (np.abs(sums)[:, None] + 1.0)
-            if np.all(tail <= bound):
-                return sums
-            k0 += _SERIES_CHUNK
+            last = np.abs(w[:, tail, None] * terms[tail])
+            if np.all(last <= params.series_tol * (np.abs(sums)[:, None] + 1.0)):
+                if np.any(_EPS * mags > _CANCELLATION_TOL * np.abs(sums)):
+                    raise SeriesNotConverged(
+                        f"theta series cancels past a relative {_CANCELLATION_TOL}; "
+                        "argument too close to a lattice point or Im(tau) too small"
+                    )
+                return sums.reshape((max_order + 1,) + z.shape)
+            k0 = k1
     raise SeriesNotConverged(
-        f"theta series did not meet tol={series_tol} within {max_terms} terms"
+        f"theta series did not meet tol={params.series_tol} within {cap} terms"
     )
 
 
 @lru_cache(maxsize=128)
-def _theta_origin(tau, series_tol, max_terms):
-    """(theta'(0), theta'''(0)) for the given modular parameter."""
-    d = _theta_derivs(np.complex128(0.0), tau, 3, series_tol, max_terms)
-    return complex(d[1]), complex(d[3])
-
-
-def _wp_lattice_constant(params):
-    # c(tau) = theta'''(0) / (3 theta'(0)) makes wp(z) - 1/z^2 vanish at 0
-    d1, d3 = _theta_origin(params.tau, params.series_tol, params.max_terms)
-    return d3 / (3.0 * d1)
+def _theta_origin(params):
+    """theta'(0), and the constant c(tau) = theta'''(0) / (3 theta'(0)) that
+    makes wp(z) - 1/z^2 vanish at 0."""
+    d = _theta_derivs(np.complex128(0.0), params, 3)
+    d1, d3 = complex(d[1]), complex(d[3])
+    return d1, d3 / (3.0 * d1)
 
 
 def theta(z, params, deriv_order=0):
@@ -287,31 +321,31 @@ def theta(z, params, deriv_order=0):
     NonEllipticKind
         If ``params.kind`` is not elliptic.
     SeriesNotConverged
-        If ``max_terms`` is reached before the truncation criterion.
+        If ``max_terms`` is reached before the truncation criterion, if the
+        series overflows, or if its terms cancel to fewer than 12 digits.
     """
     if params.kind is not FunctionKind.ELLIPTIC:
         raise NonEllipticKind(f"theta requires elliptic kind, got {params.kind.value}")
     if deriv_order < 0:
         raise UnsupportedDerivOrder("deriv_order must be non-negative")
     arr, scalar = _asarray(z)
-    out = _theta_derivs(arr, params.tau, deriv_order, params.series_tol, params.max_terms)
-    return _finish(out[deriv_order], scalar)
+    return _finish(_theta_derivs(arr, params, deriv_order)[deriv_order], scalar)
 
 
 # ---------------------------------------------------------------------------
-# E1 and wp
+# one table for the three kinds
 # ---------------------------------------------------------------------------
 
-def _e1_derivs_elliptic(z, params, max_order):
-    """E1 and derivatives up to max_order from the log-derivative recursion."""
-    th = _theta_derivs(z, params.tau, max_order + 1, params.series_tol, params.max_terms)
-    out = np.zeros_like(th[: max_order + 1])
-    for m in range(max_order + 1):
+def _e1_from_theta(th, orders):
+    """E1^(d) = (theta'/theta)^(d) for d in the range orders, by the
+    log-derivative recursion on the theta jet th of orders 0..orders[-1]+1."""
+    out = np.zeros_like(th[: orders[-1] + 1])
+    for m in range(orders[-1] + 1):
         s = th[m + 1].copy()
         for j in range(m):
             s -= comb(m, j) * out[j] * th[m - j]
         out[m] = s / th[0]
-    return out
+    return out[orders[0]:]
 
 
 @lru_cache(maxsize=None)
@@ -326,13 +360,81 @@ def _coth_poly(order):
     return tuple(_poly.polymul(_poly.polyder(prev), (1.0, 0.0, -1.0)))
 
 
-def _e1(z, params, d):
-    """d-th z-derivative of E1 at the off-lattice array z, in the kind of params."""
-    if params.kind is FunctionKind.RATIONAL:
-        return (-1.0) ** d * factorial(d) * z ** (-d - 1)
-    if params.kind is FunctionKind.TRIGONOMETRIC:
-        return _poly.polyval(1.0 / np.tanh(z), np.asarray(_coth_poly(d)))
-    return _e1_derivs_elliptic(z, params, d)[d]
+def _rational_e1(params, z, orders):
+    return np.stack([(-1.0) ** d * factorial(d) * z ** (-d - 1) for d in orders])
+
+
+def _trigonometric_e1(params, z, orders):
+    coth = 1.0 / np.tanh(z)
+    return np.stack([_poly.polyval(coth, np.asarray(_coth_poly(d))) for d in orders])
+
+
+def _elliptic_distance(params, z):
+    u, v, du, dv = params._cell
+    r = z - (np.floor((z * du).imag) * u + np.floor((z * dv).imag) * v)
+    return np.minimum(
+        np.minimum(np.abs(r), np.abs(r - u)),
+        np.minimum(np.abs(r - v), np.abs(r - u - v)),
+    )
+
+
+def _elliptic_phi(params, slots, flat, with_e1):
+    th = _theta_derivs(flat, params, int(with_e1))
+    t = _split(th[0], slots)
+    phi = _theta_origin(params)[0] * t[2] / (t[0] * t[1])
+    return phi, _split(_e1_from_theta(th, range(1))[0], slots) if with_e1 else None
+
+
+class _Kind(NamedTuple):
+    """One kind's functions.  distance(params, z): distance of z to the
+    nearest pole.  e1(params, z, orders): E1^(d)(z) stacked over d in the
+    range orders.  phi(params, s, flat, with_e1): phi(eta, z) on the slots
+    s = (eta, z, eta + z), whose entries flat concatenates, and the E1 of
+    each slot if with_e1, else None."""
+
+    distance: Callable
+    e1: Callable
+    phi: Callable
+
+
+_KINDS = {
+    FunctionKind.RATIONAL: _Kind(
+        lambda params, z: np.abs(z),
+        _rational_e1,
+        lambda params, s, flat, with_e1: (
+            1.0 / s[0] + 1.0 / s[1],
+            [_rational_e1(params, v, range(1))[0] for v in s] if with_e1 else None,
+        ),
+    ),
+    FunctionKind.TRIGONOMETRIC: _Kind(
+        lambda params, z: np.abs(z - 1j * np.pi * np.round(z.imag / np.pi)),
+        _trigonometric_e1,
+        lambda params, s, flat, with_e1: (
+            1.0 / np.tanh(s[0]) + 1.0 / np.tanh(s[1]),
+            [_trigonometric_e1(params, v, range(1))[0] for v in s] if with_e1 else None,
+        ),
+    ),
+    FunctionKind.ELLIPTIC: _Kind(
+        _elliptic_distance,
+        lambda params, z, orders: _e1_from_theta(
+            _theta_derivs(z, params, orders[-1] + 1), orders
+        ),
+        _elliptic_phi,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# E1 and wp
+# ---------------------------------------------------------------------------
+
+def _wp(params, z, orders):
+    """wp^(d)(z) for d in the range orders, from one E1 jet: wp = -E1' plus,
+    in the elliptic kind, the lattice constant."""
+    out = -_KINDS[params.kind].e1(params, z, range(orders[0] + 1, orders[-1] + 2))
+    if params.kind is FunctionKind.ELLIPTIC and orders[0] == 0:
+        out[0] += _theta_origin(params)[1]
+    return out
 
 
 def eisenstein_e1(z, params, deriv_order=0):
@@ -348,7 +450,8 @@ def eisenstein_e1(z, params, deriv_order=0):
         )
     arr, scalar = _asarray(z)
     params.require_off_lattice(arr, "E1 argument")
-    return _finish(_e1(arr, params, deriv_order), scalar)
+    e1 = _KINDS[params.kind].e1(params, arr, range(deriv_order, deriv_order + 1))
+    return _finish(e1[0], scalar)
 
 
 def weierstrass_p(z, params, deriv_order=0):
@@ -373,15 +476,21 @@ def weierstrass_p(z, params, deriv_order=0):
         )
     arr, scalar = _asarray(z)
     params.require_off_lattice(arr, "wp argument")
-    out = -_e1(arr, params, deriv_order + 1)
-    if params.kind is FunctionKind.ELLIPTIC and deriv_order == 0:
-        out = out + _wp_lattice_constant(params)
-    return _finish(out, scalar)
+    return _finish(_wp(params, arr, range(deriv_order, deriv_order + 1))[0], scalar)
 
 
 # ---------------------------------------------------------------------------
 # Kronecker function
 # ---------------------------------------------------------------------------
+
+def _phi_slots(eta, z, params):
+    """The slots eta, z and eta + z, checked by one lattice_distance call on
+    their concatenation, which is returned too."""
+    ea, za = np.asarray(eta, dtype=complex), np.asarray(z, dtype=complex)
+    slots = ea, za, ea + za
+    names = "phi eta argument", "phi z argument", "phi eta+z argument"
+    return slots, _off_lattice(params, *zip(names, slots))
+
 
 def kronecker_phi(eta, z, params):
     r"""Kronecker function :math:`\phi(\eta, z)`, symmetric in its slots.
@@ -391,40 +500,37 @@ def kronecker_phi(eta, z, params):
     per kind.  All of ``eta``, ``z`` and ``eta + z`` must be off-lattice.
     Broadcasts over array arguments.
     """
-    ea, es = _asarray(eta)
-    za, zs = _asarray(z)
-    params.require_off_lattice(ea, "phi eta argument")
-    params.require_off_lattice(za, "phi z argument")
-    params.require_off_lattice(ea + za, "phi eta+z argument")
-    if params.kind is FunctionKind.RATIONAL:
-        out = 1.0 / ea + 1.0 / za
-    elif params.kind is FunctionKind.TRIGONOMETRIC:
-        out = 1.0 / np.tanh(ea) + 1.0 / np.tanh(za)
-    else:
-        tol, cap = params.series_tol, params.max_terms
-        thp0, _ = _theta_origin(params.tau, tol, cap)
-        num = _theta_derivs(ea + za, params.tau, 0, tol, cap)[0]
-        den = (
-            _theta_derivs(ea, params.tau, 0, tol, cap)[0]
-            * _theta_derivs(za, params.tau, 0, tol, cap)[0]
-        )
-        out = thp0 * num / den
-    return _finish(out, es and zs)
+    slots, flat = _phi_slots(eta, z, params)
+    phi, _ = _KINDS[params.kind].phi(params, slots, flat, False)
+    return _finish(phi, slots[2].ndim == 0)
 
 
 def kronecker_phi_deta(eta, z, params):
     r"""Partial derivative :math:`\partial_\eta \phi(\eta, z)`.
 
     Evaluated through the closed form
-    :math:`(E_1(\eta + z) - E_1(\eta))\,\phi(\eta, z)`.
+    :math:`(E_1(\eta + z) - E_1(\eta))\,\phi(\eta, z)`, with E1 and phi
+    from one evaluation on the slots :math:`\eta, z, \eta + z`.
     """
-    ea, es = _asarray(eta)
-    za, zs = _asarray(z)
-    out = (
-        eisenstein_e1(ea + za, params) - eisenstein_e1(ea, params)
-    ) * kronecker_phi(ea, za, params)
-    arr = np.asarray(out)
-    return _finish(arr, es and zs)
+    slots, flat = _phi_slots(eta, z, params)
+    phi, e1 = _KINDS[params.kind].phi(params, slots, flat, True)
+    return _finish((e1[2] - e1[0]) * phi, slots[2].ndim == 0)
+
+
+def _classical_parts(z, omegas, params):
+    """E1(z), wp(z), phi(z, omegas) and d/deta phi(omegas, z) for the
+    elliptic kind, from one lattice check and one theta series of order 2
+    on z, omegas and omegas + z.  The last two carry a trailing omegas axis.
+    """
+    slots = z, omegas, z[..., None] + omegas
+    names = "spectral parameter z", "phi z argument", "phi eta+z argument"
+    th = _theta_derivs(_off_lattice(params, *zip(names, slots)), params, 2)
+    t_z, t_w, t_zw = _split(th[0], slots)
+    e1 = _e1_from_theta(th, range(2))
+    (e1_z, e1_w, e1_zw), (de1_z, _, _) = _split(e1[0], slots), _split(e1[1], slots)
+    thp0, c = _theta_origin(params)
+    phi = thp0 * t_zw / (t_w * t_z[..., None])
+    return e1_z, c - de1_z, phi, (e1_zw - e1_w) * phi
 
 
 def fay_check(hbar, eta, z, w, params):
@@ -454,23 +560,23 @@ def fay_check(hbar, eta, z, w, params):
     """
     hbar, eta, z, w = complex(hbar), complex(eta), complex(z), complex(w)
     if eta == hbar:
-        lhs = kronecker_phi(eta, z, params) * kronecker_phi(eta, w, params)
-        rhs = kronecker_phi(eta, z + w, params) * (
-            eisenstein_e1(eta, params)
-            + eisenstein_e1(z, params)
-            + eisenstein_e1(w, params)
-            - eisenstein_e1(z + w + eta, params)
-        )
+        phi_z, phi_w, phi_zw = kronecker_phi(eta, [z, w, z + w], params).tolist()
+        e1 = eisenstein_e1([eta, z, w, z + w + eta], params).tolist()
+        lhs = phi_z * phi_w
+        rhs = phi_zw * (e1[0] + e1[1] + e1[2] - e1[3])
         return abs(lhs - rhs)
     if params.lattice_distance(hbar - eta) < params.exclusion_radius:
         raise DegenerateArguments(
             f"hbar - eta = {hbar - eta} is inside the exclusion radius; "
             "pass eta == hbar exactly to select the degenerate form"
         )
-    lhs = kronecker_phi(hbar, z, params) * kronecker_phi(eta, w, params)
-    rhs = kronecker_phi(hbar - eta, z, params) * kronecker_phi(eta, z + w, params) + (
-        kronecker_phi(eta - hbar, w, params) * kronecker_phi(hbar, z + w, params)
-    )
+    p = kronecker_phi(
+        [hbar, eta, hbar - eta, eta, eta - hbar, hbar],
+        [z, w, z, z + w, w, z + w],
+        params,
+    ).tolist()
+    lhs = p[0] * p[1]
+    rhs = p[2] * p[3] + p[4] * p[5]
     return abs(lhs - rhs)
 
 

@@ -101,6 +101,56 @@ class TestTheta:
             LatticeParams(kind="elliptic", tau=1.0)
 
 
+class TestThetaCancellation:
+    """theta either matches mpmath or raises SeriesNotConverged.
+
+    At small Im(tau), and near lattice points in the tau direction, the
+    series sums terms far larger than their sum; eps times the summed term
+    magnitudes bounds the round-off, and past 1e-12 of the sum it raises.
+    """
+
+    def test_small_im_tau_raises(self):
+        # the terms reach 1e7 while theta is 5e-5: about 5 digits lost
+        with pytest.raises(SeriesNotConverged):
+            theta(0.3 + 0.004j, LatticeParams(kind="elliptic", tau=0.01j))
+
+    def test_near_lattice_point_in_tau_direction_raises(self):
+        for z in (1j + 1e-5, 1 + 1j + 1e-5, 1j + 3e-5j):
+            with pytest.raises(SeriesNotConverged):
+                theta(z, EL)
+        # exact zeros have no cancellation to report
+        assert theta(0.0, EL) == 0
+        assert theta(0.0, EL, deriv_order=2) == 0
+
+    def test_tau_0_2i_matches_mpmath(self):
+        tau = 0.2j
+        par = LatticeParams(kind="elliptic", tau=tau)
+        for z in (0.3 + 0.004j, 0.37 + 0.1j, 0.71 - 0.05j):
+            for d in (0, 1, 2):
+                want = mp_theta(z, tau, d)
+                assert abs(theta(z, par, deriv_order=d) - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("im", [0.01, 0.03, 0.1, 0.3, 1.0, 2.0])
+    def test_matches_mpmath_or_raises(self, im):
+        raised = 0
+        for re_tau in (0.0, 0.3):
+            tau = complex(re_tau, im)
+            par = LatticeParams(kind="elliptic", tau=tau)
+            for x in (0.05, 0.35, 0.65, 0.95):
+                for y in (0.05, 0.35, 0.65, 0.95):
+                    z = x + y * tau
+                    for d in (0, 1, 2):
+                        try:
+                            got = theta(z, par, deriv_order=d)
+                        except SeriesNotConverged:
+                            raised += 1
+                            continue
+                        want = mp_theta(z, tau, d)
+                        assert abs(got - want) <= 1e-11 * abs(want), (tau, z, d)
+        if im >= 0.3:
+            assert raised == 0
+
+
 def brute_lattice_distance(z, tau):
     """Distance from z to Z + tau Z: the nearest point of row n is
     m = round(Re(z - n tau)), and a row more than 1 away from z in the
