@@ -40,6 +40,7 @@ from .identities import (
 from .rmatrix import RMatrixSpec, classical_expansion, r_deriv_hbar
 from .special_functions import (
     FunctionKind,
+    MAX_WP_DERIV_ORDER,
     LatticeParams,
     _wp,
     fay_check,
@@ -110,7 +111,7 @@ def _sample_hbar(rng, lat, N, max_order=0):
             h = rng.uniform(0.3, 1.2) + 1j * rng.uniform(0.1, 0.6)
         if np.any(lat.lattice_distance(np.array([h, N * h])) < 1e-4):
             continue
-        orders = range(min(max_order, 6) + 1)
+        orders = range(min(max_order, MAX_WP_DERIV_ORDER) + 1)
         if np.all(np.abs(_wp(lat, np.asarray(N * h), orders)) <= WP_MAGNITUDE_CAP):
             return complex(h)
     raise RmxError("hbar sampling failed to find a moderate value")
@@ -158,9 +159,9 @@ def _record(case_id, suite, kind, family, n, N, residual, tolerance, passed,
     }
 
 
-def _from_report(case_id, suite, kind, family, N, report, params):
+def _from_report(case_id, suite, kind, family, n, N, report, params):
     return _record(
-        case_id, suite, kind, family, report.details.get("n"), N,
+        case_id, suite, kind, family, n, N,
         report.residual, report.tolerance, report.passed,
         params=params, details=report.details,
     )
@@ -294,7 +295,8 @@ def _run_basic(case_id, case, family, kind, tau, N, seed, fixed_hbar, tol_overri
         )
     else:
         raise UsageError(f"unknown basic case {case}")
-    return _from_report(case_id, "rmatrix-basic", kind, family, N, rep, params)
+    return _from_report(case_id, "rmatrix-basic", kind, family,
+                        _BASIC_ORDERS.get(case), N, rep, params)
 
 
 def _run_nth_order(case_id, family, kind, tau, N, n, seed, fixed_hbar,
@@ -307,12 +309,10 @@ def _run_nth_order(case_id, family, kind, tau, N, n, seed, fixed_hbar,
         spec, n, pts, size_cap=size_cap,
         tolerance=tol_overrides.get("nth-order"),
     )
-    rec = _from_report(
-        case_id, "nth-order", kind, family, N, rep,
+    return _from_report(
+        case_id, "nth-order", kind, family, n, N, rep,
         {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)},
     )
-    rec["n"] = n
-    return rec
 
 
 def _run_outer_independence(case_id, family, kind, tau, N, n, seed, fixed_hbar,
@@ -325,12 +325,10 @@ def _run_outer_independence(case_id, family, kind, tau, N, n, seed, fixed_hbar,
         spec, n, pts, size_cap=size_cap,
         tolerance=tol_overrides.get("outer-independence"),
     )
-    rec = _from_report(
-        case_id, "nth-order", kind, family, N, rep,
+    return _from_report(
+        case_id, "nth-order", kind, family, n, N, rep,
         {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)},
     )
-    rec["n"] = n
-    return rec
 
 
 def _run_application(case_id, case, family, kind, tau, N, seed, fixed_hbar,
@@ -369,7 +367,8 @@ def _run_application(case_id, case, family, kind, tau, N, seed, fixed_hbar,
         params = {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)}
     else:
         raise UsageError(f"unknown application case {case}")
-    return _from_report(case_id, "applications", kind, family, N, rep, params)
+    return _from_report(case_id, "applications", kind, family, None, N, rep,
+                        params)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +377,8 @@ def _run_application(case_id, case, family, kind, tau, N, seed, fixed_hbar,
 
 _BASIC_CASES = ("unitarity", "skew-symmetry", "qybe", "aybe", "same-site",
                 "classical", "deriv-hbar")
+# the member of the identity hierarchy that a basic case tests
+_BASIC_ORDERS = {"same-site": 1, "unitarity": 2}
 _APPLICATION_CASES = ("trace-power-k2", "trace-power-k3", "kzb-flatness",
                       "hbar-order")
 
@@ -434,9 +435,9 @@ def _build_cases(opts):
             if suite == "rmatrix-basic":
                 for s in range(opts["samples"]):
                     for case in _BASIC_CASES:
-                        add(f"rmatrix-basic/{kind}/{case}/s{s}", family, None,
-                            N, _run_basic, case, family, kind, tau, N, seed,
-                            fixed_hbar, tols)
+                        add(f"rmatrix-basic/{kind}/{case}/s{s}", family,
+                            _BASIC_ORDERS.get(case), N, _run_basic, case,
+                            family, kind, tau, N, seed, fixed_hbar, tols)
             elif suite == "nth-order":
                 for s in range(opts["samples"]):
                     for n in range(3, opts["n_max"] + 1):
@@ -532,7 +533,10 @@ def run_suites(
     start = time.monotonic()
     cases, skips = _build_cases(opts)
     records = _execute(cases) + skips
-    records.sort(key=lambda r: (r["suite"], r["kind"], r["n"] or 0, r["case_id"]))
+    # basic-suite records sort by case id alone: their n is only a label
+    records.sort(key=lambda r: (
+        r["suite"], r["kind"],
+        0 if r["suite"] == "rmatrix-basic" else r["n"] or 0, r["case_id"]))
     elapsed = time.monotonic() - start
 
     executed = [r for r in records if not r["skipped"]]
@@ -672,7 +676,7 @@ def _build_parser():
                         help="largest embedded matrix dimension allowed")
     verify.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                         help="bound on the complex multiply-adds of the "
-                        "outer-n_max case, n_max cyclic product sums")
+                        "outer-n_max case, n_max probed cyclic product sums")
     verify.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="derive all sampling from --seed (default)")

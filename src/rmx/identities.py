@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,12 +103,11 @@ def _resolve_hbar(spec, hbar):
     return complex(hbar)
 
 
-def _pair_factors(spec, n, points, hbar, size_cap):
-    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j.
-
-    The point count and the size cap are checked before any R-matrix is
-    built.
-    """
+def _pair_factors(spec, n, points, hbar, size_cap, outer=1):
+    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j; the
+    arguments are checked before any R-matrix is built."""
+    if not 1 <= outer <= n:
+        raise IndexOutOfRange(f"outer index {outer} not in 1..{n}")
     if n < 2:
         raise DimensionMismatch(f"the cyclic product sum needs n >= 2, got {n}")
     if len(points) != n:
@@ -119,67 +119,61 @@ def _pair_factors(spec, n, points, hbar, size_cap):
     return dict(zip(pairs, r_matrix(spec, z, hbar)))
 
 
-def cyclic_sum_cost(site_dim, n):
-    """Complex multiply-adds of one cyclic product sum on n sites.
+_PROBES = 4
 
-    Every two-site step of the subset DP multiplies D rows, split over the
-    slabs, by an N^2 x N^2 factor on each of the D / N^2 settings of the
-    other legs: D^2 N^2 multiply-adds, with D = N^n.  There are n - 1
-    steps into the first layer, n - 1 closing the chains, and one from
-    each of the m C(n-1, m) states with m sites to each of its n - 1 - m
-    successors, (n-1)(n-2) 2^(n-3) in all.
+
+def cyclic_sum_cost(site_dim, n):
+    """Complex multiply-adds of one probed cyclic product sum on n sites.
+
+    Each two-site step of the subset DP applies an N^2 x N^2 factor to the
+    D x k state, D = N^n and k = min(4, D) probe columns: D N^2 k
+    multiply-adds.  There are n - 1 steps into the first layer, n - 1
+    closing the chains, and one from each of the m C(n-1, m) states with m
+    sites to each of its n - 1 - m successors, (n-1)(n-2) 2^(n-3) in all.
     """
     steps = 2 * (n - 1) + (n - 1) * (n - 2) * 2 ** n // 8
-    return steps * site_dim ** (2 * n + 2)
+    dim = site_dim ** n
+    return steps * dim * site_dim ** 2 * min(_PROBES, dim)
 
 
-def _slab_count(n, dim):
-    """Row slabs that keep the live DP states within n(n-1) dense D x D
-    matrices, the memory of the n(n-1) embedded factors the literal sum
-    over orderings held.  Two adjacent layers are live at once."""
-    layers = [m * math.comb(n - 1, m) for m in range(1, n)] + [0]
-    live = max(a + b for a, b in zip(layers, layers[1:]))
-    return min(-(-live // (n * (n - 1))), dim)
+@lru_cache(maxsize=32)
+def _probe_block(dim):
+    """The fixed, read-only D x min(4, D) block of seeded Gaussian columns,
+    scaled to the norm sqrt(D) of Id so that |S X| is on the scale of |S|."""
+    x = np.random.default_rng(dim).standard_normal((dim, min(_PROBES, dim)))
+    x *= math.sqrt(dim) / np.linalg.norm(x)
+    x.setflags(write=False)
+    return x
 
 
-def _cyclic_sum(factors, N, n, outer, size_cap):
-    """Subset DP over the chains from 0-based site ``outer`` back to itself.
+def _cyclic_apply(factors, n, outer, x, size_cap):
+    """S x for the cyclic product sum S from 0-based site ``outer`` back to
+    itself, by a subset DP that applies the factors from the right.
 
-    A state (S, j) holds the sum of the products R_{outer i_1} ... R_{i_m j}
-    over all orderings of the set S that end at j; each layer adds one
-    site, F[S + {k}, k] = sum_j F[S, j] R_jk.  The rows of the result are
-    independent, so the DP runs once per slab of rows.  A state holds its
-    slab of rows transposed, with shape (D, rows), so that each step is
-    one two-site application: (F R)^T = R^T F^T.
+    A state (T, k) holds the sum of R_{k i_m} ... R_{i_1 outer} x over the
+    orderings of the set T that start at k: G[T + {k}, k] =
+    sum_j R_kj G[T, j], and S x = sum_j R_{outer j} G[all, j].
     """
-    dim = N ** n
     others = [k for k in range(n) if k != outer]
-    total = np.empty((dim, dim), dtype=complex)
-    slabs = _slab_count(n, dim)
-    edges = [dim * s // slabs for s in range(slabs + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        layer = {(0, outer): np.eye(dim, hi - lo, -lo, dtype=complex)}
-        for _ in range(n - 1):
-            nxt = {}
-            while layer:
-                (mask, j), state = layer.popitem()
-                for k in others:
-                    if mask >> k & 1:
-                        continue
-                    key = (mask | 1 << k, k)
-                    step = apply_two_site(
-                        factors[j, k].T, j + 1, k + 1, n, state, size_cap
-                    )
-                    if key in nxt:
-                        nxt[key] += step
-                    else:
-                        nxt[key] = step
-            layer = nxt
-        total[lo:hi] = sum(
-            apply_two_site(factors[j, outer].T, j + 1, outer + 1, n, state, size_cap)
-            for (_, j), state in layer.items()
-        ).T
-    return total
+    layer = {(0, outer): x}
+    for _ in range(n - 1):
+        nxt = {}
+        while layer:
+            (mask, j), state = layer.popitem()
+            for k in others:
+                if mask >> k & 1:
+                    continue
+                key = (mask | 1 << k, k)
+                step = apply_two_site(factors[k, j], k + 1, j + 1, n, state, size_cap)
+                if key in nxt:
+                    nxt[key] += step
+                else:
+                    nxt[key] = step
+        layer = nxt
+    return sum(
+        apply_two_site(factors[outer, j], outer + 1, j + 1, n, state, size_cap)
+        for (_, j), state in layer.items()
+    )
 
 
 def cyclic_product_sum(
@@ -187,40 +181,30 @@ def cyclic_product_sum(
 ):
     """Sum of R-matrix chain products over all orderings, by a subset DP.
 
-    Evaluates the sum over the (n-1)! orderings with the Held-Karp /
-    Bellman dynamic program over subsets of the non-outer sites, applying
-    each R factor to the two tensor legs it acts on instead of embedding
-    it.  This takes ``cyclic_sum_cost(N, n)`` complex multiply-adds:
-    2(n-1) + (n-1)(n-2) 2^(n-3) two-site steps of D^2 N^2 each, with
-    D = N^n, against (n-1)! (n-1) dense D x D products (D^3 each) for the
-    literal sum.  Memory: beyond the D x D result, the live DP states take
-    about as much as n(n-1) dense D x D matrices, the embedded factors of
-    the literal sum; the rows run in as many independent slabs as that
-    bound needs.
-
-    Parameters
-    ----------
-    spec : RMatrixSpec
-    n : int
-        Number of sites, n >= 2.
-    points : sequence of n complex numbers
-        Site positions; R factors are evaluated at their differences.
-    outer : int
-        The distinguished site a, 1-based.
-    hbar : complex, optional
-        Override of spec.hbar.
-    size_cap : int
-        Bound on the total dimension N**n.
-
-    Returns
-    -------
-    ndarray of shape (N**n, N**n)
+    Returns the (N**n, N**n) sum over the (n-1)! orderings of the n sites
+    at ``points`` other than ``outer`` (1-based), with R at the point
+    differences and ``hbar`` overriding spec.hbar; N**n may not pass
+    ``size_cap``.  The Held-Karp / Bellman DP over subsets of the sites
+    applies each R factor to the two tensor legs it acts on, on column
+    blocks of the identity: 2(n-1) + (n-1)(n-2) 2^(n-3) two-site steps of
+    D^2 N^2 multiply-adds in all, D = N^n, against (n-1)! (n-1) dense
+    products of D^3 for the literal sum.  Each block is as wide as keeps
+    its live DP states within the memory of n(n-1) dense D x D matrices,
+    the embedded factors of the literal sum.  The identity checks run the
+    same DP on a D x min(4, D) probe block instead.
     """
-    if not 1 <= outer <= n:
-        raise IndexOutOfRange(f"outer index {outer} not in 1..{n}")
     hbar = _resolve_hbar(spec, hbar)
-    factors = _pair_factors(spec, n, points, hbar, size_cap)
-    return _cyclic_sum(factors, spec.site_dim, n, outer - 1, size_cap)
+    factors = _pair_factors(spec, n, points, hbar, size_cap, outer)
+    dim = spec.site_dim ** n
+    # two adjacent layers of states are live at once
+    layers = [m * math.comb(n - 1, m) for m in range(1, n)] + [0]
+    live = max(a + b for a, b in zip(layers, layers[1:]))
+    width = max(dim * n * (n - 1) // live, 1)
+    total = np.empty((dim, dim), dtype=complex)
+    for lo in range(0, dim, width):
+        block = np.eye(dim, min(width, dim - lo), -lo, dtype=complex)
+        total[:, lo:lo + width] = _cyclic_apply(factors, n, outer - 1, block, size_cap)
+    return total
 
 
 def check_unitarity(spec, z, hbar=None, tolerance=None):
@@ -266,8 +250,12 @@ def check_nth_order(
     n = 1 compares the same-site matrix with its closed form, n = 2 is
     unitarity at z = points[0] - points[1], and n >= 3 checks that the
     cyclic product sum is scalar with coefficient
-    (-N)^n wp^(n-2)(N hbar).  For n >= 3 the details carry a cross-check
-    against N^n times the scalar cyclic sum at eta = N hbar.
+    (-N)^n wp^(n-2)(N hbar).  For n >= 3 the sum S is applied to the
+    fixed probe block X instead of being formed (Freivalds' check): the
+    coefficient is c = <X, SX> / <X, X> (a Hutchinson trace estimate) and
+    the non-scalar residual ||SX - cX|| / max(||SX||, 1), both norms on the
+    scale of ||S||_F because ||X|| = sqrt(D).  The details carry a
+    cross-check against N^n times the scalar cyclic sum at eta = N hbar.
     """
     hbar = _resolve_hbar(spec, hbar)
     N = spec.site_dim
@@ -298,9 +286,12 @@ def check_nth_order(
         rep.name = "order-2 (unitarity)"
         return rep
 
-    total = cyclic_product_sum(spec, n, points, outer, hbar, size_cap)
+    factors = _pair_factors(spec, n, points, hbar, size_cap, outer)
+    x = _probe_block(N ** n)
+    y = _cyclic_apply(factors, n, outer - 1, x, size_cap)
     expected = (-N) ** n * weierstrass_p(N * hbar, spec.lattice, deriv_order=n - 2)
-    _, coeff, nonscalar = is_scalar_operator(total, tol=np.inf)
+    coeff = complex(np.vdot(x, y) / np.vdot(x, x))
+    nonscalar = float(np.linalg.norm(y - coeff * x) / max(np.linalg.norm(y), 1.0))
     coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
     residual = max(nonscalar, coeff_resid)
 
@@ -317,7 +308,8 @@ def check_nth_order(
             "nonscalar_residual": nonscalar,
             "scalar_cross_residual": cross,
             "orderings": math.factorial(n - 1),
-            "algorithm": "subset-dp",
+            "algorithm": "subset-dp-probe",
+            "probes": x.shape[1],
         },
     )
 
@@ -325,18 +317,22 @@ def check_nth_order(
 def check_outer_index_independence(
     spec, n, points, hbar=None, tolerance=None, size_cap=DEFAULT_SIZE_CAP
 ):
-    """The cyclic product sum must not depend on the distinguished site."""
+    """The cyclic product sum must not depend on the distinguished site.
+
+    Compares the probed sums S_a X of every outer site a; the coefficients
+    are <X, S_a X> / <X, X>.
+    """
     if n < 3:
         raise DimensionMismatch("outer index independence needs n >= 3")
     hbar = _resolve_hbar(spec, hbar)
+    N = spec.site_dim
     if tolerance is None:
-        tolerance = default_tolerance(spec.kind, spec.site_dim, n)
+        tolerance = default_tolerance(spec.kind, N, n)
     factors = _pair_factors(spec, n, points, hbar, size_cap)
-    sums = [_cyclic_sum(factors, spec.site_dim, n, a, size_cap) for a in range(n)]
-    residual = max(
-        frobenius_distance(sums[0], s) for s in sums[1:]
-    )
-    coeffs = [complex(np.trace(s) / s.shape[0]) for s in sums]
+    x = _probe_block(N ** n)
+    sums = [_cyclic_apply(factors, n, a, x, size_cap) for a in range(n)]
+    residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
+    coeffs = [complex(np.vdot(x, s) / np.vdot(x, x)) for s in sums]
     return IdentityReport(
         name=f"outer-independence-{n}",
         passed=residual < tolerance,

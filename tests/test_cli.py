@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from rmx import BudgetExceeded, UsageError, cyclic_sum_cost, run_suites
+from rmx import (
+    BudgetExceeded,
+    DimensionMismatch,
+    UsageError,
+    cli,
+    cyclic_sum_cost,
+    run_suites,
+)
 from rmx.cli import DEFAULT_BUDGET, _parse_complex, main
 
 
@@ -88,6 +95,35 @@ class TestRunSuites:
             for n_max in range(2, 13):
                 if math.factorial(n_max) * N ** (2 * n_max) <= 1e9:
                     assert n_max * cyclic_sum_cost(N, n_max) <= DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("N, n_max, executed", [(2, 8, 24), (3, 6, 16)])
+    def test_deep_elliptic_ladders_pass(self, N, n_max, executed):
+        rep = run_suites(suite="nth-order", kind="elliptic", site_dim=N,
+                         n_max=n_max)
+        assert rep["summary"]["executed"] == executed
+        assert rep["summary"]["failed"] == 0
+
+    def test_basic_records_carry_their_order(self):
+        rep = run_suites(suite="rmatrix-basic", samples=2, n_max=3)
+        orders = {"same-site": 1, "unitarity": 2}
+        for r in rep["records"]:
+            if not r["skipped"]:
+                assert r["n"] == orders.get(r["case_id"].split("/")[2])
+        # the records stay in case-id order
+        ids = [r["case_id"] for r in rep["records"]]
+        assert ids == sorted(ids)
+
+    def test_basic_error_records_carry_their_order(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise DimensionMismatch("refused")
+
+        monkeypatch.setattr(cli, "check_unitarity", refuse)
+        monkeypatch.setattr(cli, "check_nth_order", refuse)
+        rep = run_suites(suite="rmatrix-basic", kind="rational", samples=1,
+                         n_max=3)
+        failed = {r["case_id"].split("/")[2]: r["n"]
+                  for r in rep["records"] if r["reason"]}
+        assert failed == {"same-site": 1, "unitarity": 2}
 
     def test_error_records_keep_family_and_sizes(self):
         rep = run_suites(suite="nth-order", kind="elliptic", site_dim=2,

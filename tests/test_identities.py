@@ -22,6 +22,7 @@ from rmx import (
     cyclic_product_sum,
     cyclic_sum_cost,
     default_tolerance,
+    is_scalar_operator,
     r_matrix,
     weierstrass_p,
 )
@@ -144,7 +145,8 @@ class TestNthOrder:
         assert abs(rep.details["coefficient"] - 0.375) < 1e-12
         assert abs(rep.details["expected"] - 0.375) < 1e-15
         assert rep.details["orderings"] == 6
-        assert rep.details["algorithm"] == "subset-dp"
+        assert rep.details["algorithm"] == "subset-dp-probe"
+        assert rep.details["probes"] == 4
 
     def test_yang_coefficient_formula(self):
         h = 0.7 + 0.3j
@@ -189,13 +191,20 @@ class TestNthOrder:
 def dense_cyclic_sum(spec, n, points, outer):
     """The literal sum over orderings of dense embedded chain products."""
     N = spec.site_dim
-    emb = {
-        (i, j): embed_two_site(
-            r_matrix(spec, points[i - 1] - points[j - 1]), i, j, N, n
-        )
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
+    factors = {
+        (i, j): r_matrix(spec, points[i] - points[j])
+        for i in range(n)
+        for j in range(n)
         if i != j
+    }
+    return dense_sum_of_factors(factors, N, n, outer)
+
+
+def dense_sum_of_factors(factors, N, n, outer):
+    """The literal sum, from factors keyed by 0-based site pairs."""
+    emb = {
+        (i + 1, j + 1): embed_two_site(op, i + 1, j + 1, N, n)
+        for (i, j), op in factors.items()
     }
     total = np.zeros((N ** n, N ** n), dtype=complex)
     for ordering in cyclic_orderings(n, outer):
@@ -211,6 +220,14 @@ def relative_difference(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+@pytest.fixture(scope="module")
+def dense_n3():
+    """Dense sums at N = 3 (D = 81 and 243) with outer site 2."""
+    spec = belavin_spec(3)
+    return {n: dense_cyclic_sum(spec, n, pts, 2)
+            for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5))}
+
+
 class TestCyclicProductSumOracle:
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -221,21 +238,39 @@ class TestCyclicProductSumOracle:
                 want = dense_cyclic_sum(spec, n, pts[:n], outer)
                 assert relative_difference(got, want) <= 1e-13
 
-    def test_slab_counts(self):
-        # live states within the n(n-1) dense D x D factors of the literal sum
-        assert identities._slab_count(7, 2 ** 7) == 3
-        assert identities._slab_count(5, 3 ** 5) == 2
-        # never more slabs than rows: D = 1 at N = 1
-        assert identities._slab_count(5, 1) == 1
-        assert identities._slab_count(8, 1) == 1
+    def test_column_block_widths(self, monkeypatch):
+        got = []
 
-    @pytest.mark.parametrize("slabs", [2, 4, 5, 81])
-    def test_uneven_slabs(self, monkeypatch, slabs):
+        def spy(factors, n, outer, x, size_cap):
+            got.append(x.shape[1])
+            return np.zeros(x.shape, dtype=complex)
+
+        monkeypatch.setattr(identities, "_cyclic_apply", spy)
+        for N, n, widths in ((2, 7, [44, 44, 40]), (3, 5, [202, 41]),
+                             (3, 4, [81]), (1, 5, [1]), (1, 8, [1])):
+            got.clear()
+            pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
+            cyclic_product_sum(belavin_spec(N), n, pts)
+            assert got == widths
+            # the live states of a block, two adjacent layers, fit in the
+            # n(n-1) dense D x D factors of the literal sum; D = 1 at N = 1
+            layers = [m * math.comb(n - 1, m) for m in range(1, n)] + [0]
+            live = max(a + b for a, b in zip(layers, layers[1:]))
+            assert widths == [1] or max(widths) * live <= n * (n - 1) * N ** n
+
+    @pytest.mark.parametrize("width", [2, 4, 5, 81])
+    def test_uneven_column_blocks(self, dense_n3, width):
+        # the DP on any split of the identity into column blocks gives the
+        # columns of the whole sum
         spec = belavin_spec(3)
-        want = dense_cyclic_sum(spec, 4, EL_PTS_4, 2)
-        monkeypatch.setattr(identities, "_slab_count", lambda n, dim: slabs)
-        got = cyclic_product_sum(spec, 4, EL_PTS_4, 2)
-        assert relative_difference(got, want) <= 1e-13
+        for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5)):
+            factors = identities._pair_factors(spec, n, pts, spec.hbar, 4096)
+            eye = np.eye(3 ** n, dtype=complex)
+            got = np.hstack([
+                identities._cyclic_apply(factors, n, 1, eye[:, lo:lo + width], 4096)
+                for lo in range(0, 3 ** n, width)
+            ])
+            assert relative_difference(got, dense_n3[n]) <= 1e-13
 
     def test_size_cap_raises_before_any_work(self, monkeypatch):
         calls = []
@@ -267,19 +302,87 @@ class TestCyclicProductSumOracle:
         steps = []
         step = identities.apply_two_site
         monkeypatch.setattr(identities, "apply_two_site",
-                            lambda *a: steps.append(1) or step(*a))
-        spec = RMatrixSpec(kind="belavin", site_dim=1, lattice=EL,
-                           hbar=0.21 + 0.13j)
+                            lambda *a: steps.append(a[4].shape) or step(*a))
         pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
-        cyclic_product_sum(spec, n, pts)
-        assert cyclic_sum_cost(1, n) == len(steps)
-        assert cyclic_sum_cost(2, n) == len(steps) * 2 ** (2 * n + 2)
+        for N in (1, 2):
+            steps.clear()
+            spec = RMatrixSpec(kind="belavin", site_dim=N, lattice=EL,
+                               hbar=0.21 + 0.13j)
+            if n == 2:
+                # the order-2 check is unitarity, which runs no DP; the full
+                # sum at D <= 4 is one block of min(4, D) columns
+                cyclic_product_sum(spec, n, pts)
+            else:
+                assert check_nth_order(spec, n, pts).passed
+            D = N ** n
+            assert set(steps) == {(D, min(4, D))}
+            assert cyclic_sum_cost(N, n) == len(steps) * D * N * N * min(4, D)
 
     def test_bad_site_counts(self):
         with pytest.raises(DimensionMismatch):
             cyclic_product_sum(yang_spec(), 1, YANG_PTS_3[:1])
         with pytest.raises(IndexOutOfRange):
             cyclic_product_sum(yang_spec(), 3, YANG_PTS_3, outer=4)
+
+
+def gaussian_probes(dim, seed):
+    """A D x min(4, D) Gaussian block scaled to norm sqrt(D), like the
+    package's own probe block but drawn from ``seed``."""
+    x = np.random.default_rng([seed, dim]).standard_normal((dim, min(4, dim)))
+    return x * np.sqrt(dim) / np.linalg.norm(x)
+
+
+def perturbed(factors, eps):
+    """The factors with R_{2,3} moved by eps relative, in a fixed direction."""
+    rng = np.random.default_rng(7)
+    op = factors[1, 2]
+    shift = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)
+    out = dict(factors)
+    out[1, 2] = op + eps * np.linalg.norm(op) / np.linalg.norm(shift) * shift
+    return out
+
+
+PROBE_CASES = [(2, 4, EL_PTS_4), (2, 6, EL_PTS_5 + [0.57 + 0.38j]),
+               (3, 4, EL_PTS_4)]
+PROBE_IDS = [f"N{N}-n{n}" for N, n, _ in PROBE_CASES]
+
+
+class TestProbedCheck:
+    """The probed check against the full sum of the dense oracle."""
+
+    def test_probe_block_is_fixed_and_read_only(self):
+        for dim in (1, 2, 81, 256):
+            x = identities._probe_block(dim)
+            assert x is identities._probe_block(dim)
+            assert x.shape == (dim, min(4, dim))
+            assert not x.flags.writeable
+            assert abs(np.linalg.norm(x) - np.sqrt(dim)) < 1e-12 * np.sqrt(dim)
+
+    @pytest.mark.parametrize("N, n, pts", PROBE_CASES, ids=PROBE_IDS)
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_probed_residual_tracks_the_full_one(self, monkeypatch, N, n, pts,
+                                                 eps):
+        spec = belavin_spec(N)
+        pair = identities._pair_factors
+        factors = perturbed(pair(spec, n, pts, spec.hbar, 4096), eps)
+        _, _, full = is_scalar_operator(dense_sum_of_factors(factors, N, n, 1))
+        assert full > 0.1 * eps  # the perturbation shows, not round-off
+        monkeypatch.setattr(identities, "_pair_factors",
+                            lambda *a: perturbed(pair(*a), eps))
+        ratios = []
+        for seed in range(50):
+            monkeypatch.setattr(identities, "_probe_block",
+                                lambda dim: gaussian_probes(dim, seed))
+            rep = check_nth_order(spec, n, pts)
+            ratios.append(rep.details["nonscalar_residual"] / full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+    @pytest.mark.parametrize("N, n, pts", PROBE_CASES, ids=PROBE_IDS)
+    def test_probed_coefficient_is_the_trace(self, N, n, pts):
+        spec = belavin_spec(N)
+        want = np.trace(dense_cyclic_sum(spec, n, pts, 1)) / N ** n
+        got = check_nth_order(spec, n, pts).details["coefficient"]
+        assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
 
 
 class TestOuterIndependence:
