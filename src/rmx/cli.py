@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
-import re
 import sys
 import time
 import zlib
-from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .applications import (
 )
 from .errors import BudgetExceeded, RmxError, UsageError
 from .identities import (
+    IdentityReport,
     check_aybe,
     check_nth_order,
     check_outer_index_independence,
@@ -64,14 +65,6 @@ _FAMILY_BY_KIND = {"rational": "yang", "elliptic": "belavin"}
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
-
-def _case_rng(seed, case_id):
-    return np.random.default_rng([seed, zlib.crc32(case_id.encode())])
-
-
-def _lattice_for(kind, tau):
-    return LatticeParams(kind=FunctionKind(kind), tau=tau)
-
 
 def _sample_points(rng, lat, count):
     """Points kept clear of the pole lattice and well separated pairwise.
@@ -122,22 +115,13 @@ def _c2d(value):
     return {"re": value.real, "im": value.imag}
 
 
-def _jsonify(obj):
-    if isinstance(obj, complex):
-        return _c2d(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return _c2d(complex(obj))
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def _plain(value):
+    """JSON form of a report detail: complex as {re, im}, numpy scalars as Python."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return _c2d(value)
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _record(case_id, suite, kind, family, n, N, residual, tolerance, passed,
@@ -155,320 +139,246 @@ def _record(case_id, suite, kind, family, n, N, residual, tolerance, passed,
         "skipped": skipped,
         "reason": reason,
         "params": params or {},
-        "details": details or {},
+        "details": {key: _plain(value) for key, value in (details or {}).items()},
     }
 
 
-def _from_report(case_id, suite, kind, family, n, N, report, params):
-    return _record(
-        case_id, suite, kind, family, n, N,
-        report.residual, report.tolerance, report.passed,
-        params=params, details=report.details,
-    )
-
-
 # ---------------------------------------------------------------------------
-# case runners
+# the case table
 # ---------------------------------------------------------------------------
 
-def _run_scalar_cyclic(case_id, kind, tau, n, seed, tol_overrides):
-    lat = _lattice_for(kind, tau)
-    rng = _case_rng(seed, case_id)
-    pts = _sample_points(rng, lat, n)
-    eta = _sample_hbar(rng, lat, 1, max_order=max(n - 2, 0))
-    total = scalar_cyclic_sum(n, 1, eta, pts, lat)
+class _Draw(NamedTuple):
+    """The sampled inputs of one case, as its run function receives them."""
+
+    rng: np.random.Generator
+    lat: LatticeParams
+    spec: RMatrixSpec | None  # None in the scalar suite
+    pts: list
+    hbar: complex             # in the scalar suite, the first eta drawn
+    n: int | None
+    tol: float | None         # the override for the case's tolerance key
+    size_cap: int
+
+
+def _report(name, residual, tol, default, **details):
+    """IdentityReport for a check that returns a bare residual."""
+    tol = default if tol is None else tol
+    return IdentityReport(name, residual < tol, residual, tol, details)
+
+
+def _at_z(d, z):
+    return {"z": _c2d(z), "hbar": _c2d(d.hbar)}
+
+
+def _at_points(d):
+    return {"points": [_c2d(p) for p in d.pts], "hbar": _c2d(d.hbar)}
+
+
+def _scalar_cyclic(d):
+    eta, lat, n = d.hbar, d.lat, d.n
+    total = scalar_cyclic_sum(n, 1, eta, d.pts, lat)
     if n == 2:
-        expected = weierstrass_p(eta, lat) - weierstrass_p(pts[0] - pts[1], lat)
+        expected = weierstrass_p(eta, lat) - weierstrass_p(d.pts[0] - d.pts[1], lat)
     else:
         expected = (-1.0) ** n * weierstrass_p(eta, lat, deriv_order=n - 2)
     residual = abs(total - expected) / max(abs(expected), 1.0)
-    tol = tol_overrides.get("scalar-cyclic", default_tolerance(kind, 1, n))
-    return _record(
-        case_id, "scalar", kind, None, n, 1, residual, tol, residual < tol,
-        params={"eta": _c2d(eta), "points": [_c2d(p) for p in pts]},
-        details={"total": _c2d(total), "expected": _c2d(expected)},
-    )
+    report = _report("scalar-cyclic", residual, d.tol,
+                     default_tolerance(lat.kind, 1, n), total=total, expected=expected)
+    return report, {"eta": _c2d(eta), "points": [_c2d(p) for p in d.pts]}
 
 
-def _run_fay(case_id, kind, tau, seed, tol_overrides, degenerate):
-    lat = _lattice_for(kind, tau)
-    rng = _case_rng(seed, case_id)
-    z, w = _sample_points(rng, lat, 2)
-    hbar = _sample_hbar(rng, lat, 1)
-    if degenerate:
-        eta = hbar
-    else:
-        eta = _sample_hbar(rng, lat, 1)
-        while abs(eta - hbar) < 1e-3:
-            eta = _sample_hbar(rng, lat, 1)
-    residual = fay_check(hbar, eta, z, w, lat)
-    tol = tol_overrides.get("fay", default_tolerance(kind, 1, 3))
-    return _record(
-        case_id, "scalar", kind, None, None, 1, residual, tol, residual < tol,
-        params={"hbar": _c2d(hbar), "eta": _c2d(eta), "z": _c2d(z), "w": _c2d(w),
-                "degenerate": degenerate},
-    )
+def _fay(d, degenerate):
+    eta = d.hbar
+    if not degenerate:
+        eta = _sample_hbar(d.rng, d.lat, 1)
+        while abs(eta - d.hbar) < 1e-3:
+            eta = _sample_hbar(d.rng, d.lat, 1)
+    z, w = d.pts
+    residual = fay_check(d.hbar, eta, z, w, d.lat)
+    report = _report("fay", residual, d.tol, default_tolerance(d.lat.kind, 1, 3))
+    return report, {"hbar": _c2d(d.hbar), "eta": _c2d(eta), "z": _c2d(z),
+                    "w": _c2d(w), "degenerate": degenerate}
 
 
-def _family_setup(family, kind, tau, N, seed, case_id, fixed_hbar, max_order=0,
-                  n_points=2):
-    lat = _lattice_for(kind, tau)
-    rng = _case_rng(seed, case_id)
-    pts = _sample_points(rng, lat, n_points)
-    hbar = fixed_hbar if fixed_hbar is not None else _sample_hbar(
-        rng, lat, N, max_order
-    )
-    spec = RMatrixSpec(kind=family, site_dim=N, lattice=lat, hbar=hbar)
-    return spec, pts, rng
+def _aybe(d):
+    spec = d.spec
+    eta = _sample_hbar(d.rng, d.lat, spec.site_dim)
+    for _ in range(100):
+        try:
+            spec.validate_hbar(spec.hbar - eta)
+            break
+        except RmxError:
+            eta = _sample_hbar(d.rng, d.lat, spec.site_dim)
+    report = check_aybe(spec, d.pts, eta, tolerance=d.tol)
+    return report, dict(_at_points(d), eta=_c2d(eta))
 
 
-def _run_basic(case_id, case, family, kind, tau, N, seed, fixed_hbar, tol_overrides):
-    if case == "unitarity":
-        spec, pts, _ = _family_setup(family, kind, tau, N, seed, case_id, fixed_hbar)
-        rep = check_unitarity(
-            spec, pts[0] - pts[1],
-            tolerance=tol_overrides.get("unitarity"),
-        )
-        params = {"z": _c2d(pts[0] - pts[1]), "hbar": _c2d(spec.hbar)}
-    elif case == "skew-symmetry":
-        spec, pts, _ = _family_setup(family, kind, tau, N, seed, case_id, fixed_hbar)
-        rep = check_skew_symmetry(
-            spec, pts[0] - pts[1],
-            tolerance=tol_overrides.get("skew-symmetry"),
-        )
-        params = {"z": _c2d(pts[0] - pts[1]), "hbar": _c2d(spec.hbar)}
-    elif case == "qybe":
-        spec, pts, _ = _family_setup(
-            family, kind, tau, N, seed, case_id, fixed_hbar, n_points=3
-        )
-        rep = check_qybe(spec, pts, tolerance=tol_overrides.get("qybe"))
-        params = {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)}
-    elif case == "aybe":
-        spec, pts, rng = _family_setup(
-            family, kind, tau, N, seed, case_id, fixed_hbar, n_points=3
-        )
-        eta = _sample_hbar(rng, spec.lattice, N)
-        for _ in range(100):
-            try:
-                spec.validate_hbar(spec.hbar - eta)
-                break
-            except RmxError:
-                eta = _sample_hbar(rng, spec.lattice, N)
-        rep = check_aybe(spec, pts, eta, tolerance=tol_overrides.get("aybe"))
-        params = {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar),
-                  "eta": _c2d(eta)}
-    elif case == "same-site":
-        spec, pts, _ = _family_setup(
-            family, kind, tau, N, seed, case_id, fixed_hbar, n_points=1
-        )
-        rep = check_nth_order(
-            spec, 1, pts, tolerance=tol_overrides.get("same-site")
-        )
-        params = {"z": _c2d(pts[0]), "hbar": _c2d(spec.hbar)}
-    elif case == "classical":
-        spec, pts, _ = _family_setup(
-            family, kind, tau, N, seed, case_id, fixed_hbar, n_points=1
-        )
-        pair = classical_expansion(spec, pts[0])
-        residual = max(pair.hbar_inverse_residual, pair.analytic_residual)
-        tol = tol_overrides.get("classical", default_tolerance(family, N, 2))
-        return _record(
-            case_id, "rmatrix-basic", kind, family, None, N, residual, tol,
-            residual < tol,
-            params={"z": _c2d(pts[0]), "hbar": _c2d(spec.hbar)},
-            details={
-                "hbar_inverse_residual": pair.hbar_inverse_residual,
-                "extraction_residual": pair.extraction_residual,
-                "analytic_residual": pair.analytic_residual,
-            },
-        )
-    elif case == "deriv-hbar":
-        spec, pts, _ = _family_setup(family, kind, tau, N, seed, case_id, fixed_hbar)
-        deriv = r_deriv_hbar(spec, pts[0], pts[1])
-        residual = deriv.structural_residual
-        tol = tol_overrides.get("deriv-hbar", default_tolerance(family, N, 3))
-        return _record(
-            case_id, "rmatrix-basic", kind, family, None, N, residual, tol,
-            residual < tol,
-            params={"z_a": _c2d(pts[0]), "z_b": _c2d(pts[1]),
-                    "hbar": _c2d(spec.hbar)},
-        )
-    else:
-        raise UsageError(f"unknown basic case {case}")
-    return _from_report(case_id, "rmatrix-basic", kind, family,
-                        _BASIC_ORDERS.get(case), N, rep, params)
+def _classical(d):
+    pair = classical_expansion(d.spec, d.pts[0])
+    residual = max(pair.hbar_inverse_residual, pair.analytic_residual)
+    report = _report("classical", residual, d.tol,
+                     default_tolerance(d.spec.kind, d.spec.site_dim, 2),
+                     hbar_inverse_residual=pair.hbar_inverse_residual,
+                     extraction_residual=pair.extraction_residual,
+                     analytic_residual=pair.analytic_residual)
+    return report, _at_z(d, d.pts[0])
 
 
-def _run_nth_order(case_id, family, kind, tau, N, n, seed, fixed_hbar,
-                   size_cap, tol_overrides):
-    spec, pts, _ = _family_setup(
-        family, kind, tau, N, seed, case_id, fixed_hbar,
-        max_order=n - 2, n_points=n,
-    )
-    rep = check_nth_order(
-        spec, n, pts, size_cap=size_cap,
-        tolerance=tol_overrides.get("nth-order"),
-    )
-    return _from_report(
-        case_id, "nth-order", kind, family, n, N, rep,
-        {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)},
-    )
+def _deriv_hbar(d):
+    residual = r_deriv_hbar(d.spec, d.pts[0], d.pts[1]).structural_residual
+    report = _report("deriv-hbar", residual, d.tol,
+                     default_tolerance(d.spec.kind, d.spec.site_dim, 3))
+    return report, {"z_a": _c2d(d.pts[0]), "z_b": _c2d(d.pts[1]),
+                    "hbar": _c2d(d.hbar)}
 
 
-def _run_outer_independence(case_id, family, kind, tau, N, n, seed, fixed_hbar,
-                            size_cap, tol_overrides):
-    spec, pts, _ = _family_setup(
-        family, kind, tau, N, seed, case_id, fixed_hbar,
-        max_order=n - 2, n_points=n,
-    )
-    rep = check_outer_index_independence(
-        spec, n, pts, size_cap=size_cap,
-        tolerance=tol_overrides.get("outer-independence"),
-    )
-    return _from_report(
-        case_id, "nth-order", kind, family, n, N, rep,
-        {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)},
-    )
+def _trace_power(d, power):
+    momenta = d.rng.uniform(0.4, 1.6, 3) + 1j * d.rng.uniform(-0.3, 0.3, 3)
+    coupling = complex(d.rng.uniform(0.5, 1.2))
+    config = CalogeroConfig(rspec=d.spec, momenta=tuple(momenta),
+                            positions=tuple(d.pts), coupling=coupling)
+    report = check_trace_power_guess(config, power, size_cap=d.size_cap,
+                                     tolerance=d.tol)
+    return report, {"power": power, "coupling": _c2d(coupling),
+                    "hbar": _c2d(d.hbar)}
 
 
-def _run_application(case_id, case, family, kind, tau, N, seed, fixed_hbar,
-                     size_cap, tol_overrides):
-    n_particles = 3
-    spec, pts, rng = _family_setup(
-        family, kind, tau, N, seed, case_id, fixed_hbar,
-        max_order=2, n_points=n_particles,
-    )
-    if case.startswith("trace-power"):
-        power = int(case.rsplit("k", 1)[1])
-        momenta = rng.uniform(0.4, 1.6, n_particles) + 1j * rng.uniform(
-            -0.3, 0.3, n_particles
-        )
-        coupling = complex(rng.uniform(0.5, 1.2))
-        config = CalogeroConfig(
-            rspec=spec, momenta=tuple(momenta), positions=tuple(pts),
-            coupling=coupling,
-        )
-        rep = check_trace_power_guess(
-            config, power, size_cap=size_cap,
-            tolerance=tol_overrides.get("trace-power"),
-        )
-        params = {"power": power, "coupling": _c2d(coupling),
-                  "hbar": _c2d(spec.hbar)}
-    elif case == "kzb-flatness":
-        rep = check_kzb_flatness(
-            spec, pts, tolerance=tol_overrides.get("kzb-flatness")
-        )
-        params = {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)}
-    elif case == "hbar-order":
-        rep = check_hbar_order_relation(
-            spec, n_particles, pts, size_cap=size_cap,
-            tolerance=tol_overrides.get("hbar-order"),
-        )
-        params = {"points": [_c2d(p) for p in pts], "hbar": _c2d(spec.hbar)}
-    else:
-        raise UsageError(f"unknown application case {case}")
-    return _from_report(case_id, "applications", kind, family, None, N, rep,
-                        params)
+class _Case(NamedTuple):
+    """One case type: a row of ``_CASES``.
+
+    A row whose name holds ``{n}`` stands for a ladder of case types, one
+    per order from its ``n`` up to n_max; order n draws n points and screens
+    hbar up to the wp derivative of order n - 2.
+    """
+
+    suite: str
+    points: int | None  # points drawn; None on a {n} row
+    screen: int | None  # wp derivative order the hbar draw screens
+    n: int | None       # the member of the identity hierarchy tested
+    tol: str            # the key of --tol.<name>
+    run: Callable       # _Draw -> (IdentityReport, params)
+    samples: int | None = None  # cap on the samples drawn
 
 
-# ---------------------------------------------------------------------------
-# suite assembly
-# ---------------------------------------------------------------------------
+# The run functions call the checks by their module-global names, so that
+# code rebinding ``cli.check_*`` (a tracer, a test double) sees every call.
+_CASES = {
+    "cyclic-n{n}": _Case("scalar", None, None, 2, "scalar-cyclic", _scalar_cyclic),
+    "fay": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, False)),
+    "fay-degenerate": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, True)),
+    "unitarity": _Case("rmatrix-basic", 2, 0, 2, "unitarity", lambda d: (
+        check_unitarity(d.spec, d.pts[0] - d.pts[1], tolerance=d.tol),
+        _at_z(d, d.pts[0] - d.pts[1]))),
+    "skew-symmetry": _Case("rmatrix-basic", 2, 0, None, "skew-symmetry", lambda d: (
+        check_skew_symmetry(d.spec, d.pts[0] - d.pts[1], tolerance=d.tol),
+        _at_z(d, d.pts[0] - d.pts[1]))),
+    "qybe": _Case("rmatrix-basic", 3, 0, None, "qybe", lambda d: (
+        check_qybe(d.spec, d.pts, tolerance=d.tol), _at_points(d))),
+    "aybe": _Case("rmatrix-basic", 3, 0, None, "aybe", _aybe),
+    "same-site": _Case("rmatrix-basic", 1, 0, 1, "same-site", lambda d: (
+        check_nth_order(d.spec, 1, d.pts, tolerance=d.tol), _at_z(d, d.pts[0]))),
+    "classical": _Case("rmatrix-basic", 1, 0, None, "classical", _classical),
+    "deriv-hbar": _Case("rmatrix-basic", 2, 0, None, "deriv-hbar", _deriv_hbar),
+    "order-{n}": _Case("nth-order", None, None, 3, "nth-order", lambda d: (
+        check_nth_order(d.spec, d.n, d.pts, size_cap=d.size_cap,
+                        tolerance=d.tol), _at_points(d))),
+    # drawn at s0 only, and left out of the skip records: order-{n} stands for it
+    "outer-{n}": _Case("nth-order", None, None, 3, "outer-independence", lambda d: (
+        check_outer_index_independence(d.spec, d.n, d.pts, size_cap=d.size_cap,
+                                       tolerance=d.tol), _at_points(d)), samples=1),
+    "trace-power-k2": _Case("applications", 3, 2, None, "trace-power",
+                            lambda d: _trace_power(d, 2), APPLICATION_SAMPLE_CAP),
+    "trace-power-k3": _Case("applications", 3, 2, None, "trace-power",
+                            lambda d: _trace_power(d, 3), APPLICATION_SAMPLE_CAP),
+    "kzb-flatness": _Case("applications", 3, 2, None, "kzb-flatness", lambda d: (
+        check_kzb_flatness(d.spec, d.pts, tolerance=d.tol), _at_points(d)),
+        APPLICATION_SAMPLE_CAP),
+    "hbar-order": _Case("applications", 3, 2, None, "hbar-order", lambda d: (
+        check_hbar_order_relation(d.spec, len(d.pts), d.pts, size_cap=d.size_cap,
+                                  tolerance=d.tol), _at_points(d)),
+        APPLICATION_SAMPLE_CAP),
+}
+_TOL_NAMES = tuple(dict.fromkeys(case.tol for case in _CASES.values()))
 
-_BASIC_CASES = ("unitarity", "skew-symmetry", "qybe", "aybe", "same-site",
-                "classical", "deriv-hbar")
-# the member of the identity hierarchy that a basic case tests
-_BASIC_ORDERS = {"same-site": 1, "unitarity": 2}
-_APPLICATION_CASES = ("trace-power-k2", "trace-power-k3", "kzb-flatness",
-                      "hbar-order")
+
+def _expand(name, case, n_max):
+    """(case name, row) for each case type that a table row stands for."""
+    if case.points is not None:
+        return [(name, case)]
+    return [(name.format(n=n), case._replace(points=n, screen=n - 2, n=n))
+            for n in range(case.n, n_max + 1)]
 
 
-def _build_cases(opts):
-    """(runnable cases, pre-made skip records) for the requested sweep."""
+def _sweep(opts):
+    """The records of the requested sweep, its skip records among them."""
     kinds = KINDS if opts["kind"] == "all" else (opts["kind"],)
     suites = SUITES if opts["suite"] == "all" else (opts["suite"],)
-    seed = opts["seed"]
-    tau = opts["tau"]
-    N = opts["site_dim"]
-    fixed_hbar = opts["hbar"]
-    tols = opts["tol_overrides"]
-    cases = []
-    skips = []
-
-    def add(case_id, family, n, case_N, runner, *args):
-        # family, n and N go with the case so that an error record keeps them
-        cases.append(((case_id, family, n, case_N),
-                      partial(runner, case_id, *args)))
-
-    def skip(suite, kind, case):
-        case_id = f"{suite}/{kind}/{case}/s0"
-        skips.append(_record(
-            case_id, suite, kind, None, None, N, None, None, None,
-            skipped=True,
-            reason="no R-matrix family is attached to the trigonometric kind",
-        ))
-
-    if "scalar" in suites:
-        for kind in kinds:
-            for s in range(opts["samples"]):
-                for n in range(2, opts["n_max"] + 1):
-                    add(f"scalar/{kind}/cyclic-n{n}/s{s}", None, n, 1,
-                        _run_scalar_cyclic, kind, tau, n, seed, tols)
-                add(f"scalar/{kind}/fay/s{s}", None, None, 1,
-                    _run_fay, kind, tau, seed, tols, False)
-                add(f"scalar/{kind}/fay-degenerate/s{s}", None, None, 1,
-                    _run_fay, kind, tau, seed, tols, True)
-
-    for suite in ("rmatrix-basic", "nth-order", "applications"):
-        if suite not in suites:
-            continue
-        for kind in kinds:
-            family = _FAMILY_BY_KIND.get(kind)
-            if family is None:
-                case_types = (_BASIC_CASES if suite == "rmatrix-basic"
-                              else _APPLICATION_CASES if suite == "applications"
-                              else tuple(f"order-{n}"
-                                         for n in range(3, opts["n_max"] + 1)))
-                for case in case_types:
-                    skip(suite, kind, case)
-                continue
-            if suite == "rmatrix-basic":
-                for s in range(opts["samples"]):
-                    for case in _BASIC_CASES:
-                        add(f"rmatrix-basic/{kind}/{case}/s{s}", family,
-                            _BASIC_ORDERS.get(case), N, _run_basic, case,
-                            family, kind, tau, N, seed, fixed_hbar, tols)
-            elif suite == "nth-order":
-                for s in range(opts["samples"]):
-                    for n in range(3, opts["n_max"] + 1):
-                        add(f"nth-order/{kind}/order-{n}/s{s}", family, n, N,
-                            _run_nth_order, family, kind, tau, N, n, seed,
-                            fixed_hbar, opts["size_cap"], tols)
-                        if s == 0:
-                            add(f"nth-order/{kind}/outer-{n}/s0", family, n, N,
-                                _run_outer_independence, family, kind, tau, N,
-                                n, seed, fixed_hbar, opts["size_cap"], tols)
-            else:
-                for s in range(min(opts["samples"], APPLICATION_SAMPLE_CAP)):
-                    for case in _APPLICATION_CASES:
-                        add(f"applications/{kind}/{case}/s{s}", family, None,
-                            N, _run_application, case, family, kind, tau, N,
-                            seed, fixed_hbar, opts["size_cap"], tols)
-    return cases, skips
-
-
-def _execute(cases):
     records = []
-    for (case_id, family, n, N), fn in cases:
-        try:
-            records.append(fn())
-        except RmxError as exc:
-            suite, kind = case_id.split("/")[:2]
-            records.append(_record(
-                case_id, suite, kind, family, n, N, None, None, False,
-                reason=f"{type(exc).__name__}: {exc}",
-            ))
+    for suite in suites:
+        for kind in kinds:
+            rows = [row for name, case in _CASES.items() if case.suite == suite
+                    for row in _expand(name, case, opts["n_max"])]
+            family = None if suite == "scalar" else _FAMILY_BY_KIND.get(kind)
+            N = 1 if suite == "scalar" else opts["site_dim"]
+            if family is None and suite != "scalar":
+                records += [_record(
+                    f"{suite}/{kind}/{name}/s0", suite, kind, None, None, N,
+                    None, None, None, skipped=True,
+                    reason="no R-matrix family is attached to the "
+                    "trigonometric kind",
+                ) for name, case in rows if case.samples != 1]
+                continue
+            for s in range(opts["samples"]):
+                records += [_run_case((f"{suite}/{kind}/{name}/s{s}", suite, kind,
+                                       family, case.n, N), case, opts)
+                            for name, case in rows
+                            if case.samples is None or s < case.samples]
     return records
+
+
+def _run_case(head, case, opts):
+    """The record of one case, given its record head (case_id, suite, kind,
+    family, n, N) and its table row; an RmxError fails the case."""
+    case_id, _, kind, family, _, N = head
+    try:
+        lat = LatticeParams(kind=FunctionKind(kind), tau=opts["tau"])
+        rng = np.random.default_rng([opts["seed"], zlib.crc32(case_id.encode())])
+        pts = _sample_points(rng, lat, case.points)
+        # a fixed hbar serves the R-matrix suites; scalar cases draw eta
+        hbar = opts["hbar"]
+        if family is None or hbar is None:
+            hbar = _sample_hbar(rng, lat, N, case.screen)
+        spec = None if family is None else RMatrixSpec(
+            kind=family, site_dim=N, lattice=lat, hbar=hbar)
+        report, params = case.run(_Draw(
+            rng, lat, spec, pts, hbar, case.n,
+            opts["tol_overrides"].get(case.tol), opts["size_cap"]))
+    except RmxError as exc:
+        return _record(*head, None, None, False,
+                       reason=f"{type(exc).__name__}: {exc}")
+    return _record(*head, report.residual, report.tolerance, report.passed,
+                   params=params, details=report.details)
+
+
+def _typed(name, value, convert, what):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _check_tol_name(name):
+    if name not in _TOL_NAMES:
+        raise UsageError(f"unknown tolerance name {name!r}, pick from "
+                         f"{', '.join(_TOL_NAMES)}")
+    return name
+
+
+def _count(name, value, low):
+    value = _typed(name, value, operator.index, "an integer")
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def run_suites(
@@ -495,15 +405,18 @@ def run_suites(
         raise UsageError(f"unknown suite {suite!r}, pick from {SUITES + ('all',)}")
     if kind != "all" and kind not in KINDS:
         raise UsageError(f"unknown kind {kind!r}, pick from {KINDS + ('all',)}")
-    if site_dim < 1:
-        raise UsageError(f"N must be >= 1, got {site_dim}")
-    if n_max < 2:
-        raise UsageError(f"n-max must be >= 2, got {n_max}")
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
-    tau = complex(tau)
+    site_dim = _count("N", site_dim, 1)
+    n_max = _count("n-max", n_max, 2)
+    samples = _count("samples", samples, 1)
+    size_cap = _count("size-cap", size_cap, 1)
+    seed = _count("seed", seed, 0)
+    tau = _typed("tau", tau, complex, "a complex number")
     if tau.imag <= 0:
         raise UsageError(f"tau must have positive imaginary part, got {tau}")
+    if hbar is not None:
+        hbar = _typed("hbar", hbar, complex, "a complex number")
+    tols = {_check_tol_name(name): _typed(f"tol.{name}", value, float, "a number")
+            for name, value in dict(tol_overrides or {}).items()}
     # the deepest case, outer-n_max, runs n_max cyclic product sums
     cost = n_max * cyclic_sum_cost(site_dim, n_max)
     if cost > budget:
@@ -521,18 +434,17 @@ def run_suites(
         "site_dim": site_dim,
         "n_max": n_max,
         "tau": tau,
-        "hbar": None if hbar is None else complex(hbar),
-        "seed": int(seed),
+        "hbar": hbar,
+        "seed": seed,
         "samples": samples,
         "size_cap": size_cap,
         "budget": budget,
         "deterministic": bool(deterministic),
-        "tol_overrides": dict(tol_overrides or {}),
+        "tol_overrides": tols,
     }
 
     start = time.monotonic()
-    cases, skips = _build_cases(opts)
-    records = _execute(cases) + skips
+    records = _sweep(opts)
     # basic-suite records sort by case id alone: their n is only a label
     records.sort(key=lambda r: (
         r["suite"], r["kind"],
@@ -550,8 +462,9 @@ def run_suites(
     }
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": _jsonify(opts),
-        "records": _jsonify(records),
+        "config": dict(opts, tau=_c2d(tau),
+                       hbar=None if hbar is None else _c2d(hbar)),
+        "records": records,
         "summary": summary,
         "elapsed_seconds": elapsed,
     }
@@ -568,37 +481,11 @@ def _parse_complex(text):
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 
 
-_TOL_FLAG = re.compile(r"^--tol\.([A-Za-z][A-Za-z0-9-]*)(?:=(.*))?$")
-
-
-def _extract_tol_flags(argv):
-    """Pull --tol.<name> overrides out of argv before argparse sees them."""
-    rest = []
-    tols = {}
-    i = 0
-    while i < len(argv):
-        m = _TOL_FLAG.match(argv[i])
-        if m:
-            name, value = m.group(1), m.group(2)
-            if value is None:
-                if i + 1 >= len(argv):
-                    raise UsageError(f"--tol.{name} needs a value")
-                value = argv[i + 1]
-                i += 1
-            try:
-                tols[name] = float(value)
-            except ValueError:
-                raise UsageError(f"--tol.{name} value {value!r} is not a number")
-        else:
-            rest.append(argv[i])
-        i += 1
-    return rest, tols
-
-
 def _load_config(path, verify):
-    """key = value file; '#' starts a comment; tol.<name> keys set tolerances.
+    """key = value file; '#' starts a comment.
 
-    The keys are the long flags of the ``verify`` parser without dashes.
+    The keys are the long flags of the ``verify`` parser without dashes,
+    ``tol.<name>`` among them.
     """
     keys = {}
     for action in verify._actions:
@@ -607,7 +494,6 @@ def _load_config(path, verify):
             conv = None if action.nargs == 0 else (action.type or str)
             keys[action.option_strings[0][2:]] = (action.dest, conv)
     defaults = {}
-    tols = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -620,14 +506,9 @@ def _load_config(path, verify):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("tol."):
-            try:
-                tols[key[4:]] = float(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad tolerance {value!r}")
-            continue
         if key not in keys:
-            raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown option {key!r}, pick "
+                             f"from {', '.join(keys)}")
         dest, conv = keys[key]
         if conv is None:
             low = value.lower()
@@ -639,7 +520,7 @@ def _load_config(path, verify):
                 defaults[dest] = conv(value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"{path}:{lineno}: {exc}")
-    return defaults, tols
+    return defaults
 
 
 def _build_parser():
@@ -651,12 +532,8 @@ def _build_parser():
     verify = sub.add_parser(
         "verify",
         help="sample random data and sweep the identity checks",
-        epilog=(
-            "Per-check tolerance overrides use --tol.<name> <value> with "
-            "names scalar-cyclic, fay, unitarity, skew-symmetry, qybe, aybe, "
-            "same-site, classical, deriv-hbar, nth-order, outer-independence, "
-            "trace-power, kzb-flatness, hbar-order."
-        ),
+        epilog="Per-check tolerance overrides use --tol.<name> <value> with "
+        f"names {', '.join(_TOL_NAMES)}.",
     )
     verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     verify.add_argument("--kind", choices=KINDS + ("all",), default="all")
@@ -684,6 +561,9 @@ def _build_parser():
                         help="write the JSON report here")
     verify.add_argument("--config", default=None, metavar="PATH",
                         help="key = value option file; explicit flags win")
+    for name in _TOL_NAMES:
+        verify.add_argument(f"--tol.{name}", dest=f"tol.{name}", type=float,
+                            help=argparse.SUPPRESS)
     return parser, verify
 
 
@@ -691,31 +571,20 @@ def main(argv=None):
     """Entry point; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, flag_tols = _extract_tol_flags(argv)
+        for arg in argv:
+            if arg.startswith("--tol."):
+                _check_tol_name(arg.split("=", 1)[0][len("--tol."):])
         parser, verify_parser = _build_parser()
-        probe = argparse.ArgumentParser(add_help=False)
-        probe.add_argument("--config", default=None)
-        known, _ = probe.parse_known_args(argv)
-        config_tols = {}
-        if known.config is not None:
-            defaults, config_tols = _load_config(known.config, verify_parser)
-            verify_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
-        tols = {**config_tols, **flag_tols}
-        report = run_suites(
-            suite=args.suite,
-            kind=args.kind,
-            site_dim=args.site_dim,
-            n_max=args.n_max,
-            tau=args.tau,
-            hbar=args.hbar,
-            seed=args.seed,
-            samples=args.samples,
-            size_cap=args.size_cap,
-            budget=args.budget,
-            deterministic=args.deterministic,
-            tol_overrides=tols,
-        )
+        if args.config is not None:
+            verify_parser.set_defaults(**_load_config(args.config, verify_parser))
+            args = parser.parse_args(argv)
+        # the other dests, the tol.<name> ones aside, are run_suites keywords
+        opts = {key: value for key, value in vars(args).items()
+                if key not in ("command", "report", "config")}
+        tols = {name: value for name in _TOL_NAMES
+                if (value := opts.pop(f"tol.{name}")) is not None}
+        report = run_suites(tol_overrides=tols, **opts)
     except (UsageError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 import argparse
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from rmx import (
@@ -13,6 +15,27 @@ from rmx import (
     run_suites,
 )
 from rmx.cli import DEFAULT_BUDGET, _parse_complex, main
+
+
+# every tolerance name, in epilog order, and the case types whose tolerance it
+# sets; a case type ending in "-", "-k" or "-n" stands for its numbered cases
+# (order-3, trace-power-k2, cyclic-n2, ...)
+TOLERANCE_CASES = {
+    "scalar-cyclic": ("cyclic-n",),
+    "fay": ("fay", "fay-degenerate"),
+    "unitarity": ("unitarity",),
+    "skew-symmetry": ("skew-symmetry",),
+    "qybe": ("qybe",),
+    "aybe": ("aybe",),
+    "same-site": ("same-site",),
+    "classical": ("classical",),
+    "deriv-hbar": ("deriv-hbar",),
+    "nth-order": ("order-",),
+    "outer-independence": ("outer-",),
+    "trace-power": ("trace-power-k",),
+    "kzb-flatness": ("kzb-flatness",),
+    "hbar-order": ("hbar-order",),
+}
 
 
 def small(**kw):
@@ -78,6 +101,36 @@ class TestRunSuites:
         assert failures
         assert all("unitarity" in r["case_id"] for r in failures)
         assert rep["summary"]["failed"] == len(failures)
+
+    @pytest.mark.parametrize("name", sorted(TOLERANCE_CASES))
+    def test_each_tolerance_name_fails_exactly_its_cases(self, name):
+        rep = run_suites(kind="rational", samples=1, n_max=4,
+                         tol_overrides={name: 0.0})
+        assert rep["summary"]["executed"] == 20
+        failed = {re.sub(r"\d+$", "", r["case_id"].split("/")[2])
+                  for r in rep["records"] if r["passed"] is False}
+        assert failed == set(TOLERANCE_CASES[name])
+        assert rep["config"]["tol_overrides"] == {name: 0.0}
+
+    def test_unknown_tolerance_names_are_rejected(self, tmp_path, capsys):
+        with pytest.raises(UsageError, match="'unitarty'.*hbar-order"):
+            run_suites(suite="scalar", tol_overrides={"unitarty": 1e-30})
+        for argv in (["--tol.unitarty", "1e-30"], ["--tol.unitarty=1e-30"]):
+            assert main(["verify", "--suite", "scalar"] + argv) == 2
+            err = capsys.readouterr().err
+            assert "unitarty" in err and "outer-independence" in err
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("suite = scalar\ntol.unitarty = 1e-30\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "tol.unitarty" in err and "tol.outer-independence" in err
+
+    def test_epilog_lists_the_tolerance_names(self):
+        _, verify = cli._build_parser()
+        names = re.search(r"with names (.*)\.$", verify.epilog).group(1)
+        assert names.split(", ") == list(TOLERANCE_CASES)
+        assert list(dict.fromkeys(c.tol for c in cli._CASES.values())) == list(
+            TOLERANCE_CASES)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
@@ -151,6 +204,22 @@ class TestRunSuites:
             run_suites(samples=0)
         with pytest.raises(UsageError):
             run_suites(n_max=1)
+        for bad in (dict(tau="abc"), dict(hbar="x"), dict(tau=None),
+                    dict(n_max=3.5), dict(site_dim=2.5), dict(samples="3"),
+                    dict(size_cap=0), dict(size_cap=1.0), dict(seed=-1),
+                    dict(seed=1.5), dict(tol_overrides={"fay": "tight"})):
+            with pytest.raises(UsageError):
+                run_suites(suite="scalar", **bad)
+        # complex() strings and numpy integers are accepted and echoed plainly
+        rep = run_suites(suite="scalar", kind="rational", tau="1j", hbar="0.5+0.2j",
+                         site_dim=np.int64(2), n_max=np.int32(2),
+                         samples=np.int64(1), size_cap=np.int64(64))
+        cfg = rep["config"]
+        assert (cfg["tau"], cfg["hbar"]) == ({"re": 0.0, "im": 1.0},
+                                             {"re": 0.5, "im": 0.2})
+        assert [type(cfg[k]) for k in ("site_dim", "n_max", "samples",
+                                       "size_cap")] == [int] * 4
+        assert rep["summary"]["failed"] == 0
 
     def test_deterministic_repeat_is_identical(self):
         a = small(samples=2)
