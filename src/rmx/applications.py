@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged, UsageError
-from .identities import IdentityReport, default_tolerance
+from .identities import _verdict
 from .rmatrix import (
     _default_radius,
     _contour,
@@ -171,8 +171,6 @@ def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE
     """
     spec = config.rspec
     n = config.n_particles
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, spec.site_dim, max(power, 2))
     blocks = block_matrix_power(lax_rmatrix(config, size_cap), power)
     scalar = np.linalg.matrix_power(lax_krichever(config), power)
 
@@ -189,18 +187,10 @@ def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE
         1.0, abs(np.trace(scalar))
     )
     residual = max(coeff_resid, nonscalar)
-    return IdentityReport(
-        name=f"trace-power k={power}",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={
-            "coefficients": coeffs,
-            "nonscalar_residual": nonscalar,
-            "trace_residual": trace_resid,
-            "extended_guess": power < n,
-        },
-    )
+    return _verdict(f"trace-power k={power}", residual, tolerance, spec.kind,
+                    spec.site_dim, max(power, 2), coefficients=coeffs,
+                    nonscalar_residual=nonscalar, trace_residual=trace_resid,
+                    extended_guess=power < n)
 
 
 def check_kzb_flatness(
@@ -228,8 +218,6 @@ def check_kzb_flatness(
     if not use_closed_form and quadrature_points < 2:
         raise QuadratureNotConverged("need at least 2 quadrature points")
     N = spec.site_dim
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, N, 3)
     z = [complex(p) for p in points]
     pairs = ((1, 2), (1, 3), (2, 3))
     zs = np.array([z[i - 1] - z[j - 1] for i, j in pairs])
@@ -256,17 +244,9 @@ def check_kzb_flatness(
     m_norm = max(np.linalg.norm(rm[p][1]) for p in rm)
     scale = max(1.0, r_norm * m_norm)
     residual = float(np.linalg.norm(lhs)) / scale
-    return IdentityReport(
-        name="kzb-flatness",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={
-            "r_norm": float(r_norm),
-            "m_norm": float(m_norm),
-            "quadrature_points": None if use_closed_form else quadrature_points,
-        },
-    )
+    return _verdict("kzb-flatness", residual, tolerance, spec.kind, N, 3,
+                    r_norm=float(r_norm), m_norm=float(m_norm),
+                    quadrature_points=None if use_closed_form else quadrature_points)
 
 
 def check_hbar_order_relation(
@@ -288,8 +268,6 @@ def check_hbar_order_relation(
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
     N = spec.site_dim
     dim = _check_cap(N, n, size_cap)
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, N, 3)
     pts = [complex(p) for p in points]
 
     eye = np.eye(dim, dtype=complex)
@@ -317,13 +295,6 @@ def check_hbar_order_relation(
     r_scale = max(np.linalg.norm(v) for v in r.values()) * np.sqrt(N ** (n - 2))
     scale = max(1.0, float(np.linalg.norm(rhs)), r_scale * r_scale)
     residual = float(np.linalg.norm(lhs - rhs)) / scale
-    return IdentityReport(
-        name=f"hbar-order-{n}",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={
-            "lhs_norm": float(np.linalg.norm(lhs)),
-            "rhs_norm": float(np.linalg.norm(rhs)),
-        },
-    )
+    return _verdict(f"hbar-order-{n}", residual, tolerance, spec.kind, N, 3,
+                    lhs_norm=float(np.linalg.norm(lhs)),
+                    rhs_norm=float(np.linalg.norm(rhs)))

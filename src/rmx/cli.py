@@ -28,7 +28,7 @@ from .applications import (
 )
 from .errors import BudgetExceeded, RmxError, UsageError
 from .identities import (
-    IdentityReport,
+    _verdict,
     check_aybe,
     check_nth_order,
     check_outer_index_independence,
@@ -36,7 +36,6 @@ from .identities import (
     check_skew_symmetry,
     check_unitarity,
     cyclic_sum_cost,
-    default_tolerance,
 )
 from .rmatrix import RMatrixSpec, classical_expansion, r_deriv_hbar
 from .special_functions import (
@@ -160,12 +159,6 @@ class _Draw(NamedTuple):
     size_cap: int
 
 
-def _report(name, residual, tol, default, **details):
-    """IdentityReport for a check that returns a bare residual."""
-    tol = default if tol is None else tol
-    return IdentityReport(name, residual < tol, residual, tol, details)
-
-
 def _at_z(d, z):
     return {"z": _c2d(z), "hbar": _c2d(d.hbar)}
 
@@ -182,8 +175,8 @@ def _scalar_cyclic(d):
     else:
         expected = (-1.0) ** n * weierstrass_p(eta, lat, deriv_order=n - 2)
     residual = abs(total - expected) / max(abs(expected), 1.0)
-    report = _report("scalar-cyclic", residual, d.tol,
-                     default_tolerance(lat.kind, 1, n), total=total, expected=expected)
+    report = _verdict("scalar-cyclic", residual, d.tol, lat.kind, 1, n,
+                      total=total, expected=expected)
     return report, {"eta": _c2d(eta), "points": [_c2d(p) for p in d.pts]}
 
 
@@ -195,7 +188,7 @@ def _fay(d, degenerate):
             eta = _sample_hbar(d.rng, d.lat, 1)
     z, w = d.pts
     residual = fay_check(d.hbar, eta, z, w, d.lat)
-    report = _report("fay", residual, d.tol, default_tolerance(d.lat.kind, 1, 3))
+    report = _verdict("fay", residual, d.tol, d.lat.kind, 1, 3)
     return report, {"hbar": _c2d(d.hbar), "eta": _c2d(eta), "z": _c2d(z),
                     "w": _c2d(w), "degenerate": degenerate}
 
@@ -216,18 +209,16 @@ def _aybe(d):
 def _classical(d):
     pair = classical_expansion(d.spec, d.pts[0])
     residual = max(pair.hbar_inverse_residual, pair.analytic_residual)
-    report = _report("classical", residual, d.tol,
-                     default_tolerance(d.spec.kind, d.spec.site_dim, 2),
-                     hbar_inverse_residual=pair.hbar_inverse_residual,
-                     extraction_residual=pair.extraction_residual,
-                     analytic_residual=pair.analytic_residual)
+    report = _verdict("classical", residual, d.tol, d.spec.kind, d.spec.site_dim, 2,
+                      hbar_inverse_residual=pair.hbar_inverse_residual,
+                      extraction_residual=pair.extraction_residual,
+                      analytic_residual=pair.analytic_residual)
     return report, _at_z(d, d.pts[0])
 
 
 def _deriv_hbar(d):
     residual = r_deriv_hbar(d.spec, d.pts[0], d.pts[1]).structural_residual
-    report = _report("deriv-hbar", residual, d.tol,
-                     default_tolerance(d.spec.kind, d.spec.site_dim, 3))
+    report = _verdict("deriv-hbar", residual, d.tol, d.spec.kind, d.spec.site_dim, 3)
     return report, {"z_a": _c2d(d.pts[0]), "z_b": _c2d(d.pts[1]),
                     "hbar": _c2d(d.hbar)}
 
@@ -417,6 +408,9 @@ def run_suites(
         hbar = _typed("hbar", hbar, complex, "a complex number")
     tols = {_check_tol_name(name): _typed(f"tol.{name}", value, float, "a number")
             for name, value in dict(tol_overrides or {}).items()}
+    budget = _typed("budget", budget, float, "a number")
+    if np.isnan(budget):  # cost > nan is false: it would admit every sweep
+        raise UsageError("budget must be a number, got nan")
     # the deepest case, outer-n_max, runs n_max cyclic product sums
     cost = n_max * cyclic_sum_cost(site_dim, n_max)
     if cost > budget:

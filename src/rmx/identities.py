@@ -96,14 +96,16 @@ def default_tolerance(kind, N=1, n=3):
     return 1e-9
 
 
-def _resolve_hbar(spec, hbar):
-    if hbar is None:
-        return spec.hbar
-    spec.validate_hbar(hbar)
-    return complex(hbar)
+def _verdict(name, residual, tolerance, kind, N, n, **details):
+    """The report of every check: a ``None`` tolerance becomes
+    ``default_tolerance(kind, N, n)``, and the check passes when
+    ``residual < tolerance``."""
+    if tolerance is None:
+        tolerance = default_tolerance(kind, N, n)
+    return IdentityReport(name, residual < tolerance, residual, tolerance, details)
 
 
-def _pair_factors(spec, n, points, hbar, size_cap, outer=1):
+def _pair_factors(spec, n, points, size_cap, outer=1):
     """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j; the
     arguments are checked before any R-matrix is built."""
     if not 1 <= outer <= n:
@@ -116,7 +118,7 @@ def _pair_factors(spec, n, points, hbar, size_cap, outer=1):
     pts = [complex(p) for p in points]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     z = np.array([pts[i] - pts[j] for i, j in pairs])
-    return dict(zip(pairs, r_matrix(spec, z, hbar)))
+    return dict(zip(pairs, r_matrix(spec, z)))
 
 
 _PROBES = 4
@@ -176,25 +178,22 @@ def _cyclic_apply(factors, n, outer, x, size_cap):
     )
 
 
-def cyclic_product_sum(
-    spec, n, points, outer=1, hbar=None, size_cap=DEFAULT_SIZE_CAP
-):
+def cyclic_product_sum(spec, n, points, outer=1, *, size_cap=DEFAULT_SIZE_CAP):
     """Sum of R-matrix chain products over all orderings, by a subset DP.
 
     Returns the (N**n, N**n) sum over the (n-1)! orderings of the n sites
     at ``points`` other than ``outer`` (1-based), with R at the point
-    differences and ``hbar`` overriding spec.hbar; N**n may not pass
-    ``size_cap``.  The Held-Karp / Bellman DP over subsets of the sites
-    applies each R factor to the two tensor legs it acts on, on column
-    blocks of the identity: 2(n-1) + (n-1)(n-2) 2^(n-3) two-site steps of
-    D^2 N^2 multiply-adds in all, D = N^n, against (n-1)! (n-1) dense
-    products of D^3 for the literal sum.  Each block is as wide as keeps
-    its live DP states within the memory of n(n-1) dense D x D matrices,
-    the embedded factors of the literal sum.  The identity checks run the
-    same DP on a D x min(4, D) probe block instead.
+    differences; N**n may not pass ``size_cap``.  The Held-Karp / Bellman
+    DP over subsets of the sites applies each R factor to the two tensor
+    legs it acts on, on column blocks of the identity: 2(n-1) +
+    (n-1)(n-2) 2^(n-3) two-site steps of D^2 N^2 multiply-adds in all,
+    D = N^n, against (n-1)! (n-1) dense products of D^3 for the literal
+    sum.  Each block is as wide as keeps its live DP states within the
+    memory of n(n-1) dense D x D matrices, the embedded factors of the
+    literal sum.  The identity checks run the same DP on a D x min(4, D)
+    probe block instead.
     """
-    hbar = _resolve_hbar(spec, hbar)
-    factors = _pair_factors(spec, n, points, hbar, size_cap, outer)
+    factors = _pair_factors(spec, n, points, size_cap, outer)
     dim = spec.site_dim ** n
     # two adjacent layers of states are live at once
     layers = [m * math.comb(n - 1, m) for m in range(1, n)] + [0]
@@ -207,43 +206,26 @@ def cyclic_product_sum(
     return total
 
 
-def check_unitarity(spec, z, hbar=None, tolerance=None):
+def check_unitarity(spec, z, *, tolerance=None):
     """Unitarity: R_12(z) R_21(-z) is N^2 (wp(N hbar) - wp(z)) times Id."""
-    hbar = _resolve_hbar(spec, hbar)
     N = spec.site_dim
     z = complex(z)
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, N, 2)
     perm = permutation_operator(N)
-    r12, r_neg = r_matrix(spec, np.array([z, -z]), hbar)
+    r12, r_neg = r_matrix(spec, np.array([z, -z]))
     r21 = perm @ r_neg @ perm
     prod = r12 @ r21
-    wp_nh, wp_z = weierstrass_p(np.array([N * hbar, z]), spec.lattice).tolist()
+    wp_nh, wp_z = weierstrass_p(np.array([N * spec.hbar, z]), spec.lattice).tolist()
     expected = N * N * (wp_nh - wp_z)
     _, coeff, nonscalar = is_scalar_operator(prod, tol=np.inf)
     coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
     residual = max(nonscalar, coeff_resid)
-    return IdentityReport(
-        name="unitarity",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={
-            "coefficient": coeff,
-            "expected": expected,
-            "nonscalar_residual": nonscalar,
-        },
-    )
+    return _verdict("unitarity", residual, tolerance, spec.kind, N, 2,
+                    coefficient=coeff, expected=expected,
+                    nonscalar_residual=nonscalar)
 
 
 def check_nth_order(
-    spec,
-    n,
-    points,
-    outer=1,
-    hbar=None,
-    tolerance=None,
-    size_cap=DEFAULT_SIZE_CAP,
+    spec, n, points, outer=1, *, tolerance=None, size_cap=DEFAULT_SIZE_CAP
 ):
     """n-th member of the identity hierarchy at the given points.
 
@@ -257,65 +239,46 @@ def check_nth_order(
     scale of ||S||_F because ||X|| = sqrt(D).  The details carry a
     cross-check against N^n times the scalar cyclic sum at eta = N hbar.
     """
-    hbar = _resolve_hbar(spec, hbar)
     N = spec.site_dim
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, N, max(n, 2))
-
     if n == 1:
         if len(points) != 1:
             raise DimensionMismatch(f"n = 1 takes one point, got {len(points)}")
         z = complex(points[0])
-        mat = r_same_site(spec, z, hbar)
-        closed = same_site_closed_form(spec, z, hbar)
+        mat = r_same_site(spec, z)
+        closed = same_site_closed_form(spec, z)
         residual = frobenius_distance(mat, closed * np.eye(N))
-        return IdentityReport(
-            name="same-site",
-            passed=residual < tolerance,
-            residual=residual,
-            tolerance=tolerance,
-            details={"closed_form": closed},
-        )
+        return _verdict("same-site", residual, tolerance, spec.kind, N, 2,
+                        closed_form=closed)
 
     if n == 2:
         if len(points) != 2:
             raise DimensionMismatch(f"n = 2 takes two points, got {len(points)}")
-        rep = check_unitarity(
-            spec, complex(points[0]) - complex(points[1]), hbar, tolerance
-        )
+        rep = check_unitarity(spec, complex(points[0]) - complex(points[1]),
+                              tolerance=tolerance)
         rep.name = "order-2 (unitarity)"
         return rep
 
-    factors = _pair_factors(spec, n, points, hbar, size_cap, outer)
+    factors = _pair_factors(spec, n, points, size_cap, outer)
     x = _probe_block(N ** n)
     y = _cyclic_apply(factors, n, outer - 1, x, size_cap)
-    expected = (-N) ** n * weierstrass_p(N * hbar, spec.lattice, deriv_order=n - 2)
+    eta = N * spec.hbar
+    expected = (-N) ** n * weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
     coeff = complex(np.vdot(x, y) / np.vdot(x, x))
     nonscalar = float(np.linalg.norm(y - coeff * x) / max(np.linalg.norm(y), 1.0))
     coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
     residual = max(nonscalar, coeff_resid)
 
-    scalar_sum = scalar_cyclic_sum(n, outer, N * hbar, points, spec.lattice)
+    scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
     cross = abs(coeff - N ** n * scalar_sum) / max(abs(coeff), 1.0)
-    return IdentityReport(
-        name=f"order-{n}",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={
-            "coefficient": coeff,
-            "expected": expected,
-            "nonscalar_residual": nonscalar,
-            "scalar_cross_residual": cross,
-            "orderings": math.factorial(n - 1),
-            "algorithm": "subset-dp-probe",
-            "probes": x.shape[1],
-        },
-    )
+    return _verdict(f"order-{n}", residual, tolerance, spec.kind, N, n,
+                    coefficient=coeff, expected=expected,
+                    nonscalar_residual=nonscalar, scalar_cross_residual=cross,
+                    orderings=math.factorial(n - 1), algorithm="subset-dp-probe",
+                    probes=x.shape[1])
 
 
 def check_outer_index_independence(
-    spec, n, points, hbar=None, tolerance=None, size_cap=DEFAULT_SIZE_CAP
+    spec, n, points, *, tolerance=None, size_cap=DEFAULT_SIZE_CAP
 ):
     """The cyclic product sum must not depend on the distinguished site.
 
@@ -324,50 +287,33 @@ def check_outer_index_independence(
     """
     if n < 3:
         raise DimensionMismatch("outer index independence needs n >= 3")
-    hbar = _resolve_hbar(spec, hbar)
     N = spec.site_dim
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, N, n)
-    factors = _pair_factors(spec, n, points, hbar, size_cap)
+    factors = _pair_factors(spec, n, points, size_cap)
     x = _probe_block(N ** n)
     sums = [_cyclic_apply(factors, n, a, x, size_cap) for a in range(n)]
     residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
     coeffs = [complex(np.vdot(x, s) / np.vdot(x, x)) for s in sums]
-    return IdentityReport(
-        name=f"outer-independence-{n}",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={"coefficients": coeffs},
-    )
+    return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,
+                    N, n, coefficients=coeffs)
 
 
-def check_qybe(spec, points, hbar=None, tolerance=None):
+def check_qybe(spec, points, *, tolerance=None):
     """Quantum Yang-Baxter equation on three sites.
 
     R_12(z_12) R_13(z_13) R_23(z_23) = R_23(z_23) R_13(z_13) R_12(z_12).
     """
     if len(points) != 3:
         raise DimensionMismatch(f"QYBE takes three points, got {len(points)}")
-    hbar = _resolve_hbar(spec, hbar)
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, spec.site_dim, 3)
     z1, z2, z3 = (complex(p) for p in points)
-    r12, r13, r23 = r_matrix(spec, np.array([z1 - z2, z1 - z3, z2 - z3]), hbar)
+    r12, r13, r23 = r_matrix(spec, np.array([z1 - z2, z1 - z3, z2 - z3]))
     r12, r13, r23 = (r12, 1, 2), (r13, 1, 3), (r23, 2, 3)
     residual = frobenius_distance(
         _product(3, r12, r13, r23), _product(3, r23, r13, r12)
     )
-    return IdentityReport(
-        name="qybe",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={},
-    )
+    return _verdict("qybe", residual, tolerance, spec.kind, spec.site_dim, 3)
 
 
-def check_aybe(spec, points, second_hbar, hbar=None, tolerance=None):
+def check_aybe(spec, points, second_hbar, *, tolerance=None):
     """Associative Yang-Baxter equation with two quantization parameters.
 
     With sites (a, c, b) = (1, 3, 2) and eta = second_hbar:
@@ -385,10 +331,7 @@ def check_aybe(spec, points, second_hbar, hbar=None, tolerance=None):
     """
     if len(points) != 3:
         raise DimensionMismatch(f"AYBE takes three points, got {len(points)}")
-    hbar = _resolve_hbar(spec, hbar)
-    eta = complex(second_hbar)
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, spec.site_dim, 3)
+    hbar, eta = spec.hbar, complex(second_hbar)
     try:
         spec.validate_hbar(eta)
         spec.validate_hbar(hbar - eta)
@@ -408,29 +351,14 @@ def check_aybe(spec, points, second_hbar, hbar=None, tolerance=None):
     rhs = (_product(3, (r_ab_e, 1, 2), (r_ac_he, 1, 3))
            + _product(3, (r_cb_eh, 3, 2), (r_ab_h, 1, 2)))
     residual = frobenius_distance(lhs, rhs)
-    return IdentityReport(
-        name="aybe",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={},
-    )
+    return _verdict("aybe", residual, tolerance, spec.kind, spec.site_dim, 3)
 
 
-def check_skew_symmetry(spec, z, hbar=None, tolerance=None):
+def check_skew_symmetry(spec, z, *, tolerance=None):
     """Skew symmetry: R(z, hbar) = -P R(-z, -hbar) P."""
-    hbar = _resolve_hbar(spec, hbar)
-    if tolerance is None:
-        tolerance = default_tolerance(spec.kind, spec.site_dim, 2)
-    z = complex(z)
+    hbar, z = spec.hbar, complex(z)
     perm = permutation_operator(spec.site_dim)
     lhs, r_neg = r_matrix(spec, np.array([z, -z]), np.array([hbar, -hbar]))
     rhs = -perm @ r_neg @ perm
     residual = frobenius_distance(lhs, rhs)
-    return IdentityReport(
-        name="skew-symmetry",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        details={},
-    )
+    return _verdict("skew-symmetry", residual, tolerance, spec.kind, spec.site_dim, 2)

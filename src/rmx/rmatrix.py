@@ -70,6 +70,11 @@ __all__ = [
     "ClassicalPair",
 ]
 
+# largest Frobenius distance r_same_site allows from the closed form
+_SAME_SITE_TOL = 1e-8
+# largest coefficient change classical_expansion allows under node doubling
+_REFINE_TOL = 1e-8
+
 
 class RMatrixKind(str, Enum):
     YANG = "yang"
@@ -271,12 +276,12 @@ def same_site_closed_form(spec, z, hbar=None):
     return N * kronecker_phi(N * hbar, z / N, spec.lattice)
 
 
-def r_same_site(spec, z, hbar=None, tol=1e-8):
+def r_same_site(spec, z, hbar=None):
     """R-matrix with both legs on a single site, an N x N scalar matrix.
 
     The sum collapses because T_alpha T_(-alpha) = Id.  The result is
-    compared against the closed form; a gross mismatch raises
-    :class:`ExpansionFailed`.
+    compared against the closed form; a Frobenius distance above
+    ``_SAME_SITE_TOL`` raises :class:`ExpansionFailed`.
     """
     if hbar is None:
         hbar = spec.hbar
@@ -294,7 +299,7 @@ def r_same_site(spec, z, hbar=None, tol=1e-8):
             mat += coeff * (t_basis(a1, a2, N) @ t_basis(-a1, -a2, N))
     closed = same_site_closed_form(spec, z, hbar)
     resid = frobenius_distance(mat, closed * np.eye(N))
-    if resid > tol:
+    if resid > _SAME_SITE_TOL:
         raise ExpansionFailed(
             f"same-site matrix disagrees with its closed form, residual {resid:.3e}"
         )
@@ -444,14 +449,12 @@ def _default_radius(spec, z):
     return 0.025 * min(1.0, abs(tau), abs(1.0 + tau))
 
 
-def classical_expansion(
-    spec, z, quadrature_points=32, contour_radius=None, refine_tol=1e-8
-):
+def classical_expansion(spec, z, quadrature_points=32, contour_radius=None):
     """Extract r and m from R by quadrature on an hbar circle around 0.
 
     The Laurent coefficients are trapezoid sums over ``quadrature_points``
     contour nodes; the run is repeated with twice the nodes and the change
-    is reported (and must stay below ``refine_tol``).  The hbar pole
+    is reported (and must stay below ``_REFINE_TOL``).  The hbar pole
     coefficient is checked against the identity and (r, m) against their
     closed forms.
 
@@ -488,10 +491,10 @@ def classical_expansion(
     )
     fine = _laurent_coefficients(nodes, vals)
     extraction = max(frobenius_distance(coarse[j], fine[j]) for j in (-1, 0, 1))
-    if extraction > refine_tol:
+    if extraction > _REFINE_TOL:
         raise QuadratureNotConverged(
             f"coefficient change {extraction:.3e} under node doubling "
-            f"exceeds {refine_tol}"
+            f"exceeds {_REFINE_TOL}"
         )
 
     dim = spec.site_dim ** 2

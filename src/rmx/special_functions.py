@@ -467,7 +467,7 @@ def weierstrass_p(z, params, deriv_order=0):
     z : complex or array_like
     params : LatticeParams
     deriv_order : int
-        0 <= deriv_order <= 6.
+        0 <= deriv_order <= MAX_WP_DERIV_ORDER.
     """
     if deriv_order < 0 or deriv_order > MAX_WP_DERIV_ORDER:
         raise UnsupportedDerivOrder(

@@ -207,13 +207,15 @@ class TestRunSuites:
         for bad in (dict(tau="abc"), dict(hbar="x"), dict(tau=None),
                     dict(n_max=3.5), dict(site_dim=2.5), dict(samples="3"),
                     dict(size_cap=0), dict(size_cap=1.0), dict(seed=-1),
-                    dict(seed=1.5), dict(tol_overrides={"fay": "tight"})):
+                    dict(seed=1.5), dict(tol_overrides={"fay": "tight"}),
+                    dict(budget="x"), dict(budget=float("nan"))):
             with pytest.raises(UsageError):
                 run_suites(suite="scalar", **bad)
         # complex() strings and numpy integers are accepted and echoed plainly
         rep = run_suites(suite="scalar", kind="rational", tau="1j", hbar="0.5+0.2j",
                          site_dim=np.int64(2), n_max=np.int32(2),
-                         samples=np.int64(1), size_cap=np.int64(64))
+                         samples=np.int64(1), size_cap=np.int64(64),
+                         budget=float("inf"))
         cfg = rep["config"]
         assert (cfg["tau"], cfg["hbar"]) == ({"re": 0.0, "im": 1.0},
                                              {"re": 0.5, "im": 0.2})
@@ -264,6 +266,8 @@ class TestMain:
         assert main(["verify", "--n-max", "1"]) == 2
         assert "error" in capsys.readouterr().err
         assert main(["verify", "--n-max", "9", "--N", "3"]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert main(["verify", "--budget", "nan"]) == 2
         assert "budget" in capsys.readouterr().err
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path, capsys):

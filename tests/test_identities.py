@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,19 +6,25 @@ import pytest
 
 from rmx import identities
 from rmx import (
+    CalogeroConfig,
     DegenerateArguments,
     DimensionMismatch,
     IdentityReport,
     IndexOutOfRange,
     LatticeParams,
+    PoleProximity,
     RMatrixKind,
     RMatrixSpec,
     SizeCapExceeded,
+    ZeroArgument,
     check_aybe,
+    check_hbar_order_relation,
+    check_kzb_flatness,
     check_nth_order,
     check_outer_index_independence,
     check_qybe,
     check_skew_symmetry,
+    check_trace_power_guess,
     check_unitarity,
     cyclic_product_sum,
     cyclic_sum_cost,
@@ -107,6 +114,52 @@ class TestReport:
                              tolerance=1.0, details={})
         assert bool(good)
         assert not bool(bad)
+
+
+# each library check, as (spec, tolerance) -> report, and the n its default
+# tolerance is taken at; at N = 3 the elliptic tolerance moves from n = 5 on
+VERDICT_CASES = {
+    "unitarity": (lambda s, t: check_unitarity(s, 0.41 + 0.23j, tolerance=t), 2),
+    "order-1": (lambda s, t: check_nth_order(s, 1, [0.4 + 0.2j], tolerance=t), 2),
+    "order-2": (lambda s, t: check_nth_order(s, 2, EL_PTS_3[:2], tolerance=t), 2),
+    "order-4": (lambda s, t: check_nth_order(s, 4, EL_PTS_4, tolerance=t), 4),
+    "outer-5": (lambda s, t: check_outer_index_independence(
+        s, 5, EL_PTS_5, tolerance=t), 5),
+    "qybe": (lambda s, t: check_qybe(s, EL_PTS_3, tolerance=t), 3),
+    "aybe": (lambda s, t: check_aybe(s, EL_PTS_3, 0.07 + 0.04j, tolerance=t), 3),
+    "skew": (lambda s, t: check_skew_symmetry(s, 0.36 + 0.21j, tolerance=t), 2),
+    "trace-power-k5": (lambda s, t: check_trace_power_guess(
+        CalogeroConfig(s, (0.2, -0.3j, 0.5), EL_PTS_3), 5, tolerance=t), 5),
+    "kzb-flatness": (lambda s, t: check_kzb_flatness(s, EL_PTS_3, tolerance=t), 3),
+    "hbar-order-5": (lambda s, t: check_hbar_order_relation(
+        s, 5, EL_PTS_5, tolerance=t), 3),
+}
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("kind", ["yang", "belavin"])
+    @pytest.mark.parametrize("case", VERDICT_CASES)
+    def test_default_tolerance_and_pass_rule(self, case, kind):
+        check, n = VERDICT_CASES[case]
+        spec = yang_spec(3) if kind == "yang" else belavin_spec(3)
+        rep = check(spec, None)
+        assert rep.tolerance == default_tolerance(spec.kind, 3, n)
+        assert rep.passed == (rep.residual < rep.tolerance)
+        rep = check(spec, 0.5)
+        assert rep.tolerance == 0.5
+        assert rep.passed == (rep.residual < 0.5)
+
+    def test_another_hbar_is_validated_by_the_spec(self):
+        # N hbar = 1 is a lattice point
+        with pytest.raises(PoleProximity):
+            dataclasses.replace(belavin_spec(2), hbar=0.5)
+        with pytest.raises(ZeroArgument):
+            dataclasses.replace(yang_spec(), hbar=0)
+        spec = dataclasses.replace(belavin_spec(2), hbar=0.11 + 0.05j)
+        rep = check_unitarity(spec, 0.41 + 0.23j)
+        assert rep.passed
+        want = 4 * (weierstrass_p(0.22 + 0.1j, EL) - weierstrass_p(0.41 + 0.23j, EL))
+        assert abs(rep.details["expected"] - want) < 1e-12 * abs(want)
 
 
 class TestUnitarity:
@@ -264,7 +317,7 @@ class TestCyclicProductSumOracle:
         # columns of the whole sum
         spec = belavin_spec(3)
         for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5)):
-            factors = identities._pair_factors(spec, n, pts, spec.hbar, 4096)
+            factors = identities._pair_factors(spec, n, pts, 4096)
             eye = np.eye(3 ** n, dtype=complex)
             got = np.hstack([
                 identities._cyclic_apply(factors, n, 1, eye[:, lo:lo + width], 4096)
@@ -364,7 +417,7 @@ class TestProbedCheck:
                                                  eps):
         spec = belavin_spec(N)
         pair = identities._pair_factors
-        factors = perturbed(pair(spec, n, pts, spec.hbar, 4096), eps)
+        factors = perturbed(pair(spec, n, pts, 4096), eps)
         _, _, full = is_scalar_operator(dense_sum_of_factors(factors, N, n, 1))
         assert full > 0.1 * eps  # the perturbation shows, not round-off
         monkeypatch.setattr(identities, "_pair_factors",
