@@ -288,6 +288,7 @@ def r_same_site(spec, z, hbar=None):
     else:
         spec.validate_hbar(hbar)
     N = spec.site_dim
+    closed = same_site_closed_form(spec, z, hbar)  # checks z first
     if spec.kind is RMatrixKind.YANG:
         mat = np.eye(N, dtype=complex) / hbar + (spec.site_dim / z) * (
             N * np.eye(N, dtype=complex)
@@ -297,7 +298,6 @@ def r_same_site(spec, z, hbar=None):
         mat = np.zeros((N, N), dtype=complex)
         for coeff, (a1, a2) in zip(w, _alpha_grid(N)):
             mat += coeff * (t_basis(a1, a2, N) @ t_basis(-a1, -a2, N))
-    closed = same_site_closed_form(spec, z, hbar)
     resid = frobenius_distance(mat, closed * np.eye(N))
     if resid > _SAME_SITE_TOL:
         raise ExpansionFailed(

@@ -50,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb, factorial
+from math import ceil, comb, factorial, log, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -88,8 +88,6 @@ DEFAULT_EXCLUSION_RADIUS = 1e-6
 #: to n = 8, which need wp^(6)).
 MAX_WP_DERIV_ORDER = 6
 
-_SERIES_CHUNK = 16
-
 
 class FunctionKind(str, Enum):
     """Which degeneration of the elliptic function family is in play."""
@@ -111,7 +109,7 @@ class LatticeParams:
         Modular parameter; requires ``Im(tau) > 0`` for the elliptic kind
         and is ignored otherwise.
     series_tol : float
-        Relative truncation target for the theta q-series.
+        Bound on every theta q-series term from the third-last summed on.
     max_terms : int
         Safety cap on q-series terms.
     exclusion_radius : float
@@ -203,9 +201,9 @@ def _off_lattice(params, *slots):
 def _split(flat, slots):
     """Cut the last axis of flat, the concatenated entries of the arrays
     slots, back into arrays of their shapes."""
-    edges = np.cumsum([np.size(s) for s in slots])[:-1]
-    return [p.reshape(p.shape[:-1] + np.shape(s))
-            for p, s in zip(np.split(flat, edges, axis=-1), slots)]
+    edges = [0, *itertools.accumulate(s.size for s in slots)]
+    return [flat[..., lo:hi].reshape(flat.shape[:-1] + s.shape)
+            for lo, hi, s in zip(edges, edges[1:], slots)]
 
 
 def _asarray(x):
@@ -228,67 +226,78 @@ _EPS = np.finfo(float).eps
 
 
 @lru_cache(maxsize=128)
-def _theta_chunk(tau, k0, k1, max_order):
-    """Factors of theta's terms k0 <= k < k1 that depend on tau alone: the
+def _theta_factors(tau, terms, max_order):
+    """Factors of theta's terms 0 <= k < terms that depend on tau alone: the
     exponents i pi tau (k+1/2)^2, the wave numbers u = 2 pi i (k+1/2), the
-    weights (-1)^k u^d / i of the orders d = 0..max_order, their moduli,
-    and the columns of the last three terms.  The order-d term is its
-    weight times e+ - (-1)^d e-, e+- = exp(expo +- u z), so the weights are
-    zero-padded to act on [e+ - e-; e+ + e-]: one matmul sums every order.
+    weights (-1)^k u^d / i of the orders d = 0..max_order and their moduli.
+    The order-d term is its weight times e+ - (-1)^d e-, e+- = exp(expo +- u z),
+    so zero-padded weights act on [e+ - e-; e+ + e-]: one matmul, every order.
     """
-    ks = np.arange(k0, k1)
-    kp = ks + 0.5
+    kp = np.arange(terms) + 0.5
     iu = 2j * np.pi * kp
-    w = (-1.0) ** ks * iu ** np.arange(max_order + 1)[:, None] / 1j
+    w = (-1.0) ** np.arange(terms) * iu ** np.arange(max_order + 1)[:, None] / 1j
     odd = np.arange(max_order + 1)[:, None] % 2 == 1
     weights = np.concatenate([np.where(odd, 0, w), np.where(odd, w, 0)], axis=1)
-    c, lo = k1 - k0, max(k1 - k0 - 3, 0)
-    tail = np.r_[lo:c, c + lo:2 * c]
-    out = 1j * np.pi * tau * kp * kp, iu, weights, np.abs(weights), tail
+    out = 1j * np.pi * tau * kp * kp, iu, weights, np.abs(weights)
     for a in out:  # shared by every caller
         a.flags.writeable = False
     return out
 
 
+def _theta_terms(params, y, d):
+    """Number K of theta terms to sum for orders 0..d at max|Im z| = y: the
+    smallest K with every term k >= K-3 below series_tol under the bound
+    |term_k| <= 2 (2 pi x)^d exp(-pi Im(tau) x^2 + 2 pi x y), x = k + 1/2.
+    The log f(x) of bound / series_tol is concave in x, so Newton's method,
+    started at the last root of a quadratic above f (log(2 pi x) <= 2 pi x / e),
+    falls monotonically onto the last root of f.
+    """
+    t, b, c = np.pi * params.tau.imag, 2.0 * np.pi * y, log(2.0 / params.series_tol)
+    s = b + 2.0 * np.pi * d / np.e
+    x = max((s + sqrt(max(s * s + 4.0 * t * c, 0.0))) / (2.0 * t), 0.5)
+    for _ in range(60):
+        slope = d / x - 2.0 * t * x + b
+        if slope >= 0:  # f peaks below 0: no term reaches series_tol
+            return 3
+        step = (c + d * log(2.0 * np.pi * x) - t * x * x + b * x) / slope
+        x -= step
+        if not (0.5 < x < np.inf and abs(step) > 1e-9 * x):
+            break
+    if not x <= params.max_terms - 2.5:  # also a non-finite y
+        raise SeriesNotConverged(
+            f"theta series needs more than max_terms={params.max_terms} terms "
+            f"to meet tol={params.series_tol} at max|Im z| = {y}"
+        )
+    return max(ceil(x - 0.5), 0) + 3
+
+
 def _theta_derivs(z, params, max_order):
     """z-derivatives of theta, orders 0..max_order, shape (max_order+1,) + z.shape.
 
-    Terms are summed in chunks, one matmul each; the series stops once the
-    trailing three term magnitudes all fall below
-    series_tol * (|partial sum| + 1).  A sum that cancels past
-    _CANCELLATION_TOL of its size raises; exact zeros, such as theta(0), pass.
+    The K terms of _theta_terms are summed in one pass, one matmul.  A sum
+    that overflows, or cancels past _CANCELLATION_TOL of its size, raises;
+    exact zeros, such as theta(0), pass.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(1, -1)
-    sums = np.zeros((max_order + 1, flat.shape[1]), dtype=complex)
-    mags = np.zeros(sums.shape)
-    k0, cap = 0, params.max_terms
+    K = _theta_terms(params, float(np.abs(flat.imag).max(initial=0.0)), max_order)
+    expo, iu, w, w_abs = _theta_factors(params.tau, K, max_order)
     with np.errstate(over="ignore", invalid="ignore"):
-        while k0 < cap:
-            k1 = min(k0 + _SERIES_CHUNK, cap)
-            expo, iu, w, w_abs, tail = _theta_chunk(params.tau, k0, k1, max_order)
-            ep = np.exp(expo[:, None] + iu[:, None] * flat)
-            em = np.exp(expo[:, None] - iu[:, None] * flat)
-            terms = np.concatenate([ep - em, ep + em])
-            sums += w @ terms
-            mags += w_abs @ np.abs(terms)
-            if not np.all(np.isfinite(sums)):
-                raise SeriesNotConverged(
-                    "theta series overflowed; argument too far from the "
-                    "fundamental cell"
-                )
-            last = np.abs(w[:, tail, None] * terms[tail])
-            if np.all(last <= params.series_tol * (np.abs(sums)[:, None] + 1.0)):
-                if np.any(_EPS * mags > _CANCELLATION_TOL * np.abs(sums)):
-                    raise SeriesNotConverged(
-                        f"theta series cancels past a relative {_CANCELLATION_TOL}; "
-                        "argument too close to a lattice point or Im(tau) too small"
-                    )
-                return sums.reshape((max_order + 1,) + z.shape)
-            k0 = k1
-    raise SeriesNotConverged(
-        f"theta series did not meet tol={params.series_tol} within {cap} terms"
-    )
+        ep = np.exp(expo[:, None] + iu[:, None] * flat)
+        em = np.exp(expo[:, None] - iu[:, None] * flat)
+        terms = np.concatenate([ep - em, ep + em])
+        sums = w @ terms
+        if not np.all(np.isfinite(sums)):
+            raise SeriesNotConverged(
+                "theta series overflowed; argument too far from the "
+                "fundamental cell"
+            )
+        if np.any(_EPS * (w_abs @ np.abs(terms)) > _CANCELLATION_TOL * np.abs(sums)):
+            raise SeriesNotConverged(
+                f"theta series cancels past a relative {_CANCELLATION_TOL}; "
+                "argument too close to a lattice point or Im(tau) too small"
+            )
+    return sums.reshape((max_order + 1,) + z.shape)
 
 
 @lru_cache(maxsize=128)
@@ -321,8 +330,9 @@ def theta(z, params, deriv_order=0):
     NonEllipticKind
         If ``params.kind`` is not elliptic.
     SeriesNotConverged
-        If ``max_terms`` is reached before the truncation criterion, if the
-        series overflows, or if its terms cancel to fewer than 12 digits.
+        Before summing, if the tail bound needs more than ``max_terms``
+        terms or Im z is not finite; after, if the series overflows or its
+        terms cancel to fewer than 12 digits.
     """
     if params.kind is not FunctionKind.ELLIPTIC:
         raise NonEllipticKind(f"theta requires elliptic kind, got {params.kind.value}")

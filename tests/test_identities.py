@@ -231,6 +231,10 @@ class TestNthOrder:
         assert rep.name == "same-site"
         assert rep.passed
 
+    def test_first_order_at_zero_is_typed(self):
+        with pytest.raises(ZeroArgument):
+            check_nth_order(yang_spec(), 1, [0])
+
     def test_point_count_validation(self):
         spec = yang_spec()
         with pytest.raises(DimensionMismatch):

@@ -210,6 +210,10 @@ class TestSameSite:
         with pytest.raises(PoleProximity):
             r_same_site(spec, 0.4 + 0.1j, hbar=0.5)
 
+    def test_zero_z_is_typed(self):
+        with pytest.raises(ZeroArgument):
+            r_same_site(yang_spec(2), 0)
+
 
 class TestHbarDerivative:
     def test_yang_exact(self):

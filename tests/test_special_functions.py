@@ -1,16 +1,20 @@
 """Oracle and property tests for the scalar special functions."""
 
+import math
+
 import numpy as np
 import pytest
 
 import mpmath as mp
 
+from rmx import special_functions
 from rmx import (
     DegenerateArguments,
     DimensionMismatch,
     FunctionKind,
     IndexOutOfRange,
     LatticeParams,
+    MAX_WP_DERIV_ORDER,
     NonEllipticKind,
     PoleProximity,
     SeriesNotConverged,
@@ -87,14 +91,26 @@ class TestTheta:
         with pytest.raises(NonEllipticKind):
             theta(0.3, RA)
 
-    def test_nonconvergent_series_raises(self):
+    def test_nonconvergent_series_raises(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a series was summed")
+
         slow = LatticeParams(kind="elliptic", tau=0.004j, max_terms=8)
+        monkeypatch.setattr(special_functions, "_theta_factors", unreachable)
         with pytest.raises(SeriesNotConverged):
             theta(0.3, slow)
 
     def test_overflow_raises(self):
         with pytest.raises(SeriesNotConverged):
             theta(300j, EL)
+
+    def test_non_finite_arguments_raise(self):
+        with pytest.raises(SeriesNotConverged):
+            theta(np.nan, EL)
+        with pytest.raises(SeriesNotConverged):
+            theta(complex(0, np.inf), EL)
+        with pytest.raises(SeriesNotConverged), np.errstate(invalid="ignore"):
+            kronecker_phi(0.3, np.inf, EL)
 
     def test_bad_tau_rejected(self):
         with pytest.raises(NonEllipticKind):
@@ -149,6 +165,62 @@ class TestThetaCancellation:
                         assert abs(got - want) <= 1e-11 * abs(want), (tau, z, d)
         if im >= 0.3:
             assert raised == 0
+
+
+def direct_theta_terms(z, tau, d, ks):
+    """The order-d z-derivatives of the terms ks of the theta series,
+    2 (-1)^k q^((k+1/2)^2) (2 pi (k+1/2))^d sin(2 pi (k+1/2) z + d pi/2),
+    with q^(x^2) folded into the two exponentials of the sine."""
+    x = np.asarray(ks) + 0.5
+    a = 2j * np.pi * x * z + 1j * d * np.pi / 2
+    e = np.exp(1j * np.pi * tau * x * x + a) - np.exp(1j * np.pi * tau * x * x - a)
+    return (-1.0) ** np.asarray(ks) * (2 * np.pi * x) ** d * e / 1j
+
+
+def fsum_complex(terms):
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+class TestThetaSeriesBound:
+    """The series is cut after K terms, K from an a-priori tail bound."""
+
+    TAUS = [1j, 0.3 + 0.8j, 0.5j, 0.1j, 0.05j, 3.7 + 0.3j]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_terms_past_k_are_below_tol(self, tau):
+        par = LatticeParams(kind="elliptic", tau=tau)
+        for y in np.linspace(0.0, 2 * tau.imag, 9):
+            for d in range(MAX_WP_DERIV_ORDER + 3):
+                K = special_functions._theta_terms(par, y, d)
+                if K > 3:  # K is minimal: term K-4's bound is above tol
+                    x = K - 3.5
+                    bound = 2 * (2 * np.pi * x) ** d * np.exp(
+                        -np.pi * tau.imag * x * x + 2 * np.pi * x * y)
+                    assert bound > par.series_tol, (tau, y, d)
+                for z in (0.3 + 1j * y, 0.8 - 1j * y):
+                    tail = direct_theta_terms(z, tau, d, range(K - 3, K + 31))
+                    assert np.all(np.abs(tail) <= par.series_tol), (tau, y, d, K)
+                    terms = direct_theta_terms(z, tau, d, range(64))
+                    full, cut = fsum_complex(terms), fsum_complex(terms[:K])
+                    assert abs(cut - full) <= 1e-15 * abs(full), (tau, z, d, K)
+
+    def test_at_most_eight_terms_in_the_cell_at_tau_i(self, monkeypatch):
+        sizes = []
+        factors = special_functions._theta_factors
+
+        def spy(tau, terms, max_order):
+            sizes.append(terms)
+            return factors(tau, terms, max_order)
+
+        monkeypatch.setattr(special_functions, "_theta_factors", spy)
+        grid = np.array([0.05, 0.35, 0.65, 0.95])
+        cell = (grid[:, None] + 1j * grid[None, :]).ravel()
+        for z in (cell, np.array([0.5 + 1j, 1 + 0.5j])):
+            for d in range(4):
+                theta(z, EL, deriv_order=d)
+        weierstrass_p(cell, EL, deriv_order=1)
+        assert len(sizes) == 9
+        assert max(sizes) <= 8
 
 
 def brute_lattice_distance(z, tau):
