@@ -43,9 +43,10 @@ from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     DEFAULT_SIZE_CAP,
+    _apply_layout,
     _check_cap,
     _product,
-    apply_two_site,
+    _two_site_layout,
     frobenius_distance,
     is_scalar_operator,
     permutation_operator,
@@ -154,8 +155,11 @@ def _cyclic_apply(factors, n, outer, x, size_cap):
 
     A state (T, k) holds the sum of R_{k i_m} ... R_{i_1 outer} x over the
     orderings of the set T that start at k: G[T + {k}, k] =
-    sum_j R_kj G[T, j], and S x = sum_j R_{outer j} G[all, j].
+    sum_j R_kj G[T, j], and S x = sum_j R_{outer j} G[all, j].  The factors
+    are checked once; each step runs only the two-site kernel.
     """
+    step = {(k, j): _two_site_layout(op, k + 1, j + 1, n, size_cap)
+            for (k, j), op in factors.items()}
     others = [k for k in range(n) if k != outer]
     layer = {(0, outer): x}
     for _ in range(n - 1):
@@ -166,16 +170,13 @@ def _cyclic_apply(factors, n, outer, x, size_cap):
                 if mask >> k & 1:
                     continue
                 key = (mask | 1 << k, k)
-                step = apply_two_site(factors[k, j], k + 1, j + 1, n, state, size_cap)
+                out = _apply_layout(step[k, j], state)
                 if key in nxt:
-                    nxt[key] += step
+                    nxt[key] += out
                 else:
-                    nxt[key] = step
+                    nxt[key] = out
         layer = nxt
-    return sum(
-        apply_two_site(factors[outer, j], outer + 1, j + 1, n, state, size_cap)
-        for (_, j), state in layer.items()
-    )
+    return sum(_apply_layout(step[outer, j], state) for (_, j), state in layer.items())
 
 
 def cyclic_product_sum(spec, n, points, outer=1, *, size_cap=DEFAULT_SIZE_CAP):

@@ -40,6 +40,7 @@ from .errors import (
     ExpansionFailed,
     NonEllipticKind,
     QuadratureNotConverged,
+    SeriesNotConverged,
     UsageError,
     ZeroArgument,
 )
@@ -106,15 +107,12 @@ class RMatrixSpec:
                     "the elliptic R-matrix family needs an elliptic lattice, "
                     f"got kind {self.lattice.kind.value}"
                 )
-            self.validate_hbar(self.hbar)
-        else:
-            if self.lattice.kind is not FunctionKind.RATIONAL:
-                raise UsageError(
-                    "the Yang family pairs with the rational kind, got "
-                    f"{self.lattice.kind.value}"
-                )
-            if self.hbar == 0:
-                raise ZeroArgument("Yang R-matrix needs hbar != 0")
+        elif self.lattice.kind is not FunctionKind.RATIONAL:
+            raise UsageError(
+                "the Yang family pairs with the rational kind, got "
+                f"{self.lattice.kind.value}"
+            )
+        self.validate_hbar(self.hbar)
 
     def validate_hbar(self, hbar):
         """Check a quantization parameter, or an array of them, for this spec."""
@@ -185,6 +183,12 @@ def _tt_stack(N):
     ])
 
 
+@lru_cache(maxsize=None)
+def _tt_products(N):
+    """Stack of T_alpha T_(-alpha), shape (N^2, N, N), grid order."""
+    return np.array([t_basis(*a, N) @ t_basis(-a[0], -a[1], N) for a in _alpha_grid(N)])
+
+
 # ---------------------------------------------------------------------------
 # the two families
 # ---------------------------------------------------------------------------
@@ -204,10 +208,11 @@ def yang_r(z, hbar, N):
     z, hbar = np.broadcast_arrays(
         np.asarray(z, dtype=complex), np.asarray(hbar, dtype=complex)
     )
-    if np.any(z == 0):
-        raise ZeroArgument("Yang R-matrix needs z != 0")
-    if np.any(hbar == 0):
-        raise ZeroArgument("Yang R-matrix needs hbar != 0")
+    for what, v in (("z", z), ("hbar", hbar)):
+        if np.any(v == 0):
+            raise ZeroArgument(f"Yang R-matrix needs {what} != 0")
+        if not np.all(np.isfinite(v)):
+            raise SeriesNotConverged(f"Yang R-matrix needs a finite {what}")
     dim = N * N
     return (
         np.eye(dim, dtype=complex) / hbar[..., None, None]
@@ -295,9 +300,7 @@ def r_same_site(spec, z, hbar=None):
         )
     else:
         w = _belavin_weights(spec, complex(z), hbar)
-        mat = np.zeros((N, N), dtype=complex)
-        for coeff, (a1, a2) in zip(w, _alpha_grid(N)):
-            mat += coeff * (t_basis(a1, a2, N) @ t_basis(-a1, -a2, N))
+        mat = sum(coeff * tt for coeff, tt in zip(w, _tt_products(N)))
     resid = frobenius_distance(mat, closed * np.eye(N))
     if resid > _SAME_SITE_TOL:
         raise ExpansionFailed(

@@ -181,14 +181,17 @@ def _off_lattice(params, *slots):
     """Join the named arguments of ``slots``, (name, array) pairs, into one
     flat vector, check it with one lattice_distance call and return it.
 
-    A failure raises :class:`PoleProximity` naming the first slot with an
-    entry within exclusion_radius of a pole, and that slot's nearest entry.
+    A failure names the first bad slot: an entry at no finite distance (NaN, inf)
+    raises :class:`SeriesNotConverged`, one near a pole :class:`PoleProximity`.
     """
     flat = np.concatenate([np.asarray(v, dtype=complex).ravel() for _, v in slots])
     d = params.lattice_distance(flat)
-    if np.any(d < params.exclusion_radius):
+    if d.size and not (d.min() >= params.exclusion_radius and d.max() < np.inf):
         edges = np.cumsum([0] + [np.size(v) for _, v in slots])
         for (what, _), lo, hi in zip(slots, edges, edges[1:]):
+            bad = flat[lo:hi][~(d[lo:hi] < np.inf)]
+            if bad.size:
+                raise SeriesNotConverged(f"{what} {bad[0]} is not a finite argument")
             if np.any(d[lo:hi] < params.exclusion_radius):
                 bad = flat[lo + np.argmin(d[lo:hi])]
                 raise PoleProximity(
@@ -601,8 +604,7 @@ def cyclic_orderings(n, a):
     """
     if not 1 <= a <= n:
         raise IndexOutOfRange(f"outer index {a} not in 1..{n}")
-    others = [i for i in range(1, n + 1) if i != a]
-    return list(itertools.permutations(others))
+    return list(itertools.permutations(i for i in range(1, n + 1) if i != a))
 
 
 def scalar_cyclic_sum(n, a, eta, points, params):
@@ -619,6 +621,9 @@ def scalar_cyclic_sum(n, a, eta, points, params):
     For :math:`n \ge 3` the result equals :math:`(-1)^n \wp^{(n-2)}(\eta)`
     independently of the points; for n = 2 it is the single product
     :math:`\phi(\eta, z_1 - z_2)\phi(\eta, z_2 - z_1) = \wp(\eta) - \wp(z_{12})`.
+    A subset DP (Held-Karp) in plain complex arithmetic sums the chains
+    from a through each set of sites by their last site: (n-1)(n-2) 2^(n-3)
+    + 2(n-1) products, against (n-1)! n for the literal sum.
 
     Parameters
     ----------
@@ -631,24 +636,21 @@ def scalar_cyclic_sum(n, a, eta, points, params):
         Pairwise differences must be off-lattice.
     params : LatticeParams
     """
-    if n < 2:
-        raise IndexOutOfRange(f"cyclic sum needs n >= 2, got {n}")
+    if n < 2 or not 1 <= a <= n:
+        raise IndexOutOfRange(f"cyclic sum needs n >= 2, 1 <= a <= n; got n={n}, a={a}")
     if len(points) != n:
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
     pts = np.asarray(points, dtype=complex)
-    orderings = cyclic_orderings(n, a)
-
-    pair_idx = [(i, j) for i in range(n) for j in range(n) if i != j]
-    diffs = np.array([pts[i] - pts[j] for i, j in pair_idx])
-    vals = kronecker_phi(complex(eta), diffs, params)
-    table = dict(zip(pair_idx, np.atleast_1d(vals)))
-
-    total = 0.0 + 0.0j
-    a0 = a - 1
-    for ordering in orderings:
-        chain = (a0,) + tuple(i - 1 for i in ordering) + (a0,)
-        term = 1.0 + 0.0j
-        for u, v in zip(chain[:-1], chain[1:]):
-            term *= table[(u, v)]
-        total += term
-    return total
+    off = ~np.eye(n, dtype=bool)
+    phi = np.zeros((n, n), dtype=complex)
+    phi[off] = kronecker_phi(complex(eta), (pts[:, None] - pts)[off], params)
+    phi = phi.tolist()  # phi[i][j] = phi(eta, z_i - z_j)
+    ends = [[0j] * n for _ in range(1 << n)]
+    ends[1 << a - 1][a - 1] = 1
+    for mask in range(1 << a - 1, 1 << n):
+        for j, v in enumerate(ends[mask]):
+            if v:  # zero unless mask holds a and j
+                for k in range(n):
+                    if not mask >> k & 1:
+                        ends[mask | 1 << k][k] += v * phi[j][k]
+    return sum(v * phi[k][a - 1] for k, v in enumerate(ends[-1]) if v)

@@ -70,6 +70,16 @@ def apply_two_site(op, site_a, site_b, n_sites, x, size_cap=DEFAULT_SIZE_CAP):
     -------
     ndarray of shape (N**n_sites, m), a new array
     """
+    layout = _two_site_layout(op, site_a, site_b, n_sites, size_cap)
+    x, dim = np.asarray(x), layout[-1]
+    if x.ndim != 2 or x.shape[0] != dim:
+        raise DimensionMismatch(f"operand has shape {x.shape}, expected ({dim}, m)")
+    return _apply_layout(layout, x)
+
+
+def _two_site_layout(op, site_a, site_b, n_sites, size_cap):
+    """Check a two-site factor and lay it out for :func:`_apply_layout`: its matrix
+    on the sites in increasing order, the operand and product leg shapes, N**n."""
     if not (1 <= site_a <= n_sites and 1 <= site_b <= n_sites) or site_a == site_b:
         raise IndexOutOfRange(
             f"sites ({site_a}, {site_b}) must be distinct and lie in 1..{n_sites}"
@@ -81,20 +91,19 @@ def apply_two_site(op, site_a, site_b, n_sites, x, size_cap=DEFAULT_SIZE_CAP):
             f"two-site operator has shape {op.shape}, expected (N**2, N**2)"
         )
     dim = _check_cap(N, n_sites, size_cap)
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != dim:
-        raise DimensionMismatch(
-            f"operand has shape {x.shape}, expected ({dim}, m)"
-        )
     a, b = site_a - 1, site_b - 1
     op = op.reshape(N, N, N, N)
     if a > b:
         a, b, op = b, a, op.transpose(1, 0, 3, 2)
-    cols = x.shape[1]
-    shape = (N ** a, N, N ** (b - a - 1), N, N ** (n_sites - b - 1) * cols)
-    legs = x.reshape(shape).transpose(1, 3, 0, 2, 4)
-    out = op.reshape(N * N, N * N) @ legs.reshape(N * N, dim // (N * N) * cols)
-    return out.reshape(N, N, *shape[::2]).transpose(2, 0, 3, 1, 4).reshape(dim, cols)
+    pre, mid = N ** a, N ** (b - a - 1)
+    return op.reshape(N * N, N * N), (pre, N, mid, N, -1), (N, N, pre, mid, -1), dim
+
+
+def _apply_layout(layout, x):
+    """E @ x, unchecked, for a laid-out factor: transpose-copy, matmul, copy back."""
+    op, legs, back, _ = layout
+    moved = x.reshape(legs).transpose(1, 3, 0, 2, 4).reshape(len(op), -1)
+    return (op @ moved).reshape(back).transpose(2, 0, 3, 1, 4).reshape(x.shape)
 
 
 def _product(n_sites, *factors):

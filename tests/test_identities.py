@@ -357,9 +357,9 @@ class TestCyclicProductSumOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_cost_counts_the_steps_taken(self, monkeypatch, n):
         steps = []
-        step = identities.apply_two_site
-        monkeypatch.setattr(identities, "apply_two_site",
-                            lambda *a: steps.append(a[4].shape) or step(*a))
+        kernel = identities._apply_layout
+        monkeypatch.setattr(identities, "_apply_layout",
+                            lambda lay, x: steps.append(x.shape) or kernel(lay, x))
         pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
         for N in (1, 2):
             steps.clear()

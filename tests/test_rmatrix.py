@@ -8,6 +8,7 @@ from rmx import (
     PoleProximity,
     QuadratureNotConverged,
     RMatrixSpec,
+    SeriesNotConverged,
     UsageError,
     ZeroArgument,
     classical_closed_form,
@@ -17,6 +18,7 @@ from rmx import (
     r_deriv_hbar,
     r_matrix,
     r_same_site,
+    rmatrix,
     same_site_closed_form,
     structure_phase,
     t_basis,
@@ -128,6 +130,14 @@ class TestYangFamily:
         with pytest.raises(ZeroArgument):
             r_matrix(spec, 0.5, hbar=0.0)
 
+    def test_non_finite_arguments_raise(self):
+        spec = yang_spec()
+        for z, hbar in ((np.nan, None), (complex(np.inf, 1), None), (0.5, np.nan)):
+            with pytest.raises(SeriesNotConverged):
+                r_matrix(spec, z, hbar=hbar)
+        with pytest.raises(SeriesNotConverged, match="hbar"):
+            yang_r([0.5, 0.7], [0.3, np.inf], 2)
+
     def test_wrong_lattice_kind(self):
         with pytest.raises(UsageError):
             RMatrixSpec(kind="yang", site_dim=2, lattice=EL, hbar=0.3)
@@ -213,6 +223,17 @@ class TestSameSite:
     def test_zero_z_is_typed(self):
         with pytest.raises(ZeroArgument):
             r_same_site(yang_spec(2), 0)
+
+    def test_products_are_built_once_per_n(self, monkeypatch):
+        spec, z = belavin_spec(N=3), 0.37 + 0.22j
+        w = rmatrix._belavin_weights(spec, z, spec.hbar)
+        want = np.zeros((3, 3), dtype=complex)
+        for coeff, (a1, a2) in zip(w, rmatrix._alpha_grid(3)):
+            want += coeff * (t_basis(a1, a2, 3) @ t_basis(-a1, -a2, 3))
+        assert np.array_equal(r_same_site(spec, z), want)
+        monkeypatch.setattr(rmatrix, "t_basis",
+                            lambda *a: pytest.fail("t_basis called again"))
+        assert np.array_equal(r_same_site(spec, z), want)
 
 
 class TestHbarDerivative:

@@ -28,6 +28,8 @@ from rmx import (
     weierstrass_p,
 )
 
+from dense_oracle import literal_cyclic_sum
+
 EL = LatticeParams(kind="elliptic", tau=1j)
 RA = LatticeParams(kind="rational")
 TR = LatticeParams(kind="trigonometric")
@@ -111,6 +113,19 @@ class TestTheta:
             theta(complex(0, np.inf), EL)
         with pytest.raises(SeriesNotConverged), np.errstate(invalid="ignore"):
             kronecker_phi(0.3, np.inf, EL)
+        # the lattice check rejects an entry at no finite distance, for
+        # every kind, naming its slot
+        with np.errstate(invalid="ignore"):
+            for call, slot in (
+                (lambda: kronecker_phi(0.3, np.nan, RA), "phi z argument"),
+                (lambda: kronecker_phi(np.inf, 0.3, RA), "phi eta argument"),
+                (lambda: weierstrass_p(np.nan, RA), "wp argument"),
+                (lambda: weierstrass_p(complex(np.inf, np.inf), RA), "wp argument"),
+                (lambda: eisenstein_e1(np.inf * 1j, TR), "E1 argument"),
+                (lambda: eisenstein_e1([0.3, -np.inf], TR), "E1 argument"),
+            ):
+                with pytest.raises(SeriesNotConverged, match=slot):
+                    call()
 
     def test_bad_tau_rejected(self):
         with pytest.raises(NonEllipticKind):
@@ -503,6 +518,32 @@ class TestScalarCyclicSum:
         a1 = scalar_cyclic_sum(4, 1, eta, pts, par)
         a3 = scalar_cyclic_sum(4, 3, eta, pts, par)
         assert abs(a1 - a3) <= 1e-10 * (1 + abs(a1))
+
+    @pytest.mark.parametrize("par", [RA, ALL_KINDS[2][0]], ids=["rational", "elliptic"])
+    def test_subset_dp_matches_the_literal_sum(self, par):
+        # every outer index a at n = 2..8, against the (n-1)! orderings
+        rng = np.random.default_rng(3)
+        eta = 0.23 + 0.11j
+        for n in range(2, 9):
+            if par.kind is FunctionKind.ELLIPTIC:
+                pts = rng.uniform(0.1, 0.9, n) + rng.uniform(0.05, 0.45, n) * par.tau
+            else:
+                pts = rng.uniform(0.2, 3.0, n) + 1j * rng.uniform(0.1, 1.2, n)
+            pts = list(pts)
+            if n >= 3:
+                wp = (-1) ** n * weierstrass_p(eta, par, deriv_order=n - 2)
+            for a in range(1, n + 1):
+                got = scalar_cyclic_sum(n, a, eta, pts, par)
+                want = literal_cyclic_sum(n, a, eta, pts, par)
+                assert abs(got - want) <= 1e-13 * abs(want)
+                if n >= 3:
+                    assert abs(got - wp) <= 1e-12 * abs(wp)
+
+    def test_beyond_the_literal_sum(self):
+        # n = 10 has 9! = 362880 orderings; the DP takes a few ms
+        pts = [0.1 + 0.07j * k + 0.13 * k for k in range(10)]
+        for par in (RA, ALL_KINDS[2][0]):
+            assert np.isfinite(scalar_cyclic_sum(10, 1, 0.23 + 0.11j, pts, par))
 
     def test_index_validation(self):
         pts = [0.3, 1.1 + 0.4j, 2.2]

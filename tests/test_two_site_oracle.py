@@ -1,7 +1,8 @@
 """The checks that apply two-site factors locally, against dense embeddings.
 
-Each check applies its factors with ``rmx.apply_two_site`` and never forms
-an embedded matrix.  Here every residual is rebuilt from the dense
+Each check applies its factors with ``rmx.apply_two_site``, or with its
+kernel inside the subset DP of the n-th order sums, and never forms an
+embedded matrix.  Here every residual is rebuilt from the dense
 embeddings of ``dense_oracle`` and must agree to round-off.  The genuine
 factors satisfy the identities, so both residuals would sit at round-off
 and agree by accident; the factors are therefore shifted by a fixed
@@ -192,6 +193,11 @@ class TestResidualsMatchDenseFormulas:
                     1e-14 * np.linalg.norm(want))
 
 
+def wrong_site(a, b, n_sites):
+    """The lowest site outside the pair (a, b)."""
+    return min(set(range(1, n_sites + 1)) - {a, b})
+
+
 def misroute_first_call(monkeypatch, module):
     """Put the first factor that ``module`` applies on the wrong sites:
     its second site moves to the lowest site outside the pair."""
@@ -200,11 +206,38 @@ def misroute_first_call(monkeypatch, module):
 
     def wrong(op, a, b, n_sites, x, *rest):
         if not calls:
-            b = min(set(range(1, n_sites + 1)) - {a, b})
+            b = wrong_site(a, b, n_sites)
         calls.append((a, b))
         return apply(op, a, b, n_sites, x, *rest)
 
     monkeypatch.setattr(module, "apply_two_site", wrong)
+    return calls
+
+
+def misroute_first_step(monkeypatch):
+    """Put the first factor that the subset DP of ``identities`` applies on
+    the wrong sites.  The DP lays each factor out once and runs the kernel
+    on the layout; the first kernel call gets instead the layout of the
+    same factor with its second site moved to the lowest site outside the
+    pair."""
+    layout, kernel = identities._two_site_layout, identities._apply_layout
+    laid_out, calls = {}, []
+
+    def spy(op, a, b, n_sites, *rest):
+        out = layout(op, a, b, n_sites, *rest)
+        laid_out[id(out)] = (op, a, b, n_sites, *rest)
+        return out
+
+    def step(lay, x):
+        op, a, b, n_sites, *rest = laid_out[id(lay)]
+        if not calls:
+            b = wrong_site(a, b, n_sites)
+            lay = layout(op, a, b, n_sites, *rest)
+        calls.append((a, b))
+        return kernel(lay, x)
+
+    monkeypatch.setattr(identities, "_two_site_layout", spy)
+    monkeypatch.setattr(identities, "_apply_layout", step)
     return calls
 
 
@@ -230,7 +263,10 @@ MISROUTED = {
 def test_check_fails_with_one_factor_on_wrong_sites(monkeypatch, name):
     module, run = MISROUTED[name]
     assert run().passed
-    calls = misroute_first_call(monkeypatch, module)
+    if module is identities:
+        calls = misroute_first_step(monkeypatch)
+    else:
+        calls = misroute_first_call(monkeypatch, module)
     rep = run()
     assert calls
     assert not rep.passed
