@@ -9,6 +9,8 @@ classical expansion, and two applications (block Lax trace powers and
 flatness of the induced classical connection).
 """
 
+import importlib
+
 from .errors import (
     BudgetExceeded,
     ContourHitsPole,
@@ -62,28 +64,35 @@ from .rmatrix import (
     t_basis,
     yang_r,
 )
-from .identities import (
-    IdentityReport,
-    check_aybe,
-    check_nth_order,
-    check_outer_index_independence,
-    check_qybe,
-    check_skew_symmetry,
-    check_unitarity,
-    cyclic_product_sum,
-    cyclic_sum_cost,
-    default_tolerance,
-)
-from .applications import (
-    CalogeroConfig,
-    block_matrix_power,
-    check_hbar_order_relation,
-    check_kzb_flatness,
-    check_trace_power_guess,
-    lax_krichever,
-    lax_rmatrix,
-)
-from .cli import run_suites
+
+# The verification layers load on first access (PEP 562), so that
+# ``import rmx`` loads only the R-matrix stack above.  Each name resolves
+# from its module once and is then cached in this module's globals.
+_LAZY = {
+    "identities": (
+        "IdentityReport",
+        "default_tolerance",
+        "cyclic_product_sum",
+        "cyclic_sum_cost",
+        "check_nth_order",
+        "check_unitarity",
+        "check_qybe",
+        "check_aybe",
+        "check_skew_symmetry",
+        "check_outer_index_independence",
+    ),
+    "applications": (
+        "CalogeroConfig",
+        "lax_rmatrix",
+        "lax_krichever",
+        "block_matrix_power",
+        "check_trace_power_guess",
+        "check_kzb_flatness",
+        "check_hbar_order_relation",
+    ),
+    "cli": ("run_suites",),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -134,22 +143,18 @@ __all__ = [
     "classical_expansion",
     "classical_closed_form",
     "ClassicalPair",
-    "IdentityReport",
-    "default_tolerance",
-    "cyclic_product_sum",
-    "cyclic_sum_cost",
-    "check_nth_order",
-    "check_unitarity",
-    "check_qybe",
-    "check_aybe",
-    "check_skew_symmetry",
-    "check_outer_index_independence",
-    "CalogeroConfig",
-    "lax_rmatrix",
-    "lax_krichever",
-    "block_matrix_power",
-    "check_trace_power_guess",
-    "check_kzb_flatness",
-    "check_hbar_order_relation",
-    "run_suites",
-]
+] + [name for names in _LAZY.values() for name in names]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

@@ -103,7 +103,7 @@ def _sample_hbar(rng, lat, N, max_order=0):
             h = rng.uniform(0.3, 1.2) + 1j * rng.uniform(0.1, 0.6)
         if np.any(lat.lattice_distance(np.array([h, N * h])) < 1e-4):
             continue
-        orders = range(min(max_order, MAX_WP_DERIV_ORDER) + 1)
+        orders = range(max_order + 1)
         if np.all(np.abs(_wp(lat, np.asarray(N * h), orders)) <= WP_MAGNITUDE_CAP):
             return complex(h)
     raise RmxError("hbar sampling failed to find a moderate value")
@@ -389,8 +389,9 @@ def run_suites(
     """Run the verification sweep and return the report dictionary.
 
     This is the programmatic face of ``rmx verify``; every keyword mirrors
-    the corresponding flag.  Raises :class:`UsageError` on invalid options
-    and :class:`BudgetExceeded` when n_max and N imply too much work.
+    the corresponding flag.  Raises :class:`BudgetExceeded` when n_max and N
+    imply too much work and :class:`UsageError` on other invalid options,
+    among them an n_max above MAX_WP_DERIV_ORDER + 2.
     """
     if suite != "all" and suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}, pick from {SUITES + ('all',)}")
@@ -418,6 +419,11 @@ def run_suites(
             f"n_max={n_max}, N={site_dim} implies {cost:.3e} complex "
             f"multiply-adds above the budget {budget:.3e}; lower n-max or N, "
             "or raise --budget"
+        )
+    if n_max > MAX_WP_DERIV_ORDER + 2:
+        raise UsageError(
+            f"n-max={n_max} is above {MAX_WP_DERIV_ORDER + 2}: order n compares "
+            f"with wp^(n-2), and wp derivatives stop at order {MAX_WP_DERIV_ORDER}"
         )
     if not deterministic:
         seed = int.from_bytes(os.urandom(8), "big")
@@ -534,7 +540,8 @@ def _build_parser():
     verify.add_argument("--N", dest="site_dim", type=int, default=2,
                         help="rank of the fundamental representation")
     verify.add_argument("--n-max", dest="n_max", type=int, default=4,
-                        help="deepest cyclic identity to verify")
+                        help="deepest cyclic identity to verify, at most "
+                        f"{MAX_WP_DERIV_ORDER + 2}")
     verify.add_argument("--tau", type=_parse_complex, default=1j,
                         help="modular parameter, e.g. 0.21+1.3i")
     verify.add_argument("--hbar", type=_parse_complex, default=None,

@@ -149,17 +149,23 @@ def _probe_block(dim):
     return x
 
 
-def _cyclic_apply(factors, n, outer, x, size_cap):
+def _layouts(factors, n, size_cap):
+    """Each factor R_kj of _pair_factors checked and laid out once for the
+    two-site kernel, keyed like the factors."""
+    return {(k, j): _two_site_layout(op, k + 1, j + 1, n, size_cap)
+            for (k, j), op in factors.items()}
+
+
+def _cyclic_apply(step, n, outer, x):
     """S x for the cyclic product sum S from 0-based site ``outer`` back to
-    itself, by a subset DP that applies the factors from the right.
+    itself, by a subset DP that applies the laid-out factors ``step`` of
+    _layouts from the right.
 
     A state (T, k) holds the sum of R_{k i_m} ... R_{i_1 outer} x over the
     orderings of the set T that start at k: G[T + {k}, k] =
-    sum_j R_kj G[T, j], and S x = sum_j R_{outer j} G[all, j].  The factors
-    are checked once; each step runs only the two-site kernel.
+    sum_j R_kj G[T, j], and S x = sum_j R_{outer j} G[all, j].  Each step
+    runs only the two-site kernel.
     """
-    step = {(k, j): _two_site_layout(op, k + 1, j + 1, n, size_cap)
-            for (k, j), op in factors.items()}
     others = [k for k in range(n) if k != outer]
     layer = {(0, outer): x}
     for _ in range(n - 1):
@@ -194,7 +200,7 @@ def cyclic_product_sum(spec, n, points, outer=1, *, size_cap=DEFAULT_SIZE_CAP):
     literal sum.  The identity checks run the same DP on a D x min(4, D)
     probe block instead.
     """
-    factors = _pair_factors(spec, n, points, size_cap, outer)
+    step = _layouts(_pair_factors(spec, n, points, size_cap, outer), n, size_cap)
     dim = spec.site_dim ** n
     # two adjacent layers of states are live at once
     layers = [m * math.comb(n - 1, m) for m in range(1, n)] + [0]
@@ -203,7 +209,7 @@ def cyclic_product_sum(spec, n, points, outer=1, *, size_cap=DEFAULT_SIZE_CAP):
     total = np.empty((dim, dim), dtype=complex)
     for lo in range(0, dim, width):
         block = np.eye(dim, min(width, dim - lo), -lo, dtype=complex)
-        total[:, lo:lo + width] = _cyclic_apply(factors, n, outer - 1, block, size_cap)
+        total[:, lo:lo + width] = _cyclic_apply(step, n, outer - 1, block)
     return total
 
 
@@ -259,9 +265,9 @@ def check_nth_order(
         rep.name = "order-2 (unitarity)"
         return rep
 
-    factors = _pair_factors(spec, n, points, size_cap, outer)
+    step = _layouts(_pair_factors(spec, n, points, size_cap, outer), n, size_cap)
     x = _probe_block(N ** n)
-    y = _cyclic_apply(factors, n, outer - 1, x, size_cap)
+    y = _cyclic_apply(step, n, outer - 1, x)
     eta = N * spec.hbar
     expected = (-N) ** n * weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
     coeff = complex(np.vdot(x, y) / np.vdot(x, x))
@@ -289,9 +295,9 @@ def check_outer_index_independence(
     if n < 3:
         raise DimensionMismatch("outer index independence needs n >= 3")
     N = spec.site_dim
-    factors = _pair_factors(spec, n, points, size_cap)
+    step = _layouts(_pair_factors(spec, n, points, size_cap), n, size_cap)
     x = _probe_block(N ** n)
-    sums = [_cyclic_apply(factors, n, a, x, size_cap) for a in range(n)]
+    sums = [_cyclic_apply(step, n, a, x) for a in range(n)]
     residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
     coeffs = [complex(np.vdot(x, s) / np.vdot(x, x)) for s in sums]
     return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,

@@ -29,6 +29,7 @@ degeneration of R, which collapses to a scalar with closed form
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -118,8 +119,7 @@ class RMatrixSpec:
         """Check a quantization parameter, or an array of them, for this spec."""
         hbar = np.asarray(hbar, dtype=complex)
         if self.kind is RMatrixKind.YANG:
-            if np.any(hbar == 0):
-                raise ZeroArgument("Yang R-matrix needs hbar != 0")
+            _check_yang_argument("hbar", hbar)
             return
         _off_lattice(self.lattice, ("hbar", hbar), ("N*hbar", self.site_dim * hbar))
 
@@ -199,6 +199,14 @@ def _n_over(N, z):
     return np.array([N / v for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
 
 
+def _check_yang_argument(what, v):
+    """The Yang entries divide by z and hbar: both must be finite and nonzero."""
+    if (v == 0).any():
+        raise ZeroArgument(f"Yang R-matrix needs {what} != 0")
+    if not np.isfinite(v).all():
+        raise SeriesNotConverged(f"Yang R-matrix needs a finite {what}")
+
+
 def yang_r(z, hbar, N):
     """Yang R-matrix Id/hbar + (N/z) P on C^N tensor C^N.
 
@@ -208,11 +216,8 @@ def yang_r(z, hbar, N):
     z, hbar = np.broadcast_arrays(
         np.asarray(z, dtype=complex), np.asarray(hbar, dtype=complex)
     )
-    for what, v in (("z", z), ("hbar", hbar)):
-        if np.any(v == 0):
-            raise ZeroArgument(f"Yang R-matrix needs {what} != 0")
-        if not np.all(np.isfinite(v)):
-            raise SeriesNotConverged(f"Yang R-matrix needs a finite {what}")
+    _check_yang_argument("z", z)
+    _check_yang_argument("hbar", hbar)
     dim = N * N
     return (
         np.eye(dim, dtype=complex) / hbar[..., None, None]
@@ -269,14 +274,19 @@ def r_matrix(spec, z, hbar=None):
 def same_site_closed_form(spec, z, hbar=None):
     """Scalar value of R with both tensor legs on one site.
 
-    Yang: 1/hbar + N^2/z.  Elliptic: N phi(N hbar, z/N).
+    Yang: 1/hbar + N^2/z.  Elliptic: N phi(N hbar, z/N).  hbar overrides
+    spec.hbar when given (validated the same way).
     """
     if hbar is None:
         hbar = spec.hbar
+    else:
+        spec.validate_hbar(hbar)
     N = spec.site_dim
     if spec.kind is RMatrixKind.YANG:
         if z == 0:
             raise ZeroArgument("same-site value needs z != 0")
+        if not cmath.isfinite(z):
+            raise SeriesNotConverged("same-site value needs a finite z")
         return 1.0 / hbar + N * N / z
     return N * kronecker_phi(N * hbar, z / N, spec.lattice)
 
@@ -288,12 +298,10 @@ def r_same_site(spec, z, hbar=None):
     compared against the closed form; a Frobenius distance above
     ``_SAME_SITE_TOL`` raises :class:`ExpansionFailed`.
     """
+    closed = same_site_closed_form(spec, z, hbar)  # checks hbar and z first
     if hbar is None:
         hbar = spec.hbar
-    else:
-        spec.validate_hbar(hbar)
     N = spec.site_dim
-    closed = same_site_closed_form(spec, z, hbar)  # checks z first
     if spec.kind is RMatrixKind.YANG:
         mat = np.eye(N, dtype=complex) / hbar + (spec.site_dim / z) * (
             N * np.eye(N, dtype=complex)

@@ -54,7 +54,6 @@ from math import ceil, comb, factorial, log, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from .errors import (
     DegenerateArguments,
@@ -366,20 +365,37 @@ def _coth_poly(order):
     """Ascending coefficients of the order-th derivative of coth, a polynomial in coth.
 
     d/dz coth = 1 - coth^2, so differentiation maps p(c) to p'(c) (1 - c^2).
+    The coefficients are integers, exact in floats.
     """
     if order == 0:
         return (0.0, 1.0)
-    prev = np.asarray(_coth_poly(order - 1))
-    return tuple(_poly.polymul(_poly.polyder(prev), (1.0, 0.0, -1.0)))
+    prev = _coth_poly(order - 1)
+    return tuple(np.convolve(np.arange(1, len(prev)) * prev[1:], (1.0, 0.0, -1.0)))
 
 
 def _rational_e1(params, z, orders):
-    return np.stack([(-1.0) ** d * factorial(d) * z ** (-d - 1) for d in orders])
+    # numpy's complex power z ** -(d+1) gives nan where |z|^(d+1) overflows,
+    # and the value underflows there; (1/z) ** (d+1) gives it, but differs
+    # in the last bits elsewhere, so it serves only there
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.stack([(-1.0) ** d * factorial(d) * z ** (-d - 1) for d in orders])
+    big = ~np.isfinite(out)
+    if big.any():
+        out[big] = np.stack([(-1.0) ** d * factorial(d) * (1.0 / z) ** (d + 1)
+                             for d in orders])[big]
+    return out
 
 
 def _trigonometric_e1(params, z, orders):
     coth = 1.0 / np.tanh(z)
-    return np.stack([_poly.polyval(coth, np.asarray(_coth_poly(d))) for d in orders])
+    out = []
+    for d in orders:
+        *low, top = _coth_poly(d)
+        e1 = top + coth * 0  # Horner's rule in the order of numpy's polyval
+        for coeff in reversed(low):
+            e1 = coeff + e1 * coth
+        out.append(e1)
+    return np.stack(out)
 
 
 def _elliptic_distance(params, z):

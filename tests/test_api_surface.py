@@ -1,6 +1,9 @@
 """The public surface: ``rmx.__all__`` and the public functions agree."""
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,47 @@ def test_every_public_function_is_exported(layer):
     assert public <= set(module.__all__)
     assert public <= set(rmx.__all__)
     assert set(module.__all__) <= set(rmx.__all__)
+
+
+# A fresh interpreter: import rmx and build one R-matrix, then list the
+# loaded modules.
+FRESH_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import rmx
+lat = rmx.LatticeParams("elliptic", 1j)
+spec = rmx.RMatrixSpec(kind="belavin", site_dim=2, lattice=lat, hbar=0.11 + 0.13j)
+rmx.r_matrix(spec, 0.31 + 0.17j)
+print(" ".join(sys.modules))
+"""
+
+
+def test_import_loads_only_the_rmatrix_stack():
+    src = str(Path(rmx.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", FRESH_START, src],
+                         capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(out.stdout.split())
+    assert {m for m in loaded if m.split(".")[0] == "rmx"} == {
+        "rmx", "rmx.errors", "rmx.special_functions", "rmx.tensor_ops",
+        "rmx.rmatrix"}
+    assert not loaded & {"argparse", "json", "numpy.polynomial"}
+
+
+def test_lazy_names_resolve_to_their_modules():
+    from rmx import CalogeroConfig, check_nth_order, run_suites
+
+    assert run_suites is rmx.cli.run_suites
+    assert check_nth_order is rmx.identities.check_nth_order
+    assert CalogeroConfig is rmx.applications.CalogeroConfig
+    # cached: a second access does not go through __getattr__
+    assert vars(rmx)["check_nth_order"] is check_nth_order
+
+
+def test_dir_lists_every_export():
+    assert set(rmx.__all__) <= set(dir(rmx))
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(rmx, "no_such_name")
+    with pytest.raises(ImportError):
+        from rmx import no_such_name  # noqa: F401

@@ -136,6 +136,18 @@ class TestRunSuites:
         with pytest.raises(BudgetExceeded):
             run_suites(site_dim=3, n_max=9)
 
+    def test_n_max_beyond_the_wp_order_cap_is_refused(self, capsys):
+        # order 9 would compare with wp^(7); within the budget it is refused
+        # up front instead of failing its cases
+        cap = cli.MAX_WP_DERIV_ORDER + 2
+        with pytest.raises(UsageError, match=f"above {cap}"):
+            run_suites(suite="nth-order", kind="elliptic", n_max=cap + 1, samples=1)
+        assert main(["verify", "--suite", "nth-order", "--kind", "elliptic",
+                     "--N", "2", "--n-max", str(cap + 1), "--samples", "1"]) == 2
+        assert f"above {cap}" in capsys.readouterr().err
+        rep = run_suites(suite="scalar", kind="rational", n_max=cap, samples=1)
+        assert rep["summary"]["failed"] == 0
+
     def test_budget_admits_deep_ladders(self):
         # rmatrix-basic runs no cyclic sum, so only the budget check is costly
         for N, n_max in ((2, 8), (3, 6)):

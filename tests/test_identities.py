@@ -298,7 +298,7 @@ class TestCyclicProductSumOracle:
     def test_column_block_widths(self, monkeypatch):
         got = []
 
-        def spy(factors, n, outer, x, size_cap):
+        def spy(step, n, outer, x):
             got.append(x.shape[1])
             return np.zeros(x.shape, dtype=complex)
 
@@ -321,10 +321,11 @@ class TestCyclicProductSumOracle:
         # columns of the whole sum
         spec = belavin_spec(3)
         for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5)):
-            factors = identities._pair_factors(spec, n, pts, 4096)
+            step = identities._layouts(identities._pair_factors(spec, n, pts, 4096),
+                                       n, 4096)
             eye = np.eye(3 ** n, dtype=complex)
             got = np.hstack([
-                identities._cyclic_apply(factors, n, 1, eye[:, lo:lo + width], 4096)
+                identities._cyclic_apply(step, n, 1, eye[:, lo:lo + width])
                 for lo in range(0, 3 ** n, width)
             ])
             assert relative_difference(got, dense_n3[n]) <= 1e-13
@@ -353,6 +354,22 @@ class TestCyclicProductSumOracle:
             # one broadcast call evaluates the n(n-1) factors, one per z entry
             assert len(calls) == 1
             assert np.size(calls[0][1]) == n * (n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_factors_laid_out_once_per_check(self, monkeypatch, n):
+        calls = []
+        layout = identities._two_site_layout
+        monkeypatch.setattr(identities, "_two_site_layout",
+                            lambda *a: calls.append(a[1:3]) or layout(*a))
+        spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j]
+        pairs = sorted((a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                       if a != b)
+        # at n = 5 and 6 cyclic_product_sum runs two column blocks
+        for check in (check_nth_order, check_outer_index_independence,
+                      cyclic_product_sum):
+            calls.clear()
+            check(spec, n, pts[:n])
+            assert sorted(calls) == pairs
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_cost_counts_the_steps_taken(self, monkeypatch, n):

@@ -138,6 +138,16 @@ class TestYangFamily:
         with pytest.raises(SeriesNotConverged, match="hbar"):
             yang_r([0.5, 0.7], [0.3, np.inf], 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.3, -np.inf)])
+    def test_non_finite_hbar_rejected(self, bad):
+        with pytest.raises(SeriesNotConverged, match="hbar"):
+            yang_spec(hbar=bad)
+        spec = yang_spec()
+        with pytest.raises(SeriesNotConverged, match="hbar"):
+            r_same_site(spec, 0.5, hbar=bad)
+        with pytest.raises(SeriesNotConverged, match="hbar"):
+            same_site_closed_form(spec, 0.5, hbar=bad)
+
     def test_wrong_lattice_kind(self):
         with pytest.raises(UsageError):
             RMatrixSpec(kind="yang", site_dim=2, lattice=EL, hbar=0.3)
@@ -223,6 +233,19 @@ class TestSameSite:
     def test_zero_z_is_typed(self):
         with pytest.raises(ZeroArgument):
             r_same_site(yang_spec(2), 0)
+
+    def test_non_finite_yang_z_raises(self):
+        for z in (np.nan, complex(np.inf, 1)):
+            with pytest.raises(SeriesNotConverged, match="finite z"):
+                r_same_site(yang_spec(2), z)
+            with pytest.raises(SeriesNotConverged, match="finite z"):
+                same_site_closed_form(yang_spec(2), z)
+
+    def test_closed_form_override_is_validated(self):
+        with pytest.raises(PoleProximity):
+            same_site_closed_form(belavin_spec(N=2), 0.4 + 0.1j, hbar=0.5)
+        with pytest.raises(ZeroArgument):
+            same_site_closed_form(yang_spec(2), 0.4 + 0.1j, hbar=0)
 
     def test_products_are_built_once_per_n(self, monkeypatch):
         spec, z = belavin_spec(N=3), 0.37 + 0.22j

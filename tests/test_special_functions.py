@@ -1,9 +1,11 @@
 """Oracle and property tests for the scalar special functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import mpmath as mp
 
@@ -306,6 +308,37 @@ class TestEisenstein:
     def test_order_out_of_range(self):
         with pytest.raises(UnsupportedDerivOrder):
             eisenstein_e1(0.3, RA, deriv_order=8)
+
+    @pytest.mark.parametrize("size", [1e150, 1e200, 1e300])
+    def test_rational_far_from_the_pole(self, size):
+        # numpy's complex power overflows to nan where |z|^(d+1) passes the
+        # float range; the values underflow there
+        for z in (size, size * (-0.6 + 0.8j)):
+            want = [(-1) ** d * math.factorial(d) * (1 / complex(z)) ** (d + 1)
+                    for d in range(MAX_WP_DERIV_ORDER + 2)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                e1 = [eisenstein_e1(z, RA, d) for d in range(len(want))]
+                wp = [weierstrass_p(z, RA, d) for d in range(len(want) - 1)]
+            for got, w in zip(e1 + wp, want + [-v for v in want[1:]]):
+                assert abs(got - w) <= 1e-14 * abs(w)
+
+    def test_coth_polynomials_match_numpy_polynomial(self):
+        want = np.array([0.0, 1.0])
+        for d in range(MAX_WP_DERIV_ORDER + 2):
+            assert special_functions._coth_poly(d) == tuple(want)
+            want = P.polymul(P.polyder(want), (1.0, 0.0, -1.0))
+
+    def test_trigonometric_derivatives_bit_identical_to_polyval(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-3, 3, 500) + 1j * rng.uniform(-1.5, 1.5, 500)
+        coth = 1.0 / np.tanh(z)
+        coeffs = np.array([0.0, 1.0])
+        for d in range(MAX_WP_DERIV_ORDER + 2):
+            want = P.polyval(coth, coeffs)
+            got = eisenstein_e1(z, TR, d)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            coeffs = P.polymul(P.polyder(coeffs), (1.0, 0.0, -1.0))
 
     def test_pole_rejected(self):
         with pytest.raises(PoleProximity):
