@@ -11,12 +11,10 @@ from rmx import (
     CalogeroConfig,
     LatticeParams,
     RMatrixSpec,
-    block_matrix_power,
     check_hbar_order_relation,
     check_kzb_flatness,
     check_trace_power_guess,
     lax_krichever,
-    lax_rmatrix,
 )
 
 EL = LatticeParams(kind="elliptic", tau=1j)
@@ -32,23 +30,35 @@ def main():
     n = cfg.n_particles
 
     print("block Lax operator vs scalar Lax matrix (N = 2, n = 3)")
-    blocks = lax_rmatrix(cfg)
+    print("  the checks apply L to a probe block in each slot; L is never formed")
     scal = lax_krichever(cfg)
-    print(f"  block shape {blocks.shape}, scalar shape {scal.shape}")
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         rep = check_trace_power_guess(cfg, k)
         powered = np.linalg.matrix_power(scal, k)
         print(f"  k={k}  diagonal blocks scalar to "
               f"{rep.details['nonscalar_residual']:.1e}, coefficients match "
               f"scalar Lax to {rep.residual:.1e}, trace gap "
               f"{rep.details['trace_residual']:.1e}"
-              + ("  (past the calibration power)" if not
-                 rep.details["extended_guess"] and k == n else ""))
+              + ("  (power below the particle count)"
+                 if rep.details["extended_guess"] else ""))
         coeffs = rep.details["coefficients"]
         diag = [powered[a, a] for a in range(n)]
         if k == 2:
             print(f"       block coefficients  {[f'{c:.6f}' for c in coeffs]}")
             print(f"       scalar Lax diagonal {[f'{d:.6f}' for d in diag]}")
+    print()
+
+    print("more particles: N = 3, n = 5 (dimension 3**5 = 243)")
+    spec3 = RMatrixSpec(kind="belavin", site_dim=3, lattice=EL,
+                        hbar=0.17 + 0.09j)
+    cfg5 = CalogeroConfig(rspec=spec3, momenta=MOMENTA + (-0.12 + 0.31j,
+                                                        0.43 - 0.26j),
+                          positions=PTS + (0.47 + 0.23j, 0.83 + 0.07j),
+                          coupling=0.8 - 0.2j)
+    for k in range(2, 7):
+        rep = check_trace_power_guess(cfg5, k)
+        print(f"  k={k}  {'pass' if rep.passed else 'FAIL'}  residual "
+              f"{rep.residual:.1e}")
     print()
 
     print("flatness of the (r, m) connection")

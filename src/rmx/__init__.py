@@ -72,7 +72,6 @@ _LAZY = {
     "identities": (
         "IdentityReport",
         "default_tolerance",
-        "cyclic_product_sum",
         "cyclic_sum_cost",
         "check_nth_order",
         "check_unitarity",
@@ -83,9 +82,7 @@ _LAZY = {
     ),
     "applications": (
         "CalogeroConfig",
-        "lax_rmatrix",
         "lax_krichever",
-        "block_matrix_power",
         "check_trace_power_guess",
         "check_kzb_flatness",
         "check_hbar_order_relation",

@@ -11,7 +11,7 @@ elliptic Calogero type system,
         + \nu (1 - \delta_{ab})\, R_{ab}(z_a - z_b),
 
 is an n x n matrix of operators on the n-site quantum space, with the
-R factor embedded at sites (a, b).  The cyclic identities make the
+R factor acting at sites (a, b).  The cyclic identities make the
 diagonal blocks of its matrix powers scalar, with scalars reproduced by
 the ordinary n x n spectral-parameter Lax matrix
 
@@ -40,32 +40,32 @@ anticommutator relation
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged, UsageError
-from .identities import _verdict
+from .identities import _layouts, _pair_factors, _verdict
 from .rmatrix import (
     _default_radius,
     _contour,
     _laurent_coefficients,
     classical_closed_form,
-    r_matrix,
 )
 from .special_functions import kronecker_phi
 from .tensor_ops import (
     DEFAULT_SIZE_CAP,
+    _apply_layout,
     _check_cap,
+    _probe_block,
+    _probe_scalar,
     apply_two_site,
-    is_scalar_operator,
 )
 
 __all__ = [
     "CalogeroConfig",
-    "lax_rmatrix",
     "lax_krichever",
-    "block_matrix_power",
     "check_trace_power_guess",
     "check_kzb_flatness",
     "check_hbar_order_relation",
@@ -110,29 +110,6 @@ class CalogeroConfig:
         return len(self.momenta)
 
 
-def _pairs(n):
-    return [(a, b) for a in range(n) for b in range(n) if a != b]
-
-
-def lax_rmatrix(config, size_cap=DEFAULT_SIZE_CAP):
-    """Block Lax operator, shape (n, n, N**n, N**n); checks the size cap first."""
-    spec = config.rspec
-    n = config.n_particles
-    zs = config.positions
-    dim = _check_cap(spec.site_dim, n, size_cap)
-    blocks = np.zeros((n, n, dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for a in range(n):
-        blocks[a, a] = config.momenta[a] * eye
-    pairs = _pairs(n)
-    factors = r_matrix(spec, np.array([zs[a] - zs[b] for a, b in pairs]))
-    for (a, b), rm in zip(pairs, factors):
-        blocks[a, b] = config.coupling * apply_two_site(
-            rm, a + 1, b + 1, n, eye, size_cap
-        )
-    return blocks
-
-
 def lax_krichever(config):
     """Scalar n x n Lax matrix with the same-site R-matrix value off-diagonal."""
     spec = config.rspec
@@ -140,7 +117,7 @@ def lax_krichever(config):
     N = spec.site_dim
     zs = config.positions
     out = np.diag(np.array(config.momenta, dtype=complex))
-    pairs = _pairs(n)
+    pairs = list(itertools.permutations(range(n), 2))
     phis = kronecker_phi(
         N * spec.hbar, np.array([zs[a] - zs[b] for a, b in pairs]), spec.lattice
     )
@@ -149,37 +126,49 @@ def lax_krichever(config):
     return out
 
 
-def block_matrix_power(blocks, power):
-    """Power of an (n, n, D, D) block matrix under block matrix multiplication."""
-    if power < 1:
-        raise UsageError(f"power must be >= 1, got {power}")
-    out = blocks
-    for _ in range(power - 1):
-        out = np.einsum("abij,bcjk->acik", out, blocks)
-    return out
-
-
 def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE_CAP):
     """Diagonal blocks of the k-th block Lax power against the scalar Lax power.
 
     For each particle a the block (L^k)_aa must be scalar, and its
     coefficient must equal the (a, a) entry of l^k for the scalar Lax
-    matrix l.  Residuals over all a are combined.  The details record
-    the per-block coefficients, the worst non-scalar residual, the
-    residual of the summed traces, and whether the case extends past the
-    k = n trace the guess was calibrated on.
+    matrix l.  L is never formed.  A block vector holds the probe block X
+    in slot a, one column group per a, and L is applied to it ``power``
+    times as (L Y)_a = p_a Y_a + nu sum_b R_ab Y_b, each R_ab laid out once
+    and run by the two-site kernel.  Column group a of slot a then holds
+    (L^k)_aa X, read like the cyclic sum of ``check_nth_order``.  Residuals
+    over all a are combined.  The details record the per-block
+    coefficients, the worst non-scalar residual, the residual of the summed
+    traces, and whether the power is below the particle count.
+
+    Raises
+    ------
+    UsageError
+        If ``power`` is not an integer of at least 1.
     """
+    try:
+        power = operator.index(power)
+    except TypeError:
+        raise UsageError(f"power must be an integer, got {power!r}") from None
+    if power < 1:
+        raise UsageError(f"power must be >= 1, got {power}")
     spec = config.rspec
     n = config.n_particles
-    blocks = block_matrix_power(lax_rmatrix(config, size_cap), power)
+    step = _layouts(_pair_factors(spec, n, config.positions, size_cap), n, size_cap)
+    x = _probe_block(spec.site_dim ** n)
+    k = x.shape[1]
+    y = np.zeros((n, len(x), n * k), dtype=complex)
+    for a in range(n):
+        y[a, :, a * k:(a + 1) * k] = x
+    for _ in range(power):
+        y = np.stack([
+            config.momenta[a] * y[a] + config.coupling * sum(
+                _apply_layout(step[a, b], y[b]) for b in range(n) if b != a)
+            for a in range(n)])
+    coeffs, nonscalars = zip(*(_probe_scalar(x, y[a, :, a * k:(a + 1) * k])
+                               for a in range(n)))
+    nonscalar = max(nonscalars)
     scalar = np.linalg.matrix_power(lax_krichever(config), power)
 
-    coeffs = []
-    nonscalar = 0.0
-    for a in range(n):
-        _, c, resid = is_scalar_operator(blocks[a, a], tol=np.inf)
-        coeffs.append(c)
-        nonscalar = max(nonscalar, resid)
     diag = np.array([scalar[a, a] for a in range(n)])
     scale = max(1.0, float(np.max(np.abs(diag))))
     coeff_resid = float(np.max(np.abs(np.array(coeffs) - diag))) / scale
@@ -188,7 +177,7 @@ def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE
     )
     residual = max(coeff_resid, nonscalar)
     return _verdict(f"trace-power k={power}", residual, tolerance, spec.kind,
-                    spec.site_dim, max(power, 2), coefficients=coeffs,
+                    spec.site_dim, max(power, 2), coefficients=list(coeffs),
                     nonscalar_residual=nonscalar, trace_residual=trace_resid,
                     extended_guess=power < n)
 
@@ -259,8 +248,12 @@ def check_hbar_order_relation(
         sum_(c<a<b) ({r_ca, r_ab} + {r_ab, r_bc} + {r_bc, r_ca})
             = -(n - 2) sum_(b != c) m_bc
 
-    with every pair coefficient in closed form and applied at its sites.
-    The size cap is checked before any coefficient is built.
+    with every pair coefficient in closed form, applied to the probe block
+    X by the two-site kernel: r_q X once per pair q, then r_p on the sum of
+    the r_q X of the other two pairs of a triple.  The details carry
+    ||lhs X|| and ||rhs X||, on the scale of the Frobenius norms because
+    ||X|| = sqrt(D).  The size cap is checked before any coefficient is
+    built.
     """
     if n < 3:
         raise DimensionMismatch("the relation needs n >= 3 sites")
@@ -270,29 +263,27 @@ def check_hbar_order_relation(
     dim = _check_cap(N, n, size_cap)
     pts = [complex(p) for p in points]
 
-    eye = np.eye(dim, dtype=complex)
-    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    pairs = list(itertools.permutations(range(n), 2))
     r_all, m_all = classical_closed_form(
-        spec, np.array([pts[i - 1] - pts[j - 1] for i, j in pairs])
+        spec, np.array([pts[i] - pts[j] for i, j in pairs])
     )
-    r, r_emb, m_sum = {}, {}, np.zeros((dim, dim), dtype=complex)
-    for (i, j), r_ij, m_ij in zip(pairs, r_all, m_all):
-        r[i, j] = r_ij
-        r_emb[i, j] = apply_two_site(r_ij, i, j, n, eye, size_cap)
-        m_sum += apply_two_site(m_ij, i, j, n, eye, size_cap)
-    rhs = -(n - 2) * m_sum
+    r = _layouts(dict(zip(pairs, r_all)), n, size_cap)
+    m = _layouts(dict(zip(pairs, m_all)), n, size_cap)
+    x = _probe_block(dim)
+    rx = {p: _apply_layout(r[p], x) for p in pairs}
+    rhs = -(n - 2) * sum(_apply_layout(m[p], x) for p in pairs)
 
     # {x, y} + {y, w} + {w, x} = x (y + w) + y (x + w) + w (x + y)
-    lhs = np.zeros((dim, dim), dtype=complex)
-    for c, a, b in itertools.combinations(range(1, n + 1), 3):
+    lhs = np.zeros(x.shape, dtype=complex)
+    for c, a, b in itertools.combinations(range(n), 3):
         triple = ((c, a), (a, b), (b, c))
         for p in triple:
-            rest = sum(r_emb[q] for q in triple if q != p)
-            lhs += apply_two_site(r[p], *p, n, rest, size_cap)
+            lhs += _apply_layout(r[p], sum(rx[q] for q in triple if q != p))
     # the anticommutators cancel pairwise, so condition on their size,
-    # not on the (possibly zero) right-hand side; embedding at n sites
-    # scales the Frobenius norm of a two-site operator by sqrt(N**(n-2))
-    r_scale = max(np.linalg.norm(v) for v in r.values()) * np.sqrt(N ** (n - 2))
+    # not on the (possibly zero) right-hand side; acting on n sites
+    # scales the Frobenius norm of a two-site operator by sqrt(N**(n-2)),
+    # and ||X|| = sqrt(D) keeps the probed norms on that scale
+    r_scale = max(np.linalg.norm(v) for v in r_all) * np.sqrt(N ** (n - 2))
     scale = max(1.0, float(np.linalg.norm(rhs)), r_scale * r_scale)
     residual = float(np.linalg.norm(lhs - rhs)) / scale
     return _verdict(f"hbar-order-{n}", residual, tolerance, spec.kind, N, 3,

@@ -551,7 +551,7 @@ def _build_parser():
                         help="random draws per case type")
     verify.add_argument("--size-cap", dest="size_cap", type=int,
                         default=DEFAULT_SIZE_CAP,
-                        help="largest embedded matrix dimension allowed")
+                        help="largest total dimension N**n allowed")
     verify.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                         help="bound on the complex multiply-adds of the "
                         "outer-n_max case, n_max probed cyclic product sums")

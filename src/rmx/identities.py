@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,9 +41,12 @@ from .errors import (
 from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
+    _PROBES,
     DEFAULT_SIZE_CAP,
     _apply_layout,
     _check_cap,
+    _probe_block,
+    _probe_scalar,
     _product,
     _two_site_layout,
     frobenius_distance,
@@ -55,7 +57,6 @@ from .tensor_ops import (
 __all__ = [
     "IdentityReport",
     "default_tolerance",
-    "cyclic_product_sum",
     "cyclic_sum_cost",
     "check_nth_order",
     "check_unitarity",
@@ -122,9 +123,6 @@ def _pair_factors(spec, n, points, size_cap, outer=1):
     return dict(zip(pairs, r_matrix(spec, z)))
 
 
-_PROBES = 4
-
-
 def cyclic_sum_cost(site_dim, n):
     """Complex multiply-adds of one probed cyclic product sum on n sites.
 
@@ -139,19 +137,10 @@ def cyclic_sum_cost(site_dim, n):
     return steps * dim * site_dim ** 2 * min(_PROBES, dim)
 
 
-@lru_cache(maxsize=32)
-def _probe_block(dim):
-    """The fixed, read-only D x min(4, D) block of seeded Gaussian columns,
-    scaled to the norm sqrt(D) of Id so that |S X| is on the scale of |S|."""
-    x = np.random.default_rng(dim).standard_normal((dim, min(_PROBES, dim)))
-    x *= math.sqrt(dim) / np.linalg.norm(x)
-    x.setflags(write=False)
-    return x
-
-
 def _layouts(factors, n, size_cap):
-    """Each factor R_kj of _pair_factors checked and laid out once for the
-    two-site kernel, keyed like the factors."""
+    """Each two-site factor, keyed by its 0-based sites (k, j) like those of
+    _pair_factors, checked and laid out once for the two-site kernel at the
+    sites (k + 1, j + 1) of n."""
     return {(k, j): _two_site_layout(op, k + 1, j + 1, n, size_cap)
             for (k, j), op in factors.items()}
 
@@ -185,34 +174,6 @@ def _cyclic_apply(step, n, outer, x):
     return sum(_apply_layout(step[outer, j], state) for (_, j), state in layer.items())
 
 
-def cyclic_product_sum(spec, n, points, outer=1, *, size_cap=DEFAULT_SIZE_CAP):
-    """Sum of R-matrix chain products over all orderings, by a subset DP.
-
-    Returns the (N**n, N**n) sum over the (n-1)! orderings of the n sites
-    at ``points`` other than ``outer`` (1-based), with R at the point
-    differences; N**n may not pass ``size_cap``.  The Held-Karp / Bellman
-    DP over subsets of the sites applies each R factor to the two tensor
-    legs it acts on, on column blocks of the identity: 2(n-1) +
-    (n-1)(n-2) 2^(n-3) two-site steps of D^2 N^2 multiply-adds in all,
-    D = N^n, against (n-1)! (n-1) dense products of D^3 for the literal
-    sum.  Each block is as wide as keeps its live DP states within the
-    memory of n(n-1) dense D x D matrices, the embedded factors of the
-    literal sum.  The identity checks run the same DP on a D x min(4, D)
-    probe block instead.
-    """
-    step = _layouts(_pair_factors(spec, n, points, size_cap, outer), n, size_cap)
-    dim = spec.site_dim ** n
-    # two adjacent layers of states are live at once
-    layers = [m * math.comb(n - 1, m) for m in range(1, n)] + [0]
-    live = max(a + b for a, b in zip(layers, layers[1:]))
-    width = max(dim * n * (n - 1) // live, 1)
-    total = np.empty((dim, dim), dtype=complex)
-    for lo in range(0, dim, width):
-        block = np.eye(dim, min(width, dim - lo), -lo, dtype=complex)
-        total[:, lo:lo + width] = _cyclic_apply(step, n, outer - 1, block)
-    return total
-
-
 def check_unitarity(spec, z, *, tolerance=None):
     """Unitarity: R_12(z) R_21(-z) is N^2 (wp(N hbar) - wp(z)) times Id."""
     N = spec.site_dim
@@ -240,11 +201,10 @@ def check_nth_order(
     unitarity at z = points[0] - points[1], and n >= 3 checks that the
     cyclic product sum is scalar with coefficient
     (-N)^n wp^(n-2)(N hbar).  For n >= 3 the sum S is applied to the
-    fixed probe block X instead of being formed (Freivalds' check): the
-    coefficient is c = <X, SX> / <X, X> (a Hutchinson trace estimate) and
-    the non-scalar residual ||SX - cX|| / max(||SX||, 1), both norms on the
-    scale of ||S||_F because ||X|| = sqrt(D).  The details carry a
-    cross-check against N^n times the scalar cyclic sum at eta = N hbar.
+    fixed probe block X instead of being formed (Freivalds' check), and
+    its coefficient and non-scalar residual are read off SX by
+    ``tensor_ops._probe_scalar``.  The details carry a cross-check against
+    N^n times the scalar cyclic sum at eta = N hbar.
     """
     N = spec.site_dim
     if n == 1:
@@ -270,8 +230,7 @@ def check_nth_order(
     y = _cyclic_apply(step, n, outer - 1, x)
     eta = N * spec.hbar
     expected = (-N) ** n * weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
-    coeff = complex(np.vdot(x, y) / np.vdot(x, x))
-    nonscalar = float(np.linalg.norm(y - coeff * x) / max(np.linalg.norm(y), 1.0))
+    coeff, nonscalar = _probe_scalar(x, y)
     coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
     residual = max(nonscalar, coeff_resid)
 
@@ -299,7 +258,7 @@ def check_outer_index_independence(
     x = _probe_block(N ** n)
     sums = [_cyclic_apply(step, n, a, x) for a in range(n)]
     residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
-    coeffs = [complex(np.vdot(x, s) / np.vdot(x, x)) for s in sums]
+    coeffs = [_probe_scalar(x, s)[0] for s in sums]
     return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,
                     N, n, coefficients=coeffs)
 

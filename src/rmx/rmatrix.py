@@ -444,11 +444,19 @@ def _contour(spec, z, radius, points):
 
 
 def _laurent_coefficients(nodes, vals):
-    """Trapezoid sums for the hbar^(-1), hbar^0 and hbar^1 coefficients."""
-    return {
-        j: np.einsum("k,kij->ij", nodes ** (-j), vals) / len(nodes)
-        for j in (-1, 0, 1)
-    }
+    """Trapezoid sums for the hbar^(-1), hbar^0 and hbar^1 coefficients.
+
+    Each sum adds the weighted nodes in order (``np.add.accumulate``), with
+    the complex products written out in real arithmetic, the rounding of
+    a plain loop ``acc += w * v``.
+    """
+    out = {}
+    for j in (-1, 0, 1):
+        w = (nodes ** (-j))[:, None, None]
+        re = np.add.accumulate(w.real * vals.real - w.imag * vals.imag)[-1]
+        im = np.add.accumulate(w.real * vals.imag + w.imag * vals.real)[-1]
+        out[j] = (re + 1j * im) / len(nodes)
+    return out
 
 
 def _default_radius(spec, z):

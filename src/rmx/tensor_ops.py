@@ -2,13 +2,17 @@
 
 Small utilities for applying two-site operators inside n-site products,
 building the permutation operator, and testing whether an operator is a
-scalar multiple of the identity.  Everything is dense numpy; the total
+scalar multiple of the identity.  The checks on n sites never form an
+N**n x N**n matrix: they apply their operator S to a fixed probe block X
+(Freivalds' check) through the two-site kernel, and read the coefficient
+and non-scalar residual of SX with :func:`_probe_scalar`.  The total
 dimension N**n is capped to keep accidental blowups out of test runs.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 4096
+
+_PROBES = 4
 
 
 def _check_cap(site_dim, n_sites, size_cap):
@@ -104,6 +110,25 @@ def _apply_layout(layout, x):
     op, legs, back, _ = layout
     moved = x.reshape(legs).transpose(1, 3, 0, 2, 4).reshape(len(op), -1)
     return (op @ moved).reshape(back).transpose(2, 0, 3, 1, 4).reshape(x.shape)
+
+
+@lru_cache(maxsize=32)
+def _probe_block(dim):
+    """The fixed, read-only D x min(4, D) block of seeded Gaussian columns,
+    scaled to the norm sqrt(D) of Id so that |S X| is on the scale of |S|."""
+    x = np.random.default_rng(dim).standard_normal((dim, min(_PROBES, dim)))
+    x *= math.sqrt(dim) / np.linalg.norm(x)
+    x.setflags(write=False)
+    return x
+
+
+def _probe_scalar(x, y):
+    """How far Y = S X is from c X: the coefficient c = <X, Y> / <X, X> (a
+    Hutchinson trace estimate of tr(S) / D) and the non-scalar residual
+    ||Y - c X|| / max(||Y||, 1), both on the scale of ||S||_F for the probe
+    block X of :func:`_probe_block`."""
+    coeff = complex(np.vdot(x, y) / np.vdot(x, x))
+    return coeff, float(np.linalg.norm(y - coeff * x) / max(np.linalg.norm(y), 1.0))
 
 
 def _product(n_sites, *factors):

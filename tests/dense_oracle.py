@@ -2,14 +2,17 @@
 
 The package applies every two-site factor locally (``rmx.apply_two_site``)
 and never forms an embedded N**n x N**n matrix.  The tests compare that
-path against the dense embed-and-multiply construction kept here.  The
+path against the dense embed-and-multiply construction kept here: the
+embedding itself, and the block Lax operator with its powers.  The
 package also sums the scalar cyclic sum by a subset DP; the reference
 ``literal_cyclic_sum`` sums its (n-1)! orderings term by term.
 """
 
+import itertools
+
 import numpy as np
 
-from rmx import cyclic_orderings, kronecker_phi
+from rmx import classical_closed_form, cyclic_orderings, kronecker_phi, r_matrix
 
 
 def embed_two_site(op, site_a, site_b, site_dim, n_sites):
@@ -50,3 +53,62 @@ def literal_cyclic_sum(n, a, eta, points, params):
             term *= table[u, v]
         total += term
     return total
+
+
+def lax_rmatrix(config, factors=None):
+    """Block Lax operator of a ``CalogeroConfig``, shape (n, n, D, D) with
+    D = N**n: p_a Id on the diagonal and nu R_ab embedded at the sites
+    (a, b) off it.  ``factors`` maps the 0-based pair (a, b) to R_ab; by
+    default R_ab = r_matrix(spec, z_a - z_b)."""
+    spec, n, zs = config.rspec, config.n_particles, config.positions
+    N = spec.site_dim
+    dim = N ** n
+    if factors is None:
+        factors = {(a, b): r_matrix(spec, zs[a] - zs[b])
+                   for a, b in itertools.permutations(range(n), 2)}
+    blocks = np.zeros((n, n, dim, dim), dtype=complex)
+    for a in range(n):
+        blocks[a, a] = config.momenta[a] * np.eye(dim)
+    for (a, b), op in factors.items():
+        blocks[a, b] = config.coupling * embed_two_site(op, a + 1, b + 1, N, n)
+    return blocks
+
+
+def block_matrix_power(blocks, power):
+    """Power of an (n, n, D, D) block matrix under block multiplication,
+    as the power of the nD x nD matrix it lays out."""
+    n, _, dim, _ = blocks.shape
+    flat = blocks.transpose(0, 2, 1, 3).reshape(n * dim, n * dim)
+    out = np.linalg.matrix_power(flat, power)
+    return out.reshape(n, dim, n, dim).transpose(0, 2, 1, 3)
+
+
+def hbar_order_sides(spec, n, points, classical=classical_closed_form):
+    """The dense sides of the r/m relation on n sites,
+
+        lhs = sum_(c<a<b) ({r_ca, r_ab} + {r_ab, r_bc} + {r_bc, r_ca}),
+        rhs = -(n - 2) sum_(b != c) m_bc,
+
+    with (r, m) from one ``classical(spec, z)`` call on the differences of
+    the ordered pairs, and the largest Frobenius norm of an embedded r."""
+    N = spec.site_dim
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    r_all, m_all = classical(
+        spec, np.array([points[i - 1] - points[j - 1] for i, j in pairs]))
+    r = {p: embed_two_site(v, *p, N, n) for p, v in zip(pairs, r_all)}
+    m_sum = sum(embed_two_site(v, *p, N, n) for p, v in zip(pairs, m_all))
+
+    def anti(x, y):
+        return x @ y + y @ x
+
+    lhs = sum(anti(r[c, a], r[a, b]) + anti(r[a, b], r[b, c])
+              + anti(r[b, c], r[c, a])
+              for c, a, b in itertools.combinations(range(1, n + 1), 3))
+    return lhs, -(n - 2) * m_sum, max(np.linalg.norm(v) for v in r.values())
+
+
+def probe_fit(x, y):
+    """The coefficient <x, y> / <x, x> of a probed product y = S x, and the
+    non-scalar residual ||y - c x|| / max(||y||, 1)."""
+    c = np.vdot(x, y) / np.vdot(x, x)
+    return c, np.linalg.norm(y - c * x) / max(np.linalg.norm(y), 1.0)

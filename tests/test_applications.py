@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmx import applications
+from rmx import applications, identities
 from rmx import (
     CalogeroConfig,
     DimensionMismatch,
@@ -10,14 +10,19 @@ from rmx import (
     RMatrixSpec,
     SizeCapExceeded,
     UsageError,
-    block_matrix_power,
     check_hbar_order_relation,
     check_kzb_flatness,
     check_trace_power_guess,
     classical_closed_form,
+    is_scalar_operator,
     lax_krichever,
-    lax_rmatrix,
     r_matrix,
+)
+
+from dense_oracle import (
+    block_matrix_power,
+    hbar_order_sides,
+    lax_rmatrix,
 )
 
 RA = LatticeParams(kind="rational")
@@ -25,10 +30,13 @@ EL = LatticeParams(kind="elliptic", tau=1j)
 
 EL_PTS_3 = [0.31 + 0.11j, 0.62 + 0.29j, 0.18 + 0.41j]
 EL_PTS_4 = EL_PTS_3 + [0.47 + 0.23j]
+EL_PTS_6 = EL_PTS_4 + [0.83 + 0.07j, 0.57 + 0.38j]
 YANG_PTS_3 = [0.3, 1.1 + 0.4j, 2.2 - 0.3j]
 YANG_PTS_4 = YANG_PTS_3 + [0.7 + 1.1j]
+YANG_PTS_6 = YANG_PTS_4 + [1.7 + 0.8j, -0.4 + 0.6j]
 
-MOMENTA = (0.21 - 0.11j, -0.34 + 0.07j, 0.55 + 0.19j, -0.12 + 0.31j)
+MOMENTA = (0.21 - 0.11j, -0.34 + 0.07j, 0.55 + 0.19j, -0.12 + 0.31j,
+           0.43 - 0.26j, -0.27 - 0.18j)
 
 
 def yang_spec(N=2, hbar=0.7 + 0.3j):
@@ -40,7 +48,7 @@ def belavin_spec(N=2, hbar=0.17 + 0.09j):
 
 
 def make_config(spec, n, coupling=0.8 - 0.2j):
-    pts = YANG_PTS_4 if spec.lattice.kind.value == "rational" else EL_PTS_4
+    pts = YANG_PTS_6 if spec.lattice.kind.value == "rational" else EL_PTS_6
     return CalogeroConfig(
         rspec=spec,
         momenta=MOMENTA[:n],
@@ -50,6 +58,8 @@ def make_config(spec, n, coupling=0.8 - 0.2j):
 
 
 class TestLaxBlocks:
+    """The dense block Lax operator of the oracle, and the check's inputs."""
+
     def test_zero_coupling_is_diagonal(self):
         cfg = make_config(yang_spec(2), 3, coupling=0.0)
         blocks = lax_rmatrix(cfg)
@@ -92,8 +102,16 @@ class TestLaxBlocks:
 
     def test_power_validation(self):
         cfg = make_config(yang_spec(2), 2)
-        with pytest.raises(UsageError):
-            block_matrix_power(lax_rmatrix(cfg), 0)
+        for power in (0, -1):
+            with pytest.raises(UsageError, match=">= 1"):
+                check_trace_power_guess(cfg, power)
+
+    def test_power_must_be_an_integer(self):
+        cfg = make_config(yang_spec(2), 2)
+        for power in (2.0, "2", None):
+            with pytest.raises(UsageError, match="integer"):
+                check_trace_power_guess(cfg, power)
+        assert check_trace_power_guess(cfg, np.int64(2)).passed
 
 
 class TestTracePowers:
@@ -195,21 +213,143 @@ class TestHbarOrderRelation:
             check_hbar_order_relation(yang_spec(2), 3, YANG_PTS_4)
 
 
+FAMILIES = [yang_spec, belavin_spec]
+
+
+class TestProbedAgainstDenseOracle:
+    """The probed checks against the dense block Lax powers and the dense
+    sides of the r/m relation."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_trace_power_coefficients(self, N, n):
+        for family in FAMILIES:
+            cfg = make_config(family(N), n)
+            for k in (1, 2, 3, 4):
+                blocks = block_matrix_power(lax_rmatrix(cfg), k)
+                rep = check_trace_power_guess(cfg, k)
+                assert rep.passed, (family.__name__, N, n, k, rep.residual)
+                for a, got in enumerate(rep.details["coefficients"]):
+                    want = np.trace(blocks[a, a]) / N ** n
+                    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_hbar_order_sides(self, N, n):
+        for family, pts in ((yang_spec, YANG_PTS_6), (belavin_spec, EL_PTS_6)):
+            spec = family(N)
+            lhs, rhs, r_scale = hbar_order_sides(spec, n, pts[:n])
+            x = applications._probe_block(N ** n)
+            rep = check_hbar_order_relation(spec, n, pts[:n])
+            assert rep.passed
+            scale = np.linalg.norm(rhs @ x) + 1.0
+            assert abs(rep.details["lhs_norm"] - np.linalg.norm(lhs @ x)) <= 1e-12 * scale
+            assert abs(rep.details["rhs_norm"] - np.linalg.norm(rhs @ x)) <= 1e-12 * scale
+            # the dense relation holds on the whole space, not only on X
+            assert np.linalg.norm(lhs - rhs) < rep.tolerance * max(
+                1.0, np.linalg.norm(rhs), r_scale * r_scale)
+
+
+def gaussian_probes(dim, seed):
+    """A D x min(4, D) Gaussian block scaled to norm sqrt(D), like the
+    package's own probe block but drawn from ``seed``."""
+    x = np.random.default_rng([seed, dim]).standard_normal((dim, min(4, dim)))
+    return x * np.sqrt(dim) / np.linalg.norm(x)
+
+
+def nudge(op, eps):
+    """op moved by eps relative, in a fixed random direction."""
+    rng = np.random.default_rng(7)
+    shift = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)
+    return op + eps * np.linalg.norm(op) / np.linalg.norm(shift) * shift
+
+
+def probed_ratios(monkeypatch, run, full):
+    """The probed residual of ``run()`` over 50 probe blocks, each divided
+    by the dense residual ``full``."""
+    ratios = []
+    for seed in range(50):
+        monkeypatch.setattr(applications, "_probe_block",
+                            lambda dim: gaussian_probes(dim, seed))
+        ratios.append(run() / full)
+    return ratios
+
+
+class TestPerturbedResidualTracksTheDenseOne:
+    """With one factor moved by 1e-6 the identities fail, and each probed
+    residual must be within a factor 2 of the dense one."""
+
+    @pytest.mark.parametrize("N, n, k", [(2, 4, 2), (3, 3, 2), (2, 5, 3)])
+    def test_trace_power(self, monkeypatch, N, n, k):
+        cfg = make_config(belavin_spec(N), n)
+        pair = identities._pair_factors
+
+        def moved(*args):
+            factors = dict(pair(*args))
+            factors[1, 2] = nudge(factors[1, 2], 1e-6)
+            return factors
+
+        blocks = block_matrix_power(
+            lax_rmatrix(cfg, moved(cfg.rspec, n, cfg.positions, 4096)), k)
+        full = max(is_scalar_operator(blocks[a, a])[2] for a in range(n))
+        assert full > 1e-7  # the perturbation shows, not round-off
+        monkeypatch.setattr(applications, "_pair_factors", moved)
+        ratios = probed_ratios(monkeypatch, lambda: check_trace_power_guess(
+            cfg, k).details["nonscalar_residual"], full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+    @pytest.mark.parametrize("N, n", [(2, 4), (2, 5), (3, 4)])
+    def test_hbar_order(self, monkeypatch, N, n):
+        spec, pts = belavin_spec(N), EL_PTS_6[:n]
+
+        def moved(*args):
+            r, m = classical_closed_form(*args)
+            r[1] = nudge(r[1], 1e-6)
+            return r, m
+
+        lhs, rhs, r_scale = hbar_order_sides(spec, n, pts, moved)
+        full = np.linalg.norm(lhs - rhs) / max(
+            1.0, np.linalg.norm(rhs), r_scale * r_scale)
+        assert full > 1e-8
+        monkeypatch.setattr(applications, "classical_closed_form", moved)
+        ratios = probed_ratios(monkeypatch, lambda: check_hbar_order_relation(
+            spec, n, pts).residual, full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+
+class TestReach:
+    """Sizes the dense block Lax and embedded r/m paths were too slow for."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_hbar_order_ten_sites(self, family):
+        pts = [0.1 + 0.07j * k + 0.13 * k for k in range(10)]
+        rep = check_hbar_order_relation(family(2), 10, pts)
+        assert rep.passed, rep.residual
+
+    @pytest.mark.parametrize("N, n", [(2, 6), (3, 5)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_trace_powers(self, family, N, n):
+        cfg = make_config(family(N), n)
+        for k in range(2, n + 2):
+            rep = check_trace_power_guess(cfg, k)
+            assert rep.passed, (k, rep.residual)
+            assert rep.details["extended_guess"] == (k < n)
+
+
 def test_size_cap_raises_before_any_work(monkeypatch):
     calls = []
-    monkeypatch.setattr(applications, "r_matrix",
+    monkeypatch.setattr(identities, "r_matrix",
                         lambda *a: calls.append(a) or r_matrix(*a))
     monkeypatch.setattr(applications, "classical_closed_form",
                         lambda *a: calls.append(a) or classical_closed_form(*a))
     spec = yang_spec(3)
     cfg = make_config(spec, 4)
     with pytest.raises(SizeCapExceeded):
-        lax_rmatrix(cfg, size_cap=80)
-    with pytest.raises(SizeCapExceeded):
         check_trace_power_guess(cfg, 2, size_cap=80)
     with pytest.raises(SizeCapExceeded):
         check_hbar_order_relation(spec, 4, YANG_PTS_4, size_cap=80)
     assert calls == []
     # the same calls run at the cap N**n = 81
-    assert lax_rmatrix(cfg, size_cap=81).shape == (4, 4, 81, 81)
+    assert check_trace_power_guess(cfg, 2, size_cap=81).passed
     assert check_hbar_order_relation(spec, 4, YANG_PTS_4, size_cap=81).passed
+    assert len(calls) == 2

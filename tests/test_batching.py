@@ -19,16 +19,15 @@ from rmx import (
     PoleProximity,
     RMatrixSpec,
     ZeroArgument,
-    applications,
     check_aybe,
     check_qybe,
+    check_trace_power_guess,
     classical_closed_form,
     classical_expansion,
     eisenstein_e1,
     identities,
     kronecker_phi,
     kronecker_phi_deta,
-    lax_rmatrix,
     permutation_operator,
     r_matrix,
     rmatrix,
@@ -239,11 +238,11 @@ class TestOneCallPerCheck:
         assert len(calls) == 1
         assert np.size(calls[0][1]) == 6
 
-    def test_one_r_matrix_call_per_lax_rmatrix(self, monkeypatch):
-        calls = counting(monkeypatch, applications, "r_matrix")
+    def test_one_r_matrix_call_per_trace_power(self, monkeypatch):
+        calls = counting(monkeypatch, identities, "r_matrix")
         config = CalogeroConfig(rspec=belavin(2), momenta=(0.3, 0.5, 0.7),
                                 positions=PTS)
-        lax_rmatrix(config)
+        assert check_trace_power_guess(config, 3).passed
         assert len(calls) == 1
         assert np.size(calls[0][1]) == 6
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rmx import identities
+from rmx import identities, tensor_ops
 from rmx import (
     CalogeroConfig,
     DegenerateArguments,
@@ -26,7 +26,6 @@ from rmx import (
     check_skew_symmetry,
     check_trace_power_guess,
     check_unitarity,
-    cyclic_product_sum,
     cyclic_sum_cost,
     default_tolerance,
     is_scalar_operator,
@@ -242,7 +241,7 @@ class TestNthOrder:
         with pytest.raises(DimensionMismatch):
             check_nth_order(spec, 2, YANG_PTS_3)
         with pytest.raises(DimensionMismatch):
-            cyclic_product_sum(spec, 3, YANG_PTS_4)
+            check_nth_order(spec, 3, YANG_PTS_4)
 
 
 def dense_cyclic_sum(spec, n, points, outer):
@@ -285,35 +284,24 @@ def dense_n3():
             for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5))}
 
 
+def cyclic_sum(spec, n, points, outer):
+    """The whole cyclic product sum from 1-based site ``outer``: the subset
+    DP of the checks run on the identity."""
+    step = identities._layouts(identities._pair_factors(spec, n, points, 4096),
+                               n, 4096)
+    return identities._cyclic_apply(step, n, outer - 1,
+                                    np.eye(spec.site_dim ** n, dtype=complex))
+
+
 class TestCyclicProductSumOracle:
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_dense_sum(self, N, n):
         for spec, pts in ((yang_spec(N), YANG_PTS_5), (belavin_spec(N), EL_PTS_5)):
             for outer in range(1, n + 1):
-                got = cyclic_product_sum(spec, n, pts[:n], outer)
+                got = cyclic_sum(spec, n, pts[:n], outer)
                 want = dense_cyclic_sum(spec, n, pts[:n], outer)
                 assert relative_difference(got, want) <= 1e-13
-
-    def test_column_block_widths(self, monkeypatch):
-        got = []
-
-        def spy(step, n, outer, x):
-            got.append(x.shape[1])
-            return np.zeros(x.shape, dtype=complex)
-
-        monkeypatch.setattr(identities, "_cyclic_apply", spy)
-        for N, n, widths in ((2, 7, [44, 44, 40]), (3, 5, [202, 41]),
-                             (3, 4, [81]), (1, 5, [1]), (1, 8, [1])):
-            got.clear()
-            pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
-            cyclic_product_sum(belavin_spec(N), n, pts)
-            assert got == widths
-            # the live states of a block, two adjacent layers, fit in the
-            # n(n-1) dense D x D factors of the literal sum; D = 1 at N = 1
-            layers = [m * math.comb(n - 1, m) for m in range(1, n)] + [0]
-            live = max(a + b for a, b in zip(layers, layers[1:]))
-            assert widths == [1] or max(widths) * live <= n * (n - 1) * N ** n
 
     @pytest.mark.parametrize("width", [2, 4, 5, 81])
     def test_uneven_column_blocks(self, dense_n3, width):
@@ -335,8 +323,6 @@ class TestCyclicProductSumOracle:
         monkeypatch.setattr(identities, "r_matrix",
                             lambda *a: calls.append(a) or r_matrix(*a))
         spec = yang_spec(3)
-        with pytest.raises(SizeCapExceeded):
-            cyclic_product_sum(spec, 5, YANG_PTS_5, size_cap=81)
         with pytest.raises(SizeCapExceeded):
             check_nth_order(spec, 5, YANG_PTS_5, size_cap=81)
         with pytest.raises(SizeCapExceeded):
@@ -364,9 +350,7 @@ class TestCyclicProductSumOracle:
         spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j]
         pairs = sorted((a, b) for a in range(1, n + 1) for b in range(1, n + 1)
                        if a != b)
-        # at n = 5 and 6 cyclic_product_sum runs two column blocks
-        for check in (check_nth_order, check_outer_index_independence,
-                      cyclic_product_sum):
+        for check in (check_nth_order, check_outer_index_independence):
             calls.clear()
             check(spec, n, pts[:n])
             assert sorted(calls) == pairs
@@ -383,9 +367,11 @@ class TestCyclicProductSumOracle:
             spec = RMatrixSpec(kind="belavin", site_dim=N, lattice=EL,
                                hbar=0.21 + 0.13j)
             if n == 2:
-                # the order-2 check is unitarity, which runs no DP; the full
-                # sum at D <= 4 is one block of min(4, D) columns
-                cyclic_product_sum(spec, n, pts)
+                # the order-2 check is unitarity, which runs no DP; run the
+                # DP on the probe block as the checks of n >= 3 do
+                step = identities._layouts(
+                    identities._pair_factors(spec, n, pts, 4096), n, 4096)
+                identities._cyclic_apply(step, n, 0, identities._probe_block(N ** n))
             else:
                 assert check_nth_order(spec, n, pts).passed
             D = N ** n
@@ -394,9 +380,9 @@ class TestCyclicProductSumOracle:
 
     def test_bad_site_counts(self):
         with pytest.raises(DimensionMismatch):
-            cyclic_product_sum(yang_spec(), 1, YANG_PTS_3[:1])
+            identities._pair_factors(yang_spec(), 1, YANG_PTS_3[:1], 4096)
         with pytest.raises(IndexOutOfRange):
-            cyclic_product_sum(yang_spec(), 3, YANG_PTS_3, outer=4)
+            check_nth_order(yang_spec(), 3, YANG_PTS_3, outer=4)
 
 
 def gaussian_probes(dim, seed):
@@ -426,8 +412,8 @@ class TestProbedCheck:
 
     def test_probe_block_is_fixed_and_read_only(self):
         for dim in (1, 2, 81, 256):
-            x = identities._probe_block(dim)
-            assert x is identities._probe_block(dim)
+            x = tensor_ops._probe_block(dim)
+            assert x is tensor_ops._probe_block(dim)
             assert x.shape == (dim, min(4, dim))
             assert not x.flags.writeable
             assert abs(np.linalg.norm(x) - np.sqrt(dim)) < 1e-12 * np.sqrt(dim)

@@ -343,6 +343,23 @@ class TestClassicalExpansion:
             classical_expansion(belavin_spec(N=1, lattice=skewed), 0.4 + 0.2j,
                                 contour_radius=0.4)
 
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_trapezoid_sums_round_like_a_plain_loop(self, N):
+        # the node sums add in node order, with the complex products of
+        # Python's complex type, so the coefficients are bit-identical
+        spec = belavin_spec(N=N)
+        nodes, vals = rmatrix._contour(spec, 0.44 + 0.19j, 0.025, 32)
+        got = rmatrix._laurent_coefficients(nodes, vals)
+        for j in (-1, 0, 1):
+            weights = (nodes ** (-j)).tolist()
+            want = np.empty(vals.shape[1:], dtype=complex)
+            for idx in np.ndindex(*want.shape):
+                acc = 0j
+                for w, v in zip(weights, vals[(slice(None),) + idx].tolist()):
+                    acc += w * v
+                want[idx] = acc
+            assert np.array_equal(got[j], want / len(nodes))
+
     def test_too_few_nodes(self):
         spec = yang_spec(2)
         with pytest.raises(QuadratureNotConverged):

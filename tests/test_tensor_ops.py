@@ -13,7 +13,7 @@ from rmx import (
     is_scalar_operator,
     permutation_operator,
 )
-from rmx.tensor_ops import _product
+from rmx.tensor_ops import _probe_block, _probe_scalar, _product
 
 from dense_oracle import embed_two_site
 
@@ -194,6 +194,31 @@ class TestScalarDetection:
         m = np.eye(4) + 1e-6 * np.ones((4, 4))
         assert not is_scalar_operator(m)[0]
         assert is_scalar_operator(m, tol=1e-3)[0]
+
+
+class TestProbeScalar:
+    def test_scalar_operator_reads_exactly(self):
+        x = _probe_block(16)
+        coeff, resid = _probe_scalar(x, (2.5 - 1j) * x)
+        assert abs(coeff - (2.5 - 1j)) < 1e-15
+        assert resid < 1e-15
+
+    def test_matches_the_dense_test_on_a_diagonal(self):
+        # diag(1, 2) applied to the 2 x 2 probe block; the coefficient is
+        # the probe estimate, the residual the scaled remainder
+        x = _probe_block(2)
+        y = np.diag([1.0, 2.0]) @ x
+        coeff, resid = _probe_scalar(x, y)
+        want = np.sum(x * y) / np.sum(x * x)
+        assert abs(coeff - want) < 1e-15
+        assert abs(resid - np.linalg.norm(y - want * x)
+                   / max(np.linalg.norm(y), 1.0)) < 1e-15
+        assert resid > 0.1
+
+    def test_small_products_use_absolute_floor(self):
+        x = _probe_block(4)
+        y = 1e-9 * np.ones((4, 4))
+        assert _probe_scalar(x, y)[1] < 1e-8
 
 
 class TestFrobeniusDistance:

@@ -1,9 +1,10 @@
 """The checks that apply two-site factors locally, against dense embeddings.
 
 Each check applies its factors with ``rmx.apply_two_site``, or with its
-kernel inside the subset DP of the n-th order sums, and never forms an
-embedded matrix.  Here every residual is rebuilt from the dense
-embeddings of ``dense_oracle`` and must agree to round-off.  The genuine
+kernel on a fixed probe block (the subset DP of the n-th order sums, the
+block Lax powers, the r/m relation), and never forms an embedded matrix.
+Here every residual is rebuilt from the dense embeddings of
+``dense_oracle`` and must agree to round-off.  The genuine
 factors satisfy the identities, so both residuals would sit at round-off
 and agree by accident; the factors are therefore shifted by a fixed
 random two-site matrix, which breaks the identities and makes the
@@ -29,14 +30,19 @@ from rmx import (
     classical_closed_form,
     frobenius_distance,
     identities,
-    lax_rmatrix,
     r_deriv_hbar,
     r_matrix,
     rmatrix,
     tensor_ops,
 )
 
-from dense_oracle import embed_two_site
+from dense_oracle import (
+    block_matrix_power,
+    embed_two_site,
+    hbar_order_sides,
+    lax_rmatrix,
+    probe_fit,
+)
 
 RA = LatticeParams(kind="rational")
 EL = LatticeParams(kind="elliptic", tau=1j)
@@ -77,7 +83,7 @@ def shifted(monkeypatch):
         r, m = classical_closed_form(spec, z)
         return r + shift(spec.site_dim, 2), m + shift(spec.site_dim, 3)
 
-    for module in (identities, rmatrix, applications):
+    for module in (identities, rmatrix):
         monkeypatch.setattr(module, "r_matrix", shifted_r)
     for module in (rmatrix, applications):
         monkeypatch.setattr(module, "classical_closed_form", shifted_classical)
@@ -151,46 +157,35 @@ class TestResidualsMatchDenseFormulas:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_hbar_order_relation(self, shifted, N, spec, pts, eta, n):
-        cl = shifted[1]
-        r, m = {}, {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    r_ij, m_ij = cl(spec, pts[i - 1] - pts[j - 1])
-                    r[i, j] = embed_two_site(r_ij, i, j, N, n)
-                    m[i, j] = embed_two_site(m_ij, i, j, N, n)
-
-        def anti(x, y):
-            return x @ y + y @ x
-
-        lhs = sum(anti(r[c, a], r[a, b]) + anti(r[a, b], r[b, c])
-                  + anti(r[b, c], r[c, a])
-                  for c in range(1, n + 1) for a in range(c + 1, n + 1)
-                  for b in range(a + 1, n + 1))
-        rhs = -(n - 2) * sum(m.values())
-        # the scale is taken on the embedded matrices
-        r_scale = max(np.linalg.norm(v) for v in r.values())
-        scale = max(1.0, np.linalg.norm(rhs), r_scale * r_scale)
-        want = np.linalg.norm(lhs - rhs) / scale
+        # the check applies both sides to the probe block X; the scale is
+        # taken on the embedded matrices
+        lhs, rhs, r_scale = hbar_order_sides(spec, n, pts[:n], shifted[1])
+        x = tensor_ops._probe_block(N ** n)
+        scale = max(1.0, np.linalg.norm(rhs @ x), r_scale * r_scale)
+        want = np.linalg.norm((lhs - rhs) @ x) / scale
         rep = check_hbar_order_relation(spec, n, pts[:n])
         assert agree(rep.residual, want)
-        assert agree(rep.details["rhs_norm"], np.linalg.norm(rhs))
+        assert agree(rep.details["rhs_norm"], np.linalg.norm(rhs @ x))
 
     def test_lax_blocks(self, shifted, N, spec, pts, eta):
+        # the check applies the block Lax operator to X in each slot; the
+        # dense blocks of its powers give the same probed coefficients and
+        # non-scalar residuals
         rr = shifted[0]
         n = 3
         cfg = CalogeroConfig(rspec=spec, momenta=MOMENTA, positions=pts[:n],
                              coupling=0.8 - 0.2j)
-        blocks = lax_rmatrix(cfg)
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    want = MOMENTA[a] * np.eye(N ** n)
-                else:
-                    want = cfg.coupling * embed_two_site(
-                        rr(spec, pts[a] - pts[b]), a + 1, b + 1, N, n)
-                assert np.linalg.norm(blocks[a, b] - want) <= (
-                    1e-14 * np.linalg.norm(want))
+        factors = {(a, b): rr(spec, pts[a] - pts[b])
+                   for a in range(n) for b in range(n) if a != b}
+        x = tensor_ops._probe_block(N ** n)
+        for k in (1, 2, 3):
+            blocks = block_matrix_power(lax_rmatrix(cfg, factors), k)
+            fits = [probe_fit(x, blocks[a, a] @ x) for a in range(n)]
+            rep = check_trace_power_guess(cfg, k)
+            for got, (want, _) in zip(rep.details["coefficients"], fits):
+                assert agree(got, want)
+            assert agree(rep.details["nonscalar_residual"],
+                         max(resid for _, resid in fits))
 
 
 def wrong_site(a, b, n_sites):
@@ -214,12 +209,12 @@ def misroute_first_call(monkeypatch, module):
     return calls
 
 
-def misroute_first_step(monkeypatch):
-    """Put the first factor that the subset DP of ``identities`` applies on
-    the wrong sites.  The DP lays each factor out once and runs the kernel
-    on the layout; the first kernel call gets instead the layout of the
-    same factor with its second site moved to the lowest site outside the
-    pair."""
+def misroute_first_step(monkeypatch, module):
+    """Put the first factor that the probed check of ``module`` applies on
+    the wrong sites.  The check lays each factor out once
+    (``identities._layouts``) and runs the kernel on the layout; the first
+    kernel call gets instead the layout of the same factor with its second
+    site moved to the lowest site outside the pair."""
     layout, kernel = identities._two_site_layout, identities._apply_layout
     laid_out, calls = {}, []
 
@@ -237,7 +232,7 @@ def misroute_first_step(monkeypatch):
         return kernel(lay, x)
 
     monkeypatch.setattr(identities, "_two_site_layout", spy)
-    monkeypatch.setattr(identities, "_apply_layout", step)
+    monkeypatch.setattr(module, "_apply_layout", step)
     return calls
 
 
@@ -245,15 +240,19 @@ def belavin(N=2):
     return RMatrixSpec(kind="belavin", site_dim=N, lattice=EL, hbar=0.17 + 0.09j)
 
 
+# name: (how the check applies its factors, the module it does so from,
+# the check); "step" checks run the kernel on laid-out factors
 MISROUTED = {
-    "qybe": (tensor_ops, lambda: check_qybe(belavin(), EL_PTS[:3])),
-    "aybe": (tensor_ops, lambda: check_aybe(belavin(), EL_PTS[:3], 0.07 + 0.04j)),
-    "nth-order": (identities, lambda: check_nth_order(belavin(), 4, EL_PTS)),
-    "kzb-flatness": (applications, lambda: check_kzb_flatness(
+    "qybe": ("call", tensor_ops, lambda: check_qybe(belavin(), EL_PTS[:3])),
+    "aybe": ("call", tensor_ops,
+             lambda: check_aybe(belavin(), EL_PTS[:3], 0.07 + 0.04j)),
+    "nth-order": ("step", identities,
+                  lambda: check_nth_order(belavin(), 4, EL_PTS)),
+    "kzb-flatness": ("call", applications, lambda: check_kzb_flatness(
         belavin(), EL_PTS[:3], use_closed_form=True)),
-    "hbar-order": (applications,
+    "hbar-order": ("step", applications,
                    lambda: check_hbar_order_relation(belavin(), 4, EL_PTS)),
-    "trace-power": (applications, lambda: check_trace_power_guess(
+    "trace-power": ("step", applications, lambda: check_trace_power_guess(
         CalogeroConfig(rspec=belavin(), momenta=MOMENTA, positions=EL_PTS[:3]),
         2)),
 }
@@ -261,12 +260,10 @@ MISROUTED = {
 
 @pytest.mark.parametrize("name", sorted(MISROUTED))
 def test_check_fails_with_one_factor_on_wrong_sites(monkeypatch, name):
-    module, run = MISROUTED[name]
+    how, module, run = MISROUTED[name]
     assert run().passed
-    if module is identities:
-        calls = misroute_first_step(monkeypatch)
-    else:
-        calls = misroute_first_call(monkeypatch, module)
+    misroute = misroute_first_step if how == "step" else misroute_first_call
+    calls = misroute(monkeypatch, module)
     rep = run()
     assert calls
     assert not rep.passed
