@@ -40,12 +40,11 @@ anticommutator relation
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, QuadratureNotConverged, UsageError
+from .errors import DimensionMismatch, QuadratureNotConverged, UsageError, _as_index
 from .identities import _layouts, _pair_factors, _verdict
 from .rmatrix import (
     _default_radius,
@@ -145,10 +144,7 @@ def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE
     UsageError
         If ``power`` is not an integer of at least 1.
     """
-    try:
-        power = operator.index(power)
-    except TypeError:
-        raise UsageError(f"power must be an integer, got {power!r}") from None
+    power = _as_index("power", power)
     if power < 1:
         raise UsageError(f"power must be >= 1, got {power}")
     spec = config.rspec

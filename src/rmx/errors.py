@@ -6,6 +6,8 @@ closest builtin (ValueError, IndexError, ArithmeticError) to stay friendly to
 generic error handling.
 """
 
+import operator
+
 
 class RmxError(Exception):
     """Base class for all rmx errors."""
@@ -65,3 +67,12 @@ class BudgetExceeded(RmxError, ValueError):
 
 class UsageError(RmxError, ValueError):
     """Malformed command-line or configuration input."""
+
+
+def _as_index(name, value):
+    """``value`` as an int by ``operator.index``; anything else, a float
+    included, is a :class:`UsageError` that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None

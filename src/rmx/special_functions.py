@@ -63,6 +63,7 @@ from .errors import (
     PoleProximity,
     SeriesNotConverged,
     UnsupportedDerivOrder,
+    _as_index,
 )
 
 __all__ = [
@@ -618,6 +619,7 @@ def cyclic_orderings(n, a):
 
     Indices are 1-based; each ordering is a tuple of length n-1.
     """
+    n, a = _as_index("n", n), _as_index("a", a)
     if not 1 <= a <= n:
         raise IndexOutOfRange(f"outer index {a} not in 1..{n}")
     return list(itertools.permutations(i for i in range(1, n + 1) if i != a))
@@ -652,6 +654,7 @@ def scalar_cyclic_sum(n, a, eta, points, params):
         Pairwise differences must be off-lattice.
     params : LatticeParams
     """
+    n, a = _as_index("n", n), _as_index("a", a)
     if n < 2 or not 1 <= a <= n:
         raise IndexOutOfRange(f"cyclic sum needs n >= 2, 1 <= a <= n; got n={n}, a={a}")
     if len(points) != n:

@@ -76,40 +76,46 @@ def apply_two_site(op, site_a, site_b, n_sites, x, size_cap=DEFAULT_SIZE_CAP):
     -------
     ndarray of shape (N**n_sites, m), a new array
     """
-    layout = _two_site_layout(op, site_a, site_b, n_sites, size_cap)
+    layout = _two_site_layout([op], site_a, site_b, n_sites, size_cap)
     x, dim = np.asarray(x), layout[-1]
     if x.ndim != 2 or x.shape[0] != dim:
         raise DimensionMismatch(f"operand has shape {x.shape}, expected ({dim}, m)")
     return _apply_layout(layout, x)
 
 
-def _two_site_layout(op, site_a, site_b, n_sites, size_cap):
-    """Check a two-site factor and lay it out for :func:`_apply_layout`: its matrix
-    on the sites in increasing order, the operand and product leg shapes, N**n."""
+def _two_site_layout(ops, site_a, site_b, n_sites, size_cap):
+    """Check a stack of B two-site factors for the same pair of sites and lay
+    it out for :func:`_apply_layout`: their (B, N^2, N^2) matrices on the
+    sites in increasing order, the operand, moved operand and product
+    shapes, N**n."""
     if not (1 <= site_a <= n_sites and 1 <= site_b <= n_sites) or site_a == site_b:
         raise IndexOutOfRange(
             f"sites ({site_a}, {site_b}) must be distinct and lie in 1..{n_sites}"
         )
-    op = np.asarray(op, dtype=complex)
-    N = math.isqrt(op.shape[0]) if op.ndim == 2 else 0
-    if N == 0 or op.shape != (N * N, N * N):
+    ops = np.asarray(ops, dtype=complex)
+    N = math.isqrt(ops.shape[-1]) if ops.ndim == 3 else 0
+    if N == 0 or ops.shape[1:] != (N * N, N * N):
         raise DimensionMismatch(
-            f"two-site operator has shape {op.shape}, expected (N**2, N**2)"
+            f"two-site operator has shape {ops.shape[1:]}, expected (N**2, N**2)"
         )
     dim = _check_cap(N, n_sites, size_cap)
     a, b = site_a - 1, site_b - 1
-    op = op.reshape(N, N, N, N)
+    B = len(ops)
+    ops = ops.reshape(B, N, N, N, N)
     if a > b:
-        a, b, op = b, a, op.transpose(1, 0, 3, 2)
+        a, b, ops = b, a, ops.transpose(0, 2, 1, 4, 3)
     pre, mid = N ** a, N ** (b - a - 1)
-    return op.reshape(N * N, N * N), (pre, N, mid, N, -1), (N, N, pre, mid, -1), dim
+    return (ops.reshape(B, N * N, N * N), (B, pre, N, mid, N, -1), (B, N * N, -1),
+            (B, N, N, pre, mid, -1), dim)
 
 
 def _apply_layout(layout, x):
-    """E @ x, unchecked, for a laid-out factor: transpose-copy, matmul, copy back."""
-    op, legs, back, _ = layout
-    moved = x.reshape(legs).transpose(1, 3, 0, 2, 4).reshape(len(op), -1)
-    return (op @ moved).reshape(back).transpose(2, 0, 3, 1, 4).reshape(x.shape)
+    """E_b @ x_b for every slab b of x, unchecked, for a laid-out stack of B
+    factors: one transpose-copy, one batched matmul, one copy back.  x is
+    the (B, D, m) stack of operands, or one (D, m) operand when B = 1."""
+    ops, legs, moved, back, _ = layout
+    y = x.reshape(legs).transpose(0, 2, 4, 1, 3, 5).reshape(moved)
+    return (ops @ y).reshape(back).transpose(0, 3, 1, 4, 2, 5).reshape(x.shape)
 
 
 @lru_cache(maxsize=32)

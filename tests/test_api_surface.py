@@ -1,5 +1,6 @@
 """The public surface: ``rmx.__all__`` and the public functions agree."""
 
+import ast
 import inspect
 import subprocess
 import sys
@@ -74,3 +75,12 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(rmx, "no_such_name")
     with pytest.raises(ImportError):
         from rmx import no_such_name  # noqa: F401
+
+
+SOURCES = sorted((Path(rmx.__file__).resolve().parent).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_sources_parse_at_the_python_floor(path):
+    # pyproject.toml requires Python >= 3.10: no later syntax in the package
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rmx import (
     RMatrixKind,
     RMatrixSpec,
     SizeCapExceeded,
+    UsageError,
     ZeroArgument,
     check_aybe,
     check_hbar_order_relation,
@@ -90,6 +92,13 @@ class TestTermSequences:
     def test_outer_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             cyclic_orderings(4, 5)
+
+    def test_site_arguments_must_be_integers(self):
+        with pytest.raises(UsageError, match="^a must be an integer, got 1.5"):
+            cyclic_orderings(4, 1.5)
+        with pytest.raises(UsageError, match="^n must be an integer, got 4.0"):
+            cyclic_orderings(4.0, 1)
+        assert cyclic_orderings(np.int64(3), np.int32(2)) == [(1, 3), (3, 1)]
 
 
 class TestDefaultTolerance:
@@ -284,13 +293,12 @@ def dense_n3():
             for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5))}
 
 
-def cyclic_sum(spec, n, points, outer):
-    """The whole cyclic product sum from 1-based site ``outer``: the subset
-    DP of the checks run on the identity."""
-    step = identities._layouts(identities._pair_factors(spec, n, points, 4096),
-                               n, 4096)
-    return identities._cyclic_apply(step, n, outer - 1,
-                                    np.eye(spec.site_dim ** n, dtype=complex))
+def cyclic_sums(spec, n, points, starts):
+    """The whole cyclic product sums from the 0-based outer sites ``starts``:
+    the lockstep subset DP of the checks run on the identity."""
+    factors = identities._pair_factors(spec, n, points, 4096)
+    eye = np.eye(spec.site_dim ** n, dtype=complex)
+    return identities._cyclic_apply(factors, n, starts, eye, 4096)
 
 
 class TestCyclicProductSumOracle:
@@ -298,10 +306,26 @@ class TestCyclicProductSumOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_dense_sum(self, N, n):
         for spec, pts in ((yang_spec(N), YANG_PTS_5), (belavin_spec(N), EL_PTS_5)):
+            alone = [cyclic_sums(spec, n, pts[:n], [a])[0] for a in range(n)]
+            lockstep = cyclic_sums(spec, n, pts[:n], range(n))
             for outer in range(1, n + 1):
-                got = cyclic_sum(spec, n, pts[:n], outer)
                 want = dense_cyclic_sum(spec, n, pts[:n], outer)
-                assert relative_difference(got, want) <= 1e-13
+                assert relative_difference(alone[outer - 1], want) <= 1e-13
+                assert relative_difference(lockstep[outer - 1], want) <= 1e-13
+
+    @pytest.mark.parametrize("N, n", [(1, 5), (2, 3), (2, 5), (3, 4)])
+    def test_every_pass_size_matches_dense_sum(self, monkeypatch, N, n):
+        # the starts run in passes of 1..n slabs; each pass size gives the
+        # sums of every outer site, in the order the starts were given
+        for spec, pts in ((yang_spec(N), YANG_PTS_5), (belavin_spec(N), EL_PTS_5)):
+            want = [dense_cyclic_sum(spec, n, pts[:n], a + 1) for a in range(n)]
+            starts = [n - 1 - a for a in range(n)]
+            for size in range(1, n + 1):
+                monkeypatch.setattr(identities, "_STATE_ENTRIES",
+                                    size * (N ** n) ** 2)
+                got = cyclic_sums(spec, n, pts[:n], starts)
+                for a, sum_a in zip(starts, got):
+                    assert relative_difference(sum_a, want[a]) <= 1e-13
 
     @pytest.mark.parametrize("width", [2, 4, 5, 81])
     def test_uneven_column_blocks(self, dense_n3, width):
@@ -309,11 +333,11 @@ class TestCyclicProductSumOracle:
         # columns of the whole sum
         spec = belavin_spec(3)
         for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5)):
-            step = identities._layouts(identities._pair_factors(spec, n, pts, 4096),
-                                       n, 4096)
+            factors = identities._pair_factors(spec, n, pts, 4096)
             eye = np.eye(3 ** n, dtype=complex)
             got = np.hstack([
-                identities._cyclic_apply(step, n, 1, eye[:, lo:lo + width])
+                identities._cyclic_apply(factors, n, [1], eye[:, lo:lo + width],
+                                         4096)[0]
                 for lo in range(0, 3 ** n, width)
             ])
             assert relative_difference(got, dense_n3[n]) <= 1e-13
@@ -341,42 +365,67 @@ class TestCyclicProductSumOracle:
             assert len(calls) == 1
             assert np.size(calls[0][1]) == n * (n - 1)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_factors_laid_out_once_per_check(self, monkeypatch, n):
+        # once per pass of the DP: at N = 2 the n starts of the outer check
+        # share one pass up to n = 6 and take two (4 + 3) at n = 7
         calls = []
         layout = identities._two_site_layout
         monkeypatch.setattr(identities, "_two_site_layout",
                             lambda *a: calls.append(a[1:3]) or layout(*a))
-        spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j]
+        spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j, 0.26 + 0.47j]
         pairs = sorted((a, b) for a in range(1, n + 1) for b in range(1, n + 1)
                        if a != b)
-        for check in (check_nth_order, check_outer_index_independence):
+        for check, passes in ((check_nth_order, 1),
+                              (check_outer_index_independence, 1 + (n == 7))):
             calls.clear()
             check(spec, n, pts[:n])
-            assert sorted(calls) == pairs
+            assert sorted(calls) == sorted(pairs * passes)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_cost_counts_the_steps_taken(self, monkeypatch, n):
-        steps = []
+        # each slab of a kernel call is one two-site step of one start's DP;
+        # the outer check runs n starts, so the budget's n * cost is exact
+        slabs = []
         kernel = identities._apply_layout
         monkeypatch.setattr(identities, "_apply_layout",
-                            lambda lay, x: steps.append(x.shape) or kernel(lay, x))
+                            lambda lay, x: slabs.append(x.shape) or kernel(lay, x))
         pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
         for N in (1, 2):
-            steps.clear()
             spec = RMatrixSpec(kind="belavin", site_dim=N, lattice=EL,
                                hbar=0.21 + 0.13j)
+            D = N ** n
             if n == 2:
                 # the order-2 check is unitarity, which runs no DP; run the
                 # DP on the probe block as the checks of n >= 3 do
-                step = identities._layouts(
-                    identities._pair_factors(spec, n, pts, 4096), n, 4096)
-                identities._cyclic_apply(step, n, 0, identities._probe_block(N ** n))
+                factors = identities._pair_factors(spec, n, pts, 4096)
+                x = identities._probe_block(D)
+                runs = {1: lambda: identities._cyclic_apply(factors, n, [0], x, 4096),
+                        2: lambda: identities._cyclic_apply(factors, n, [0, 1], x,
+                                                            4096)}
             else:
-                assert check_nth_order(spec, n, pts).passed
-            D = N ** n
-            assert set(steps) == {(D, min(4, D))}
-            assert cyclic_sum_cost(N, n) == len(steps) * D * N * N * min(4, D)
+                runs = {1: lambda: check_nth_order(spec, n, pts).passed,
+                        n: lambda: check_outer_index_independence(
+                            spec, n, pts).passed}
+            for starts, run in runs.items():
+                slabs.clear()
+                assert run() is not False
+                assert {shape[1:] for shape in slabs} == {(D, min(4, D))}
+                steps = sum(shape[0] for shape in slabs)
+                assert steps * D * N * N * min(4, D) == starts * cyclic_sum_cost(N, n)
+
+    def test_site_arguments_must_be_integers(self):
+        spec = belavin_spec()
+        for outer in (1.5, 2.0):
+            with pytest.raises(UsageError, match=f"^outer must be an integer, got {outer}"):
+                check_nth_order(spec, 4, EL_PTS_4, outer=outer)
+        with pytest.raises(UsageError, match="^n must be an integer, got 3.0"):
+            check_nth_order(spec, 3.0, EL_PTS_3)
+        with pytest.raises(UsageError, match="^n must be an integer, got 4.0"):
+            check_outer_index_independence(spec, 4.0, EL_PTS_4)
+        # numpy integers are integers
+        assert check_nth_order(spec, np.int64(4), EL_PTS_4, outer=np.int32(2))
+        assert check_outer_index_independence(spec, np.int64(4), EL_PTS_4)
 
     def test_bad_site_counts(self):
         with pytest.raises(DimensionMismatch):
@@ -470,6 +519,27 @@ class TestOuterIndependence:
     def test_needs_three_sites(self):
         with pytest.raises(DimensionMismatch):
             check_outer_index_independence(yang_spec(), 2, YANG_PTS_3[:2])
+
+    def test_details_name_the_algorithm(self):
+        for N, probes in ((1, 1), (2, 4)):
+            rep = check_outer_index_independence(belavin_spec(N), 3, EL_PTS_3)
+            assert rep.details["algorithm"] == "lockstep-subset-dp-probe"
+            assert rep.details["probes"] == probes
+
+    @pytest.mark.parametrize("n, limit_mb", [(7, 2.5), (8, 4.0)])
+    def test_peak_memory(self, n, limit_mb):
+        # the DP frees each state after its fan-out, and a pass stacks at
+        # most _STATE_ENTRIES entries per state; a first call fills the lazy
+        # caches (probe block, theta constants), which are not the DP's
+        pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
+        check_outer_index_independence(belavin_spec(2), n, pts)
+        tracemalloc.start()
+        try:
+            assert check_outer_index_independence(belavin_spec(2), n, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
 
 class TestQybe:

@@ -21,6 +21,7 @@ from rmx import (
     PoleProximity,
     SeriesNotConverged,
     UnsupportedDerivOrder,
+    UsageError,
     eisenstein_e1,
     fay_check,
     kronecker_phi,
@@ -588,3 +589,12 @@ class TestScalarCyclicSum:
             scalar_cyclic_sum(1, 1, 0.2, [0.3], RA)
         with pytest.raises(DimensionMismatch):
             scalar_cyclic_sum(3, 1, 0.2, pts + [0.5], RA)
+
+    def test_site_arguments_must_be_integers(self):
+        pts = [0.3, 1.1 + 0.4j, 2.2, 0.7 + 1.1j]
+        with pytest.raises(UsageError, match="^a must be an integer, got 1.5"):
+            scalar_cyclic_sum(4, 1.5, 0.2, pts, RA)
+        with pytest.raises(UsageError, match="^n must be an integer, got 4.0"):
+            scalar_cyclic_sum(4.0, 1, 0.2, pts, RA)
+        assert scalar_cyclic_sum(np.int64(4), np.int32(2), 0.2, pts, RA) == (
+            scalar_cyclic_sum(4, 2, 0.2, pts, RA))

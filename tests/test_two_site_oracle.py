@@ -25,6 +25,7 @@ from rmx import (
     check_hbar_order_relation,
     check_kzb_flatness,
     check_nth_order,
+    check_outer_index_independence,
     check_qybe,
     check_trace_power_guess,
     classical_closed_form,
@@ -211,25 +212,31 @@ def misroute_first_call(monkeypatch, module):
 
 def misroute_first_step(monkeypatch, module):
     """Put the first factor that the probed check of ``module`` applies on
-    the wrong sites.  The check lays each factor out once
-    (``identities._layouts``) and runs the kernel on the layout; the first
-    kernel call gets instead the layout of the same factor with its second
-    site moved to the lowest site outside the pair."""
+    the wrong sites, in one slab.  The check lays each stack of factors out
+    once (``identities._layouts``) and runs the kernel on the layout; in the
+    first kernel call the last slab gets instead the layout of its factor
+    with the second site moved to the lowest site outside the pair, and the
+    other slabs of the stack are left as they are."""
     layout, kernel = identities._two_site_layout, identities._apply_layout
     laid_out, calls = {}, []
 
-    def spy(op, a, b, n_sites, *rest):
-        out = layout(op, a, b, n_sites, *rest)
-        laid_out[id(out)] = (op, a, b, n_sites, *rest)
+    def spy(ops, a, b, n_sites, *rest):
+        out = layout(ops, a, b, n_sites, *rest)
+        laid_out[id(out)] = (ops, a, b, n_sites, *rest)
         return out
 
     def step(lay, x):
-        op, a, b, n_sites, *rest = laid_out[id(lay)]
+        ops, a, b, n_sites, *rest = laid_out[id(lay)]
+        out = kernel(lay, x)
         if not calls:
             b = wrong_site(a, b, n_sites)
-            lay = layout(op, a, b, n_sites, *rest)
+            wrong = layout(ops[-1:], a, b, n_sites, *rest)
+            if x.ndim == 2:  # one operand: the stack has one slab
+                out = kernel(wrong, x)
+            else:
+                out[-1] = kernel(wrong, x[-1:])[0]
         calls.append((a, b))
-        return kernel(lay, x)
+        return out
 
     monkeypatch.setattr(identities, "_two_site_layout", spy)
     monkeypatch.setattr(module, "_apply_layout", step)
@@ -248,6 +255,9 @@ MISROUTED = {
              lambda: check_aybe(belavin(), EL_PTS[:3], 0.07 + 0.04j)),
     "nth-order": ("step", identities,
                   lambda: check_nth_order(belavin(), 4, EL_PTS)),
+    "outer-independence": ("step", identities,
+                           lambda: check_outer_index_independence(belavin(), 4,
+                                                                  EL_PTS)),
     "kzb-flatness": ("call", applications, lambda: check_kzb_flatness(
         belavin(), EL_PTS[:3], use_closed_form=True)),
     "hbar-order": ("step", applications,
