@@ -42,7 +42,7 @@ from .special_functions import (
     weierstrass_p,
 )
 from .tensor_ops import (
-    DEFAULT_SIZE_CAP,
+    SIZE_CAP,
     apply_two_site,
     frobenius_distance,
     is_scalar_operator,
@@ -121,7 +121,7 @@ __all__ = [
     "fay_check",
     "cyclic_orderings",
     "scalar_cyclic_sum",
-    "DEFAULT_SIZE_CAP",
+    "SIZE_CAP",
     "permutation_operator",
     "apply_two_site",
     "is_scalar_operator",

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged, UsageError, _as_index
-from .identities import _layouts, _pair_factors, _verdict
+from .identities import _layouts, _pair_differences, _pair_factors, _verdict
 from .rmatrix import (
     _default_radius,
     _contour,
@@ -53,14 +53,7 @@ from .rmatrix import (
     classical_closed_form,
 )
 from .special_functions import kronecker_phi
-from .tensor_ops import (
-    DEFAULT_SIZE_CAP,
-    _apply_layout,
-    _check_cap,
-    _probe_block,
-    _probe_scalar,
-    apply_two_site,
-)
+from .tensor_ops import _apply_layout, _probe_block, _probe_scalar, apply_two_site
 
 __all__ = [
     "CalogeroConfig",
@@ -125,7 +118,7 @@ def lax_krichever(config):
     return out
 
 
-def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE_CAP):
+def check_trace_power_guess(config, power, tolerance=None):
     """Diagonal blocks of the k-th block Lax power against the scalar Lax power.
 
     For each particle a the block (L^k)_aa must be scalar, and its
@@ -149,7 +142,7 @@ def check_trace_power_guess(config, power, tolerance=None, size_cap=DEFAULT_SIZE
         raise UsageError(f"power must be >= 1, got {power}")
     spec = config.rspec
     n = config.n_particles
-    step = _layouts(_pair_factors(spec, n, config.positions, size_cap), n, size_cap)
+    step = _layouts(_pair_factors(spec, n, config.positions), n)
     x = _probe_block(spec.site_dim ** n)
     k = x.shape[1]
     y = np.zeros((n, len(x), n * k), dtype=complex)
@@ -200,8 +193,10 @@ def check_kzb_flatness(
     """
     if len(points) != 3:
         raise DimensionMismatch(f"flatness takes three points, got {len(points)}")
-    if not use_closed_form and quadrature_points < 2:
-        raise QuadratureNotConverged("need at least 2 quadrature points")
+    if not use_closed_form:
+        quadrature_points = _as_index("quadrature_points", quadrature_points)
+        if quadrature_points < 2:
+            raise QuadratureNotConverged("need at least 2 quadrature points")
     N = spec.site_dim
     z = [complex(p) for p in points]
     pairs = ((1, 2), (1, 3), (2, 3))
@@ -234,9 +229,7 @@ def check_kzb_flatness(
                     quadrature_points=None if use_closed_form else quadrature_points)
 
 
-def check_hbar_order_relation(
-    spec, n, points, tolerance=None, size_cap=DEFAULT_SIZE_CAP
-):
+def check_hbar_order_relation(spec, n, points, tolerance=None):
     """Anticommutator relation between r and m on n >= 3 sites.
 
     Checks
@@ -248,24 +241,18 @@ def check_hbar_order_relation(
     X by the two-site kernel: r_q X once per pair q, then r_p on the sum of
     the r_q X of the other two pairs of a triple.  The details carry
     ||lhs X|| and ||rhs X||, on the scale of the Frobenius norms because
-    ||X|| = sqrt(D).  The size cap is checked before any coefficient is
-    built.
+    ||X|| = sqrt(D).  The arguments pass the screen of the n-site checks
+    before any coefficient is built.
     """
+    n = _as_index("n", n)
     if n < 3:
         raise DimensionMismatch("the relation needs n >= 3 sites")
-    if len(points) != n:
-        raise DimensionMismatch(f"expected {n} points, got {len(points)}")
+    pairs, z = _pair_differences(spec, n, points)
+    r_all, m_all = classical_closed_form(spec, z)
+    r = _layouts(dict(zip(pairs, r_all)), n)
+    m = _layouts(dict(zip(pairs, m_all)), n)
     N = spec.site_dim
-    dim = _check_cap(N, n, size_cap)
-    pts = [complex(p) for p in points]
-
-    pairs = list(itertools.permutations(range(n), 2))
-    r_all, m_all = classical_closed_form(
-        spec, np.array([pts[i] - pts[j] for i, j in pairs])
-    )
-    r = _layouts(dict(zip(pairs, r_all)), n, size_cap)
-    m = _layouts(dict(zip(pairs, m_all)), n, size_cap)
-    x = _probe_block(dim)
+    x = _probe_block(N ** n)
     rx = {p: _apply_layout(r[p], x) for p in pairs}
     rhs = -(n - 2) * sum(_apply_layout(m[p], x) for p in pairs)
 

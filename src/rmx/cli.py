@@ -4,7 +4,7 @@
 across the requested suites and kinds, prints one line per case and can
 write a machine-readable JSON report.  Exit code 0 means every executed
 case passed, 1 that at least one failed, 2 that the request itself was
-unusable (bad flags, config file problems, budget exceeded).
+unusable (bad flags, config file problems, budget or size cap exceeded).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .special_functions import (
     scalar_cyclic_sum,
     weierstrass_p,
 )
-from .tensor_ops import DEFAULT_SIZE_CAP
+from .tensor_ops import _check_cap
 
 __all__ = ["main", "run_suites"]
 
@@ -156,7 +156,6 @@ class _Draw(NamedTuple):
     hbar: complex             # in the scalar suite, the first eta drawn
     n: int | None
     tol: float | None         # the override for the case's tolerance key
-    size_cap: int
 
 
 def _at_z(d, z):
@@ -228,8 +227,7 @@ def _trace_power(d, power):
     coupling = complex(d.rng.uniform(0.5, 1.2))
     config = CalogeroConfig(rspec=d.spec, momenta=tuple(momenta),
                             positions=tuple(d.pts), coupling=coupling)
-    report = check_trace_power_guess(config, power, size_cap=d.size_cap,
-                                     tolerance=d.tol)
+    report = check_trace_power_guess(config, power, tolerance=d.tol)
     return report, {"power": power, "coupling": _c2d(coupling),
                     "hbar": _c2d(d.hbar)}
 
@@ -271,12 +269,11 @@ _CASES = {
     "classical": _Case("rmatrix-basic", 1, 0, None, "classical", _classical),
     "deriv-hbar": _Case("rmatrix-basic", 2, 0, None, "deriv-hbar", _deriv_hbar),
     "order-{n}": _Case("nth-order", None, None, 3, "nth-order", lambda d: (
-        check_nth_order(d.spec, d.n, d.pts, size_cap=d.size_cap,
-                        tolerance=d.tol), _at_points(d))),
+        check_nth_order(d.spec, d.n, d.pts, tolerance=d.tol), _at_points(d))),
     # drawn at s0 only, and left out of the skip records: order-{n} stands for it
     "outer-{n}": _Case("nth-order", None, None, 3, "outer-independence", lambda d: (
-        check_outer_index_independence(d.spec, d.n, d.pts, size_cap=d.size_cap,
-                                       tolerance=d.tol), _at_points(d)), samples=1),
+        check_outer_index_independence(d.spec, d.n, d.pts, tolerance=d.tol),
+        _at_points(d)), samples=1),
     "trace-power-k2": _Case("applications", 3, 2, None, "trace-power",
                             lambda d: _trace_power(d, 2), APPLICATION_SAMPLE_CAP),
     "trace-power-k3": _Case("applications", 3, 2, None, "trace-power",
@@ -285,8 +282,8 @@ _CASES = {
         check_kzb_flatness(d.spec, d.pts, tolerance=d.tol), _at_points(d)),
         APPLICATION_SAMPLE_CAP),
     "hbar-order": _Case("applications", 3, 2, None, "hbar-order", lambda d: (
-        check_hbar_order_relation(d.spec, len(d.pts), d.pts, size_cap=d.size_cap,
-                                  tolerance=d.tol), _at_points(d)),
+        check_hbar_order_relation(d.spec, len(d.pts), d.pts, tolerance=d.tol),
+        _at_points(d)),
         APPLICATION_SAMPLE_CAP),
 }
 _TOL_NAMES = tuple(dict.fromkeys(case.tol for case in _CASES.values()))
@@ -342,8 +339,7 @@ def _run_case(head, case, opts):
         spec = None if family is None else RMatrixSpec(
             kind=family, site_dim=N, lattice=lat, hbar=hbar)
         report, params = case.run(_Draw(
-            rng, lat, spec, pts, hbar, case.n,
-            opts["tol_overrides"].get(case.tol), opts["size_cap"]))
+            rng, lat, spec, pts, hbar, case.n, opts["tol_overrides"].get(case.tol)))
     except RmxError as exc:
         return _record(*head, None, None, False,
                        reason=f"{type(exc).__name__}: {exc}")
@@ -381,7 +377,6 @@ def run_suites(
     hbar=None,
     seed=12345,
     samples=3,
-    size_cap=DEFAULT_SIZE_CAP,
     budget=DEFAULT_BUDGET,
     deterministic=True,
     tol_overrides=None,
@@ -390,8 +385,11 @@ def run_suites(
 
     This is the programmatic face of ``rmx verify``; every keyword mirrors
     the corresponding flag.  Raises :class:`BudgetExceeded` when n_max and N
-    imply too much work and :class:`UsageError` on other invalid options,
-    among them an n_max above MAX_WP_DERIV_ORDER + 2.
+    imply too much work, :class:`UsageError` on other invalid options, among
+    them an n_max above MAX_WP_DERIV_ORDER + 2, and :class:`SizeCapExceeded`
+    when a case would act on more than ``tensor_ops.SIZE_CAP`` dimensions:
+    N**max(n_max, 3), for the 3-site checks and the applications.  Each
+    refusal comes before any case runs.
     """
     if suite != "all" and suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}, pick from {SUITES + ('all',)}")
@@ -400,7 +398,6 @@ def run_suites(
     site_dim = _count("N", site_dim, 1)
     n_max = _count("n-max", n_max, 2)
     samples = _count("samples", samples, 1)
-    size_cap = _count("size-cap", size_cap, 1)
     seed = _count("seed", seed, 0)
     tau = _typed("tau", tau, complex, "a complex number")
     if tau.imag <= 0:
@@ -425,6 +422,7 @@ def run_suites(
             f"n-max={n_max} is above {MAX_WP_DERIV_ORDER + 2}: order n compares "
             f"with wp^(n-2), and wp derivatives stop at order {MAX_WP_DERIV_ORDER}"
         )
+    _check_cap(site_dim, max(n_max, 3))
     if not deterministic:
         seed = int.from_bytes(os.urandom(8), "big")
 
@@ -437,7 +435,6 @@ def run_suites(
         "hbar": hbar,
         "seed": seed,
         "samples": samples,
-        "size_cap": size_cap,
         "budget": budget,
         "deterministic": bool(deterministic),
         "tol_overrides": tols,
@@ -549,9 +546,6 @@ def _build_parser():
     verify.add_argument("--seed", type=int, default=12345)
     verify.add_argument("--samples", type=int, default=3,
                         help="random draws per case type")
-    verify.add_argument("--size-cap", dest="size_cap", type=int,
-                        default=DEFAULT_SIZE_CAP,
-                        help="largest total dimension N**n allowed")
     verify.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
                         help="bound on the complex multiply-adds of the "
                         "outer-n_max case, n_max probed cyclic product sums")

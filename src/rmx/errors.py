@@ -42,7 +42,7 @@ class DimensionMismatch(RmxError, ValueError):
 
 
 class SizeCapExceeded(RmxError, ValueError):
-    """A tensor-power dimension exceeds the configured size cap."""
+    """A tensor-power dimension exceeds the fixed size cap ``tensor_ops.SIZE_CAP``."""
 
 
 class ZeroArgument(RmxError, ValueError):

@@ -43,7 +43,6 @@ from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     _PROBES,
-    DEFAULT_SIZE_CAP,
     _apply_layout,
     _check_cap,
     _probe_block,
@@ -108,19 +107,27 @@ def _verdict(name, residual, tolerance, kind, N, n, **details):
     return IdentityReport(name, residual < tolerance, residual, tolerance, details)
 
 
-def _pair_factors(spec, n, points, size_cap, outer=1):
-    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j; the
-    arguments are checked before any R-matrix is built."""
+def _pair_differences(spec, n, points, outer=1):
+    """The ordered pairs (i, j) of 0-based sites i != j and the array of
+    their z_i - z_j, after the screen that every n-site check runs before
+    building a coefficient: the outer site, n >= 2, one point per site and
+    the size cap."""
     if not 1 <= outer <= n:
         raise IndexOutOfRange(f"outer index {outer} not in 1..{n}")
     if n < 2:
         raise DimensionMismatch(f"the cyclic product sum needs n >= 2, got {n}")
     if len(points) != n:
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
-    _check_cap(spec.site_dim, n, size_cap)
+    _check_cap(spec.site_dim, n)
     pts = [complex(p) for p in points]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    z = np.array([pts[i] - pts[j] for i, j in pairs])
+    return pairs, np.array([pts[i] - pts[j] for i, j in pairs])
+
+
+def _pair_factors(spec, n, points, outer=1):
+    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j; the
+    arguments are screened before any R-matrix is built."""
+    pairs, z = _pair_differences(spec, n, points, outer)
     return dict(zip(pairs, r_matrix(spec, z)))
 
 
@@ -138,7 +145,7 @@ def cyclic_sum_cost(site_dim, n):
     return steps * dim * site_dim ** 2 * min(_PROBES, dim)
 
 
-def _layouts(factors, n, size_cap, starts=(0,)):
+def _layouts(factors, n, starts=(0,)):
     """For each pair of 0-based legs (k, j), the factors R_{k+a, j+a} of
     _pair_factors (sites mod n) of every start a, stacked in the order of
     ``starts``, checked and laid out for the two-site kernel at the sites
@@ -146,7 +153,7 @@ def _layouts(factors, n, size_cap, starts=(0,)):
     sites."""
     return {(k, j): _two_site_layout(
                 np.array([factors[(k + a) % n, (j + a) % n] for a in starts]),
-                k + 1, j + 1, n, size_cap)
+                k + 1, j + 1, n)
             for k, j in factors}
 
 
@@ -158,7 +165,7 @@ def _layouts(factors, n, size_cap, starts=(0,)):
 _STATE_ENTRIES = 2048
 
 
-def _cyclic_apply(factors, n, starts, x, size_cap):
+def _cyclic_apply(factors, n, starts, x):
     """S_a x for each 0-based outer site a of ``starts``, stacked in that
     order, where S_a is the cyclic product sum of the two-site ``factors``
     of _pair_factors from site a back to itself.
@@ -180,7 +187,7 @@ def _cyclic_apply(factors, n, starts, x, size_cap):
     sums = []
     for lo in range(0, len(starts), per_pass):
         group = starts[lo:lo + per_pass]
-        step = _layouts(factors, n, size_cap, group)
+        step = _layouts(factors, n, group)
         states = {(0, 0): np.array([
             tensor.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
             for a in group])}
@@ -221,9 +228,7 @@ def check_unitarity(spec, z, *, tolerance=None):
                     nonscalar_residual=nonscalar)
 
 
-def check_nth_order(
-    spec, n, points, outer=1, *, tolerance=None, size_cap=DEFAULT_SIZE_CAP
-):
+def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
     """n-th member of the identity hierarchy at the given points.
 
     n = 1 compares the same-site matrix with its closed form, n = 2 is
@@ -255,11 +260,13 @@ def check_nth_order(
         rep.name = "order-2 (unitarity)"
         return rep
 
-    factors = _pair_factors(spec, n, points, size_cap, outer)
-    x = _probe_block(N ** n)
-    (y,) = _cyclic_apply(factors, n, [outer - 1], x, size_cap)
+    # the right-hand side first: a wp order above MAX_WP_DERIV_ORDER raises
+    # before any R-matrix is built
     eta = N * spec.hbar
     expected = (-N) ** n * weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
+    factors = _pair_factors(spec, n, points, outer)
+    x = _probe_block(N ** n)
+    (y,) = _cyclic_apply(factors, n, [outer - 1], x)
     coeff, nonscalar = _probe_scalar(x, y)
     coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
     residual = max(nonscalar, coeff_resid)
@@ -273,9 +280,7 @@ def check_nth_order(
                     probes=x.shape[1])
 
 
-def check_outer_index_independence(
-    spec, n, points, *, tolerance=None, size_cap=DEFAULT_SIZE_CAP
-):
+def check_outer_index_independence(spec, n, points, *, tolerance=None):
     """The cyclic product sum must not depend on the distinguished site.
 
     Compares the probed sums S_a X of every outer site a, all n computed in
@@ -285,9 +290,9 @@ def check_outer_index_independence(
     if n < 3:
         raise DimensionMismatch("outer index independence needs n >= 3")
     N = spec.site_dim
-    factors = _pair_factors(spec, n, points, size_cap)
+    factors = _pair_factors(spec, n, points)
     x = _probe_block(N ** n)
-    sums = _cyclic_apply(factors, n, range(n), x, size_cap)
+    sums = _cyclic_apply(factors, n, range(n), x)
     residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
     coeffs = [_probe_scalar(x, s)[0] for s in sums]
     return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,

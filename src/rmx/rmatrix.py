@@ -29,7 +29,6 @@ degeneration of R, which collapses to a scalar with closed form
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -44,6 +43,7 @@ from .errors import (
     SeriesNotConverged,
     UsageError,
     ZeroArgument,
+    _as_index,
 )
 from .special_functions import (
     FunctionKind,
@@ -199,10 +199,17 @@ def _n_over(N, z):
     return np.array([N / v for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
 
 
+# the smallest Yang |z| and |hbar|: N / z and 1 / hbar overflow to inf
+# near 1e-308, and 1e-300 leaves room for any N below 1e8
+_YANG_FLOOR = 1e-300
+
+
 def _check_yang_argument(what, v):
-    """The Yang entries divide by z and hbar: both must be finite and nonzero."""
-    if (v == 0).any():
-        raise ZeroArgument(f"Yang R-matrix needs {what} != 0")
+    """The Yang entries divide by z and hbar: both must be finite, and far
+    enough from 0 that the quotients stay finite."""
+    if (np.abs(v) < _YANG_FLOOR).any():
+        raise ZeroArgument(f"Yang R-matrix needs {what} != 0 "
+                           f"(|{what}| >= {_YANG_FLOOR:g})")
     if not np.isfinite(v).all():
         raise SeriesNotConverged(f"Yang R-matrix needs a finite {what}")
 
@@ -283,10 +290,7 @@ def same_site_closed_form(spec, z, hbar=None):
         spec.validate_hbar(hbar)
     N = spec.site_dim
     if spec.kind is RMatrixKind.YANG:
-        if z == 0:
-            raise ZeroArgument("same-site value needs z != 0")
-        if not cmath.isfinite(z):
-            raise SeriesNotConverged("same-site value needs a finite z")
+        _check_yang_argument("z", z)
         return 1.0 / hbar + N * N / z
     return N * kronecker_phi(N * hbar, z / N, spec.lattice)
 
@@ -422,8 +426,7 @@ def classical_closed_form(spec, z):
     dim = N * N
     z = np.asarray(z, dtype=complex)
     if spec.kind is RMatrixKind.YANG:
-        if np.any(z == 0):
-            raise ZeroArgument("classical coefficients need z != 0")
+        _check_yang_argument("z", z)
         r = _n_over(N, z)[..., None, None] * permutation_operator(N)
         return r, np.zeros(r.shape, dtype=complex)
     a2, omegas = _alpha_omegas(N, spec.lattice.tau)
@@ -438,7 +441,23 @@ def classical_closed_form(spec, z):
 
 def _contour(spec, z, radius, points):
     """The hbar contour nodes around 0, and R at z and every node from one
-    r_matrix call (z broadcasts against the nodes)."""
+    r_matrix call (z broadcasts against the nodes).
+
+    Raises ContourHitsPole unless 0 < radius < 0.9 times the distance to
+    the nearest hbar pole of R besides 0.
+    """
+    if radius <= 0:
+        raise ContourHitsPole("contour radius must be positive")
+    if spec.kind is RMatrixKind.BELAVIN:
+        # R has its hbar poles on the lattice (Z + tau Z) / N, so the
+        # nearest one besides hbar = 0 lies a shortest period over N away;
+        # at N = 1 these are the lattice points themselves
+        nearest = spec.lattice.shortest_period / spec.site_dim
+        if radius >= 0.9 * nearest:
+            raise ContourHitsPole(
+                f"contour radius {radius} reaches the hbar pole "
+                f"at distance {nearest:.6g}"
+            )
     nodes = radius * np.exp(2j * np.pi * np.arange(points) / points)
     return nodes, r_matrix(spec, z, nodes)
 
@@ -487,18 +506,7 @@ def classical_expansion(spec, z, quadrature_points=32, contour_radius=None):
     z = complex(z)
     if contour_radius is None:
         contour_radius = _default_radius(spec, z)
-    if contour_radius <= 0:
-        raise ContourHitsPole("contour radius must be positive")
-    if spec.kind is RMatrixKind.BELAVIN:
-        # R has its hbar poles on the lattice (Z + tau Z) / N, so the
-        # nearest one besides hbar = 0 lies a shortest period over N away;
-        # at N = 1 these are the lattice points themselves
-        nearest = spec.lattice.shortest_period / spec.site_dim
-        if contour_radius >= 0.9 * nearest:
-            raise ContourHitsPole(
-                f"contour radius {contour_radius} reaches the hbar pole "
-                f"at distance {nearest:.6g}"
-            )
+    quadrature_points = _as_index("quadrature_points", quadrature_points)
     if quadrature_points < 8:
         raise QuadratureNotConverged("need at least 8 quadrature points")
 

@@ -6,7 +6,9 @@ scalar multiple of the identity.  The checks on n sites never form an
 N**n x N**n matrix: they apply their operator S to a fixed probe block X
 (Freivalds' check) through the two-site kernel, and read the coefficient
 and non-scalar residual of SX with :func:`_probe_scalar`.  The total
-dimension N**n is capped to keep accidental blowups out of test runs.
+dimension N**n is bounded by the fixed :data:`SIZE_CAP`: every n-site entry
+checks it before any work, and ``run_suites`` refuses a sweep that would
+pass it.
 """
 
 from __future__ import annotations
@@ -19,24 +21,25 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
 
 __all__ = [
-    "DEFAULT_SIZE_CAP",
+    "SIZE_CAP",
     "permutation_operator",
     "apply_two_site",
     "is_scalar_operator",
     "frobenius_distance",
 ]
 
-DEFAULT_SIZE_CAP = 4096
+#: The largest total dimension N**n of any n-site operand.
+SIZE_CAP = 4096
 
 _PROBES = 4
 
 
-def _check_cap(site_dim, n_sites, size_cap):
+def _check_cap(site_dim, n_sites):
     dim = site_dim ** n_sites
-    if dim > size_cap:
+    if dim > SIZE_CAP:
         raise SizeCapExceeded(
             f"total dimension {site_dim}**{n_sites} = {dim} exceeds the "
-            f"size cap {size_cap}"
+            f"size cap {SIZE_CAP}"
         )
     return dim
 
@@ -52,7 +55,7 @@ def permutation_operator(site_dim):
     )
 
 
-def apply_two_site(op, site_a, site_b, n_sites, x, size_cap=DEFAULT_SIZE_CAP):
+def apply_two_site(op, site_a, site_b, n_sites, x):
     """Apply a two-site operator at sites (site_a, site_b) of an n-site product.
 
     Returns E @ x, where E is op embedded at the ordered pair of sites, an
@@ -68,22 +71,21 @@ def apply_two_site(op, site_a, site_b, n_sites, x, size_cap=DEFAULT_SIZE_CAP):
     site_a, site_b : int
         1-based site labels, distinct.
     n_sites : int
+        N**n_sites must not exceed SIZE_CAP.
     x : ndarray, shape (N**n_sites, m)
-    size_cap : int
-        Upper bound on the total dimension N**n_sites.
 
     Returns
     -------
     ndarray of shape (N**n_sites, m), a new array
     """
-    layout = _two_site_layout([op], site_a, site_b, n_sites, size_cap)
+    layout = _two_site_layout([op], site_a, site_b, n_sites)
     x, dim = np.asarray(x), layout[-1]
     if x.ndim != 2 or x.shape[0] != dim:
         raise DimensionMismatch(f"operand has shape {x.shape}, expected ({dim}, m)")
     return _apply_layout(layout, x)
 
 
-def _two_site_layout(ops, site_a, site_b, n_sites, size_cap):
+def _two_site_layout(ops, site_a, site_b, n_sites):
     """Check a stack of B two-site factors for the same pair of sites and lay
     it out for :func:`_apply_layout`: their (B, N^2, N^2) matrices on the
     sites in increasing order, the operand, moved operand and product
@@ -98,7 +100,7 @@ def _two_site_layout(ops, site_a, site_b, n_sites, size_cap):
         raise DimensionMismatch(
             f"two-site operator has shape {ops.shape[1:]}, expected (N**2, N**2)"
         )
-    dim = _check_cap(N, n_sites, size_cap)
+    dim = _check_cap(N, n_sites)
     a, b = site_a - 1, site_b - 1
     B = len(ops)
     ops = ops.reshape(B, N, N, N, N)

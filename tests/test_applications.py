@@ -4,6 +4,7 @@ import pytest
 from rmx import applications, identities
 from rmx import (
     CalogeroConfig,
+    ContourHitsPole,
     DimensionMismatch,
     LatticeParams,
     QuadratureNotConverged,
@@ -14,6 +15,7 @@ from rmx import (
     check_kzb_flatness,
     check_trace_power_guess,
     classical_closed_form,
+    classical_expansion,
     is_scalar_operator,
     lax_krichever,
     r_matrix,
@@ -182,6 +184,21 @@ class TestKzbFlatness:
             check_kzb_flatness(yang_spec(2), YANG_PTS_4)
         with pytest.raises(QuadratureNotConverged):
             check_kzb_flatness(yang_spec(2), YANG_PTS_3, quadrature_points=1)
+        with pytest.raises(UsageError, match="^quadrature_points must be an integer"):
+            check_kzb_flatness(yang_spec(2), YANG_PTS_3, quadrature_points=2.5)
+
+    @pytest.mark.parametrize("radius", [0.45, 0.6, 0.0, -0.1])
+    def test_contour_guards(self, radius):
+        # at N = 2, tau = i the nearest hbar pole besides 0 is 1/2 away; the
+        # flatness contour and classical_expansion refuse the same radii
+        spec = belavin_spec(2)
+        with pytest.raises(ContourHitsPole):
+            check_kzb_flatness(spec, EL_PTS_3, contour_radius=radius)
+        with pytest.raises(ContourHitsPole):
+            classical_expansion(spec, EL_PTS_3[0], contour_radius=radius)
+        if radius <= 0:
+            with pytest.raises(ContourHitsPole):
+                check_kzb_flatness(yang_spec(2), YANG_PTS_3, contour_radius=radius)
 
 
 class TestHbarOrderRelation:
@@ -197,6 +214,17 @@ class TestHbarOrderRelation:
         rep = check_hbar_order_relation(yang_spec(2), 4, YANG_PTS_4)
         assert rep.passed
         assert rep.residual < 1e-13
+
+    def test_argument_screen(self):
+        spec = yang_spec(2)
+        with pytest.raises(UsageError, match="^n must be an integer, got 3.0"):
+            check_hbar_order_relation(spec, 3.0, YANG_PTS_3)
+        with pytest.raises(DimensionMismatch, match="n >= 3"):
+            check_hbar_order_relation(spec, 2, YANG_PTS_3[:2])
+        with pytest.raises(DimensionMismatch, match="expected 4 points"):
+            check_hbar_order_relation(spec, 4, YANG_PTS_3)
+        # numpy integers are integers
+        assert check_hbar_order_relation(spec, np.int64(3), YANG_PTS_3).passed
 
     def test_elliptic(self):
         spec = belavin_spec(2)
@@ -290,7 +318,7 @@ class TestPerturbedResidualTracksTheDenseOne:
             return factors
 
         blocks = block_matrix_power(
-            lax_rmatrix(cfg, moved(cfg.rspec, n, cfg.positions, 4096)), k)
+            lax_rmatrix(cfg, moved(cfg.rspec, n, cfg.positions)), k)
         full = max(is_scalar_operator(blocks[a, a])[2] for a in range(n))
         assert full > 1e-7  # the perturbation shows, not round-off
         monkeypatch.setattr(applications, "_pair_factors", moved)
@@ -342,14 +370,15 @@ def test_size_cap_raises_before_any_work(monkeypatch):
                         lambda *a: calls.append(a) or r_matrix(*a))
     monkeypatch.setattr(applications, "classical_closed_form",
                         lambda *a: calls.append(a) or classical_closed_form(*a))
-    spec = yang_spec(3)
-    cfg = make_config(spec, 4)
-    with pytest.raises(SizeCapExceeded):
-        check_trace_power_guess(cfg, 2, size_cap=80)
-    with pytest.raises(SizeCapExceeded):
-        check_hbar_order_relation(spec, 4, YANG_PTS_4, size_cap=80)
+    # 5**6 = 15625 is above the cap 4096
+    spec = yang_spec(5)
+    with pytest.raises(SizeCapExceeded, match=r"5\*\*6 = 15625"):
+        check_trace_power_guess(make_config(spec, 6), 2)
+    with pytest.raises(SizeCapExceeded, match=r"5\*\*6 = 15625"):
+        check_hbar_order_relation(spec, 6, YANG_PTS_6)
     assert calls == []
-    # the same calls run at the cap N**n = 81
-    assert check_trace_power_guess(cfg, 2, size_cap=81).passed
-    assert check_hbar_order_relation(spec, 4, YANG_PTS_4, size_cap=81).passed
+    # the same calls run at the cap, 4**6 = 4096
+    spec = yang_spec(4)
+    assert check_trace_power_guess(make_config(spec, 6), 2).passed
+    assert check_hbar_order_relation(spec, 6, YANG_PTS_6).passed
     assert len(calls) == 2

@@ -1,14 +1,20 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmx
 from rmx import (
     BudgetExceeded,
     DimensionMismatch,
+    SizeCapExceeded,
     UsageError,
     cli,
     cyclic_sum_cost,
@@ -133,6 +139,7 @@ class TestRunSuites:
             TOLERANCE_CASES)
 
     def test_budget_guard(self):
+        # screened before the size cap, which 3**9 passes too
         with pytest.raises(BudgetExceeded):
             run_suites(site_dim=3, n_max=9)
 
@@ -190,13 +197,32 @@ class TestRunSuites:
                   for r in rep["records"] if r["reason"]}
         assert failed == {"same-site": 1, "unitarity": 2}
 
-    def test_error_records_keep_family_and_sizes(self):
+    def test_error_records_keep_family_and_sizes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise DimensionMismatch("refused")
+
+        monkeypatch.setattr(cli, "check_nth_order", refuse)
+        monkeypatch.setattr(cli, "check_outer_index_independence", refuse)
         rep = run_suites(suite="nth-order", kind="elliptic", site_dim=2,
-                         n_max=3, samples=1, size_cap=4)
+                         n_max=3, samples=1)
         assert rep["summary"]["failed"] == 2
         for r in rep["records"]:
-            assert r["reason"].startswith("SizeCapExceeded")
+            assert r["reason"] == "DimensionMismatch: refused"
             assert (r["family"], r["N"], r["n"]) == ("belavin", 2, 3)
+
+    @pytest.mark.parametrize("suite, N, n_max", [
+        ("nth-order", 3, 8), ("nth-order", 4, 7),
+        # the 3-site checks and the applications act on N**3 dimensions
+        ("rmatrix-basic", 17, 2), ("applications", 17, 2)])
+    def test_size_cap_refuses_before_any_case(self, monkeypatch, suite, N,
+                                              n_max):
+        cases = []
+        monkeypatch.setattr(cli, "_run_case", lambda *a: cases.append(a))
+        sites = max(n_max, 3)
+        want = f"{N}**{sites} = {N ** sites} exceeds the size cap 4096"
+        with pytest.raises(SizeCapExceeded, match=re.escape(want)):
+            run_suites(suite=suite, kind="elliptic", site_dim=N, n_max=n_max)
+        assert cases == []
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
     def test_rank_one_sweep(self, tau):
@@ -218,21 +244,18 @@ class TestRunSuites:
             run_suites(n_max=1)
         for bad in (dict(tau="abc"), dict(hbar="x"), dict(tau=None),
                     dict(n_max=3.5), dict(site_dim=2.5), dict(samples="3"),
-                    dict(size_cap=0), dict(size_cap=1.0), dict(seed=-1),
-                    dict(seed=1.5), dict(tol_overrides={"fay": "tight"}),
+                    dict(seed=-1), dict(seed=1.5), dict(tol_overrides={"fay": "tight"}),
                     dict(budget="x"), dict(budget=float("nan"))):
             with pytest.raises(UsageError):
                 run_suites(suite="scalar", **bad)
         # complex() strings and numpy integers are accepted and echoed plainly
         rep = run_suites(suite="scalar", kind="rational", tau="1j", hbar="0.5+0.2j",
                          site_dim=np.int64(2), n_max=np.int32(2),
-                         samples=np.int64(1), size_cap=np.int64(64),
-                         budget=float("inf"))
+                         samples=np.int64(1), budget=float("inf"))
         cfg = rep["config"]
         assert (cfg["tau"], cfg["hbar"]) == ({"re": 0.0, "im": 1.0},
                                              {"re": 0.5, "im": 0.2})
-        assert [type(cfg[k]) for k in ("site_dim", "n_max", "samples",
-                                       "size_cap")] == [int] * 4
+        assert [type(cfg[k]) for k in ("site_dim", "n_max", "samples")] == [int] * 3
         assert rep["summary"]["failed"] == 0
 
     def test_deterministic_repeat_is_identical(self):
@@ -291,7 +314,7 @@ class TestMain:
             "samples = 1\n"
             "n-max = 3\n"
             "deterministic = false\n"
-            "size-cap = 512\n"
+            "budget = 5e9\n"
             "tau = 0.1+1.2i\n"
         )
         out_file = tmp_path / "r1.json"
@@ -300,19 +323,19 @@ class TestMain:
         config = json.loads(out_file.read_text())["config"]
         assert config["kind"] == "rational"
         assert config["deterministic"] is False
-        assert config["size_cap"] == 512
+        assert config["budget"] == 5e9
         assert config["tau"] == {"re": 0.1, "im": 1.2}
 
         out_file2 = tmp_path / "r2.json"
         code = main(["verify", "--config", str(cfg), "--kind", "elliptic",
-                     "--deterministic", "--size-cap", "1024",
+                     "--deterministic", "--budget", "2e9",
                      "--report", str(out_file2)])
         assert code == 0
         config = json.loads(out_file2.read_text())["config"]
         assert config["kind"] == "elliptic"
         assert config["deterministic"] is True
         assert config["seed"] == 12345
-        assert config["size_cap"] == 1024
+        assert config["budget"] == 2e9
         assert config["tau"] == {"re": 0.1, "im": 1.2}
         capsys.readouterr()
 
@@ -327,7 +350,8 @@ class TestMain:
 
     def test_bad_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"
-        for key, value in (("bogus", "3"), ("parallel", "true")):
+        for key, value in (("bogus", "3"), ("parallel", "true"),
+                           ("size-cap", "64")):
             cfg.write_text(f"{key} = {value}\n")
             assert main(["verify", "--config", str(cfg)]) == 2
             assert key in capsys.readouterr().err
@@ -337,6 +361,40 @@ class TestMain:
                      "trigonometric", "--samples", "1", "--n-max", "3"])
         assert code == 0
         assert "[SKIP]" in capsys.readouterr().out
+
+
+class TestModuleEntry:
+    """``python -m rmx`` runs ``cli.main`` and exits with its code."""
+
+    @staticmethod
+    def run(*args):
+        src = str(Path(rmx.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+        return subprocess.run([sys.executable, "-m", "rmx", "verify", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_passing_sweep_exits_zero(self):
+        proc = self.run("--suite", "scalar", "--kind", "rational",
+                        "--samples", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert " 0 failed" in proc.stdout
+
+    def test_removed_flag_exits_two(self):
+        proc = self.run("--size-cap", "64")
+        assert proc.returncode == 2
+        assert "--size-cap" in proc.stderr
+
+    def test_size_cap_exits_two_before_any_record(self, tmp_path):
+        out_file = tmp_path / "report.json"
+        proc = self.run("--suite", "nth-order", "--kind", "elliptic",
+                        "--N", "3", "--n-max", "8", "--report", str(out_file))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "SizeCapExceeded" in proc.stderr and "4096" in proc.stderr
+        assert not out_file.exists()
 
 
 class TestComplexParsing:

@@ -17,6 +17,7 @@ from rmx import (
     RMatrixKind,
     RMatrixSpec,
     SizeCapExceeded,
+    UnsupportedDerivOrder,
     UsageError,
     ZeroArgument,
     check_aybe,
@@ -296,9 +297,9 @@ def dense_n3():
 def cyclic_sums(spec, n, points, starts):
     """The whole cyclic product sums from the 0-based outer sites ``starts``:
     the lockstep subset DP of the checks run on the identity."""
-    factors = identities._pair_factors(spec, n, points, 4096)
+    factors = identities._pair_factors(spec, n, points)
     eye = np.eye(spec.site_dim ** n, dtype=complex)
-    return identities._cyclic_apply(factors, n, starts, eye, 4096)
+    return identities._cyclic_apply(factors, n, starts, eye)
 
 
 class TestCyclicProductSumOracle:
@@ -333,11 +334,10 @@ class TestCyclicProductSumOracle:
         # columns of the whole sum
         spec = belavin_spec(3)
         for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5)):
-            factors = identities._pair_factors(spec, n, pts, 4096)
+            factors = identities._pair_factors(spec, n, pts)
             eye = np.eye(3 ** n, dtype=complex)
             got = np.hstack([
-                identities._cyclic_apply(factors, n, [1], eye[:, lo:lo + width],
-                                         4096)[0]
+                identities._cyclic_apply(factors, n, [1], eye[:, lo:lo + width])[0]
                 for lo in range(0, 3 ** n, width)
             ])
             assert relative_difference(got, dense_n3[n]) <= 1e-13
@@ -346,11 +346,23 @@ class TestCyclicProductSumOracle:
         calls = []
         monkeypatch.setattr(identities, "r_matrix",
                             lambda *a: calls.append(a) or r_matrix(*a))
-        spec = yang_spec(3)
-        with pytest.raises(SizeCapExceeded):
-            check_nth_order(spec, 5, YANG_PTS_5, size_cap=81)
-        with pytest.raises(SizeCapExceeded):
-            check_outer_index_independence(spec, 5, YANG_PTS_5, size_cap=81)
+        # 3**8 = 6561 is above the cap 4096
+        spec, pts = yang_spec(3), [0.3 + 0.4 * k + 0.5j * (k % 3) for k in range(8)]
+        with pytest.raises(SizeCapExceeded, match=r"3\*\*8 = 6561"):
+            check_nth_order(spec, 8, pts)
+        with pytest.raises(SizeCapExceeded, match=r"3\*\*8 = 6561"):
+            check_outer_index_independence(spec, 8, pts)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_wp_order_raises_before_any_work(self, monkeypatch, n):
+        # order n compares with wp^(n-2), above MAX_WP_DERIV_ORDER = 6 here
+        calls = []
+        monkeypatch.setattr(identities, "r_matrix",
+                            lambda *a: calls.append(a) or r_matrix(*a))
+        pts = [0.1 + 0.07j * k + 0.09 * k for k in range(n)]
+        with pytest.raises(UnsupportedDerivOrder):
+            check_nth_order(belavin_spec(2), n, pts)
         assert calls == []
 
     def test_factors_built_once_per_point_set(self, monkeypatch):
@@ -398,11 +410,10 @@ class TestCyclicProductSumOracle:
             if n == 2:
                 # the order-2 check is unitarity, which runs no DP; run the
                 # DP on the probe block as the checks of n >= 3 do
-                factors = identities._pair_factors(spec, n, pts, 4096)
+                factors = identities._pair_factors(spec, n, pts)
                 x = identities._probe_block(D)
-                runs = {1: lambda: identities._cyclic_apply(factors, n, [0], x, 4096),
-                        2: lambda: identities._cyclic_apply(factors, n, [0, 1], x,
-                                                            4096)}
+                runs = {1: lambda: identities._cyclic_apply(factors, n, [0], x),
+                        2: lambda: identities._cyclic_apply(factors, n, [0, 1], x)}
             else:
                 runs = {1: lambda: check_nth_order(spec, n, pts).passed,
                         n: lambda: check_outer_index_independence(
@@ -429,7 +440,7 @@ class TestCyclicProductSumOracle:
 
     def test_bad_site_counts(self):
         with pytest.raises(DimensionMismatch):
-            identities._pair_factors(yang_spec(), 1, YANG_PTS_3[:1], 4096)
+            identities._pair_factors(yang_spec(), 1, YANG_PTS_3[:1])
         with pytest.raises(IndexOutOfRange):
             check_nth_order(yang_spec(), 3, YANG_PTS_3, outer=4)
 
@@ -473,7 +484,7 @@ class TestProbedCheck:
                                                  eps):
         spec = belavin_spec(N)
         pair = identities._pair_factors
-        factors = perturbed(pair(spec, n, pts, 4096), eps)
+        factors = perturbed(pair(spec, n, pts), eps)
         _, _, full = is_scalar_operator(dense_sum_of_factors(factors, N, n, 1))
         assert full > 0.1 * eps  # the perturbation shows, not round-off
         monkeypatch.setattr(identities, "_pair_factors",

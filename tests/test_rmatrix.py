@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,26 @@ class TestClassicalExpansion:
         assert np.allclose(pair.r, r_an, rtol=0, atol=1e-12)
         assert np.linalg.norm(pair.m) < 1e-12
 
+    def test_yang_closed_forms_screen_z(self):
+        # the closed forms refuse the z that yang_r refuses, with no warning
+        spec = yang_spec(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in (classical_closed_form, same_site_closed_form):
+                for z in (np.nan, np.inf, complex(0.3, -np.inf)):
+                    with pytest.raises(SeriesNotConverged, match="finite z"):
+                        form(spec, z)
+                for z in (0, 1e-320):
+                    with pytest.raises(ZeroArgument, match="z != 0"):
+                        form(spec, z)
+            with pytest.raises(SeriesNotConverged, match="finite z"):
+                classical_closed_form(spec, np.array([0.5, np.nan]))
+            # N / z overflows below the floor, in r_matrix too
+            with pytest.raises(ZeroArgument, match="z != 0"):
+                r_matrix(spec, 1e-320)
+            with pytest.raises(ZeroArgument, match="hbar != 0"):
+                yang_spec(2, hbar=1e-320)
+
     def test_elliptic_quadrature_agrees_with_closed_form(self):
         for N, lat in ((1, EL), (1, ELG), (2, EL), (3, ELG)):
             spec = belavin_spec(N=N, lattice=lat)
@@ -364,3 +386,5 @@ class TestClassicalExpansion:
         spec = yang_spec(2)
         with pytest.raises(QuadratureNotConverged):
             classical_expansion(spec, 0.8, quadrature_points=4)
+        with pytest.raises(UsageError, match="^quadrature_points must be an integer"):
+            classical_expansion(spec, 0.8, quadrature_points=16.5)

@@ -7,6 +7,7 @@ import pytest
 from rmx import (
     DimensionMismatch,
     IndexOutOfRange,
+    SIZE_CAP,
     SizeCapExceeded,
     apply_two_site,
     frobenius_distance,
@@ -137,15 +138,14 @@ class TestEmbed:
             apply_two_site(np.eye(4), 1, 2, 3, np.ones(8))
 
     def test_size_cap(self):
-        x = np.eye(16)
-        # the cap is checked before the operand's shape
-        with pytest.raises(SizeCapExceeded):
-            apply_two_site(np.eye(4), 1, 2, 13, x)
-        with pytest.raises(SizeCapExceeded):
-            apply_two_site(np.eye(4), 1, 2, 4, x, size_cap=8)
-        # raising the cap unlocks the same call
-        out = apply_two_site(np.eye(4), 1, 2, 4, x, size_cap=16)
-        assert out.shape == (16, 16)
+        assert SIZE_CAP == 4096
+        # the cap is checked before the operand's shape: 2**13 > SIZE_CAP
+        with pytest.raises(SizeCapExceeded,
+                           match=r"2\*\*13 = 8192 exceeds the size cap 4096"):
+            apply_two_site(np.eye(4), 1, 2, 13, np.eye(16))
+        # the same call runs at the cap, 2**12 = SIZE_CAP
+        x = _probe_block(SIZE_CAP)
+        assert np.array_equal(apply_two_site(np.eye(4), 1, 2, 12, x), x)
 
 
 class TestApplyTwoSiteOracle:
