@@ -387,9 +387,12 @@ def run_suites(
     the corresponding flag.  Raises :class:`BudgetExceeded` when n_max and N
     imply too much work, :class:`UsageError` on other invalid options, among
     them an n_max above MAX_WP_DERIV_ORDER + 2, and :class:`SizeCapExceeded`
-    when a case would act on more than ``tensor_ops.SIZE_CAP`` dimensions:
-    N**max(n_max, 3), for the 3-site checks and the applications.  Each
-    refusal comes before any case runs.
+    when a case would act on more than ``tensor_ops.SIZE_CAP`` dimensions.
+    Both guards look at the requested suites only: the budget prices the
+    n_max cyclic sums of outer-n_max in the nth-order suite, and the size
+    cap bounds N**n_max there and N**3 in the R-matrix and application
+    suites; the scalar suite runs at N = 1.  Each refusal comes before any
+    case runs.
     """
     if suite != "all" and suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}, pick from {SUITES + ('all',)}")
@@ -409,8 +412,12 @@ def run_suites(
     budget = _typed("budget", budget, float, "a number")
     if np.isnan(budget):  # cost > nan is false: it would admit every sweep
         raise UsageError("budget must be a number, got nan")
-    # the deepest case, outer-n_max, runs n_max cyclic product sums
-    cost = n_max * cyclic_sum_cost(site_dim, n_max)
+    # the guards price the deepest case of the requested suites: only the
+    # nth-order suite runs outer-n_max, n_max cyclic product sums on n_max
+    # sites; the R-matrix and application suites act on 3 sites, and the
+    # scalar suite runs at N = 1
+    suites = SUITES if suite == "all" else (suite,)
+    cost = n_max * cyclic_sum_cost(site_dim, n_max) if "nth-order" in suites else 0
     if cost > budget:
         raise BudgetExceeded(
             f"n_max={n_max}, N={site_dim} implies {cost:.3e} complex "
@@ -422,7 +429,9 @@ def run_suites(
             f"n-max={n_max} is above {MAX_WP_DERIV_ORDER + 2}: order n compares "
             f"with wp^(n-2), and wp derivatives stop at order {MAX_WP_DERIV_ORDER}"
         )
-    _check_cap(site_dim, max(n_max, 3))
+    sites = [n_max if name == "nth-order" else 3 for name in suites if name != "scalar"]
+    if sites:
+        _check_cap(site_dim, max(sites))
     if not deterministic:
         seed = int.from_bytes(os.urandom(8), "big")
 

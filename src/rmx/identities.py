@@ -26,8 +26,11 @@ residual, the tolerance it was judged against, and diagnostic details.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +46,10 @@ from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     _PROBES,
-    _apply_layout,
+    _FRONT,
+    _FRONT_SWAPPED,
     _check_cap,
+    _front_apply,
     _probe_block,
     _probe_scalar,
     _product,
@@ -161,8 +166,77 @@ def _layouts(factors, n, starts=(0,)):
 #: in passes of as many as fit, so that a state stays in cache and the live
 #: states stay small: unbounded, the outer check ran about 20% slower at
 #: N = 4, n = 6 and peaked at 12 MB instead of 3.2 MB at N = 2, n = 8.  At
-#: D >= 512 each pass runs one start.
+#: D >= 512 each pass runs one start.  A state holds its D x k entries per
+#: slab in whatever leg order the plan stores it in.
 _STATE_ENTRIES = 2048
+
+
+class _Step(NamedTuple):
+    """One step of the subset DP: the state in slot ``src``, with the legs of
+    the factor ``pair`` moved to the front (``legs``, ``front``, ``moved`` of
+    tensor_ops._front_apply), is multiplied by that factor and becomes the
+    state in slot ``dst`` when ``add`` is None, or is added to it through
+    the transpose ``add`` into the leg order it has.  ``last`` marks the
+    source's last use."""
+
+    src: int
+    dst: int
+    pair: int
+    legs: tuple
+    front: tuple
+    moved: tuple
+    add: tuple | None
+    last: bool
+
+
+class _Plan(NamedTuple):
+    """The steps of the subset DP on n legs of dimension N with k columns,
+    in increasing mask order, with the factor ``pairs`` (k, j) they index,
+    the state ``shape`` (B, N, ..., N, k) and the leg order ``out`` of the
+    sum, in the last slot."""
+
+    steps: tuple
+    pairs: tuple
+    shape: tuple
+    out: tuple
+
+
+@lru_cache(maxsize=32)
+def _dp_plan(n, N, k):
+    """The plan of :func:`_cyclic_apply` for n legs of dimension N and k
+    columns.  A state's legs are stored in the order of the product that
+    first reached it: the two legs of its factor in site order, then the
+    other legs of the source in the source's order."""
+    full = (1 << n) - 2
+    # each state fans out to its successors, in increasing mask order; the
+    # sum is the last state
+    fans = itertools.chain(
+        (((mask, j), [((mask | 1 << t, t), (t, j))
+                      for t in range(1, n) if not mask >> t & 1])
+         for mask in range(0, full, 2)
+         for j in [j for j in range(1, n) if mask >> j & 1] or [0]),
+        (((full, j), [("sum", (0, j))]) for j in range(1, n)))
+    slot, order, pairs, steps = {(0, 0): 0}, {(0, 0): tuple(range(n))}, {}, []
+    # the plans stay cached: share each distinct tuple between the steps
+    shared = {}.setdefault
+    moved = (-1, N * N, N ** (n - 2) * k)
+    for src, fan in fans:
+        stored = order.pop(src)
+        for i, (dst, pair) in enumerate(fan):
+            lo, hi = sorted(stored.index(leg) for leg in pair)
+            product = tuple(sorted(pair)) + tuple(x for x in stored if x not in pair)
+            if dst in slot:
+                add = (0, *(1 + product.index(leg) for leg in order[dst]), n + 1)
+                add = shared(add, add)
+            else:
+                slot[dst], order[dst], add = len(slot), product, None
+            view = (-1, N ** lo, N, N ** (hi - lo - 1), N, N ** (n - hi - 1) * k)
+            steps.append(_Step(
+                slot[src], slot[dst], pairs.setdefault(pair, len(pairs)),
+                shared(view, view),
+                _FRONT if stored[lo] == min(pair) else _FRONT_SWAPPED,
+                moved, add, i == len(fan) - 1))
+    return _Plan(tuple(steps), tuple(pairs), (-1,) + (N,) * n + (k,), order["sum"])
 
 
 def _cyclic_apply(factors, n, starts, x):
@@ -178,34 +252,37 @@ def _cyclic_apply(factors, n, starts, x):
     the orderings of the leg set T that end at k: G[T + {k}, k] =
     sum_j R_kj G[T, j], and S x = sum_j R_0j G[all, j].  The states are
     visited in increasing mask order, so each is complete when reached, and
-    dropped after feeding its successors.  Each step runs the two-site
-    kernel once for every slab of the pass.
+    dropped after feeding its successors.
+
+    Each step follows the cached :func:`_dp_plan`: one front-apply
+    (tensor_ops._front_apply) for every slab of the pass, whose product
+    either becomes the target state as it stands or is added to it through
+    a transposed view.  No state is copied back to site order; only the sum
+    of each slab is, together with its relabelling.
     """
-    tensor = x.reshape((math.isqrt(len(factors[0, 1])),) * n + (-1,))
-    full = (1 << n) - 2  # every leg but 0
+    N = math.isqrt(len(factors[0, 1]))
+    tensor = x.reshape((N,) * n + (-1,))
+    plan = _dp_plan(n, N, tensor.shape[-1])
+    shape = plan.shape
     per_pass = max(1, _STATE_ENTRIES // x.size)
     sums = []
     for lo in range(0, len(starts), per_pass):
         group = starts[lo:lo + per_pass]
         step = _layouts(factors, n, group)
-        states = {(0, 0): np.array([
-            tensor.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
-            for a in group])}
-        for mask in range(0, full, 2):
-            for j in [j for j in range(1, n) if mask >> j & 1] or [0]:
-                state = states.pop((mask, j))
-                for k in range(1, n):
-                    if mask >> k & 1:
-                        continue
-                    key = (mask | 1 << k, k)
-                    out = _apply_layout(step[k, j], state)
-                    if key in states:
-                        states[key] += out
-                    else:
-                        states[key] = out
-        total = sum(_apply_layout(step[0, j], states.pop((full, j)))
-                    for j in range(1, n))
-        sums += [y.reshape(tensor.shape).transpose(*((i - a) % n for i in range(n)), n)
+        ops = [step[pair][0] for pair in plan.pairs]
+        slots = [np.array([tensor.transpose(*((i + a) % n for i in range(n)), n)
+                           for a in group])] + [None] * plan.steps[-1].dst
+        for src, dst, pair, legs, front, moved, add, last in plan.steps:
+            out = _front_apply(ops[pair], slots[src], legs, front, moved).reshape(shape)
+            if last:
+                slots[src] = None
+            if add is None:
+                slots[dst] = out
+            else:
+                state = slots[dst]
+                np.add(state, out.transpose(add), out=state)
+        total = slots[-1]
+        sums += [y.transpose(*(plan.out.index((i - a) % n) for i in range(n)), n)
                  .reshape(x.shape) for a, y in zip(group, total)]
     return np.array(sums)
 

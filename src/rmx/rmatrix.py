@@ -483,8 +483,11 @@ def _default_radius(spec, z):
     # the hbar^(-2) roundoff amplification of the quadrature small
     if spec.kind is RMatrixKind.YANG:
         return 0.5
+    # the nearest hbar pole besides 0 is a shortest period over N away; a
+    # quarter of that bounds the radius at large N or a dense lattice
     tau = spec.lattice.tau
-    return 0.025 * min(1.0, abs(tau), abs(1.0 + tau))
+    return min(0.025 * min(1.0, abs(tau), abs(1.0 + tau)),
+               spec.lattice.shortest_period / (4 * spec.site_dim))
 
 
 def classical_expansion(spec, z, quadrature_points=32, contour_radius=None):

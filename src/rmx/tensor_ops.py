@@ -5,7 +5,13 @@ building the permutation operator, and testing whether an operator is a
 scalar multiple of the identity.  The checks on n sites never form an
 N**n x N**n matrix: they apply their operator S to a fixed probe block X
 (Freivalds' check) through the two-site kernel, and read the coefficient
-and non-scalar residual of SX with :func:`_probe_scalar`.  The total
+and non-scalar residual of SX with :func:`_probe_scalar`.  The kernel,
+:func:`_front_apply`, moves the two legs a factor acts on to the front of
+its operand and runs one batched matmul; the product keeps that leg order.
+:func:`_apply_layout` adds one copy back to site order, for
+:func:`apply_two_site`, QYBE, AYBE and the applications, while the subset
+DP of the cyclic sums keeps each state in the leg order its product left
+it in.  The total
 dimension N**n is bounded by the fixed :data:`SIZE_CAP`: every n-site entry
 checks it before any work, and ``run_suites`` refuses a sweep that would
 pass it.
@@ -111,13 +117,33 @@ def _two_site_layout(ops, site_a, site_b, n_sites):
             (B, N, N, pre, mid, -1), dim)
 
 
+#: The axes of :func:`_front_apply` that bring the legs (B, pre, N, mid, N,
+#: post) of a layout to (B, N, N, pre, mid, post), and back; and those that
+#: bring them to (B, N, N, pre, mid, post) with the two N swapped, for an
+#: operand that holds the legs of the larger site first.
+_FRONT = (0, 2, 4, 1, 3, 5)
+_BACK = (0, 3, 1, 4, 2, 5)
+_FRONT_SWAPPED = (0, 4, 2, 1, 3, 5)
+
+
+def _front_apply(ops, x, legs, front, moved):
+    """ops_b @ x_b for every slab b, unchecked, with the two legs that ops
+    acts on moved to the front: the (B, N, ..., N, m) operand is viewed as
+    ``legs`` = (B, pre, N, mid, N, post), transposed by ``front`` to bring
+    the two legs first in site order (one copy, in which the other legs keep
+    their order and their contiguous runs) and reshaped to the
+    ``moved`` (B, N^2, M) operand of one batched (B, N^2, N^2) matmul.  The
+    product keeps that leg order: the two legs, then the rest."""
+    return ops @ x.reshape(legs).transpose(front).reshape(moved)
+
+
 def _apply_layout(layout, x):
     """E_b @ x_b for every slab b of x, unchecked, for a laid-out stack of B
-    factors: one transpose-copy, one batched matmul, one copy back.  x is
+    factors: :func:`_front_apply`, then one copy back to site order.  x is
     the (B, D, m) stack of operands, or one (D, m) operand when B = 1."""
     ops, legs, moved, back, _ = layout
-    y = x.reshape(legs).transpose(0, 2, 4, 1, 3, 5).reshape(moved)
-    return (ops @ y).reshape(back).transpose(0, 3, 1, 4, 2, 5).reshape(x.shape)
+    y = _front_apply(ops, x, legs, _FRONT, moved)
+    return y.reshape(back).transpose(_BACK).reshape(x.shape)
 
 
 @lru_cache(maxsize=32)

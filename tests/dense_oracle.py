@@ -5,14 +5,21 @@ and never forms an embedded N**n x N**n matrix.  The tests compare that
 path against the dense embed-and-multiply construction kept here: the
 embedding itself, and the block Lax operator with its powers.  The
 package also sums the scalar cyclic sum by a subset DP; the reference
-``literal_cyclic_sum`` sums its (n-1)! orderings term by term.
+``literal_cyclic_sum`` sums its (n-1)! orderings term by term.  The probed
+subset DP of the n-site checks keeps its states in the leg order its
+matmuls leave them in; ``canonical_cyclic_apply`` is the same DP with every
+state copied back to site order after each step, and must agree with it
+bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from rmx import classical_closed_form, cyclic_orderings, kronecker_phi, r_matrix
+from rmx import identities
+from rmx.tensor_ops import _apply_layout
 
 
 def embed_two_site(op, site_a, site_b, site_dim, n_sites):
@@ -112,3 +119,38 @@ def probe_fit(x, y):
     non-scalar residual ||y - c x|| / max(||y||, 1)."""
     c = np.vdot(x, y) / np.vdot(x, x)
     return c, np.linalg.norm(y - c * x) / max(np.linalg.norm(y), 1.0)
+
+
+def canonical_cyclic_apply(factors, n, starts, x):
+    """``identities._cyclic_apply`` with every state in site order: each step
+    moves its two legs to the front, multiplies, copies the product back to
+    site order (``tensor_ops._apply_layout``) and adds it to the state.  The
+    states are visited in increasing mask order and the starts run in passes
+    of at most ``identities._STATE_ENTRIES`` entries, like the package DP."""
+    tensor = x.reshape((math.isqrt(len(factors[0, 1])),) * n + (-1,))
+    full = (1 << n) - 2  # every leg but 0
+    per_pass = max(1, identities._STATE_ENTRIES // x.size)
+    sums = []
+    for lo in range(0, len(starts), per_pass):
+        group = starts[lo:lo + per_pass]
+        step = identities._layouts(factors, n, group)
+        states = {(0, 0): np.array([
+            tensor.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
+            for a in group])}
+        for mask in range(0, full, 2):
+            for j in [j for j in range(1, n) if mask >> j & 1] or [0]:
+                state = states.pop((mask, j))
+                for k in range(1, n):
+                    if mask >> k & 1:
+                        continue
+                    key = (mask | 1 << k, k)
+                    out = _apply_layout(step[k, j], state)
+                    if key in states:
+                        states[key] += out
+                    else:
+                        states[key] = out
+        total = sum(_apply_layout(step[0, j], states.pop((full, j)))
+                    for j in range(1, n))
+        sums += [y.reshape(tensor.shape).transpose(*((i - a) % n for i in range(n)), n)
+                 .reshape(x.shape) for a, y in zip(group, total)]
+    return np.array(sums)

@@ -164,6 +164,20 @@ class TestKzbFlatness:
             assert rep.residual < 1e-9
             assert rep.details["quadrature_points"] == 32
 
+    def test_default_radius_scales_with_N(self):
+        # on the dense lattice tau = 1 + 0.1i the nearest hbar pole at N = 4
+        # is 0.1 / 4 = 0.025 away, where the default radius was before it
+        # took N into account; at N = 16 the flatness check would form dense
+        # 4096 x 4096 three-site products, so N = 4 stands in for it here
+        lat = LatticeParams(kind="elliptic", tau=1 + 0.1j)
+        spec = RMatrixSpec(kind="belavin", site_dim=4, lattice=lat,
+                           hbar=0.011 + 0.003j)
+        with pytest.raises(ContourHitsPole):
+            check_kzb_flatness(spec, EL_PTS_3, contour_radius=0.025)
+        rep = check_kzb_flatness(spec, EL_PTS_3)
+        assert rep.passed
+        assert rep.residual < 1e-11
+
     def test_elliptic_closed_form(self):
         rep = check_kzb_flatness(belavin_spec(2), EL_PTS_3,
                                  use_closed_form=True)

@@ -50,6 +50,12 @@ def small(**kw):
     return run_suites(**base)
 
 
+def n_max_cost(N, n_max):
+    """The budget's price of the nth-order suite: outer-n_max runs n_max
+    cyclic product sums."""
+    return n_max * cyclic_sum_cost(N, n_max)
+
+
 class TestRunSuites:
     def test_report_shape_and_config_echo(self):
         rep = small()
@@ -223,6 +229,41 @@ class TestRunSuites:
         with pytest.raises(SizeCapExceeded, match=re.escape(want)):
             run_suites(suite=suite, kind="elliptic", site_dim=N, n_max=n_max)
         assert cases == []
+
+    def test_guards_price_the_requested_suites(self, capsys):
+        # the scalar suite runs at N = 1 and rmatrix-basic acts on 3 sites,
+        # so neither is refused for the N**n_max or the cyclic sums of the
+        # nth-order suite
+        for suite in ("scalar", "rmatrix-basic"):
+            assert main(["verify", "--suite", suite, "--kind", "rational",
+                         "--N", "5", "--n-max", "6", "--samples", "1"]) == 0
+        capsys.readouterr()
+        rep = run_suites(suite="scalar", site_dim=5, n_max=6, samples=1)
+        assert rep["summary"]["executed"] > 0
+        assert rep["summary"]["failed"] == 0
+        with pytest.raises(SizeCapExceeded, match=re.escape("3**8 = 6561")):
+            run_suites(suite="nth-order", site_dim=3, n_max=8)
+        # a cost above the budget refuses nth-order only
+        assert n_max_cost(2, 6) > 1e6
+        with pytest.raises(BudgetExceeded):
+            run_suites(suite="nth-order", n_max=6, budget=1e6)
+        run_suites(suite="rmatrix-basic", kind="rational", n_max=6, samples=1,
+                   budget=1e6)
+
+    def test_whole_sweep_refuses_what_it_refused(self, monkeypatch):
+        # --suite all holds the nth-order suite: it is refused by the budget
+        # on n_max cyclic sums at N and by the cap on N**max(n_max, 3)
+        monkeypatch.setattr(cli, "_sweep", lambda opts: [])
+        for N in range(1, 18):
+            for n_max in range(2, 9):
+                refused = (n_max_cost(N, n_max) > DEFAULT_BUDGET
+                           or N ** max(n_max, 3) > 4096)
+                try:
+                    run_suites(site_dim=N, n_max=n_max)
+                except (BudgetExceeded, SizeCapExceeded):
+                    assert refused
+                else:
+                    assert not refused
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
     def test_rank_one_sweep(self, tau):

@@ -37,7 +37,7 @@ from rmx import (
 )
 from rmx.special_functions import cyclic_orderings
 
-from dense_oracle import embed_two_site
+from dense_oracle import canonical_cyclic_apply, embed_two_site
 
 RA = LatticeParams(kind="rational")
 EL = LatticeParams(kind="elliptic", tau=1j)
@@ -101,6 +101,61 @@ class TestTermSequences:
             cyclic_orderings(4.0, 1)
         assert cyclic_orderings(np.int64(3), np.int32(2)) == [(1, 3), (3, 1)]
 
+
+
+def ladder_points(n):
+    return [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
+
+
+class TestLegOrderDP:
+    """The DP keeps each state in the leg order of the product that first
+    reached it; the canonical DP of the dense oracle copies every product
+    back to site order.  The two do the same arithmetic in the same order,
+    so they agree bit for bit."""
+
+    SIZES = [(N, n) for N in (1, 2, 3, 4) for n in range(2, 9)
+             if N ** n <= tensor_ops.SIZE_CAP]
+
+    @pytest.mark.parametrize("N, n", SIZES)
+    def test_matches_canonical_dp_bit_for_bit(self, N, n):
+        factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+        D = N ** n
+        eye = np.eye(D, dtype=complex)
+        # the probe block and uneven column blocks of the identity
+        blocks = [identities._probe_block(D), eye[:, :5], eye[:, -3:]]
+        for x in blocks:
+            for starts in ([0], [n - 1], list(reversed(range(n)))):
+                got = identities._cyclic_apply(factors, n, starts, x)
+                want = canonical_cyclic_apply(factors, n, starts, x)
+                assert got.shape == (len(starts),) + x.shape
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N, n", [(1, 6), (2, 3), (2, 5), (2, 7), (3, 4)])
+    def test_every_pass_size_matches_bit_for_bit(self, monkeypatch, N, n):
+        # passes of 1..n slabs give the bits of the canonical DP's passes
+        factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+        x = identities._probe_block(N ** n)
+        starts = list(reversed(range(n)))
+        want = canonical_cyclic_apply(factors, n, starts, x)
+        for size in range(1, n + 1):
+            monkeypatch.setattr(identities, "_STATE_ENTRIES", size * x.size)
+            assert np.array_equal(identities._cyclic_apply(factors, n, starts, x),
+                                  want)
+
+    def test_plan_is_cached_and_frees_each_state(self):
+        plan = identities._dp_plan(5, 2, 4)
+        assert identities._dp_plan(5, 2, 4) is plan
+        # one step per DP edge: 2(n - 1) + (n - 1)(n - 2) 2^(n - 3)
+        assert len(plan.steps) == 2 * 4 + 4 * 3 * 4
+        # every state but the sum feeds its successors and is then dropped
+        sources = [step.src for step in plan.steps]
+        last = [step.src for step in plan.steps if step.last]
+        assert sorted(last) == sorted(set(sources))
+        # a state is first set, then only added to
+        seen = set()
+        for step in plan.steps:
+            assert (step.add is None) == (step.dst not in seen)
+            seen.add(step.dst)
 
 class TestDefaultTolerance:
     def test_frozen_values(self):
@@ -399,9 +454,10 @@ class TestCyclicProductSumOracle:
         # each slab of a kernel call is one two-site step of one start's DP;
         # the outer check runs n starts, so the budget's n * cost is exact
         slabs = []
-        kernel = identities._apply_layout
-        monkeypatch.setattr(identities, "_apply_layout",
-                            lambda lay, x: slabs.append(x.shape) or kernel(lay, x))
+        kernel = identities._front_apply
+        monkeypatch.setattr(identities, "_front_apply",
+                            lambda ops, x, *axes: slabs.append(x.shape)
+                            or kernel(ops, x, *axes))
         pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
         for N in (1, 2):
             spec = RMatrixSpec(kind="belavin", site_dim=N, lattice=EL,
@@ -421,7 +477,8 @@ class TestCyclicProductSumOracle:
             for starts, run in runs.items():
                 slabs.clear()
                 assert run() is not False
-                assert {shape[1:] for shape in slabs} == {(D, min(4, D))}
+                # every state is a (B, N, ..., N, k) tensor
+                assert {shape[1:] for shape in slabs} == {(N,) * n + (min(4, D),)}
                 steps = sum(shape[0] for shape in slabs)
                 assert steps * D * N * N * min(4, D) == starts * cyclic_sum_cost(N, n)
 

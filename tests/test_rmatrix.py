@@ -365,6 +365,29 @@ class TestClassicalExpansion:
             classical_expansion(belavin_spec(N=1, lattice=skewed), 0.4 + 0.2j,
                                 contour_radius=0.4)
 
+    def test_default_radius_scales_with_N(self):
+        # the nearest hbar pole besides 0 is a shortest period over N away:
+        # 0.0265 at tau = 3.7 + 0.3i and N = 16, inside the fixed 0.025 that
+        # the default radius was before it took N into account
+        skewed = LatticeParams(kind="elliptic", tau=3.7 + 0.3j)
+        spec = belavin_spec(N=16, hbar=0.011 + 0.003j, lattice=skewed)
+        radius = rmatrix._default_radius(spec, 0.3 + 0.1j)
+        assert radius == skewed.shortest_period / 64
+        with pytest.raises(ContourHitsPole):
+            classical_expansion(spec, 0.3 + 0.1j, contour_radius=0.025)
+        try:
+            pair = classical_expansion(spec, 0.3 + 0.1j, quadrature_points=16)
+        finally:
+            # the N = 16 T-tensor stack alone holds 256 MB
+            rmatrix._tt_stack.cache_clear()
+            rmatrix._tt_products.cache_clear()
+        assert pair.hbar_inverse_residual < 1e-10
+        assert pair.extraction_residual < 1e-8
+        assert pair.analytic_residual < 1e-10
+        # at tau = i and N <= 4 the fixed radius is the smaller one
+        for N in (1, 2, 3, 4):
+            assert rmatrix._default_radius(belavin_spec(N=N), 0.3) == 0.025
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_trapezoid_sums_round_like_a_plain_loop(self, N):
         # the node sums add in node order, with the complex products of

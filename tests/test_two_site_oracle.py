@@ -213,33 +213,52 @@ def misroute_first_call(monkeypatch, module):
 def misroute_first_step(monkeypatch, module):
     """Put the first factor that the probed check of ``module`` applies on
     the wrong sites, in one slab.  The check lays each stack of factors out
-    once (``identities._layouts``) and runs the kernel on the layout; in the
-    first kernel call the last slab gets instead the layout of its factor
-    with the second site moved to the lowest site outside the pair, and the
-    other slabs of the stack are left as they are."""
-    layout, kernel = identities._two_site_layout, identities._apply_layout
+    once (``identities._layouts``) and runs a kernel on it: the applications
+    run ``_apply_layout`` on the layout, the subset DP of ``identities`` runs
+    ``_front_apply`` on its matrices.  In the first kernel call the last
+    slab gets instead the factor with its second site moved to the lowest
+    site outside the pair, and the other slabs of the stack are left as they
+    are."""
+    layout, apply = identities._two_site_layout, tensor_ops._apply_layout
     laid_out, calls = {}, []
 
     def spy(ops, a, b, n_sites, *rest):
         out = layout(ops, a, b, n_sites, *rest)
-        laid_out[id(out)] = (ops, a, b, n_sites, *rest)
+        laid_out[id(out)] = laid_out[id(out[0])] = (ops, a, b, n_sites, *rest)
         return out
 
-    def step(lay, x):
-        ops, a, b, n_sites, *rest = laid_out[id(lay)]
-        out = kernel(lay, x)
-        if not calls:
-            b = wrong_site(a, b, n_sites)
-            wrong = layout(ops[-1:], a, b, n_sites, *rest)
-            if x.ndim == 2:  # one operand: the stack has one slab
-                out = kernel(wrong, x)
-            else:
-                out[-1] = kernel(wrong, x[-1:])[0]
+    def wrong(key):
+        ops, a, b, n_sites, *rest = laid_out[key]
         calls.append((a, b))
+        if len(calls) == 1:
+            return layout(ops[-1:], a, wrong_site(a, b, n_sites), n_sites, *rest)
+        return None
+
+    def step(lay, x):
+        out, moved = apply(lay, x), wrong(id(lay))
+        if moved is not None:
+            if x.ndim == 2:  # one operand: the stack has one slab
+                out = apply(moved, x)
+            else:
+                out[-1] = apply(moved, x[-1:])[0]
+        return out
+
+    front = tensor_ops._front_apply
+
+    def front_step(ops, x, *axes):
+        out, moved = front(ops, x, *axes), wrong(id(ops))
+        if moved is not None:
+            # the first DP step acts on legs 0 and 1 of a state stored in
+            # site order, so its product is in site order too
+            slab = x[-1:].reshape(1, -1, x.shape[-1])
+            out[-1] = apply(moved, slab)[0].reshape(out.shape[1:])
         return out
 
     monkeypatch.setattr(identities, "_two_site_layout", spy)
-    monkeypatch.setattr(module, "_apply_layout", step)
+    if module is identities:
+        monkeypatch.setattr(identities, "_front_apply", front_step)
+    else:
+        monkeypatch.setattr(module, "_apply_layout", step)
     return calls
 
 
