@@ -20,6 +20,15 @@ and n = 1 degenerates to the same-site scalar :math:`N\phi(N\hbar, z/N)`.
 Alongside these live the quantum and associative Yang-Baxter equations and
 the skew-symmetry R(z, hbar) = -P R(-z, -hbar) P.
 
+For n >= 3 the checks apply the sum to a fixed probe block by a subset DP
+over the sites (:func:`_cyclic_apply`).  It follows a plan cached per n in
+which every state has a slot of one scratch workspace per process, and each
+step is one copy of its source into the moved operand and one matmul into
+its target's slot, on views built once per pass shape.  The workspace is
+created on first use, grows to the largest pass run so far and keeps that
+size, (slots + 2) B D k complex entries: 1.5 MB after the sums up to n = 7
+at N = 2, 2.9 MB after the outer check at N = 2, n = 8.
+
 Each check returns an :class:`IdentityReport` carrying the measured
 residual, the tolerance it was judged against, and diagnostic details.
 """
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -46,10 +56,7 @@ from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     _PROBES,
-    _FRONT,
-    _FRONT_SWAPPED,
     _check_cap,
-    _front_apply,
     _probe_block,
     _probe_scalar,
     _product,
@@ -150,16 +157,23 @@ def cyclic_sum_cost(site_dim, n):
     return steps * dim * site_dim ** 2 * min(_PROBES, dim)
 
 
-def _layouts(factors, n, starts=(0,)):
-    """For each pair of 0-based legs (k, j), the factors R_{k+a, j+a} of
-    _pair_factors (sites mod n) of every start a, stacked in the order of
-    ``starts``, checked and laid out for the two-site kernel at the sites
-    (k + 1, j + 1) of n.  At the one default start 0 the legs are the
-    sites."""
-    return {(k, j): _two_site_layout(
-                np.array([factors[(k + a) % n, (j + a) % n] for a in starts]),
-                k + 1, j + 1, n)
-            for k, j in factors}
+def _layouts(factors, n):
+    """For each pair of 0-based sites (k, j), the factor R_kj of
+    _pair_factors, checked and laid out for the two-site kernel at the
+    sites (k + 1, j + 1) of n."""
+    return {(k, j): _two_site_layout([op], k + 1, j + 1, n)
+            for (k, j), op in factors.items()}
+
+
+def _stack_factors(factors, n, group, k, j):
+    """The factors R_{k+a, j+a} of _pair_factors (sites mod n) of every
+    start a of ``group``, stacked in that order as one (B, N^2, N^2)
+    operator on the legs k and j taken in increasing order."""
+    ops = np.array([factors[(k + a) % n, (j + a) % n] for a in group])
+    if k < j:
+        return ops
+    N = math.isqrt(ops.shape[-1])
+    return ops.reshape(-1, N, N, N, N).transpose(0, 2, 1, 4, 3).reshape(ops.shape)
 
 
 #: The most complex entries in one DP state, all slabs together.  Starts run
@@ -167,46 +181,48 @@ def _layouts(factors, n, starts=(0,)):
 #: states stay small: unbounded, the outer check ran about 20% slower at
 #: N = 4, n = 6 and peaked at 12 MB instead of 3.2 MB at N = 2, n = 8.  At
 #: D >= 512 each pass runs one start.  A state holds its D x k entries per
-#: slab in whatever leg order the plan stores it in.
+#: slab, in whatever leg order the plan stores it in, in one slot of the
+#: workspace, and a pass needs slots + 2 of them: at N = 2 that is 46 x 2048
+#: entries (1.5 MB) at n = 7 and 89 x 2048 (2.9 MB) at n = 8.
 _STATE_ENTRIES = 2048
 
 
 class _Step(NamedTuple):
-    """One step of the subset DP: the state in slot ``src``, with the legs of
-    the factor ``pair`` moved to the front (``legs``, ``front``, ``moved`` of
-    tensor_ops._front_apply), is multiplied by that factor and becomes the
-    state in slot ``dst`` when ``add`` is None, or is added to it through
-    the transpose ``add`` into the leg order it has.  ``last`` marks the
-    source's last use."""
+    """One step of the subset DP: the state in slot ``src``, transposed by
+    ``front`` (the two legs of the factor ``pair`` in site order, then the
+    state's other legs in its order), is multiplied by that factor and
+    becomes the state in slot ``dst`` when ``add`` is None, or is added to it
+    through the transpose ``add`` into the leg order it has.  ``last`` marks
+    the source's last read, after which its slot is free."""
 
     src: int
     dst: int
     pair: int
-    legs: tuple
     front: tuple
-    moved: tuple
     add: tuple | None
     last: bool
 
 
 class _Plan(NamedTuple):
-    """The steps of the subset DP on n legs of dimension N with k columns,
-    in increasing mask order, with the factor ``pairs`` (k, j) they index,
-    the state ``shape`` (B, N, ..., N, k) and the leg order ``out`` of the
-    sum, in the last slot."""
+    """The steps of the subset DP on n legs, in increasing mask order, with
+    the factor ``pairs`` (k, j) they index, the number of state ``slots``
+    they use and the leg order ``out`` of the sum, in the slot of the last
+    step."""
 
     steps: tuple
     pairs: tuple
-    shape: tuple
+    slots: int
     out: tuple
 
 
 @lru_cache(maxsize=32)
-def _dp_plan(n, N, k):
-    """The plan of :func:`_cyclic_apply` for n legs of dimension N and k
-    columns.  A state's legs are stored in the order of the product that
-    first reached it: the two legs of its factor in site order, then the
-    other legs of the source in the source's order."""
+def _dp_plan(n):
+    """The plan of :func:`_cyclic_apply` on n legs.  A state's legs are
+    stored in the order of the product that first reached it: the two legs
+    of its factor in site order, then the other legs of the source in the
+    source's order.  A state takes a free slot when it is first written and
+    gives it back after its last read; the most recently freed slot is
+    taken first.  The initial state is in slot 0."""
     full = (1 << n) - 2
     # each state fans out to its successors, in increasing mask order; the
     # sum is the last state
@@ -217,26 +233,83 @@ def _dp_plan(n, N, k):
          for j in [j for j in range(1, n) if mask >> j & 1] or [0]),
         (((full, j), [("sum", (0, j))]) for j in range(1, n)))
     slot, order, pairs, steps = {(0, 0): 0}, {(0, 0): tuple(range(n))}, {}, []
+    free, slots = [], 1
     # the plans stay cached: share each distinct tuple between the steps
     shared = {}.setdefault
-    moved = (-1, N * N, N ** (n - 2) * k)
     for src, fan in fans:
-        stored = order.pop(src)
+        stored, src_slot = order.pop(src), slot.pop(src)
         for i, (dst, pair) in enumerate(fan):
-            lo, hi = sorted(stored.index(leg) for leg in pair)
+            last = i == len(fan) - 1
+            if last:
+                # a step copies its source out before it writes its product,
+                # so the product may take the source's slot
+                free.append(src_slot)
             product = tuple(sorted(pair)) + tuple(x for x in stored if x not in pair)
+            front = (0, *(1 + stored.index(leg) for leg in product), n + 1)
             if dst in slot:
                 add = (0, *(1 + product.index(leg) for leg in order[dst]), n + 1)
                 add = shared(add, add)
             else:
-                slot[dst], order[dst], add = len(slot), product, None
-            view = (-1, N ** lo, N, N ** (hi - lo - 1), N, N ** (n - hi - 1) * k)
-            steps.append(_Step(
-                slot[src], slot[dst], pairs.setdefault(pair, len(pairs)),
-                shared(view, view),
-                _FRONT if stored[lo] == min(pair) else _FRONT_SWAPPED,
-                moved, add, i == len(fan) - 1))
-    return _Plan(tuple(steps), tuple(pairs), (-1,) + (N,) * n + (k,), order["sum"])
+                if not free:
+                    free.append(slots)
+                    slots += 1
+                slot[dst], order[dst], add = free.pop(), product, None
+            steps.append(_Step(src_slot, slot[dst], pairs.setdefault(pair, len(pairs)),
+                               shared(front, front), add, last))
+    return _Plan(tuple(steps), tuple(pairs), slots, order["sum"])
+
+
+class _Workspace:
+    """The one scratch buffer of the DP in this process, created on first
+    use and grown to the largest pass run so far, with the views of each
+    pass shape (n, N, m, B) built on it once: B slabs of D x m entries for
+    each slot of the plan, for the moved operand and for the product of an
+    add step, (slots + 2) B D m complex entries in all.  Growing drops the
+    views of the old buffer.  A pass holds ``lock`` while it uses the
+    views, so that DPs run from several threads take turns."""
+
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=complex)
+        self.views = {}
+        self.lock = threading.Lock()
+
+    def for_pass(self, n, N, m, B):
+        """The views of a pass: the initial state, the moved operand as a
+        state and as a (B, N^2, D m / N^2) matrix stack, each step's
+        (source, factor, product, target, added product) and the sum."""
+        key = (n, N, m, B)
+        views = self.views.get(key)
+        if views is not None:
+            return views
+        plan = _dp_plan(n)
+        shape = (B,) + (N,) * n + (m,)
+        size, mat = math.prod(shape), (B, N * N, -1)
+        if self.buffer.size < (plan.slots + 2) * size:
+            self.buffer = np.empty((plan.slots + 2) * size, dtype=complex)
+            self.views.clear()
+        states = [self.buffer[i * size:(i + 1) * size].reshape(shape)
+                  for i in range(plan.slots + 2)]
+        mats = [state.reshape(mat) for state in states]
+        # the last two slots are the moved operand and the product of an add
+        # step; the steps share the views of each slot, of each source
+        # transpose and of each add transpose
+        fronts, adds, steps = {}, {}, []
+        for s in plan.steps:
+            src = fronts.get((s.src, s.front))
+            if src is None:
+                src = fronts[s.src, s.front] = states[s.src].transpose(s.front)
+            if s.add is None:
+                steps.append((src, s.pair, mats[s.dst], None, None))
+            else:
+                if s.add not in adds:
+                    adds[s.add] = states[-1].transpose(s.add)
+                steps.append((src, s.pair, mats[-1], states[s.dst], adds[s.add]))
+        views = self.views[key] = (states[0], states[-2], mats[-2], tuple(steps),
+                                   states[plan.steps[-1].dst])
+        return views
+
+
+_workspace = _Workspace()
 
 
 def _cyclic_apply(factors, n, starts, x):
@@ -247,44 +320,42 @@ def _cyclic_apply(factors, n, starts, x):
     The starts run in lockstep as the slabs of one subset DP, in passes of
     at most _STATE_ENTRIES.  Slab a works on relabelled sites: tensor leg i
     carries site (i + a) % n, so every slab starts at leg 0 and, at the legs
-    (k, j), applies its own R_{k+a, j+a} from the stacked layouts of the
-    pass.  A state (T, k) holds the sum of R_{k i_m} ... R_{i_1 0} x over
-    the orderings of the leg set T that end at k: G[T + {k}, k] =
-    sum_j R_kj G[T, j], and S x = sum_j R_0j G[all, j].  The states are
-    visited in increasing mask order, so each is complete when reached, and
-    dropped after feeding its successors.
+    (k, j), applies its own R_{k+a, j+a}, stacked for the pass by
+    :func:`_stack_factors`.  A state (T, k) holds the sum of R_{k i_m} ...
+    R_{i_1 0} x over the orderings of the leg set T that end at k:
+    G[T + {k}, k] = sum_j R_kj G[T, j], and S x = sum_j R_0j G[all, j].  The
+    states are visited in increasing mask order, so each is complete when
+    reached, and its slot is reused after it has fed its successors.
 
-    Each step follows the cached :func:`_dp_plan`: one front-apply
-    (tensor_ops._front_apply) for every slab of the pass, whose product
-    either becomes the target state as it stands or is added to it through
-    a transposed view.  No state is copied back to site order; only the sum
-    of each slab is, together with its relabelling.
+    Each step follows the cached :func:`_dp_plan` on the views of the
+    process's workspace: one copy of the source state, with the factor's two
+    legs first, into the moved operand, and one batched (B, N^2, N^2) matmul
+    for every slab of the pass, written into the target's slot or added to
+    it through a transposed view.  No state is copied back to site order;
+    only the sum of each slab is, together with its relabelling.
     """
-    N = math.isqrt(len(factors[0, 1]))
-    tensor = x.reshape((N,) * n + (-1,))
-    plan = _dp_plan(n, N, tensor.shape[-1])
-    shape = plan.shape
+    tensor = x.reshape((math.isqrt(len(factors[0, 1])),) * n + (-1,))
+    plan = _dp_plan(n)
     per_pass = max(1, _STATE_ENTRIES // x.size)
-    sums = []
+    sums = np.empty((len(starts),) + tensor.shape, dtype=complex)
     for lo in range(0, len(starts), per_pass):
         group = starts[lo:lo + per_pass]
-        step = _layouts(factors, n, group)
-        ops = [step[pair][0] for pair in plan.pairs]
-        slots = [np.array([tensor.transpose(*((i + a) % n for i in range(n)), n)
-                           for a in group])] + [None] * plan.steps[-1].dst
-        for src, dst, pair, legs, front, moved, add, last in plan.steps:
-            out = _front_apply(ops[pair], slots[src], legs, front, moved).reshape(shape)
-            if last:
-                slots[src] = None
-            if add is None:
-                slots[dst] = out
-            else:
-                state = slots[dst]
-                np.add(state, out.transpose(add), out=state)
-        total = slots[-1]
-        sums += [y.transpose(*(plan.out.index((i - a) % n) for i in range(n)), n)
-                 .reshape(x.shape) for a, y in zip(group, total)]
-    return np.array(sums)
+        ops = [_stack_factors(factors, n, group, k, j) for k, j in plan.pairs]
+        with _workspace.lock:
+            first, moved, moved_mat, steps, total = _workspace.for_pass(
+                n, tensor.shape[0], tensor.shape[-1], len(group))
+            for b, a in enumerate(group):
+                np.copyto(first[b],
+                          tensor.transpose(*((i + a) % n for i in range(n)), n))
+            for src, pair, out, state, product in steps:
+                np.copyto(moved, src)
+                np.matmul(ops[pair], moved_mat, out=out)
+                if state is not None:
+                    np.add(state, product, out=state)
+            for b, a in enumerate(group):
+                np.copyto(sums[lo + b], total[b].transpose(
+                    *(plan.out.index((i - a) % n) for i in range(n)), n))
+    return sums.reshape((len(starts),) + x.shape)
 
 
 def check_unitarity(spec, z, *, tolerance=None):

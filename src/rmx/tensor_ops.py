@@ -6,15 +6,14 @@ scalar multiple of the identity.  The checks on n sites never form an
 N**n x N**n matrix: they apply their operator S to a fixed probe block X
 (Freivalds' check) through the two-site kernel, and read the coefficient
 and non-scalar residual of SX with :func:`_probe_scalar`.  The kernel,
-:func:`_front_apply`, moves the two legs a factor acts on to the front of
-its operand and runs one batched matmul; the product keeps that leg order.
-:func:`_apply_layout` adds one copy back to site order, for
-:func:`apply_two_site`, QYBE, AYBE and the applications, while the subset
-DP of the cyclic sums keeps each state in the leg order its product left
-it in.  The total
-dimension N**n is bounded by the fixed :data:`SIZE_CAP`: every n-site entry
-checks it before any work, and ``run_suites`` refuses a sweep that would
-pass it.
+:func:`_apply_layout`, moves the two legs a factor acts on to the front of
+its operand (one copy), runs one batched matmul and copies the product back
+to site order, for :func:`apply_two_site`, QYBE, AYBE and the applications.
+The subset DP of the cyclic sums (``identities._cyclic_apply``) runs the
+same copy and matmul on a planned workspace, and keeps each state in the
+leg order its product left it in.  The total dimension N**n is bounded by
+the fixed :data:`SIZE_CAP`: every n-site entry checks it before any work,
+and ``run_suites`` refuses a sweep that would pass it.
 """
 
 from __future__ import annotations
@@ -117,32 +116,21 @@ def _two_site_layout(ops, site_a, site_b, n_sites):
             (B, N, N, pre, mid, -1), dim)
 
 
-#: The axes of :func:`_front_apply` that bring the legs (B, pre, N, mid, N,
-#: post) of a layout to (B, N, N, pre, mid, post), and back; and those that
-#: bring them to (B, N, N, pre, mid, post) with the two N swapped, for an
-#: operand that holds the legs of the larger site first.
+#: The axes that bring the legs (B, pre, N, mid, N, post) of a layout to
+#: (B, N, N, pre, mid, post), and back.
 _FRONT = (0, 2, 4, 1, 3, 5)
 _BACK = (0, 3, 1, 4, 2, 5)
-_FRONT_SWAPPED = (0, 4, 2, 1, 3, 5)
-
-
-def _front_apply(ops, x, legs, front, moved):
-    """ops_b @ x_b for every slab b, unchecked, with the two legs that ops
-    acts on moved to the front: the (B, N, ..., N, m) operand is viewed as
-    ``legs`` = (B, pre, N, mid, N, post), transposed by ``front`` to bring
-    the two legs first in site order (one copy, in which the other legs keep
-    their order and their contiguous runs) and reshaped to the
-    ``moved`` (B, N^2, M) operand of one batched (B, N^2, N^2) matmul.  The
-    product keeps that leg order: the two legs, then the rest."""
-    return ops @ x.reshape(legs).transpose(front).reshape(moved)
 
 
 def _apply_layout(layout, x):
     """E_b @ x_b for every slab b of x, unchecked, for a laid-out stack of B
-    factors: :func:`_front_apply`, then one copy back to site order.  x is
-    the (B, D, m) stack of operands, or one (D, m) operand when B = 1."""
+    factors.  x is the (B, D, m) stack of operands, or one (D, m) operand
+    when B = 1.  It is viewed as (B, pre, N, mid, N, post), its two legs are
+    moved to the front (one copy, in which the other legs keep their order
+    and their contiguous runs) for one batched (B, N^2, N^2) matmul, and the
+    product is copied back to site order."""
     ops, legs, moved, back, _ = layout
-    y = _front_apply(ops, x, legs, _FRONT, moved)
+    y = ops @ x.reshape(legs).transpose(_FRONT).reshape(moved)
     return y.reshape(back).transpose(_BACK).reshape(x.shape)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from rmx import classical_closed_form, cyclic_orderings, kronecker_phi, r_matrix
 from rmx import identities
-from rmx.tensor_ops import _apply_layout
+from rmx.tensor_ops import _apply_layout, _two_site_layout
 
 
 def embed_two_site(op, site_a, site_b, site_dim, n_sites):
@@ -133,7 +133,9 @@ def canonical_cyclic_apply(factors, n, starts, x):
     sums = []
     for lo in range(0, len(starts), per_pass):
         group = starts[lo:lo + per_pass]
-        step = identities._layouts(factors, n, group)
+        step = {(k, j): _two_site_layout(
+                    [factors[(k + a) % n, (j + a) % n] for a in group], k + 1, j + 1, n)
+                for k, j in factors}
         states = {(0, 0): np.array([
             tensor.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
             for a in group])}

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,19 +147,132 @@ class TestLegOrderDP:
                                   want)
 
     def test_plan_is_cached_and_frees_each_state(self):
-        plan = identities._dp_plan(5, 2, 4)
-        assert identities._dp_plan(5, 2, 4) is plan
+        plan = identities._dp_plan(5)
+        assert identities._dp_plan(5) is plan
         # one step per DP edge: 2(n - 1) + (n - 1)(n - 2) 2^(n - 3)
         assert len(plan.steps) == 2 * 4 + 4 * 3 * 4
-        # every state but the sum feeds its successors and is then dropped
-        sources = [step.src for step in plan.steps]
-        last = [step.src for step in plan.steps if step.last]
-        assert sorted(last) == sorted(set(sources))
-        # a state is first set, then only added to
-        seen = set()
-        for step in plan.steps:
-            assert (step.add is None) == (step.dst not in seen)
-            seen.add(step.dst)
+        for n, slots in ((2, 1), (3, 2), (4, 5), (5, 11), (6, 22), (7, 44), (8, 87)):
+            plan = identities._dp_plan(n)
+            # a state is read from a live slot, which is free after its last
+            # read; a new state takes the most recently freed slot, or a new
+            # one, and a live state is only added to
+            live, free, used = {0}, [], 1
+            for step in plan.steps:
+                assert step.src in live
+                if step.last:
+                    live.remove(step.src)
+                    free.append(step.src)
+                if step.add is None:
+                    want = free.pop() if free else used
+                    used += want == used
+                    assert step.dst == want
+                    live.add(step.dst)
+                else:
+                    assert step.dst in live
+            # every state but the sum fed its successors and was dropped
+            assert live == {plan.steps[-1].dst}
+            assert plan.slots == used == slots
+
+
+class TestWorkspace:
+    """The DP runs on one process-wide workspace that grows to the largest
+    pass run so far; the step views of each pass shape are built once."""
+
+    def test_alternating_plans_match_canonical_dp(self, monkeypatch):
+        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        space = identities._workspace
+        kept = []
+        # (2, 8) grows the workspace; the passes after it fit in it
+        for N, n in ((2, 5), (2, 8), (2, 5), (3, 5), (2, 7)):
+            factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+            x = identities._probe_block(N ** n)
+            starts = list(reversed(range(n)))
+            got = identities._cyclic_apply(factors, n, starts, x)
+            assert np.array_equal(got, canonical_cyclic_apply(factors, n, starts, x))
+            assert not np.shares_memory(got, space.buffer)
+            kept.append((got, got.copy()))
+            if (N, n) == (2, 8):
+                # 2 slabs of 256 x 4 per pass, 87 state slots
+                assert space.buffer.size == (87 + 2) * 2 * 256 * 4
+                # the views of the old buffer were dropped
+                assert set(space.views) == {(8, 2, 4, 2)}
+        assert space.buffer.size == (87 + 2) * 2 * 256 * 4
+        # a returned sum is not touched by the later calls
+        for got, copy in kept:
+            assert np.array_equal(got, copy)
+
+    def test_views_are_built_once_per_pass_shape(self, monkeypatch):
+        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        n, pts = 7, ladder_points(7)
+        check_outer_index_independence(belavin_spec(2), n, pts)
+        views = dict(identities._workspace.views)
+        # passes of 4 + 3 slabs
+        assert set(views) == {(7, 2, 4, 4), (7, 2, 4, 3)}
+        check_outer_index_independence(belavin_spec(2), n, pts)
+        assert all(identities._workspace.views[key] is views[key] for key in views)
+
+    def test_threads_take_turns_on_the_workspace(self, monkeypatch):
+        # four threads on the one workspace, each cycling through passes of
+        # other shapes, must each get the canonical sums
+        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        cases = []
+        for N, n in ((2, 5), (2, 7), (3, 4), (2, 6)):
+            factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+            x = identities._probe_block(N ** n)
+            starts = list(range(n))
+            cases.append((factors, n, starts, x,
+                          canonical_cyclic_apply(factors, n, starts, x)))
+        results = []
+
+        def work(first):
+            for i in range(first, first + 6):
+                factors, n, starts, x, want = cases[i % len(cases)]
+                got = identities._cyclic_apply(factors, n, starts, x)
+                results.append(np.array_equal(got, want))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 24
+
+    def test_workspace_holds_the_largest_pass(self, monkeypatch):
+        n, N = 8, 2
+        # a first call fills the lazy caches (probe block, theta constants,
+        # plan); the check on a new workspace then stays within the
+        # 4.0 MB of test_peak_memory, the workspace included
+        check_outer_index_independence(belavin_spec(N), n, ladder_points(n))
+        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        tracemalloc.start()
+        try:
+            assert check_outer_index_independence(belavin_spec(N), n, ladder_points(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6
+        D, k = N ** n, 4
+        B = identities._STATE_ENTRIES // (D * k)
+        slots = identities._dp_plan(n).slots
+        # each live state slot, the moved operand and an add step's product
+        assert identities._workspace.buffer.size == (slots + 2) * B * D * k
+        assert identities._workspace.buffer.nbytes == 2916352
+
+    def test_import_allocates_no_workspace(self):
+        src = str(Path(identities.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import rmx; "
+                "from rmx import identities; space = identities._workspace; "
+                "print(space.buffer.size, len(space.views))")
+        out = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.split() == ["0", "0"]
+
 
 class TestDefaultTolerance:
     def test_frozen_values(self):
@@ -434,30 +551,41 @@ class TestCyclicProductSumOracle:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_factors_laid_out_once_per_check(self, monkeypatch, n):
-        # once per pass of the DP: at N = 2 the n starts of the outer check
-        # share one pass up to n = 6 and take two (4 + 3) at n = 7
+        # the DP stacks the factors of each pair of legs once per pass: at
+        # N = 2 the n starts of the outer check share one pass up to n = 6
+        # and take two (4 + 3) at n = 7
         calls = []
-        layout = identities._two_site_layout
-        monkeypatch.setattr(identities, "_two_site_layout",
-                            lambda *a: calls.append(a[1:3]) or layout(*a))
+        stack = identities._stack_factors
+        monkeypatch.setattr(
+            identities, "_stack_factors",
+            lambda factors, n, group, k, j: calls.append((tuple(group), k, j))
+            or stack(factors, n, group, k, j))
         spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j, 0.26 + 0.47j]
-        pairs = sorted((a, b) for a in range(1, n + 1) for b in range(1, n + 1)
-                       if a != b)
-        for check, passes in ((check_nth_order, 1),
-                              (check_outer_index_independence, 1 + (n == 7))):
+        legs = [(k, j) for k in range(n) for j in range(n) if k != j]
+        outer = [tuple(range(n))] if n < 7 else [(0, 1, 2, 3), (4, 5, 6)]
+        for check, groups in ((check_nth_order, [(0,)]),
+                              (check_outer_index_independence, outer)):
             calls.clear()
             check(spec, n, pts[:n])
-            assert sorted(calls) == sorted(pairs * passes)
+            assert sorted(calls) == sorted((g, k, j) for g in groups for k, j in legs)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_cost_counts_the_steps_taken(self, monkeypatch, n):
-        # each slab of a kernel call is one two-site step of one start's DP;
-        # the outer check runs n starts, so the budget's n * cost is exact
+        # each slab of a matmul is one two-site step of one start's DP; the
+        # outer check runs n starts, so the budget's n * cost is exact
         slabs = []
-        kernel = identities._front_apply
-        monkeypatch.setattr(identities, "_front_apply",
-                            lambda ops, x, *axes: slabs.append(x.shape)
-                            or kernel(ops, x, *axes))
+
+        class Logged(np.ndarray):
+            """A stack of factors that logs the operand of each matmul."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    slabs.append(inputs[1].shape)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        stack = identities._stack_factors
+        monkeypatch.setattr(identities, "_stack_factors",
+                            lambda *args: stack(*args).view(Logged))
         pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
         for N in (1, 2):
             spec = RMatrixSpec(kind="belavin", site_dim=N, lattice=EL,
@@ -477,10 +605,11 @@ class TestCyclicProductSumOracle:
             for starts, run in runs.items():
                 slabs.clear()
                 assert run() is not False
-                # every state is a (B, N, ..., N, k) tensor
-                assert {shape[1:] for shape in slabs} == {(N,) * n + (min(4, D),)}
+                # every operand is a (B, N^2, D k / N^2) moved state
+                k = min(4, D)
+                assert {shape[1:] for shape in slabs} == {(N * N, D * k // (N * N))}
                 steps = sum(shape[0] for shape in slabs)
-                assert steps * D * N * N * min(4, D) == starts * cyclic_sum_cost(N, n)
+                assert steps * D * N * N * k == starts * cyclic_sum_cost(N, n)
 
     def test_site_arguments_must_be_integers(self):
         spec = belavin_spec()

@@ -212,53 +212,54 @@ def misroute_first_call(monkeypatch, module):
 
 def misroute_first_step(monkeypatch, module):
     """Put the first factor that the probed check of ``module`` applies on
-    the wrong sites, in one slab.  The check lays each stack of factors out
-    once (``identities._layouts``) and runs a kernel on it: the applications
-    run ``_apply_layout`` on the layout, the subset DP of ``identities`` runs
-    ``_front_apply`` on its matrices.  In the first kernel call the last
-    slab gets instead the factor with its second site moved to the lowest
-    site outside the pair, and the other slabs of the stack are left as they
-    are."""
+    the wrong sites, in one slab.
+
+    The applications lay each factor out once (``identities._layouts``) and
+    run ``_apply_layout`` on the layout: in the first call the factor is
+    applied with its second site moved to the lowest site outside the pair.
+    The subset DP of ``identities`` stacks the factors of each pair of legs
+    once per pass (``identities._stack_factors``) and applies the stack on
+    those legs: in the first stack the last slab gets instead the factor
+    whose second site is moved to the lowest site outside the pair.  The
+    other slabs of a stack are left as they are."""
+    calls = []
+    if module is identities:
+        stack = identities._stack_factors
+
+        def wrong_stack(factors, n, group, k, j):
+            ops = stack(factors, n, group, k, j)
+            calls.append((k, j))
+            if len(calls) == 1:
+                a = group[-1]
+                site, other = (k + a) % n, (j + a) % n
+                moved = wrong_site(site + 1, other + 1, n) - 1
+                wrong = dict(factors)
+                wrong[site, other] = factors[site, moved]
+                ops[-1] = stack(wrong, n, [a], k, j)[0]
+            return ops
+
+        monkeypatch.setattr(identities, "_stack_factors", wrong_stack)
+        return calls
+
     layout, apply = identities._two_site_layout, tensor_ops._apply_layout
-    laid_out, calls = {}, []
+    laid_out = {}
 
     def spy(ops, a, b, n_sites, *rest):
         out = layout(ops, a, b, n_sites, *rest)
-        laid_out[id(out)] = laid_out[id(out[0])] = (ops, a, b, n_sites, *rest)
+        laid_out[id(out)] = (ops, a, b, n_sites, *rest)
         return out
-
-    def wrong(key):
-        ops, a, b, n_sites, *rest = laid_out[key]
-        calls.append((a, b))
-        if len(calls) == 1:
-            return layout(ops[-1:], a, wrong_site(a, b, n_sites), n_sites, *rest)
-        return None
 
     def step(lay, x):
-        out, moved = apply(lay, x), wrong(id(lay))
-        if moved is not None:
-            if x.ndim == 2:  # one operand: the stack has one slab
-                out = apply(moved, x)
-            else:
-                out[-1] = apply(moved, x[-1:])[0]
-        return out
-
-    front = tensor_ops._front_apply
-
-    def front_step(ops, x, *axes):
-        out, moved = front(ops, x, *axes), wrong(id(ops))
-        if moved is not None:
-            # the first DP step acts on legs 0 and 1 of a state stored in
-            # site order, so its product is in site order too
-            slab = x[-1:].reshape(1, -1, x.shape[-1])
-            out[-1] = apply(moved, slab)[0].reshape(out.shape[1:])
+        out = apply(lay, x)
+        ops, a, b, n_sites, *rest = laid_out[id(lay)]
+        calls.append((a, b))
+        if len(calls) == 1:
+            # one operand: the stack has one slab
+            out = apply(layout(ops, a, wrong_site(a, b, n_sites), n_sites, *rest), x)
         return out
 
     monkeypatch.setattr(identities, "_two_site_layout", spy)
-    if module is identities:
-        monkeypatch.setattr(identities, "_front_apply", front_step)
-    else:
-        monkeypatch.setattr(module, "_apply_layout", step)
+    monkeypatch.setattr(module, "_apply_layout", step)
     return calls
 
 
