@@ -35,6 +35,9 @@ anticommutator relation
     \sum_{c < a < b} \bigl(\{r_{ca}, r_{ab}\} + \{r_{ab}, r_{bc}\}
         + \{r_{bc}, r_{ca}\}\bigr)
     = -(n - 2) \sum_{b \ne c} m_{bc}.
+
+Every check here applies its operators to the probe block X of
+``tensor_ops._probe_block`` and forms no N**n x N**n matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .rmatrix import (
     classical_closed_form,
 )
 from .special_functions import kronecker_phi
-from .tensor_ops import _apply_layout, _probe_block, _probe_scalar, apply_two_site
+from .tensor_ops import _apply_layout, _probe_block, _probe_scalar, _product
 
 __all__ = [
     "CalogeroConfig",
@@ -181,12 +184,12 @@ def check_kzb_flatness(
 ):
     """Flatness of the classical connection on a triple of points.
 
-    Builds r and m for the three pairwise differences, applies them on
-    three sites, and measures
+    Builds r and m for the three pairwise differences, applies
 
         [r_12, m_13 + m_23] + [r_13, m_12 + m_23]
 
-    relative to the product of the r and m norms.  By default the
+    to the probe block X of three sites (``tensor_ops._product``), and
+    measures it relative to the product of the r and m norms.  By default the
     coefficients come from contour quadrature with ``quadrature_points``
     nodes, so the residual decreases as the node count grows;
     ``use_closed_form=True`` bypasses quadrature entirely.
@@ -197,7 +200,6 @@ def check_kzb_flatness(
         quadrature_points = _as_index("quadrature_points", quadrature_points)
         if quadrature_points < 2:
             raise QuadratureNotConverged("need at least 2 quadrature points")
-    N = spec.site_dim
     z = [complex(p) for p in points]
     pairs = ((1, 2), (1, 3), (2, 3))
     zs = np.array([z[i - 1] - z[j - 1] for i, j in pairs])
@@ -211,20 +213,17 @@ def check_kzb_flatness(
         coeffs = [_laurent_coefficients(nodes, v) for v in vals]
         rm = {p: (c[0], c[1]) for p, c in zip(pairs, coeffs)}
 
-    eye = np.eye(N ** 3, dtype=complex)
-    m = {p: apply_two_site(rm[p][1], *p, 3, eye) for p in rm}
+    def comm(p, q):  # [r_p, m_q] X = r_p (m_q X) - m_q (r_p X)
+        r, m = (rm[p][0], *p), (rm[q][1], *q)
+        return _product(3, r, m) - _product(3, m, r)
 
-    def comm(p, y):
-        # [r_p, y] = r_p y - y r_p, with y r_p = (r_p^T y^T)^T
-        r = rm[p][0]
-        return apply_two_site(r, *p, 3, y) - apply_two_site(r.T, *p, 3, y.T).T
-
-    lhs = comm((1, 2), m[1, 3] + m[2, 3]) + comm((1, 3), m[1, 2] + m[2, 3])
+    lhs = (comm((1, 2), (1, 3)) + comm((1, 2), (2, 3))
+           + comm((1, 3), (1, 2)) + comm((1, 3), (2, 3)))
     r_norm = max(np.linalg.norm(rm[p][0]) for p in rm)
     m_norm = max(np.linalg.norm(rm[p][1]) for p in rm)
     scale = max(1.0, r_norm * m_norm)
     residual = float(np.linalg.norm(lhs)) / scale
-    return _verdict("kzb-flatness", residual, tolerance, spec.kind, N, 3,
+    return _verdict("kzb-flatness", residual, tolerance, spec.kind, spec.site_dim, 3,
                     r_norm=float(r_norm), m_norm=float(m_norm),
                     quadrature_points=None if use_closed_form else quadrature_points)
 

@@ -27,7 +27,8 @@ step is one copy of its source into the moved operand and one matmul into
 its target's slot, on views built once per pass shape.  The workspace is
 created on first use, grows to the largest pass run so far and keeps that
 size, (slots + 2) B D k complex entries: 1.5 MB after the sums up to n = 7
-at N = 2, 2.9 MB after the outer check at N = 2, n = 8.
+at N = 2, 2.9 MB after the outer check at N = 2, n = 8.  A sum deeper than
+``rmx verify`` runs gets a workspace of its own, dropped on return.
 
 Each check returns an :class:`IdentityReport` carrying the measured
 residual, the tolerance it was judged against, and diagnostic details.
@@ -52,7 +53,7 @@ from .errors import (
     ZeroArgument,
     _as_index,
 )
-from .special_functions import scalar_cyclic_sum, weierstrass_p
+from .special_functions import MAX_WP_DERIV_ORDER, scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     _PROBES,
@@ -336,13 +337,14 @@ def _cyclic_apply(factors, n, starts, x):
     """
     tensor = x.reshape((math.isqrt(len(factors[0, 1])),) * n + (-1,))
     plan = _dp_plan(n)
+    space = _workspace if n <= MAX_WP_DERIV_ORDER + 2 else _Workspace()
     per_pass = max(1, _STATE_ENTRIES // x.size)
     sums = np.empty((len(starts),) + tensor.shape, dtype=complex)
     for lo in range(0, len(starts), per_pass):
         group = starts[lo:lo + per_pass]
         ops = [_stack_factors(factors, n, group, k, j) for k, j in plan.pairs]
-        with _workspace.lock:
-            first, moved, moved_mat, steps, total = _workspace.for_pass(
+        with space.lock:
+            first, moved, moved_mat, steps, total = space.for_pass(
                 n, tensor.shape[0], tensor.shape[-1], len(group))
             for b, a in enumerate(group):
                 np.copyto(first[b],
@@ -451,7 +453,9 @@ def check_outer_index_independence(spec, n, points, *, tolerance=None):
 def check_qybe(spec, points, *, tolerance=None):
     """Quantum Yang-Baxter equation on three sites.
 
-    R_12(z_12) R_13(z_13) R_23(z_23) = R_23(z_23) R_13(z_13) R_12(z_12).
+    R_12(z_12) R_13(z_13) R_23(z_23) = R_23(z_23) R_13(z_13) R_12(z_12),
+    checked as the relative distance of the two sides applied to the probe
+    block X (``tensor_ops._product``).
     """
     if len(points) != 3:
         raise DimensionMismatch(f"QYBE takes three points, got {len(points)}")
@@ -472,7 +476,8 @@ def check_aybe(spec, points, second_hbar, *, tolerance=None):
         R^hbar_ac R^eta_cb =
             R^eta_ab R^(hbar-eta)_ac + R^(eta-hbar)_cb R^hbar_ab,
 
-    every factor taken at the difference of its site points.
+    every factor taken at the difference of its site points, and both
+    sides applied to the probe block X as in :func:`check_qybe`.
 
     Raises
     ------

@@ -183,12 +183,6 @@ def _tt_stack(N):
     ])
 
 
-@lru_cache(maxsize=None)
-def _tt_products(N):
-    """Stack of T_alpha T_(-alpha), shape (N^2, N, N), grid order."""
-    return np.array([t_basis(*a, N) @ t_basis(-a[0], -a[1], N) for a in _alpha_grid(N)])
-
-
 # ---------------------------------------------------------------------------
 # the two families
 # ---------------------------------------------------------------------------
@@ -298,8 +292,8 @@ def same_site_closed_form(spec, z, hbar=None):
 def r_same_site(spec, z, hbar=None):
     """R-matrix with both legs on a single site, an N x N scalar matrix.
 
-    The sum collapses because T_alpha T_(-alpha) = Id.  The result is
-    compared against the closed form; a Frobenius distance above
+    The sum collapses to (sum of the weights) Id, as T_alpha T_(-alpha) = Id.
+    It is compared against the closed form; a Frobenius distance above
     ``_SAME_SITE_TOL`` raises :class:`ExpansionFailed`.
     """
     closed = same_site_closed_form(spec, z, hbar)  # checks hbar and z first
@@ -311,8 +305,7 @@ def r_same_site(spec, z, hbar=None):
             N * np.eye(N, dtype=complex)
         )
     else:
-        w = _belavin_weights(spec, complex(z), hbar)
-        mat = sum(coeff * tt for coeff, tt in zip(w, _tt_products(N)))
+        mat = sum(_belavin_weights(spec, complex(z), hbar).tolist()) * np.eye(N)
     resid = frobenius_distance(mat, closed * np.eye(N))
     if resid > _SAME_SITE_TOL:
         raise ExpansionFailed(
@@ -334,7 +327,8 @@ class HbarDerivative:
         dR_ab/dhbar = R_ab r_ac + r_cb R_ab - R_ac R_cb,
 
     where r is the classical half of the expansion.  The right side does
-    not depend on the choice of c or of its point.
+    not depend on the choice of c or of its point.  The residual is read,
+    as for QYBE, on the probe block X of three sites (``_product``).
     """
 
     matrix: np.ndarray

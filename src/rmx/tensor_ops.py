@@ -2,18 +2,18 @@
 
 Small utilities for applying two-site operators inside n-site products,
 building the permutation operator, and testing whether an operator is a
-scalar multiple of the identity.  The checks on n sites never form an
+scalar multiple of the identity.  The checks on n >= 3 sites never form an
 N**n x N**n matrix: they apply their operator S to a fixed probe block X
-(Freivalds' check) through the two-site kernel, and read the coefficient
-and non-scalar residual of SX with :func:`_probe_scalar`.  The kernel,
-:func:`_apply_layout`, moves the two legs a factor acts on to the front of
-its operand (one copy), runs one batched matmul and copies the product back
-to site order, for :func:`apply_two_site`, QYBE, AYBE and the applications.
-The subset DP of the cyclic sums (``identities._cyclic_apply``) runs the
-same copy and matmul on a planned workspace, and keeps each state in the
-leg order its product left it in.  The total dimension N**n is bounded by
-the fixed :data:`SIZE_CAP`: every n-site entry checks it before any work,
-and ``run_suites`` refuses a sweep that would pass it.
+(Freivalds' check) through the two-site kernel, and read SX; a three-site
+relation compares the :func:`_product` blocks of its two sides.  The
+kernel, :func:`_apply_layout`, moves the two legs a factor acts on to the
+front of its operand (one copy), runs one batched matmul and copies the
+product back to site order, for :func:`apply_two_site` and the
+applications.  The subset DP of the cyclic sums (``identities._cyclic_apply``)
+runs the same copy and matmul on a planned workspace, and keeps each state
+in the leg order its product left it in.  The total dimension N**n is
+bounded by the fixed :data:`SIZE_CAP`: every n-site entry checks it before
+any work, and ``run_suites`` refuses a sweep that would pass it.
 """
 
 from __future__ import annotations
@@ -154,10 +154,11 @@ def _probe_scalar(x, y):
 
 
 def _product(n_sites, *factors):
-    """Matrix of the product of two-site factors ``(op, site_a, site_b)`` on
-    n sites, in the order written: each is applied, right to left, to Id."""
+    """S X for the product S of two-site factors ``(op, site_a, site_b)`` on
+    n sites, in the order written: each is applied, right to left, to the
+    probe block X."""
     N = math.isqrt(np.shape(factors[-1][0])[0])
-    out = np.eye(N ** n_sites, dtype=complex)
+    out = _probe_block(N ** n_sites)
     for op, site_a, site_b in reversed(factors):
         out = apply_two_site(op, site_a, site_b, n_sites, out)
     return out

@@ -3,7 +3,9 @@
 The package applies every two-site factor locally (``rmx.apply_two_site``)
 and never forms an embedded N**n x N**n matrix.  The tests compare that
 path against the dense embed-and-multiply construction kept here: the
-embedding itself, and the block Lax operator with its powers.  The
+embedding itself, the two sides of each three-site relation (QYBE, AYBE,
+the hbar derivative and flatness), and the block Lax operator with its
+powers.  The
 package also sums the scalar cyclic sum by a subset DP; the reference
 ``literal_cyclic_sum`` sums its (n-1)! orderings term by term.  The probed
 subset DP of the n-site checks keeps its states in the leg order its
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from rmx import classical_closed_form, cyclic_orderings, kronecker_phi, r_matrix
-from rmx import identities
+from rmx import identities, rmatrix
 from rmx.tensor_ops import _apply_layout, _two_site_layout
 
 
@@ -60,6 +62,73 @@ def literal_cyclic_sum(n, a, eta, points, params):
             term *= table[u, v]
         total += term
     return total
+
+
+def qybe_sides(spec, points, r=r_matrix):
+    """The dense sides R_12 R_13 R_23 and R_23 R_13 R_12 of QYBE, with the
+    factors from one ``r(spec, z)`` call on z_12, z_13 and z_23."""
+    z1, z2, z3 = points
+    r12, r13, r23 = (embed_two_site(op, a, b, spec.site_dim, 3) for op, (a, b) in
+                     zip(r(spec, np.array([z1 - z2, z1 - z3, z2 - z3])),
+                         ((1, 2), (1, 3), (2, 3))))
+    return r12 @ r13 @ r23, r23 @ r13 @ r12
+
+
+def aybe_sides(spec, points, eta, r=r_matrix):
+    """The dense sides of AYBE at the sites (a, c, b) = (1, 3, 2),
+
+        lhs = R^hbar_ac R^eta_cb,
+        rhs = R^eta_ab R^(hbar-eta)_ac + R^(eta-hbar)_cb R^hbar_ab,
+
+    with the six factors from one ``r(spec, z, hbar)`` call."""
+    za, zb, zc = points
+    ac, cb, ab, h = za - zc, zc - zb, za - zb, spec.hbar
+    ops = r(spec, np.array([ac, cb, ab, ac, cb, ab]),
+            np.array([h, eta, eta, h - eta, eta - h, h]))
+    ac_h, cb_e, ab_e, ac_he, cb_eh, ab_h = (
+        embed_two_site(op, a, b, spec.site_dim, 3) for op, (a, b) in
+        zip(ops, ((1, 3), (3, 2), (1, 2), (1, 3), (3, 2), (1, 2))))
+    return ac_h @ cb_e, ab_e @ ac_he + cb_eh @ ab_h
+
+
+def hbar_derivative_sides(spec, za, zb, zc, r=r_matrix,
+                          classical=classical_closed_form):
+    """The dense sides of the three-site structure of dR/dhbar,
+
+        lhs = dR_ab/dhbar,  rhs = R_ab r_ac + r_cb R_ab - R_ac R_cb,
+
+    with R_ab, R_ac, R_cb from one ``r(spec, z)`` call and r_ac, r_cb from
+    one ``classical(spec, z)`` call."""
+    N = spec.site_dim
+    r_ab, r_ac, r_cb = (embed_two_site(op, a, b, N, 3) for op, (a, b) in
+                        zip(r(spec, np.array([za - zb, za - zc, zc - zb])),
+                            ((1, 2), (1, 3), (3, 2))))
+    cl_ac, cl_cb = (embed_two_site(op, a, b, N, 3) for op, (a, b) in
+                    zip(classical(spec, np.array([za - zc, zc - zb]))[0],
+                        ((1, 3), (3, 2))))
+    deriv = rmatrix._deriv_hbar_matrix(spec, za - zb, spec.hbar)
+    lhs = embed_two_site(deriv, 1, 2, N, 3)
+    return lhs, r_ab @ cl_ac + cl_cb @ r_ab - r_ac @ r_cb
+
+
+def kzb_flatness_sides(spec, points, classical=classical_closed_form):
+    """The dense commutator sum [r_12, m_13 + m_23] + [r_13, m_12 + m_23],
+    with (r, m) from one ``classical(spec, z)`` call on z_12, z_13 and z_23,
+    and its scale max(1, max ||r|| max ||m||) over the two-site factors."""
+    N = spec.site_dim
+    pairs = ((1, 2), (1, 3), (2, 3))
+    r_all, m_all = classical(
+        spec, np.array([points[i - 1] - points[j - 1] for i, j in pairs]))
+    r = {p: embed_two_site(v, *p, N, 3) for p, v in zip(pairs, r_all)}
+    m = {p: embed_two_site(v, *p, N, 3) for p, v in zip(pairs, m_all)}
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    lhs = comm(r[1, 2], m[1, 3] + m[2, 3]) + comm(r[1, 3], m[1, 2] + m[2, 3])
+    scale = max(1.0, max(np.linalg.norm(v) for v in r_all)
+                * max(np.linalg.norm(v) for v in m_all))
+    return lhs, scale
 
 
 def lax_rmatrix(config, factors=None):

@@ -1,7 +1,13 @@
+import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rmx import applications, identities
+from rmx import applications, identities, rmatrix, tensor_ops
 from rmx import (
     CalogeroConfig,
     ContourHitsPole,
@@ -11,20 +17,28 @@ from rmx import (
     RMatrixSpec,
     SizeCapExceeded,
     UsageError,
+    check_aybe,
     check_hbar_order_relation,
     check_kzb_flatness,
+    check_qybe,
     check_trace_power_guess,
     classical_closed_form,
     classical_expansion,
+    frobenius_distance,
     is_scalar_operator,
     lax_krichever,
+    r_deriv_hbar,
     r_matrix,
 )
 
 from dense_oracle import (
+    aybe_sides,
     block_matrix_power,
+    hbar_derivative_sides,
     hbar_order_sides,
+    kzb_flatness_sides,
     lax_rmatrix,
+    qybe_sides,
 )
 
 RA = LatticeParams(kind="rational")
@@ -306,13 +320,23 @@ def nudge(op, eps):
     return op + eps * np.linalg.norm(op) / np.linalg.norm(shift) * shift
 
 
+def nudged(build, i):
+    """``build`` with the i-th factor of each call moved by 1e-6."""
+    def moved(*args):
+        ops = build(*args)
+        ops[i] = nudge(ops[i], 1e-6)
+        return ops
+    return moved
+
+
 def probed_ratios(monkeypatch, run, full):
     """The probed residual of ``run()`` over 50 probe blocks, each divided
     by the dense residual ``full``."""
     ratios = []
     for seed in range(50):
-        monkeypatch.setattr(applications, "_probe_block",
-                            lambda dim: gaussian_probes(dim, seed))
+        for module in (applications, tensor_ops):
+            monkeypatch.setattr(module, "_probe_block",
+                                lambda dim: gaussian_probes(dim, seed))
         ratios.append(run() / full)
     return ratios
 
@@ -358,9 +382,90 @@ class TestPerturbedResidualTracksTheDenseOne:
             spec, n, pts).residual, full)
         assert 0.5 <= min(ratios) and max(ratios) <= 2
 
+    # the three-site checks apply both sides to the probe block through
+    # tensor_ops._product
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_qybe(self, monkeypatch, N):
+        spec, pts = belavin_spec(N), EL_PTS_6[:3]
+        moved = nudged(r_matrix, 1)
+        full = frobenius_distance(*qybe_sides(spec, pts, moved))
+        assert full > 1e-8
+        monkeypatch.setattr(identities, "r_matrix", moved)
+        ratios = probed_ratios(monkeypatch,
+                               lambda: check_qybe(spec, pts).residual, full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_aybe(self, monkeypatch, N):
+        spec, pts, eta = belavin_spec(N), EL_PTS_6[:3], 0.07 + 0.04j
+        moved = nudged(r_matrix, 3)
+        full = frobenius_distance(*aybe_sides(spec, pts, eta, moved))
+        assert full > 1e-8
+        monkeypatch.setattr(identities, "r_matrix", moved)
+        ratios = probed_ratios(monkeypatch,
+                               lambda: check_aybe(spec, pts, eta).residual, full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_hbar_derivative(self, monkeypatch, N):
+        spec, (za, zb, zc) = belavin_spec(N), EL_PTS_6[:3]
+        moved = nudged(r_matrix, 0)
+        full = frobenius_distance(*hbar_derivative_sides(spec, za, zb, zc, moved))
+        assert full > 1e-8
+        monkeypatch.setattr(rmatrix, "r_matrix", moved)
+        ratios = probed_ratios(monkeypatch, lambda: r_deriv_hbar(
+            spec, za, zb, aux_point=zc).structural_residual, full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_kzb_flatness(self, monkeypatch, N):
+        spec, pts = belavin_spec(N), EL_PTS_6[:3]
+
+        def moved(*args):
+            r, m = classical_closed_form(*args)
+            m[2] = nudge(m[2], 1e-6)
+            return r, m
+
+        lhs, scale = kzb_flatness_sides(spec, pts, moved)
+        full = np.linalg.norm(lhs) / scale
+        assert full > 1e-8
+        monkeypatch.setattr(applications, "classical_closed_form", moved)
+        ratios = probed_ratios(monkeypatch, lambda: check_kzb_flatness(
+            spec, pts, use_closed_form=True).residual, full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
 
 class TestReach:
-    """Sizes the dense block Lax and embedded r/m paths were too slow for."""
+    """Sizes the dense block Lax, embedded r/m and dense three-site paths
+    were too slow for."""
+
+    def test_three_site_checks_at_N_16(self):
+        # the dense products were 4096 x 4096 complex matrices, 268 MB each;
+        # the probed ones are 4096 x 4 blocks
+        code = textwrap.dedent("""
+            import resource, sys
+            sys.path.insert(0, sys.argv[1])
+            from rmx import (LatticeParams, RMatrixSpec, check_aybe,
+                             check_kzb_flatness, check_qybe, r_deriv_hbar)
+            spec = RMatrixSpec(kind="yang", site_dim=16,
+                               lattice=LatticeParams(kind="rational"),
+                               hbar=0.7 + 0.3j)
+            pts = [0.3, 1.1 + 0.4j, 2.2 - 0.3j]
+            print(check_qybe(spec, pts).residual,
+                  check_aybe(spec, pts, 0.4 - 0.1j).residual,
+                  r_deriv_hbar(spec, pts[0], pts[1],
+                               aux_point=pts[2]).structural_residual,
+                  check_kzb_flatness(spec, pts, use_closed_form=True).residual,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        src = str(Path(applications.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, timeout=120, check=True)
+        *residuals, peak_kb = out.stdout.split()
+        assert all(math.isfinite(float(r)) for r in residuals)
+        assert len(residuals) == 4
+        assert int(peak_kb) < 150 * 1024
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_hbar_order_ten_sites(self, family):

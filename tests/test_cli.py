@@ -181,6 +181,12 @@ class TestRunSuites:
         assert rep["summary"]["executed"] == executed
         assert rep["summary"]["failed"] == 0
 
+    @pytest.mark.parametrize("N, n_max, executed", [(3, 6, 161), (4, 5, 144)])
+    def test_every_case_passes_above_N_2(self, N, n_max, executed):
+        rep = run_suites(site_dim=N, n_max=n_max)
+        assert rep["summary"]["executed"] == executed
+        assert rep["summary"]["failed"] == 0
+
     def test_basic_records_carry_their_order(self):
         rep = run_suites(suite="rmatrix-basic", samples=2, n_max=3)
         orders = {"same-site": 1, "unitarity": 2}

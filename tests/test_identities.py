@@ -264,6 +264,21 @@ class TestWorkspace:
         assert identities._workspace.buffer.size == (slots + 2) * B * D * k
         assert identities._workspace.buffer.nbytes == 2916352
 
+    def test_deeper_sums_leave_the_process_workspace(self, monkeypatch):
+        # rmx verify stops at n = MAX_WP_DERIV_ORDER + 2; a deeper sum runs on
+        # a workspace of its own, which the process does not keep
+        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        space = identities._workspace
+        buffer = space.buffer
+        n = identities.MAX_WP_DERIV_ORDER + 3
+        factors = identities._pair_factors(belavin_spec(1), n, ladder_points(n))
+        x = identities._probe_block(1)
+        starts = list(range(n))
+        got = identities._cyclic_apply(factors, n, starts, x)
+        assert identities._workspace is space and space.buffer is buffer
+        assert space.views == {}
+        assert np.array_equal(got, canonical_cyclic_apply(factors, n, starts, x))
+
     def test_import_allocates_no_workspace(self):
         src = str(Path(identities.__file__).resolve().parent.parent)
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import rmx; "

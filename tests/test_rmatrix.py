@@ -249,16 +249,17 @@ class TestSameSite:
         with pytest.raises(ZeroArgument):
             same_site_closed_form(yang_spec(2), 0.4 + 0.1j, hbar=0)
 
-    def test_products_are_built_once_per_n(self, monkeypatch):
-        spec, z = belavin_spec(N=3), 0.37 + 0.22j
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_weight_sum_matches_the_t_basis_sum(self, N):
+        # T_a T_(-a) = Id collapses the sum over the basis to (sum w) Id
+        spec, z = belavin_spec(N=N), 0.37 + 0.22j
         w = rmatrix._belavin_weights(spec, z, spec.hbar)
-        want = np.zeros((3, 3), dtype=complex)
-        for coeff, (a1, a2) in zip(w, rmatrix._alpha_grid(3)):
-            want += coeff * (t_basis(a1, a2, 3) @ t_basis(-a1, -a2, 3))
-        assert np.array_equal(r_same_site(spec, z), want)
-        monkeypatch.setattr(rmatrix, "t_basis",
-                            lambda *a: pytest.fail("t_basis called again"))
-        assert np.array_equal(r_same_site(spec, z), want)
+        want = np.zeros((N, N), dtype=complex)
+        for coeff, (a1, a2) in zip(w, rmatrix._alpha_grid(N)):
+            want += coeff * (t_basis(a1, a2, N) @ t_basis(-a1, -a2, N))
+        got = r_same_site(spec, z)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+        assert np.array_equal(got, got[0, 0] * np.eye(N))
 
 
 class TestHbarDerivative:
@@ -380,7 +381,6 @@ class TestClassicalExpansion:
         finally:
             # the N = 16 T-tensor stack alone holds 256 MB
             rmatrix._tt_stack.cache_clear()
-            rmatrix._tt_products.cache_clear()
         assert pair.hbar_inverse_residual < 1e-10
         assert pair.extraction_residual < 1e-8
         assert pair.analytic_residual < 1e-10

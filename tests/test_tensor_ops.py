@@ -172,7 +172,8 @@ class TestApplyTwoSiteOracle:
         x, y, w = (random_op(rng, (4, 4)) for _ in range(3))
         got = _product(3, (x, 1, 2), (y, 3, 1), (w, 2, 3))
         want = (embed_two_site(x, 1, 2, 2, 3) @ embed_two_site(y, 3, 1, 2, 3)
-                @ embed_two_site(w, 2, 3, 2, 3))
+                @ embed_two_site(w, 2, 3, 2, 3) @ _probe_block(8))
+        assert got.shape == (8, 4)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 

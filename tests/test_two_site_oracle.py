@@ -1,8 +1,9 @@
 """The checks that apply two-site factors locally, against dense embeddings.
 
-Each check applies its factors with ``rmx.apply_two_site``, or with its
-kernel on a fixed probe block (the subset DP of the n-th order sums, the
-block Lax powers, the r/m relation), and never forms an embedded matrix.
+Each check applies its factors to a fixed probe block, with
+``rmx.apply_two_site`` (the three-site relations) or with its kernel (the
+subset DP of the n-th order sums, the block Lax powers, the r/m relation),
+and never forms an embedded matrix.
 Here every residual is rebuilt from the dense embeddings of
 ``dense_oracle`` and must agree to round-off.  The genuine
 factors satisfy the identities, so both residuals would sit at round-off
@@ -38,11 +39,14 @@ from rmx import (
 )
 
 from dense_oracle import (
+    aybe_sides,
     block_matrix_power,
-    embed_two_site,
+    hbar_derivative_sides,
     hbar_order_sides,
+    kzb_flatness_sides,
     lax_rmatrix,
     probe_fit,
+    qybe_sides,
 )
 
 RA = LatticeParams(kind="rational")
@@ -97,63 +101,34 @@ def agree(got, want):
 
 @pytest.mark.parametrize("N, spec, pts, eta", CASES, ids=CASE_IDS)
 class TestResidualsMatchDenseFormulas:
+    # the three-site checks apply both sides to the probe block X; the
+    # dense sides are multiplied by X the same way
+
     def test_qybe(self, shifted, N, spec, pts, eta):
-        rr = shifted[0]
-        z = pts[:3]
-
-        def e(i, j):
-            return embed_two_site(rr(spec, z[i - 1] - z[j - 1]), i, j, N, 3)
-
-        want = frobenius_distance(e(1, 2) @ e(1, 3) @ e(2, 3),
-                                  e(2, 3) @ e(1, 3) @ e(1, 2))
-        assert agree(check_qybe(spec, z).residual, want)
+        lhs, rhs = qybe_sides(spec, pts[:3], shifted[0])
+        x = tensor_ops._probe_block(N ** 3)
+        want = frobenius_distance(lhs @ x, rhs @ x)
+        assert agree(check_qybe(spec, pts[:3]).residual, want)
 
     def test_aybe(self, shifted, N, spec, pts, eta):
-        rr = shifted[0]
-        za, zb, zc = pts[:3]
-        h = spec.hbar
-
-        def e(z, hb, i, j):
-            return embed_two_site(rr(spec, z, hb), i, j, N, 3)
-
-        lhs = e(za - zc, h, 1, 3) @ e(zc - zb, eta, 3, 2)
-        rhs = (e(za - zb, eta, 1, 2) @ e(za - zc, h - eta, 1, 3)
-               + e(zc - zb, eta - h, 3, 2) @ e(za - zb, h, 1, 2))
-        want = frobenius_distance(lhs, rhs)
+        lhs, rhs = aybe_sides(spec, pts[:3], eta, shifted[0])
+        x = tensor_ops._probe_block(N ** 3)
+        want = frobenius_distance(lhs @ x, rhs @ x)
         assert agree(check_aybe(spec, pts[:3], eta).residual, want)
 
     def test_hbar_derivative(self, shifted, N, spec, pts, eta):
-        rr, cl = shifted
         za, zb, zc = pts[:3]
+        lhs, rhs = hbar_derivative_sides(spec, za, zb, zc, *shifted)
+        x = tensor_ops._probe_block(N ** 3)
+        want = frobenius_distance(lhs @ x, rhs @ x)
         out = r_deriv_hbar(spec, za, zb, aux_point=zc)
-
-        def e(m, i, j):
-            return embed_two_site(m, i, j, N, 3)
-
-        r_ab = e(rr(spec, za - zb), 1, 2)
-        rhs = (r_ab @ e(cl(spec, za - zc)[0], 1, 3)
-               + e(cl(spec, zc - zb)[0], 3, 2) @ r_ab
-               - e(rr(spec, za - zc), 1, 3) @ e(rr(spec, zc - zb), 3, 2))
-        want = frobenius_distance(e(out.matrix, 1, 2), rhs)
         assert agree(out.structural_residual, want)
 
     def test_kzb_flatness(self, shifted, N, spec, pts, eta):
-        cl = shifted[1]
-        z = pts[:3]
-        rm = {(i, j): cl(spec, z[i - 1] - z[j - 1])
-              for i, j in ((1, 2), (1, 3), (2, 3))}
-        r = {p: embed_two_site(rm[p][0], *p, N, 3) for p in rm}
-        m = {p: embed_two_site(rm[p][1], *p, N, 3) for p in rm}
-
-        def comm(x, y):
-            return x @ y - y @ x
-
-        lhs = (comm(r[1, 2], m[1, 3] + m[2, 3])
-               + comm(r[1, 3], m[1, 2] + m[2, 3]))
-        scale = max(1.0, max(np.linalg.norm(v[0]) for v in rm.values())
-                    * max(np.linalg.norm(v[1]) for v in rm.values()))
-        want = np.linalg.norm(lhs) / scale
-        got = check_kzb_flatness(spec, z, use_closed_form=True).residual
+        lhs, scale = kzb_flatness_sides(spec, pts[:3], shifted[1])
+        x = tensor_ops._probe_block(N ** 3)
+        want = np.linalg.norm(lhs @ x) / scale
+        got = check_kzb_flatness(spec, pts[:3], use_closed_form=True).residual
         assert agree(got, want)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -278,7 +253,7 @@ MISROUTED = {
     "outer-independence": ("step", identities,
                            lambda: check_outer_index_independence(belavin(), 4,
                                                                   EL_PTS)),
-    "kzb-flatness": ("call", applications, lambda: check_kzb_flatness(
+    "kzb-flatness": ("call", tensor_ops, lambda: check_kzb_flatness(
         belavin(), EL_PTS[:3], use_closed_form=True)),
     "hbar-order": ("step", applications,
                    lambda: check_hbar_order_relation(belavin(), 4, EL_PTS)),
