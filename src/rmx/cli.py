@@ -65,48 +65,106 @@ _FAMILY_BY_KIND = {"rational": "yang", "elliptic": "belavin"}
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_points(rng, lat, count):
-    """Points kept clear of the pole lattice and well separated pairwise.
+def _point_candidate(rng, lat, count):
+    """count points drawn from rng, followed by their pairwise differences,
+    and the floor on the lattice distance of each of these.
 
     The separation floor bounds the R-matrix norms, which keeps roundoff
     in the long chain products commensurate with the check tolerances.
     """
     if lat.kind is FunctionKind.ELLIPTIC:
         separation = 0.12 if count <= 5 else 0.08
+        pts = rng.uniform(0.1, 0.9, count) + rng.uniform(0.05, 0.45, count) * lat.tau
     elif lat.kind is FunctionKind.TRIGONOMETRIC:
         separation = 0.3
+        pts = rng.uniform(0.2, 3.2, count) + 1j * np.pi * rng.uniform(0.05, 0.45, count)
     else:
         separation = 0.5 if count <= 5 else 0.3
+        pts = rng.uniform(0.3, 3.9, count) + 1j * rng.uniform(0.1, 1.9, count)
+    pts = [complex(p) for p in pts]
+    diffs = [pts[i] - pts[j] for i in range(count) for j in range(i + 1, count)]
+    return pts + diffs, [1e-2] * count + [separation] * len(diffs)
+
+
+def _sample_points(rngs, lat, counts):
+    """For each stream of rngs, its count of points kept clear of the pole
+    lattice and well separated pairwise, or the RmxError its draws met.
+
+    Each round draws one candidate from every stream still pending, as a
+    lone stream draws it, and screens them all with one lattice_distance
+    call; each stream has 200 draws.
+    """
+    out = [None] * len(rngs)
+    pending = list(range(len(rngs)))
     for _ in range(200):
-        if lat.kind is FunctionKind.ELLIPTIC:
-            pts = rng.uniform(0.1, 0.9, count) + rng.uniform(0.05, 0.45, count) * lat.tau
-        elif lat.kind is FunctionKind.TRIGONOMETRIC:
-            pts = rng.uniform(0.2, 3.2, count) + 1j * np.pi * rng.uniform(
-                0.05, 0.45, count
-            )
-        else:
-            pts = rng.uniform(0.3, 3.9, count) + 1j * rng.uniform(0.1, 1.9, count)
-        pts = [complex(p) for p in pts]
-        diffs = [pts[i] - pts[j] for i in range(count) for j in range(i + 1, count)]
-        d = lat.lattice_distance(np.array(pts + diffs))
-        if np.all(d[:count] > 1e-2) and np.all(d[count:] > separation):
-            return pts
-    raise RmxError("point sampling failed to avoid the lattice")
+        if not pending:
+            break
+        flat, floor, starts = [], [], []
+        for i in pending:
+            values, floors = _point_candidate(rngs[i], lat, counts[i])
+            starts.append(len(flat))
+            flat += values
+            floor += floors
+        starts.append(len(flat))
+        clear = (lat.lattice_distance(np.array(flat)) > np.array(floor)).tolist()
+        for i, lo, hi in zip(pending, starts, starts[1:]):
+            if all(clear[lo:hi]):
+                out[i] = flat[lo:lo + counts[i]]
+        pending = [i for i in pending if out[i] is None]
+    for i in pending:
+        out[i] = RmxError("point sampling failed to avoid the lattice")
+    return out
 
 
-def _sample_hbar(rng, lat, N, max_order=0):
-    """Quantization parameter with N*hbar off-lattice and moderate wp values."""
+def _sample_hbar(rngs, lat, N, screens):
+    """For each stream of rngs, a quantization parameter with N*hbar
+    off-lattice and |wp^(d)(N*hbar)| <= WP_MAGNITUDE_CAP for d up to the
+    stream's screen order, or the RmxError its draws met.
+
+    Rounds as in _sample_points, with 100 draws: one lattice_distance call
+    screens every candidate, and one _wp call, up to the round's highest
+    order, the survivors.  If that call raises, the survivors are screened
+    one by one, so an error reaches only the stream whose candidate met it.
+    """
+    out = [None] * len(rngs)
+    pending = list(range(len(rngs)))
     for _ in range(100):
-        if lat.kind is FunctionKind.ELLIPTIC:
-            h = (rng.uniform(0.05, 0.45) + rng.uniform(0.05, 0.45) * lat.tau) / N
-        else:
-            h = rng.uniform(0.3, 1.2) + 1j * rng.uniform(0.1, 0.6)
-        if np.any(lat.lattice_distance(np.array([h, N * h])) < 1e-4):
-            continue
-        orders = range(max_order + 1)
-        if np.all(np.abs(_wp(lat, np.asarray(N * h), orders)) <= WP_MAGNITUDE_CAP):
-            return complex(h)
-    raise RmxError("hbar sampling failed to find a moderate value")
+        if not pending:
+            break
+        hs = []
+        for i in pending:
+            rng = rngs[i]
+            if lat.kind is FunctionKind.ELLIPTIC:
+                re, im = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
+                hs.append((re + im * lat.tau) / N)
+            else:
+                hs.append(rng.uniform(0.3, 1.2) + 1j * rng.uniform(0.1, 0.6))
+        near = (lat.lattice_distance(np.array([v for h in hs for v in (h, N * h)]))
+                < 1e-4).tolist()
+        live = [(i, h) for k, (i, h) in enumerate(zip(pending, hs))
+                if not (near[2 * k] or near[2 * k + 1])]
+        if live:
+            try:
+                wp = np.abs(_wp(lat, np.array([N * h for _, h in live]),
+                                range(max(screens[i] for i, _ in live) + 1)))
+                ok = [(wp[: screens[i] + 1, k] <= WP_MAGNITUDE_CAP).all()
+                      for k, (i, _) in enumerate(live)]
+            except RmxError:
+                ok = []
+                for i, h in live:
+                    try:
+                        wp = np.abs(_wp(lat, np.asarray(N * h), range(screens[i] + 1)))
+                        ok.append(np.all(wp <= WP_MAGNITUDE_CAP))
+                    except RmxError as exc:
+                        out[i] = exc
+                        ok.append(False)
+            for (i, h), good in zip(live, ok):
+                if good:
+                    out[i] = complex(h)
+        pending = [i for i in pending if out[i] is None]
+    for i in pending:
+        out[i] = RmxError("hbar sampling failed to find a moderate value")
+    return out
 
 
 def _c2d(value):
@@ -179,12 +237,20 @@ def _scalar_cyclic(d):
     return report, {"eta": _c2d(eta), "points": [_c2d(p) for p in d.pts]}
 
 
+def _eta(d, N):
+    """One more value drawn from the case's stream as its hbar was."""
+    (eta,) = _sample_hbar([d.rng], d.lat, N, [0])
+    if isinstance(eta, RmxError):
+        raise eta
+    return eta
+
+
 def _fay(d, degenerate):
     eta = d.hbar
     if not degenerate:
-        eta = _sample_hbar(d.rng, d.lat, 1)
+        eta = _eta(d, 1)
         while abs(eta - d.hbar) < 1e-3:
-            eta = _sample_hbar(d.rng, d.lat, 1)
+            eta = _eta(d, 1)
     z, w = d.pts
     residual = fay_check(d.hbar, eta, z, w, d.lat)
     report = _verdict("fay", residual, d.tol, d.lat.kind, 1, 3)
@@ -194,13 +260,13 @@ def _fay(d, degenerate):
 
 def _aybe(d):
     spec = d.spec
-    eta = _sample_hbar(d.rng, d.lat, spec.site_dim)
+    eta = _eta(d, spec.site_dim)
     for _ in range(100):
         try:
             spec.validate_hbar(spec.hbar - eta)
             break
         except RmxError:
-            eta = _sample_hbar(d.rng, d.lat, spec.site_dim)
+            eta = _eta(d, spec.site_dim)
     report = check_aybe(spec, d.pts, eta, tolerance=d.tol)
     return report, dict(_at_points(d), eta=_c2d(eta))
 
@@ -298,7 +364,11 @@ def _expand(name, case, n_max):
 
 
 def _sweep(opts):
-    """The records of the requested sweep, its skip records among them."""
+    """The records of the requested sweep, its skip records among them.
+
+    Each case draws from its own stream, seeded by the seed and its case id;
+    the samplers screen the candidates of a part's cases together.
+    """
     kinds = KINDS if opts["kind"] == "all" else (opts["kind"],)
     suites = SUITES if opts["suite"] == "all" else (opts["suite"],)
     records = []
@@ -316,30 +386,40 @@ def _sweep(opts):
                     "trigonometric kind",
                 ) for name, case in rows if case.samples != 1]
                 continue
-            for s in range(opts["samples"]):
-                records += [_run_case((f"{suite}/{kind}/{name}/s{s}", suite, kind,
-                                       family, case.n, N), case, opts)
-                            for name, case in rows
-                            if case.samples is None or s < case.samples]
+            cases = [(f"{suite}/{kind}/{name}/s{s}", case)
+                     for s in range(opts["samples"]) for name, case in rows
+                     if case.samples is None or s < case.samples]
+            lat = LatticeParams(kind=FunctionKind(kind), tau=opts["tau"])
+            rngs = [np.random.default_rng([opts["seed"], zlib.crc32(cid.encode())])
+                    for cid, _ in cases]
+            pts = _sample_points(rngs, lat, [case.points for _, case in cases])
+            # a fixed hbar serves the R-matrix suites; scalar cases draw eta
+            hbars = [opts["hbar"]] * len(cases)
+            if family is None or opts["hbar"] is None:
+                todo = [i for i, p in enumerate(pts) if not isinstance(p, RmxError)]
+                drawn = _sample_hbar([rngs[i] for i in todo], lat, N,
+                                     [cases[i][1].screen for i in todo])
+                for i, h in zip(todo, drawn):
+                    hbars[i] = h
+            tols = opts["tol_overrides"]
+            records += [_run_case((cid, suite, kind, family, case.n, N), case.run,
+                                  _Draw(rng, lat, None, p, h, case.n, tols.get(case.tol)))
+                        for (cid, case), rng, p, h in zip(cases, rngs, pts, hbars)]
     return records
 
 
-def _run_case(head, case, opts):
+def _run_case(head, run, draw):
     """The record of one case, given its record head (case_id, suite, kind,
-    family, n, N) and its table row; an RmxError fails the case."""
-    case_id, _, kind, family, _, N = head
+    family, n, N), its run function and its draw, whose points or hbar may
+    be the RmxError their sampler met; an RmxError fails the case."""
+    _, _, _, family, _, N = head
     try:
-        lat = LatticeParams(kind=FunctionKind(kind), tau=opts["tau"])
-        rng = np.random.default_rng([opts["seed"], zlib.crc32(case_id.encode())])
-        pts = _sample_points(rng, lat, case.points)
-        # a fixed hbar serves the R-matrix suites; scalar cases draw eta
-        hbar = opts["hbar"]
-        if family is None or hbar is None:
-            hbar = _sample_hbar(rng, lat, N, case.screen)
+        for value in (draw.pts, draw.hbar):
+            if isinstance(value, RmxError):
+                raise value
         spec = None if family is None else RMatrixSpec(
-            kind=family, site_dim=N, lattice=lat, hbar=hbar)
-        report, params = case.run(_Draw(
-            rng, lat, spec, pts, hbar, case.n, opts["tol_overrides"].get(case.tol)))
+            kind=family, site_dim=N, lattice=draw.lat, hbar=draw.hbar)
+        report, params = run(draw._replace(spec=spec))
     except RmxError as exc:
         return _record(*head, None, None, False,
                        reason=f"{type(exc).__name__}: {exc}")

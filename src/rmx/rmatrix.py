@@ -459,15 +459,21 @@ def _contour(spec, z, radius, points):
 def _laurent_coefficients(nodes, vals):
     """Trapezoid sums for the hbar^(-1), hbar^0 and hbar^1 coefficients.
 
-    Each sum adds the weighted nodes in order (``np.add.accumulate``), with
-    the complex products written out in real arithmetic, the rounding of
-    a plain loop ``acc += w * v``.
+    Each sum adds the weighted nodes in order, with the complex products
+    written out in real arithmetic, the rounding of a plain loop
+    ``acc += w * v``.  The real and imaginary parts share one
+    (nodes, 2, D, D) buffer: its sum over axis 0 runs node by node, where a
+    (nodes, 1, 1) operand at N = 1 alone would be summed pairwise.
     """
     out = {}
+    parts = np.empty((len(nodes), 2) + vals.shape[1:])
     for j in (-1, 0, 1):
         w = (nodes ** (-j))[:, None, None]
-        re = np.add.accumulate(w.real * vals.real - w.imag * vals.imag)[-1]
-        im = np.add.accumulate(w.real * vals.imag + w.imag * vals.real)[-1]
+        np.multiply(w.real, vals.real, out=parts[:, 0])
+        parts[:, 0] -= w.imag * vals.imag
+        np.multiply(w.real, vals.imag, out=parts[:, 1])
+        parts[:, 1] += w.imag * vals.real
+        re, im = parts.sum(axis=0)
         out[j] = (re + 1j * im) / len(nodes)
     return out
 

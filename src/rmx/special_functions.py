@@ -290,12 +290,12 @@ def _theta_derivs(z, params, max_order):
         em = np.exp(expo[:, None] - iu[:, None] * flat)
         terms = np.concatenate([ep - em, ep + em])
         sums = w @ terms
-        if not np.all(np.isfinite(sums)):
+        if not np.isfinite(sums).all():
             raise SeriesNotConverged(
                 "theta series overflowed; argument too far from the "
                 "fundamental cell"
             )
-        if np.any(_EPS * (w_abs @ np.abs(terms)) > _CANCELLATION_TOL * np.abs(sums)):
+        if (_EPS * (w_abs @ np.abs(terms)) > _CANCELLATION_TOL * np.abs(sums)).any():
             raise SeriesNotConverged(
                 f"theta series cancels past a relative {_CANCELLATION_TOL}; "
                 "argument too close to a lattice point or Im(tau) too small"

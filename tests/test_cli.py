@@ -1,4 +1,6 @@
 import argparse
+import copy
+import hashlib
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import rmx
 from rmx import (
     BudgetExceeded,
     DimensionMismatch,
+    SeriesNotConverged,
     SizeCapExceeded,
     UsageError,
     cli,
@@ -228,13 +231,14 @@ class TestRunSuites:
         ("rmatrix-basic", 17, 2), ("applications", 17, 2)])
     def test_size_cap_refuses_before_any_case(self, monkeypatch, suite, N,
                                               n_max):
-        cases = []
+        cases, draws = [], []
         monkeypatch.setattr(cli, "_run_case", lambda *a: cases.append(a))
+        monkeypatch.setattr(cli, "_sample_points", lambda *a: draws.append(a))
         sites = max(n_max, 3)
         want = f"{N}**{sites} = {N ** sites} exceeds the size cap 4096"
         with pytest.raises(SizeCapExceeded, match=re.escape(want)):
             run_suites(suite=suite, kind="elliptic", site_dim=N, n_max=n_max)
-        assert cases == []
+        assert cases == [] and draws == []
 
     def test_guards_price_the_requested_suites(self, capsys):
         # the scalar suite runs at N = 1 and rmatrix-basic acts on 3 sites,
@@ -322,6 +326,85 @@ class TestRunSuites:
                          n_max=3, hbar=0.13 + 0.08j)
         assert rep["config"]["hbar"] == {"re": 0.13, "im": 0.08}
         assert rep["summary"]["failed"] == 0
+
+
+def _outcome(value):
+    """A draw, or the type and text of the error its sampler met."""
+    return (type(value), str(value)) if isinstance(value, Exception) else value
+
+
+def _spy_on_draws(monkeypatch):
+    """Record every sampler call: copies of its streams as they were before
+    it, its other arguments, its result and the states it left the streams in."""
+    calls = []
+    for name in ("_sample_points", "_sample_hbar"):
+        def spy(rngs, *args, _sampler=getattr(cli, name)):
+            before = copy.deepcopy(rngs)
+            out = _sampler(rngs, *args)
+            after = [rng.bit_generator.state for rng in rngs]
+            calls.append((_sampler, before, args, out, after))
+            return out
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+class TestDraws:
+    """A part's cases draw from their own streams, but are screened together."""
+
+    @pytest.mark.parametrize("N, tau, cap, failures", [
+        (2, 1j, None, 0), (3, 1j, None, 0),
+        # dense lattice: cases fail to draw their points
+        (2, 5.3 + 0.05j, None, 32),
+        # screens reject over many rounds, and cases run out of hbar draws
+        (2, 1j, 30.0, 19)])
+    def test_batched_draws_equal_lone_draws(self, monkeypatch, N, tau, cap,
+                                            failures):
+        if cap is not None:
+            monkeypatch.setattr(cli, "WP_MAGNITUDE_CAP", cap)
+        calls = _spy_on_draws(monkeypatch)
+        rep = run_suites(site_dim=N, tau=tau)
+        assert max(len(rngs) for _, rngs, _, _, _ in calls) > 10
+        for sampler, rngs, args, out, after in calls:
+            lat, *rest, per_stream = args
+            for k, rng in enumerate(rngs):
+                (lone,) = sampler([rng], lat, *rest, [per_stream[k]])
+                assert _outcome(lone) == _outcome(out[k])
+                # and the stream is left where the lone draw leaves it
+                assert rng.bit_generator.state == after[k]
+        failed = [r["reason"] for r in rep["records"] if r["passed"] is False]
+        assert len(failed) == failures
+        assert all("sampling failed" in reason for reason in failed)
+
+    @pytest.mark.parametrize("kind", ["rational", "elliptic"])
+    def test_a_screen_error_fails_its_own_case(self, monkeypatch, kind):
+        rep = run_suites(suite="rmatrix-basic", kind=kind, samples=2)
+        target = "rmatrix-basic/" + kind + "/qybe/s1"
+        h = next(r["params"]["hbar"] for r in rep["records"]
+                 if r["case_id"] == target)
+        bad = 2 * complex(h["re"], h["im"])
+        wp = cli._wp
+
+        def raising(lat, z, orders):
+            if np.any(np.asarray(z) == bad):
+                raise SeriesNotConverged("forced")
+            return wp(lat, z, orders)
+
+        monkeypatch.setattr(cli, "_wp", raising)
+        forced = run_suites(suite="rmatrix-basic", kind=kind, samples=2)
+        for a, b in zip(rep["records"], forced["records"]):
+            if a["case_id"] == target:
+                assert (b["passed"], b["reason"]) == (
+                    False, "SeriesNotConverged: forced")
+            else:
+                assert a == b
+
+    def test_default_sweep_draws_are_pinned(self):
+        # the inputs every case drew, whatever its check made of them
+        records = run_suites()["records"]
+        params = json.dumps([(r["case_id"], r["params"]) for r in records],
+                            sort_keys=True)
+        assert hashlib.sha256(params.encode()).hexdigest() == (
+            "7d40fb28f108d382ba69e22f27f734b5bf09662403acaa795d7e7299890442a1")
 
 
 class TestMain:

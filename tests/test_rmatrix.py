@@ -405,6 +405,24 @@ class TestClassicalExpansion:
                 want[idx] = acc
             assert np.array_equal(got[j], want / len(nodes))
 
+    @pytest.mark.parametrize("N", [1, 2, 16])
+    def test_node_sums_add_in_node_order(self, N):
+        # numpy sums a lone (64, 1, 1) operand pairwise over its nodes, and
+        # that differs from this loop in the last bits
+        rng = np.random.default_rng(N)
+        nodes = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
+        shape = (64, N * N, N * N)
+        vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 10.0 ** rng.uniform(-3, 3, (64, 1, 1))
+        got = rmatrix._laurent_coefficients(nodes, vals)
+        for j in (-1, 0, 1):
+            w = nodes ** (-j)
+            re, im = np.zeros(shape[1:]), np.zeros(shape[1:])
+            for k in range(64):
+                re += w[k].real * vals[k].real - w[k].imag * vals[k].imag
+                im += w[k].real * vals[k].imag + w[k].imag * vals[k].real
+            assert np.array_equal(got[j], (re + 1j * im) / 64)
+
     def test_too_few_nodes(self):
         spec = yang_spec(2)
         with pytest.raises(QuadratureNotConverged):
