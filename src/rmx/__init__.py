@@ -74,6 +74,7 @@ _LAZY = {
         "default_tolerance",
         "cyclic_sum_cost",
         "check_nth_order",
+        "check_cyclic_batch",
         "check_unitarity",
         "check_qybe",
         "check_aybe",

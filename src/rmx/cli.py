@@ -30,8 +30,7 @@ from .errors import BudgetExceeded, RmxError, UsageError
 from .identities import (
     _verdict,
     check_aybe,
-    check_nth_order,
-    check_outer_index_independence,
+    check_cyclic_batch,
     check_qybe,
     check_skew_symmetry,
     check_unitarity,
@@ -311,12 +310,15 @@ class _Case(NamedTuple):
     screen: int | None  # wp derivative order the hbar draw screens
     n: int | None       # the member of the identity hierarchy tested
     tol: str            # the key of --tol.<name>
-    run: Callable       # _Draw -> (IdentityReport, params)
+    run: Callable       # _Draw -> (IdentityReport or cyclic request, params)
     samples: int | None = None  # cap on the samples drawn
 
 
 # The run functions call the checks by their module-global names, so that
 # code rebinding ``cli.check_*`` (a tracer, a test double) sees every call.
+# The rows of the cyclic-sum checks return a request of check_cyclic_batch,
+# (spec, n, points, outer, tolerance), instead of a report: a part runs its
+# requests together, after its other cases.
 _CASES = {
     "cyclic-n{n}": _Case("scalar", None, None, 2, "scalar-cyclic", _scalar_cyclic),
     "fay": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, False)),
@@ -331,15 +333,14 @@ _CASES = {
         check_qybe(d.spec, d.pts, tolerance=d.tol), _at_points(d))),
     "aybe": _Case("rmatrix-basic", 3, 0, None, "aybe", _aybe),
     "same-site": _Case("rmatrix-basic", 1, 0, 1, "same-site", lambda d: (
-        check_nth_order(d.spec, 1, d.pts, tolerance=d.tol), _at_z(d, d.pts[0]))),
+        (d.spec, 1, d.pts, 1, d.tol), _at_z(d, d.pts[0]))),
     "classical": _Case("rmatrix-basic", 1, 0, None, "classical", _classical),
     "deriv-hbar": _Case("rmatrix-basic", 2, 0, None, "deriv-hbar", _deriv_hbar),
     "order-{n}": _Case("nth-order", None, None, 3, "nth-order", lambda d: (
-        check_nth_order(d.spec, d.n, d.pts, tolerance=d.tol), _at_points(d))),
+        (d.spec, d.n, d.pts, 1, d.tol), _at_points(d))),
     # drawn at s0 only, and left out of the skip records: order-{n} stands for it
     "outer-{n}": _Case("nth-order", None, None, 3, "outer-independence", lambda d: (
-        check_outer_index_independence(d.spec, d.n, d.pts, tolerance=d.tol),
-        _at_points(d)), samples=1),
+        (d.spec, d.n, d.pts, None, d.tol), _at_points(d)), samples=1),
     "trace-power-k2": _Case("applications", 3, 2, None, "trace-power",
                             lambda d: _trace_power(d, 2), APPLICATION_SAMPLE_CAP),
     "trace-power-k3": _Case("applications", 3, 2, None, "trace-power",
@@ -402,16 +403,27 @@ def _sweep(opts):
                 for i, h in zip(todo, drawn):
                     hbars[i] = h
             tols = opts["tol_overrides"]
-            records += [_run_case((cid, suite, kind, family, case.n, N), case.run,
+            heads = [(cid, suite, kind, family, case.n, N) for cid, case in cases]
+            outcomes = [_run_case(head, case.run,
                                   _Draw(rng, lat, None, p, h, case.n, tols.get(case.tol)))
-                        for (cid, case), rng, p, h in zip(cases, rngs, pts, hbars)]
+                        for head, (_, case), rng, p, h
+                        in zip(heads, cases, rngs, pts, hbars)]
+            # the part's cyclic-sum requests, run together
+            joint = [i for i, (out, _) in enumerate(outcomes) if isinstance(out, tuple)]
+            reports = check_cyclic_batch([outcomes[i][0] for i in joint])
+            for i, report in zip(joint, reports):
+                outcomes[i] = report, outcomes[i][1]
+            records += [_case_record(head, out, params)
+                        for head, (out, params) in zip(heads, outcomes)]
     return records
 
 
 def _run_case(head, run, draw):
-    """The record of one case, given its record head (case_id, suite, kind,
-    family, n, N), its run function and its draw, whose points or hbar may
-    be the RmxError their sampler met; an RmxError fails the case."""
+    """(outcome, params) of one case, given its record head (case_id, suite,
+    kind, family, n, N), its run function and its draw, whose points or hbar
+    may be the RmxError their sampler met.  The outcome is what the run
+    function returns, a report or a request of check_cyclic_batch, or the
+    RmxError the case met."""
     _, _, _, family, _, N = head
     try:
         for value in (draw.pts, draw.hbar):
@@ -419,12 +431,19 @@ def _run_case(head, run, draw):
                 raise value
         spec = None if family is None else RMatrixSpec(
             kind=family, site_dim=N, lattice=draw.lat, hbar=draw.hbar)
-        report, params = run(draw._replace(spec=spec))
+        return run(draw._replace(spec=spec))
     except RmxError as exc:
+        return exc, None
+
+
+def _case_record(head, outcome, params):
+    """The record of a case from its report, or from its RmxError, which
+    fails the case."""
+    if isinstance(outcome, RmxError):
         return _record(*head, None, None, False,
-                       reason=f"{type(exc).__name__}: {exc}")
-    return _record(*head, report.residual, report.tolerance, report.passed,
-                   params=params, details=report.details)
+                       reason=f"{type(outcome).__name__}: {outcome}")
+    return _record(*head, outcome.residual, outcome.tolerance, outcome.passed,
+                   params=params, details=outcome.details)
 
 
 def _typed(name, value, convert, what):
@@ -432,6 +451,13 @@ def _typed(name, value, convert, what):
         return convert(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _finite(name, value, convert, what):
+    value = _typed(name, value, convert, what)
+    if not np.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _check_tol_name(name):
@@ -482,13 +508,16 @@ def run_suites(
     n_max = _count("n-max", n_max, 2)
     samples = _count("samples", samples, 1)
     seed = _count("seed", seed, 0)
-    tau = _typed("tau", tau, complex, "a complex number")
+    tau = _finite("tau", tau, complex, "a complex number")
     if tau.imag <= 0:
         raise UsageError(f"tau must have positive imaginary part, got {tau}")
     if hbar is not None:
-        hbar = _typed("hbar", hbar, complex, "a complex number")
-    tols = {_check_tol_name(name): _typed(f"tol.{name}", value, float, "a number")
+        hbar = _finite("hbar", hbar, complex, "a complex number")
+    tols = {_check_tol_name(name): _finite(f"tol.{name}", value, float, "a number")
             for name, value in dict(tol_overrides or {}).items()}
+    for name, value in tols.items():
+        if value <= 0:  # no residual is below it
+            raise UsageError(f"tol.{name} must be positive, got {value}")
     budget = _typed("budget", budget, float, "a number")
     if np.isnan(budget):  # cost > nan is false: it would admit every sweep
         raise UsageError("budget must be a number, got nan")
@@ -692,9 +721,13 @@ def main(argv=None):
           f"{s['skipped']} skipped in {report['elapsed_seconds']:.2f}s")
 
     if args.report is not None:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report {args.report}: {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {args.report}")
     return 1 if s["failed"] else 0
 

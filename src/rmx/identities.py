@@ -21,14 +21,18 @@ Alongside these live the quantum and associative Yang-Baxter equations and
 the skew-symmetry R(z, hbar) = -P R(-z, -hbar) P.
 
 For n >= 3 the checks apply the sum to a fixed probe block by a subset DP
-over the sites (:func:`_cyclic_apply`).  It follows a plan cached per n in
-which every state has a slot of one scratch workspace per process, and each
-step is one copy of its source into the moved operand and one matmul into
-its target's slot, on views built once per pass shape.  The workspace is
-created on first use, grows to the largest pass run so far and keeps that
-size, (slots + 2) B D k complex entries: 1.5 MB after the sums up to n = 7
-at N = 2, 2.9 MB after the outer check at N = 2, n = 8.  A sum deeper than
-``rmx verify`` runs gets a workspace of its own, dropped on return.
+over the sites (:func:`_cyclic_apply`).  Every sum is one slab of the DP:
+:func:`check_cyclic_batch` runs the sums of many checks at one N and n, such
+as every order-n and outer-n case of a ``rmx verify`` part, as the slabs of
+one DP, and the two public checks are that entry run on one request.  The DP
+follows a plan cached per n in which every state has a slot of one scratch
+workspace per process, and each step is one copy of its source into the
+moved operand and one matmul into its target's slot, on views built once per
+pass shape.  The workspace is created on first use, grows to the largest
+pass run so far and keeps that size, (slots + 2) B D k complex entries:
+1.5 MB after the sums up to n = 7 at N = 2, 2.9 MB after the outer check at
+N = 2, n = 8.  A sum deeper than ``rmx verify`` runs gets a workspace of its
+own, dropped on return.
 
 Each check returns an :class:`IdentityReport` carrying the measured
 residual, the tolerance it was judged against, and diagnostic details.
@@ -50,6 +54,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     PoleProximity,
+    RmxError,
     ZeroArgument,
     _as_index,
 )
@@ -72,6 +77,7 @@ __all__ = [
     "default_tolerance",
     "cyclic_sum_cost",
     "check_nth_order",
+    "check_cyclic_batch",
     "check_unitarity",
     "check_qybe",
     "check_aybe",
@@ -166,25 +172,27 @@ def _layouts(factors, n):
             for (k, j), op in factors.items()}
 
 
-def _stack_factors(factors, n, group, k, j):
-    """The factors R_{k+a, j+a} of _pair_factors (sites mod n) of every
-    start a of ``group``, stacked in that order as one (B, N^2, N^2)
-    operator on the legs k and j taken in increasing order."""
-    ops = np.array([factors[(k + a) % n, (j + a) % n] for a in group])
+def _stack_factors(slabs, n, k, j):
+    """The factors R_{k+a, j+a} (sites mod n) of every slab (factors, a) of
+    ``slabs``, factors as _pair_factors builds them, stacked in that order
+    as one (B, N^2, N^2) operator on the legs k and j taken in increasing
+    order."""
+    ops = np.array([factors[(k + a) % n, (j + a) % n] for factors, a in slabs])
     if k < j:
         return ops
     N = math.isqrt(ops.shape[-1])
     return ops.reshape(-1, N, N, N, N).transpose(0, 2, 1, 4, 3).reshape(ops.shape)
 
 
-#: The most complex entries in one DP state, all slabs together.  Starts run
-#: in passes of as many as fit, so that a state stays in cache and the live
-#: states stay small: unbounded, the outer check ran about 20% slower at
-#: N = 4, n = 6 and peaked at 12 MB instead of 3.2 MB at N = 2, n = 8.  At
-#: D >= 512 each pass runs one start.  A state holds its D x k entries per
-#: slab, in whatever leg order the plan stores it in, in one slot of the
-#: workspace, and a pass needs slots + 2 of them: at N = 2 that is 46 x 2048
-#: entries (1.5 MB) at n = 7 and 89 x 2048 (2.9 MB) at n = 8.
+#: The most complex entries in one DP state, all slabs together.  The slabs
+#: of a part, every sum of its order-n and outer-n cases, run in passes of as
+#: many as fit, so that a state stays in cache and the live states stay
+#: small: unbounded, the outer check ran about 20% slower at N = 4, n = 6 and
+#: peaked at 12 MB instead of 3.2 MB at N = 2, n = 8.  At D >= 512 each pass
+#: runs one slab.  A state holds its D x k entries per slab, in whatever leg
+#: order the plan stores it in, in one slot of the workspace, and a pass
+#: needs slots + 2 of them: at N = 2 that is 46 x 2048 entries (1.5 MB) at
+#: n = 7 and 89 x 2048 (2.9 MB) at n = 8.
 _STATE_ENTRIES = 2048
 
 
@@ -313,15 +321,16 @@ class _Workspace:
 _workspace = _Workspace()
 
 
-def _cyclic_apply(factors, n, starts, x):
-    """S_a x for each 0-based outer site a of ``starts``, stacked in that
-    order, where S_a is the cyclic product sum of the two-site ``factors``
-    of _pair_factors from site a back to itself.
+def _cyclic_apply(slabs, n, x):
+    """S x for each slab (factors, a) of ``slabs``, stacked in that order,
+    where S is the cyclic product sum of the two-site ``factors`` of
+    _pair_factors from the 0-based outer site a back to itself.  Every
+    slab's factors act on the same N.
 
-    The starts run in lockstep as the slabs of one subset DP, in passes of
-    at most _STATE_ENTRIES.  Slab a works on relabelled sites: tensor leg i
-    carries site (i + a) % n, so every slab starts at leg 0 and, at the legs
-    (k, j), applies its own R_{k+a, j+a}, stacked for the pass by
+    The slabs run in lockstep as one subset DP, in passes of at most
+    _STATE_ENTRIES.  Slab (factors, a) works on relabelled sites: tensor leg
+    i carries site (i + a) % n, so every slab starts at leg 0 and, at the
+    legs (k, j), applies its own R_{k+a, j+a}, stacked for the pass by
     :func:`_stack_factors`.  A state (T, k) holds the sum of R_{k i_m} ...
     R_{i_1 0} x over the orderings of the leg set T that end at k:
     G[T + {k}, k] = sum_j R_kj G[T, j], and S x = sum_j R_0j G[all, j].  The
@@ -335,18 +344,18 @@ def _cyclic_apply(factors, n, starts, x):
     it through a transposed view.  No state is copied back to site order;
     only the sum of each slab is, together with its relabelling.
     """
-    tensor = x.reshape((math.isqrt(len(factors[0, 1])),) * n + (-1,))
+    tensor = x.reshape((math.isqrt(len(slabs[0][0][0, 1])),) * n + (-1,))
     plan = _dp_plan(n)
     space = _workspace if n <= MAX_WP_DERIV_ORDER + 2 else _Workspace()
     per_pass = max(1, _STATE_ENTRIES // x.size)
-    sums = np.empty((len(starts),) + tensor.shape, dtype=complex)
-    for lo in range(0, len(starts), per_pass):
-        group = starts[lo:lo + per_pass]
-        ops = [_stack_factors(factors, n, group, k, j) for k, j in plan.pairs]
+    sums = np.empty((len(slabs),) + tensor.shape, dtype=complex)
+    for lo in range(0, len(slabs), per_pass):
+        group = slabs[lo:lo + per_pass]
+        ops = [_stack_factors(group, n, k, j) for k, j in plan.pairs]
         with space.lock:
             first, moved, moved_mat, steps, total = space.for_pass(
                 n, tensor.shape[0], tensor.shape[-1], len(group))
-            for b, a in enumerate(group):
+            for b, (_, a) in enumerate(group):
                 np.copyto(first[b],
                           tensor.transpose(*((i + a) % n for i in range(n)), n))
             for src, pair, out, state, product in steps:
@@ -354,10 +363,10 @@ def _cyclic_apply(factors, n, starts, x):
                 np.matmul(ops[pair], moved_mat, out=out)
                 if state is not None:
                     np.add(state, product, out=state)
-            for b, a in enumerate(group):
+            for b, (_, a) in enumerate(group):
                 np.copyto(sums[lo + b], total[b].transpose(
                     *(plan.out.index((i - a) % n) for i in range(n)), n))
-    return sums.reshape((len(starts),) + x.shape)
+    return sums.reshape((len(slabs),) + x.shape)
 
 
 def check_unitarity(spec, z, *, tolerance=None):
@@ -388,8 +397,76 @@ def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
     fixed probe block X instead of being formed (Freivalds' check), and
     its coefficient and non-scalar residual are read off SX by
     ``tensor_ops._probe_scalar``.  The details carry a cross-check against
-    N^n times the scalar cyclic sum at eta = N hbar.
+    N^n times the scalar cyclic sum at eta = N hbar.  This is
+    :func:`check_cyclic_batch` run on one request.
     """
+    # an outer of None would request the outer-independence check
+    n, outer = _as_index("n", n), _as_index("outer", outer)
+    return _alone((spec, n, points, outer, tolerance))
+
+
+def check_outer_index_independence(spec, n, points, *, tolerance=None):
+    """The cyclic product sum must not depend on the distinguished site.
+
+    Compares the probed sums S_a X of every outer site a, all n computed in
+    lockstep by one subset DP; the coefficients are <X, S_a X> / <X, X>.
+    This is :func:`check_cyclic_batch` run on one request.
+    """
+    return _alone((spec, n, points, None, tolerance))
+
+
+def _alone(request):
+    """The report of one request of check_cyclic_batch; its error is raised."""
+    (out,) = check_cyclic_batch([request])
+    if isinstance(out, RmxError):
+        raise out
+    return out
+
+
+def check_cyclic_batch(requests):
+    """Run many cyclic-sum checks, with one subset DP for all sums at one N
+    and n.
+
+    Each request is a tuple (spec, n, points, outer, tolerance): the
+    arguments of :func:`check_nth_order`, or, with outer None, those of
+    :func:`check_outer_index_independence`.  Returns, for each request in
+    order, its :class:`IdentityReport`, or the :class:`RmxError` that its
+    check raises alone, which fails that request only.
+
+    Each check runs in two halves.  The first checks the arguments and
+    computes everything that can raise, in the order the check alone
+    raises: wp^(n-2)(N hbar), the factors of _pair_factors and the scalar
+    cross-check; n = 1 and 2 end there.  Then one :func:`_cyclic_apply` per
+    (N, n) runs the slabs of all its requests, and the second halves read
+    the reports off the sums.  A slab's sum does not depend on the slabs run
+    beside it, so every report equals that of the check run alone.
+    """
+    results, jobs = [], {}
+    for i, (spec, n, points, outer, tolerance) in enumerate(requests):
+        try:
+            if outer is None:
+                half = _outer_half(spec, n, points, tolerance)
+            else:
+                half = _nth_order_half(spec, n, points, outer, tolerance)
+        except RmxError as exc:
+            half = exc
+        if isinstance(half, tuple):
+            n, slabs, finish = half
+            jobs.setdefault((spec.site_dim, n), []).append((i, slabs, finish))
+        results.append(half)
+    for (N, n), group in jobs.items():
+        x = _probe_block(N ** n)
+        sums = iter(_cyclic_apply([slab for _, slabs, _ in group for slab in slabs],
+                                  n, x))
+        for i, slabs, finish in group:
+            results[i] = finish(x, [next(sums) for _ in slabs])
+    return results
+
+
+def _nth_order_half(spec, n, points, outer, tolerance):
+    """check_nth_order up to its DP: the report itself at n = 1 and 2, else
+    (n, the slab of its sum, the function of the probe block and the sum
+    that gives the report)."""
     N = spec.site_dim
     n, outer = _as_index("n", n), _as_index("outer", outer)
     if n == 1:
@@ -415,39 +492,40 @@ def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
     eta = N * spec.hbar
     expected = (-N) ** n * weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
     factors = _pair_factors(spec, n, points, outer)
-    x = _probe_block(N ** n)
-    (y,) = _cyclic_apply(factors, n, [outer - 1], x)
-    coeff, nonscalar = _probe_scalar(x, y)
-    coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
-    residual = max(nonscalar, coeff_resid)
-
     scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
-    cross = abs(coeff - N ** n * scalar_sum) / max(abs(coeff), 1.0)
-    return _verdict(f"order-{n}", residual, tolerance, spec.kind, N, n,
-                    coefficient=coeff, expected=expected,
-                    nonscalar_residual=nonscalar, scalar_cross_residual=cross,
-                    orderings=math.factorial(n - 1), algorithm="subset-dp-probe",
-                    probes=x.shape[1])
+
+    def finish(x, sums):
+        (y,) = sums
+        coeff, nonscalar = _probe_scalar(x, y)
+        coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
+        residual = max(nonscalar, coeff_resid)
+        cross = abs(coeff - N ** n * scalar_sum) / max(abs(coeff), 1.0)
+        return _verdict(f"order-{n}", residual, tolerance, spec.kind, N, n,
+                        coefficient=coeff, expected=expected,
+                        nonscalar_residual=nonscalar, scalar_cross_residual=cross,
+                        orderings=math.factorial(n - 1),
+                        algorithm="subset-dp-probe", probes=x.shape[1])
+
+    return n, [(factors, outer - 1)], finish
 
 
-def check_outer_index_independence(spec, n, points, *, tolerance=None):
-    """The cyclic product sum must not depend on the distinguished site.
-
-    Compares the probed sums S_a X of every outer site a, all n computed in
-    lockstep by one subset DP; the coefficients are <X, S_a X> / <X, X>.
-    """
+def _outer_half(spec, n, points, tolerance):
+    """check_outer_index_independence up to its DP: (n, the slabs of its n
+    sums, the function of the probe block and the sums that gives the
+    report)."""
     n = _as_index("n", n)
     if n < 3:
         raise DimensionMismatch("outer index independence needs n >= 3")
-    N = spec.site_dim
     factors = _pair_factors(spec, n, points)
-    x = _probe_block(N ** n)
-    sums = _cyclic_apply(factors, n, range(n), x)
-    residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
-    coeffs = [_probe_scalar(x, s)[0] for s in sums]
-    return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,
-                    N, n, coefficients=coeffs,
-                    algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
+
+    def finish(x, sums):
+        residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
+        coeffs = [_probe_scalar(x, s)[0] for s in sums]
+        return _verdict(f"outer-independence-{n}", residual, tolerance,
+                        spec.kind, spec.site_dim, n, coefficients=coeffs,
+                        algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
+
+    return n, [(factors, a) for a in range(n)], finish
 
 
 def check_qybe(spec, points, *, tolerance=None):

@@ -130,6 +130,10 @@ class LatticeParams:
             raise NonEllipticKind(
                 f"elliptic kind needs Im(tau) > 0, got tau = {self.tau}"
             )
+        if self.kind is FunctionKind.ELLIPTIC and not np.isfinite(self.tau):
+            raise NonEllipticKind(
+                f"elliptic kind needs a finite tau, got tau = {self.tau}"
+            )
         if not self.series_tol > 0:
             raise ValueError(f"series_tol must be positive, got {self.series_tol}")
         if self.max_terms < 8:

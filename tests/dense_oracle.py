@@ -190,24 +190,26 @@ def probe_fit(x, y):
     return c, np.linalg.norm(y - c * x) / max(np.linalg.norm(y), 1.0)
 
 
-def canonical_cyclic_apply(factors, n, starts, x):
+def canonical_cyclic_apply(slabs, n, x):
     """``identities._cyclic_apply`` with every state in site order: each step
     moves its two legs to the front, multiplies, copies the product back to
     site order (``tensor_ops._apply_layout``) and adds it to the state.  The
-    states are visited in increasing mask order and the starts run in passes
-    of at most ``identities._STATE_ENTRIES`` entries, like the package DP."""
-    tensor = x.reshape((math.isqrt(len(factors[0, 1])),) * n + (-1,))
+    states are visited in increasing mask order and the slabs (factors, a)
+    run in passes of at most ``identities._STATE_ENTRIES`` entries, like the
+    package DP."""
+    tensor = x.reshape((math.isqrt(len(slabs[0][0][0, 1])),) * n + (-1,))
     full = (1 << n) - 2  # every leg but 0
     per_pass = max(1, identities._STATE_ENTRIES // x.size)
     sums = []
-    for lo in range(0, len(starts), per_pass):
-        group = starts[lo:lo + per_pass]
+    for lo in range(0, len(slabs), per_pass):
+        group = slabs[lo:lo + per_pass]
         step = {(k, j): _two_site_layout(
-                    [factors[(k + a) % n, (j + a) % n] for a in group], k + 1, j + 1, n)
-                for k, j in factors}
+                    [factors[(k + a) % n, (j + a) % n] for factors, a in group],
+                    k + 1, j + 1, n)
+                for k in range(n) for j in range(n) if k != j}
         states = {(0, 0): np.array([
             tensor.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
-            for a in group])}
+            for _, a in group])}
         for mask in range(0, full, 2):
             for j in [j for j in range(1, n) if mask >> j & 1] or [0]:
                 state = states.pop((mask, j))
@@ -223,5 +225,5 @@ def canonical_cyclic_apply(factors, n, starts, x):
         total = sum(_apply_layout(step[0, j], states.pop((full, j)))
                     for j in range(1, n))
         sums += [y.reshape(tensor.shape).transpose(*((i - a) % n for i in range(n)), n)
-                 .reshape(x.shape) for a, y in zip(group, total)]
+                 .reshape(x.shape) for (_, a), y in zip(group, total)]
     return np.array(sums)

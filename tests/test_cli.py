@@ -21,6 +21,7 @@ from rmx import (
     UsageError,
     cli,
     cyclic_sum_cost,
+    identities,
     run_suites,
 )
 from rmx.cli import DEFAULT_BUDGET, _parse_complex, main
@@ -51,6 +52,11 @@ def small(**kw):
     base = dict(suite="scalar", samples=1, n_max=3)
     base.update(kw)
     return run_suites(**base)
+
+
+def refuse_each(requests):
+    """A check_cyclic_batch that fails every request it is given."""
+    return [DimensionMismatch("refused") for _ in requests]
 
 
 def n_max_cost(N, n_max):
@@ -119,13 +125,20 @@ class TestRunSuites:
 
     @pytest.mark.parametrize("name", sorted(TOLERANCE_CASES))
     def test_each_tolerance_name_fails_exactly_its_cases(self, name):
+        # the smallest positive tolerance fails each case of the name, except
+        # one whose residual is exactly 0 (Yang skew symmetry here); a
+        # tolerance <= 0 is refused
+        tol = 5e-324
         rep = run_suites(kind="rational", samples=1, n_max=4,
-                         tol_overrides={name: 0.0})
+                         tol_overrides={name: tol})
         assert rep["summary"]["executed"] == 20
-        failed = {re.sub(r"\d+$", "", r["case_id"].split("/")[2])
-                  for r in rep["records"] if r["passed"] is False}
-        assert failed == set(TOLERANCE_CASES[name])
-        assert rep["config"]["tol_overrides"] == {name: 0.0}
+        judged = [r for r in rep["records"] if r["tolerance"] == tol]
+        assert {re.sub(r"\d+$", "", r["case_id"].split("/")[2])
+                for r in judged} == set(TOLERANCE_CASES[name])
+        failed = [r for r in rep["records"] if r["passed"] is False]
+        assert failed == [r for r in judged if r["residual"] > 0]
+        assert failed or name == "skew-symmetry"
+        assert rep["config"]["tol_overrides"] == {name: tol}
 
     def test_unknown_tolerance_names_are_rejected(self, tmp_path, capsys):
         with pytest.raises(UsageError, match="'unitarty'.*hbar-order"):
@@ -205,7 +218,8 @@ class TestRunSuites:
             raise DimensionMismatch("refused")
 
         monkeypatch.setattr(cli, "check_unitarity", refuse)
-        monkeypatch.setattr(cli, "check_nth_order", refuse)
+        # same-site is an order-1 request of the part's cyclic batch
+        monkeypatch.setattr(cli, "check_cyclic_batch", refuse_each)
         rep = run_suites(suite="rmatrix-basic", kind="rational", samples=1,
                          n_max=3)
         failed = {r["case_id"].split("/")[2]: r["n"]
@@ -213,11 +227,7 @@ class TestRunSuites:
         assert failed == {"same-site": 1, "unitarity": 2}
 
     def test_error_records_keep_family_and_sizes(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise DimensionMismatch("refused")
-
-        monkeypatch.setattr(cli, "check_nth_order", refuse)
-        monkeypatch.setattr(cli, "check_outer_index_independence", refuse)
+        monkeypatch.setattr(cli, "check_cyclic_batch", refuse_each)
         rep = run_suites(suite="nth-order", kind="elliptic", site_dim=2,
                          n_max=3, samples=1)
         assert rep["summary"]["failed"] == 2
@@ -407,6 +417,63 @@ class TestDraws:
             "7d40fb28f108d382ba69e22f27f734b5bf09662403acaa795d7e7299890442a1")
 
 
+def lone_batch(requests):
+    """check_cyclic_batch run on each request alone."""
+    return [identities.check_cyclic_batch([request])[0] for request in requests]
+
+
+class TestCyclicBatch:
+    """A part runs its cyclic-sum cases as one batch; each record is the one
+    its case gives alone."""
+
+    def test_a_part_runs_one_dp_per_order(self, monkeypatch):
+        runs = []
+        apply = identities._cyclic_apply
+        monkeypatch.setattr(identities, "_cyclic_apply", lambda slabs, n, x: runs.append(
+            (n, len(slabs))) or apply(slabs, n, x))
+        run_suites(suite="nth-order", kind="elliptic", n_max=5, samples=2)
+        # the sums of the two order-n samples and the n sums of outer-n
+        assert runs == [(n, 2 + n) for n in (3, 4, 5)]
+
+    def test_records_equal_lone_checks(self, monkeypatch):
+        opts = dict(site_dim=3, n_max=5, samples=2)
+        joint = json.dumps(run_suites(**opts)["records"])
+        monkeypatch.setattr(cli, "check_cyclic_batch", lone_batch)
+        assert json.dumps(run_suites(**opts)["records"]) == joint
+
+    @pytest.mark.parametrize("kind, case, how", [
+        ("rational", "order-4/s1", "wp"), ("elliptic", "order-5/s2", "wp"),
+        ("rational", "outer-5/s0", "points"), ("elliptic", "order-3/s0", "points")])
+    def test_an_error_fails_its_own_case(self, monkeypatch, kind, case, how):
+        opts = dict(suite="nth-order", kind=kind, n_max=5)
+        base = run_suites(**opts)["records"]
+        target = f"nth-order/{kind}/{case}"
+        params = next(r["params"] for r in base if r["case_id"] == target)
+        pts = [complex(p["re"], p["im"]) for p in params["points"]]
+        hbar = complex(params["hbar"]["re"], params["hbar"]["im"])
+        # wp at the case's N hbar, or the R-matrices at its points, raise:
+        # wp(z, ...) and r_matrix(spec, z, ...)
+        name, arg, bad = ("weierstrass_p", 0, 2 * hbar) if how == "wp" else (
+            "r_matrix", 1, pts[0] - pts[1])
+        original = getattr(identities, name)
+
+        def raising(*args, **kwargs):
+            if np.any(np.asarray(args[arg]) == bad):
+                raise SeriesNotConverged("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(identities, name, raising)
+        forced = run_suites(**opts)["records"]
+        for a, b in zip(base, forced):
+            if a["case_id"] == target:
+                assert (b["passed"], b["reason"]) == (
+                    False, "SeriesNotConverged: forced")
+            else:
+                assert a == b
+        monkeypatch.setattr(cli, "check_cyclic_batch", lone_batch)
+        assert json.dumps(run_suites(**opts)["records"]) == json.dumps(forced)
+
+
 class TestMain:
     def test_pass_run_and_report_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
@@ -434,6 +501,34 @@ class TestMain:
         assert "budget" in capsys.readouterr().err
         assert main(["verify", "--budget", "nan"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tau", "nan+1i"], "tau must be finite"),
+        (["--tau", "0.3+1e400i"], "tau must be finite"),
+        (["--hbar", "nan"], "hbar must be finite"),
+        (["--hbar", "1e400+0.2i"], "hbar must be finite"),
+        (["--tol.qybe", "nan"], "tol.qybe must be finite"),
+        (["--tol.nth-order", "1e400"], "tol.nth-order must be finite"),
+        (["--tol.qybe", "0"], "tol.qybe must be positive"),
+        (["--tol.fay=-1e-9"], "tol.fay must be positive")])
+    def test_unusable_numbers_exit_two_before_any_case(self, monkeypatch, capsys,
+                                                       flags, message):
+        cases = []
+        monkeypatch.setattr(cli, "_run_case", lambda *a: cases.append(a))
+        assert main(["verify"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {message}, got ")
+        assert out == "" and cases == []
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code = main(["verify", "--suite", "scalar", "--samples", "1",
+                     "--n-max", "3", "--report", str(path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert " 0 failed" in out and "report written" not in out
+        assert err.startswith(f"error: cannot write report {path}: ")
+        assert not path.exists()
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"

@@ -19,12 +19,14 @@ from rmx import (
     LatticeParams,
     PoleProximity,
     RMatrixKind,
+    RmxError,
     RMatrixSpec,
     SizeCapExceeded,
     UnsupportedDerivOrder,
     UsageError,
     ZeroArgument,
     check_aybe,
+    check_cyclic_batch,
     check_hbar_order_relation,
     check_kzb_flatness,
     check_nth_order,
@@ -111,6 +113,12 @@ def ladder_points(n):
     return [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
 
 
+def slabs_of(factors, starts):
+    """The slabs of the cyclic sums of one factor set from the 0-based outer
+    sites ``starts``, in that order."""
+    return [(factors, a) for a in starts]
+
+
 class TestLegOrderDP:
     """The DP keeps each state in the leg order of the product that first
     reached it; the canonical DP of the dense oracle copies every product
@@ -129,8 +137,8 @@ class TestLegOrderDP:
         blocks = [identities._probe_block(D), eye[:, :5], eye[:, -3:]]
         for x in blocks:
             for starts in ([0], [n - 1], list(reversed(range(n)))):
-                got = identities._cyclic_apply(factors, n, starts, x)
-                want = canonical_cyclic_apply(factors, n, starts, x)
+                got = identities._cyclic_apply(slabs_of(factors, starts), n, x)
+                want = canonical_cyclic_apply(slabs_of(factors, starts), n, x)
                 assert got.shape == (len(starts),) + x.shape
                 assert np.array_equal(got, want)
 
@@ -140,11 +148,11 @@ class TestLegOrderDP:
         factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
         x = identities._probe_block(N ** n)
         starts = list(reversed(range(n)))
-        want = canonical_cyclic_apply(factors, n, starts, x)
+        want = canonical_cyclic_apply(slabs_of(factors, starts), n, x)
         for size in range(1, n + 1):
             monkeypatch.setattr(identities, "_STATE_ENTRIES", size * x.size)
-            assert np.array_equal(identities._cyclic_apply(factors, n, starts, x),
-                                  want)
+            got = identities._cyclic_apply(slabs_of(factors, starts), n, x)
+            assert np.array_equal(got, want)
 
     def test_plan_is_cached_and_frees_each_state(self):
         plan = identities._dp_plan(5)
@@ -187,8 +195,9 @@ class TestWorkspace:
             factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
             x = identities._probe_block(N ** n)
             starts = list(reversed(range(n)))
-            got = identities._cyclic_apply(factors, n, starts, x)
-            assert np.array_equal(got, canonical_cyclic_apply(factors, n, starts, x))
+            slabs = slabs_of(factors, starts)
+            got = identities._cyclic_apply(slabs, n, x)
+            assert np.array_equal(got, canonical_cyclic_apply(slabs, n, x))
             assert not np.shares_memory(got, space.buffer)
             kept.append((got, got.copy()))
             if (N, n) == (2, 8):
@@ -221,13 +230,13 @@ class TestWorkspace:
             x = identities._probe_block(N ** n)
             starts = list(range(n))
             cases.append((factors, n, starts, x,
-                          canonical_cyclic_apply(factors, n, starts, x)))
+                          canonical_cyclic_apply(slabs_of(factors, starts), n, x)))
         results = []
 
         def work(first):
             for i in range(first, first + 6):
                 factors, n, starts, x, want = cases[i % len(cases)]
-                got = identities._cyclic_apply(factors, n, starts, x)
+                got = identities._cyclic_apply(slabs_of(factors, starts), n, x)
                 results.append(np.array_equal(got, want))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -274,10 +283,11 @@ class TestWorkspace:
         factors = identities._pair_factors(belavin_spec(1), n, ladder_points(n))
         x = identities._probe_block(1)
         starts = list(range(n))
-        got = identities._cyclic_apply(factors, n, starts, x)
+        slabs = slabs_of(factors, starts)
+        got = identities._cyclic_apply(slabs, n, x)
         assert identities._workspace is space and space.buffer is buffer
         assert space.views == {}
-        assert np.array_equal(got, canonical_cyclic_apply(factors, n, starts, x))
+        assert np.array_equal(got, canonical_cyclic_apply(slabs, n, x))
 
     def test_import_allocates_no_workspace(self):
         src = str(Path(identities.__file__).resolve().parent.parent)
@@ -287,6 +297,111 @@ class TestWorkspace:
         out = subprocess.run([sys.executable, "-c", code, src],
                              capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.split() == ["0", "0"]
+
+
+class TestJointDP:
+    """The slabs of different factor sets share the passes of one DP, and
+    each sum is the one its factor set gives alone; check_cyclic_batch runs
+    one DP per (N, n) and gives each request the report of its check."""
+
+    @pytest.mark.parametrize("N, n", [(1, 5), (2, 3), (2, 5), (2, 7), (2, 8),
+                                      (3, 4), (4, 4)])
+    def test_each_sum_is_its_sum_alone(self, monkeypatch, N, n):
+        shifted = [p + 0.05 + 0.02j for p in ladder_points(n)]
+        sets = [(identities._pair_factors(spec, n, pts), starts)
+                for spec, pts, starts in (
+                    (belavin_spec(N), ladder_points(n), [0]),
+                    (yang_spec(N), ladder_points(n), list(reversed(range(n)))),
+                    (belavin_spec(N, 0.13 + 0.05j), shifted, [1, 0]))]
+        x = identities._probe_block(N ** n)
+        want = np.concatenate([canonical_cyclic_apply(slabs_of(factors, starts), n, x)
+                               for factors, starts in sets])
+        slabs = [slab for factors, starts in sets for slab in slabs_of(factors, starts)]
+        # the default passes, then passes of 2 and 3 slabs, which end inside
+        # the n slabs of the second set
+        for size in (None, 2, 3):
+            if size is not None:
+                monkeypatch.setattr(identities, "_STATE_ENTRIES", size * x.size)
+            assert np.array_equal(identities._cyclic_apply(slabs, n, x), want)
+
+    def test_each_check_reads_its_own_sums(self):
+        spec, n = belavin_spec(2), 5
+        factors = identities._pair_factors(spec, n, EL_PTS_5)
+        x = identities._probe_block(2 ** n)
+        sums = canonical_cyclic_apply(slabs_of(factors, range(n)), n, x)
+        coeffs = [tensor_ops._probe_scalar(x, s)[0] for s in sums]
+        rep = check_outer_index_independence(spec, n, EL_PTS_5)
+        assert rep.details["coefficients"] == coeffs
+        for outer in (1, 3, 5):
+            rep = check_nth_order(spec, n, EL_PTS_5, outer)
+            assert rep.details["coefficient"] == coeffs[outer - 1]
+
+    def test_batch_reports_equal_lone_checks(self, monkeypatch):
+        el, el3 = belavin_spec(2), belavin_spec(3)
+        requests = [
+            (el, 4, EL_PTS_4, 2, None),
+            (yang_spec(2), 3, YANG_PTS_3, 1, 1e-3),
+            (el, 4, EL_PTS_4, None, None),
+            (el, 9, ladder_points(9), 1, None),
+            (el, 9, EL_PTS_3, 1, None),
+            (el, 4, EL_PTS_3, 1, None),
+            (el, 4, EL_PTS_4, 5, None),
+            (el, 5, EL_PTS_5, None, 1e-30),
+            (el, 1, EL_PTS_3[:1], 1, None),
+            (el, 2, EL_PTS_3[:2], 1, None),
+            (el, 2, EL_PTS_3[:2], None, None),
+            (el3, 4, EL_PTS_4, 3, None),
+            (el, 4.0, EL_PTS_4, 1, None),
+            (el, 4, EL_PTS_4, 1.5, None),
+        ]
+        # each error is the first one its check meets alone: the site
+        # arguments, then the wp order, then the points
+        errors = {3: UnsupportedDerivOrder, 4: UnsupportedDerivOrder,
+                  5: DimensionMismatch, 6: IndexOutOfRange, 10: DimensionMismatch,
+                  12: UsageError, 13: UsageError}
+        runs = []
+        apply = identities._cyclic_apply
+        monkeypatch.setattr(identities, "_cyclic_apply", lambda slabs, n, x: runs.append(
+            (math.isqrt(len(slabs[0][0][0, 1])), n, len(slabs))) or apply(slabs, n, x))
+        got = check_cyclic_batch(requests)
+        # one DP for each (N, n), over the slabs of all its requests
+        assert runs == [(2, 4, 1 + 4), (2, 3, 1), (2, 5, 5), (3, 4, 1)]
+        for i, ((spec, n, pts, outer, tol), out) in enumerate(zip(requests, got)):
+            try:
+                if outer is None:
+                    want = check_outer_index_independence(spec, n, pts, tolerance=tol)
+                else:
+                    want = check_nth_order(spec, n, pts, outer, tolerance=tol)
+            except RmxError as exc:
+                assert type(out) is type(exc) is errors[i]
+                assert str(out) == str(exc)
+            else:
+                assert i not in errors
+                assert out == want
+        assert got[7].passed is False and got[1].passed
+
+    def test_an_error_fails_only_its_request(self, monkeypatch):
+        # wp raises at one request's N hbar: the other requests of its
+        # (N, n) keep their reports
+        specs = [belavin_spec(2, hbar) for hbar in (0.17 + 0.09j, 0.19 + 0.07j)]
+        requests = [(spec, 4, EL_PTS_4, outer, None)
+                    for spec in specs for outer in (1, None)]
+        want = check_cyclic_batch(requests)
+        bad = 2 * specs[1].hbar
+        wp = identities.weierstrass_p
+
+        def raising(z, *args, **kwargs):
+            if np.any(np.asarray(z) == bad):
+                raise PoleProximity("forced")
+            return wp(z, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "weierstrass_p", raising)
+        got = check_cyclic_batch(requests)
+        assert [type(out) for out in got] == [IdentityReport] * 2 + [
+            PoleProximity, IdentityReport]
+        assert got[:2] == want[:2] and got[3] == want[3]
+        with pytest.raises(PoleProximity, match="forced"):
+            check_nth_order(specs[1], 4, EL_PTS_4)
 
 
 class TestDefaultTolerance:
@@ -486,7 +601,7 @@ def cyclic_sums(spec, n, points, starts):
     the lockstep subset DP of the checks run on the identity."""
     factors = identities._pair_factors(spec, n, points)
     eye = np.eye(spec.site_dim ** n, dtype=complex)
-    return identities._cyclic_apply(factors, n, starts, eye)
+    return identities._cyclic_apply(slabs_of(factors, starts), n, eye)
 
 
 class TestCyclicProductSumOracle:
@@ -524,7 +639,7 @@ class TestCyclicProductSumOracle:
             factors = identities._pair_factors(spec, n, pts)
             eye = np.eye(3 ** n, dtype=complex)
             got = np.hstack([
-                identities._cyclic_apply(factors, n, [1], eye[:, lo:lo + width])[0]
+                identities._cyclic_apply([(factors, 1)], n, eye[:, lo:lo + width])[0]
                 for lo in range(0, 3 ** n, width)
             ])
             assert relative_difference(got, dense_n3[n]) <= 1e-13
@@ -573,8 +688,8 @@ class TestCyclicProductSumOracle:
         stack = identities._stack_factors
         monkeypatch.setattr(
             identities, "_stack_factors",
-            lambda factors, n, group, k, j: calls.append((tuple(group), k, j))
-            or stack(factors, n, group, k, j))
+            lambda slabs, n, k, j: calls.append((tuple(a for _, a in slabs), k, j))
+            or stack(slabs, n, k, j))
         spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j, 0.26 + 0.47j]
         legs = [(k, j) for k in range(n) for j in range(n) if k != j]
         outer = [tuple(range(n))] if n < 7 else [(0, 1, 2, 3), (4, 5, 6)]
@@ -586,8 +701,8 @@ class TestCyclicProductSumOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_cost_counts_the_steps_taken(self, monkeypatch, n):
-        # each slab of a matmul is one two-site step of one start's DP; the
-        # outer check runs n starts, so the budget's n * cost is exact
+        # each slab of a matmul is one two-site step of one sum's DP; the
+        # outer check runs n sums, so the budget's n * cost is exact
         slabs = []
 
         class Logged(np.ndarray):
@@ -611,12 +726,17 @@ class TestCyclicProductSumOracle:
                 # DP on the probe block as the checks of n >= 3 do
                 factors = identities._pair_factors(spec, n, pts)
                 x = identities._probe_block(D)
-                runs = {1: lambda: identities._cyclic_apply(factors, n, [0], x),
-                        2: lambda: identities._cyclic_apply(factors, n, [0, 1], x)}
+                runs = {starts: lambda starts=starts: identities._cyclic_apply(
+                            slabs_of(factors, range(starts)), n, x)
+                        for starts in (1, 2)}
             else:
+                # one batch runs the slab of an order-n check and the n slabs
+                # of an outer check
                 runs = {1: lambda: check_nth_order(spec, n, pts).passed,
                         n: lambda: check_outer_index_independence(
-                            spec, n, pts).passed}
+                            spec, n, pts).passed,
+                        n + 1: lambda: all(check_cyclic_batch(
+                            [(spec, n, pts, 1, None), (spec, n, pts, None, None)]))}
             for starts, run in runs.items():
                 slabs.clear()
                 assert run() is not False

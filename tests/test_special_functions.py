@@ -133,6 +133,12 @@ class TestTheta:
     def test_bad_tau_rejected(self):
         with pytest.raises(NonEllipticKind):
             LatticeParams(kind="elliptic", tau=1.0)
+        # a non-finite tau has no lattice to reduce
+        for tau in (complex(0.3, np.inf), complex(np.inf, 1.0), complex(np.nan, 1.0)):
+            with pytest.raises(NonEllipticKind, match="finite tau"):
+                LatticeParams(kind="elliptic", tau=tau)
+        # the other kinds ignore tau
+        assert LatticeParams(kind="rational", tau=complex(0.3, np.inf))
 
 
 class TestThetaCancellation:

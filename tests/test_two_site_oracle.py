@@ -193,24 +193,24 @@ def misroute_first_step(monkeypatch, module):
     run ``_apply_layout`` on the layout: in the first call the factor is
     applied with its second site moved to the lowest site outside the pair.
     The subset DP of ``identities`` stacks the factors of each pair of legs
-    once per pass (``identities._stack_factors``) and applies the stack on
-    those legs: in the first stack the last slab gets instead the factor
-    whose second site is moved to the lowest site outside the pair.  The
-    other slabs of a stack are left as they are."""
+    of its slabs once per pass (``identities._stack_factors``) and applies
+    the stack on those legs: in the first stack the last slab gets instead
+    the factor whose second site is moved to the lowest site outside the
+    pair.  The other slabs of a stack are left as they are."""
     calls = []
     if module is identities:
         stack = identities._stack_factors
 
-        def wrong_stack(factors, n, group, k, j):
-            ops = stack(factors, n, group, k, j)
+        def wrong_stack(slabs, n, k, j):
+            ops = stack(slabs, n, k, j)
             calls.append((k, j))
             if len(calls) == 1:
-                a = group[-1]
+                factors, a = slabs[-1]
                 site, other = (k + a) % n, (j + a) % n
                 moved = wrong_site(site + 1, other + 1, n) - 1
                 wrong = dict(factors)
                 wrong[site, other] = factors[site, moved]
-                ops[-1] = stack(wrong, n, [a], k, j)[0]
+                ops[-1] = stack([(wrong, a)], n, k, j)[0]
             return ops
 
         monkeypatch.setattr(identities, "_stack_factors", wrong_stack)
