@@ -10,9 +10,11 @@ unusable (bad flags, config file problems, budget or size cap exceeded).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import operator
 import os
+import re
 import sys
 import time
 import zlib
@@ -589,11 +591,31 @@ def run_suites(
 # argument handling
 # ---------------------------------------------------------------------------
 
+#: The imaginary unit i of a complex number, but not the i of inf or infinity.
+_UNIT_I = re.compile(r"(inf(?:inity)?)|i", re.IGNORECASE)
+
+
 def _parse_complex(text):
     try:
-        return complex(str(text).strip().replace("i", "j").replace(" ", ""))
+        return complex(_UNIT_I.sub(lambda m: m.group(1) or "j", str(text))
+                       .replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+
+
+def _report_error(path):
+    """Why a report could not be written to ``path``, or None if it could;
+    the file is neither created nor truncated."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not path or not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), path)
 
 
 def _load_config(path, verify):
@@ -697,6 +719,9 @@ def main(argv=None):
                 if key not in ("command", "report", "config")}
         tols = {name: value for name in _TOL_NAMES
                 if (value := opts.pop(f"tol.{name}")) is not None}
+        # refuse a report path that cannot be written before the sweep runs
+        if args.report is not None and (exc := _report_error(args.report)):
+            raise UsageError(f"cannot write report {args.report}: {exc}")
         report = run_suites(tol_overrides=tols, **opts)
     except (UsageError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,11 +25,14 @@ over the sites (:func:`_cyclic_apply`).  Every sum is one slab of the DP:
 :func:`check_cyclic_batch` runs the sums of many checks at one N and n, such
 as every order-n and outer-n case of a ``rmx verify`` part, as the slabs of
 one DP, and the two public checks are that entry run on one request.  The DP
+runs in real arithmetic, on the real and imaginary planes of its states and
+on the split real forms [[Re A, -Im A], [Im A, Re A]] of its factors A.  It
 follows a plan cached per n in which every state has a slot of one scratch
 workspace per process, and each step is one copy of its source into the
-moved operand and one matmul into its target's slot, on views built once per
-pass shape.  The workspace is created on first use, grows to the largest
-pass run so far and keeps that size, (slots + 2) B D k complex entries:
+moved operand and one real matmul into its target's slot, on views built
+once per pass shape.  The workspace is created on first use, grows to the
+largest pass run so far and keeps that size, (slots + 2) B D k complex
+entries of two floats each:
 1.5 MB after the sums up to n = 7 at N = 2, 2.9 MB after the outer check at
 N = 2, n = 8.  A sum deeper than ``rmx verify`` runs gets a workspace of its
 own, dropped on return.
@@ -172,16 +175,25 @@ def _layouts(factors, n):
             for (k, j), op in factors.items()}
 
 
-def _stack_factors(slabs, n, k, j):
-    """The factors R_{k+a, j+a} (sites mod n) of every slab (factors, a) of
-    ``slabs``, factors as _pair_factors builds them, stacked in that order
-    as one (B, N^2, N^2) operator on the legs k and j taken in increasing
-    order."""
-    ops = np.array([factors[(k + a) % n, (j + a) % n] for factors, a in slabs])
-    if k < j:
-        return ops
-    N = math.isqrt(ops.shape[-1])
-    return ops.reshape(-1, N, N, N, N).transpose(0, 2, 1, 4, 3).reshape(ops.shape)
+def _split_factors(slabs, n, pairs):
+    """For each pair of legs (k, j) of ``pairs``, the factors R_{k+a, j+a}
+    (sites mod n) of every slab (factors, a) of ``slabs``, factors as
+    _pair_factors builds them, as one (P, B, 2 N^2, 2 N^2) real stack: each
+    factor A on the legs k and j taken in increasing order, split into
+    [[Re A, -Im A], [Im A, Re A]], which acts on the real and imaginary
+    planes of a state stacked in that order."""
+    ops = np.array([[factors[(k + a) % n, (j + a) % n] for factors, a in slabs]
+                    for k, j in pairs])
+    P, B, M = ops.shape[:3]
+    N = math.isqrt(M)
+    swap = [i for i, (k, j) in enumerate(pairs) if k > j]
+    ops[swap] = (ops[swap].reshape(-1, B, N, N, N, N).transpose(0, 1, 3, 2, 5, 4)
+                 .reshape(-1, B, M, M))
+    split = np.empty((P, B, 2, M, 2, M))
+    split[:, :, 0, :, 0] = split[:, :, 1, :, 1] = ops.real
+    split[:, :, 1, :, 0] = ops.imag
+    np.negative(ops.imag, out=split[:, :, 0, :, 1])
+    return split.reshape(P, B, 2 * M, 2 * M)
 
 
 #: The most complex entries in one DP state, all slabs together.  The slabs
@@ -189,20 +201,21 @@ def _stack_factors(slabs, n, k, j):
 #: many as fit, so that a state stays in cache and the live states stay
 #: small: unbounded, the outer check ran about 20% slower at N = 4, n = 6 and
 #: peaked at 12 MB instead of 3.2 MB at N = 2, n = 8.  At D >= 512 each pass
-#: runs one slab.  A state holds its D x k entries per slab, in whatever leg
-#: order the plan stores it in, in one slot of the workspace, and a pass
-#: needs slots + 2 of them: at N = 2 that is 46 x 2048 entries (1.5 MB) at
-#: n = 7 and 89 x 2048 (2.9 MB) at n = 8.
+#: runs one slab.  A state holds its D x k complex entries per slab, two
+#: floats each (its real and imaginary planes), in whatever leg order the
+#: plan stores it in, in one slot of the workspace, and a pass needs
+#: slots + 2 of them: at N = 2 that is 46 x 2048 entries (1.5 MB) at n = 7
+#: and 89 x 2048 (2.9 MB) at n = 8.
 _STATE_ENTRIES = 2048
 
 
 class _Step(NamedTuple):
     """One step of the subset DP: the state in slot ``src``, transposed by
-    ``front`` (the two legs of the factor ``pair`` in site order, then the
-    state's other legs in its order), is multiplied by that factor and
-    becomes the state in slot ``dst`` when ``add`` is None, or is added to it
-    through the transpose ``add`` into the leg order it has.  ``last`` marks
-    the source's last read, after which its slot is free."""
+    ``front`` (its plane leg, the two legs of the factor ``pair`` in site
+    order, then the state's other legs in its order), is multiplied by that
+    factor and becomes the state in slot ``dst`` when ``add`` is None, or is
+    added to it through the transpose ``add`` into the leg order it has.
+    ``last`` marks the source's last read, after which its slot is free."""
 
     src: int
     dst: int
@@ -229,8 +242,9 @@ def _dp_plan(n):
     """The plan of :func:`_cyclic_apply` on n legs.  A state's legs are
     stored in the order of the product that first reached it: the two legs
     of its factor in site order, then the other legs of the source in the
-    source's order.  A state takes a free slot when it is first written and
-    gives it back after its last read; the most recently freed slot is
+    source's order.  The plane leg (real, imaginary) always comes first,
+    ahead of the n legs.  A state takes a free slot when it is first written
+    and gives it back after its last read; the most recently freed slot is
     taken first.  The initial state is in slot 0."""
     full = (1 << n) - 2
     # each state fans out to its successors, in increasing mask order; the
@@ -254,9 +268,9 @@ def _dp_plan(n):
                 # so the product may take the source's slot
                 free.append(src_slot)
             product = tuple(sorted(pair)) + tuple(x for x in stored if x not in pair)
-            front = (0, *(1 + stored.index(leg) for leg in product), n + 1)
+            front = (0, 1, *(2 + stored.index(leg) for leg in product), n + 2)
             if dst in slot:
-                add = (0, *(1 + product.index(leg) for leg in order[dst]), n + 1)
+                add = (0, 1, *(2 + product.index(leg) for leg in order[dst]), n + 2)
                 add = shared(add, add)
             else:
                 if not free:
@@ -271,30 +285,31 @@ def _dp_plan(n):
 class _Workspace:
     """The one scratch buffer of the DP in this process, created on first
     use and grown to the largest pass run so far, with the views of each
-    pass shape (n, N, m, B) built on it once: B slabs of D x m entries for
-    each slot of the plan, for the moved operand and for the product of an
-    add step, (slots + 2) B D m complex entries in all.  Growing drops the
-    views of the old buffer.  A pass holds ``lock`` while it uses the
-    views, so that DPs run from several threads take turns."""
+    pass shape (n, N, m, B) built on it once: B slabs of D x m complex
+    entries, as a real and an imaginary plane, for each slot of the plan,
+    for the moved operand and for the product of an add step, 2 (slots + 2)
+    B D m floats in all.  Growing drops the views of the old buffer.  A pass
+    holds ``lock`` while it uses the views, so that DPs run from several
+    threads take turns."""
 
     def __init__(self):
-        self.buffer = np.empty(0, dtype=complex)
+        self.buffer = np.empty(0)
         self.views = {}
         self.lock = threading.Lock()
 
     def for_pass(self, n, N, m, B):
         """The views of a pass: the initial state, the moved operand as a
-        state and as a (B, N^2, D m / N^2) matrix stack, each step's
+        state and as a (B, 2 N^2, D m / N^2) matrix stack, each step's
         (source, factor, product, target, added product) and the sum."""
         key = (n, N, m, B)
         views = self.views.get(key)
         if views is not None:
             return views
         plan = _dp_plan(n)
-        shape = (B,) + (N,) * n + (m,)
-        size, mat = math.prod(shape), (B, N * N, -1)
+        shape = (B, 2) + (N,) * n + (m,)
+        size, mat = math.prod(shape), (B, 2 * N * N, -1)
         if self.buffer.size < (plan.slots + 2) * size:
-            self.buffer = np.empty((plan.slots + 2) * size, dtype=complex)
+            self.buffer = np.empty((plan.slots + 2) * size)
             self.views.clear()
         states = [self.buffer[i * size:(i + 1) * size].reshape(shape)
                   for i in range(plan.slots + 2)]
@@ -330,42 +345,49 @@ def _cyclic_apply(slabs, n, x):
     The slabs run in lockstep as one subset DP, in passes of at most
     _STATE_ENTRIES.  Slab (factors, a) works on relabelled sites: tensor leg
     i carries site (i + a) % n, so every slab starts at leg 0 and, at the
-    legs (k, j), applies its own R_{k+a, j+a}, stacked for the pass by
-    :func:`_stack_factors`.  A state (T, k) holds the sum of R_{k i_m} ...
-    R_{i_1 0} x over the orderings of the leg set T that end at k:
+    legs (k, j), applies its own R_{k+a, j+a}, split and stacked for the
+    pass by :func:`_split_factors`.  A state (T, k) holds the sum of
+    R_{k i_m} ... R_{i_1 0} x over the orderings of the leg set T that end at k:
     G[T + {k}, k] = sum_j R_kj G[T, j], and S x = sum_j R_0j G[all, j].  The
     states are visited in increasing mask order, so each is complete when
     reached, and its slot is reused after it has fed its successors.
 
-    Each step follows the cached :func:`_dp_plan` on the views of the
-    process's workspace: one copy of the source state, with the factor's two
-    legs first, into the moved operand, and one batched (B, N^2, N^2) matmul
-    for every slab of the pass, written into the target's slot or added to
-    it through a transposed view.  No state is copied back to site order;
-    only the sum of each slab is, together with its relabelling.
+    The DP runs in real arithmetic: a state holds the real and imaginary
+    planes of its entries, and the plane is one more leg that every product
+    puts first.  Each step follows the cached :func:`_dp_plan` on the views
+    of the process's workspace: one copy of the source state, with the plane
+    and the factor's two legs first, into the moved operand, and one batched
+    (B, 2 N^2, 2 N^2) real matmul of the split factors for every slab of the
+    pass, written into the target's slot or added to it through a transposed
+    view.  No state is copied back to site order; only the sum of each slab
+    is, together with its relabelling, into the real and imaginary parts of
+    the complex result.
     """
     tensor = x.reshape((math.isqrt(len(slabs[0][0][0, 1])),) * n + (-1,))
     plan = _dp_plan(n)
     space = _workspace if n <= MAX_WP_DERIV_ORDER + 2 else _Workspace()
     per_pass = max(1, _STATE_ENTRIES // x.size)
     sums = np.empty((len(slabs),) + tensor.shape, dtype=complex)
+    in_planes, out_planes = (tensor.real, tensor.imag), (sums.real, sums.imag)
     for lo in range(0, len(slabs), per_pass):
         group = slabs[lo:lo + per_pass]
-        ops = [_stack_factors(group, n, k, j) for k, j in plan.pairs]
+        ops = list(_split_factors(group, n, plan.pairs))
         with space.lock:
             first, moved, moved_mat, steps, total = space.for_pass(
                 n, tensor.shape[0], tensor.shape[-1], len(group))
             for b, (_, a) in enumerate(group):
-                np.copyto(first[b],
-                          tensor.transpose(*((i + a) % n for i in range(n)), n))
+                for c, plane in enumerate(in_planes):
+                    np.copyto(first[b, c],
+                              plane.transpose(*((i + a) % n for i in range(n)), n))
             for src, pair, out, state, product in steps:
                 np.copyto(moved, src)
                 np.matmul(ops[pair], moved_mat, out=out)
                 if state is not None:
                     np.add(state, product, out=state)
             for b, (_, a) in enumerate(group):
-                np.copyto(sums[lo + b], total[b].transpose(
-                    *(plan.out.index((i - a) % n) for i in range(n)), n))
+                back = (*(plan.out.index((i - a) % n) for i in range(n)), n)
+                for c, plane in enumerate(out_planes):
+                    np.copyto(plane[lo + b], total[b, c].transpose(back))
     return sums.reshape((len(slabs),) + x.shape)
 
 

@@ -10,8 +10,11 @@ kernel, :func:`_apply_layout`, moves the two legs a factor acts on to the
 front of its operand (one copy), runs one batched matmul and copies the
 product back to site order, for :func:`apply_two_site` and the
 applications.  The subset DP of the cyclic sums (``identities._cyclic_apply``)
-runs the same copy and matmul on a planned workspace, and keeps each state
-in the leg order its product left it in.  The total dimension N**n is
+runs the same copy and matmul on a planned workspace, in real arithmetic on
+split real and imaginary planes, and keeps each state in the leg order its
+product left it in.  The kernel stays complex: in ``rmx verify`` its
+operands have three sites, D = N**3 <= 64 up to N = 4, where the plane
+copies would cost more than the real matmul saves.  The total dimension N**n is
 bounded by the fixed :data:`SIZE_CAP`: every n-site entry checks it before
 any work, and ``run_suites`` refuses a sweep that would pass it.
 """

@@ -8,10 +8,11 @@ the hbar derivative and flatness), and the block Lax operator with its
 powers.  The
 package also sums the scalar cyclic sum by a subset DP; the reference
 ``literal_cyclic_sum`` sums its (n-1)! orderings term by term.  The probed
-subset DP of the n-site checks keeps its states in the leg order its
-matmuls leave them in; ``canonical_cyclic_apply`` is the same DP with every
-state copied back to site order after each step, and must agree with it
-bit for bit.
+subset DP of the n-site checks runs in real arithmetic on split real and
+imaginary planes and keeps its states in the leg order its matmuls leave
+them in; ``canonical_cyclic_apply`` is the same DP, split factors
+``split_factor`` included, with every state copied back to site order after
+each step, and must agree with it bit for bit.
 """
 
 import itertools
@@ -21,7 +22,7 @@ import numpy as np
 
 from rmx import classical_closed_form, cyclic_orderings, kronecker_phi, r_matrix
 from rmx import identities, rmatrix
-from rmx.tensor_ops import _apply_layout, _two_site_layout
+from rmx.tensor_ops import _two_site_layout
 
 
 def embed_two_site(op, site_a, site_b, site_dim, n_sites):
@@ -190,17 +191,35 @@ def probe_fit(x, y):
     return c, np.linalg.norm(y - c * x) / max(np.linalg.norm(y), 1.0)
 
 
+def split_factor(ops):
+    """The real form [[Re A, -Im A], [Im A, Re A]] of each complex matrix A
+    of a stack: it maps the stacked planes [Re X; Im X] to those of A X."""
+    return np.block([[ops.real, -ops.imag], [ops.imag, ops.real]])
+
+
+def split_apply(layout, planes):
+    """``tensor_ops._apply_layout`` on split planes: the (B, 2, D, m) real
+    and imaginary planes of B operands, with the plane and the two legs of
+    the laid-out factors moved to the front for one real matmul of the split
+    factors, and the product copied back to site order."""
+    ops, (B, pre, N, mid, _, m), _, _, _ = layout
+    legs = planes.reshape(B, 2, pre, N, mid, N, m).transpose(0, 1, 3, 5, 2, 4, 6)
+    y = split_factor(ops) @ legs.reshape(B, 2 * N * N, -1)
+    return (y.reshape(B, 2, N, N, pre, mid, m).transpose(0, 1, 4, 2, 5, 3, 6)
+            .reshape(planes.shape))
+
+
 def canonical_cyclic_apply(slabs, n, x):
     """``identities._cyclic_apply`` with every state in site order: each step
-    moves its two legs to the front, multiplies, copies the product back to
-    site order (``tensor_ops._apply_layout``) and adds it to the state.  The
-    states are visited in increasing mask order and the slabs (factors, a)
-    run in passes of at most ``identities._STATE_ENTRIES`` entries, like the
-    package DP."""
+    moves the plane and its two legs to the front, multiplies by the split
+    factors, copies the product back to site order (:func:`split_apply`) and
+    adds it to the state.  The states are visited in increasing mask order
+    and the slabs (factors, a) run in passes of at most
+    ``identities._STATE_ENTRIES`` complex entries, like the package DP."""
     tensor = x.reshape((math.isqrt(len(slabs[0][0][0, 1])),) * n + (-1,))
     full = (1 << n) - 2  # every leg but 0
     per_pass = max(1, identities._STATE_ENTRIES // x.size)
-    sums = []
+    sums = np.empty((len(slabs),) + x.shape, dtype=complex)
     for lo in range(0, len(slabs), per_pass):
         group = slabs[lo:lo + per_pass]
         step = {(k, j): _two_site_layout(
@@ -208,7 +227,8 @@ def canonical_cyclic_apply(slabs, n, x):
                     k + 1, j + 1, n)
                 for k in range(n) for j in range(n) if k != j}
         states = {(0, 0): np.array([
-            tensor.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
+            [plane.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
+             for plane in (tensor.real, tensor.imag)]
             for _, a in group])}
         for mask in range(0, full, 2):
             for j in [j for j in range(1, n) if mask >> j & 1] or [0]:
@@ -217,13 +237,16 @@ def canonical_cyclic_apply(slabs, n, x):
                     if mask >> k & 1:
                         continue
                     key = (mask | 1 << k, k)
-                    out = _apply_layout(step[k, j], state)
+                    out = split_apply(step[k, j], state)
                     if key in states:
                         states[key] += out
                     else:
                         states[key] = out
-        total = sum(_apply_layout(step[0, j], states.pop((full, j)))
+        total = sum(split_apply(step[0, j], states.pop((full, j)))
                     for j in range(1, n))
-        sums += [y.reshape(tensor.shape).transpose(*((i - a) % n for i in range(n)), n)
-                 .reshape(x.shape) for (_, a), y in zip(group, total)]
-    return np.array(sums)
+        for b, (_, a) in enumerate(group):
+            for out, plane in zip((sums.real, sums.imag), total[b]):
+                out[lo + b] = (plane.reshape(tensor.shape)
+                               .transpose(*((i - a) % n for i in range(n)), n)
+                               .reshape(x.shape))
+    return sums

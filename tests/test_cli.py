@@ -510,7 +510,10 @@ class TestMain:
         (["--tol.qybe", "nan"], "tol.qybe must be finite"),
         (["--tol.nth-order", "1e400"], "tol.nth-order must be finite"),
         (["--tol.qybe", "0"], "tol.qybe must be positive"),
-        (["--tol.fay=-1e-9"], "tol.fay must be positive")])
+        (["--tol.fay=-1e-9"], "tol.fay must be positive"),
+        # the i of inf is not the imaginary unit
+        (["--tau", "0.3+infi"], "tau must be finite"),
+        (["--hbar", "inf"], "hbar must be finite")])
     def test_unusable_numbers_exit_two_before_any_case(self, monkeypatch, capsys,
                                                        flags, message):
         cases = []
@@ -520,15 +523,32 @@ class TestMain:
         assert err.startswith(f"error: {message}, got ")
         assert out == "" and cases == []
 
-    def test_unwritable_report_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "missing" / "r.json"
-        code = main(["verify", "--suite", "scalar", "--samples", "1",
-                     "--n-max", "3", "--report", str(path)])
-        assert code == 2
-        out, err = capsys.readouterr()
-        assert " 0 failed" in out and "report written" not in out
-        assert err.startswith(f"error: cannot write report {path}: ")
-        assert not path.exists()
+    def test_unwritable_report_exits_two(self, monkeypatch, tmp_path, capsys):
+        # a path in a missing directory, a directory and an empty path are
+        # refused before any case runs
+        cases = []
+        monkeypatch.setattr(cli, "_run_case", lambda *a: cases.append(a))
+        for path in (tmp_path / "missing" / "r.json", tmp_path, ""):
+            code = main(["verify", "--suite", "scalar", "--samples", "1",
+                         "--n-max", "3", "--report", str(path)])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and cases == []
+            assert err.startswith(f"error: cannot write report {path}: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_refused_run_leaves_the_report_file_unchanged(self, tmp_path, capsys):
+        # the report path is checked without creating or truncating the file
+        path = tmp_path / "r.json"
+        path.write_text("earlier report\n")
+        for flags in (["--n-max", "9", "--N", "3"], ["--budget", "1"]):
+            assert main(["verify", "--report", str(path)] + flags) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "budget" in err
+            assert path.read_text() == "earlier report\n"
+        new = tmp_path / "new.json"
+        assert main(["verify", "--report", str(new), "--budget", "1"]) == 2
+        assert not new.exists()
 
     def test_config_file_defaults_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"
@@ -627,6 +647,11 @@ class TestComplexParsing:
         assert _parse_complex("0.2+1.3i") == complex(0.2, 1.3)
         assert _parse_complex("2i") == 2j
         assert _parse_complex("-0.4") == complex(-0.4, 0)
+
+    def test_inf_keeps_its_i(self):
+        assert _parse_complex("0.3+infi") == complex(0.3, math.inf)
+        assert _parse_complex("inf") == complex(math.inf, 0)
+        assert _parse_complex("-Infinity-2i") == complex(-math.inf, -2)
 
     def test_rejects_garbage(self):
         with pytest.raises(argparse.ArgumentTypeError):

@@ -182,6 +182,60 @@ class TestLegOrderDP:
             assert plan.slots == used == slots
 
 
+class TestSplitPlanes:
+    """The DP runs in real arithmetic: each complex factor A acts as the real
+    split [[Re A, -Im A], [Im A, Re A]] on the stacked real and imaginary
+    planes of a state."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_split_factor_applies_the_complex_factor(self, N):
+        rng = np.random.default_rng(N)
+        M = N * N
+
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        ops, x = rand(2, M, M), rand(M, 5)
+        factors = {(0, 1): ops[0], (1, 0): ops[1]}
+        split = identities._split_factors([(factors, 0)], 2, [(0, 1), (1, 0)])
+        assert split.shape == (2, 1, 2 * M, 2 * M) and split.dtype == float
+        perm = tensor_ops.permutation_operator(N)
+        # the factor of the pair (1, 0) acts on the legs in increasing order
+        for op, want in zip(split[:, 0], (ops[0] @ x, perm @ ops[1] @ perm @ x)):
+            y = op @ np.vstack([x.real, x.imag])
+            got = y[:M] + 1j * y[M:]
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("N, n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+    def test_complex_operand_matches_dense_sum(self, N, n):
+        # a complex x fills both planes of the first state
+        for spec, pts in ((yang_spec(N), YANG_PTS_5), (belavin_spec(N), EL_PTS_5)):
+            factors = identities._pair_factors(spec, n, pts[:n])
+            x = np.eye(N ** n) * (1 + 2j)
+            got = identities._cyclic_apply(slabs_of(factors, range(n)), n, x)
+            for a in range(n):
+                want = dense_cyclic_sum(spec, n, pts[:n], a + 1) @ x
+                assert relative_difference(got[a], want) <= 1e-13
+
+    @pytest.mark.parametrize("check", [check_nth_order, check_outer_index_independence])
+    def test_check_fails_without_the_imaginary_blocks(self, monkeypatch, check):
+        # a split that drops Im A from every factor fails far past tolerance
+        spec = belavin_spec(2)
+        assert check(spec, 4, EL_PTS_4).passed
+        split = identities._split_factors
+
+        def real_only(slabs, n, pairs):
+            ops = split(slabs, n, pairs)
+            M = ops.shape[-1] // 2
+            ops[..., :M, M:] = ops[..., M:, :M] = 0
+            return ops
+
+        monkeypatch.setattr(identities, "_split_factors", real_only)
+        rep = check(spec, 4, EL_PTS_4)
+        assert not rep.passed
+        assert rep.residual > 1e3 * rep.tolerance
+
+
 class TestWorkspace:
     """The DP runs on one process-wide workspace that grows to the largest
     pass run so far; the step views of each pass shape are built once."""
@@ -201,11 +255,12 @@ class TestWorkspace:
             assert not np.shares_memory(got, space.buffer)
             kept.append((got, got.copy()))
             if (N, n) == (2, 8):
-                # 2 slabs of 256 x 4 per pass, 87 state slots
-                assert space.buffer.size == (87 + 2) * 2 * 256 * 4
+                # 2 slabs of 256 x 4 complex entries per pass, 87 state
+                # slots; each entry is a real and an imaginary float
+                assert space.buffer.size == 2 * (87 + 2) * 2 * 256 * 4
                 # the views of the old buffer were dropped
                 assert set(space.views) == {(8, 2, 4, 2)}
-        assert space.buffer.size == (87 + 2) * 2 * 256 * 4
+        assert space.buffer.size == 2 * (87 + 2) * 2 * 256 * 4
         # a returned sum is not touched by the later calls
         for got, copy in kept:
             assert np.array_equal(got, copy)
@@ -269,8 +324,9 @@ class TestWorkspace:
         D, k = N ** n, 4
         B = identities._STATE_ENTRIES // (D * k)
         slots = identities._dp_plan(n).slots
-        # each live state slot, the moved operand and an add step's product
-        assert identities._workspace.buffer.size == (slots + 2) * B * D * k
+        # each live state slot, the moved operand and an add step's product,
+        # as B D k complex entries of two floats each
+        assert identities._workspace.buffer.size == 2 * (slots + 2) * B * D * k
         assert identities._workspace.buffer.nbytes == 2916352
 
     def test_deeper_sums_leave_the_process_workspace(self, monkeypatch):
@@ -681,15 +737,16 @@ class TestCyclicProductSumOracle:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_factors_laid_out_once_per_check(self, monkeypatch, n):
-        # the DP stacks the factors of each pair of legs once per pass: at
-        # N = 2 the n starts of the outer check share one pass up to n = 6
-        # and take two (4 + 3) at n = 7
+        # the DP splits and stacks the factors of every pair of legs once per
+        # pass: at N = 2 the n starts of the outer check share one pass up
+        # to n = 6 and take two (4 + 3) at n = 7
         calls = []
-        stack = identities._stack_factors
+        split = identities._split_factors
         monkeypatch.setattr(
-            identities, "_stack_factors",
-            lambda slabs, n, k, j: calls.append((tuple(a for _, a in slabs), k, j))
-            or stack(slabs, n, k, j))
+            identities, "_split_factors",
+            lambda slabs, n, pairs: calls.extend(
+                (tuple(a for _, a in slabs), k, j) for k, j in pairs)
+            or split(slabs, n, pairs))
         spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j, 0.26 + 0.47j]
         legs = [(k, j) for k in range(n) for j in range(n) if k != j]
         outer = [tuple(range(n))] if n < 7 else [(0, 1, 2, 3), (4, 5, 6)]
@@ -713,9 +770,9 @@ class TestCyclicProductSumOracle:
                     slabs.append(inputs[1].shape)
                 return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-        stack = identities._stack_factors
-        monkeypatch.setattr(identities, "_stack_factors",
-                            lambda *args: stack(*args).view(Logged))
+        split = identities._split_factors
+        monkeypatch.setattr(identities, "_split_factors",
+                            lambda *args: split(*args).view(Logged))
         pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
         for N in (1, 2):
             spec = RMatrixSpec(kind="belavin", site_dim=N, lattice=EL,
@@ -740,9 +797,10 @@ class TestCyclicProductSumOracle:
             for starts, run in runs.items():
                 slabs.clear()
                 assert run() is not False
-                # every operand is a (B, N^2, D k / N^2) moved state
+                # every operand is a (B, 2 N^2, D k / N^2) moved state: the
+                # real and imaginary planes of D k complex entries
                 k = min(4, D)
-                assert {shape[1:] for shape in slabs} == {(N * N, D * k // (N * N))}
+                assert {shape[1:] for shape in slabs} == {(2 * N * N, D * k // (N * N))}
                 steps = sum(shape[0] for shape in slabs)
                 assert steps * D * N * N * k == starts * cyclic_sum_cost(N, n)
 

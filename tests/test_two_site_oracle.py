@@ -192,28 +192,29 @@ def misroute_first_step(monkeypatch, module):
     The applications lay each factor out once (``identities._layouts``) and
     run ``_apply_layout`` on the layout: in the first call the factor is
     applied with its second site moved to the lowest site outside the pair.
-    The subset DP of ``identities`` stacks the factors of each pair of legs
-    of its slabs once per pass (``identities._stack_factors``) and applies
-    the stack on those legs: in the first stack the last slab gets instead
-    the factor whose second site is moved to the lowest site outside the
-    pair.  The other slabs of a stack are left as they are."""
+    The subset DP of ``identities`` splits and stacks the factors of every
+    pair of legs of its slabs once per pass (``identities._split_factors``)
+    and applies each stack on its legs: in the first pass, the stack of the
+    first pair gets instead, for the last slab, the factor whose second site
+    is moved to the lowest site outside the pair.  The other slabs and pairs
+    are left as they are."""
     calls = []
     if module is identities:
-        stack = identities._stack_factors
+        split = identities._split_factors
 
-        def wrong_stack(slabs, n, k, j):
-            ops = stack(slabs, n, k, j)
-            calls.append((k, j))
+        def wrong_split(slabs, n, pairs):
+            ops = split(slabs, n, pairs)
+            calls.append(pairs)
             if len(calls) == 1:
-                factors, a = slabs[-1]
+                (k, j), (factors, a) = pairs[0], slabs[-1]
                 site, other = (k + a) % n, (j + a) % n
                 moved = wrong_site(site + 1, other + 1, n) - 1
                 wrong = dict(factors)
                 wrong[site, other] = factors[site, moved]
-                ops[-1] = stack([(wrong, a)], n, k, j)[0]
+                ops[0, -1] = split([(wrong, a)], n, [(k, j)])[0, 0]
             return ops
 
-        monkeypatch.setattr(identities, "_stack_factors", wrong_stack)
+        monkeypatch.setattr(identities, "_split_factors", wrong_split)
         return calls
 
     layout, apply = identities._two_site_layout, tensor_ops._apply_layout
