@@ -37,18 +37,20 @@ anticommutator relation
     = -(n - 2) \sum_{b \ne c} m_{bc}.
 
 Every check here applies its operators to the probe block X of
-``tensor_ops._probe_block`` and forms no N**n x N**n matrix.
+``tensor_ops._probe_block`` and forms no N**n x N**n matrix: each is one
+plan of the contraction code of ``tensor_ops``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged, UsageError, _as_index
-from .identities import _layouts, _pair_differences, _pair_factors, _verdict
+from .identities import _pair_differences, _pair_factors, _verdict
 from .rmatrix import (
     _default_radius,
     _contour,
@@ -56,7 +58,7 @@ from .rmatrix import (
     classical_closed_form,
 )
 from .special_functions import kronecker_phi
-from .tensor_ops import _apply_layout, _probe_block, _probe_scalar, _product
+from .tensor_ops import _plan, _plan_sides, _probe, _probe_block, _probe_scalar, _run
 
 __all__ = [
     "CalogeroConfig",
@@ -121,17 +123,33 @@ def lax_krichever(config):
     return out
 
 
+@lru_cache(maxsize=32)
+def _lax_plan(n, power):
+    """The plan of (L^power X)_0 for the block Lax operator L on n particles
+    and the input X in slot 0: layer l's state b is (L^l X)_b, the sum of
+    L_bc times state c of layer l - 1, with L_bc keyed (b, c) and applied at
+    the legs (b, c), or at (b, b + 1 mod n) for b = c.  Only the states on a
+    path from the input to state 0 of the last layer are kept."""
+    edges = []
+    for layer in range(1, power + 1):
+        sources = [0] if layer == 1 else range(n)
+        for b in [0] if layer == power else range(n):
+            edges += [((layer - 1, c), (layer, b), (b, c) if b != c else (b, (b + 1) % n),
+                       (b, c)) for c in sources]
+    return _plan(n, edges, [(power, 0)])
+
+
 def check_trace_power_guess(config, power, tolerance=None):
     """Diagonal blocks of the k-th block Lax power against the scalar Lax power.
 
     For each particle a the block (L^k)_aa must be scalar, and its
     coefficient must equal the (a, a) entry of l^k for the scalar Lax
-    matrix l.  L is never formed.  A block vector holds the probe block X
-    in slot a, one column group per a, and L is applied to it ``power``
-    times as (L Y)_a = p_a Y_a + nu sum_b R_ab Y_b, each R_ab laid out once
-    and run by the two-site kernel.  Column group a of slot a then holds
-    (L^k)_aa X, read like the cyclic sum of ``check_nth_order``.  Residuals
-    over all a are combined.  The details record the per-block
+    matrix l.  L is never formed: L_ab = p_a Id + nu R_ab (a != b), and
+    (L^k)_aa X is (L^k X_a)_a for the block vector X_a that holds the probe
+    block X in slot a.  The particles run as the slabs of one plan
+    (:func:`_lax_plan`), slab a with particle a on leg 0, and each
+    (L^k)_aa X is read like the cyclic sum of ``check_nth_order``.
+    Residuals over all a are combined.  The details record the per-block
     coefficients, the worst non-scalar residual, the residual of the summed
     traces, and whether the power is below the particle count.
 
@@ -145,19 +163,14 @@ def check_trace_power_guess(config, power, tolerance=None):
         raise UsageError(f"power must be >= 1, got {power}")
     spec = config.rspec
     n = config.n_particles
-    step = _layouts(_pair_factors(spec, n, config.positions), n)
+    factors = _pair_factors(spec, n, config.positions)
+    plan, eye = _lax_plan(n, power), np.eye(spec.site_dim ** 2)
+    slabs = [([config.coupling * factors[(b + a) % n, (c + a) % n] if b != c
+               else config.momenta[(b + a) % n] * eye for b, c in plan.keys], a)
+             for a in range(n)]
     x = _probe_block(spec.site_dim ** n)
-    k = x.shape[1]
-    y = np.zeros((n, len(x), n * k), dtype=complex)
-    for a in range(n):
-        y[a, :, a * k:(a + 1) * k] = x
-    for _ in range(power):
-        y = np.stack([
-            config.momenta[a] * y[a] + config.coupling * sum(
-                _apply_layout(step[a, b], y[b]) for b in range(n) if b != a)
-            for a in range(n)])
-    coeffs, nonscalars = zip(*(_probe_scalar(x, y[a, :, a * k:(a + 1) * k])
-                               for a in range(n)))
+    (y,) = _run(plan, slabs, x)
+    coeffs, nonscalars = zip(*(_probe_scalar(x, y_a) for y_a in y))
     nonscalar = max(nonscalars)
     scalar = np.linalg.matrix_power(lax_krichever(config), power)
 
@@ -174,6 +187,13 @@ def check_trace_power_guess(config, power, tolerance=None):
                     extended_guess=power < n)
 
 
+# [r_p, m_q] X = r_p m_q X - m_q r_p X summed over the pairs (p, q) of
+# [r_12, m_13 + m_23] + [r_13, m_12 + m_23]; the sign rides on the factor -m_q
+_KZB = _plan_sides(3, [[
+    term for p in ((1, 2), (1, 3)) for q in ((1, 2), (1, 3), (2, 3)) if q != p
+    for term in ([("r", *p), ("m", *q)], [("-m", *q), ("r", *p)])]])
+
+
 def check_kzb_flatness(
     spec,
     points,
@@ -188,7 +208,7 @@ def check_kzb_flatness(
 
         [r_12, m_13 + m_23] + [r_13, m_12 + m_23]
 
-    to the probe block X of three sites (``tensor_ops._product``), and
+    to the probe block X of three sites, one plan of ``tensor_ops``, and
     measures it relative to the product of the r and m norms.  By default the
     coefficients come from contour quadrature with ``quadrature_points``
     nodes, so the residual decreases as the node count grows;
@@ -213,12 +233,10 @@ def check_kzb_flatness(
         coeffs = [_laurent_coefficients(nodes, v) for v in vals]
         rm = {p: (c[0], c[1]) for p, c in zip(pairs, coeffs)}
 
-    def comm(p, q):  # [r_p, m_q] X = r_p (m_q X) - m_q (r_p X)
-        r, m = (rm[p][0], *p), (rm[q][1], *q)
-        return _product(3, r, m) - _product(3, m, r)
-
-    lhs = (comm((1, 2), (1, 3)) + comm((1, 2), (2, 3))
-           + comm((1, 3), (1, 2)) + comm((1, 3), (2, 3)))
+    table = {}
+    for (a, b), (r, m) in rm.items():
+        table["r", a, b], table["m", a, b], table["-m", a, b] = r, m, -m
+    (lhs,) = _probe(_KZB, table)
     r_norm = max(np.linalg.norm(rm[p][0]) for p in rm)
     m_norm = max(np.linalg.norm(rm[p][1]) for p in rm)
     scale = max(1.0, r_norm * m_norm)
@@ -226,6 +244,18 @@ def check_kzb_flatness(
     return _verdict("kzb-flatness", residual, tolerance, spec.kind, spec.site_dim, 3,
                     r_norm=float(r_norm), m_norm=float(m_norm),
                     quadrature_points=None if use_closed_form else quadrature_points)
+
+
+@lru_cache(maxsize=32)
+def _hbar_order_plan(n):
+    """The plan of both sides of the r/m relation on n sites, the lhs as
+    {x, y} + {y, w} + {w, x} = x (y + w) + y (x + w) + w (x + y): the terms
+    r_p r_q of the pairs p != q of each triple share their state r_q X."""
+    sites = range(1, n + 1)
+    triples = [((c, a), (a, b), (b, c)) for c, a, b in itertools.combinations(sites, 3)]
+    return _plan_sides(n, [
+        [[("r", *p), ("r", *q)] for t in triples for p in t for q in t if p != q],
+        [[("m", *p)] for p in itertools.permutations(sites, 2)]])
 
 
 def check_hbar_order_relation(spec, n, points, tolerance=None):
@@ -237,8 +267,7 @@ def check_hbar_order_relation(spec, n, points, tolerance=None):
             = -(n - 2) sum_(b != c) m_bc
 
     with every pair coefficient in closed form, applied to the probe block
-    X by the two-site kernel: r_q X once per pair q, then r_p on the sum of
-    the r_q X of the other two pairs of a triple.  The details carry
+    X by one plan of ``tensor_ops`` (:func:`_hbar_order_plan`).  The details carry
     ||lhs X|| and ||rhs X||, on the scale of the Frobenius norms because
     ||X|| = sqrt(D).  The arguments pass the screen of the n-site checks
     before any coefficient is built.
@@ -248,19 +277,11 @@ def check_hbar_order_relation(spec, n, points, tolerance=None):
         raise DimensionMismatch("the relation needs n >= 3 sites")
     pairs, z = _pair_differences(spec, n, points)
     r_all, m_all = classical_closed_form(spec, z)
-    r = _layouts(dict(zip(pairs, r_all)), n)
-    m = _layouts(dict(zip(pairs, m_all)), n)
+    table = {}
+    for (i, j), r, m in zip(pairs, r_all, m_all):
+        table["r", i + 1, j + 1], table["m", i + 1, j + 1] = r, -(n - 2) * m
+    lhs, rhs = _probe(_hbar_order_plan(n), table)
     N = spec.site_dim
-    x = _probe_block(N ** n)
-    rx = {p: _apply_layout(r[p], x) for p in pairs}
-    rhs = -(n - 2) * sum(_apply_layout(m[p], x) for p in pairs)
-
-    # {x, y} + {y, w} + {w, x} = x (y + w) + y (x + w) + w (x + y)
-    lhs = np.zeros(x.shape, dtype=complex)
-    for c, a, b in itertools.combinations(range(n), 3):
-        triple = ((c, a), (a, b), (b, c))
-        for p in triple:
-            lhs += _apply_layout(r[p], sum(rx[q] for q in triple if q != p))
     # the anticommutators cancel pairwise, so condition on their size,
     # not on the (possibly zero) right-hand side; acting on n sites
     # scales the Frobenius norm of a two-site operator by sqrt(N**(n-2)),

@@ -21,21 +21,12 @@ Alongside these live the quantum and associative Yang-Baxter equations and
 the skew-symmetry R(z, hbar) = -P R(-z, -hbar) P.
 
 For n >= 3 the checks apply the sum to a fixed probe block by a subset DP
-over the sites (:func:`_cyclic_apply`).  Every sum is one slab of the DP:
+over the sites (:func:`_cyclic_apply`), a plan of the contraction code of
+``tensor_ops`` cached per n.  Every sum is one slab of the DP:
 :func:`check_cyclic_batch` runs the sums of many checks at one N and n, such
 as every order-n and outer-n case of a ``rmx verify`` part, as the slabs of
-one DP, and the two public checks are that entry run on one request.  The DP
-runs in real arithmetic, on the real and imaginary planes of its states and
-on the split real forms [[Re A, -Im A], [Im A, Re A]] of its factors A.  It
-follows a plan cached per n in which every state has a slot of one scratch
-workspace per process, and each step is one copy of its source into the
-moved operand and one real matmul into its target's slot, on views built
-once per pass shape.  The workspace is created on first use, grows to the
-largest pass run so far and keeps that size, (slots + 2) B D k complex
-entries of two floats each:
-1.5 MB after the sums up to n = 7 at N = 2, 2.9 MB after the outer check at
-N = 2, n = 8.  A sum deeper than ``rmx verify`` runs gets a workspace of its
-own, dropped on return.
+one DP, and the two public checks are that entry run on one request.  QYBE
+and AYBE are plans of that code too, each side applied to the probe block.
 
 Each check returns an :class:`IdentityReport` carrying the measured
 residual, the tolerance it was judged against, and diagnostic details.
@@ -43,12 +34,9 @@ residual, the tolerance it was judged against, and diagnostic details.
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,15 +52,8 @@ from .errors import (
 from .special_functions import MAX_WP_DERIV_ORDER, scalar_cyclic_sum, weierstrass_p
 from .rmatrix import r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
-    _PROBES,
-    _check_cap,
-    _probe_block,
-    _probe_scalar,
-    _product,
-    _two_site_layout,
-    frobenius_distance,
-    is_scalar_operator,
-    permutation_operator,
+    _PROBES, _Workspace, _check_cap, _plan, _plan_sides, _probe, _probe_block,
+    _probe_scalar, _run, frobenius_distance, is_scalar_operator, permutation_operator,
 )
 
 __all__ = [
@@ -167,228 +148,35 @@ def cyclic_sum_cost(site_dim, n):
     return steps * dim * site_dim ** 2 * min(_PROBES, dim)
 
 
-def _layouts(factors, n):
-    """For each pair of 0-based sites (k, j), the factor R_kj of
-    _pair_factors, checked and laid out for the two-site kernel at the
-    sites (k + 1, j + 1) of n."""
-    return {(k, j): _two_site_layout([op], k + 1, j + 1, n)
-            for (k, j), op in factors.items()}
-
-
-def _split_factors(slabs, n, pairs):
-    """For each pair of legs (k, j) of ``pairs``, the factors R_{k+a, j+a}
-    (sites mod n) of every slab (factors, a) of ``slabs``, factors as
-    _pair_factors builds them, as one (P, B, 2 N^2, 2 N^2) real stack: each
-    factor A on the legs k and j taken in increasing order, split into
-    [[Re A, -Im A], [Im A, Re A]], which acts on the real and imaginary
-    planes of a state stacked in that order."""
-    ops = np.array([[factors[(k + a) % n, (j + a) % n] for factors, a in slabs]
-                    for k, j in pairs])
-    P, B, M = ops.shape[:3]
-    N = math.isqrt(M)
-    swap = [i for i, (k, j) in enumerate(pairs) if k > j]
-    ops[swap] = (ops[swap].reshape(-1, B, N, N, N, N).transpose(0, 1, 3, 2, 5, 4)
-                 .reshape(-1, B, M, M))
-    split = np.empty((P, B, 2, M, 2, M))
-    split[:, :, 0, :, 0] = split[:, :, 1, :, 1] = ops.real
-    split[:, :, 1, :, 0] = ops.imag
-    np.negative(ops.imag, out=split[:, :, 0, :, 1])
-    return split.reshape(P, B, 2 * M, 2 * M)
-
-
-#: The most complex entries in one DP state, all slabs together.  The slabs
-#: of a part, every sum of its order-n and outer-n cases, run in passes of as
-#: many as fit, so that a state stays in cache and the live states stay
-#: small: unbounded, the outer check ran about 20% slower at N = 4, n = 6 and
-#: peaked at 12 MB instead of 3.2 MB at N = 2, n = 8.  At D >= 512 each pass
-#: runs one slab.  A state holds its D x k complex entries per slab, two
-#: floats each (its real and imaginary planes), in whatever leg order the
-#: plan stores it in, in one slot of the workspace, and a pass needs
-#: slots + 2 of them: at N = 2 that is 46 x 2048 entries (1.5 MB) at n = 7
-#: and 89 x 2048 (2.9 MB) at n = 8.
-_STATE_ENTRIES = 2048
-
-
-class _Step(NamedTuple):
-    """One step of the subset DP: the state in slot ``src``, transposed by
-    ``front`` (its plane leg, the two legs of the factor ``pair`` in site
-    order, then the state's other legs in its order), is multiplied by that
-    factor and becomes the state in slot ``dst`` when ``add`` is None, or is
-    added to it through the transpose ``add`` into the leg order it has.
-    ``last`` marks the source's last read, after which its slot is free."""
-
-    src: int
-    dst: int
-    pair: int
-    front: tuple
-    add: tuple | None
-    last: bool
-
-
-class _Plan(NamedTuple):
-    """The steps of the subset DP on n legs, in increasing mask order, with
-    the factor ``pairs`` (k, j) they index, the number of state ``slots``
-    they use and the leg order ``out`` of the sum, in the slot of the last
-    step."""
-
-    steps: tuple
-    pairs: tuple
-    slots: int
-    out: tuple
-
-
 @lru_cache(maxsize=32)
 def _dp_plan(n):
-    """The plan of :func:`_cyclic_apply` on n legs.  A state's legs are
-    stored in the order of the product that first reached it: the two legs
-    of its factor in site order, then the other legs of the source in the
-    source's order.  The plane leg (real, imaginary) always comes first,
-    ahead of the n legs.  A state takes a free slot when it is first written
-    and gives it back after its last read; the most recently freed slot is
-    taken first.  The initial state is in slot 0."""
+    """The plan of :func:`_cyclic_apply` on n legs: each state of the subset
+    DP fans out to its successors in increasing mask order, the factor at
+    the legs (k, j) keyed by (k, j); the sum is the last state."""
     full = (1 << n) - 2
-    # each state fans out to its successors, in increasing mask order; the
-    # sum is the last state
-    fans = itertools.chain(
-        (((mask, j), [((mask | 1 << t, t), (t, j))
-                      for t in range(1, n) if not mask >> t & 1])
-         for mask in range(0, full, 2)
-         for j in [j for j in range(1, n) if mask >> j & 1] or [0]),
-        (((full, j), [("sum", (0, j))]) for j in range(1, n)))
-    slot, order, pairs, steps = {(0, 0): 0}, {(0, 0): tuple(range(n))}, {}, []
-    free, slots = [], 1
-    # the plans stay cached: share each distinct tuple between the steps
-    shared = {}.setdefault
-    for src, fan in fans:
-        stored, src_slot = order.pop(src), slot.pop(src)
-        for i, (dst, pair) in enumerate(fan):
-            last = i == len(fan) - 1
-            if last:
-                # a step copies its source out before it writes its product,
-                # so the product may take the source's slot
-                free.append(src_slot)
-            product = tuple(sorted(pair)) + tuple(x for x in stored if x not in pair)
-            front = (0, 1, *(2 + stored.index(leg) for leg in product), n + 2)
-            if dst in slot:
-                add = (0, 1, *(2 + product.index(leg) for leg in order[dst]), n + 2)
-                add = shared(add, add)
-            else:
-                if not free:
-                    free.append(slots)
-                    slots += 1
-                slot[dst], order[dst], add = free.pop(), product, None
-            steps.append(_Step(src_slot, slot[dst], pairs.setdefault(pair, len(pairs)),
-                               shared(front, front), add, last))
-    return _Plan(tuple(steps), tuple(pairs), slots, order["sum"])
-
-
-class _Workspace:
-    """The one scratch buffer of the DP in this process, created on first
-    use and grown to the largest pass run so far, with the views of each
-    pass shape (n, N, m, B) built on it once: B slabs of D x m complex
-    entries, as a real and an imaginary plane, for each slot of the plan,
-    for the moved operand and for the product of an add step, 2 (slots + 2)
-    B D m floats in all.  Growing drops the views of the old buffer.  A pass
-    holds ``lock`` while it uses the views, so that DPs run from several
-    threads take turns."""
-
-    def __init__(self):
-        self.buffer = np.empty(0)
-        self.views = {}
-        self.lock = threading.Lock()
-
-    def for_pass(self, n, N, m, B):
-        """The views of a pass: the initial state, the moved operand as a
-        state and as a (B, 2 N^2, D m / N^2) matrix stack, each step's
-        (source, factor, product, target, added product) and the sum."""
-        key = (n, N, m, B)
-        views = self.views.get(key)
-        if views is not None:
-            return views
-        plan = _dp_plan(n)
-        shape = (B, 2) + (N,) * n + (m,)
-        size, mat = math.prod(shape), (B, 2 * N * N, -1)
-        if self.buffer.size < (plan.slots + 2) * size:
-            self.buffer = np.empty((plan.slots + 2) * size)
-            self.views.clear()
-        states = [self.buffer[i * size:(i + 1) * size].reshape(shape)
-                  for i in range(plan.slots + 2)]
-        mats = [state.reshape(mat) for state in states]
-        # the last two slots are the moved operand and the product of an add
-        # step; the steps share the views of each slot, of each source
-        # transpose and of each add transpose
-        fronts, adds, steps = {}, {}, []
-        for s in plan.steps:
-            src = fronts.get((s.src, s.front))
-            if src is None:
-                src = fronts[s.src, s.front] = states[s.src].transpose(s.front)
-            if s.add is None:
-                steps.append((src, s.pair, mats[s.dst], None, None))
-            else:
-                if s.add not in adds:
-                    adds[s.add] = states[-1].transpose(s.add)
-                steps.append((src, s.pair, mats[-1], states[s.dst], adds[s.add]))
-        views = self.views[key] = (states[0], states[-2], mats[-2], tuple(steps),
-                                   states[plan.steps[-1].dst])
-        return views
-
-
-_workspace = _Workspace()
+    edges = [((mask, j), (mask | 1 << t, t), (t, j), (t, j))
+             for mask in range(0, full, 2)
+             for j in [j for j in range(1, n) if mask >> j & 1] or [0]
+             for t in range(1, n) if not mask >> t & 1]
+    edges += [((full, j), "sum", (0, j), (0, j)) for j in range(1, n)]
+    return _plan(n, edges, ["sum"])
 
 
 def _cyclic_apply(slabs, n, x):
     """S x for each slab (factors, a) of ``slabs``, stacked in that order,
     where S is the cyclic product sum of the two-site ``factors`` of
-    _pair_factors from the 0-based outer site a back to itself.  Every
-    slab's factors act on the same N.
-
-    The slabs run in lockstep as one subset DP, in passes of at most
-    _STATE_ENTRIES.  Slab (factors, a) works on relabelled sites: tensor leg
-    i carries site (i + a) % n, so every slab starts at leg 0 and, at the
-    legs (k, j), applies its own R_{k+a, j+a}, split and stacked for the
-    pass by :func:`_split_factors`.  A state (T, k) holds the sum of
-    R_{k i_m} ... R_{i_1 0} x over the orderings of the leg set T that end at k:
-    G[T + {k}, k] = sum_j R_kj G[T, j], and S x = sum_j R_0j G[all, j].  The
-    states are visited in increasing mask order, so each is complete when
-    reached, and its slot is reused after it has fed its successors.
-
-    The DP runs in real arithmetic: a state holds the real and imaginary
-    planes of its entries, and the plane is one more leg that every product
-    puts first.  Each step follows the cached :func:`_dp_plan` on the views
-    of the process's workspace: one copy of the source state, with the plane
-    and the factor's two legs first, into the moved operand, and one batched
-    (B, 2 N^2, 2 N^2) real matmul of the split factors for every slab of the
-    pass, written into the target's slot or added to it through a transposed
-    view.  No state is copied back to site order; only the sum of each slab
-    is, together with its relabelling, into the real and imaginary parts of
-    the complex result.
-    """
-    tensor = x.reshape((math.isqrt(len(slabs[0][0][0, 1])),) * n + (-1,))
+    _pair_factors, all at one N, from the 0-based outer site a back to
+    itself.  The slabs run in lockstep on the plan :func:`_dp_plan`, whose
+    state (T, k) holds the sum of R_{k i_m} ... R_{i_1 0} x over the
+    orderings of the leg set T that end at k: G[T + {k}, k] = sum_j R_kj
+    G[T, j], and S x = sum_j R_0j G[all, j].  Slab a has site (i + a) % n on
+    leg i, so its factor at the legs (k, j) is R_{k+a, j+a}.  A sum deeper
+    than ``rmx verify`` runs gets a workspace of its own."""
     plan = _dp_plan(n)
-    space = _workspace if n <= MAX_WP_DERIV_ORDER + 2 else _Workspace()
-    per_pass = max(1, _STATE_ENTRIES // x.size)
-    sums = np.empty((len(slabs),) + tensor.shape, dtype=complex)
-    in_planes, out_planes = (tensor.real, tensor.imag), (sums.real, sums.imag)
-    for lo in range(0, len(slabs), per_pass):
-        group = slabs[lo:lo + per_pass]
-        ops = list(_split_factors(group, n, plan.pairs))
-        with space.lock:
-            first, moved, moved_mat, steps, total = space.for_pass(
-                n, tensor.shape[0], tensor.shape[-1], len(group))
-            for b, (_, a) in enumerate(group):
-                for c, plane in enumerate(in_planes):
-                    np.copyto(first[b, c],
-                              plane.transpose(*((i + a) % n for i in range(n)), n))
-            for src, pair, out, state, product in steps:
-                np.copyto(moved, src)
-                np.matmul(ops[pair], moved_mat, out=out)
-                if state is not None:
-                    np.add(state, product, out=state)
-            for b, (_, a) in enumerate(group):
-                back = (*(plan.out.index((i - a) % n) for i in range(n)), n)
-                for c, plane in enumerate(out_planes):
-                    np.copyto(plane[lo + b], total[b, c].transpose(back))
-    return sums.reshape((len(slabs),) + x.shape)
+    stacks = [([factors[(k + a) % n, (j + a) % n] for k, j in plan.keys], a)
+              for factors, a in slabs]
+    space = None if n <= MAX_WP_DERIV_ORDER + 2 else _Workspace()
+    return _run(plan, stacks, x, space)[0]
 
 
 def check_unitarity(spec, z, *, tolerance=None):
@@ -550,22 +338,33 @@ def _outer_half(spec, n, points, tolerance):
     return n, [(factors, a) for a in range(n)], finish
 
 
+# R_12 R_13 R_23 X and R_23 R_13 R_12 X
+_QYBE = _plan_sides(3, [[[("r", 1, 2), ("r", 1, 3), ("r", 2, 3)]],
+                        [[("r", 2, 3), ("r", 1, 3), ("r", 1, 2)]]])
+
+
 def check_qybe(spec, points, *, tolerance=None):
     """Quantum Yang-Baxter equation on three sites.
 
     R_12(z_12) R_13(z_13) R_23(z_23) = R_23(z_23) R_13(z_13) R_12(z_12),
     checked as the relative distance of the two sides applied to the probe
-    block X (``tensor_ops._product``).
+    block X, one plan of ``tensor_ops``.
     """
     if len(points) != 3:
         raise DimensionMismatch(f"QYBE takes three points, got {len(points)}")
     z1, z2, z3 = (complex(p) for p in points)
     r12, r13, r23 = r_matrix(spec, np.array([z1 - z2, z1 - z3, z2 - z3]))
-    r12, r13, r23 = (r12, 1, 2), (r13, 1, 3), (r23, 2, 3)
-    residual = frobenius_distance(
-        _product(3, r12, r13, r23), _product(3, r23, r13, r12)
-    )
+    lhs, rhs = _probe(_QYBE, {("r", 1, 2): r12, ("r", 1, 3): r13, ("r", 2, 3): r23})
+    residual = frobenius_distance(lhs, rhs)
     return _verdict("qybe", residual, tolerance, spec.kind, spec.site_dim, 3)
+
+
+# R^hbar_ac R^eta_cb X and R^eta_ab R^(hbar-eta)_ac X + R^(eta-hbar)_cb R^hbar_ab X
+# at the sites (a, c, b) = (1, 3, 2)
+_AYBE_FACTORS = (("h", 1, 3), ("e", 3, 2), ("e", 1, 2), ("h-e", 1, 3), ("e-h", 3, 2),
+                 ("h", 1, 2))
+_AYBE = _plan_sides(3, [[[("h", 1, 3), ("e", 3, 2)]],
+                        [[("e", 1, 2), ("h-e", 1, 3)], [("e-h", 3, 2), ("h", 1, 2)]]])
 
 
 def check_aybe(spec, points, second_hbar, *, tolerance=None):
@@ -597,15 +396,9 @@ def check_aybe(spec, points, second_hbar, *, tolerance=None):
         ) from exc
     za, zb, zc = (complex(p) for p in points)
     ac, cb, ab = za - zc, zc - zb, za - zb
-    r_ac_h, r_cb_e, r_ab_e, r_ac_he, r_cb_eh, r_ab_h = r_matrix(
-        spec,
-        np.array([ac, cb, ab, ac, cb, ab]),
-        np.array([hbar, eta, eta, hbar - eta, eta - hbar, hbar]),
-    )
-
-    lhs = _product(3, (r_ac_h, 1, 3), (r_cb_e, 3, 2))
-    rhs = (_product(3, (r_ab_e, 1, 2), (r_ac_he, 1, 3))
-           + _product(3, (r_cb_eh, 3, 2), (r_ab_h, 1, 2)))
+    ops = r_matrix(spec, np.array([ac, cb, ab, ac, cb, ab]),
+                   np.array([hbar, eta, eta, hbar - eta, eta - hbar, hbar]))
+    lhs, rhs = _probe(_AYBE, dict(zip(_AYBE_FACTORS, ops)))
     residual = frobenius_distance(lhs, rhs)
     return _verdict("aybe", residual, tolerance, spec.kind, spec.site_dim, 3)
 

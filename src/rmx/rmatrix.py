@@ -53,7 +53,7 @@ from .special_functions import (
     kronecker_phi,
     kronecker_phi_deta,
 )
-from .tensor_ops import _product, frobenius_distance, permutation_operator
+from .tensor_ops import _plan_sides, _probe, frobenius_distance, permutation_operator
 
 __all__ = [
     "RMatrixKind",
@@ -328,7 +328,8 @@ class HbarDerivative:
 
     where r is the classical half of the expansion.  The right side does
     not depend on the choice of c or of its point.  The residual is read,
-    as for QYBE, on the probe block X of three sites (``_product``).
+    as for QYBE, on the probe block X of three sites, one plan of
+    ``tensor_ops``.
     """
 
     matrix: np.ndarray
@@ -344,6 +345,13 @@ def _deriv_hbar_matrix(spec, z, hbar):
     # d/dhbar phi(z, w + hbar) is the slot derivative of phi at (w + hbar, z)
     dphis = kronecker_phi_deta(omegas + hbar, complex(z), spec.lattice)
     return _weighted_tt(np.exp(2j * np.pi * a2 * z / N) * dphis, _tt_stack(N))
+
+
+# dR_ab X and R_ab r_ac X + r_cb R_ab X - R_ac R_cb X at the sites
+# (a, b, c) = (1, 2, 3); the sign rides on the factor -R_ac
+_DERIV_HBAR = _plan_sides(3, [[[("dR", 1, 2)]],
+                              [[("R", 1, 2), ("r", 1, 3)], [("r", 3, 2), ("R", 1, 2)],
+                               [("-R", 1, 3), ("R", 3, 2)]]])
 
 
 def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
@@ -373,12 +381,9 @@ def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
     r_ab, r_ac, r_cb = r_matrix(spec, np.array([z_a - z_b, z_a - z_c, z_c - z_b]))
     cl_ac, cl_cb = classical_closed_form(spec, np.array([z_a - z_c, z_c - z_b]))[0]
 
-    lhs = _product(3, (deriv, 1, 2))
-    rhs = (
-        _product(3, (r_ab, 1, 2), (cl_ac, 1, 3))
-        + _product(3, (cl_cb, 3, 2), (r_ab, 1, 2))
-        - _product(3, (r_ac, 1, 3), (r_cb, 3, 2))
-    )
+    lhs, rhs = _probe(_DERIV_HBAR, {
+        ("dR", 1, 2): deriv, ("R", 1, 2): r_ab, ("r", 1, 3): cl_ac, ("r", 3, 2): cl_cb,
+        ("-R", 1, 3): -r_ac, ("R", 3, 2): r_cb})
     return HbarDerivative(deriv, frobenius_distance(lhs, rhs))
 
 

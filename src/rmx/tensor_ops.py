@@ -4,29 +4,31 @@ Small utilities for applying two-site operators inside n-site products,
 building the permutation operator, and testing whether an operator is a
 scalar multiple of the identity.  The checks on n >= 3 sites never form an
 N**n x N**n matrix: they apply their operator S to a fixed probe block X
-(Freivalds' check) through the two-site kernel, and read SX; a three-site
-relation compares the :func:`_product` blocks of its two sides.  The
-kernel, :func:`_apply_layout`, moves the two legs a factor acts on to the
-front of its operand (one copy), runs one batched matmul and copies the
-product back to site order, for :func:`apply_two_site` and the
-applications.  The subset DP of the cyclic sums (``identities._cyclic_apply``)
-runs the same copy and matmul on a planned workspace, in real arithmetic on
-split real and imaginary planes, and keeps each state in the leg order its
-product left it in.  The kernel stays complex: in ``rmx verify`` its
-operands have three sites, D = N**3 <= 64 up to N = 4, where the plane
-copies would cost more than the real matmul saves.  The total dimension N**n is
-bounded by the fixed :data:`SIZE_CAP`: every n-site entry checks it before
-any work, and ``run_suites`` refuses a sweep that would pass it.
+(Freivalds' check) and read SX.
+
+Every such product runs on one contraction code.  A check is a graph of
+states in which each edge applies one two-site factor to a state and writes
+or adds the product into another: :func:`_plan` gives the ordered edges
+slots, and :func:`_run` executes them for a stack of slabs in lockstep, on
+one scratch workspace per process, in real arithmetic on the real and
+imaginary planes of each state.  The cyclic sums, the three-site relations,
+the hbar derivative, the applications and :func:`apply_two_site` are each
+one plan.  The total dimension N**n is bounded by the fixed
+:data:`SIZE_CAP`: every n-site entry checks it before any work, and
+``run_suites`` refuses a sweep that would pass it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
+from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded, _as_index
 
 __all__ = [
     "SIZE_CAP",
@@ -67,10 +69,9 @@ def apply_two_site(op, site_a, site_b, n_sites, x):
     """Apply a two-site operator at sites (site_a, site_b) of an n-site product.
 
     Returns E @ x, where E is op embedded at the ordered pair of sites, an
-    N**n x N**n matrix that is never formed: only the two tensor legs of x
-    that op acts on are moved (one transpose, one N^2 x N^2 matmul, one
-    transpose back), so the cost is N**n * N**2 multiply-adds per column
-    of x instead of N**(2n).
+    N**n x N**n matrix that is never formed: the cost is N**n * N**2
+    multiply-adds per column of x instead of N**(2n).  It is a one-step plan
+    of the contraction code, on a workspace of its own, dropped on return.
 
     Parameters
     ----------
@@ -86,55 +87,234 @@ def apply_two_site(op, site_a, site_b, n_sites, x):
     -------
     ndarray of shape (N**n_sites, m), a new array
     """
-    layout = _two_site_layout([op], site_a, site_b, n_sites)
-    x, dim = np.asarray(x), layout[-1]
-    if x.ndim != 2 or x.shape[0] != dim:
-        raise DimensionMismatch(f"operand has shape {x.shape}, expected ({dim}, m)")
-    return _apply_layout(layout, x)
-
-
-def _two_site_layout(ops, site_a, site_b, n_sites):
-    """Check a stack of B two-site factors for the same pair of sites and lay
-    it out for :func:`_apply_layout`: their (B, N^2, N^2) matrices on the
-    sites in increasing order, the operand, moved operand and product
-    shapes, N**n."""
+    site_a, site_b = _as_index("site_a", site_a), _as_index("site_b", site_b)
+    n_sites = _as_index("n_sites", n_sites)
     if not (1 <= site_a <= n_sites and 1 <= site_b <= n_sites) or site_a == site_b:
         raise IndexOutOfRange(
             f"sites ({site_a}, {site_b}) must be distinct and lie in 1..{n_sites}"
         )
-    ops = np.asarray(ops, dtype=complex)
-    N = math.isqrt(ops.shape[-1]) if ops.ndim == 3 else 0
-    if N == 0 or ops.shape[1:] != (N * N, N * N):
+    op = np.asarray(op, dtype=complex)
+    N = math.isqrt(op.shape[-1]) if op.ndim == 2 else 0
+    if N == 0 or op.shape != (N * N, N * N):
         raise DimensionMismatch(
-            f"two-site operator has shape {ops.shape[1:]}, expected (N**2, N**2)"
+            f"two-site operator has shape {op.shape}, expected (N**2, N**2)"
         )
     dim = _check_cap(N, n_sites)
-    a, b = site_a - 1, site_b - 1
-    B = len(ops)
-    ops = ops.reshape(B, N, N, N, N)
-    if a > b:
-        a, b, ops = b, a, ops.transpose(0, 2, 1, 4, 3)
-    pre, mid = N ** a, N ** (b - a - 1)
-    return (ops.reshape(B, N * N, N * N), (B, pre, N, mid, N, -1), (B, N * N, -1),
-            (B, N, N, pre, mid, -1), dim)
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != dim:
+        raise DimensionMismatch(f"operand has shape {x.shape}, expected ({dim}, m)")
+    plan = _plan(n_sites, [("x", "y", (site_a - 1, site_b - 1), "op")], ["y"])
+    return _run(plan, [([op], 0)], x, _Workspace())[0, 0]
 
 
-#: The axes that bring the legs (B, pre, N, mid, N, post) of a layout to
-#: (B, N, N, pre, mid, post), and back.
-_FRONT = (0, 2, 4, 1, 3, 5)
-_BACK = (0, 3, 1, 4, 2, 5)
+#: The most complex entries in one state, all slabs together.  The slabs
+#: of a plan, such as every sum of the order-n and outer-n cases of a part,
+#: run in passes of as many as fit, so that a state stays in cache and the
+#: live states stay small: unbounded, the outer check ran about 20% slower
+#: at N = 4, n = 6 and peaked at 12 MB instead of 3.2 MB at N = 2, n = 8.
+#: A pass needs slots + 2 states of two floats per entry: for the cyclic
+#: sums at N = 2, 46 x 2048 entries (1.5 MB) at n = 7, 89 x 2048 at n = 8.
+_STATE_ENTRIES = 2048
 
 
-def _apply_layout(layout, x):
-    """E_b @ x_b for every slab b of x, unchecked, for a laid-out stack of B
-    factors.  x is the (B, D, m) stack of operands, or one (D, m) operand
-    when B = 1.  It is viewed as (B, pre, N, mid, N, post), its two legs are
-    moved to the front (one copy, in which the other legs keep their order
-    and their contiguous runs) for one batched (B, N^2, N^2) matmul, and the
-    product is copied back to site order."""
-    ops, legs, moved, back, _ = layout
-    y = ops @ x.reshape(legs).transpose(_FRONT).reshape(moved)
-    return y.reshape(back).transpose(_BACK).reshape(x.shape)
+class _Step(NamedTuple):
+    """One edge of a plan: the state in slot ``src``, transposed by
+    ``front`` (its plane leg, the legs of factor ``factor`` in site order,
+    then its other legs), times that factor, is the state in slot ``dst``
+    when ``add`` is None, or is added to it through the transpose ``add``.
+    ``last`` marks the source's last read, after which its slot is free."""
+
+    src: int
+    dst: int
+    factor: int
+    front: tuple
+    add: tuple | None
+    last: bool
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The steps of a plan on n legs, the factor ``keys`` they index, the
+    factors ``swap`` whose legs are in decreasing order, the number of state
+    ``slots`` and each output's (slot, leg order).  A plan hashes by
+    identity: the workspace keys its views on it."""
+
+    n: int
+    steps: tuple
+    keys: tuple
+    swap: tuple
+    slots: int
+    outs: tuple
+
+
+def _plan(n, edges, outs):
+    """The plan of the ordered ``edges`` (source state, target state, the
+    legs (k, j) of the factor, factor key) on n legs, with the output states
+    ``outs``.  States and keys are hashable labels, and a key acts on one
+    pair of legs.  The first edge's source is the input, in slot 0 in site
+    order.  The first edge into a state writes it, and later ones add to it.
+    A state stores its legs in the order of the product that wrote it: the
+    plane leg (real, imaginary), the factor's two legs in site order, then
+    the source's other legs in its order.  A state takes a free slot when
+    first written, the most recently freed first, and frees it at its last
+    read."""
+    last = {src: i for i, (src, *_) in enumerate(edges)}
+    start = edges[0][0]
+    slot, order, keys, legs, steps = {start: 0}, {start: tuple(range(n))}, {}, {}, []
+    free, slots = [], 1
+    # cached plans keep their steps: share each distinct tuple between them
+    shared = {}.setdefault
+    for i, (src, dst, pair, key) in enumerate(edges):
+        stored, src_slot = order[src], slot[src]
+        if last[src] == i:
+            # a step copies its source out before it writes its product, so
+            # the product may take the source's slot
+            free.append(src_slot)
+            del order[src], slot[src]
+        product = tuple(sorted(pair)) + tuple(x for x in stored if x not in pair)
+        front = (0, 1, *(2 + stored.index(leg) for leg in product), n + 2)
+        if dst in slot:
+            add = (0, 1, *(2 + product.index(leg) for leg in order[dst]), n + 2)
+            add = shared(add, add)
+        else:
+            if not free:
+                free.append(slots)
+                slots += 1
+            slot[dst], order[dst], add = free.pop(), product, None
+        factor = keys.setdefault(key, len(keys))
+        legs.setdefault(factor, pair)
+        steps.append(_Step(src_slot, slot[dst], factor, shared(front, front), add,
+                           last[src] == i))
+    swap = tuple(f for f, (k, j) in legs.items() if k > j)
+    return _Plan(n, tuple(steps), tuple(keys), swap, slots,
+                 tuple((slot[s], order[s]) for s in outs))
+
+
+def _plan_sides(n, sides):
+    """The plan of S X for each side S of ``sides`` on n sites.  A side is a
+    list of terms, a term a product of factors (tag, site_a, site_b) keyed
+    by themselves, on the 1-based sites, applied right to left to the input
+    X by a chain of edges into the side's output state.  Terms that end in
+    the same factors share that tail's state; a sign is a factor's tag."""
+    edges, made = [], set()
+    for i, side in enumerate(sides):
+        for term in side:
+            src = "x"
+            for f in reversed(range(len(term))):
+                dst = tuple(term[f:]) if f else i
+                if not f or dst not in made:
+                    made.add(dst)
+                    edges.append((src, dst, (term[f][1] - 1, term[f][2] - 1), term[f]))
+                src = dst
+    return _plan(n, edges, range(len(sides)))
+
+
+class _Workspace:
+    """The scratch buffer of the plans in this process, created on first use
+    and grown to the largest pass run so far, with the views of each pass
+    shape (plan, N, m, B) built on it once: B slabs of D x m complex entries,
+    as a real and an imaginary plane, for each slot, the moved operand and
+    the product of an add step.  Growing drops the old views.  A pass holds
+    ``lock`` while it uses the views, so that threads take turns."""
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+        self.views = {}
+        self.lock = threading.Lock()
+
+    def for_pass(self, plan, N, m, B):
+        """The views of a pass: the input state, the moved operand as a state
+        and as a (B, 2 N^2, D m / N^2) stack, each step's (source, factor,
+        product, target, added product) and each (output, leg order)."""
+        key = (plan, N, m, B)
+        views = self.views.get(key)
+        if views is not None:
+            return views
+        if len(self.views) >= 64:  # bounds the views that one-off plans leave
+            self.views.clear()
+        shape = (B, 2) + (N,) * plan.n + (m,)
+        size, mat = math.prod(shape), (B, 2 * N * N, -1)
+        if self.buffer.size < (plan.slots + 2) * size:
+            self.buffer = np.empty((plan.slots + 2) * size)
+            self.views.clear()
+        states = [self.buffer[i * size:(i + 1) * size].reshape(shape)
+                  for i in range(plan.slots + 2)]
+        mats = [state.reshape(mat) for state in states]
+        # the last two slots are the moved operand and an add step's product;
+        # the steps share each view of a slot, source transpose and add transpose
+        fronts, adds, steps = {}, {}, []
+        for s in plan.steps:
+            src = fronts.setdefault((s.src, s.front), states[s.src].transpose(s.front))
+            if s.add is None:
+                steps.append((src, s.factor, mats[s.dst], None, None))
+            else:
+                add = adds.setdefault(s.add, states[-1].transpose(s.add))
+                steps.append((src, s.factor, mats[-1], states[s.dst], add))
+        views = self.views[key] = (states[0], states[-2], mats[-2], tuple(steps),
+                                   tuple((states[s], order) for s, order in plan.outs))
+        return views
+
+
+_workspace = _Workspace()
+
+
+def _gather(slabs, plan):
+    """The factors of a pass as one (P, B, 2 N^2, 2 N^2) real stack: for
+    each key of ``plan`` and slab (factors, a), its factor on its legs in
+    increasing order, split into [[Re A, -Im A], [Im A, Re A]], which acts
+    on the real and imaginary planes of a state stacked in that order."""
+    ops = np.array([factors for factors, _ in slabs], dtype=complex).swapaxes(0, 1)
+    P, B, M = ops.shape[:3]
+    N = math.isqrt(M)
+    if plan.swap:
+        swap = list(plan.swap)
+        ops[swap] = (ops[swap].reshape(-1, B, N, N, N, N).transpose(0, 1, 3, 2, 5, 4)
+                     .reshape(-1, B, M, M))
+    split = np.empty((P, B, 2, M, 2, M))
+    split[:, :, 0, :, 0] = split[:, :, 1, :, 1] = ops.real
+    split[:, :, 1, :, 0] = ops.imag
+    np.negative(ops.imag, out=split[:, :, 0, :, 1])
+    return split.reshape(P, B, 2 * M, 2 * M)
+
+
+def _run(plan, slabs, x, space=None):
+    """The output states of ``plan`` for each slab (factors, a) of
+    ``slabs``, as an (outputs, slabs) + x.shape complex array.  A slab's
+    factors are N^2 x N^2 matrices of one N, one per key of the plan, in
+    that order.  Slab a has site (i + a) % n on leg i: its input is x
+    relabelled so, and its outputs are read back to site order.
+    The slabs run in lockstep, in passes of at most _STATE_ENTRIES, on the
+    views of ``space`` (the process's workspace by default).  Each step is
+    one copy of its source state into the moved operand and one batched
+    (B, 2 N^2, 2 N^2) real matmul of the factors of :func:`_gather`, written
+    into the target's slot or added to it through a transposed view."""
+    space = _workspace if space is None else space
+    n = plan.n
+    tensor = x.reshape((math.isqrt(len(slabs[0][0][0])),) * n + (-1,))
+    per_pass = max(1, _STATE_ENTRIES // max(1, x.size))
+    outs = np.empty((len(plan.outs), len(slabs)) + tensor.shape, dtype=complex)
+    in_planes, out_planes = (tensor.real, tensor.imag), (outs.real, outs.imag)
+    for lo in range(0, len(slabs), per_pass):
+        group = slabs[lo:lo + per_pass]
+        ops = list(_gather(group, plan))
+        with space.lock:
+            first, moved, moved_mat, steps, totals = space.for_pass(
+                plan, tensor.shape[0], tensor.shape[-1], len(group))
+            for b, (_, a) in enumerate(group):
+                for c, plane in enumerate(in_planes):
+                    np.copyto(first[b, c],
+                              plane.transpose(*((i + a) % n for i in range(n)), n))
+            for src, factor, out, state, product in steps:
+                np.copyto(moved, src)
+                np.matmul(ops[factor], moved_mat, out=out)
+                if state is not None:
+                    np.add(state, product, out=state)
+            for o, (total, order) in enumerate(totals):
+                for b, (_, a) in enumerate(group):
+                    back = (*(order.index((i - a) % n) for i in range(n)), n)
+                    for c, plane in enumerate(out_planes):
+                        np.copyto(plane[o, lo + b], total[b, c].transpose(back))
+    return outs.reshape(outs.shape[:2] + x.shape)
 
 
 @lru_cache(maxsize=32)
@@ -147,6 +327,14 @@ def _probe_block(dim):
     return x
 
 
+def _probe(plan, table):
+    """The output states of ``plan`` on the probe block, for one slab of the
+    factors ``table`` keyed as in the plan."""
+    factors = [table[key] for key in plan.keys]
+    x = _probe_block(math.isqrt(len(factors[0])) ** plan.n)
+    return _run(plan, [(factors, 0)], x)[:, 0]
+
+
 def _probe_scalar(x, y):
     """How far Y = S X is from c X: the coefficient c = <X, Y> / <X, X> (a
     Hutchinson trace estimate of tr(S) / D) and the non-scalar residual
@@ -156,17 +344,6 @@ def _probe_scalar(x, y):
     return coeff, float(np.linalg.norm(y - coeff * x) / max(np.linalg.norm(y), 1.0))
 
 
-def _product(n_sites, *factors):
-    """S X for the product S of two-site factors ``(op, site_a, site_b)`` on
-    n sites, in the order written: each is applied, right to left, to the
-    probe block X."""
-    N = math.isqrt(np.shape(factors[-1][0])[0])
-    out = _probe_block(N ** n_sites)
-    for op, site_a, site_b in reversed(factors):
-        out = apply_two_site(op, site_a, site_b, n_sites, out)
-    return out
-
-
 def is_scalar_operator(matrix, tol=1e-10):
     """Test whether a square matrix is scalar, i.e. c * Id.
 
@@ -174,11 +351,12 @@ def is_scalar_operator(matrix, tol=1e-10):
     -------
     (is_scalar, coefficient, residual)
         coefficient is trace/dim; residual is the Frobenius norm of the
-        non-scalar part divided by max(Frobenius norm, 1).
+        non-scalar part divided by max(Frobenius norm, 1).  An empty or
+        non-square matrix raises DimensionMismatch.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
     dim = m.shape[0]
     coeff = np.trace(m) / dim
     resid = np.linalg.norm(m - coeff * np.eye(dim)) / max(np.linalg.norm(m), 1.0)

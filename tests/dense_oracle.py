@@ -1,7 +1,8 @@
 """Literal references for the contractions and the cyclic sums.
 
-The package applies every two-site factor locally (``rmx.apply_two_site``)
-and never forms an embedded N**n x N**n matrix.  The tests compare that
+The package applies every two-site factor locally, through the one
+contraction code of ``rmx.tensor_ops``, and never forms an embedded
+N**n x N**n matrix.  The tests compare that
 path against the dense embed-and-multiply construction kept here: the
 embedding itself, the two sides of each three-site relation (QYBE, AYBE,
 the hbar derivative and flatness), and the block Lax operator with its
@@ -21,8 +22,7 @@ import math
 import numpy as np
 
 from rmx import classical_closed_form, cyclic_orderings, kronecker_phi, r_matrix
-from rmx import identities, rmatrix
-from rmx.tensor_ops import _two_site_layout
+from rmx import rmatrix, tensor_ops
 
 
 def embed_two_site(op, site_a, site_b, site_dim, n_sites):
@@ -197,12 +197,19 @@ def split_factor(ops):
     return np.block([[ops.real, -ops.imag], [ops.imag, ops.real]])
 
 
-def split_apply(layout, planes):
-    """``tensor_ops._apply_layout`` on split planes: the (B, 2, D, m) real
-    and imaginary planes of B operands, with the plane and the two legs of
-    the laid-out factors moved to the front for one real matmul of the split
-    factors, and the product copied back to site order."""
-    ops, (B, pre, N, mid, _, m), _, _, _ = layout
+def split_apply(ops, k, j, n, planes):
+    """A stack of B complex two-site factors at the 0-based legs (k, j) of n,
+    applied on split planes: the (B, 2, D, m) real and imaginary planes of B
+    operands, with the plane and the two legs moved to the front for one
+    real matmul of the split factors, and the product copied back to site
+    order.  The factors are laid out here, with their legs swapped when
+    k > j, so that the package's layout is not reused."""
+    B, M = len(ops), ops.shape[-1]
+    N = math.isqrt(M)
+    if k > j:
+        k, j = j, k
+        ops = ops.reshape(B, N, N, N, N).transpose(0, 2, 1, 4, 3).reshape(B, M, M)
+    pre, mid, m = N ** k, N ** (j - k - 1), planes.shape[-1] * N ** (n - j - 1)
     legs = planes.reshape(B, 2, pre, N, mid, N, m).transpose(0, 1, 3, 5, 2, 4, 6)
     y = split_factor(ops) @ legs.reshape(B, 2 * N * N, -1)
     return (y.reshape(B, 2, N, N, pre, mid, m).transpose(0, 1, 4, 2, 5, 3, 6)
@@ -215,16 +222,15 @@ def canonical_cyclic_apply(slabs, n, x):
     factors, copies the product back to site order (:func:`split_apply`) and
     adds it to the state.  The states are visited in increasing mask order
     and the slabs (factors, a) run in passes of at most
-    ``identities._STATE_ENTRIES`` complex entries, like the package DP."""
+    ``tensor_ops._STATE_ENTRIES`` complex entries, like the package DP."""
     tensor = x.reshape((math.isqrt(len(slabs[0][0][0, 1])),) * n + (-1,))
     full = (1 << n) - 2  # every leg but 0
-    per_pass = max(1, identities._STATE_ENTRIES // x.size)
+    per_pass = max(1, tensor_ops._STATE_ENTRIES // x.size)
     sums = np.empty((len(slabs),) + x.shape, dtype=complex)
     for lo in range(0, len(slabs), per_pass):
         group = slabs[lo:lo + per_pass]
-        step = {(k, j): _two_site_layout(
-                    [factors[(k + a) % n, (j + a) % n] for factors, a in group],
-                    k + 1, j + 1, n)
+        step = {(k, j): np.array([factors[(k + a) % n, (j + a) % n]
+                                  for factors, a in group])
                 for k in range(n) for j in range(n) if k != j}
         states = {(0, 0): np.array([
             [plane.transpose(*((i + a) % n for i in range(n)), n).reshape(x.shape)
@@ -237,12 +243,12 @@ def canonical_cyclic_apply(slabs, n, x):
                     if mask >> k & 1:
                         continue
                     key = (mask | 1 << k, k)
-                    out = split_apply(step[k, j], state)
+                    out = split_apply(step[k, j], k, j, n, state)
                     if key in states:
                         states[key] += out
                     else:
                         states[key] = out
-        total = sum(split_apply(step[0, j], states.pop((full, j)))
+        total = sum(split_apply(step[0, j], 0, j, n, states.pop((full, j)))
                     for j in range(1, n))
         for b, (_, a) in enumerate(group):
             for out, plane in zip((sums.real, sums.imag), total[b]):

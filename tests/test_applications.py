@@ -383,7 +383,7 @@ class TestPerturbedResidualTracksTheDenseOne:
         assert 0.5 <= min(ratios) and max(ratios) <= 2
 
     # the three-site checks apply both sides to the probe block through
-    # tensor_ops._product
+    # a plan of tensor_ops
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_qybe(self, monkeypatch, N):

@@ -150,9 +150,16 @@ class TestLegOrderDP:
         starts = list(reversed(range(n)))
         want = canonical_cyclic_apply(slabs_of(factors, starts), n, x)
         for size in range(1, n + 1):
-            monkeypatch.setattr(identities, "_STATE_ENTRIES", size * x.size)
+            monkeypatch.setattr(tensor_ops, "_STATE_ENTRIES", size * x.size)
             got = identities._cyclic_apply(slabs_of(factors, starts), n, x)
             assert np.array_equal(got, want)
+
+    def test_plan_sizes_are_pinned(self):
+        # the plan builder keeps the DP step for step: (steps, slots) per n
+        sizes = {n: (len(identities._dp_plan(n).steps), identities._dp_plan(n).slots)
+                 for n in range(2, 9)}
+        assert sizes == {2: (2, 1), 3: (6, 2), 4: (18, 5), 5: (56, 11),
+                         6: (170, 22), 7: (492, 44), 8: (1358, 87)}
 
     def test_plan_is_cached_and_frees_each_state(self):
         plan = identities._dp_plan(5)
@@ -197,7 +204,10 @@ class TestSplitPlanes:
 
         ops, x = rand(2, M, M), rand(M, 5)
         factors = {(0, 1): ops[0], (1, 0): ops[1]}
-        split = identities._split_factors([(factors, 0)], 2, [(0, 1), (1, 0)])
+        # a plan whose factors act on the legs (0, 1), then (1, 0)
+        plan = tensor_ops._plan(2, [("x", "y", (0, 1), (0, 1)),
+                                    ("y", "z", (1, 0), (1, 0))], ["z"])
+        split = tensor_ops._gather([([factors[key] for key in plan.keys], 0)], plan)
         assert split.shape == (2, 1, 2 * M, 2 * M) and split.dtype == float
         perm = tensor_ops.permutation_operator(N)
         # the factor of the pair (1, 0) acts on the legs in increasing order
@@ -222,15 +232,15 @@ class TestSplitPlanes:
         # a split that drops Im A from every factor fails far past tolerance
         spec = belavin_spec(2)
         assert check(spec, 4, EL_PTS_4).passed
-        split = identities._split_factors
+        split = tensor_ops._gather
 
-        def real_only(slabs, n, pairs):
-            ops = split(slabs, n, pairs)
+        def real_only(slabs, plan):
+            ops = split(slabs, plan)
             M = ops.shape[-1] // 2
             ops[..., :M, M:] = ops[..., M:, :M] = 0
             return ops
 
-        monkeypatch.setattr(identities, "_split_factors", real_only)
+        monkeypatch.setattr(tensor_ops, "_gather", real_only)
         rep = check(spec, 4, EL_PTS_4)
         assert not rep.passed
         assert rep.residual > 1e3 * rep.tolerance
@@ -241,8 +251,8 @@ class TestWorkspace:
     pass run so far; the step views of each pass shape are built once."""
 
     def test_alternating_plans_match_canonical_dp(self, monkeypatch):
-        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
-        space = identities._workspace
+        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
+        space = tensor_ops._workspace
         kept = []
         # (2, 8) grows the workspace; the passes after it fit in it
         for N, n in ((2, 5), (2, 8), (2, 5), (3, 5), (2, 7)):
@@ -259,26 +269,27 @@ class TestWorkspace:
                 # slots; each entry is a real and an imaginary float
                 assert space.buffer.size == 2 * (87 + 2) * 2 * 256 * 4
                 # the views of the old buffer were dropped
-                assert set(space.views) == {(8, 2, 4, 2)}
+                assert set(space.views) == {(identities._dp_plan(8), 2, 4, 2)}
         assert space.buffer.size == 2 * (87 + 2) * 2 * 256 * 4
         # a returned sum is not touched by the later calls
         for got, copy in kept:
             assert np.array_equal(got, copy)
 
     def test_views_are_built_once_per_pass_shape(self, monkeypatch):
-        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
         n, pts = 7, ladder_points(7)
         check_outer_index_independence(belavin_spec(2), n, pts)
-        views = dict(identities._workspace.views)
+        views = dict(tensor_ops._workspace.views)
         # passes of 4 + 3 slabs
-        assert set(views) == {(7, 2, 4, 4), (7, 2, 4, 3)}
+        plan = identities._dp_plan(n)
+        assert set(views) == {(plan, 2, 4, 4), (plan, 2, 4, 3)}
         check_outer_index_independence(belavin_spec(2), n, pts)
-        assert all(identities._workspace.views[key] is views[key] for key in views)
+        assert all(tensor_ops._workspace.views[key] is views[key] for key in views)
 
     def test_threads_take_turns_on_the_workspace(self, monkeypatch):
         # four threads on the one workspace, each cycling through passes of
         # other shapes, must each get the canonical sums
-        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
         cases = []
         for N, n in ((2, 5), (2, 7), (3, 4), (2, 6)):
             factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
@@ -307,13 +318,23 @@ class TestWorkspace:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [True] * 24
 
+    def test_one_off_plans_do_not_pile_up_views(self, monkeypatch):
+        # each trace power is a plan of its own; the workspace keeps the
+        # views of at most 64 pass shapes
+        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
+        cfg = CalogeroConfig(rspec=yang_spec(2), momenta=(0.5, 0.7, 0.9),
+                             positions=YANG_PTS_3)
+        for power in range(1, 81):
+            check_trace_power_guess(cfg, power)
+        assert 0 < len(tensor_ops._workspace.views) <= 64
+
     def test_workspace_holds_the_largest_pass(self, monkeypatch):
         n, N = 8, 2
         # a first call fills the lazy caches (probe block, theta constants,
         # plan); the check on a new workspace then stays within the
         # 4.0 MB of test_peak_memory, the workspace included
         check_outer_index_independence(belavin_spec(N), n, ladder_points(n))
-        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
+        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
         tracemalloc.start()
         try:
             assert check_outer_index_independence(belavin_spec(N), n, ladder_points(n))
@@ -322,18 +343,18 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak < 4.0e6
         D, k = N ** n, 4
-        B = identities._STATE_ENTRIES // (D * k)
+        B = tensor_ops._STATE_ENTRIES // (D * k)
         slots = identities._dp_plan(n).slots
         # each live state slot, the moved operand and an add step's product,
         # as B D k complex entries of two floats each
-        assert identities._workspace.buffer.size == 2 * (slots + 2) * B * D * k
-        assert identities._workspace.buffer.nbytes == 2916352
+        assert tensor_ops._workspace.buffer.size == 2 * (slots + 2) * B * D * k
+        assert tensor_ops._workspace.buffer.nbytes == 2916352
 
     def test_deeper_sums_leave_the_process_workspace(self, monkeypatch):
         # rmx verify stops at n = MAX_WP_DERIV_ORDER + 2; a deeper sum runs on
         # a workspace of its own, which the process does not keep
-        monkeypatch.setattr(identities, "_workspace", identities._Workspace())
-        space = identities._workspace
+        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
+        space = tensor_ops._workspace
         buffer = space.buffer
         n = identities.MAX_WP_DERIV_ORDER + 3
         factors = identities._pair_factors(belavin_spec(1), n, ladder_points(n))
@@ -341,14 +362,14 @@ class TestWorkspace:
         starts = list(range(n))
         slabs = slabs_of(factors, starts)
         got = identities._cyclic_apply(slabs, n, x)
-        assert identities._workspace is space and space.buffer is buffer
+        assert tensor_ops._workspace is space and space.buffer is buffer
         assert space.views == {}
         assert np.array_equal(got, canonical_cyclic_apply(slabs, n, x))
 
     def test_import_allocates_no_workspace(self):
         src = str(Path(identities.__file__).resolve().parent.parent)
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import rmx; "
-                "from rmx import identities; space = identities._workspace; "
+                "from rmx import identities, tensor_ops; space = tensor_ops._workspace; "
                 "print(space.buffer.size, len(space.views))")
         out = subprocess.run([sys.executable, "-c", code, src],
                              capture_output=True, text=True, timeout=60, check=True)
@@ -377,7 +398,7 @@ class TestJointDP:
         # the n slabs of the second set
         for size in (None, 2, 3):
             if size is not None:
-                monkeypatch.setattr(identities, "_STATE_ENTRIES", size * x.size)
+                monkeypatch.setattr(tensor_ops, "_STATE_ENTRIES", size * x.size)
             assert np.array_equal(identities._cyclic_apply(slabs, n, x), want)
 
     def test_each_check_reads_its_own_sums(self):
@@ -680,7 +701,7 @@ class TestCyclicProductSumOracle:
             want = [dense_cyclic_sum(spec, n, pts[:n], a + 1) for a in range(n)]
             starts = [n - 1 - a for a in range(n)]
             for size in range(1, n + 1):
-                monkeypatch.setattr(identities, "_STATE_ENTRIES",
+                monkeypatch.setattr(tensor_ops, "_STATE_ENTRIES",
                                     size * (N ** n) ** 2)
                 got = cyclic_sums(spec, n, pts[:n], starts)
                 for a, sum_a in zip(starts, got):
@@ -741,12 +762,12 @@ class TestCyclicProductSumOracle:
         # pass: at N = 2 the n starts of the outer check share one pass up
         # to n = 6 and take two (4 + 3) at n = 7
         calls = []
-        split = identities._split_factors
+        split = tensor_ops._gather
         monkeypatch.setattr(
-            identities, "_split_factors",
-            lambda slabs, n, pairs: calls.extend(
-                (tuple(a for _, a in slabs), k, j) for k, j in pairs)
-            or split(slabs, n, pairs))
+            tensor_ops, "_gather",
+            lambda slabs, plan: calls.extend(
+                (tuple(a for _, a in slabs), k, j) for k, j in plan.keys)
+            or split(slabs, plan))
         spec, pts = belavin_spec(2), EL_PTS_5 + [0.52 + 0.33j, 0.26 + 0.47j]
         legs = [(k, j) for k in range(n) for j in range(n) if k != j]
         outer = [tuple(range(n))] if n < 7 else [(0, 1, 2, 3), (4, 5, 6)]
@@ -770,8 +791,8 @@ class TestCyclicProductSumOracle:
                     slabs.append(inputs[1].shape)
                 return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-        split = identities._split_factors
-        monkeypatch.setattr(identities, "_split_factors",
+        split = tensor_ops._gather
+        monkeypatch.setattr(tensor_ops, "_gather",
                             lambda *args: split(*args).view(Logged))
         pts = [0.1 + 0.07j * k + 0.13 * k for k in range(n)]
         for N in (1, 2):

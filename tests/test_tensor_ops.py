@@ -4,17 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from rmx import tensor_ops
 from rmx import (
     DimensionMismatch,
     IndexOutOfRange,
     SIZE_CAP,
     SizeCapExceeded,
+    UsageError,
     apply_two_site,
     frobenius_distance,
     is_scalar_operator,
     permutation_operator,
 )
-from rmx.tensor_ops import _probe_block, _probe_scalar, _product
+from rmx.tensor_ops import _plan_sides, _probe, _probe_block, _probe_scalar
 
 from dense_oracle import embed_two_site
 
@@ -123,6 +125,18 @@ class TestEmbed:
         with pytest.raises(IndexOutOfRange):
             apply_two_site(op, 2, 2, 3, x)
 
+    def test_site_arguments_must_be_integers(self):
+        # each is a UsageError that names the argument, not a TypeError or a
+        # shape message with a fractional dimension
+        x = np.eye(8)
+        for args, name in (((1.0, 3, 3), "site_a"), ((1, 3.0, 3), "site_b"),
+                           ((1, 2, 2.5), "n_sites")):
+            with pytest.raises(UsageError, match=f"^{name} must be an integer"):
+                apply_two_site(np.eye(4), *args, x)
+        # numpy integers are integers
+        got = apply_two_site(np.eye(4), np.int64(1), np.int32(3), np.int64(3), x)
+        assert np.array_equal(got, x)
+
     def test_shape_validation(self):
         x = np.eye(8)
         with pytest.raises(DimensionMismatch):
@@ -161,6 +175,14 @@ class TestApplyTwoSiteOracle:
             want = embed_two_site(op, a, b, N, n) @ x
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
+    def test_leaves_the_process_workspace(self, monkeypatch):
+        # a user's operand runs on a workspace of its own, dropped on return
+        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
+        x = np.ones((2 ** 10, 64))
+        assert np.array_equal(apply_two_site(np.eye(4), 3, 1, 10, x), x)
+        assert tensor_ops._workspace.buffer.size == 0
+        assert tensor_ops._workspace.views == {}
+
     def test_returns_new_array(self):
         x = np.eye(4, dtype=complex)
         out = apply_two_site(np.eye(4), 1, 2, 2, x)
@@ -168,9 +190,11 @@ class TestApplyTwoSiteOracle:
         assert x[0, 0] == 1.0
 
     def test_product_applies_right_to_left(self):
+        # a plan with one term of three factors, applied to the probe block
         rng = np.random.default_rng(31)
         x, y, w = (random_op(rng, (4, 4)) for _ in range(3))
-        got = _product(3, (x, 1, 2), (y, 3, 1), (w, 2, 3))
+        plan = _plan_sides(3, [[[("x", 1, 2), ("y", 3, 1), ("w", 2, 3)]]])
+        (got,) = _probe(plan, {("x", 1, 2): x, ("y", 3, 1): y, ("w", 2, 3): w})
         want = (embed_two_site(x, 1, 2, 2, 3) @ embed_two_site(y, 3, 1, 2, 3)
                 @ embed_two_site(w, 2, 3, 2, 3) @ _probe_block(8))
         assert got.shape == (8, 4)
@@ -190,6 +214,12 @@ class TestScalarDetection:
         assert abs(coeff - 1.5) < 1e-14
         # ||diag(-.5,.5)||_F / ||diag(1,2)||_F = 1/sqrt(10)
         assert abs(resid - 0.3162277660168379332) < 1e-14
+
+    def test_empty_matrix_is_refused(self):
+        # an empty matrix has no scalar coefficient (trace 0 over dim 0)
+        for m in (np.zeros((0, 0)), np.zeros((0, 3))):
+            with pytest.raises(DimensionMismatch):
+                is_scalar_operator(m)
 
     def test_tolerance_is_adjustable(self):
         m = np.eye(4) + 1e-6 * np.ones((4, 4))

@@ -1,7 +1,7 @@
 """The checks that apply two-site factors locally, against dense embeddings.
 
-Each check applies its factors to a fixed probe block, with
-``rmx.apply_two_site`` (the three-site relations) or with its kernel (the
+Each check applies its factors to a fixed probe block, as one plan of the
+contraction code of ``rmx.tensor_ops`` (the three-site relations, the
 subset DP of the n-th order sums, the block Lax powers, the r/m relation),
 and never forms an embedded matrix.
 Here every residual is rebuilt from the dense embeddings of
@@ -164,78 +164,26 @@ class TestResidualsMatchDenseFormulas:
                          max(resid for _, resid in fits))
 
 
-def wrong_site(a, b, n_sites):
-    """The lowest site outside the pair (a, b)."""
-    return min(set(range(1, n_sites + 1)) - {a, b})
-
-
-def misroute_first_call(monkeypatch, module):
-    """Put the first factor that ``module`` applies on the wrong sites:
-    its second site moves to the lowest site outside the pair."""
-    apply = tensor_ops.apply_two_site
+def misroute_first_gather(monkeypatch):
+    """Put one factor on the wrong sites: in the first factor gather of the
+    contraction code (``tensor_ops._gather``), the last slab's factor of the
+    plan's first key is replaced by its factor of the second key, which
+    belongs on other sites (or, for a Lax power, is the R block in place of
+    p Id).  The other slabs and keys are left as they are.  Every check
+    runs its factors through that gather."""
+    gather = tensor_ops._gather
     calls = []
 
-    def wrong(op, a, b, n_sites, x, *rest):
-        if not calls:
-            b = wrong_site(a, b, n_sites)
-        calls.append((a, b))
-        return apply(op, a, b, n_sites, x, *rest)
-
-    monkeypatch.setattr(module, "apply_two_site", wrong)
-    return calls
-
-
-def misroute_first_step(monkeypatch, module):
-    """Put the first factor that the probed check of ``module`` applies on
-    the wrong sites, in one slab.
-
-    The applications lay each factor out once (``identities._layouts``) and
-    run ``_apply_layout`` on the layout: in the first call the factor is
-    applied with its second site moved to the lowest site outside the pair.
-    The subset DP of ``identities`` splits and stacks the factors of every
-    pair of legs of its slabs once per pass (``identities._split_factors``)
-    and applies each stack on its legs: in the first pass, the stack of the
-    first pair gets instead, for the last slab, the factor whose second site
-    is moved to the lowest site outside the pair.  The other slabs and pairs
-    are left as they are."""
-    calls = []
-    if module is identities:
-        split = identities._split_factors
-
-        def wrong_split(slabs, n, pairs):
-            ops = split(slabs, n, pairs)
-            calls.append(pairs)
-            if len(calls) == 1:
-                (k, j), (factors, a) = pairs[0], slabs[-1]
-                site, other = (k + a) % n, (j + a) % n
-                moved = wrong_site(site + 1, other + 1, n) - 1
-                wrong = dict(factors)
-                wrong[site, other] = factors[site, moved]
-                ops[0, -1] = split([(wrong, a)], n, [(k, j)])[0, 0]
-            return ops
-
-        monkeypatch.setattr(identities, "_split_factors", wrong_split)
-        return calls
-
-    layout, apply = identities._two_site_layout, tensor_ops._apply_layout
-    laid_out = {}
-
-    def spy(ops, a, b, n_sites, *rest):
-        out = layout(ops, a, b, n_sites, *rest)
-        laid_out[id(out)] = (ops, a, b, n_sites, *rest)
-        return out
-
-    def step(lay, x):
-        out = apply(lay, x)
-        ops, a, b, n_sites, *rest = laid_out[id(lay)]
-        calls.append((a, b))
+    def wrong(slabs, plan):
+        calls.append(plan)
         if len(calls) == 1:
-            # one operand: the stack has one slab
-            out = apply(layout(ops, a, wrong_site(a, b, n_sites), n_sites, *rest), x)
-        return out
+            factors, a = slabs[-1]
+            first, second = plan.keys[:2]
+            assert plan.steps[0].factor == 0 and first[-2:] != second[-2:]
+            slabs = slabs[:-1] + [([factors[1], *factors[1:]], a)]
+        return gather(slabs, plan)
 
-    monkeypatch.setattr(identities, "_two_site_layout", spy)
-    monkeypatch.setattr(module, "_apply_layout", step)
+    monkeypatch.setattr(tensor_ops, "_gather", wrong)
     return calls
 
 
@@ -243,33 +191,24 @@ def belavin(N=2):
     return RMatrixSpec(kind="belavin", site_dim=N, lattice=EL, hbar=0.17 + 0.09j)
 
 
-# name: (how the check applies its factors, the module it does so from,
-# the check); "step" checks run the kernel on laid-out factors
 MISROUTED = {
-    "qybe": ("call", tensor_ops, lambda: check_qybe(belavin(), EL_PTS[:3])),
-    "aybe": ("call", tensor_ops,
-             lambda: check_aybe(belavin(), EL_PTS[:3], 0.07 + 0.04j)),
-    "nth-order": ("step", identities,
-                  lambda: check_nth_order(belavin(), 4, EL_PTS)),
-    "outer-independence": ("step", identities,
-                           lambda: check_outer_index_independence(belavin(), 4,
-                                                                  EL_PTS)),
-    "kzb-flatness": ("call", tensor_ops, lambda: check_kzb_flatness(
-        belavin(), EL_PTS[:3], use_closed_form=True)),
-    "hbar-order": ("step", applications,
-                   lambda: check_hbar_order_relation(belavin(), 4, EL_PTS)),
-    "trace-power": ("step", applications, lambda: check_trace_power_guess(
-        CalogeroConfig(rspec=belavin(), momenta=MOMENTA, positions=EL_PTS[:3]),
-        2)),
+    "qybe": lambda: check_qybe(belavin(), EL_PTS[:3]),
+    "aybe": lambda: check_aybe(belavin(), EL_PTS[:3], 0.07 + 0.04j),
+    "nth-order": lambda: check_nth_order(belavin(), 4, EL_PTS),
+    "outer-independence": lambda: check_outer_index_independence(belavin(), 4, EL_PTS),
+    "kzb-flatness": lambda: check_kzb_flatness(belavin(), EL_PTS[:3],
+                                               use_closed_form=True),
+    "hbar-order": lambda: check_hbar_order_relation(belavin(), 4, EL_PTS),
+    "trace-power": lambda: check_trace_power_guess(
+        CalogeroConfig(rspec=belavin(), momenta=MOMENTA, positions=EL_PTS[:3]), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MISROUTED))
 def test_check_fails_with_one_factor_on_wrong_sites(monkeypatch, name):
-    how, module, run = MISROUTED[name]
+    run = MISROUTED[name]
     assert run().passed
-    misroute = misroute_first_step if how == "step" else misroute_first_call
-    calls = misroute(monkeypatch, module)
+    calls = misroute_first_gather(monkeypatch)
     rep = run()
     assert calls
     assert not rep.passed
@@ -279,6 +218,6 @@ def test_check_fails_with_one_factor_on_wrong_sites(monkeypatch, name):
 def test_hbar_derivative_fails_with_one_factor_on_wrong_sites(monkeypatch):
     args = (belavin(), 0.61 + 0.28j, 0.13 + 0.07j)
     assert r_deriv_hbar(*args).structural_residual < 1e-12
-    calls = misroute_first_call(monkeypatch, tensor_ops)
+    calls = misroute_first_gather(monkeypatch)
     assert r_deriv_hbar(*args).structural_residual > 1e-3
     assert calls
