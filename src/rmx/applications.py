@@ -49,7 +49,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, QuadratureNotConverged, UsageError, _as_index
+from .errors import (
+    DimensionMismatch, QuadratureNotConverged, SeriesNotConverged, UsageError, _as_index,
+)
 from .identities import _pair_differences, _pair_factors, _verdict
 from .rmatrix import (
     _default_radius,
@@ -101,6 +103,9 @@ class CalogeroConfig:
             )
         if len(self.momenta) < 2:
             raise UsageError("need at least two particles")
+        for name, values in (("momenta", self.momenta), ("coupling", [self.coupling])):
+            if not np.isfinite(values).all():
+                raise SeriesNotConverged(f"CalogeroConfig needs finite {name}")
 
     @property
     def n_particles(self):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import operator
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ from .applications import (
     check_kzb_flatness,
     check_trace_power_guess,
 )
-from .errors import BudgetExceeded, RmxError, UsageError
+from .errors import BudgetExceeded, RmxError, UsageError, _as_count
 from .identities import (
     _verdict,
     check_aybe,
@@ -469,13 +468,6 @@ def _check_tol_name(name):
     return name
 
 
-def _count(name, value, low):
-    value = _typed(name, value, operator.index, "an integer")
-    if value < low:
-        raise UsageError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
 def run_suites(
     suite="all",
     kind="all",
@@ -506,10 +498,10 @@ def run_suites(
         raise UsageError(f"unknown suite {suite!r}, pick from {SUITES + ('all',)}")
     if kind != "all" and kind not in KINDS:
         raise UsageError(f"unknown kind {kind!r}, pick from {KINDS + ('all',)}")
-    site_dim = _count("N", site_dim, 1)
-    n_max = _count("n-max", n_max, 2)
-    samples = _count("samples", samples, 1)
-    seed = _count("seed", seed, 0)
+    site_dim = _as_count("N", site_dim, 1)
+    n_max = _as_count("n-max", n_max, 2)
+    samples = _as_count("samples", samples, 1)
+    seed = _as_count("seed", seed, 0)
     tau = _finite("tau", tau, complex, "a complex number")
     if tau.imag <= 0:
         raise UsageError(f"tau must have positive imaginary part, got {tau}")

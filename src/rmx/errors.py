@@ -76,3 +76,12 @@ def _as_index(name, value):
         return operator.index(value)
     except TypeError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_count(name, value, low):
+    """``value`` as an int of at least ``low``, by :func:`_as_index`; one
+    below it is a :class:`UsageError` too."""
+    value = _as_index(name, value)
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
+    return value

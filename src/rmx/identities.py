@@ -47,6 +47,7 @@ from .errors import (
     PoleProximity,
     RmxError,
     ZeroArgument,
+    _as_count,
     _as_index,
 )
 from .special_functions import MAX_WP_DERIV_ORDER, scalar_cyclic_sum, weierstrass_p
@@ -143,6 +144,9 @@ def cyclic_sum_cost(site_dim, n):
     closing the chains, and one from each of the m C(n-1, m) states with m
     sites to each of its n - 1 - m successors, (n-1)(n-2) 2^(n-3) in all.
     """
+    site_dim, n = _as_count("site_dim", site_dim, 1), _as_index("n", n)
+    if n < 2:
+        raise DimensionMismatch(f"the cyclic product sum needs n >= 2, got {n}")
     steps = 2 * (n - 1) + (n - 1) * (n - 2) * 2 ** n // 8
     dim = site_dim ** n
     return steps * dim * site_dim ** 2 * min(_PROBES, dim)

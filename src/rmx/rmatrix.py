@@ -43,6 +43,7 @@ from .errors import (
     SeriesNotConverged,
     UsageError,
     ZeroArgument,
+    _as_count,
     _as_index,
 )
 from .special_functions import (
@@ -100,8 +101,7 @@ class RMatrixSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", RMatrixKind(self.kind))
         object.__setattr__(self, "hbar", complex(self.hbar))
-        if self.site_dim < 1:
-            raise UsageError(f"site_dim must be >= 1, got {self.site_dim}")
+        object.__setattr__(self, "site_dim", _as_count("site_dim", self.site_dim, 1))
         if self.kind is RMatrixKind.BELAVIN:
             if self.lattice.kind is not FunctionKind.ELLIPTIC:
                 raise NonEllipticKind(
@@ -140,8 +140,7 @@ def t_basis(a1, a2, N):
 
     with unreduced index arithmetic, and T_a T_(-a) = Id.
     """
-    if N < 1:
-        raise UsageError(f"N must be >= 1, got {N}")
+    N = _as_count("N", N, 1)
     a1, a2 = int(a1), int(a2)
     omega = np.exp(2j * np.pi / N)
     q = np.diag(omega ** np.arange(N))
@@ -156,6 +155,7 @@ def t_basis(a1, a2, N):
 
 def structure_phase(alpha, beta, N):
     """Scalar kappa with T_alpha T_beta = kappa T_(alpha+beta) (raw integer sum)."""
+    N = _as_count("N", N, 1)
     return complex(np.exp(1j * np.pi * (beta[0] * alpha[1] - beta[1] * alpha[0]) / N))
 
 
@@ -187,12 +187,6 @@ def _tt_stack(N):
 # the two families
 # ---------------------------------------------------------------------------
 
-def _n_over(N, z):
-    """N / z entrywise, in Python's complex division, whose last bits differ
-    from numpy's: the Yang entries keep the values of the scalar formula."""
-    return np.array([N / v for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
-
-
 # the smallest Yang |z| and |hbar|: N / z and 1 / hbar overflow to inf
 # near 1e-308, and 1e-300 leaves room for any N below 1e8
 _YANG_FLOOR = 1e-300
@@ -222,7 +216,7 @@ def yang_r(z, hbar, N):
     dim = N * N
     return (
         np.eye(dim, dtype=complex) / hbar[..., None, None]
-        + _n_over(N, z)[..., None, None] * permutation_operator(N)
+        + (N / z)[..., None, None] * permutation_operator(N)
     )
 
 
@@ -426,7 +420,7 @@ def classical_closed_form(spec, z):
     z = np.asarray(z, dtype=complex)
     if spec.kind is RMatrixKind.YANG:
         _check_yang_argument("z", z)
-        r = _n_over(N, z)[..., None, None] * permutation_operator(N)
+        r = (N / z)[..., None, None] * permutation_operator(N)
         return r, np.zeros(r.shape, dtype=complex)
     a2, omegas = _alpha_omegas(N, spec.lattice.tau)
     e1, wp, phi, dphi = _classical_parts(z, omegas[1:], spec.lattice)
@@ -462,25 +456,12 @@ def _contour(spec, z, radius, points):
 
 
 def _laurent_coefficients(nodes, vals):
-    """Trapezoid sums for the hbar^(-1), hbar^0 and hbar^1 coefficients.
-
-    Each sum adds the weighted nodes in order, with the complex products
-    written out in real arithmetic, the rounding of a plain loop
-    ``acc += w * v``.  The real and imaginary parts share one
-    (nodes, 2, D, D) buffer: its sum over axis 0 runs node by node, where a
-    (nodes, 1, 1) operand at N = 1 alone would be summed pairwise.
-    """
-    out = {}
-    parts = np.empty((len(nodes), 2) + vals.shape[1:])
-    for j in (-1, 0, 1):
-        w = (nodes ** (-j))[:, None, None]
-        np.multiply(w.real, vals.real, out=parts[:, 0])
-        parts[:, 0] -= w.imag * vals.imag
-        np.multiply(w.real, vals.imag, out=parts[:, 1])
-        parts[:, 1] += w.imag * vals.real
-        re, im = parts.sum(axis=0)
-        out[j] = (re + 1j * im) / len(nodes)
-    return out
+    """Trapezoid sums for the hbar^(-1), hbar^0 and hbar^1 coefficients,
+    a dict keyed by the power, from one matmul of the weights nodes^(-j)
+    against the node values."""
+    w = np.stack([nodes ** -j for j in (-1, 0, 1)])
+    sums = w @ vals.reshape(len(nodes), -1) / len(nodes)
+    return dict(zip((-1, 0, 1), sums.reshape((3,) + vals.shape[1:])))
 
 
 def _default_radius(spec, z):
@@ -518,12 +499,9 @@ def classical_expansion(spec, z, quadrature_points=32, contour_radius=None):
     if quadrature_points < 8:
         raise QuadratureNotConverged("need at least 8 quadrature points")
 
-    # the coarse nodes are every other fine node: evaluate R once, and sum
-    # contiguous copies so the coarse sums match a direct evaluation's
+    # the coarse nodes are every other fine node: evaluate R once
     nodes, vals = _contour(spec, z, contour_radius, 2 * quadrature_points)
-    coarse = _laurent_coefficients(
-        np.ascontiguousarray(nodes[::2]), np.ascontiguousarray(vals[::2])
-    )
+    coarse = _laurent_coefficients(nodes[::2], vals[::2])
     fine = _laurent_coefficients(nodes, vals)
     extraction = max(frobenius_distance(coarse[j], fine[j]) for j in (-1, 0, 1))
     if extraction > _REFINE_TOL:

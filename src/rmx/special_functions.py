@@ -343,6 +343,7 @@ def theta(z, params, deriv_order=0):
     """
     if params.kind is not FunctionKind.ELLIPTIC:
         raise NonEllipticKind(f"theta requires elliptic kind, got {params.kind.value}")
+    deriv_order = _as_index("deriv_order", deriv_order)
     if deriv_order < 0:
         raise UnsupportedDerivOrder("deriv_order must be non-negative")
     arr, scalar = _asarray(z)
@@ -379,16 +380,9 @@ def _coth_poly(order):
 
 
 def _rational_e1(params, z, orders):
-    # numpy's complex power z ** -(d+1) gives nan where |z|^(d+1) overflows,
-    # and the value underflows there; (1/z) ** (d+1) gives it, but differs
-    # in the last bits elsewhere, so it serves only there
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.stack([(-1.0) ** d * factorial(d) * z ** (-d - 1) for d in orders])
-    big = ~np.isfinite(out)
-    if big.any():
-        out[big] = np.stack([(-1.0) ** d * factorial(d) * (1.0 / z) ** (d + 1)
-                             for d in orders])[big]
-    return out
+    # (1/z) ** (d+1), not z ** -(d+1): numpy's complex power gives nan where
+    # |z|^(d+1) overflows, and the value underflows to 0 there
+    return np.stack([(-1.0) ** d * factorial(d) * (1.0 / z) ** (d + 1) for d in orders])
 
 
 def _trigonometric_e1(params, z, orders):
@@ -478,6 +472,7 @@ def eisenstein_e1(z, params, deriv_order=0):
     depending on the kind; ``deriv_order`` selects a z-derivative (term-wise
     differentiated series in the elliptic case, exact closed forms otherwise).
     """
+    deriv_order = _as_index("deriv_order", deriv_order)
     if deriv_order < 0 or deriv_order > MAX_WP_DERIV_ORDER + 1:
         raise UnsupportedDerivOrder(
             f"E1 derivative order must be in [0, {MAX_WP_DERIV_ORDER + 1}]"
@@ -503,6 +498,7 @@ def weierstrass_p(z, params, deriv_order=0):
     deriv_order : int
         0 <= deriv_order <= MAX_WP_DERIV_ORDER.
     """
+    deriv_order = _as_index("deriv_order", deriv_order)
     if deriv_order < 0 or deriv_order > MAX_WP_DERIV_ORDER:
         raise UnsupportedDerivOrder(
             f"wp derivative order must be in [0, {MAX_WP_DERIV_ORDER}], "

@@ -28,7 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded, _as_index
+from .errors import (
+    DimensionMismatch, IndexOutOfRange, SizeCapExceeded, _as_count, _as_index,
+)
 
 __all__ = [
     "SIZE_CAP",
@@ -56,7 +58,7 @@ def _check_cap(site_dim, n_sites):
 
 def permutation_operator(site_dim):
     """Two-site operator P with P (u tensor v) = v tensor u."""
-    n = site_dim
+    n = _as_count("site_dim", site_dim, 1)
     return (
         np.eye(n * n, dtype=complex)
         .reshape(n, n, n, n)

@@ -15,6 +15,7 @@ from rmx import (
     LatticeParams,
     QuadratureNotConverged,
     RMatrixSpec,
+    SeriesNotConverged,
     SizeCapExceeded,
     UsageError,
     check_aybe,
@@ -115,6 +116,13 @@ class TestLaxBlocks:
                            positions=(0.3,))
         with pytest.raises(UsageError):
             CalogeroConfig(rspec=yang_spec(), momenta=(0.1,), positions=(0.3,))
+        # a non-finite momentum or coupling would reach the Lax matrix silently
+        for bad in (np.nan, np.inf, complex(0.2, -np.inf)):
+            with pytest.raises(SeriesNotConverged, match="finite momenta"):
+                CalogeroConfig(rspec=yang_spec(), momenta=(0.1, bad), positions=(0.3, 1.1))
+            with pytest.raises(SeriesNotConverged, match="finite coupling"):
+                CalogeroConfig(rspec=yang_spec(), momenta=(0.1, 0.2),
+                               positions=(0.3, 1.1), coupling=bad)
 
     def test_power_validation(self):
         cfg = make_config(yang_spec(2), 2)

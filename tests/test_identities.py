@@ -161,6 +161,17 @@ class TestLegOrderDP:
         assert sizes == {2: (2, 1), 3: (6, 2), 4: (18, 5), 5: (56, 11),
                          6: (170, 22), 7: (492, 44), 8: (1358, 87)}
 
+    def test_cost_refuses_fewer_than_two_sites(self):
+        for n in (1, 0, -3):
+            with pytest.raises(DimensionMismatch, match=f"needs n >= 2, got {n}"):
+                cyclic_sum_cost(2, n)
+        with pytest.raises(UsageError, match="^n must be an integer, got 3.0"):
+            cyclic_sum_cost(2, 3.0)
+        with pytest.raises(UsageError, match="^site_dim must be an integer, got 2.5"):
+            cyclic_sum_cost(2.5, 3)
+        # two steps of 4 x 4 on a 4 x 4 state
+        assert cyclic_sum_cost(np.int64(2), np.int32(2)) == 2 * 4 * 4 * 4
+
     def test_plan_is_cached_and_frees_each_state(self):
         plan = identities._dp_plan(5)
         assert identities._dp_plan(5) is plan

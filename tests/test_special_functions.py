@@ -96,6 +96,13 @@ class TestTheta:
         with pytest.raises(NonEllipticKind):
             theta(0.3, RA)
 
+    def test_deriv_order_must_be_an_integer(self):
+        for order in (2.0, -1.5, "1"):
+            message = f"^deriv_order must be an integer, got {order!r}"
+            with pytest.raises(UsageError, match=message):
+                theta(0.3, EL, deriv_order=order)
+        assert theta(0.3, EL, deriv_order=np.int64(1)) == theta(0.3, EL, deriv_order=1)
+
     def test_nonconvergent_series_raises(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("a series was summed")
@@ -316,6 +323,14 @@ class TestEisenstein:
         with pytest.raises(UnsupportedDerivOrder):
             eisenstein_e1(0.3, RA, deriv_order=8)
 
+    def test_deriv_order_must_be_an_integer(self):
+        # named before the range check, even for a float out of range
+        for order in (2.0, 99.5, "1"):
+            message = f"^deriv_order must be an integer, got {order!r}"
+            with pytest.raises(UsageError, match=message):
+                eisenstein_e1(0.3, RA, deriv_order=order)
+        assert eisenstein_e1(0.3, EL, np.int32(2)) == eisenstein_e1(0.3, EL, 2)
+
     @pytest.mark.parametrize("size", [1e150, 1e200, 1e300])
     def test_rational_far_from_the_pole(self, size):
         # numpy's complex power overflows to nan where |z|^(d+1) passes the
@@ -368,6 +383,14 @@ class TestWeierstrass:
 
     def test_elliptic_frozen(self):
         assert abs(weierstrass_p(0.35, EL) - 9.3773190261343050065) < 1e-13
+
+    def test_deriv_order_must_be_an_integer(self):
+        # named before the range check, even for a float out of range
+        for order in (2.0, -3.0, "0"):
+            message = f"^deriv_order must be an integer, got {order!r}"
+            with pytest.raises(UsageError, match=message):
+                weierstrass_p(0.35, TR, deriv_order=order)
+        assert weierstrass_p(0.35, EL, np.int64(2)) == weierstrass_p(0.35, EL, 2)
 
     def test_even_all_kinds(self):
         for par, _ in ALL_KINDS:

@@ -42,6 +42,14 @@ class TestPermutation:
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert np.allclose(p @ np.kron(u, v), np.kron(v, u))
 
+    def test_size_must_be_a_positive_integer(self):
+        for bad in (0, -1):
+            with pytest.raises(UsageError, match=f"^site_dim must be >= 1, got {bad}"):
+                permutation_operator(bad)
+        with pytest.raises(UsageError, match="^site_dim must be an integer, got 2.0"):
+            permutation_operator(2.0)
+        assert np.array_equal(permutation_operator(np.int64(1)), np.ones((1, 1)))
+
     def test_involution(self):
         for n in (2, 3):
             p = permutation_operator(n)
