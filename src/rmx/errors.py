@@ -8,6 +8,13 @@ generic error handling.
 
 import operator
 
+__all__ = [
+    "RmxError", "NonEllipticKind", "SeriesNotConverged", "PoleProximity",
+    "UnsupportedDerivOrder", "DegenerateArguments", "IndexOutOfRange",
+    "DimensionMismatch", "SizeCapExceeded", "ZeroArgument", "ContourHitsPole",
+    "QuadratureNotConverged", "ExpansionFailed", "BudgetExceeded", "UsageError",
+]
+
 
 class RmxError(Exception):
     """Base class for all rmx errors."""
@@ -18,7 +25,8 @@ class NonEllipticKind(RmxError, ValueError):
 
 
 class SeriesNotConverged(RmxError, ArithmeticError):
-    """A q-series hit its term cap before meeting the truncation criterion."""
+    """A q-series cannot give an accurate value: it overflows, underflows,
+    cancels, or hits its term cap before meeting the truncation criterion."""
 
 
 class PoleProximity(RmxError, ValueError):

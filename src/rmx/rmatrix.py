@@ -141,7 +141,7 @@ def t_basis(a1, a2, N):
     with unreduced index arithmetic, and T_a T_(-a) = Id.
     """
     N = _as_count("N", N, 1)
-    a1, a2 = int(a1), int(a2)
+    a1, a2 = _as_index("a1", a1), _as_index("a2", a2)
     omega = np.exp(2j * np.pi / N)
     q = np.diag(omega ** np.arange(N))
     shift = np.zeros((N, N), dtype=complex)
@@ -156,7 +156,9 @@ def t_basis(a1, a2, N):
 def structure_phase(alpha, beta, N):
     """Scalar kappa with T_alpha T_beta = kappa T_(alpha+beta) (raw integer sum)."""
     N = _as_count("N", N, 1)
-    return complex(np.exp(1j * np.pi * (beta[0] * alpha[1] - beta[1] * alpha[0]) / N))
+    a = [_as_index(f"alpha[{i}]", alpha[i]) for i in (0, 1)]
+    b = [_as_index(f"beta[{i}]", beta[i]) for i in (0, 1)]
+    return complex(np.exp(1j * np.pi * (b[0] * a[1] - b[1] * a[0]) / N))
 
 
 def _alpha_grid(N):
@@ -208,6 +210,7 @@ def yang_r(z, hbar, N):
     Broadcasts over arrays of z and hbar: the shape is their broadcast
     shape + (N^2, N^2).
     """
+    N = _as_count("N", N, 1)
     z, hbar = np.broadcast_arrays(
         np.asarray(z, dtype=complex), np.asarray(hbar, dtype=complex)
     )

@@ -40,7 +40,7 @@ The rational kind replaces these by :math:`1/z`, :math:`1/z^2`,
 :math:`i\pi\mathbb{Z}`).
 
 All evaluation routines accept scalars or numpy arrays (broadcasting) and
-reject arguments within ``exclusion_radius`` of a pole of the defining
+reject arguments within ``EXCLUSION_RADIUS`` of a pole of the defining
 expression, raising :class:`~rmx.errors.PoleProximity`.
 """
 
@@ -80,9 +80,12 @@ __all__ = [
     "MAX_WP_DERIV_ORDER",
 ]
 
-DEFAULT_SERIES_TOL = 1e-15
-DEFAULT_MAX_TERMS = 200
-DEFAULT_EXCLUSION_RADIUS = 1e-6
+#: Bound on every theta q-series term from the third-last summed on.
+SERIES_TOL = 1e-15
+#: Cap on the number of theta q-series terms.
+MAX_TERMS = 200
+#: Arguments closer than this to a pole of the defining expression are rejected.
+EXCLUSION_RADIUS = 1e-6
 
 #: Highest supported derivative order of weierstrass_p (covers identities up
 #: to n = 8, which need wp^(6)).
@@ -107,21 +110,12 @@ class LatticeParams:
         Degeneration: ``rational``, ``trigonometric`` or ``elliptic``.
     tau : complex
         Modular parameter; requires ``Im(tau) > 0`` for the elliptic kind
-        and is ignored otherwise.
-    series_tol : float
-        Bound on every theta q-series term from the third-last summed on.
-    max_terms : int
-        Safety cap on q-series terms.
-    exclusion_radius : float
-        Arguments closer than this to a pole of the defining expression
-        are rejected.
+        and is ignored otherwise.  Theta-based evaluations raise
+        SeriesNotConverged above Im(tau) = 433, where theta values underflow.
     """
 
     kind: FunctionKind
     tau: complex = 1j
-    series_tol: float = DEFAULT_SERIES_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
-    exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FunctionKind(self.kind))
@@ -134,12 +128,6 @@ class LatticeParams:
             raise NonEllipticKind(
                 f"elliptic kind needs a finite tau, got tau = {self.tau}"
             )
-        if not self.series_tol > 0:
-            raise ValueError(f"series_tol must be positive, got {self.series_tol}")
-        if self.max_terms < 8:
-            raise ValueError(f"max_terms must be at least 8, got {self.max_terms}")
-        if not self.exclusion_radius > 0:
-            raise ValueError("exclusion_radius must be positive")
         if self.kind is FunctionKind.ELLIPTIC:
             object.__setattr__(self, "_cell", _reduced_cell(self.tau))
 
@@ -154,10 +142,6 @@ class LatticeParams:
         Elliptic kind: the nearest corner of the reduced cell around z.
         """
         return _KINDS[self.kind].distance(self, np.asarray(z, dtype=complex))
-
-    def require_off_lattice(self, z, what="argument"):
-        """Raise :class:`PoleProximity` if any entry of ``z`` is too close to a pole."""
-        _off_lattice(self, (what, z))
 
 
 def _reduced_cell(tau):
@@ -190,16 +174,16 @@ def _off_lattice(params, *slots):
     """
     flat = np.concatenate([np.asarray(v, dtype=complex).ravel() for _, v in slots])
     d = params.lattice_distance(flat)
-    if d.size and not (d.min() >= params.exclusion_radius and d.max() < np.inf):
+    if d.size and not (d.min() >= EXCLUSION_RADIUS and d.max() < np.inf):
         edges = np.cumsum([0] + [np.size(v) for _, v in slots])
         for (what, _), lo, hi in zip(slots, edges, edges[1:]):
             bad = flat[lo:hi][~(d[lo:hi] < np.inf)]
             if bad.size:
                 raise SeriesNotConverged(f"{what} {bad[0]} is not a finite argument")
-            if np.any(d[lo:hi] < params.exclusion_radius):
+            if np.any(d[lo:hi] < EXCLUSION_RADIUS):
                 bad = flat[lo + np.argmin(d[lo:hi])]
                 raise PoleProximity(
-                    f"{what} {bad} is within {params.exclusion_radius} of a "
+                    f"{what} {bad} is within {EXCLUSION_RADIUS} of a "
                     f"{params.kind.value} lattice point"
                 )
     return flat
@@ -230,6 +214,11 @@ def _finish(arr, scalar):
 #: terms, exceeds this fraction of the value raises SeriesNotConverged.
 _CANCELLATION_TOL = 1e-12
 _EPS = np.finfo(float).eps
+#: Largest Im(tau) the theta series serves.  An off-lattice theta value is
+#: about EXCLUSION_RADIUS |q|^(1/4) = EXCLUSION_RADIUS exp(-pi Im(tau) / 4)
+#: in size or more, and phi divides by a product of two: past this Im(tau)
+#: that product is no longer a normal float.
+_MAX_IM_TAU = 2.0 / np.pi * (2.0 * log(EXCLUSION_RADIUS) - log(np.finfo(float).tiny))
 
 
 @lru_cache(maxsize=128)
@@ -253,27 +242,32 @@ def _theta_factors(tau, terms, max_order):
 
 def _theta_terms(params, y, d):
     """Number K of theta terms to sum for orders 0..d at max|Im z| = y: the
-    smallest K with every term k >= K-3 below series_tol under the bound
+    smallest K with every term k >= K-3 below SERIES_TOL under the bound
     |term_k| <= 2 (2 pi x)^d exp(-pi Im(tau) x^2 + 2 pi x y), x = k + 1/2.
-    The log f(x) of bound / series_tol is concave in x, so Newton's method,
+    The log f(x) of bound / SERIES_TOL is concave in x, so Newton's method,
     started at the last root of a quadratic above f (log(2 pi x) <= 2 pi x / e),
     falls monotonically onto the last root of f.
     """
-    t, b, c = np.pi * params.tau.imag, 2.0 * np.pi * y, log(2.0 / params.series_tol)
+    if not params.tau.imag <= _MAX_IM_TAU:
+        raise SeriesNotConverged(
+            f"theta values underflow at Im(tau) = {params.tau.imag:g} "
+            f"> {_MAX_IM_TAU:.0f}"
+        )
+    t, b, c = np.pi * params.tau.imag, 2.0 * np.pi * y, log(2.0 / SERIES_TOL)
     s = b + 2.0 * np.pi * d / np.e
     x = max((s + sqrt(max(s * s + 4.0 * t * c, 0.0))) / (2.0 * t), 0.5)
     for _ in range(60):
         slope = d / x - 2.0 * t * x + b
-        if slope >= 0:  # f peaks below 0: no term reaches series_tol
+        if slope >= 0:  # f peaks below 0: no term reaches SERIES_TOL
             return 3
         step = (c + d * log(2.0 * np.pi * x) - t * x * x + b * x) / slope
         x -= step
         if not (0.5 < x < np.inf and abs(step) > 1e-9 * x):
             break
-    if not x <= params.max_terms - 2.5:  # also a non-finite y
+    if not x <= MAX_TERMS - 2.5:  # also a non-finite y
         raise SeriesNotConverged(
-            f"theta series needs more than max_terms={params.max_terms} terms "
-            f"to meet tol={params.series_tol} at max|Im z| = {y}"
+            f"theta series needs more than MAX_TERMS={MAX_TERMS} terms "
+            f"to meet tol={SERIES_TOL} at max|Im z| = {y}"
         )
     return max(ceil(x - 0.5), 0) + 3
 
@@ -337,9 +331,10 @@ def theta(z, params, deriv_order=0):
     NonEllipticKind
         If ``params.kind`` is not elliptic.
     SeriesNotConverged
-        Before summing, if the tail bound needs more than ``max_terms``
-        terms or Im z is not finite; after, if the series overflows or its
-        terms cancel to fewer than 12 digits.
+        Before summing, if Im(tau) is so large that theta values underflow,
+        if the tail bound needs more than ``MAX_TERMS`` terms or if Im z is
+        not finite; after, if the series overflows or its terms cancel to
+        fewer than 12 digits.
     """
     if params.kind is not FunctionKind.ELLIPTIC:
         raise NonEllipticKind(f"theta requires elliptic kind, got {params.kind.value}")
@@ -478,7 +473,7 @@ def eisenstein_e1(z, params, deriv_order=0):
             f"E1 derivative order must be in [0, {MAX_WP_DERIV_ORDER + 1}]"
         )
     arr, scalar = _asarray(z)
-    params.require_off_lattice(arr, "E1 argument")
+    _off_lattice(params, ("E1 argument", arr))
     e1 = _KINDS[params.kind].e1(params, arr, range(deriv_order, deriv_order + 1))
     return _finish(e1[0], scalar)
 
@@ -505,7 +500,7 @@ def weierstrass_p(z, params, deriv_order=0):
             f"got {deriv_order}"
         )
     arr, scalar = _asarray(z)
-    params.require_off_lattice(arr, "wp argument")
+    _off_lattice(params, ("wp argument", arr))
     return _finish(_wp(params, arr, range(deriv_order, deriv_order + 1))[0], scalar)
 
 
@@ -595,7 +590,7 @@ def fay_check(hbar, eta, z, w, params):
         lhs = phi_z * phi_w
         rhs = phi_zw * (e1[0] + e1[1] + e1[2] - e1[3])
         return abs(lhs - rhs)
-    if params.lattice_distance(hbar - eta) < params.exclusion_radius:
+    if params.lattice_distance(hbar - eta) < EXCLUSION_RADIUS:
         raise DegenerateArguments(
             f"hbar - eta = {hbar - eta} is inside the exclusion radius; "
             "pass eta == hbar exactly to select the degenerate form"

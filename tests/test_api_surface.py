@@ -1,6 +1,7 @@
 """The public surface: ``rmx.__all__`` and the public functions agree."""
 
 import ast
+import dataclasses
 import inspect
 import subprocess
 import sys
@@ -31,6 +32,28 @@ def test_every_public_function_is_exported(layer):
     assert public <= set(module.__all__)
     assert public <= set(rmx.__all__)
     assert set(module.__all__) <= set(rmx.__all__)
+
+
+EAGER = ["errors", "special_functions", "tensor_ops", "rmatrix"]
+
+
+def test_all_is_built_from_the_layers():
+    eager = [name for layer in EAGER for name in getattr(rmx, layer).__all__]
+    lazy = [name for names in rmx._LAZY.values() for name in names]
+    assert rmx.__all__ == ["__version__", *eager, *lazy]
+
+
+def test_every_error_is_exported():
+    errors = {
+        name for name, obj in vars(rmx.errors).items()
+        if isinstance(obj, type) and issubclass(obj, rmx.RmxError)
+    }
+    assert errors == set(rmx.errors.__all__)
+
+
+def test_lattice_params_keeps_only_kind_and_tau():
+    fields = [f.name for f in dataclasses.fields(rmx.LatticeParams)]
+    assert fields == ["kind", "tau"]
 
 
 # A fresh interpreter: import rmx and build one R-matrix, then list the

@@ -111,12 +111,33 @@ class TestBasisMatrices:
                     f(N)
             assert np.array_equal(f(np.int64(3)), f(3))
 
+    def test_fractional_index_rejected(self):
+        for call, name in (
+            (lambda: t_basis(1.5, 0, 2), "a1"),
+            (lambda: t_basis(1, 0.5, 2), "a2"),
+            (lambda: structure_phase((0.5, 0), (0, 1), 2), r"alpha\[0\]"),
+            (lambda: structure_phase((0, 1), (1, 1.0), 2), r"beta\[1\]"),
+        ):
+            with pytest.raises(UsageError, match=f"^{name} must be an integer"):
+                call()
+        assert np.array_equal(t_basis(np.int64(1), np.int32(1), 2), t_basis(1, 1, 2))
+        assert structure_phase(np.array([1, 0]), (0, np.int64(1)), 2) == (
+            structure_phase((1, 0), (0, 1), 2))
+
 
 class TestYangFamily:
     def test_closed_form(self):
         N, z, h = 2, 0.7 + 0.3j, 0.4 - 0.2j
         want = np.eye(N * N) / h + (N / z) * permutation_operator(N)
         assert np.allclose(yang_r(z, h, N), want, rtol=0, atol=1e-15)
+
+    def test_bad_size(self):
+        for N in (2.5, "2"):
+            with pytest.raises(UsageError, match=f"^N must be an integer, got {N!r}"):
+                yang_r(0.3, 0.2, N)
+        with pytest.raises(UsageError, match="^N must be >= 1, got 0"):
+            yang_r(0.3, 0.2, 0)
+        assert np.array_equal(yang_r(0.3, 0.2, np.int64(2)), yang_r(0.3, 0.2, 2))
 
     def test_dispatch(self):
         spec = yang_spec(3)

@@ -107,7 +107,7 @@ class TestTheta:
         def unreachable(*args):
             raise AssertionError("a series was summed")
 
-        slow = LatticeParams(kind="elliptic", tau=0.004j, max_terms=8)
+        slow = LatticeParams(kind="elliptic", tau=1e-5j)  # over 1000 terms
         monkeypatch.setattr(special_functions, "_theta_factors", unreachable)
         with pytest.raises(SeriesNotConverged):
             theta(0.3, slow)
@@ -136,6 +136,26 @@ class TestTheta:
             ):
                 with pytest.raises(SeriesNotConverged, match=slot):
                     call()
+
+    def test_large_im_tau(self):
+        # at Im(tau) = 300 the functions are their q -> 0 limits; from the
+        # underflow bound on, theta values underflow and every call raises
+        eta, z = 0.2 + 0.05j, 0.3 + 0.1j
+        limits = (
+            (lambda p: kronecker_phi(eta, z, p),
+             np.pi / np.tan(np.pi * eta) + np.pi / np.tan(np.pi * z)),
+            (lambda p: eisenstein_e1(z, p), np.pi / np.tan(np.pi * z)),
+            (lambda p: weierstrass_p(z, p),
+             np.pi ** 2 / np.sin(np.pi * z) ** 2 - np.pi ** 2 / 3),
+        )
+        near = LatticeParams(kind="elliptic", tau=300j)
+        for call, limit in limits:
+            assert abs(call(near) - limit) <= 1e-12 * abs(limit)
+        for tau in (900j, 1000j, 1e5j):
+            far = LatticeParams(kind="elliptic", tau=tau)
+            for call, _ in limits:
+                with pytest.raises(SeriesNotConverged, match="underflow"):
+                    call(far)
 
     def test_bad_tau_rejected(self):
         with pytest.raises(NonEllipticKind):
@@ -227,10 +247,10 @@ class TestThetaSeriesBound:
                     x = K - 3.5
                     bound = 2 * (2 * np.pi * x) ** d * np.exp(
                         -np.pi * tau.imag * x * x + 2 * np.pi * x * y)
-                    assert bound > par.series_tol, (tau, y, d)
+                    assert bound > special_functions.SERIES_TOL, (tau, y, d)
                 for z in (0.3 + 1j * y, 0.8 - 1j * y):
                     tail = direct_theta_terms(z, tau, d, range(K - 3, K + 31))
-                    assert np.all(np.abs(tail) <= par.series_tol), (tau, y, d, K)
+                    assert np.all(np.abs(tail) <= special_functions.SERIES_TOL), (tau, y, d, K)
                     terms = direct_theta_terms(z, tau, d, range(64))
                     full, cut = fsum_complex(terms), fsum_complex(terms[:K])
                     assert abs(cut - full) <= 1e-15 * abs(full), (tau, z, d, K)
