@@ -42,6 +42,7 @@ from .special_functions import (
     FunctionKind,
     MAX_WP_DERIV_ORDER,
     LatticeParams,
+    _MAX_IM_TAU,
     _wp,
     fay_check,
     scalar_cyclic_sum,
@@ -486,7 +487,9 @@ def run_suites(
     This is the programmatic face of ``rmx verify``; every keyword mirrors
     the corresponding flag.  Raises :class:`BudgetExceeded` when n_max and N
     imply too much work, :class:`UsageError` on other invalid options, among
-    them an n_max above MAX_WP_DERIV_ORDER + 2, and :class:`SizeCapExceeded`
+    them an n_max above MAX_WP_DERIV_ORDER + 2 and, when the elliptic kind
+    is requested, an Im(tau) above ``special_functions._MAX_IM_TAU``, and
+    :class:`SizeCapExceeded`
     when a case would act on more than ``tensor_ops.SIZE_CAP`` dimensions.
     Both guards look at the requested suites only: the budget prices the
     n_max cyclic sums of outer-n_max in the nth-order suite, and the size
@@ -505,6 +508,9 @@ def run_suites(
     tau = _finite("tau", tau, complex, "a complex number")
     if tau.imag <= 0:
         raise UsageError(f"tau must have positive imaginary part, got {tau}")
+    if tau.imag > _MAX_IM_TAU and kind in ("all", "elliptic"):
+        raise UsageError(f"tau must have imaginary part at most {_MAX_IM_TAU:.0f} "
+                         f"for the elliptic kind, where theta underflows, got {tau}")
     if hbar is not None:
         hbar = _finite("hbar", hbar, complex, "a complex number")
     tols = {_check_tol_name(name): _finite(f"tol.{name}", value, float, "a number")
@@ -672,7 +678,8 @@ def _build_parser():
                         help="deepest cyclic identity to verify, at most "
                         f"{MAX_WP_DERIV_ORDER + 2}")
     verify.add_argument("--tau", type=_parse_complex, default=1j,
-                        help="modular parameter, e.g. 0.21+1.3i")
+                        help="modular parameter, e.g. 0.21+1.3i; Im(tau) > 0, "
+                        f"and at most {_MAX_IM_TAU:.0f} for the elliptic kind")
     verify.add_argument("--hbar", type=_parse_complex, default=None,
                         help="fix the quantization parameter instead of sampling")
     verify.add_argument("--seed", type=int, default=12345)

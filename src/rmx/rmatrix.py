@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     ContourHitsPole,
+    DimensionMismatch,
     ExpansionFailed,
     NonEllipticKind,
     QuadratureNotConverged,
@@ -204,16 +205,27 @@ def _check_yang_argument(what, v):
         raise SeriesNotConverged(f"Yang R-matrix needs a finite {what}")
 
 
+def _mismatch(z, hbar):
+    """The error for arrays of z and hbar that do not broadcast."""
+    return DimensionMismatch(
+        f"z of shape {np.shape(z)} and hbar of shape {np.shape(hbar)} do not broadcast"
+    )
+
+
 def yang_r(z, hbar, N):
     """Yang R-matrix Id/hbar + (N/z) P on C^N tensor C^N.
 
     Broadcasts over arrays of z and hbar: the shape is their broadcast
-    shape + (N^2, N^2).
+    shape + (N^2, N^2).  Shapes that do not broadcast raise
+    DimensionMismatch.
     """
     N = _as_count("N", N, 1)
-    z, hbar = np.broadcast_arrays(
-        np.asarray(z, dtype=complex), np.asarray(hbar, dtype=complex)
-    )
+    try:
+        z, hbar = np.broadcast_arrays(
+            np.asarray(z, dtype=complex), np.asarray(hbar, dtype=complex)
+        )
+    except ValueError:
+        raise _mismatch(z, hbar) from None
     _check_yang_argument("z", z)
     _check_yang_argument("hbar", hbar)
     dim = N * N
@@ -228,10 +240,13 @@ def _belavin_weights(spec, z, hbar):
     hbar, shape (broadcast shape) + (N^2,), from one kronecker_phi call."""
     N = spec.site_dim
     a2, omegas = _alpha_omegas(N, spec.lattice.tau)
-    z = np.asarray(z, dtype=complex)[..., None]
-    phis = kronecker_phi(z, omegas + np.asarray(hbar, dtype=complex)[..., None],
-                         spec.lattice)
-    return np.exp(2j * np.pi * a2 * z / N) * phis
+    zs = np.asarray(z, dtype=complex)[..., None]
+    try:
+        phis = kronecker_phi(zs, omegas + np.asarray(hbar, dtype=complex)[..., None],
+                             spec.lattice)
+    except DimensionMismatch:
+        raise _mismatch(z, hbar) from None
+    return np.exp(2j * np.pi * a2 * zs / N) * phis
 
 
 def _weighted_tt(w, tt):
@@ -258,7 +273,7 @@ def r_matrix(spec, z, hbar=None):
     hbar overrides spec.hbar when given (validated the same way).  Both
     broadcast: arrays of z and hbar give the broadcast shape + (N^2, N^2),
     every entry a scalar call's matrix, so a check builds all its factors
-    in one call.
+    in one call.  Shapes that do not broadcast raise DimensionMismatch.
     """
     if spec.kind is RMatrixKind.YANG:
         return yang_r(z, spec.hbar if hbar is None else hbar, spec.site_dim)
@@ -273,7 +288,8 @@ def same_site_closed_form(spec, z, hbar=None):
     """Scalar value of R with both tensor legs on one site.
 
     Yang: 1/hbar + N^2/z.  Elliptic: N phi(N hbar, z/N).  hbar overrides
-    spec.hbar when given (validated the same way).
+    spec.hbar when given (validated the same way).  Arrays of z and hbar
+    broadcast, and shapes that do not raise DimensionMismatch.
     """
     if hbar is None:
         hbar = spec.hbar
@@ -282,8 +298,14 @@ def same_site_closed_form(spec, z, hbar=None):
     N = spec.site_dim
     if spec.kind is RMatrixKind.YANG:
         _check_yang_argument("z", z)
-        return 1.0 / hbar + N * N / z
-    return N * kronecker_phi(N * hbar, z / N, spec.lattice)
+        try:
+            return 1.0 / hbar + N * N / z
+        except ValueError:
+            raise _mismatch(z, hbar) from None
+    try:
+        return N * kronecker_phi(N * hbar, z / N, spec.lattice)
+    except DimensionMismatch:
+        raise _mismatch(z, hbar) from None
 
 
 def r_same_site(spec, z, hbar=None):

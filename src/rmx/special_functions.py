@@ -510,9 +510,15 @@ def weierstrass_p(z, params, deriv_order=0):
 
 def _phi_slots(eta, z, params):
     """The slots eta, z and eta + z, checked by one lattice_distance call on
-    their concatenation, which is returned too."""
+    their concatenation, which is returned too.  Shapes that do not
+    broadcast raise DimensionMismatch."""
     ea, za = np.asarray(eta, dtype=complex), np.asarray(z, dtype=complex)
-    slots = ea, za, ea + za
+    try:
+        slots = ea, za, ea + za
+    except ValueError:
+        raise DimensionMismatch(
+            f"phi arguments of shapes {ea.shape} and {za.shape} do not broadcast"
+        ) from None
     names = "phi eta argument", "phi z argument", "phi eta+z argument"
     return slots, _off_lattice(params, *zip(names, slots))
 
@@ -523,7 +529,8 @@ def kronecker_phi(eta, z, params):
     Returns :math:`1/\eta + 1/z`, :math:`\coth\eta + \coth z`, or
     :math:`\vartheta'(0)\vartheta(\eta+z)/(\vartheta(\eta)\vartheta(z))`
     per kind.  All of ``eta``, ``z`` and ``eta + z`` must be off-lattice.
-    Broadcasts over array arguments.
+    Broadcasts over array arguments; shapes that do not broadcast raise
+    DimensionMismatch.
     """
     slots, flat = _phi_slots(eta, z, params)
     phi, _ = _KINDS[params.kind].phi(params, slots, flat, False)

@@ -11,11 +11,13 @@ states in which each edge applies one two-site factor to a state and writes
 or adds the product into another: :func:`_plan` gives the ordered edges
 slots, and :func:`_run` executes them for a stack of slabs in lockstep, on
 one scratch workspace per process, in real arithmetic on the real and
-imaginary planes of each state.  The cyclic sums, the three-site relations,
-the hbar derivative, the applications and :func:`apply_two_site` are each
-one plan.  The total dimension N**n is bounded by the fixed
-:data:`SIZE_CAP`: every n-site entry checks it before any work, and
-``run_suites`` refuses a sweep that would pass it.
+imaginary planes of each state.  A product stores leg 0 last among the legs
+it leaves alone, so the copies and adds of the cyclic sums, which keep their
+outer site on leg 0, move runs of N m floats, not m.  The cyclic sums, the
+three-site relations, the hbar derivative, the applications and
+:func:`apply_two_site` are each one plan.  The total dimension N**n is
+bounded by the fixed :data:`SIZE_CAP`: every n-site entry checks it before
+any work, and ``run_suites`` refuses a sweep that would pass it.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ _STATE_ENTRIES = 2048
 class _Step(NamedTuple):
     """One edge of a plan: the state in slot ``src``, transposed by
     ``front`` (its plane leg, the legs of factor ``factor`` in site order,
-    then its other legs), times that factor, is the state in slot ``dst``
-    when ``add`` is None, or is added to it through the transpose ``add``.
+    then its other legs, leg 0 last), times that factor, is the state in
+    slot ``dst`` when ``add`` is None, or is added to it through ``add``.
     ``last`` marks the source's last read, after which its slot is free."""
 
     src: int
@@ -157,9 +159,11 @@ def _plan(n, edges, outs):
     order.  The first edge into a state writes it, and later ones add to it.
     A state stores its legs in the order of the product that wrote it: the
     plane leg (real, imaginary), the factor's two legs in site order, then
-    the source's other legs in its order.  A state takes a free slot when
-    first written, the most recently freed first, and frees it at its last
-    read."""
+    the source's other legs in its order, leg 0 last: leg 0 then stays
+    beside the columns in every state reached without acting on it, and the
+    copies and adds between such states move runs of N m floats, not m.  A
+    state takes a free slot when first written, the most recently freed
+    first, and frees it at its last read."""
     last = {src: i for i, (src, *_) in enumerate(edges)}
     start = edges[0][0]
     slot, order, keys, legs, steps = {start: 0}, {start: tuple(range(n))}, {}, {}, []
@@ -173,7 +177,8 @@ def _plan(n, edges, outs):
             # the product may take the source's slot
             free.append(src_slot)
             del order[src], slot[src]
-        product = tuple(sorted(pair)) + tuple(x for x in stored if x not in pair)
+        rest = [x for x in stored if x not in pair]
+        product = (*sorted(pair), *sorted(rest, key=lambda x: x == 0))
         front = (0, 1, *(2 + stored.index(leg) for leg in product), n + 2)
         if dst in slot:
             add = (0, 1, *(2 + product.index(leg) for leg in order[dst]), n + 2)

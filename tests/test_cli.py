@@ -523,6 +523,30 @@ class TestMain:
         assert err.startswith(f"error: {message}, got ")
         assert out == "" and cases == []
 
+    @pytest.mark.parametrize("kind", ["all", "elliptic"])
+    def test_tau_past_the_theta_range_exits_two_before_any_case(self, monkeypatch,
+                                                                capsys, kind):
+        # theta underflows above Im(tau) = 433: every elliptic case would fail
+        cases = []
+        monkeypatch.setattr(cli, "_run_case", lambda *a: cases.append(a))
+        assert main(["verify", "--kind", kind, "--tau", "500i"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("error: tau must have imaginary part at most 433 for the "
+                       "elliptic kind, where theta underflows, got 500j\n")
+        assert out == "" and cases == []
+        with pytest.raises(UsageError, match="at most 433"):
+            run_suites(kind=kind, tau=500j)
+
+    @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+    def test_kinds_without_theta_take_any_tau(self, capsys, kind):
+        assert main(["verify", "--kind", kind, "--tau", "500i"]) == 0
+        assert " 0 failed" in capsys.readouterr().out
+
+    def test_tau_help_states_the_range(self):
+        _, verify = cli._build_parser()
+        (tau,) = [a for a in verify._actions if a.dest == "tau"]
+        assert "Im(tau) > 0, and at most 433 for the elliptic kind" in tau.help
+
     def test_unwritable_report_exits_two(self, monkeypatch, tmp_path, capsys):
         # a path in a missing directory, a directory and an empty path are
         # refused before any case runs

@@ -199,6 +199,33 @@ class TestLegOrderDP:
             assert live == {plan.steps[-1].dst}
             assert plan.slots == used == slots
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_middle_states_end_in_the_outer_leg(self, n):
+        # only the edges out of the input and into the sum act on leg 0, the
+        # outer site, and a product stores leg 0 last among its source's other
+        # legs; so a middle state, one written by a factor off leg 0, ends in
+        # (leg 0, probe columns), and every copy out of it along a middle edge
+        # and every add into it moves runs of N k floats, not k
+        plan = identities._dp_plan(n)
+        # replay each slot's leg order: a product's legs are its source's,
+        # read through the copy transpose front
+        order, middle, copies, adds = {0: tuple(range(n))}, {0: False}, 0, 0
+        for step in plan.steps:
+            stored, off_zero = order[step.src], 0 not in plan.keys[step.factor]
+            if middle[step.src] and off_zero:
+                assert stored[-1] == 0 and step.front[-2] == n + 1
+                copies += 1
+            if step.add is None:
+                order[step.dst] = tuple(stored[axis - 2] for axis in step.front[2:-1])
+                middle[step.dst] = off_zero
+            elif middle[step.dst]:
+                assert step.add[-2] == n + 1
+                adds += 1
+        # all steps but the n - 1 out of the input, the (n - 1)(n - 2) out of
+        # the first layer and the n - 1 into the sum; all adds but n - 2
+        assert copies == (n - 1) * (n - 2) * (2 ** (n - 3) - 1)
+        assert adds == sum(s.add is not None for s in plan.steps) - (n - 2)
+
 
 class TestSplitPlanes:
     """The DP runs in real arithmetic: each complex factor A acts as the real

@@ -5,6 +5,7 @@ import pytest
 
 from rmx import (
     ContourHitsPole,
+    DimensionMismatch,
     LatticeParams,
     NonEllipticKind,
     PoleProximity,
@@ -242,6 +243,28 @@ class TestEllipticFamily:
         spec = belavin_spec(N=2)
         with pytest.raises(PoleProximity):
             r_matrix(spec, 0.4 + 0.2j, hbar=0.5)
+
+
+class TestShapes:
+    # arrays of z and hbar broadcast; shapes that do not raise a typed error
+    # naming both, in either family
+    Z = np.array([0.3 + 0.1j, 0.45 + 0.2j, 0.6 + 0.3j])
+    HBAR = np.array([0.17 + 0.09j, 0.21 + 0.13j])
+    MISMATCH = r"z of shape \(3,\) and hbar of shape \(2,\) do not broadcast"
+
+    @pytest.mark.parametrize("spec", [yang_spec(), belavin_spec()],
+                             ids=["yang", "belavin"])
+    def test_r_matrix(self, spec):
+        assert r_matrix(spec, self.Z[:, None], self.HBAR).shape == (3, 2, 4, 4)
+        with pytest.raises(DimensionMismatch, match=self.MISMATCH):
+            r_matrix(spec, self.Z, self.HBAR)
+
+    @pytest.mark.parametrize("spec", [yang_spec(), belavin_spec()],
+                             ids=["yang", "belavin"])
+    def test_same_site_closed_form(self, spec):
+        assert same_site_closed_form(spec, self.Z[:, None], self.HBAR).shape == (3, 2)
+        with pytest.raises(DimensionMismatch, match=self.MISMATCH):
+            same_site_closed_form(spec, self.Z, self.HBAR)
 
 
 class TestSameSite:

@@ -523,6 +523,15 @@ class TestKroneckerPhi:
         assert vals.shape == (2,)
         assert abs(vals[0] - kronecker_phi(0.25, zs[0], RA)) < 1e-15
 
+    @pytest.mark.parametrize("phi", [kronecker_phi, kronecker_phi_deta])
+    def test_shapes_that_do_not_broadcast_raise(self, phi):
+        eta = np.array([0.3 + 0.1j, 0.6 + 0.2j])
+        z = np.array([0.25 + 0.1j, 0.35 + 0.2j, 0.45 + 0.3j])
+        for lat in (RA, TR, EL):
+            assert phi(eta[:, None], z, lat).shape == (2, 3)
+            with pytest.raises(DimensionMismatch, match=r"\(2,\) and \(3,\)"):
+                phi(eta, z, lat)
+
     def test_pole_rejected_in_either_slot_and_sum(self):
         with pytest.raises(PoleProximity):
             kronecker_phi(1e-9, 0.3, RA)
