@@ -38,29 +38,36 @@ anticommutator relation
 
 Every check here applies its operators to the probe block X of
 ``tensor_ops._probe_block`` and forms no N**n x N**n matrix: each is one
-plan of the contraction code of ``tensor_ops``.
+plan of the contraction code of ``tensor_ops``.  The trace-power and
+hbar-order checks are their batch entries (:func:`_trace_power_batch`,
+:func:`_hbar_order_batch`) run on one request, as in ``identities``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, QuadratureNotConverged, SeriesNotConverged, UsageError, _as_index,
+    DimensionMismatch, QuadratureNotConverged, SeriesNotConverged, UsageError, _alone,
+    _as_index, _each, _joint,
 )
-from .identities import _pair_differences, _pair_factors, _verdict
+from .identities import _pair_differences, _pair_factor_batch, _verdict
 from .rmatrix import (
     _default_radius,
     _contour,
     _laurent_coefficients,
+    _stacked,
     classical_closed_form,
 )
 from .special_functions import kronecker_phi
-from .tensor_ops import _plan, _plan_sides, _probe, _probe_block, _probe_scalar, _run
+from .tensor_ops import (
+    _plan, _plan_sides, _probe, _probe_block, _probe_jobs, _run,
+)
 
 __all__ = [
     "CalogeroConfig",
@@ -114,18 +121,29 @@ class CalogeroConfig:
 
 def lax_krichever(config):
     """Scalar n x n Lax matrix with the same-site R-matrix value off-diagonal."""
-    spec = config.rspec
-    n = config.n_particles
-    N = spec.site_dim
-    zs = config.positions
-    out = np.diag(np.array(config.momenta, dtype=complex))
-    pairs = list(itertools.permutations(range(n), 2))
-    phis = kronecker_phi(
-        N * spec.hbar, np.array([zs[a] - zs[b] for a, b in pairs]), spec.lattice
-    )
-    for (a, b), phi in zip(pairs, phis.tolist()):
-        out[a, b] = config.coupling * N * phi
-    return out
+    return _alone(_lax_matrices, config)
+
+
+def _lax_matrices(configs):
+    """lax_krichever of each config, or the RmxError it raises alone, from
+    one kronecker_phi call."""
+    def diffs(config):
+        zs = config.positions
+        pairs = itertools.permutations(range(config.n_particles), 2)
+        return config.rspec, np.array([zs[a] - zs[b] for a, b in pairs]), None
+
+    phis = _stacked(lambda spec, z, hbar: kronecker_phi(
+        spec.site_dim * (spec.hbar if hbar is None else hbar), z, spec.lattice),
+        _each(diffs, configs))
+
+    def lax(config, phis):
+        out = np.diag(np.array(config.momenta, dtype=complex))
+        pairs = itertools.permutations(range(config.n_particles), 2)
+        for (a, b), phi in zip(pairs, phis.tolist()):
+            out[a, b] = config.coupling * config.rspec.site_dim * phi
+        return out
+
+    return _each(lax, configs, phis)
 
 
 @lru_cache(maxsize=32)
@@ -163,33 +181,68 @@ def check_trace_power_guess(config, power, tolerance=None):
     UsageError
         If ``power`` is not an integer of at least 1.
     """
-    power = _as_index("power", power)
-    if power < 1:
-        raise UsageError(f"power must be >= 1, got {power}")
-    spec = config.rspec
-    n = config.n_particles
-    factors = _pair_factors(spec, n, config.positions)
-    plan, eye = _lax_plan(n, power), np.eye(spec.site_dim ** 2)
-    slabs = [([config.coupling * factors[(b + a) % n, (c + a) % n] if b != c
-               else config.momenta[(b + a) % n] * eye for b, c in plan.keys], a)
-             for a in range(n)]
-    x = _probe_block(spec.site_dim ** n)
-    (y,) = _run(plan, slabs, x)
-    coeffs, nonscalars = zip(*(_probe_scalar(x, y_a) for y_a in y))
-    nonscalar = max(nonscalars)
-    scalar = np.linalg.matrix_power(lax_krichever(config), power)
+    return _alone(_trace_power_batch, (config, power, tolerance))
 
-    diag = np.array([scalar[a, a] for a in range(n)])
-    scale = max(1.0, float(np.max(np.abs(diag))))
-    coeff_resid = float(np.max(np.abs(np.array(coeffs) - diag))) / scale
-    trace_resid = abs(sum(coeffs) - np.trace(scalar)) / max(
-        1.0, abs(np.trace(scalar))
-    )
-    residual = max(coeff_resid, nonscalar)
-    return _verdict(f"trace-power k={power}", residual, tolerance, spec.kind,
-                    spec.site_dim, max(power, 2), coefficients=list(coeffs),
-                    nonscalar_residual=nonscalar, trace_residual=trace_resid,
-                    extended_guess=power < n)
+
+def _trace_power_batch(requests):
+    """check_trace_power_guess on each request (config, power, tolerance):
+    its report, or the RmxError it raises alone.  The factors of all
+    requests come from one r_matrix call and their scalar Lax matrices from
+    one kronecker_phi call; the particles of the requests of one N and plan
+    run as the slabs of one plan."""
+    def screen(config, power, tolerance):
+        power = _as_index("power", power)
+        if power < 1:
+            raise UsageError(f"power must be >= 1, got {power}")
+        return config.rspec, config.n_particles, config.positions
+
+    factors = _pair_factor_batch(_each(screen, *zip(*requests)))
+    scalars = _lax_matrices(_each(lambda request, _: request[0], requests, factors))
+
+    def job(request, factors):
+        # the blocks L_bc, and the factors of slab a: the blocks at its legs
+        config, power, (pairs, ops) = request[0], _as_index("power", request[1]), factors
+        n, M = config.n_particles, config.rspec.site_dim ** 2
+        plan, blocks = _lax_plan(n, power), np.empty((n, n, M, M), dtype=complex)
+        blocks[tuple(zip(*pairs))] = config.coupling * ops
+        blocks[range(n), range(n)] = np.multiply.outer(config.momenta, np.eye(M))
+        legs = (np.array(plan.keys) + np.arange(n)[:, None, None]) % n
+        return plan, list(zip(blocks[legs[..., 0], legs[..., 1]], range(n)))
+
+    def run(group):
+        # each slab's coefficient and non-scalar residual, as _probe_scalar
+        # reads them, for all slabs at once
+        plan, slabs = group[0][0], [slab for _, slabs in group for slab in slabs]
+        x = _probe_block(math.isqrt(len(slabs[0][0][0])) ** plan.n)
+        (y,) = _run(plan, slabs, x)
+        y, xs = y.reshape(len(slabs), -1), x.ravel()
+        coeffs = y @ xs.conj() / np.vdot(xs, xs)
+        nonscalars = (np.linalg.norm(y - coeffs[:, None] * xs, axis=1)
+                      / np.maximum(np.linalg.norm(y, axis=1), 1.0))
+        edges = [0, *itertools.accumulate(len(slabs) for _, slabs in group)]
+        return [(coeffs[lo:hi], nonscalars[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+
+    readings = _joint(run, _each(job, requests, factors),
+                      lambda job: (job[0], len(job[1][0][0][0])))
+
+    def report(request, readings, scalar):
+        config, power, tolerance = request[0], _as_index("power", request[1]), request[2]
+        spec, n = config.rspec, config.n_particles
+        coeffs, nonscalar = readings[0].tolist(), float(readings[1].max())
+        scalar = np.linalg.matrix_power(scalar, power)
+        diag = np.array([scalar[a, a] for a in range(n)])
+        scale = max(1.0, float(np.max(np.abs(diag))))
+        coeff_resid = float(np.max(np.abs(np.array(coeffs) - diag))) / scale
+        trace_resid = abs(sum(coeffs) - np.trace(scalar)) / max(
+            1.0, abs(np.trace(scalar))
+        )
+        residual = max(coeff_resid, nonscalar)
+        return _verdict(f"trace-power k={power}", residual, tolerance, spec.kind,
+                        spec.site_dim, max(power, 2), coefficients=coeffs,
+                        nonscalar_residual=nonscalar, trace_residual=trace_resid,
+                        extended_guess=power < n)
+
+    return _each(report, requests, readings, scalars)
 
 
 # [r_p, m_q] X = r_p m_q X - m_q r_p X summed over the pairs (p, q) of
@@ -277,23 +330,44 @@ def check_hbar_order_relation(spec, n, points, tolerance=None):
     ||X|| = sqrt(D).  The arguments pass the screen of the n-site checks
     before any coefficient is built.
     """
-    n = _as_index("n", n)
-    if n < 3:
-        raise DimensionMismatch("the relation needs n >= 3 sites")
-    pairs, z = _pair_differences(spec, n, points)
-    r_all, m_all = classical_closed_form(spec, z)
-    table = {}
-    for (i, j), r, m in zip(pairs, r_all, m_all):
-        table["r", i + 1, j + 1], table["m", i + 1, j + 1] = r, -(n - 2) * m
-    lhs, rhs = _probe(_hbar_order_plan(n), table)
-    N = spec.site_dim
-    # the anticommutators cancel pairwise, so condition on their size,
-    # not on the (possibly zero) right-hand side; acting on n sites
-    # scales the Frobenius norm of a two-site operator by sqrt(N**(n-2)),
-    # and ||X|| = sqrt(D) keeps the probed norms on that scale
-    r_scale = max(np.linalg.norm(v) for v in r_all) * np.sqrt(N ** (n - 2))
-    scale = max(1.0, float(np.linalg.norm(rhs)), r_scale * r_scale)
-    residual = float(np.linalg.norm(lhs - rhs)) / scale
-    return _verdict(f"hbar-order-{n}", residual, tolerance, spec.kind, N, 3,
-                    lhs_norm=float(np.linalg.norm(lhs)),
-                    rhs_norm=float(np.linalg.norm(rhs)))
+    return _alone(_hbar_order_batch, (spec, n, points, tolerance))
+
+
+def _hbar_order_batch(requests):
+    """check_hbar_order_relation on each request (spec, n, points,
+    tolerance): its report, or the RmxError it raises alone.  The closed
+    forms of all requests come from one classical_closed_form call, and the
+    requests of one N and n run as the slabs of one plan."""
+    def screen(spec, n, points, tolerance):
+        n = _as_index("n", n)
+        if n < 3:
+            raise DimensionMismatch("the relation needs n >= 3 sites")
+        return (n, *_pair_differences(spec, n, points))
+
+    screened = _each(screen, *zip(*requests))
+    rms = _stacked(lambda spec, z, _: classical_closed_form(spec, z),
+                   _each(lambda request, s: (request[0], s[2], None), requests, screened))
+
+    def job(screened, rm):
+        n, pairs, _ = screened
+        table = {}
+        for (i, j), r, m in zip(pairs, *rm):
+            table["r", i + 1, j + 1], table["m", i + 1, j + 1] = r, -(n - 2) * m
+        return _hbar_order_plan(n), table
+
+    def report(request, screened, rm, sides):
+        spec, tolerance, n, N = request[0], request[3], screened[0], request[0].site_dim
+        lhs, rhs = sides
+        # the anticommutators cancel pairwise, so condition on their size,
+        # not on the (possibly zero) right-hand side; acting on n sites
+        # scales the Frobenius norm of a two-site operator by sqrt(N**(n-2)),
+        # and ||X|| = sqrt(D) keeps the probed norms on that scale
+        r_scale = max(np.linalg.norm(v) for v in rm[0]) * np.sqrt(N ** (n - 2))
+        scale = max(1.0, float(np.linalg.norm(rhs)), r_scale * r_scale)
+        residual = float(np.linalg.norm(lhs - rhs)) / scale
+        return _verdict(f"hbar-order-{n}", residual, tolerance, spec.kind, N, 3,
+                        lhs_norm=float(np.linalg.norm(lhs)),
+                        rhs_norm=float(np.linalg.norm(rhs)))
+
+    sides = _probe_jobs(_each(job, screened, rms))
+    return _each(report, requests, screened, rms, sides)

@@ -23,21 +23,21 @@ import numpy as np
 
 from .applications import (
     CalogeroConfig,
-    check_hbar_order_relation,
+    _hbar_order_batch,
+    _trace_power_batch,
     check_kzb_flatness,
-    check_trace_power_guess,
 )
-from .errors import BudgetExceeded, RmxError, UsageError, _as_count
+from .errors import BudgetExceeded, RmxError, UsageError, _as_count, _each
 from .identities import (
+    _aybe_batch,
+    _qybe_batch,
+    _skew_symmetry_batch,
+    _unitarity_batch,
     _verdict,
-    check_aybe,
     check_cyclic_batch,
-    check_qybe,
-    check_skew_symmetry,
-    check_unitarity,
     cyclic_sum_cost,
 )
-from .rmatrix import RMatrixSpec, classical_expansion, r_deriv_hbar
+from .rmatrix import RMatrixSpec, _hbar_derivatives, classical_expansion
 from .special_functions import (
     FunctionKind,
     MAX_WP_DERIV_ORDER,
@@ -268,8 +268,7 @@ def _aybe(d):
             break
         except RmxError:
             eta = _eta(d, spec.site_dim)
-    report = check_aybe(spec, d.pts, eta, tolerance=d.tol)
-    return report, dict(_at_points(d), eta=_c2d(eta))
+    return (_aybe_batch, (spec, d.pts, eta, d.tol)), dict(_at_points(d), eta=_c2d(eta))
 
 
 def _classical(d):
@@ -282,11 +281,18 @@ def _classical(d):
     return report, _at_z(d, d.pts[0])
 
 
+def _deriv_hbar_batch(requests):
+    """The deriv-hbar reports of requests (spec, z_a, z_b, tolerance), from
+    one run of ``rmatrix._hbar_derivatives``."""
+    outs = _hbar_derivatives([(spec, z_a, z_b, None) for spec, z_a, z_b, _ in requests])
+    return _each(lambda request, out: _verdict(
+        "deriv-hbar", out.structural_residual, request[3], request[0].kind,
+        request[0].site_dim, 3), requests, outs)
+
+
 def _deriv_hbar(d):
-    residual = r_deriv_hbar(d.spec, d.pts[0], d.pts[1]).structural_residual
-    report = _verdict("deriv-hbar", residual, d.tol, d.spec.kind, d.spec.site_dim, 3)
-    return report, {"z_a": _c2d(d.pts[0]), "z_b": _c2d(d.pts[1]),
-                    "hbar": _c2d(d.hbar)}
+    return (_deriv_hbar_batch, (d.spec, d.pts[0], d.pts[1], d.tol)), {
+        "z_a": _c2d(d.pts[0]), "z_b": _c2d(d.pts[1]), "hbar": _c2d(d.hbar)}
 
 
 def _trace_power(d, power):
@@ -294,9 +300,8 @@ def _trace_power(d, power):
     coupling = complex(d.rng.uniform(0.5, 1.2))
     config = CalogeroConfig(rspec=d.spec, momenta=tuple(momenta),
                             positions=tuple(d.pts), coupling=coupling)
-    report = check_trace_power_guess(config, power, tolerance=d.tol)
-    return report, {"power": power, "coupling": _c2d(coupling),
-                    "hbar": _c2d(d.hbar)}
+    return (_trace_power_batch, (config, power, d.tol)), {
+        "power": power, "coupling": _c2d(coupling), "hbar": _c2d(d.hbar)}
 
 
 class _Case(NamedTuple):
@@ -312,37 +317,42 @@ class _Case(NamedTuple):
     screen: int | None  # wp derivative order the hbar draw screens
     n: int | None       # the member of the identity hierarchy tested
     tol: str            # the key of --tol.<name>
-    run: Callable       # _Draw -> (IdentityReport or cyclic request, params)
+    run: Callable       # _Draw -> (IdentityReport or (entry, request), params)
     samples: int | None = None  # cap on the samples drawn
 
 
-# The run functions call the checks by their module-global names, so that
-# code rebinding ``cli.check_*`` (a tracer, a test double) sees every call.
-# The rows of the cyclic-sum checks return a request of check_cyclic_batch,
-# (spec, n, points, outer, tolerance), instead of a report: a part runs its
-# requests together, after its other cases.
+# A run function returns a report, or a request to a batch entry as the pair
+# (entry, request); a part runs each entry once, on all of its requests,
+# after its other cases.  The entries are check_cyclic_batch, whose requests
+# are (spec, n, points, outer, tolerance), and the private cores of the
+# other probed checks (_unitarity_batch, _skew_symmetry_batch, _qybe_batch,
+# _aybe_batch, _deriv_hbar_batch, _trace_power_batch and _hbar_order_batch).
+# The run functions name the entries and the checks by their module-global
+# names, so that code rebinding ``cli.<name>`` (a tracer, a test double)
+# sees every call.
 _CASES = {
     "cyclic-n{n}": _Case("scalar", None, None, 2, "scalar-cyclic", _scalar_cyclic),
     "fay": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, False)),
     "fay-degenerate": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, True)),
     "unitarity": _Case("rmatrix-basic", 2, 0, 2, "unitarity", lambda d: (
-        check_unitarity(d.spec, d.pts[0] - d.pts[1], tolerance=d.tol),
+        (_unitarity_batch, (d.spec, d.pts[0] - d.pts[1], d.tol)),
         _at_z(d, d.pts[0] - d.pts[1]))),
     "skew-symmetry": _Case("rmatrix-basic", 2, 0, None, "skew-symmetry", lambda d: (
-        check_skew_symmetry(d.spec, d.pts[0] - d.pts[1], tolerance=d.tol),
+        (_skew_symmetry_batch, (d.spec, d.pts[0] - d.pts[1], d.tol)),
         _at_z(d, d.pts[0] - d.pts[1]))),
     "qybe": _Case("rmatrix-basic", 3, 0, None, "qybe", lambda d: (
-        check_qybe(d.spec, d.pts, tolerance=d.tol), _at_points(d))),
+        (_qybe_batch, (d.spec, d.pts, d.tol)), _at_points(d))),
     "aybe": _Case("rmatrix-basic", 3, 0, None, "aybe", _aybe),
     "same-site": _Case("rmatrix-basic", 1, 0, 1, "same-site", lambda d: (
-        (d.spec, 1, d.pts, 1, d.tol), _at_z(d, d.pts[0]))),
+        (check_cyclic_batch, (d.spec, 1, d.pts, 1, d.tol)), _at_z(d, d.pts[0]))),
     "classical": _Case("rmatrix-basic", 1, 0, None, "classical", _classical),
     "deriv-hbar": _Case("rmatrix-basic", 2, 0, None, "deriv-hbar", _deriv_hbar),
     "order-{n}": _Case("nth-order", None, None, 3, "nth-order", lambda d: (
-        (d.spec, d.n, d.pts, 1, d.tol), _at_points(d))),
+        (check_cyclic_batch, (d.spec, d.n, d.pts, 1, d.tol)), _at_points(d))),
     # drawn at s0 only, and left out of the skip records: order-{n} stands for it
     "outer-{n}": _Case("nth-order", None, None, 3, "outer-independence", lambda d: (
-        (d.spec, d.n, d.pts, None, d.tol), _at_points(d)), samples=1),
+        (check_cyclic_batch, (d.spec, d.n, d.pts, None, d.tol)), _at_points(d)),
+        samples=1),
     "trace-power-k2": _Case("applications", 3, 2, None, "trace-power",
                             lambda d: _trace_power(d, 2), APPLICATION_SAMPLE_CAP),
     "trace-power-k3": _Case("applications", 3, 2, None, "trace-power",
@@ -351,8 +361,7 @@ _CASES = {
         check_kzb_flatness(d.spec, d.pts, tolerance=d.tol), _at_points(d)),
         APPLICATION_SAMPLE_CAP),
     "hbar-order": _Case("applications", 3, 2, None, "hbar-order", lambda d: (
-        check_hbar_order_relation(d.spec, len(d.pts), d.pts, tolerance=d.tol),
-        _at_points(d)),
+        (_hbar_order_batch, (d.spec, len(d.pts), d.pts, d.tol)), _at_points(d)),
         APPLICATION_SAMPLE_CAP),
 }
 _TOL_NAMES = tuple(dict.fromkeys(case.tol for case in _CASES.values()))
@@ -410,11 +419,14 @@ def _sweep(opts):
                                   _Draw(rng, lat, None, p, h, case.n, tols.get(case.tol)))
                         for head, (_, case), rng, p, h
                         in zip(heads, cases, rngs, pts, hbars)]
-            # the part's cyclic-sum requests, run together
-            joint = [i for i, (out, _) in enumerate(outcomes) if isinstance(out, tuple)]
-            reports = check_cyclic_batch([outcomes[i][0] for i in joint])
-            for i, report in zip(joint, reports):
-                outcomes[i] = report, outcomes[i][1]
+            # each batch entry runs once, on all of the part's requests to it
+            jobs = {}
+            for i, (out, _) in enumerate(outcomes):
+                if isinstance(out, tuple):
+                    jobs.setdefault(out[0], []).append(i)
+            for entry, idx in jobs.items():
+                for i, report in zip(idx, entry([outcomes[i][0][1] for i in idx])):
+                    outcomes[i] = report, outcomes[i][1]
             records += [_case_record(head, out, params)
                         for head, (out, params) in zip(heads, outcomes)]
     return records
@@ -424,7 +436,7 @@ def _run_case(head, run, draw):
     """(outcome, params) of one case, given its record head (case_id, suite,
     kind, family, n, N), its run function and its draw, whose points or hbar
     may be the RmxError their sampler met.  The outcome is what the run
-    function returns, a report or a request of check_cyclic_batch, or the
+    function returns, a report or a batch entry and its request, or the
     RmxError the case met."""
     _, _, _, family, _, N = head
     try:

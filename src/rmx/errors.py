@@ -93,3 +93,52 @@ def _as_count(name, value, low):
     if value < low:
         raise UsageError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+# A batch entry takes a list of requests and returns, for each, its value or
+# the RmxError that request meets alone.  The helpers below carry each
+# request's error through the stages of an entry.
+
+def _alone(batch, request):
+    """The value of ``batch`` on one request; the RmxError it meets is raised."""
+    (out,) = batch([request])
+    if isinstance(out, RmxError):
+        raise out
+    return out
+
+
+def _each(fn, *columns):
+    """fn(*row) for each row of the zipped ``columns``, or the RmxError fn
+    raises; a row holding an RmxError gets that error, and fn is not called."""
+    out = []
+    for row in zip(*columns):
+        value = next((v for v in row if isinstance(v, RmxError)), None)
+        if value is None:
+            try:
+                value = fn(*row)
+            except RmxError as exc:
+                value = exc
+        out.append(value)
+    return out
+
+
+def _joint(build, items, key):
+    """One value per item: build(group), a list of one value per item of the
+    group, with one call per group of the items of equal ``key(item)``.  An
+    item that is an RmxError stays as it is.  If a group's call raises an
+    RmxError, build runs on each of its items alone, and each item gets its
+    value or the RmxError it meets alone."""
+    out, groups = list(items), {}
+    for i, item in enumerate(items):
+        if not isinstance(item, RmxError):
+            groups.setdefault(key(item), []).append(i)
+    for idx in groups.values():
+        group = [items[i] for i in idx]
+        try:
+            values = build(group)
+        except RmxError as exc:
+            values = [exc] if len(group) == 1 else _each(lambda item: build([item])[0],
+                                                         group)
+        for i, value in zip(idx, values):
+            out[i] = value
+    return out

@@ -28,6 +28,14 @@ as every order-n and outer-n case of a ``rmx verify`` part, as the slabs of
 one DP, and the two public checks are that entry run on one request.  QYBE
 and AYBE are plans of that code too, each side applied to the probe block.
 
+Unitarity, skew symmetry, QYBE and AYBE have private batch entries of the
+same kind (:func:`_unitarity_batch`, :func:`_skew_symmetry_batch`,
+:func:`_qybe_batch`, :func:`_aybe_batch`): one r_matrix call builds the
+factors of all their requests, each request keeping its own hbar, one plan
+run takes the probes of all, and each request gets its report or the
+RmxError it raises alone.  Each public check is its entry run on one
+request.
+
 Each check returns an :class:`IdentityReport` carrying the measured
 residual, the tolerance it was judged against, and diagnostic details.
 """
@@ -47,13 +55,15 @@ from .errors import (
     PoleProximity,
     RmxError,
     ZeroArgument,
+    _alone,
     _as_count,
     _as_index,
+    _each,
 )
 from .special_functions import MAX_WP_DERIV_ORDER, scalar_cyclic_sum, weierstrass_p
-from .rmatrix import r_matrix, r_same_site, same_site_closed_form
+from .rmatrix import _stacked, r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
-    _PROBES, _Workspace, _check_cap, _plan, _plan_sides, _probe, _probe_block,
+    _PROBES, _Workspace, _check_cap, _plan, _plan_sides, _probe_block, _probe_jobs,
     _probe_scalar, _run, frobenius_distance, is_scalar_operator, permutation_operator,
 )
 
@@ -135,6 +145,17 @@ def _pair_factors(spec, n, points, outer=1):
     return dict(zip(pairs, r_matrix(spec, z)))
 
 
+def _pair_factor_batch(requests):
+    """For each request (spec, n, points), the ordered pairs of
+    _pair_differences and their R-matrices, an array in pair order, or the
+    RmxError it raises alone: every request is screened, then one r_matrix
+    call builds the factors of all."""
+    pairs = _each(lambda request: _pair_differences(*request), requests)
+    ops = _stacked(r_matrix, _each(lambda request, pairs: (request[0], pairs[1], None),
+                                   requests, pairs))
+    return _each(lambda pairs, ops: (pairs[0], ops), pairs, ops)
+
+
 def cyclic_sum_cost(site_dim, n):
     """Complex multiply-adds of one probed cyclic product sum on n sites.
 
@@ -185,20 +206,33 @@ def _cyclic_apply(slabs, n, x):
 
 def check_unitarity(spec, z, *, tolerance=None):
     """Unitarity: R_12(z) R_21(-z) is N^2 (wp(N hbar) - wp(z)) times Id."""
-    N = spec.site_dim
-    z = complex(z)
-    perm = permutation_operator(N)
-    r12, r_neg = r_matrix(spec, np.array([z, -z]))
-    r21 = perm @ r_neg @ perm
-    prod = r12 @ r21
-    wp_nh, wp_z = weierstrass_p(np.array([N * spec.hbar, z]), spec.lattice).tolist()
-    expected = N * N * (wp_nh - wp_z)
-    _, coeff, nonscalar = is_scalar_operator(prod, tol=np.inf)
-    coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
-    residual = max(nonscalar, coeff_resid)
-    return _verdict("unitarity", residual, tolerance, spec.kind, N, 2,
-                    coefficient=coeff, expected=expected,
-                    nonscalar_residual=nonscalar)
+    return _alone(_unitarity_batch, (spec, z, tolerance))
+
+
+def _unitarity_batch(requests):
+    """check_unitarity on each request (spec, z, tolerance): its report, or
+    the RmxError it raises alone.  The R-matrices and the wp values of all
+    requests come from one call each."""
+    specs, zs = [spec for spec, _, _ in requests], [complex(z) for _, z, _ in requests]
+    ops = _stacked(r_matrix, [(spec, np.array([z, -z]), None) for spec, z in zip(specs, zs)])
+    wps = _stacked(lambda spec, z, _: weierstrass_p(z, spec.lattice), _each(
+        lambda spec, z, _: (spec, np.array([spec.site_dim * spec.hbar, z]), None),
+        specs, zs, ops))
+
+    def report(request, ops, wps):
+        spec, _, tolerance = request
+        N, perm = spec.site_dim, permutation_operator(spec.site_dim)
+        r12, r_neg = ops
+        prod = r12 @ (perm @ r_neg @ perm)
+        wp_nh, wp_z = wps.tolist()
+        expected = N * N * (wp_nh - wp_z)
+        _, coeff, nonscalar = is_scalar_operator(prod, tol=np.inf)
+        coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
+        return _verdict("unitarity", max(nonscalar, coeff_resid), tolerance, spec.kind,
+                        N, 2, coefficient=coeff, expected=expected,
+                        nonscalar_residual=nonscalar)
+
+    return _each(report, requests, ops, wps)
 
 
 def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
@@ -216,7 +250,7 @@ def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
     """
     # an outer of None would request the outer-independence check
     n, outer = _as_index("n", n), _as_index("outer", outer)
-    return _alone((spec, n, points, outer, tolerance))
+    return _alone(check_cyclic_batch, (spec, n, points, outer, tolerance))
 
 
 def check_outer_index_independence(spec, n, points, *, tolerance=None):
@@ -226,15 +260,7 @@ def check_outer_index_independence(spec, n, points, *, tolerance=None):
     lockstep by one subset DP; the coefficients are <X, S_a X> / <X, X>.
     This is :func:`check_cyclic_batch` run on one request.
     """
-    return _alone((spec, n, points, None, tolerance))
-
-
-def _alone(request):
-    """The report of one request of check_cyclic_batch; its error is raised."""
-    (out,) = check_cyclic_batch([request])
-    if isinstance(out, RmxError):
-        raise out
-    return out
+    return _alone(check_cyclic_batch, (spec, n, points, None, tolerance))
 
 
 def check_cyclic_batch(requests):
@@ -343,6 +369,7 @@ def _outer_half(spec, n, points, tolerance):
 
 
 # R_12 R_13 R_23 X and R_23 R_13 R_12 X
+_QYBE_FACTORS = (("r", 1, 2), ("r", 1, 3), ("r", 2, 3))
 _QYBE = _plan_sides(3, [[[("r", 1, 2), ("r", 1, 3), ("r", 2, 3)]],
                         [[("r", 2, 3), ("r", 1, 3), ("r", 1, 2)]]])
 
@@ -354,13 +381,24 @@ def check_qybe(spec, points, *, tolerance=None):
     checked as the relative distance of the two sides applied to the probe
     block X, one plan of ``tensor_ops``.
     """
-    if len(points) != 3:
-        raise DimensionMismatch(f"QYBE takes three points, got {len(points)}")
-    z1, z2, z3 = (complex(p) for p in points)
-    r12, r13, r23 = r_matrix(spec, np.array([z1 - z2, z1 - z3, z2 - z3]))
-    lhs, rhs = _probe(_QYBE, {("r", 1, 2): r12, ("r", 1, 3): r13, ("r", 2, 3): r23})
-    residual = frobenius_distance(lhs, rhs)
-    return _verdict("qybe", residual, tolerance, spec.kind, spec.site_dim, 3)
+    return _alone(_qybe_batch, (spec, points, tolerance))
+
+
+def _qybe_batch(requests):
+    """check_qybe on each request (spec, points, tolerance): its report, or
+    the RmxError it raises alone.  The factors of all requests come from one
+    r_matrix call, and both sides of each run as slabs of one plan."""
+    def diffs(spec, points, tolerance):
+        if len(points) != 3:
+            raise DimensionMismatch(f"QYBE takes three points, got {len(points)}")
+        z1, z2, z3 = (complex(p) for p in points)
+        return spec, np.array([z1 - z2, z1 - z3, z2 - z3]), None
+
+    ops = _stacked(r_matrix, _each(diffs, *zip(*requests)))
+    sides = _probe_jobs(_each(lambda ops: (_QYBE, dict(zip(_QYBE_FACTORS, ops))), ops))
+    return _each(lambda request, sides: _verdict(
+        "qybe", frobenius_distance(*sides), request[2], request[0].kind,
+        request[0].site_dim, 3), requests, sides)
 
 
 # R^hbar_ac R^eta_cb X and R^eta_ab R^(hbar-eta)_ac X + R^(eta-hbar)_cb R^hbar_ab X
@@ -388,30 +426,52 @@ def check_aybe(spec, points, second_hbar, *, tolerance=None):
         If hbar - eta (or eta itself) sits on or near the pole set, where
         the right-hand side degenerates.
     """
-    if len(points) != 3:
-        raise DimensionMismatch(f"AYBE takes three points, got {len(points)}")
-    hbar, eta = spec.hbar, complex(second_hbar)
-    try:
-        spec.validate_hbar(eta)
-        spec.validate_hbar(hbar - eta)
-    except (PoleProximity, ZeroArgument) as exc:
-        raise DegenerateArguments(
-            f"AYBE parameters degenerate: {exc}"
-        ) from exc
-    za, zb, zc = (complex(p) for p in points)
-    ac, cb, ab = za - zc, zc - zb, za - zb
-    ops = r_matrix(spec, np.array([ac, cb, ab, ac, cb, ab]),
-                   np.array([hbar, eta, eta, hbar - eta, eta - hbar, hbar]))
-    lhs, rhs = _probe(_AYBE, dict(zip(_AYBE_FACTORS, ops)))
-    residual = frobenius_distance(lhs, rhs)
-    return _verdict("aybe", residual, tolerance, spec.kind, spec.site_dim, 3)
+    return _alone(_aybe_batch, (spec, points, second_hbar, tolerance))
+
+
+def _aybe_batch(requests):
+    """check_aybe on each request (spec, points, second_hbar, tolerance):
+    its report, or the RmxError it raises alone, with the one r_matrix call
+    and the one plan run of :func:`_qybe_batch`."""
+    def factors(spec, points, second_hbar, tolerance):
+        if len(points) != 3:
+            raise DimensionMismatch(f"AYBE takes three points, got {len(points)}")
+        hbar, eta = spec.hbar, complex(second_hbar)
+        try:
+            spec.validate_hbar(eta)
+            spec.validate_hbar(hbar - eta)
+        except (PoleProximity, ZeroArgument) as exc:
+            raise DegenerateArguments(
+                f"AYBE parameters degenerate: {exc}"
+            ) from exc
+        za, zb, zc = (complex(p) for p in points)
+        ac, cb, ab = za - zc, zc - zb, za - zb
+        return (spec, np.array([ac, cb, ab, ac, cb, ab]),
+                np.array([hbar, eta, eta, hbar - eta, eta - hbar, hbar]))
+
+    ops = _stacked(r_matrix, _each(factors, *zip(*requests)))
+    sides = _probe_jobs(_each(lambda ops: (_AYBE, dict(zip(_AYBE_FACTORS, ops))), ops))
+    return _each(lambda request, sides: _verdict(
+        "aybe", frobenius_distance(*sides), request[3], request[0].kind,
+        request[0].site_dim, 3), requests, sides)
 
 
 def check_skew_symmetry(spec, z, *, tolerance=None):
     """Skew symmetry: R(z, hbar) = -P R(-z, -hbar) P."""
-    hbar, z = spec.hbar, complex(z)
-    perm = permutation_operator(spec.site_dim)
-    lhs, r_neg = r_matrix(spec, np.array([z, -z]), np.array([hbar, -hbar]))
-    rhs = -perm @ r_neg @ perm
-    residual = frobenius_distance(lhs, rhs)
-    return _verdict("skew-symmetry", residual, tolerance, spec.kind, spec.site_dim, 2)
+    return _alone(_skew_symmetry_batch, (spec, z, tolerance))
+
+
+def _skew_symmetry_batch(requests):
+    """check_skew_symmetry on each request (spec, z, tolerance): its report,
+    or the RmxError it raises alone, from one r_matrix call."""
+    ops = _stacked(r_matrix, [(spec, np.array([complex(z), -complex(z)]),
+                               np.array([spec.hbar, -spec.hbar])) for spec, z, _ in requests])
+
+    def report(request, ops):
+        spec, _, tolerance = request
+        perm = permutation_operator(spec.site_dim)
+        lhs, r_neg = ops
+        residual = frobenius_distance(lhs, -perm @ r_neg @ perm)
+        return _verdict("skew-symmetry", residual, tolerance, spec.kind, spec.site_dim, 2)
+
+    return _each(report, requests, ops)

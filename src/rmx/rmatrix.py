@@ -44,8 +44,11 @@ from .errors import (
     SeriesNotConverged,
     UsageError,
     ZeroArgument,
+    _alone,
     _as_count,
     _as_index,
+    _each,
+    _joint,
 )
 from .special_functions import (
     FunctionKind,
@@ -55,7 +58,7 @@ from .special_functions import (
     kronecker_phi,
     kronecker_phi_deta,
 )
-from .tensor_ops import _plan_sides, _probe, frobenius_distance, permutation_operator
+from .tensor_ops import _plan_sides, _probe_jobs, frobenius_distance, permutation_operator
 
 __all__ = [
     "RMatrixKind",
@@ -356,14 +359,39 @@ class HbarDerivative:
 
 
 def _deriv_hbar_matrix(spec, z, hbar):
+    """dR/dhbar at the broadcast arrays z and hbar (None: spec.hbar), shape
+    (broadcast shape) + (N^2, N^2)."""
     N = spec.site_dim
+    z, hbar = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(
+        spec.hbar if hbar is None else hbar, dtype=complex))
     if spec.kind is RMatrixKind.YANG:
-        dim = N * N
-        return -np.eye(dim, dtype=complex) / (hbar * hbar)
+        return -np.eye(N * N, dtype=complex) / (hbar * hbar)[..., None, None]
     a2, omegas = _alpha_omegas(N, spec.lattice.tau)
     # d/dhbar phi(z, w + hbar) is the slot derivative of phi at (w + hbar, z)
-    dphis = kronecker_phi_deta(omegas + hbar, complex(z), spec.lattice)
-    return _weighted_tt(np.exp(2j * np.pi * a2 * z / N) * dphis, _tt_stack(N))
+    dphis = kronecker_phi_deta(omegas + hbar[..., None], z[..., None], spec.lattice)
+    return _weighted_tt(np.exp(2j * np.pi * a2 * z[..., None] / N) * dphis, _tt_stack(N))
+
+
+def _stacked(call, parts):
+    """For each part (spec, z, hbar), a 1-d array z and an array hbar along
+    it or None for spec.hbar, the value of call(spec, z, hbar), an array or
+    a tuple of arrays along z; a part that is an RmxError is passed on.  The
+    parts of one family, N, lattice and length of z, with or without hbar,
+    take one call: a lone part's own call, on the joined z of parts that
+    share one spec and its hbar, else on their z as rows and their hbar as a
+    column or as rows."""
+    def build(group):
+        spec, rows = group[0][0], np.stack([z for _, z, _ in group])
+        if len(group) == 1 or all(s == spec and h is None for s, _, h in group):
+            out = call(spec, rows.ravel(), group[0][2])
+            cut = lambda o: o.reshape(rows.shape + o.shape[1:])
+        else:
+            out = call(spec, rows, np.array([[s.hbar] if h is None else h
+                                             for s, _, h in group]))
+            cut = lambda o: o
+        return list(zip(*map(cut, out))) if isinstance(out, tuple) else list(cut(out))
+    return _joint(build, parts, lambda p: (p[0].kind, p[0].site_dim, p[0].lattice,
+                                           len(p[1]), p[2] is None))
 
 
 # dR_ab X and R_ab r_ac X + r_cb R_ab X - R_ac R_cb X at the sites
@@ -390,20 +418,34 @@ def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
     -------
     HbarDerivative
     """
-    z_a, z_b = complex(z_a), complex(z_b)
-    if aux_point is None:
-        aux_point = (z_a + z_b) / 2 + 0.1566 + 0.0873j
-    z_c = complex(aux_point)
-    hbar = spec.hbar
-    deriv = _deriv_hbar_matrix(spec, z_a - z_b, hbar)
+    return _alone(_hbar_derivatives, (spec, z_a, z_b, aux_point))
 
-    r_ab, r_ac, r_cb = r_matrix(spec, np.array([z_a - z_b, z_a - z_c, z_c - z_b]))
-    cl_ac, cl_cb = classical_closed_form(spec, np.array([z_a - z_c, z_c - z_b]))[0]
 
-    lhs, rhs = _probe(_DERIV_HBAR, {
-        ("dR", 1, 2): deriv, ("R", 1, 2): r_ab, ("r", 1, 3): cl_ac, ("r", 3, 2): cl_cb,
-        ("-R", 1, 3): -r_ac, ("R", 3, 2): r_cb})
-    return HbarDerivative(deriv, frobenius_distance(lhs, rhs))
+def _hbar_derivatives(requests):
+    """r_deriv_hbar on each request (spec, z_a, z_b, aux_point): its
+    HbarDerivative, or the RmxError it raises alone.  The derivative
+    matrices, the R-matrices and the closed forms of r are one joint call
+    each, and the structural identities run as the slabs of one plan."""
+    specs, pts = [spec for spec, *_ in requests], []
+    for _, z_a, z_b, aux_point in requests:
+        z_a, z_b = complex(z_a), complex(z_b)
+        z_c = (z_a + z_b) / 2 + 0.1566 + 0.0873j if aux_point is None else aux_point
+        pts.append((z_a, z_b, complex(z_c)))
+    derivs = _stacked(_deriv_hbar_matrix, [(spec, np.array([a - b]), None)
+                                           for spec, (a, b, _) in zip(specs, pts)])
+    ops = _stacked(r_matrix, _each(lambda spec, _, p: (
+        spec, np.array([p[0] - p[1], p[0] - p[2], p[2] - p[1]]), None), specs, derivs, pts))
+    cls = _stacked(lambda spec, z, _: classical_closed_form(spec, z), _each(
+        lambda spec, _, p: (spec, np.array([p[0] - p[2], p[2] - p[1]]), None),
+        specs, ops, pts))
+
+    def table(deriv, ops, cl):
+        r_ab, r_ac, r_cb = ops
+        return _DERIV_HBAR, {("dR", 1, 2): deriv[0], ("R", 1, 2): r_ab, ("r", 1, 3): cl[0][0],
+                             ("r", 3, 2): cl[0][1], ("-R", 1, 3): -r_ac, ("R", 3, 2): r_cb}
+
+    sides = _probe_jobs(_each(table, derivs, ops, cls))
+    return _each(lambda d, s: HbarDerivative(d[0], frobenius_distance(*s)), derivs, sides)
 
 
 # ---------------------------------------------------------------------------

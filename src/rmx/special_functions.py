@@ -129,7 +129,9 @@ class LatticeParams:
                 f"elliptic kind needs a finite tau, got tau = {self.tau}"
             )
         if self.kind is FunctionKind.ELLIPTIC:
-            object.__setattr__(self, "_cell", _reduced_cell(self.tau))
+            u, v, du, dv = _reduced_cell(self.tau)
+            object.__setattr__(self, "_cell", (u, v, du, dv))
+            object.__setattr__(self, "_corners", np.array([0, u, v, u + v]))
 
     @property
     def shortest_period(self):
@@ -395,10 +397,7 @@ def _trigonometric_e1(params, z, orders):
 def _elliptic_distance(params, z):
     u, v, du, dv = params._cell
     r = z - (np.floor((z * du).imag) * u + np.floor((z * dv).imag) * v)
-    return np.minimum(
-        np.minimum(np.abs(r), np.abs(r - u)),
-        np.minimum(np.abs(r - v), np.abs(r - u - v)),
-    )
+    return np.abs(r[..., None] - params._corners).min(axis=-1)
 
 
 def _elliptic_phi(params, slots, flat, with_e1):

@@ -22,6 +22,7 @@ any work, and ``run_suites`` refuses a sweep that would pass it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, IndexOutOfRange, SizeCapExceeded, _as_count, _as_index,
+    DimensionMismatch, IndexOutOfRange, SizeCapExceeded, _alone, _as_count, _as_index,
+    _joint,
 )
 
 __all__ = [
@@ -304,12 +306,18 @@ def _run(plan, slabs, x, space=None):
     for lo in range(0, len(slabs), per_pass):
         group = slabs[lo:lo + per_pass]
         ops = list(_gather(group, plan))
+        # each run [b, e) of consecutive slabs of one a is copied in and out
+        # at once
+        runs = []
+        for a, run in itertools.groupby(a for _, a in group):
+            b = runs[-1][2] if runs else 0
+            runs.append((a, b, b + len(list(run))))
         with space.lock:
             first, moved, moved_mat, steps, totals = space.for_pass(
                 plan, tensor.shape[0], tensor.shape[-1], len(group))
-            for b, (_, a) in enumerate(group):
+            for a, b, e in runs:
                 for c, plane in enumerate(in_planes):
-                    np.copyto(first[b, c],
+                    np.copyto(first[b:e, c],
                               plane.transpose(*((i + a) % n for i in range(n)), n))
             for src, factor, out, state, product in steps:
                 np.copyto(moved, src)
@@ -317,10 +325,10 @@ def _run(plan, slabs, x, space=None):
                 if state is not None:
                     np.add(state, product, out=state)
             for o, (total, order) in enumerate(totals):
-                for b, (_, a) in enumerate(group):
-                    back = (*(order.index((i - a) % n) for i in range(n)), n)
+                for a, b, e in runs:
+                    back = (0, *(1 + order.index((i - a) % n) for i in range(n)), n + 1)
                     for c, plane in enumerate(out_planes):
-                        np.copyto(plane[o, lo + b], total[b, c].transpose(back))
+                        np.copyto(plane[o, lo + b:lo + e], total[b:e, c].transpose(back))
     return outs.reshape(outs.shape[:2] + x.shape)
 
 
@@ -337,9 +345,19 @@ def _probe_block(dim):
 def _probe(plan, table):
     """The output states of ``plan`` on the probe block, for one slab of the
     factors ``table`` keyed as in the plan."""
-    factors = [table[key] for key in plan.keys]
-    x = _probe_block(math.isqrt(len(factors[0])) ** plan.n)
-    return _run(plan, [(factors, 0)], x)[:, 0]
+    return _alone(_probe_jobs, (plan, table))
+
+
+def _probe_jobs(jobs):
+    """:func:`_probe` on each job (plan, table), an (outputs, D, m) array; a
+    job that is an RmxError is passed on.  The jobs of one plan and N run as
+    the slabs of one :func:`_run`."""
+    def run(group):
+        plan = group[0][0]
+        slabs = [([table[key] for key in plan.keys], 0) for _, table in group]
+        x = _probe_block(math.isqrt(len(slabs[0][0][0])) ** plan.n)
+        return list(_run(plan, slabs, x).swapaxes(0, 1))
+    return _joint(run, jobs, lambda job: (job[0], len(job[1][job[0].keys[0]])))
 
 
 def _probe_scalar(x, y):

@@ -356,18 +356,20 @@ class TestPerturbedResidualTracksTheDenseOne:
     @pytest.mark.parametrize("N, n, k", [(2, 4, 2), (3, 3, 2), (2, 5, 3)])
     def test_trace_power(self, monkeypatch, N, n, k):
         cfg = make_config(belavin_spec(N), n)
-        pair = identities._pair_factors
+        batch = identities._pair_factor_batch
 
-        def moved(*args):
-            factors = dict(pair(*args))
-            factors[1, 2] = nudge(factors[1, 2], 1e-6)
-            return factors
+        def moved(requests):
+            # each request's factors, with its R_12 moved
+            out = batch(requests)
+            for pairs, ops in out:
+                ops[pairs.index((1, 2))] = nudge(ops[pairs.index((1, 2))], 1e-6)
+            return out
 
-        blocks = block_matrix_power(
-            lax_rmatrix(cfg, moved(cfg.rspec, n, cfg.positions)), k)
+        blocks = block_matrix_power(lax_rmatrix(cfg, dict(zip(
+            *moved([(cfg.rspec, n, cfg.positions)])[0]))), k)
         full = max(is_scalar_operator(blocks[a, a])[2] for a in range(n))
         assert full > 1e-7  # the perturbation shows, not round-off
-        monkeypatch.setattr(applications, "_pair_factors", moved)
+        monkeypatch.setattr(applications, "_pair_factor_batch", moved)
         ratios = probed_ratios(monkeypatch, lambda: check_trace_power_guess(
             cfg, k).details["nonscalar_residual"], full)
         assert 0.5 <= min(ratios) and max(ratios) <= 2

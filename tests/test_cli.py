@@ -1,6 +1,7 @@
 import argparse
 import copy
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -19,10 +20,13 @@ from rmx import (
     SeriesNotConverged,
     SizeCapExceeded,
     UsageError,
+    applications,
     cli,
     cyclic_sum_cost,
     identities,
+    rmatrix,
     run_suites,
+    tensor_ops,
 )
 from rmx.cli import DEFAULT_BUDGET, _parse_complex, main
 
@@ -55,7 +59,7 @@ def small(**kw):
 
 
 def refuse_each(requests):
-    """A check_cyclic_batch that fails every request it is given."""
+    """A batch entry that fails every request it is given."""
     return [DimensionMismatch("refused") for _ in requests]
 
 
@@ -214,11 +218,9 @@ class TestRunSuites:
         assert ids == sorted(ids)
 
     def test_basic_error_records_carry_their_order(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise DimensionMismatch("refused")
-
-        monkeypatch.setattr(cli, "check_unitarity", refuse)
-        # same-site is an order-1 request of the part's cyclic batch
+        # unitarity is a request of the part's unitarity batch, and same-site
+        # an order-1 request of its cyclic batch
+        monkeypatch.setattr(cli, "_unitarity_batch", refuse_each)
         monkeypatch.setattr(cli, "check_cyclic_batch", refuse_each)
         rep = run_suites(suite="rmatrix-basic", kind="rational", samples=1,
                          n_max=3)
@@ -472,6 +474,135 @@ class TestCyclicBatch:
                 assert a == b
         monkeypatch.setattr(cli, "check_cyclic_batch", lone_batch)
         assert json.dumps(run_suites(**opts)["records"]) == json.dumps(forced)
+
+
+def _load_gate():
+    """tools/records_gate.py, the records gate, as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "records_gate.py"
+    spec = importlib.util.spec_from_file_location("records_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GATE = _load_gate()
+
+# the batch entries of the probed checks other than the cyclic sums, by
+# their cli names, and the case types that request them
+BATCH_ENTRIES = {
+    "_unitarity_batch": ("unitarity",),
+    "_skew_symmetry_batch": ("skew-symmetry",),
+    "_qybe_batch": ("qybe",),
+    "_aybe_batch": ("aybe",),
+    "_deriv_hbar_batch": ("deriv-hbar",),
+    "_trace_power_batch": ("trace-power-k2", "trace-power-k3"),
+    "_hbar_order_batch": ("hbar-order",),
+}
+
+
+def run_alone(monkeypatch):
+    """Make every batch entry run each of its requests alone."""
+    for name in BATCH_ENTRIES:
+        entry = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda requests, entry=entry: [
+            entry([request])[0] for request in requests])
+
+
+def assert_within_gate(records, lone):
+    """Same cases, verdicts and reasons, and every residual within 10x of
+    the lone one, both floored at eps."""
+    lines, trips = GATE.compare([["part", 0, records]], [["part", 0, lone]])
+    assert not trips, "\n".join(lines)
+
+
+class TestCheckBatches:
+    """A part runs each probed check's samples as one batch; each record is
+    the one its case gives alone, within the records gate."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("kind", ["rational", "elliptic"])
+    @pytest.mark.parametrize("suite", ["rmatrix-basic", "applications"])
+    def test_records_equal_lone_checks(self, monkeypatch, suite, kind, N):
+        opts = dict(suite=suite, kind=kind, site_dim=N)
+        joint = run_suites(**opts)["records"]
+        run_alone(monkeypatch)
+        lone = run_suites(**opts)["records"]
+        assert_within_gate(joint, lone)
+        assert all(r["passed"] for r in joint)
+
+    @pytest.mark.parametrize("kind", ["rational", "elliptic"])
+    def test_a_part_calls_each_entry_once(self, monkeypatch, kind):
+        calls, runs = [], []
+        for name in BATCH_ENTRIES:
+            entry = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda requests, name=name, entry=entry: (
+                calls.append((name, len(requests))) or entry(requests)))
+        run = tensor_ops._run
+        for module in (tensor_ops, applications):
+            monkeypatch.setattr(module, "_run", lambda plan, slabs, *a: (
+                runs.append(len(slabs)) or run(plan, slabs, *a)))
+        for suite in ("rmatrix-basic", "applications"):
+            run_suites(suite=suite, kind=kind, samples=4)
+        # four samples of each case type; trace-power has two
+        assert sorted(calls) == sorted((name, 4 * len(types))
+                                       for name, types in BATCH_ENTRIES.items())
+        # one plan run for the samples of qybe, aybe, deriv-hbar, each trace
+        # power and hbar-order; kzb-flatness runs one per sample
+        assert sorted(runs) == sorted([4, 4, 4, 12, 12, 4] + [1] * 4)
+
+    @pytest.mark.parametrize("kind", ["rational", "elliptic"])
+    @pytest.mark.parametrize("case, module, name", [
+        ("rmatrix-basic/{}/unitarity/s1", identities, "r_matrix"),
+        ("rmatrix-basic/{}/skew-symmetry/s2", identities, "r_matrix"),
+        ("rmatrix-basic/{}/qybe/s0", identities, "r_matrix"),
+        ("rmatrix-basic/{}/aybe/s1", identities, "r_matrix"),
+        ("rmatrix-basic/{}/deriv-hbar/s2", rmatrix, "r_matrix"),
+        ("applications/{}/trace-power-k3/s1", identities, "r_matrix"),
+        ("applications/{}/hbar-order/s0", applications, "classical_closed_form")])
+    def test_an_error_fails_its_own_case(self, monkeypatch, kind, case, module,
+                                         name):
+        suite, target = case.split("/")[0], case.format(kind)
+        base = run_suites(suite=suite, kind=kind)["records"]
+        params = next(r["params"] for r in base if r["case_id"] == target)
+        values = {key: complex(v["re"], v["im"]) for key, v in params.items()
+                  if key in ("z", "z_a", "z_b", "hbar")}
+        pts = [complex(p["re"], p["im"]) for p in params.get("points", [])]
+        original = getattr(module, name)
+
+        # the factor build, r_matrix(spec, z, hbar) or classical_closed_form(
+        # spec, z), raises on the case's z, its first pair difference, or, for
+        # trace-power, whose records keep no points, its hbar
+        if "trace-power" in case:
+            def hit(spec, z, hbar=None):
+                return np.any(np.asarray(spec.hbar if hbar is None else hbar)
+                              == values["hbar"])
+        else:
+            if "z" in values:
+                bad = values["z"]
+            else:
+                z_a, z_b = (values["z_a"], values["z_b"]) if "z_a" in values else pts[:2]
+                bad = z_a - z_b
+
+            def hit(spec, z, *rest):
+                return np.any(np.asarray(z) == bad)
+
+        def raising(*args, **kwargs):
+            if hit(*args, **kwargs):
+                raise SeriesNotConverged("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, raising)
+        forced = run_suites(suite=suite, kind=kind)["records"]
+        for a, b in zip(base, forced):
+            if a["case_id"] == target:
+                assert (b["passed"], b["reason"]) == (
+                    False, "SeriesNotConverged: forced")
+        assert_within_gate([r for r in forced if r["case_id"] != target],
+                           [r for r in base if r["case_id"] != target])
+        # the error is the one the case meets alone
+        run_alone(monkeypatch)
+        alone = run_suites(suite=suite, kind=kind)["records"]
+        assert_within_gate(forced, alone)
 
 
 class TestMain:

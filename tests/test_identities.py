@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmx import identities, tensor_ops
+from rmx import applications, identities, rmatrix, tensor_ops
 from rmx import (
     CalogeroConfig,
     DegenerateArguments,
@@ -1037,3 +1037,92 @@ class TestSkewSymmetry:
         assert rep.passed and rep.residual < 1e-13
         rep = check_skew_symmetry(belavin_spec(3), 0.36 + 0.21j)
         assert rep.passed and rep.residual < 1e-9
+
+
+def lone_outcome(check, request):
+    """The report of check on request, or the RmxError it raises."""
+    try:
+        return check(*request)
+    except RmxError as exc:
+        return exc
+
+
+def assert_batch_is_lone(batch, check, requests):
+    """batch(requests) gives each request its lone check's error, type and
+    text, or its report: the same name and verdict, and a residual within
+    10x of the lone one, both floored at eps."""
+    eps = np.finfo(float).eps
+    outs = batch(requests)
+    assert len(outs) == len(requests)
+    for request, out in zip(requests, outs):
+        lone = lone_outcome(check, request)
+        if isinstance(lone, RmxError):
+            assert (type(out), str(out)) == (type(lone), str(lone))
+            continue
+        assert (out.name, out.passed, out.tolerance) == (lone.name, lone.passed,
+                                                         lone.tolerance)
+        ratio = max(out.residual, eps) / max(lone.residual, eps)
+        assert 0.1 <= ratio <= 10, (out.residual, lone.residual)
+
+
+MIXED_SPECS = [yang_spec(2), belavin_spec(2), yang_spec(3), belavin_spec(3),
+               yang_spec(2, hbar=0.4 + 0.1j), belavin_spec(2, hbar=0.21 + 0.05j)]
+
+
+class TestBatchCores:
+    """The batch core of each probed check on a mixed batch: families, N,
+    hbar, tolerances and arguments that raise, in one list."""
+
+    def test_unitarity_and_skew_symmetry(self):
+        zs = [0.43 + 0.21j, 0.37 - 0.12j, 0.29 + 0.33j, 0.51 + 0.08j, 0.0, 0.61 + 0.2j]
+        requests = [(spec, z, tol) for spec, z, tol
+                    in zip(MIXED_SPECS, zs, [None, None, 1e-30, None, None, None])]
+        assert_batch_is_lone(identities._unitarity_batch, lambda s, z, t: (
+            check_unitarity(s, z, tolerance=t)), requests)
+        assert_batch_is_lone(identities._skew_symmetry_batch, lambda s, z, t: (
+            check_skew_symmetry(s, z, tolerance=t)), requests)
+
+    def test_qybe_and_aybe(self):
+        pts = [YANG_PTS_3, EL_PTS_3, YANG_PTS_3, EL_PTS_3, YANG_PTS_3[:2],
+               [EL_PTS_3[0], EL_PTS_3[0], EL_PTS_3[1]]]
+        requests = [(spec, p, None) for spec, p in zip(MIXED_SPECS, pts)]
+        assert_batch_is_lone(identities._qybe_batch, lambda s, p, t: (
+            check_qybe(s, p, tolerance=t)), requests)
+        # eta = hbar degenerates
+        etas = [0.31 - 0.2j, 0.05 + 0.04j, 0.7 + 0.3j, 0.06 + 0.02j, 0.2j, 0.11]
+        requests = [(spec, EL_PTS_4[k % 2:][:3], eta, None)
+                    for k, (spec, eta) in enumerate(zip(MIXED_SPECS, etas))]
+        assert_batch_is_lone(identities._aybe_batch, lambda s, p, e, t: (
+            check_aybe(s, p, e, tolerance=t)), requests)
+
+    def test_hbar_derivatives(self):
+        requests = [(spec, EL_PTS_3[0], z_b, aux) for spec, z_b, aux in zip(
+            MIXED_SPECS, [0.13 + 0.07j, 0.2, EL_PTS_3[0], 0.44 + 0.1j, 0.3, 0.5j],
+            [None, None, None, 0.93 + 0.44j, None, None])]
+
+        def report(out):  # the structural residual as a report's
+            return out if isinstance(out, RmxError) else IdentityReport(
+                "deriv-hbar", True, out.structural_residual, 1.0)
+
+        assert_batch_is_lone(
+            lambda reqs: [report(o) for o in rmatrix._hbar_derivatives(reqs)],
+            lambda *r: report(rmatrix.r_deriv_hbar(*r)), requests)
+        for request, out in zip(requests, rmatrix._hbar_derivatives(requests)):
+            if not isinstance(out, RmxError):
+                lone = rmatrix.r_deriv_hbar(*request).matrix
+                assert np.allclose(out.matrix, lone, rtol=1e-14, atol=0)
+
+    def test_trace_powers_and_hbar_order(self):
+        momenta = (0.21 - 0.11j, -0.34 + 0.07j, 0.55 + 0.19j, -0.12 + 0.31j)
+        configs = [CalogeroConfig(rspec=spec, momenta=momenta[:n],
+                                  positions=pts[:n], coupling=0.8 - 0.2j)
+                   for spec, pts, n in zip(MIXED_SPECS, [YANG_PTS_4, EL_PTS_4] * 3,
+                                           [3, 3, 3, 4, 2, 3])]
+        requests = [(config, power, None) for config, power
+                    in zip(configs, [2, 3, 2, 3, 0, 2])]
+        assert_batch_is_lone(applications._trace_power_batch, lambda c, k, t: (
+            check_trace_power_guess(c, k, tolerance=t)), requests)
+        requests = [(spec, n, pts[:n], None) for spec, pts, n in zip(
+            MIXED_SPECS, [YANG_PTS_4, EL_PTS_4] * 3, [3, 3, 4, 3, 2, 4])]
+        assert_batch_is_lone(applications._hbar_order_batch, lambda s, n, p, t: (
+            check_hbar_order_relation(s, n, p, tolerance=t)), requests)
