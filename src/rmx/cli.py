@@ -27,7 +27,7 @@ from .applications import (
     _trace_power_batch,
     check_kzb_flatness,
 )
-from .errors import BudgetExceeded, RmxError, UsageError, _as_count, _each
+from .errors import BudgetExceeded, RmxError, UsageError, _as_count, _each, _joint
 from .identities import (
     _aybe_batch,
     _qybe_batch,
@@ -124,9 +124,17 @@ def _sample_hbar(rngs, lat, N, screens):
 
     Rounds as in _sample_points, with 100 draws: one lattice_distance call
     screens every candidate, and one _wp call, up to the round's highest
-    order, the survivors.  If that call raises, the survivors are screened
-    one by one, so an error reaches only the stream whose candidate met it.
+    order, the survivors.  If that call raises, errors._joint screens the
+    survivors one by one, so an error reaches only the stream whose
+    candidate met it.
     """
+    def screen(live):
+        # the hbar of each candidate (stream, hbar) of live, or None if it fails
+        wp = np.abs(_wp(lat, np.array([N * h for _, h in live]),
+                        range(max(screens[i] for i, _ in live) + 1)))
+        return [complex(h) if (wp[: screens[i] + 1, k] <= WP_MAGNITUDE_CAP).all()
+                else None for k, (i, h) in enumerate(live)]
+
     out = [None] * len(rngs)
     pending = list(range(len(rngs)))
     for _ in range(100):
@@ -144,24 +152,8 @@ def _sample_hbar(rngs, lat, N, screens):
                 < 1e-4).tolist()
         live = [(i, h) for k, (i, h) in enumerate(zip(pending, hs))
                 if not (near[2 * k] or near[2 * k + 1])]
-        if live:
-            try:
-                wp = np.abs(_wp(lat, np.array([N * h for _, h in live]),
-                                range(max(screens[i] for i, _ in live) + 1)))
-                ok = [(wp[: screens[i] + 1, k] <= WP_MAGNITUDE_CAP).all()
-                      for k, (i, _) in enumerate(live)]
-            except RmxError:
-                ok = []
-                for i, h in live:
-                    try:
-                        wp = np.abs(_wp(lat, np.asarray(N * h), range(screens[i] + 1)))
-                        ok.append(np.all(wp <= WP_MAGNITUDE_CAP))
-                    except RmxError as exc:
-                        out[i] = exc
-                        ok.append(False)
-            for (i, h), good in zip(live, ok):
-                if good:
-                    out[i] = complex(h)
+        for (i, _), value in zip(live, _joint(screen, live, lambda _: None)):
+            out[i] = value
         pending = [i for i in pending if out[i] is None]
     for i in pending:
         out[i] = RmxError("hbar sampling failed to find a moderate value")

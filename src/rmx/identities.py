@@ -53,7 +53,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     PoleProximity,
-    RmxError,
     ZeroArgument,
     _alone,
     _as_count,
@@ -139,17 +138,16 @@ def _pair_differences(spec, n, points, outer=1):
 
 
 def _pair_factors(spec, n, points, outer=1):
-    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j; the
-    arguments are screened before any R-matrix is built."""
-    pairs, z = _pair_differences(spec, n, points, outer)
-    return dict(zip(pairs, r_matrix(spec, z)))
+    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j, keyed
+    by the pair: :func:`_pair_factor_batch` run on one request."""
+    return dict(zip(*_alone(_pair_factor_batch, (spec, n, points, outer))))
 
 
 def _pair_factor_batch(requests):
-    """For each request (spec, n, points), the ordered pairs of
-    _pair_differences and their R-matrices, an array in pair order, or the
-    RmxError it raises alone: every request is screened, then one r_matrix
-    call builds the factors of all."""
+    """For each request (spec, n, points) or (spec, n, points, outer), the
+    ordered pairs of _pair_differences and their R-matrices, an array in
+    pair order, or the RmxError it raises alone: every request is screened,
+    then one r_matrix call builds the factors of all."""
     pairs = _each(lambda request: _pair_differences(*request), requests)
     ops = _stacked(r_matrix, _each(lambda request, pairs: (request[0], pairs[1], None),
                                    requests, pairs))
@@ -281,19 +279,16 @@ def check_cyclic_batch(requests):
     the reports off the sums.  A slab's sum does not depend on the slabs run
     beside it, so every report equals that of the check run alone.
     """
-    results, jobs = [], {}
-    for i, (spec, n, points, outer, tolerance) in enumerate(requests):
-        try:
-            if outer is None:
-                half = _outer_half(spec, n, points, tolerance)
-            else:
-                half = _nth_order_half(spec, n, points, outer, tolerance)
-        except RmxError as exc:
-            half = exc
+    def first_half(spec, n, points, outer, tolerance):
+        if outer is None:
+            return _outer_half(spec, n, points, tolerance)
+        return _nth_order_half(spec, n, points, outer, tolerance)
+
+    results, jobs = _each(first_half, *zip(*requests)), {}
+    for i, (request, half) in enumerate(zip(requests, results)):
         if isinstance(half, tuple):
             n, slabs, finish = half
-            jobs.setdefault((spec.site_dim, n), []).append((i, slabs, finish))
-        results.append(half)
+            jobs.setdefault((request[0].site_dim, n), []).append((i, slabs, finish))
     for (N, n), group in jobs.items():
         x = _probe_block(N ** n)
         sums = iter(_cyclic_apply([slab for _, slabs, _ in group for slab in slabs],

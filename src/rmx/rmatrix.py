@@ -29,6 +29,7 @@ degeneration of R, which collapses to a scalar with closed form
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -291,13 +292,16 @@ def same_site_closed_form(spec, z, hbar=None):
     """Scalar value of R with both tensor legs on one site.
 
     Yang: 1/hbar + N^2/z.  Elliptic: N phi(N hbar, z/N).  hbar overrides
-    spec.hbar when given (validated the same way).  Arrays of z and hbar
-    broadcast, and shapes that do not raise DimensionMismatch.
+    spec.hbar when given (validated the same way).  Arrays of z and hbar,
+    lists included, broadcast, and shapes that do not raise
+    DimensionMismatch.
     """
     if hbar is None:
         hbar = spec.hbar
     else:
         spec.validate_hbar(hbar)
+    # a scalar keeps Python's complex arithmetic, which rounds unlike numpy's
+    z, hbar = (v if np.ndim(v) == 0 else np.asarray(v, dtype=complex) for v in (z, hbar))
     N = spec.site_dim
     if spec.kind is RMatrixKind.YANG:
         _check_yang_argument("z", z)
@@ -316,8 +320,12 @@ def r_same_site(spec, z, hbar=None):
 
     The sum collapses to (sum of the weights) Id, as T_alpha T_(-alpha) = Id.
     It is compared against the closed form; a Frobenius distance above
-    ``_SAME_SITE_TOL`` raises :class:`ExpansionFailed`.
+    ``_SAME_SITE_TOL`` raises :class:`ExpansionFailed`.  z and hbar are
+    scalars; an array of either raises :class:`DimensionMismatch`.
     """
+    if np.ndim(z) or np.ndim(hbar):
+        raise DimensionMismatch(f"r_same_site takes a scalar z and hbar, got shapes "
+                                f"{np.shape(z)} and {np.shape(hbar)}")
     closed = same_site_closed_form(spec, z, hbar)  # checks hbar and z first
     if hbar is None:
         hbar = spec.hbar
@@ -503,11 +511,14 @@ def _contour(spec, z, radius, points):
     """The hbar contour nodes around 0, and R at z and every node from one
     r_matrix call (z broadcasts against the nodes).
 
-    Raises ContourHitsPole unless 0 < radius < 0.9 times the distance to
-    the nearest hbar pole of R besides 0.
+    A radius that is not a real number raises UsageError.  Raises
+    ContourHitsPole unless 0 < radius < inf and, on the elliptic family,
+    radius < 0.9 times the distance to the nearest hbar pole of R besides 0.
     """
-    if radius <= 0:
-        raise ContourHitsPole("contour radius must be positive")
+    if not isinstance(radius, numbers.Real):
+        raise UsageError(f"contour_radius must be a real number, got {radius!r}")
+    if not 0 < radius < np.inf:
+        raise ContourHitsPole(f"contour radius must lie in (0, inf), got {radius}")
     if spec.kind is RMatrixKind.BELAVIN:
         # R has its hbar poles on the lattice (Z + tau Z) / N, so the
         # nearest one besides hbar = 0 lies a shortest period over N away;

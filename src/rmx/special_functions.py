@@ -75,7 +75,6 @@ __all__ = [
     "kronecker_phi",
     "kronecker_phi_deta",
     "fay_check",
-    "cyclic_orderings",
     "scalar_cyclic_sum",
     "MAX_WP_DERIV_ORDER",
 ]
@@ -614,17 +613,6 @@ def fay_check(hbar, eta, z, w, params):
 # ---------------------------------------------------------------------------
 # cyclic sums
 # ---------------------------------------------------------------------------
-
-def cyclic_orderings(n, a):
-    """Lexicographic list of the (n-1)! orderings of {1..n} minus the outer index.
-
-    Indices are 1-based; each ordering is a tuple of length n-1.
-    """
-    n, a = _as_index("n", n), _as_index("a", a)
-    if not 1 <= a <= n:
-        raise IndexOutOfRange(f"outer index {a} not in 1..{n}")
-    return list(itertools.permutations(i for i in range(1, n + 1) if i != a))
-
 
 def scalar_cyclic_sum(n, a, eta, points, params):
     r"""Cyclic Kronecker-function sum over all (n-1)! orderings.

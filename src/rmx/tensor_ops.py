@@ -14,10 +14,10 @@ one scratch workspace per process, in real arithmetic on the real and
 imaginary planes of each state.  A product stores leg 0 last among the legs
 it leaves alone, so the copies and adds of the cyclic sums, which keep their
 outer site on leg 0, move runs of N m floats, not m.  The cyclic sums, the
-three-site relations, the hbar derivative, the applications and
-:func:`apply_two_site` are each one plan.  The total dimension N**n is
-bounded by the fixed :data:`SIZE_CAP`: every n-site entry checks it before
-any work, and ``run_suites`` refuses a sweep that would pass it.
+three-site relations, the hbar derivative and the applications are each
+one plan.  The total dimension N**n is bounded by the fixed
+:data:`SIZE_CAP`: every n-site entry checks it before any work, and
+``run_suites`` refuses a sweep that would pass it.
 """
 
 from __future__ import annotations
@@ -31,15 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch, IndexOutOfRange, SizeCapExceeded, _alone, _as_count, _as_index,
-    _joint,
-)
+from .errors import DimensionMismatch, SizeCapExceeded, _alone, _as_count, _joint
 
 __all__ = [
     "SIZE_CAP",
     "permutation_operator",
-    "apply_two_site",
     "is_scalar_operator",
     "frobenius_distance",
 ]
@@ -69,48 +65,6 @@ def permutation_operator(site_dim):
         .transpose(0, 1, 3, 2)
         .reshape(n * n, n * n)
     )
-
-
-def apply_two_site(op, site_a, site_b, n_sites, x):
-    """Apply a two-site operator at sites (site_a, site_b) of an n-site product.
-
-    Returns E @ x, where E is op embedded at the ordered pair of sites, an
-    N**n x N**n matrix that is never formed: the cost is N**n * N**2
-    multiply-adds per column of x instead of N**(2n).  It is a one-step plan
-    of the contraction code, on a workspace of its own, dropped on return.
-
-    Parameters
-    ----------
-    op : ndarray, shape (N**2, N**2)
-        Operator acting on the ordered pair of sites.
-    site_a, site_b : int
-        1-based site labels, distinct.
-    n_sites : int
-        N**n_sites must not exceed SIZE_CAP.
-    x : ndarray, shape (N**n_sites, m)
-
-    Returns
-    -------
-    ndarray of shape (N**n_sites, m), a new array
-    """
-    site_a, site_b = _as_index("site_a", site_a), _as_index("site_b", site_b)
-    n_sites = _as_index("n_sites", n_sites)
-    if not (1 <= site_a <= n_sites and 1 <= site_b <= n_sites) or site_a == site_b:
-        raise IndexOutOfRange(
-            f"sites ({site_a}, {site_b}) must be distinct and lie in 1..{n_sites}"
-        )
-    op = np.asarray(op, dtype=complex)
-    N = math.isqrt(op.shape[-1]) if op.ndim == 2 else 0
-    if N == 0 or op.shape != (N * N, N * N):
-        raise DimensionMismatch(
-            f"two-site operator has shape {op.shape}, expected (N**2, N**2)"
-        )
-    dim = _check_cap(N, n_sites)
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != dim:
-        raise DimensionMismatch(f"operand has shape {x.shape}, expected ({dim}, m)")
-    plan = _plan(n_sites, [("x", "y", (site_a - 1, site_b - 1), "op")], ["y"])
-    return _run(plan, [([op], 0)], x, _Workspace())[0, 0]
 
 
 #: The most complex entries in one state, all slabs together.  The slabs

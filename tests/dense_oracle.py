@@ -8,7 +8,8 @@ embedding itself, the two sides of each three-site relation (QYBE, AYBE,
 the hbar derivative and flatness), and the block Lax operator with its
 powers.  The
 package also sums the scalar cyclic sum by a subset DP; the reference
-``literal_cyclic_sum`` sums its (n-1)! orderings term by term.  The probed
+``literal_cyclic_sum`` sums its (n-1)! orderings, ``cyclic_orderings``,
+term by term.  The probed
 subset DP of the n-site checks runs in real arithmetic on split real and
 imaginary planes and keeps its states in the leg order its matmuls leave
 them in; ``canonical_cyclic_apply`` is the same DP, split factors
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from rmx import classical_closed_form, cyclic_orderings, kronecker_phi, r_matrix
+from rmx import classical_closed_form, kronecker_phi, r_matrix
 from rmx import rmatrix, tensor_ops
 
 
@@ -44,6 +45,12 @@ def embed_two_site(op, site_a, site_b, site_dim, n_sites):
     perm = [src[s] for s in range(n_sites)]
     big = big.transpose(perm + [n_sites + p for p in perm])
     return np.ascontiguousarray(big.reshape(dim, dim))
+
+
+def cyclic_orderings(n, a):
+    """Lexicographic list of the (n-1)! orderings of {1..n} minus the outer
+    index a, each a tuple of 1-based sites."""
+    return list(itertools.permutations(i for i in range(1, n + 1) if i != a))
 
 
 def literal_cyclic_sum(n, a, eta, points, params):

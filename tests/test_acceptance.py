@@ -32,7 +32,8 @@ from rmx import (
     scalar_cyclic_sum,
     weierstrass_p,
 )
-from rmx.special_functions import cyclic_orderings
+
+from dense_oracle import cyclic_orderings
 
 RA = LatticeParams(kind="rational")
 TR = LatticeParams(kind="trigonometric")

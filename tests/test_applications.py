@@ -1,7 +1,9 @@
 import math
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +237,22 @@ class TestKzbFlatness:
         if radius <= 0:
             with pytest.raises(ContourHitsPole):
                 check_kzb_flatness(yang_spec(2), YANG_PTS_3, contour_radius=radius)
+
+    @pytest.mark.parametrize("radius, error", [
+        (0.1j, UsageError), ("0.1", UsageError), (np.array([0.1]), UsageError),
+        (np.nan, ContourHitsPole), (np.inf, ContourHitsPole)])
+    @pytest.mark.parametrize("family", ["yang", "belavin"])
+    def test_contour_radius_is_validated(self, radius, error, family):
+        # a typed error naming the radius, with no numpy warning before it
+        spec, pts = ((yang_spec(2), YANG_PTS_3) if family == "yang"
+                     else (belavin_spec(2), EL_PTS_3))
+        match = "contour_radius must be a real" if error is UsageError else "(0, inf)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=re.escape(match)):
+                check_kzb_flatness(spec, pts, contour_radius=radius)
+            with pytest.raises(error, match=re.escape(match)):
+                classical_expansion(spec, pts[0], contour_radius=radius)
 
 
 class TestHbarOrderRelation:

@@ -41,9 +41,8 @@ from rmx import (
     r_matrix,
     weierstrass_p,
 )
-from rmx.special_functions import cyclic_orderings
 
-from dense_oracle import canonical_cyclic_apply, embed_two_site
+from dense_oracle import canonical_cyclic_apply, cyclic_orderings, embed_two_site
 
 RA = LatticeParams(kind="rational")
 EL = LatticeParams(kind="elliptic", tau=1j)
@@ -95,18 +94,6 @@ class TestTermSequences:
 
     def test_excludes_outer_index(self):
         assert cyclic_orderings(3, 2) == [(1, 3), (3, 1)]
-
-    def test_outer_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            cyclic_orderings(4, 5)
-
-    def test_site_arguments_must_be_integers(self):
-        with pytest.raises(UsageError, match="^a must be an integer, got 1.5"):
-            cyclic_orderings(4, 1.5)
-        with pytest.raises(UsageError, match="^n must be an integer, got 4.0"):
-            cyclic_orderings(4.0, 1)
-        assert cyclic_orderings(np.int64(3), np.int32(2)) == [(1, 3), (3, 1)]
-
 
 
 def ladder_points(n):

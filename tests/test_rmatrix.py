@@ -266,6 +266,28 @@ class TestShapes:
         with pytest.raises(DimensionMismatch, match=self.MISMATCH):
             same_site_closed_form(spec, self.Z, self.HBAR)
 
+    @pytest.mark.parametrize("spec", [yang_spec(), belavin_spec()],
+                             ids=["yang", "belavin"])
+    def test_same_site_closed_form_takes_lists(self, spec):
+        # a list is an array, not a sequence that N * hbar would repeat
+        z, hbar = list(self.Z), list(self.HBAR)
+        assert np.array_equal(same_site_closed_form(spec, z),
+                              same_site_closed_form(spec, self.Z))
+        got = same_site_closed_form(spec, 0.3 + 0.1j, hbar)
+        assert got.shape == (2,)
+        assert np.array_equal(got, same_site_closed_form(spec, 0.3 + 0.1j, self.HBAR))
+
+    @pytest.mark.parametrize("spec", [yang_spec(), belavin_spec()],
+                             ids=["yang", "belavin"])
+    def test_r_same_site_takes_scalars(self, spec):
+        with pytest.raises(DimensionMismatch,
+                           match=r"scalar z and hbar, got shapes \(3,\) and \(\)"):
+            r_same_site(spec, self.Z)
+        with pytest.raises(DimensionMismatch,
+                           match=r"scalar z and hbar, got shapes \(\) and \(2,\)"):
+            r_same_site(spec, 0.3 + 0.1j, list(self.HBAR))
+        assert r_same_site(spec, np.array(0.3 + 0.1j)).shape == (2, 2)
+
 
 class TestSameSite:
     def test_yang(self):

@@ -7,16 +7,12 @@ import pytest
 from rmx import tensor_ops
 from rmx import (
     DimensionMismatch,
-    IndexOutOfRange,
-    SIZE_CAP,
-    SizeCapExceeded,
     UsageError,
-    apply_two_site,
     frobenius_distance,
     is_scalar_operator,
     permutation_operator,
 )
-from rmx.tensor_ops import _plan_sides, _probe, _probe_block, _probe_scalar
+from rmx.tensor_ops import _plan, _plan_sides, _probe, _probe_block, _probe_scalar, _run
 
 from dense_oracle import embed_two_site
 
@@ -62,6 +58,13 @@ class TestPermutation:
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         p = permutation_operator(n)
         assert np.allclose(p @ np.kron(a, b) @ p, np.kron(b, a))
+
+
+def apply_two_site(op, site_a, site_b, n_sites, x):
+    """op applied at the 1-based sites (site_a, site_b) of the n-site operand
+    x by a one-edge plan of the contraction code."""
+    plan = _plan(n_sites, [("x", "y", (site_a - 1, site_b - 1), "op")], ["y"])
+    return _run(plan, [([op], 0)], x)[0, 0]
 
 
 def embedded(op, site_a, site_b, n_sites):
@@ -123,54 +126,10 @@ class TestEmbed:
         b = embedded(y, 2, 4, 4)
         assert np.allclose(a @ b, b @ a)
 
-    def test_index_validation(self):
-        op = np.eye(4)
-        x = np.eye(8)
-        with pytest.raises(IndexOutOfRange):
-            apply_two_site(op, 0, 2, 3, x)
-        with pytest.raises(IndexOutOfRange):
-            apply_two_site(op, 1, 4, 3, x)
-        with pytest.raises(IndexOutOfRange):
-            apply_two_site(op, 2, 2, 3, x)
-
-    def test_site_arguments_must_be_integers(self):
-        # each is a UsageError that names the argument, not a TypeError or a
-        # shape message with a fractional dimension
-        x = np.eye(8)
-        for args, name in (((1.0, 3, 3), "site_a"), ((1, 3.0, 3), "site_b"),
-                           ((1, 2, 2.5), "n_sites")):
-            with pytest.raises(UsageError, match=f"^{name} must be an integer"):
-                apply_two_site(np.eye(4), *args, x)
-        # numpy integers are integers
-        got = apply_two_site(np.eye(4), np.int64(1), np.int32(3), np.int64(3), x)
-        assert np.array_equal(got, x)
-
-    def test_shape_validation(self):
-        x = np.eye(8)
-        with pytest.raises(DimensionMismatch):
-            apply_two_site(np.eye(3), 1, 2, 3, x)
-        with pytest.raises(DimensionMismatch):
-            apply_two_site(np.eye(4)[:, :3], 1, 2, 3, x)
-        with pytest.raises(DimensionMismatch):
-            apply_two_site(np.ones(4), 1, 2, 3, x)
-        # the operand must have N**n rows and be two-dimensional
-        with pytest.raises(DimensionMismatch):
-            apply_two_site(np.eye(4), 1, 2, 3, np.eye(9))
-        with pytest.raises(DimensionMismatch):
-            apply_two_site(np.eye(4), 1, 2, 3, np.ones(8))
-
-    def test_size_cap(self):
-        assert SIZE_CAP == 4096
-        # the cap is checked before the operand's shape: 2**13 > SIZE_CAP
-        with pytest.raises(SizeCapExceeded,
-                           match=r"2\*\*13 = 8192 exceeds the size cap 4096"):
-            apply_two_site(np.eye(4), 1, 2, 13, np.eye(16))
-        # the same call runs at the cap, 2**12 = SIZE_CAP
-        x = _probe_block(SIZE_CAP)
-        assert np.array_equal(apply_two_site(np.eye(4), 1, 2, 12, x), x)
-
 
 class TestApplyTwoSiteOracle:
+    """The contraction code against the dense embed-and-multiply path."""
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_dense_embed(self, N, n):
@@ -182,14 +141,6 @@ class TestApplyTwoSiteOracle:
             got = apply_two_site(op, a, b, n, x)
             want = embed_two_site(op, a, b, N, n) @ x
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-
-    def test_leaves_the_process_workspace(self, monkeypatch):
-        # a user's operand runs on a workspace of its own, dropped on return
-        monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
-        x = np.ones((2 ** 10, 64))
-        assert np.array_equal(apply_two_site(np.eye(4), 3, 1, 10, x), x)
-        assert tensor_ops._workspace.buffer.size == 0
-        assert tensor_ops._workspace.views == {}
 
     def test_returns_new_array(self):
         x = np.eye(4, dtype=complex)
