@@ -38,15 +38,15 @@ anticommutator relation
 
 Every check here applies its operators to the probe block X of
 ``tensor_ops._probe_block`` and forms no N**n x N**n matrix: each is one
-plan of the contraction code of ``tensor_ops``.  The trace-power and
-hbar-order checks are their batch entries (:func:`_trace_power_batch`,
-:func:`_hbar_order_batch`) run on one request, as in ``identities``.
+plan of the contraction code of ``tensor_ops``, a job of its ``_probe_jobs``.
+The trace-power and hbar-order checks are their batch entries
+(:func:`_trace_power_batch`, :func:`_hbar_order_batch`) run on one request,
+as in ``identities``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch, QuadratureNotConverged, SeriesNotConverged, UsageError, _alone,
-    _as_index, _each, _joint,
+    _as_complex, _as_index, _each,
 )
 from .identities import _pair_differences, _pair_factor_batch, _verdict
 from .rmatrix import (
@@ -65,9 +65,7 @@ from .rmatrix import (
     classical_closed_form,
 )
 from .special_functions import kronecker_phi
-from .tensor_ops import (
-    _plan, _plan_sides, _probe, _probe_block, _probe_jobs, _run,
-)
+from .tensor_ops import _plan, _plan_sides, _probe, _probe_block, _probe_jobs, _probe_scalar
 
 __all__ = [
     "CalogeroConfig",
@@ -99,11 +97,10 @@ class CalogeroConfig:
     coupling: complex = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "momenta", tuple(complex(p) for p in self.momenta))
-        object.__setattr__(
-            self, "positions", tuple(complex(z) for z in self.positions)
-        )
-        object.__setattr__(self, "coupling", complex(self.coupling))
+        for name in ("momenta", "positions"):
+            object.__setattr__(self, name, tuple(_as_complex(name, v)
+                                                 for v in getattr(self, name)))
+        object.__setattr__(self, "coupling", _as_complex("coupling", self.coupling))
         if len(self.momenta) != len(self.positions):
             raise DimensionMismatch(
                 f"{len(self.momenta)} momenta vs {len(self.positions)} positions"
@@ -188,8 +185,8 @@ def _trace_power_batch(requests):
     """check_trace_power_guess on each request (config, power, tolerance):
     its report, or the RmxError it raises alone.  The factors of all
     requests come from one r_matrix call and their scalar Lax matrices from
-    one kronecker_phi call; the particles of the requests of one N and plan
-    run as the slabs of one plan."""
+    one kronecker_phi call.  A request's job has the blocks L_bc as its table
+    and one slab per particle a; each (L^k)_aa X is read by _probe_scalar."""
     def screen(config, power, tolerance):
         power = _as_index("power", power)
         if power < 1:
@@ -200,35 +197,21 @@ def _trace_power_batch(requests):
     scalars = _lax_matrices(_each(lambda request, _: request[0], requests, factors))
 
     def job(request, factors):
-        # the blocks L_bc, and the factors of slab a: the blocks at its legs
-        config, power, (pairs, ops) = request[0], _as_index("power", request[1]), factors
-        n, M = config.n_particles, config.rspec.site_dim ** 2
-        plan, blocks = _lax_plan(n, power), np.empty((n, n, M, M), dtype=complex)
-        blocks[tuple(zip(*pairs))] = config.coupling * ops
-        blocks[range(n), range(n)] = np.multiply.outer(config.momenta, np.eye(M))
-        legs = (np.array(plan.keys) + np.arange(n)[:, None, None]) % n
-        return plan, list(zip(blocks[legs[..., 0], legs[..., 1]], range(n)))
+        # the blocks L_bc, keyed (b, c), and one slab per particle a
+        config, (pairs, ops), n = request[0], factors, request[0].n_particles
+        table = dict(zip(pairs, config.coupling * ops))
+        eye = np.eye(config.rspec.site_dim ** 2)
+        table.update({(a, a): p * eye for a, p in enumerate(config.momenta)})
+        return _lax_plan(n, _as_index("power", request[1])), [(table, a) for a in range(n)]
 
-    def run(group):
-        # each slab's coefficient and non-scalar residual, as _probe_scalar
-        # reads them, for all slabs at once
-        plan, slabs = group[0][0], [slab for _, slabs in group for slab in slabs]
-        x = _probe_block(math.isqrt(len(slabs[0][0][0])) ** plan.n)
-        (y,) = _run(plan, slabs, x)
-        y, xs = y.reshape(len(slabs), -1), x.ravel()
-        coeffs = y @ xs.conj() / np.vdot(xs, xs)
-        nonscalars = (np.linalg.norm(y - coeffs[:, None] * xs, axis=1)
-                      / np.maximum(np.linalg.norm(y, axis=1), 1.0))
-        edges = [0, *itertools.accumulate(len(slabs) for _, slabs in group)]
-        return [(coeffs[lo:hi], nonscalars[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    outputs = _probe_jobs(_each(job, requests, factors))
 
-    readings = _joint(run, _each(job, requests, factors),
-                      lambda job: (job[0], len(job[1][0][0][0])))
-
-    def report(request, readings, scalar):
+    def report(request, outputs, scalar):
         config, power, tolerance = request[0], _as_index("power", request[1]), request[2]
         spec, n = config.rspec, config.n_particles
-        coeffs, nonscalar = readings[0].tolist(), float(readings[1].max())
+        x = _probe_block(spec.site_dim ** n)
+        coeffs, nonscalars = zip(*(_probe_scalar(x, y) for y in outputs[0]))
+        coeffs, nonscalar = list(coeffs), max(nonscalars)
         scalar = np.linalg.matrix_power(scalar, power)
         diag = np.array([scalar[a, a] for a in range(n)])
         scale = max(1.0, float(np.max(np.abs(diag))))
@@ -242,7 +225,7 @@ def _trace_power_batch(requests):
                         nonscalar_residual=nonscalar, trace_residual=trace_resid,
                         extended_guess=power < n)
 
-    return _each(report, requests, readings, scalars)
+    return _each(report, requests, outputs, scalars)
 
 
 # [r_p, m_q] X = r_p m_q X - m_q r_p X summed over the pairs (p, q) of
@@ -278,7 +261,7 @@ def check_kzb_flatness(
         quadrature_points = _as_index("quadrature_points", quadrature_points)
         if quadrature_points < 2:
             raise QuadratureNotConverged("need at least 2 quadrature points")
-    z = [complex(p) for p in points]
+    z = [_as_complex("a point", p) for p in points]
     pairs = ((1, 2), (1, 3), (2, 3))
     zs = np.array([z[i - 1] - z[j - 1] for i, j in pairs])
     if use_closed_form:
@@ -353,11 +336,11 @@ def _hbar_order_batch(requests):
         table = {}
         for (i, j), r, m in zip(pairs, *rm):
             table["r", i + 1, j + 1], table["m", i + 1, j + 1] = r, -(n - 2) * m
-        return _hbar_order_plan(n), table
+        return _hbar_order_plan(n), [(table, 0)]
 
     def report(request, screened, rm, sides):
         spec, tolerance, n, N = request[0], request[3], screened[0], request[0].site_dim
-        lhs, rhs = sides
+        lhs, rhs = sides[:, 0]
         # the anticommutators cancel pairwise, so condition on their size,
         # not on the (possibly zero) right-hand side; acting on n sites
         # scales the Frobenius norm of a two-site operator by sqrt(N**(n-2)),

@@ -87,34 +87,41 @@ def _point_candidate(rng, lat, count):
     return pts + diffs, [1e-2] * count + [separation] * len(diffs)
 
 
+def _draw_rounds(rngs, tries, draw, screen, failure):
+    """For each stream of rngs, the first candidate that ``screen`` keeps,
+    or the RmxError it met, or RmxError(failure) after ``tries`` rounds.
+    Each round draws draw(i, rngs[i]) for every stream i still pending, as
+    a lone stream draws it, and one call screen(pending, candidates) gives
+    each candidate its value, or None to draw again."""
+    out = [None] * len(rngs)
+    pending = list(range(len(rngs)))
+    for _ in range(tries):
+        if not pending:
+            break
+        candidates = [draw(i, rngs[i]) for i in pending]
+        for i, value in zip(pending, screen(pending, candidates)):
+            out[i] = value
+        pending = [i for i in pending if out[i] is None]
+    for i in pending:
+        out[i] = RmxError(failure)
+    return out
+
+
 def _sample_points(rngs, lat, counts):
     """For each stream of rngs, its count of points kept clear of the pole
     lattice and well separated pairwise, or the RmxError its draws met.
 
-    Each round draws one candidate from every stream still pending, as a
-    lone stream draws it, and screens them all with one lattice_distance
-    call; each stream has 200 draws.
+    Rounds of _draw_rounds with 200 draws, each screened by one
+    lattice_distance call.
     """
-    out = [None] * len(rngs)
-    pending = list(range(len(rngs)))
-    for _ in range(200):
-        if not pending:
-            break
-        flat, floor, starts = [], [], []
-        for i in pending:
-            values, floors = _point_candidate(rngs[i], lat, counts[i])
-            starts.append(len(flat))
-            flat += values
-            floor += floors
-        starts.append(len(flat))
-        clear = (lat.lattice_distance(np.array(flat)) > np.array(floor)).tolist()
-        for i, lo, hi in zip(pending, starts, starts[1:]):
-            if all(clear[lo:hi]):
-                out[i] = flat[lo:lo + counts[i]]
-        pending = [i for i in pending if out[i] is None]
-    for i in pending:
-        out[i] = RmxError("point sampling failed to avoid the lattice")
-    return out
+    def screen(pending, candidates):
+        flat, floor = (sum(column, []) for column in zip(*candidates))
+        clear = iter((lat.lattice_distance(np.array(flat)) > np.array(floor)).tolist())
+        return [values[:counts[i]] if all([next(clear) for _ in values]) else None
+                for i, (values, _) in zip(pending, candidates)]
+
+    return _draw_rounds(rngs, 200, lambda i, rng: _point_candidate(rng, lat, counts[i]),
+                        screen, "point sampling failed to avoid the lattice")
 
 
 def _sample_hbar(rngs, lat, N, screens):
@@ -122,42 +129,35 @@ def _sample_hbar(rngs, lat, N, screens):
     off-lattice and |wp^(d)(N*hbar)| <= WP_MAGNITUDE_CAP for d up to the
     stream's screen order, or the RmxError its draws met.
 
-    Rounds as in _sample_points, with 100 draws: one lattice_distance call
+    Rounds of _draw_rounds with 100 draws: one lattice_distance call
     screens every candidate, and one _wp call, up to the round's highest
     order, the survivors.  If that call raises, errors._joint screens the
     survivors one by one, so an error reaches only the stream whose
     candidate met it.
     """
-    def screen(live):
+    def draw(i, rng):
+        if lat.kind is FunctionKind.ELLIPTIC:
+            re, im = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
+            return (re + im * lat.tau) / N
+        return rng.uniform(0.3, 1.2) + 1j * rng.uniform(0.1, 0.6)
+
+    def wp_screen(live):
         # the hbar of each candidate (stream, hbar) of live, or None if it fails
         wp = np.abs(_wp(lat, np.array([N * h for _, h in live]),
                         range(max(screens[i] for i, _ in live) + 1)))
         return [complex(h) if (wp[: screens[i] + 1, k] <= WP_MAGNITUDE_CAP).all()
                 else None for k, (i, h) in enumerate(live)]
 
-    out = [None] * len(rngs)
-    pending = list(range(len(rngs)))
-    for _ in range(100):
-        if not pending:
-            break
-        hs = []
-        for i in pending:
-            rng = rngs[i]
-            if lat.kind is FunctionKind.ELLIPTIC:
-                re, im = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
-                hs.append((re + im * lat.tau) / N)
-            else:
-                hs.append(rng.uniform(0.3, 1.2) + 1j * rng.uniform(0.1, 0.6))
+    def screen(pending, hs):
         near = (lat.lattice_distance(np.array([v for h in hs for v in (h, N * h)]))
                 < 1e-4).tolist()
         live = [(i, h) for k, (i, h) in enumerate(zip(pending, hs))
                 if not (near[2 * k] or near[2 * k + 1])]
-        for (i, _), value in zip(live, _joint(screen, live, lambda _: None)):
-            out[i] = value
-        pending = [i for i in pending if out[i] is None]
-    for i in pending:
-        out[i] = RmxError("hbar sampling failed to find a moderate value")
-    return out
+        kept = dict(zip([i for i, _ in live], _joint(wp_screen, live, lambda _: None)))
+        return [kept.get(i) for i in pending]
+
+    return _draw_rounds(rngs, 100, draw, screen,
+                        "hbar sampling failed to find a moderate value")
 
 
 def _c2d(value):
@@ -411,16 +411,14 @@ def _sweep(opts):
                                   _Draw(rng, lat, None, p, h, case.n, tols.get(case.tol)))
                         for head, (_, case), rng, p, h
                         in zip(heads, cases, rngs, pts, hbars)]
-            # each batch entry runs once, on all of the part's requests to it
-            jobs = {}
-            for i, (out, _) in enumerate(outcomes):
-                if isinstance(out, tuple):
-                    jobs.setdefault(out[0], []).append(i)
-            for entry, idx in jobs.items():
-                for i, report in zip(idx, entry([outcomes[i][0][1] for i in idx])):
-                    outcomes[i] = report, outcomes[i][1]
+            # each batch entry runs once, on all of the part's requests to it;
+            # the reports stand as they are
+            outs = _joint(lambda group: group[0][0]([request for _, request in group])
+                          if isinstance(group[0], tuple) else group,
+                          [out for out, _ in outcomes],
+                          lambda out: out[0] if isinstance(out, tuple) else None)
             records += [_case_record(head, out, params)
-                        for head, (out, params) in zip(heads, outcomes)]
+                        for head, out, (_, params) in zip(heads, outs, outcomes)]
     return records
 
 

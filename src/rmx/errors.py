@@ -8,6 +8,8 @@ generic error handling.
 
 import operator
 
+import numpy as np
+
 __all__ = [
     "RmxError", "NonEllipticKind", "SeriesNotConverged", "PoleProximity",
     "UnsupportedDerivOrder", "DegenerateArguments", "IndexOutOfRange",
@@ -84,6 +86,17 @@ def _as_index(name, value):
         return operator.index(value)
     except TypeError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_complex(name, value):
+    """``value`` as a complex; an array is a :class:`DimensionMismatch` naming
+    its shape, a value complex() rejects a :class:`UsageError` naming ``name``."""
+    try:
+        if isinstance(value, (int, float, complex)) or np.ndim(value) == 0:
+            return complex(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be a complex number, got {value!r}") from None
+    raise DimensionMismatch(f"{name} must be a scalar, got shape {np.shape(value)}")
 
 
 def _as_count(name, value, low):

@@ -21,12 +21,12 @@ Alongside these live the quantum and associative Yang-Baxter equations and
 the skew-symmetry R(z, hbar) = -P R(-z, -hbar) P.
 
 For n >= 3 the checks apply the sum to a fixed probe block by a subset DP
-over the sites (:func:`_cyclic_apply`), a plan of the contraction code of
-``tensor_ops`` cached per n.  Every sum is one slab of the DP:
-:func:`check_cyclic_batch` runs the sums of many checks at one N and n, such
-as every order-n and outer-n case of a ``rmx verify`` part, as the slabs of
-one DP, and the two public checks are that entry run on one request.  QYBE
-and AYBE are plans of that code too, each side applied to the probe block.
+over the sites, a plan of ``tensor_ops`` (:func:`_dp_plan`, cached per n)
+with one slab (factors, a) per sum from outer site a.
+:func:`check_cyclic_batch` runs the jobs (plan, slabs) of many checks,
+such as every order-n and outer-n case of a ``rmx verify`` part, in one
+``_probe_jobs`` call, one DP per N and n, and the two public checks are
+that entry run on one request.  QYBE and AYBE are plans of that code too.
 
 Unitarity, skew symmetry, QYBE and AYBE have private batch entries of the
 same kind (:func:`_unitarity_batch`, :func:`_skew_symmetry_batch`,
@@ -55,15 +55,16 @@ from .errors import (
     PoleProximity,
     ZeroArgument,
     _alone,
+    _as_complex,
     _as_count,
     _as_index,
     _each,
 )
-from .special_functions import MAX_WP_DERIV_ORDER, scalar_cyclic_sum, weierstrass_p
+from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import _stacked, r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
-    _PROBES, _Workspace, _check_cap, _plan, _plan_sides, _probe_block, _probe_jobs,
-    _probe_scalar, _run, frobenius_distance, is_scalar_operator, permutation_operator,
+    _PROBES, _check_cap, _plan, _plan_sides, _probe_block, _probe_jobs, _probe_scalar,
+    frobenius_distance, is_scalar_operator, permutation_operator,
 )
 
 __all__ = [
@@ -132,7 +133,7 @@ def _pair_differences(spec, n, points, outer=1):
     if len(points) != n:
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
     _check_cap(spec.site_dim, n)
-    pts = [complex(p) for p in points]
+    pts = [_as_complex("a point", p) for p in points]
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     return pairs, np.array([pts[i] - pts[j] for i, j in pairs])
 
@@ -173,9 +174,14 @@ def cyclic_sum_cost(site_dim, n):
 
 @lru_cache(maxsize=32)
 def _dp_plan(n):
-    """The plan of :func:`_cyclic_apply` on n legs: each state of the subset
-    DP fans out to its successors in increasing mask order, the factor at
-    the legs (k, j) keyed by (k, j); the sum is the last state."""
+    """The plan of the cyclic product sums on n legs.  A slab (factors, a)
+    of a job of this plan, the two-site ``factors`` of _pair_factors, gives
+    S x, where S is the cyclic product sum from the 0-based outer site a
+    back to itself.  Each state (T, k) of the subset DP holds the sum of
+    R_{k i_m} ... R_{i_1 0} x over the orderings of the leg set T that end at
+    k: G[T + {k}, k] = sum_j R_kj G[T, j], and S x = sum_j R_0j G[all, j],
+    the last state.  Each state fans out to its successors in increasing
+    mask order, the factor at the legs (k, j) keyed by (k, j)."""
     full = (1 << n) - 2
     edges = [((mask, j), (mask | 1 << t, t), (t, j), (t, j))
              for mask in range(0, full, 2)
@@ -183,23 +189,6 @@ def _dp_plan(n):
              for t in range(1, n) if not mask >> t & 1]
     edges += [((full, j), "sum", (0, j), (0, j)) for j in range(1, n)]
     return _plan(n, edges, ["sum"])
-
-
-def _cyclic_apply(slabs, n, x):
-    """S x for each slab (factors, a) of ``slabs``, stacked in that order,
-    where S is the cyclic product sum of the two-site ``factors`` of
-    _pair_factors, all at one N, from the 0-based outer site a back to
-    itself.  The slabs run in lockstep on the plan :func:`_dp_plan`, whose
-    state (T, k) holds the sum of R_{k i_m} ... R_{i_1 0} x over the
-    orderings of the leg set T that end at k: G[T + {k}, k] = sum_j R_kj
-    G[T, j], and S x = sum_j R_0j G[all, j].  Slab a has site (i + a) % n on
-    leg i, so its factor at the legs (k, j) is R_{k+a, j+a}.  A sum deeper
-    than ``rmx verify`` runs gets a workspace of its own."""
-    plan = _dp_plan(n)
-    stacks = [([factors[(k + a) % n, (j + a) % n] for k, j in plan.keys], a)
-              for factors, a in slabs]
-    space = None if n <= MAX_WP_DERIV_ORDER + 2 else _Workspace()
-    return _run(plan, stacks, x, space)[0]
 
 
 def check_unitarity(spec, z, *, tolerance=None):
@@ -211,8 +200,9 @@ def _unitarity_batch(requests):
     """check_unitarity on each request (spec, z, tolerance): its report, or
     the RmxError it raises alone.  The R-matrices and the wp values of all
     requests come from one call each."""
-    specs, zs = [spec for spec, _, _ in requests], [complex(z) for _, z, _ in requests]
-    ops = _stacked(r_matrix, [(spec, np.array([z, -z]), None) for spec, z in zip(specs, zs)])
+    specs = [spec for spec, _, _ in requests]
+    zs = _each(lambda _, z, __: _as_complex("z", z), *zip(*requests))
+    ops = _stacked(r_matrix, _each(lambda s, z: (s, np.array([z, -z]), None), specs, zs))
     wps = _stacked(lambda spec, z, _: weierstrass_p(z, spec.lattice), _each(
         lambda spec, z, _: (spec, np.array([spec.site_dim * spec.hbar, z]), None),
         specs, zs, ops))
@@ -274,8 +264,8 @@ def check_cyclic_batch(requests):
     Each check runs in two halves.  The first checks the arguments and
     computes everything that can raise, in the order the check alone
     raises: wp^(n-2)(N hbar), the factors of _pair_factors and the scalar
-    cross-check; n = 1 and 2 end there.  Then one :func:`_cyclic_apply` per
-    (N, n) runs the slabs of all its requests, and the second halves read
+    cross-check; n = 1 and 2 end there.  Then one ``_probe_jobs`` call runs
+    the jobs of all requests, one DP per N and n, and the second halves read
     the reports off the sums.  A slab's sum does not depend on the slabs run
     beside it, so every report equals that of the check run alone.
     """
@@ -284,30 +274,23 @@ def check_cyclic_batch(requests):
             return _outer_half(spec, n, points, tolerance)
         return _nth_order_half(spec, n, points, outer, tolerance)
 
-    results, jobs = _each(first_half, *zip(*requests)), {}
-    for i, (request, half) in enumerate(zip(requests, results)):
-        if isinstance(half, tuple):
-            n, slabs, finish = half
-            jobs.setdefault((request[0].site_dim, n), []).append((i, slabs, finish))
-    for (N, n), group in jobs.items():
-        x = _probe_block(N ** n)
-        sums = iter(_cyclic_apply([slab for _, slabs, _ in group for slab in slabs],
-                                  n, x))
-        for i, slabs, finish in group:
-            results[i] = finish(x, [next(sums) for _ in slabs])
-    return results
+    halves = _each(first_half, *zip(*requests))
+    probed = [half for half in halves if isinstance(half, tuple)]
+    sums = _probe_jobs([job for job, _ in probed])
+    reports = iter(_each(lambda half, sums: half[1](sums[0]), probed, sums))
+    return [next(reports) if isinstance(half, tuple) else half for half in halves]
 
 
 def _nth_order_half(spec, n, points, outer, tolerance):
     """check_nth_order up to its DP: the report itself at n = 1 and 2, else
-    (n, the slab of its sum, the function of the probe block and the sum
-    that gives the report)."""
+    (the job of its sum, the function of the probed sums that gives the
+    report)."""
     N = spec.site_dim
     n, outer = _as_index("n", n), _as_index("outer", outer)
     if n == 1:
         if len(points) != 1:
             raise DimensionMismatch(f"n = 1 takes one point, got {len(points)}")
-        z = complex(points[0])
+        z = _as_complex("a point", points[0])
         mat = r_same_site(spec, z)
         closed = same_site_closed_form(spec, z)
         residual = frobenius_distance(mat, closed * np.eye(N))
@@ -317,8 +300,8 @@ def _nth_order_half(spec, n, points, outer, tolerance):
     if n == 2:
         if len(points) != 2:
             raise DimensionMismatch(f"n = 2 takes two points, got {len(points)}")
-        rep = check_unitarity(spec, complex(points[0]) - complex(points[1]),
-                              tolerance=tolerance)
+        rep = check_unitarity(spec, _as_complex("a point", points[0])
+                              - _as_complex("a point", points[1]), tolerance=tolerance)
         rep.name = "order-2 (unitarity)"
         return rep
 
@@ -329,8 +312,9 @@ def _nth_order_half(spec, n, points, outer, tolerance):
     factors = _pair_factors(spec, n, points, outer)
     scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
 
-    def finish(x, sums):
+    def finish(sums):
         (y,) = sums
+        x = _probe_block(N ** n)
         coeff, nonscalar = _probe_scalar(x, y)
         coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
         residual = max(nonscalar, coeff_resid)
@@ -341,26 +325,26 @@ def _nth_order_half(spec, n, points, outer, tolerance):
                         orderings=math.factorial(n - 1),
                         algorithm="subset-dp-probe", probes=x.shape[1])
 
-    return n, [(factors, outer - 1)], finish
+    return (_dp_plan(n), [(factors, outer - 1)]), finish
 
 
 def _outer_half(spec, n, points, tolerance):
-    """check_outer_index_independence up to its DP: (n, the slabs of its n
-    sums, the function of the probe block and the sums that gives the
-    report)."""
+    """check_outer_index_independence up to its DP: (the job of its n sums,
+    the function of the probed sums that gives the report)."""
     n = _as_index("n", n)
     if n < 3:
         raise DimensionMismatch("outer index independence needs n >= 3")
     factors = _pair_factors(spec, n, points)
 
-    def finish(x, sums):
+    def finish(sums):
+        x = _probe_block(spec.site_dim ** n)
         residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
         coeffs = [_probe_scalar(x, s)[0] for s in sums]
         return _verdict(f"outer-independence-{n}", residual, tolerance,
                         spec.kind, spec.site_dim, n, coefficients=coeffs,
                         algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
 
-    return n, [(factors, a) for a in range(n)], finish
+    return (_dp_plan(n), [(factors, a) for a in range(n)]), finish
 
 
 # R_12 R_13 R_23 X and R_23 R_13 R_12 X
@@ -386,13 +370,14 @@ def _qybe_batch(requests):
     def diffs(spec, points, tolerance):
         if len(points) != 3:
             raise DimensionMismatch(f"QYBE takes three points, got {len(points)}")
-        z1, z2, z3 = (complex(p) for p in points)
+        z1, z2, z3 = (_as_complex("a point", p) for p in points)
         return spec, np.array([z1 - z2, z1 - z3, z2 - z3]), None
 
     ops = _stacked(r_matrix, _each(diffs, *zip(*requests)))
-    sides = _probe_jobs(_each(lambda ops: (_QYBE, dict(zip(_QYBE_FACTORS, ops))), ops))
+    sides = _probe_jobs(_each(lambda ops: (_QYBE, [(dict(zip(_QYBE_FACTORS, ops)), 0)]),
+                              ops))
     return _each(lambda request, sides: _verdict(
-        "qybe", frobenius_distance(*sides), request[2], request[0].kind,
+        "qybe", frobenius_distance(*sides[:, 0]), request[2], request[0].kind,
         request[0].site_dim, 3), requests, sides)
 
 
@@ -431,7 +416,7 @@ def _aybe_batch(requests):
     def factors(spec, points, second_hbar, tolerance):
         if len(points) != 3:
             raise DimensionMismatch(f"AYBE takes three points, got {len(points)}")
-        hbar, eta = spec.hbar, complex(second_hbar)
+        hbar, eta = spec.hbar, _as_complex("second_hbar", second_hbar)
         try:
             spec.validate_hbar(eta)
             spec.validate_hbar(hbar - eta)
@@ -439,15 +424,16 @@ def _aybe_batch(requests):
             raise DegenerateArguments(
                 f"AYBE parameters degenerate: {exc}"
             ) from exc
-        za, zb, zc = (complex(p) for p in points)
+        za, zb, zc = (_as_complex("a point", p) for p in points)
         ac, cb, ab = za - zc, zc - zb, za - zb
         return (spec, np.array([ac, cb, ab, ac, cb, ab]),
                 np.array([hbar, eta, eta, hbar - eta, eta - hbar, hbar]))
 
     ops = _stacked(r_matrix, _each(factors, *zip(*requests)))
-    sides = _probe_jobs(_each(lambda ops: (_AYBE, dict(zip(_AYBE_FACTORS, ops))), ops))
+    sides = _probe_jobs(_each(lambda ops: (_AYBE, [(dict(zip(_AYBE_FACTORS, ops)), 0)]),
+                              ops))
     return _each(lambda request, sides: _verdict(
-        "aybe", frobenius_distance(*sides), request[3], request[0].kind,
+        "aybe", frobenius_distance(*sides[:, 0]), request[3], request[0].kind,
         request[0].site_dim, 3), requests, sides)
 
 
@@ -459,8 +445,11 @@ def check_skew_symmetry(spec, z, *, tolerance=None):
 def _skew_symmetry_batch(requests):
     """check_skew_symmetry on each request (spec, z, tolerance): its report,
     or the RmxError it raises alone, from one r_matrix call."""
-    ops = _stacked(r_matrix, [(spec, np.array([complex(z), -complex(z)]),
-                               np.array([spec.hbar, -spec.hbar])) for spec, z, _ in requests])
+    def parts(spec, z, _):
+        z = _as_complex("z", z)
+        return spec, np.array([z, -z]), np.array([spec.hbar, -spec.hbar])
+
+    ops = _stacked(r_matrix, _each(parts, *zip(*requests)))
 
     def report(request, ops):
         spec, _, tolerance = request

@@ -46,6 +46,7 @@ from .errors import (
     UsageError,
     ZeroArgument,
     _alone,
+    _as_complex,
     _as_count,
     _as_index,
     _each,
@@ -105,7 +106,7 @@ class RMatrixSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", RMatrixKind(self.kind))
-        object.__setattr__(self, "hbar", complex(self.hbar))
+        object.__setattr__(self, "hbar", _as_complex("hbar", self.hbar))
         object.__setattr__(self, "site_dim", _as_count("site_dim", self.site_dim, 1))
         if self.kind is RMatrixKind.BELAVIN:
             if self.lattice.kind is not FunctionKind.ELLIPTIC:
@@ -385,19 +386,12 @@ def _stacked(call, parts):
     it or None for spec.hbar, the value of call(spec, z, hbar), an array or
     a tuple of arrays along z; a part that is an RmxError is passed on.  The
     parts of one family, N, lattice and length of z, with or without hbar,
-    take one call: a lone part's own call, on the joined z of parts that
-    share one spec and its hbar, else on their z as rows and their hbar as a
-    column or as rows."""
+    take one call, on their z as rows and their hbar as a column or as
+    rows."""
     def build(group):
-        spec, rows = group[0][0], np.stack([z for _, z, _ in group])
-        if len(group) == 1 or all(s == spec and h is None for s, _, h in group):
-            out = call(spec, rows.ravel(), group[0][2])
-            cut = lambda o: o.reshape(rows.shape + o.shape[1:])
-        else:
-            out = call(spec, rows, np.array([[s.hbar] if h is None else h
-                                             for s, _, h in group]))
-            cut = lambda o: o
-        return list(zip(*map(cut, out))) if isinstance(out, tuple) else list(cut(out))
+        out = call(group[0][0], np.stack([z for _, z, _ in group]),
+                   np.array([[s.hbar] if h is None else h for s, _, h in group]))
+        return list(zip(*out)) if isinstance(out, tuple) else list(out)
     return _joint(build, parts, lambda p: (p[0].kind, p[0].site_dim, p[0].lattice,
                                            len(p[1]), p[2] is None))
 
@@ -434,13 +428,14 @@ def _hbar_derivatives(requests):
     HbarDerivative, or the RmxError it raises alone.  The derivative
     matrices, the R-matrices and the closed forms of r are one joint call
     each, and the structural identities run as the slabs of one plan."""
-    specs, pts = [spec for spec, *_ in requests], []
-    for _, z_a, z_b, aux_point in requests:
-        z_a, z_b = complex(z_a), complex(z_b)
+    def points(spec, z_a, z_b, aux_point):
+        z_a, z_b = _as_complex("z_a", z_a), _as_complex("z_b", z_b)
         z_c = (z_a + z_b) / 2 + 0.1566 + 0.0873j if aux_point is None else aux_point
-        pts.append((z_a, z_b, complex(z_c)))
-    derivs = _stacked(_deriv_hbar_matrix, [(spec, np.array([a - b]), None)
-                                           for spec, (a, b, _) in zip(specs, pts)])
+        return z_a, z_b, _as_complex("aux_point", z_c)
+
+    specs, pts = [spec for spec, *_ in requests], _each(points, *zip(*requests))
+    derivs = _stacked(_deriv_hbar_matrix, _each(
+        lambda spec, p: (spec, np.array([p[0] - p[1]]), None), specs, pts))
     ops = _stacked(r_matrix, _each(lambda spec, _, p: (
         spec, np.array([p[0] - p[1], p[0] - p[2], p[2] - p[1]]), None), specs, derivs, pts))
     cls = _stacked(lambda spec, z, _: classical_closed_form(spec, z), _each(
@@ -449,11 +444,13 @@ def _hbar_derivatives(requests):
 
     def table(deriv, ops, cl):
         r_ab, r_ac, r_cb = ops
-        return _DERIV_HBAR, {("dR", 1, 2): deriv[0], ("R", 1, 2): r_ab, ("r", 1, 3): cl[0][0],
-                             ("r", 3, 2): cl[0][1], ("-R", 1, 3): -r_ac, ("R", 3, 2): r_cb}
+        factors = {("dR", 1, 2): deriv[0], ("R", 1, 2): r_ab, ("r", 1, 3): cl[0][0],
+                   ("r", 3, 2): cl[0][1], ("-R", 1, 3): -r_ac, ("R", 3, 2): r_cb}
+        return _DERIV_HBAR, [(factors, 0)]
 
     sides = _probe_jobs(_each(table, derivs, ops, cls))
-    return _each(lambda d, s: HbarDerivative(d[0], frobenius_distance(*s)), derivs, sides)
+    return _each(lambda d, s: HbarDerivative(d[0], frobenius_distance(*s[:, 0])),
+                 derivs, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +567,7 @@ def classical_expansion(spec, z, quadrature_points=32, contour_radius=None):
     QuadratureNotConverged
         If doubling the node count still moves the coefficients.
     """
-    z = complex(z)
+    z = _as_complex("z", z)
     if contour_radius is None:
         contour_radius = _default_radius(spec, z)
     quadrature_points = _as_index("quadrature_points", quadrature_points)

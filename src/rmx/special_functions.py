@@ -63,6 +63,7 @@ from .errors import (
     PoleProximity,
     SeriesNotConverged,
     UnsupportedDerivOrder,
+    _as_complex,
     _as_index,
 )
 
@@ -118,7 +119,7 @@ class LatticeParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FunctionKind(self.kind))
-        object.__setattr__(self, "tau", complex(self.tau))
+        object.__setattr__(self, "tau", _as_complex("tau", self.tau))
         if self.kind is FunctionKind.ELLIPTIC and not self.tau.imag > 0:
             raise NonEllipticKind(
                 f"elliptic kind needs Im(tau) > 0, got tau = {self.tau}"
@@ -588,7 +589,7 @@ def fay_check(hbar, eta, z, w, params):
     DegenerateArguments
         If ``hbar - eta`` is within the exclusion radius but not exactly zero.
     """
-    hbar, eta, z, w = complex(hbar), complex(eta), complex(z), complex(w)
+    hbar, eta, z, w = map(_as_complex, ("hbar", "eta", "z", "w"), (hbar, eta, z, w))
     if eta == hbar:
         phi_z, phi_w, phi_zw = kronecker_phi(eta, [z, w, z + w], params).tolist()
         e1 = eisenstein_e1([eta, z, w, z + w + eta], params).tolist()
@@ -648,10 +649,10 @@ def scalar_cyclic_sum(n, a, eta, points, params):
         raise IndexOutOfRange(f"cyclic sum needs n >= 2, 1 <= a <= n; got n={n}, a={a}")
     if len(points) != n:
         raise DimensionMismatch(f"expected {n} points, got {len(points)}")
-    pts = np.asarray(points, dtype=complex)
+    pts = np.array([_as_complex("a point", p) for p in points])
     off = ~np.eye(n, dtype=bool)
     phi = np.zeros((n, n), dtype=complex)
-    phi[off] = kronecker_phi(complex(eta), (pts[:, None] - pts)[off], params)
+    phi[off] = kronecker_phi(_as_complex("eta", eta), (pts[:, None] - pts)[off], params)
     phi = phi.tolist()  # phi[i][j] = phi(eta, z_i - z_j)
     ends = [[0j] * n for _ in range(1 << n)]
     ends[1 << a - 1][a - 1] = 1

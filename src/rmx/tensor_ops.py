@@ -18,6 +18,11 @@ three-site relations, the hbar derivative and the applications are each
 one plan.  The total dimension N**n is bounded by the fixed
 :data:`SIZE_CAP`: every n-site entry checks it before any work, and
 ``run_suites`` refuses a sweep that would pass it.
+
+Every probed product is a job (plan, slabs) of :func:`_probe_jobs`: a slab
+(table, a) holds the factors keyed as in the plan and puts site (i + a) % n
+on leg i, so the key (k, j) takes table[(k + a) % n, (j + a) % n].  The jobs
+of one plan and N run as one :func:`_run`, each output read in site order.
 """
 
 from __future__ import annotations
@@ -75,6 +80,11 @@ def permutation_operator(site_dim):
 #: A pass needs slots + 2 states of two floats per entry: for the cyclic
 #: sums at N = 2, 46 x 2048 entries (1.5 MB) at n = 7, 89 x 2048 at n = 8.
 _STATE_ENTRIES = 2048
+
+#: The most bytes, 16 (slots + 2) B D m, of a pass on the process's workspace; a
+#: larger pass runs on one of its own.  The largest pass of ``rmx verify`` is
+#: outer-7 at N = 3 (6.4 MB); one sum at N = 2, n = 10 takes 22.7 MB.
+_WORKSPACE_BYTES = 8 << 20
 
 
 class _Step(NamedTuple):
@@ -240,21 +250,23 @@ def _gather(slabs, plan):
     return split.reshape(P, B, 2 * M, 2 * M)
 
 
-def _run(plan, slabs, x, space=None):
+def _run(plan, slabs, x):
     """The output states of ``plan`` for each slab (factors, a) of
     ``slabs``, as an (outputs, slabs) + x.shape complex array.  A slab's
     factors are N^2 x N^2 matrices of one N, one per key of the plan, in
     that order.  Slab a has site (i + a) % n on leg i: its input is x
     relabelled so, and its outputs are read back to site order.
     The slabs run in lockstep, in passes of at most _STATE_ENTRIES, on the
-    views of ``space`` (the process's workspace by default).  Each step is
-    one copy of its source state into the moved operand and one batched
-    (B, 2 N^2, 2 N^2) real matmul of the factors of :func:`_gather`, written
-    into the target's slot or added to it through a transposed view."""
-    space = _workspace if space is None else space
+    views of the process's workspace, or of one of their own if a pass
+    needs more than _WORKSPACE_BYTES.  Each step is one copy of its source
+    state into the moved operand and one batched (B, 2 N^2, 2 N^2) real
+    matmul of the factors of :func:`_gather`, written into the target's
+    slot or added to it through a transposed view."""
     n = plan.n
     tensor = x.reshape((math.isqrt(len(slabs[0][0][0])),) * n + (-1,))
     per_pass = max(1, _STATE_ENTRIES // max(1, x.size))
+    space = _workspace if (16 * (plan.slots + 2) * min(per_pass, len(slabs)) * x.size
+                           <= _WORKSPACE_BYTES) else _Workspace()
     outs = np.empty((len(plan.outs), len(slabs)) + tensor.shape, dtype=complex)
     in_planes, out_planes = (tensor.real, tensor.imag), (outs.real, outs.imag)
     for lo in range(0, len(slabs), per_pass):
@@ -299,19 +311,25 @@ def _probe_block(dim):
 def _probe(plan, table):
     """The output states of ``plan`` on the probe block, for one slab of the
     factors ``table`` keyed as in the plan."""
-    return _alone(_probe_jobs, (plan, table))
+    return _alone(_probe_jobs, (plan, [(table, 0)]))[:, 0]
+
+
+def _slab(plan, table, a):
+    """The :func:`_run` slab of the slab (table, a) of a job of ``plan``."""
+    return [table[(key[0] + a) % plan.n, (key[1] + a) % plan.n] if a else table[key]
+            for key in plan.keys], a
 
 
 def _probe_jobs(jobs):
-    """:func:`_probe` on each job (plan, table), an (outputs, D, m) array; a
-    job that is an RmxError is passed on.  The jobs of one plan and N run as
-    the slabs of one :func:`_run`."""
+    """The outputs of each job (plan, slabs) on the probe block, an
+    (outputs, slabs, D, m) array; a job that is an RmxError is passed on.
+    The jobs of one plan and N run as the slabs of one :func:`_run`."""
     def run(group):
         plan = group[0][0]
-        slabs = [([table[key] for key in plan.keys], 0) for _, table in group]
-        x = _probe_block(math.isqrt(len(slabs[0][0][0])) ** plan.n)
-        return list(_run(plan, slabs, x).swapaxes(0, 1))
-    return _joint(run, jobs, lambda job: (job[0], len(job[1][job[0].keys[0]])))
+        slabs = [_slab(plan, *slab) for _, slabs in group for slab in slabs]
+        outs = _run(plan, slabs, _probe_block(math.isqrt(len(slabs[0][0][0])) ** plan.n))
+        return np.split(outs, np.cumsum([len(slabs) for _, slabs in group[:-1]]), axis=1)
+    return _joint(run, jobs, lambda job: (job[0], len(next(iter(job[1][0][0].values())))))
 
 
 def _probe_scalar(x, y):

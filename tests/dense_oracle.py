@@ -224,7 +224,7 @@ def split_apply(ops, k, j, n, planes):
 
 
 def canonical_cyclic_apply(slabs, n, x):
-    """``identities._cyclic_apply`` with every state in site order: each step
+    """The DP of ``identities._dp_plan`` with every state in site order: each step
     moves the plane and its two legs to the front, multiplies by the split
     factors, copies the product back to site order (:func:`split_apply`) and
     adds it to the state.  The states are visited in increasing mask order

@@ -298,6 +298,24 @@ class TestHbarOrderRelation:
 FAMILIES = [yang_spec, belavin_spec]
 
 
+class TestComplexArguments:
+    """An array where a complex number belongs is a DimensionMismatch that
+    names its shape."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: check_kzb_flatness(belavin_spec(), [np.array([0.3, 0.4])] + EL_PTS_3[1:]),
+         "a point"),
+        (lambda: check_hbar_order_relation(yang_spec(), 3,
+                                           YANG_PTS_3[:2] + [np.array([0.3, 0.4])]),
+         "a point"),
+        (lambda: CalogeroConfig(rspec=yang_spec(), momenta=MOMENTA[:3],
+                                positions=(0.3, np.array([0.3, 0.4]), 1.1)), "positions"),
+    ], ids=["kzb-flatness", "hbar-order", "calogero-position"])
+    def test_array_is_a_dimension_mismatch(self, call, name):
+        with pytest.raises(DimensionMismatch, match=rf"^{name} must be a scalar, got shape \(2,\)"):
+            call()
+
+
 class TestProbedAgainstDenseOracle:
     """The probed checks against the dense block Lax powers and the dense
     sides of the r/m relation."""
@@ -347,10 +365,11 @@ def nudge(op, eps):
 
 
 def nudged(build, i):
-    """``build`` with the i-th factor of each call moved by 1e-6."""
+    """``build`` with the i-th factor along z of each call moved by 1e-6; a
+    call may take its z as a row."""
     def moved(*args):
         ops = build(*args)
-        ops[i] = nudge(ops[i], 1e-6)
+        ops[..., i, :, :] = nudge(ops[..., i, :, :], 1e-6)
         return ops
     return moved
 
@@ -398,7 +417,7 @@ class TestPerturbedResidualTracksTheDenseOne:
 
         def moved(*args):
             r, m = classical_closed_form(*args)
-            r[1] = nudge(r[1], 1e-6)
+            r[..., 1, :, :] = nudge(r[..., 1, :, :], 1e-6)
             return r, m
 
         lhs, rhs, r_scale = hbar_order_sides(spec, n, pts, moved)

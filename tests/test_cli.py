@@ -430,9 +430,9 @@ class TestCyclicBatch:
 
     def test_a_part_runs_one_dp_per_order(self, monkeypatch):
         runs = []
-        apply = identities._cyclic_apply
-        monkeypatch.setattr(identities, "_cyclic_apply", lambda slabs, n, x: runs.append(
-            (n, len(slabs))) or apply(slabs, n, x))
+        run = tensor_ops._run
+        monkeypatch.setattr(tensor_ops, "_run", lambda plan, slabs, x: runs.append(
+            (plan.n, len(slabs))) or run(plan, slabs, x))
         run_suites(suite="nth-order", kind="elliptic", n_max=5, samples=2)
         # the sums of the two order-n samples and the n sums of outer-n
         assert runs == [(n, 2 + n) for n in (3, 4, 5)]
@@ -538,9 +538,8 @@ class TestCheckBatches:
             monkeypatch.setattr(cli, name, lambda requests, name=name, entry=entry: (
                 calls.append((name, len(requests))) or entry(requests)))
         run = tensor_ops._run
-        for module in (tensor_ops, applications):
-            monkeypatch.setattr(module, "_run", lambda plan, slabs, *a: (
-                runs.append(len(slabs)) or run(plan, slabs, *a)))
+        monkeypatch.setattr(tensor_ops, "_run", lambda plan, slabs, x: (
+            runs.append(len(slabs)) or run(plan, slabs, x)))
         for suite in ("rmatrix-basic", "applications"):
             run_suites(suite=suite, kind=kind, samples=4)
         # four samples of each case type; trace-power has two

@@ -106,6 +106,14 @@ def slabs_of(factors, starts):
     return [(factors, a) for a in starts]
 
 
+def cyclic_apply(slabs, n, x):
+    """S x for each slab (factors, a), stacked in that order: the DP plan of
+    the checks run on any x by the contraction code, each slab's factors
+    resolved as ``tensor_ops._probe_jobs`` resolves them."""
+    plan = identities._dp_plan(n)
+    return tensor_ops._run(plan, [tensor_ops._slab(plan, *slab) for slab in slabs], x)[0]
+
+
 class TestLegOrderDP:
     """The DP keeps each state in the leg order of the product that first
     reached it; the canonical DP of the dense oracle copies every product
@@ -124,7 +132,7 @@ class TestLegOrderDP:
         blocks = [identities._probe_block(D), eye[:, :5], eye[:, -3:]]
         for x in blocks:
             for starts in ([0], [n - 1], list(reversed(range(n)))):
-                got = identities._cyclic_apply(slabs_of(factors, starts), n, x)
+                got = cyclic_apply(slabs_of(factors, starts), n, x)
                 want = canonical_cyclic_apply(slabs_of(factors, starts), n, x)
                 assert got.shape == (len(starts),) + x.shape
                 assert np.array_equal(got, want)
@@ -138,7 +146,7 @@ class TestLegOrderDP:
         want = canonical_cyclic_apply(slabs_of(factors, starts), n, x)
         for size in range(1, n + 1):
             monkeypatch.setattr(tensor_ops, "_STATE_ENTRIES", size * x.size)
-            got = identities._cyclic_apply(slabs_of(factors, starts), n, x)
+            got = cyclic_apply(slabs_of(factors, starts), n, x)
             assert np.array_equal(got, want)
 
     def test_plan_sizes_are_pinned(self):
@@ -247,7 +255,7 @@ class TestSplitPlanes:
         for spec, pts in ((yang_spec(N), YANG_PTS_5), (belavin_spec(N), EL_PTS_5)):
             factors = identities._pair_factors(spec, n, pts[:n])
             x = np.eye(N ** n) * (1 + 2j)
-            got = identities._cyclic_apply(slabs_of(factors, range(n)), n, x)
+            got = cyclic_apply(slabs_of(factors, range(n)), n, x)
             for a in range(n):
                 want = dense_cyclic_sum(spec, n, pts[:n], a + 1) @ x
                 assert relative_difference(got[a], want) <= 1e-13
@@ -285,7 +293,7 @@ class TestWorkspace:
             x = identities._probe_block(N ** n)
             starts = list(reversed(range(n)))
             slabs = slabs_of(factors, starts)
-            got = identities._cyclic_apply(slabs, n, x)
+            got = cyclic_apply(slabs, n, x)
             assert np.array_equal(got, canonical_cyclic_apply(slabs, n, x))
             assert not np.shares_memory(got, space.buffer)
             kept.append((got, got.copy()))
@@ -327,7 +335,7 @@ class TestWorkspace:
         def work(first):
             for i in range(first, first + 6):
                 factors, n, starts, x, want = cases[i % len(cases)]
-                got = identities._cyclic_apply(slabs_of(factors, starts), n, x)
+                got = cyclic_apply(slabs_of(factors, starts), n, x)
                 results.append(np.array_equal(got, want))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -376,19 +384,25 @@ class TestWorkspace:
         assert tensor_ops._workspace.buffer.nbytes == 2916352
 
     def test_deeper_sums_leave_the_process_workspace(self, monkeypatch):
-        # rmx verify stops at n = MAX_WP_DERIV_ORDER + 2; a deeper sum runs on
-        # a workspace of its own, which the process does not keep
+        # the largest pass of rmx verify, outer-7 at N = 3, stays on the
+        # process workspace; a pass above _WORKSPACE_BYTES, such as one sum
+        # at N = 2, n = 10, runs on a workspace of its own, which the process
+        # does not keep
         monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
         space = tensor_ops._workspace
-        buffer = space.buffer
-        n = identities.MAX_WP_DERIV_ORDER + 3
-        factors = identities._pair_factors(belavin_spec(1), n, ladder_points(n))
-        x = identities._probe_block(1)
-        starts = list(range(n))
-        slabs = slabs_of(factors, starts)
-        got = identities._cyclic_apply(slabs, n, x)
+        check_outer_index_independence(belavin_spec(3), 7, ladder_points(7))
+        # one slab of 3^7 x 4 complex entries per pass, 44 state slots
+        assert space.buffer.nbytes == 16 * (44 + 2) * 3 ** 7 * 4 == 6438528
+        assert space.buffer.nbytes <= tensor_ops._WORKSPACE_BYTES
+        buffer, views = space.buffer, dict(space.views)
+        n = 10
+        factors = identities._pair_factors(belavin_spec(2), n, ladder_points(n))
+        x = identities._probe_block(2 ** n)
+        slabs = slabs_of(factors, [0])
+        got = cyclic_apply(slabs, n, x)
+        assert 16 * (identities._dp_plan(n).slots + 2) * x.size > tensor_ops._WORKSPACE_BYTES
         assert tensor_ops._workspace is space and space.buffer is buffer
-        assert space.views == {}
+        assert space.buffer.nbytes == 6438528 and space.views == views
         assert np.array_equal(got, canonical_cyclic_apply(slabs, n, x))
 
     def test_import_allocates_no_workspace(self):
@@ -399,6 +413,48 @@ class TestWorkspace:
         out = subprocess.run([sys.executable, "-c", code, src],
                              capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.split() == ["0", "0"]
+
+
+class TestProbeJobs:
+    """Every probed product runs through tensor_ops._probe_jobs: a job is
+    (plan, slabs), a slab (table, a); the jobs of one plan and N run as the
+    slabs of one plan run, and each gets the outputs it gets alone."""
+
+    def test_mixed_jobs_equal_their_lone_runs(self, monkeypatch):
+        # the jobs of real checks: DP jobs at a != 0 and at N = 2 and 3, a
+        # trace-power job and a QYBE job
+        jobs, run = [], tensor_ops._probe_jobs
+        for module in (identities, applications):
+            monkeypatch.setattr(module, "_probe_jobs", lambda js: jobs.extend(js) or run(js))
+        check_nth_order(belavin_spec(2), 4, EL_PTS_4, outer=3)
+        check_outer_index_independence(yang_spec(2), 4, YANG_PTS_4)
+        check_nth_order(belavin_spec(3), 4, EL_PTS_4, outer=2)
+        check_trace_power_guess(CalogeroConfig(rspec=belavin_spec(2), momenta=(0.5, 0.7, 0.9),
+                                               positions=EL_PTS_3), 2)
+        check_qybe(belavin_spec(2), EL_PTS_3)
+        monkeypatch.undo()
+        assert [len(slabs) for _, slabs in jobs] == [1, 4, 1, 3, 1]
+        assert [a for _, slabs in jobs[:3] for _, a in slabs] == [2, 0, 1, 2, 3, 1]
+        error, runs, run = UsageError("passed on"), [], tensor_ops._run
+        monkeypatch.setattr(tensor_ops, "_run", lambda plan, slabs, x: (
+            runs.append(len(slabs)) or run(plan, slabs, x)))
+        joint = tensor_ops._probe_jobs(jobs[:2] + [error] + jobs[2:])
+        monkeypatch.undo()
+        # the two DP jobs at N = 2 share one plan run
+        assert runs == [5, 1, 3, 1]
+        assert joint.pop(2) is error
+        for job, got in zip(jobs, joint):
+            (alone,) = tensor_ops._probe_jobs([job])
+            assert got.shape == alone.shape and np.array_equal(got, alone)
+
+    @pytest.mark.parametrize("N, n", [(1, 5), (2, 4), (2, 6), (3, 4)])
+    def test_dp_job_matches_canonical_dp(self, N, n):
+        factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+        slabs = slabs_of(factors, range(n))
+        (got,) = tensor_ops._probe_jobs([(identities._dp_plan(n), slabs)])
+        x = tensor_ops._probe_block(N ** n)
+        assert got.shape == (1, n) + x.shape
+        assert np.array_equal(got[0], canonical_cyclic_apply(slabs, n, x))
 
 
 class TestJointDP:
@@ -424,7 +480,7 @@ class TestJointDP:
         for size in (None, 2, 3):
             if size is not None:
                 monkeypatch.setattr(tensor_ops, "_STATE_ENTRIES", size * x.size)
-            assert np.array_equal(identities._cyclic_apply(slabs, n, x), want)
+            assert np.array_equal(cyclic_apply(slabs, n, x), want)
 
     def test_each_check_reads_its_own_sums(self):
         spec, n = belavin_spec(2), 5
@@ -462,9 +518,9 @@ class TestJointDP:
                   5: DimensionMismatch, 6: IndexOutOfRange, 10: DimensionMismatch,
                   12: UsageError, 13: UsageError}
         runs = []
-        apply = identities._cyclic_apply
-        monkeypatch.setattr(identities, "_cyclic_apply", lambda slabs, n, x: runs.append(
-            (math.isqrt(len(slabs[0][0][0, 1])), n, len(slabs))) or apply(slabs, n, x))
+        run = tensor_ops._run
+        monkeypatch.setattr(tensor_ops, "_run", lambda plan, slabs, x: runs.append(
+            (math.isqrt(len(slabs[0][0][0])), plan.n, len(slabs))) or run(plan, slabs, x))
         got = check_cyclic_batch(requests)
         # one DP for each (N, n), over the slabs of all its requests
         assert runs == [(2, 4, 1 + 4), (2, 3, 1), (2, 5, 5), (3, 4, 1)]
@@ -504,6 +560,64 @@ class TestJointDP:
         assert got[:2] == want[:2] and got[3] == want[3]
         with pytest.raises(PoleProximity, match="forced"):
             check_nth_order(specs[1], 4, EL_PTS_4)
+
+
+ARRAY = np.array([0.3, 0.4])
+
+
+class TestComplexArguments:
+    """A malformed complex argument raises a typed error: an array is a
+    DimensionMismatch that names its shape, and a value that complex()
+    rejects is a UsageError that names the argument."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: check_unitarity(belavin_spec(), ARRAY), DimensionMismatch,
+         r"^z must be a scalar, got shape \(2,\)"),
+        (lambda: check_skew_symmetry(belavin_spec(), ARRAY), DimensionMismatch,
+         r"^z must be a scalar, got shape \(2,\)"),
+        (lambda: check_unitarity(yang_spec(), "x"), UsageError,
+         "^z must be a complex number, got 'x'"),
+        (lambda: check_aybe(belavin_spec(), EL_PTS_3, [0.2 + 0.1j]), DimensionMismatch,
+         r"^second_hbar must be a scalar, got shape \(1,\)"),
+        (lambda: check_qybe(belavin_spec(), [ARRAY] + EL_PTS_3[1:]), DimensionMismatch,
+         r"^a point must be a scalar, got shape \(2,\)"),
+        (lambda: check_nth_order(belavin_spec(), 1, [ARRAY]), DimensionMismatch,
+         r"^a point must be a scalar, got shape \(2,\)"),
+        (lambda: check_nth_order(yang_spec(), 2, [0.3, ARRAY]), DimensionMismatch,
+         r"^a point must be a scalar, got shape \(2,\)"),
+        (lambda: check_nth_order(belavin_spec(), 4, EL_PTS_3 + [ARRAY]), DimensionMismatch,
+         r"^a point must be a scalar, got shape \(2,\)"),
+        (lambda: check_outer_index_independence(yang_spec(), 3, [ARRAY] + YANG_PTS_3[1:]),
+         DimensionMismatch, r"^a point must be a scalar, got shape \(2,\)"),
+    ], ids=["unitarity-array", "skew-array", "unitarity-string", "aybe-list",
+            "qybe-array", "order-1-array", "order-2-array", "order-4-array",
+            "outer-array"])
+    def test_typed_error(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_scalars_convert_as_before(self):
+        spec = belavin_spec()
+        want = check_unitarity(spec, 0.3 + 0.2j)
+        for z in (np.complex128(0.3 + 0.2j), np.array(0.3 + 0.2j), "0.3+0.2j"):
+            assert check_unitarity(spec, z) == want
+
+    def test_a_malformed_argument_fails_only_its_request(self):
+        spec = belavin_spec()
+        for batch, good, bad, error in (
+                (identities._unitarity_batch, (spec, 0.3 + 0.2j, None), (spec, "x", None),
+                 UsageError),
+                (identities._skew_symmetry_batch, (spec, 0.3 + 0.2j, None),
+                 (spec, ARRAY, None), DimensionMismatch),
+                (identities._qybe_batch, (spec, EL_PTS_3, None),
+                 (spec, [ARRAY] + EL_PTS_3[1:], None), DimensionMismatch),
+                (identities._aybe_batch, (spec, EL_PTS_3, 0.05 + 0.02j, None),
+                 (spec, EL_PTS_3, [0.05], None), DimensionMismatch),
+                (check_cyclic_batch, (spec, 4, EL_PTS_4, 1, None),
+                 (spec, 4, EL_PTS_3 + [ARRAY], 1, None), DimensionMismatch)):
+            got = batch([good, bad, good])
+            assert type(got[1]) is error
+            assert got[0] == got[2] == batch([good])[0]
 
 
 class TestDefaultTolerance:
@@ -703,7 +817,7 @@ def cyclic_sums(spec, n, points, starts):
     the lockstep subset DP of the checks run on the identity."""
     factors = identities._pair_factors(spec, n, points)
     eye = np.eye(spec.site_dim ** n, dtype=complex)
-    return identities._cyclic_apply(slabs_of(factors, starts), n, eye)
+    return cyclic_apply(slabs_of(factors, starts), n, eye)
 
 
 class TestCyclicProductSumOracle:
@@ -741,7 +855,7 @@ class TestCyclicProductSumOracle:
             factors = identities._pair_factors(spec, n, pts)
             eye = np.eye(3 ** n, dtype=complex)
             got = np.hstack([
-                identities._cyclic_apply([(factors, 1)], n, eye[:, lo:lo + width])[0]
+                cyclic_apply([(factors, 1)], n, eye[:, lo:lo + width])[0]
                 for lo in range(0, 3 ** n, width)
             ])
             assert relative_difference(got, dense_n3[n]) <= 1e-13
@@ -829,7 +943,7 @@ class TestCyclicProductSumOracle:
                 # DP on the probe block as the checks of n >= 3 do
                 factors = identities._pair_factors(spec, n, pts)
                 x = identities._probe_block(D)
-                runs = {starts: lambda starts=starts: identities._cyclic_apply(
+                runs = {starts: lambda starts=starts: cyclic_apply(
                             slabs_of(factors, range(starts)), n, x)
                         for starts in (1, 2)}
             else:
@@ -916,8 +1030,9 @@ class TestProbedCheck:
                             lambda *a: perturbed(pair(*a), eps))
         ratios = []
         for seed in range(50):
-            monkeypatch.setattr(identities, "_probe_block",
-                                lambda dim: gaussian_probes(dim, seed))
+            for module in (identities, tensor_ops):
+                monkeypatch.setattr(module, "_probe_block",
+                                    lambda dim: gaussian_probes(dim, seed))
             rep = check_nth_order(spec, n, pts)
             ratios.append(rep.details["nonscalar_residual"] / full)
         assert 0.5 <= min(ratios) and max(ratios) <= 2

@@ -373,6 +373,33 @@ class TestHbarDerivative:
         assert d2.structural_residual < 1e-12
 
 
+class TestComplexArguments:
+    """An array where a complex number belongs is a DimensionMismatch that
+    names its shape, and it fails only its own request of a batch."""
+
+    def test_deriv_hbar_takes_scalars(self):
+        with pytest.raises(DimensionMismatch, match=r"^z_a must be a scalar, got shape \(2,\)"):
+            r_deriv_hbar(belavin_spec(), np.array([0.3, 0.4]), 0.1)
+        good, bad = (yang_spec(), 0.9, 0.1, None), (yang_spec(), 0.9, [0.1, 0.2], None)
+        got = rmatrix._hbar_derivatives([good, bad, good])
+        assert type(got[1]) is DimensionMismatch
+        assert got[0].structural_residual == got[2].structural_residual == (
+            r_deriv_hbar(*good[:3]).structural_residual)
+
+    def test_spec_takes_a_scalar_hbar(self):
+        with pytest.raises(DimensionMismatch, match=r"^hbar must be a scalar, got shape \(2,\)"):
+            RMatrixSpec(kind="yang", site_dim=2, lattice=RA, hbar=np.array([0.1, 0.2]))
+        with pytest.raises(UsageError, match="^hbar must be a complex number, got 'x'"):
+            RMatrixSpec(kind="belavin", site_dim=2, lattice=EL, hbar="x")
+
+    def test_classical_expansion_takes_a_scalar(self):
+        for spec in (yang_spec(), belavin_spec()):
+            with pytest.raises(DimensionMismatch, match=r"^z must be a scalar, got shape \(2,\)"):
+                classical_expansion(spec, np.array([0.3, 0.4]))
+            with pytest.raises(UsageError, match="^z must be a complex number, got None"):
+                classical_expansion(spec, None)
+
+
 class TestClassicalExpansion:
     def test_yang_closed_form(self):
         spec = yang_spec(2, hbar=0.6)

@@ -573,6 +573,17 @@ class TestFay:
         with pytest.raises(DegenerateArguments):
             fay_check(0.31, 0.31 + 1e-8, 0.41, 0.23, RA)
 
+    def test_arguments_must_be_scalars(self):
+        with pytest.raises(DimensionMismatch, match=r"^z must be a scalar, got shape \(2,\)"):
+            fay_check(0.31, 0.2, np.array([0.41, 0.5]), 0.23, EL)
+        with pytest.raises(UsageError, match="^eta must be a complex number, got 'x'"):
+            fay_check(0.31, "x", 0.41, 0.23, EL)
+        with pytest.raises(DimensionMismatch, match=r"^tau must be a scalar, got shape \(2,\)"):
+            LatticeParams(kind="elliptic", tau=np.array([1j, 2j]))
+        # an array point had raised numpy's bare ValueError or TypeError
+        with pytest.raises(DimensionMismatch, match=r"^a point must be a scalar, got shape \(2,\)"):
+            scalar_cyclic_sum(3, 1, 0.2 + 0.1j, [np.array([0.1, 0.2]), 0.3, 0.5], EL)
+
 
 class TestScalarCyclicSum:
     def test_two_point_case(self):
