@@ -56,13 +56,14 @@ from .errors import (
     DimensionMismatch, QuadratureNotConverged, SeriesNotConverged, UsageError, _alone,
     _as_complex, _as_index, _each,
 )
-from .identities import _pair_differences, _pair_factor_batch, _verdict
+from .identities import _pair_differences, _verdict
 from .rmatrix import (
     _default_radius,
     _contour,
     _laurent_coefficients,
     _stacked,
     classical_closed_form,
+    r_matrix,
 )
 from .special_functions import kronecker_phi
 from .tensor_ops import _plan, _plan_sides, _probe, _probe_block, _probe_jobs, _probe_scalar
@@ -191,20 +192,22 @@ def _trace_power_batch(requests):
         power = _as_index("power", power)
         if power < 1:
             raise UsageError(f"power must be >= 1, got {power}")
-        return config.rspec, config.n_particles, config.positions
+        return _pair_differences(config.rspec, config.n_particles, config.positions)
 
-    factors = _pair_factor_batch(_each(screen, *zip(*requests)))
+    screened = _each(screen, *zip(*requests))
+    factors = _stacked(r_matrix, _each(lambda request, screened: (
+        request[0].rspec, screened[1], None), requests, screened))
     scalars = _lax_matrices(_each(lambda request, _: request[0], requests, factors))
 
-    def job(request, factors):
+    def job(request, screened, ops):
         # the blocks L_bc, keyed (b, c), and one slab per particle a
-        config, (pairs, ops), n = request[0], factors, request[0].n_particles
-        table = dict(zip(pairs, config.coupling * ops))
+        config, n = request[0], request[0].n_particles
+        table = dict(zip(screened[0], config.coupling * ops))
         eye = np.eye(config.rspec.site_dim ** 2)
         table.update({(a, a): p * eye for a, p in enumerate(config.momenta)})
         return _lax_plan(n, _as_index("power", request[1])), [(table, a) for a in range(n)]
 
-    outputs = _probe_jobs(_each(job, requests, factors))
+    outputs = _probe_jobs(_each(job, requests, screened, factors))
 
     def report(request, outputs, scalar):
         config, power, tolerance = request[0], _as_index("power", request[1]), request[2]

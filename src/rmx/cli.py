@@ -32,7 +32,6 @@ from .identities import (
     _aybe_batch,
     _qybe_batch,
     _skew_symmetry_batch,
-    _unitarity_batch,
     _verdict,
     check_cyclic_batch,
     cyclic_sum_cost,
@@ -316,9 +315,10 @@ class _Case(NamedTuple):
 # A run function returns a report, or a request to a batch entry as the pair
 # (entry, request); a part runs each entry once, on all of its requests,
 # after its other cases.  The entries are check_cyclic_batch, whose requests
-# are (spec, n, points, outer, tolerance), and the private cores of the
-# other probed checks (_unitarity_batch, _skew_symmetry_batch, _qybe_batch,
-# _aybe_batch, _deriv_hbar_batch, _trace_power_batch and _hbar_order_batch).
+# are (spec, n, points, outer, tolerance), for same-site, unitarity and the
+# order-n and outer-n cases, and the private cores of the other probed checks
+# (_skew_symmetry_batch, _qybe_batch, _aybe_batch, _deriv_hbar_batch,
+# _trace_power_batch and _hbar_order_batch).
 # The run functions name the entries and the checks by their module-global
 # names, so that code rebinding ``cli.<name>`` (a tracer, a test double)
 # sees every call.
@@ -327,8 +327,7 @@ _CASES = {
     "fay": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, False)),
     "fay-degenerate": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, True)),
     "unitarity": _Case("rmatrix-basic", 2, 0, 2, "unitarity", lambda d: (
-        (_unitarity_batch, (d.spec, d.pts[0] - d.pts[1], d.tol)),
-        _at_z(d, d.pts[0] - d.pts[1]))),
+        (check_cyclic_batch, (d.spec, 2, d.pts, 1, d.tol)), _at_z(d, d.pts[0] - d.pts[1]))),
     "skew-symmetry": _Case("rmatrix-basic", 2, 0, None, "skew-symmetry", lambda d: (
         (_skew_symmetry_batch, (d.spec, d.pts[0] - d.pts[1], d.tol)),
         _at_z(d, d.pts[0] - d.pts[1]))),

@@ -99,6 +99,15 @@ def _as_complex(name, value):
     raise DimensionMismatch(f"{name} must be a scalar, got shape {np.shape(value)}")
 
 
+def _as_array(name, value):
+    """``value`` as a complex array; a value numpy cannot make complex is a
+    :class:`UsageError` naming ``name``."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be complex, got {value!r}") from None
+
+
 def _as_count(name, value, low):
     """``value`` as an int of at least ``low``, by :func:`_as_index`; one
     below it is a :class:`UsageError` too."""

@@ -20,21 +20,21 @@ and n = 1 degenerates to the same-site scalar :math:`N\phi(N\hbar, z/N)`.
 Alongside these live the quantum and associative Yang-Baxter equations and
 the skew-symmetry R(z, hbar) = -P R(-z, -hbar) P.
 
-For n >= 3 the checks apply the sum to a fixed probe block by a subset DP
+Every member n >= 2 applies its sum to a fixed probe block by a subset DP
 over the sites, a plan of ``tensor_ops`` (:func:`_dp_plan`, cached per n)
 with one slab (factors, a) per sum from outer site a.
-:func:`check_cyclic_batch` runs the jobs (plan, slabs) of many checks,
-such as every order-n and outer-n case of a ``rmx verify`` part, in one
-``_probe_jobs`` call, one DP per N and n, and the two public checks are
-that entry run on one request.  QYBE and AYBE are plans of that code too.
+:func:`check_cyclic_batch` runs many checks, such as every same-site,
+unitarity, order-n and outer-n case of a ``rmx verify`` part, with one
+r_matrix call for the factors of all and one ``_probe_jobs`` call, one DP
+per N and n.  Unitarity, the order-n checks and outer-index independence
+are that entry run on one request.
 
-Unitarity, skew symmetry, QYBE and AYBE have private batch entries of the
-same kind (:func:`_unitarity_batch`, :func:`_skew_symmetry_batch`,
-:func:`_qybe_batch`, :func:`_aybe_batch`): one r_matrix call builds the
-factors of all their requests, each request keeping its own hbar, one plan
-run takes the probes of all, and each request gets its report or the
-RmxError it raises alone.  Each public check is its entry run on one
-request.
+QYBE, AYBE and skew symmetry are plans of the same code, with private batch
+entries of the same kind (:func:`_qybe_batch`, :func:`_aybe_batch`,
+:func:`_skew_symmetry_batch`): one r_matrix call builds the factors of all
+their requests, each request keeping its own hbar, one plan run takes the
+probes of all, and each request gets its report or the RmxError it raises
+alone.  Each public check is its entry run on one request.
 
 Each check returns an :class:`IdentityReport` carrying the measured
 residual, the tolerance it was judged against, and diagnostic details.
@@ -64,7 +64,7 @@ from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import _stacked, r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     _PROBES, _check_cap, _plan, _plan_sides, _probe_block, _probe_jobs, _probe_scalar,
-    frobenius_distance, is_scalar_operator, permutation_operator,
+    frobenius_distance,
 )
 
 __all__ = [
@@ -138,23 +138,6 @@ def _pair_differences(spec, n, points, outer=1):
     return pairs, np.array([pts[i] - pts[j] for i, j in pairs])
 
 
-def _pair_factors(spec, n, points, outer=1):
-    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j, keyed
-    by the pair: :func:`_pair_factor_batch` run on one request."""
-    return dict(zip(*_alone(_pair_factor_batch, (spec, n, points, outer))))
-
-
-def _pair_factor_batch(requests):
-    """For each request (spec, n, points) or (spec, n, points, outer), the
-    ordered pairs of _pair_differences and their R-matrices, an array in
-    pair order, or the RmxError it raises alone: every request is screened,
-    then one r_matrix call builds the factors of all."""
-    pairs = _each(lambda request: _pair_differences(*request), requests)
-    ops = _stacked(r_matrix, _each(lambda request, pairs: (request[0], pairs[1], None),
-                                   requests, pairs))
-    return _each(lambda pairs, ops: (pairs[0], ops), pairs, ops)
-
-
 def cyclic_sum_cost(site_dim, n):
     """Complex multiply-adds of one probed cyclic product sum on n sites.
 
@@ -175,7 +158,8 @@ def cyclic_sum_cost(site_dim, n):
 @lru_cache(maxsize=32)
 def _dp_plan(n):
     """The plan of the cyclic product sums on n legs.  A slab (factors, a)
-    of a job of this plan, the two-site ``factors`` of _pair_factors, gives
+    of a job of this plan, the factors R_ij(z_i - z_j) keyed by the pairs of
+    _pair_differences, gives
     S x, where S is the cyclic product sum from the 0-based outer site a
     back to itself.  Each state (T, k) of the subset DP holds the sum of
     R_{k i_m} ... R_{i_1 0} x over the orderings of the leg set T that end at
@@ -192,49 +176,27 @@ def _dp_plan(n):
 
 
 def check_unitarity(spec, z, *, tolerance=None):
-    """Unitarity: R_12(z) R_21(-z) is N^2 (wp(N hbar) - wp(z)) times Id."""
-    return _alone(_unitarity_batch, (spec, z, tolerance))
+    """Unitarity: R_12(z) R_21(-z) is N^2 (wp(N hbar) - wp(z)) times Id.
 
-
-def _unitarity_batch(requests):
-    """check_unitarity on each request (spec, z, tolerance): its report, or
-    the RmxError it raises alone.  The R-matrices and the wp values of all
-    requests come from one call each."""
-    specs = [spec for spec, _, _ in requests]
-    zs = _each(lambda _, z, __: _as_complex("z", z), *zip(*requests))
-    ops = _stacked(r_matrix, _each(lambda s, z: (s, np.array([z, -z]), None), specs, zs))
-    wps = _stacked(lambda spec, z, _: weierstrass_p(z, spec.lattice), _each(
-        lambda spec, z, _: (spec, np.array([spec.site_dim * spec.hbar, z]), None),
-        specs, zs, ops))
-
-    def report(request, ops, wps):
-        spec, _, tolerance = request
-        N, perm = spec.site_dim, permutation_operator(spec.site_dim)
-        r12, r_neg = ops
-        prod = r12 @ (perm @ r_neg @ perm)
-        wp_nh, wp_z = wps.tolist()
-        expected = N * N * (wp_nh - wp_z)
-        _, coeff, nonscalar = is_scalar_operator(prod, tol=np.inf)
-        coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
-        return _verdict("unitarity", max(nonscalar, coeff_resid), tolerance, spec.kind,
-                        N, 2, coefficient=coeff, expected=expected,
-                        nonscalar_residual=nonscalar)
-
-    return _each(report, requests, ops, wps)
+    This is the order-2 cyclic sum, :func:`check_cyclic_batch` run on one
+    request at the points (z, 0).
+    """
+    report = _alone(check_cyclic_batch, (spec, 2, [_as_complex("z", z), 0], 1, tolerance))
+    report.name = "unitarity"
+    return report
 
 
 def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
     """n-th member of the identity hierarchy at the given points.
 
-    n = 1 compares the same-site matrix with its closed form, n = 2 is
-    unitarity at z = points[0] - points[1], and n >= 3 checks that the
-    cyclic product sum is scalar with coefficient
-    (-N)^n wp^(n-2)(N hbar).  For n >= 3 the sum S is applied to the
-    fixed probe block X instead of being formed (Freivalds' check), and
-    its coefficient and non-scalar residual are read off SX by
-    ``tensor_ops._probe_scalar``.  The details carry a cross-check against
-    N^n times the scalar cyclic sum at eta = N hbar.  This is
-    :func:`check_cyclic_batch` run on one request.
+    n = 1 compares the same-site matrix with its closed form.  For n >= 2
+    the cyclic product sum must be scalar with coefficient
+    (-N)^n wp^(n-2)(N hbar), less N^2 wp(z_1 - z_2) at n = 2, which is
+    unitarity.  The sum S is applied to the fixed probe block X instead of
+    being formed (Freivalds' check), and its coefficient and non-scalar
+    residual are read off SX by ``tensor_ops._probe_scalar``.  The details
+    carry a cross-check against N^n times the scalar cyclic sum at
+    eta = N hbar.  This is :func:`check_cyclic_batch` run on one request.
     """
     # an outer of None would request the outer-independence check
     n, outer = _as_index("n", n), _as_index("outer", outer)
@@ -252,8 +214,8 @@ def check_outer_index_independence(spec, n, points, *, tolerance=None):
 
 
 def check_cyclic_batch(requests):
-    """Run many cyclic-sum checks, with one subset DP for all sums at one N
-    and n.
+    """Run many cyclic-sum checks, with one r_matrix call for all their
+    factors and one subset DP for all sums at one N and n.
 
     Each request is a tuple (spec, n, points, outer, tolerance): the
     arguments of :func:`check_nth_order`, or, with outer None, those of
@@ -261,33 +223,51 @@ def check_cyclic_batch(requests):
     order, its :class:`IdentityReport`, or the :class:`RmxError` that its
     check raises alone, which fails that request only.
 
-    Each check runs in two halves.  The first checks the arguments and
-    computes everything that can raise, in the order the check alone
-    raises: wp^(n-2)(N hbar), the factors of _pair_factors and the scalar
-    cross-check; n = 1 and 2 end there.  Then one ``_probe_jobs`` call runs
-    the jobs of all requests, one DP per N and n, and the second halves read
-    the reports off the sums.  A slab's sum does not depend on the slabs run
-    beside it, so every report equals that of the check run alone.
+    Each check runs in stages, which raise in the order the check alone
+    raises.  Its head (:func:`_cyclic_head`) checks the arguments and
+    computes wp^(n-2)(N hbar); n = 1 ends there.  One r_matrix call builds
+    the factors of all requests.  Each half then computes the rest of the
+    right-hand side and the scalar cross-check, and gives its job.  One
+    ``_probe_jobs`` call runs the jobs of all requests, one DP per N and n,
+    and each report is read off its sums.  A slab's sum does not depend on
+    the slabs run beside it, so every report equals that of the check run
+    alone.
     """
-    def first_half(spec, n, points, outer, tolerance):
-        if outer is None:
-            return _outer_half(spec, n, points, tolerance)
-        return _nth_order_half(spec, n, points, outer, tolerance)
-
-    halves = _each(first_half, *zip(*requests))
-    probed = [half for half in halves if isinstance(half, tuple)]
-    sums = _probe_jobs([job for job, _ in probed])
-    reports = iter(_each(lambda half, sums: half[1](sums[0]), probed, sums))
-    return [next(reports) if isinstance(half, tuple) else half for half in halves]
+    heads = _each(_cyclic_head, *zip(*requests))
+    built = [head for head in heads if isinstance(head, tuple)]
+    ops = _stacked(r_matrix, [(spec, diffs, None) for spec, diffs, _ in built])
+    halves = _each(lambda head, ops: head[2](ops), built, ops)
+    sums = _probe_jobs(_each(lambda half: half[0], halves))
+    reports = iter(_each(lambda half, sums: half[1](sums[0]), halves, sums))
+    return [next(reports) if isinstance(head, tuple) else head for head in heads]
 
 
-def _nth_order_half(spec, n, points, outer, tolerance):
-    """check_nth_order up to its DP: the report itself at n = 1 and 2, else
-    (the job of its sum, the function of the probed sums that gives the
-    report)."""
-    N = spec.site_dim
-    n, outer = _as_index("n", n), _as_index("outer", outer)
+def _cyclic_head(spec, n, points, outer, tolerance):
+    """A request of check_cyclic_batch up to its factors: the report at
+    n = 1, else (spec, the differences z_i - z_j of _pair_differences, the
+    half: the function of their R-matrices that gives the job of the sums
+    and the function of the probed sums that gives the report)."""
+    N, n = spec.site_dim, _as_index("n", n)
+    if outer is None:
+        if n < 3:
+            raise DimensionMismatch("outer index independence needs n >= 3")
+        pairs, diffs = _pair_differences(spec, n, points)
+
+        def finish_outer(sums):
+            x = _probe_block(N ** n)
+            residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
+            coeffs = [_probe_scalar(x, s)[0] for s in sums]
+            return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,
+                            N, n, coefficients=coeffs,
+                            algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
+
+        return spec, diffs, lambda ops: (
+            (_dp_plan(n), [(dict(zip(pairs, ops)), a) for a in range(n)]), finish_outer)
+
+    outer = _as_index("outer", outer)
     if n == 1:
+        if outer != 1:
+            raise IndexOutOfRange(f"outer index {outer} not in 1..1")
         if len(points) != 1:
             raise DimensionMismatch(f"n = 1 takes one point, got {len(points)}")
         z = _as_complex("a point", points[0])
@@ -297,54 +277,34 @@ def _nth_order_half(spec, n, points, outer, tolerance):
         return _verdict("same-site", residual, tolerance, spec.kind, N, 2,
                         closed_form=closed)
 
-    if n == 2:
-        if len(points) != 2:
-            raise DimensionMismatch(f"n = 2 takes two points, got {len(points)}")
-        rep = check_unitarity(spec, _as_complex("a point", points[0])
-                              - _as_complex("a point", points[1]), tolerance=tolerance)
-        rep.name = "order-2 (unitarity)"
-        return rep
-
     # the right-hand side first: a wp order above MAX_WP_DERIV_ORDER raises
     # before any R-matrix is built
     eta = N * spec.hbar
-    expected = (-N) ** n * weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
-    factors = _pair_factors(spec, n, points, outer)
-    scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
+    wp = weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
+    pairs, diffs = _pair_differences(spec, n, points, outer)
 
-    def finish(sums):
-        (y,) = sums
-        x = _probe_block(N ** n)
-        coeff, nonscalar = _probe_scalar(x, y)
-        coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
-        residual = max(nonscalar, coeff_resid)
-        cross = abs(coeff - N ** n * scalar_sum) / max(abs(coeff), 1.0)
-        return _verdict(f"order-{n}", residual, tolerance, spec.kind, N, n,
-                        coefficient=coeff, expected=expected,
-                        nonscalar_residual=nonscalar, scalar_cross_residual=cross,
-                        orderings=math.factorial(n - 1),
-                        algorithm="subset-dp-probe", probes=x.shape[1])
+    def half(ops):
+        # unitarity subtracts wp(z_1 - z_2), the same for either outer site
+        expected = (-N) ** n * (wp - weierstrass_p(diffs[0], spec.lattice) if n == 2
+                                else wp)
+        scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
 
-    return (_dp_plan(n), [(factors, outer - 1)]), finish
+        def finish(sums):
+            (y,) = sums
+            x = _probe_block(N ** n)
+            coeff, nonscalar = _probe_scalar(x, y)
+            coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
+            residual = max(nonscalar, coeff_resid)
+            cross = abs(coeff - N ** n * scalar_sum) / max(abs(coeff), 1.0)
+            return _verdict("order-2 (unitarity)" if n == 2 else f"order-{n}", residual,
+                            tolerance, spec.kind, N, n, coefficient=coeff,
+                            expected=expected, nonscalar_residual=nonscalar,
+                            scalar_cross_residual=cross, orderings=math.factorial(n - 1),
+                            algorithm="subset-dp-probe", probes=x.shape[1])
 
+        return (_dp_plan(n), [(dict(zip(pairs, ops)), outer - 1)]), finish
 
-def _outer_half(spec, n, points, tolerance):
-    """check_outer_index_independence up to its DP: (the job of its n sums,
-    the function of the probed sums that gives the report)."""
-    n = _as_index("n", n)
-    if n < 3:
-        raise DimensionMismatch("outer index independence needs n >= 3")
-    factors = _pair_factors(spec, n, points)
-
-    def finish(sums):
-        x = _probe_block(spec.site_dim ** n)
-        residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
-        coeffs = [_probe_scalar(x, s)[0] for s in sums]
-        return _verdict(f"outer-independence-{n}", residual, tolerance,
-                        spec.kind, spec.site_dim, n, coefficients=coeffs,
-                        algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
-
-    return (_dp_plan(n), [(factors, a) for a in range(n)]), finish
+    return spec, diffs, half
 
 
 # R_12 R_13 R_23 X and R_23 R_13 R_12 X
@@ -437,25 +397,28 @@ def _aybe_batch(requests):
         request[0].site_dim, 3), requests, sides)
 
 
+# R(z, hbar) X and -P R(-z, -hbar) P X, the second factor on the legs (2, 1)
+_SKEW_FACTORS = (("r", 1, 2), ("-r", 2, 1))
+_SKEW = _plan_sides(2, [[[("r", 1, 2)]], [[("-r", 2, 1)]]])
+
+
 def check_skew_symmetry(spec, z, *, tolerance=None):
-    """Skew symmetry: R(z, hbar) = -P R(-z, -hbar) P."""
+    """Skew symmetry: R(z, hbar) = -P R(-z, -hbar) P, both sides applied to
+    the probe block X as in :func:`check_qybe`."""
     return _alone(_skew_symmetry_batch, (spec, z, tolerance))
 
 
 def _skew_symmetry_batch(requests):
     """check_skew_symmetry on each request (spec, z, tolerance): its report,
-    or the RmxError it raises alone, from one r_matrix call."""
+    or the RmxError it raises alone, with the one r_matrix call and the one
+    plan run of :func:`_qybe_batch`."""
     def parts(spec, z, _):
         z = _as_complex("z", z)
         return spec, np.array([z, -z]), np.array([spec.hbar, -spec.hbar])
 
     ops = _stacked(r_matrix, _each(parts, *zip(*requests)))
-
-    def report(request, ops):
-        spec, _, tolerance = request
-        perm = permutation_operator(spec.site_dim)
-        lhs, r_neg = ops
-        residual = frobenius_distance(lhs, -perm @ r_neg @ perm)
-        return _verdict("skew-symmetry", residual, tolerance, spec.kind, spec.site_dim, 2)
-
-    return _each(report, requests, ops)
+    sides = _probe_jobs(_each(lambda ops: (
+        _SKEW, [(dict(zip(_SKEW_FACTORS, (ops[0], -ops[1]))), 0)]), ops))
+    return _each(lambda request, sides: _verdict(
+        "skew-symmetry", frobenius_distance(*sides[:, 0]), request[2], request[0].kind,
+        request[0].site_dim, 2), requests, sides)

@@ -46,6 +46,7 @@ from .errors import (
     UsageError,
     ZeroArgument,
     _alone,
+    _as_array,
     _as_complex,
     _as_count,
     _as_index,
@@ -123,7 +124,7 @@ class RMatrixSpec:
 
     def validate_hbar(self, hbar):
         """Check a quantization parameter, or an array of them, for this spec."""
-        hbar = np.asarray(hbar, dtype=complex)
+        hbar = _as_array("hbar", hbar)
         if self.kind is RMatrixKind.YANG:
             _check_yang_argument("hbar", hbar)
             return
@@ -225,10 +226,9 @@ def yang_r(z, hbar, N):
     DimensionMismatch.
     """
     N = _as_count("N", N, 1)
+    zs, hs = _as_array("z", z), _as_array("hbar", hbar)
     try:
-        z, hbar = np.broadcast_arrays(
-            np.asarray(z, dtype=complex), np.asarray(hbar, dtype=complex)
-        )
+        z, hbar = np.broadcast_arrays(zs, hs)
     except ValueError:
         raise _mismatch(z, hbar) from None
     _check_yang_argument("z", z)
@@ -245,9 +245,9 @@ def _belavin_weights(spec, z, hbar):
     hbar, shape (broadcast shape) + (N^2,), from one kronecker_phi call."""
     N = spec.site_dim
     a2, omegas = _alpha_omegas(N, spec.lattice.tau)
-    zs = np.asarray(z, dtype=complex)[..., None]
+    zs = _as_array("z", z)[..., None]
     try:
-        phis = kronecker_phi(zs, omegas + np.asarray(hbar, dtype=complex)[..., None],
+        phis = kronecker_phi(zs, omegas + _as_array("hbar", hbar)[..., None],
                              spec.lattice)
     except DimensionMismatch:
         raise _mismatch(z, hbar) from None
@@ -301,8 +301,9 @@ def same_site_closed_form(spec, z, hbar=None):
         hbar = spec.hbar
     else:
         spec.validate_hbar(hbar)
-    # a scalar keeps Python's complex arithmetic, which rounds unlike numpy's
-    z, hbar = (v if np.ndim(v) == 0 else np.asarray(v, dtype=complex) for v in (z, hbar))
+    # a number keeps Python's complex arithmetic, which rounds unlike numpy's
+    z, hbar = (v if isinstance(v, numbers.Number) else _as_array(name, v)
+               for name, v in (("z", z), ("hbar", hbar)))
     N = spec.site_dim
     if spec.kind is RMatrixKind.YANG:
         _check_yang_argument("z", z)
@@ -489,7 +490,7 @@ def classical_closed_form(spec, z):
     """
     N = spec.site_dim
     dim = N * N
-    z = np.asarray(z, dtype=complex)
+    z = _as_array("z", z)
     if spec.kind is RMatrixKind.YANG:
         _check_yang_argument("z", z)
         r = (N / z)[..., None, None] * permutation_operator(N)

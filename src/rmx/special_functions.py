@@ -63,6 +63,7 @@ from .errors import (
     PoleProximity,
     SeriesNotConverged,
     UnsupportedDerivOrder,
+    _as_array,
     _as_complex,
     _as_index,
 )
@@ -143,7 +144,7 @@ class LatticeParams:
 
         Elliptic kind: the nearest corner of the reduced cell around z.
         """
-        return _KINDS[self.kind].distance(self, np.asarray(z, dtype=complex))
+        return _KINDS[self.kind].distance(self, _as_array("z", z))
 
 
 def _reduced_cell(tau):
@@ -200,7 +201,7 @@ def _split(flat, slots):
 
 
 def _asarray(x):
-    arr = np.asarray(x, dtype=complex)
+    arr = _as_array("z", x)
     return arr, arr.ndim == 0
 
 
@@ -511,7 +512,7 @@ def _phi_slots(eta, z, params):
     """The slots eta, z and eta + z, checked by one lattice_distance call on
     their concatenation, which is returned too.  Shapes that do not
     broadcast raise DimensionMismatch."""
-    ea, za = np.asarray(eta, dtype=complex), np.asarray(z, dtype=complex)
+    ea, za = _as_array("eta", eta), _as_array("z", z)
     try:
         slots = ea, za, ea + za
     except ValueError:

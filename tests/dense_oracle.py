@@ -4,9 +4,10 @@ The package applies every two-site factor locally, through the one
 contraction code of ``rmx.tensor_ops``, and never forms an embedded
 N**n x N**n matrix.  The tests compare that
 path against the dense embed-and-multiply construction kept here: the
-embedding itself, the two sides of each three-site relation (QYBE, AYBE,
-the hbar derivative and flatness), and the block Lax operator with its
-powers.  The
+embedding itself, the unitarity product and the two sides of skew
+symmetry, the two sides of each three-site relation (QYBE, AYBE, the hbar
+derivative and flatness), and the block Lax operator with its powers.
+``pair_factors`` builds the factors of the cyclic sums as the checks do.  The
 package also sums the scalar cyclic sum by a subset DP; the reference
 ``literal_cyclic_sum`` sums its (n-1)! orderings, ``cyclic_orderings``,
 term by term.  The probed
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 from rmx import classical_closed_form, kronecker_phi, r_matrix
-from rmx import rmatrix, tensor_ops
+from rmx import errors, identities, permutation_operator, rmatrix, tensor_ops
 
 
 def embed_two_site(op, site_a, site_b, site_dim, n_sites):
@@ -45,6 +46,33 @@ def embed_two_site(op, site_a, site_b, site_dim, n_sites):
     perm = [src[s] for s in range(n_sites)]
     big = big.transpose(perm + [n_sites + p for p in perm])
     return np.ascontiguousarray(big.reshape(dim, dim))
+
+
+def pair_factors(spec, n, points, outer=1):
+    """R_ij(z_i - z_j) for every ordered pair of 0-based sites i != j, keyed
+    by the pair, built as the cyclic-sum checks build them: the screen and
+    differences of ``identities._pair_differences``, then one r_matrix call
+    through ``rmatrix._stacked``.  An error of either is raised."""
+    pairs, diffs = identities._pair_differences(spec, n, points, outer)
+    ops = errors._alone(lambda parts: rmatrix._stacked(r_matrix, parts), (spec, diffs, None))
+    return dict(zip(pairs, ops))
+
+
+def unitarity_product(spec, z, r=r_matrix):
+    """The dense unitarity product R_12(z) P R(-z) P, whose trace / N^2 is
+    N^2 (wp(N hbar) - wp(z)), with both factors from one ``r(spec, z)``
+    call."""
+    perm = permutation_operator(spec.site_dim)
+    r12, r_neg = r(spec, np.array([z, -z]))
+    return r12 @ (perm @ r_neg @ perm)
+
+
+def skew_symmetry_sides(spec, z, r=r_matrix):
+    """The dense sides R(z, hbar) and -P R(-z, -hbar) P of skew symmetry,
+    with both factors from one ``r(spec, z, hbar)`` call."""
+    perm = permutation_operator(spec.site_dim)
+    lhs, r_neg = r(spec, np.array([z, -z]), np.array([spec.hbar, -spec.hbar]))
+    return lhs, -perm @ r_neg @ perm
 
 
 def cyclic_orderings(n, a):

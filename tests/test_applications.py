@@ -24,7 +24,9 @@ from rmx import (
     check_hbar_order_relation,
     check_kzb_flatness,
     check_qybe,
+    check_skew_symmetry,
     check_trace_power_guess,
+    check_unitarity,
     classical_closed_form,
     classical_expansion,
     frobenius_distance,
@@ -42,6 +44,8 @@ from dense_oracle import (
     kzb_flatness_sides,
     lax_rmatrix,
     qybe_sides,
+    skew_symmetry_sides,
+    unitarity_product,
 )
 
 RA = LatticeParams(kind="rational")
@@ -379,7 +383,7 @@ def probed_ratios(monkeypatch, run, full):
     by the dense residual ``full``."""
     ratios = []
     for seed in range(50):
-        for module in (applications, tensor_ops):
+        for module in (applications, identities, tensor_ops):
             monkeypatch.setattr(module, "_probe_block",
                                 lambda dim: gaussian_probes(dim, seed))
         ratios.append(run() / full)
@@ -393,20 +397,14 @@ class TestPerturbedResidualTracksTheDenseOne:
     @pytest.mark.parametrize("N, n, k", [(2, 4, 2), (3, 3, 2), (2, 5, 3)])
     def test_trace_power(self, monkeypatch, N, n, k):
         cfg = make_config(belavin_spec(N), n)
-        batch = identities._pair_factor_batch
-
-        def moved(requests):
-            # each request's factors, with its R_12 moved
-            out = batch(requests)
-            for pairs, ops in out:
-                ops[pairs.index((1, 2))] = nudge(ops[pairs.index((1, 2))], 1e-6)
-            return out
-
+        pairs, diffs = identities._pair_differences(cfg.rspec, n, cfg.positions)
+        # each build's R_12, in the pair order of _pair_differences, moved
+        moved = nudged(r_matrix, pairs.index((1, 2)))
         blocks = block_matrix_power(lax_rmatrix(cfg, dict(zip(
-            *moved([(cfg.rspec, n, cfg.positions)])[0]))), k)
+            pairs, moved(cfg.rspec, diffs)))), k)
         full = max(is_scalar_operator(blocks[a, a])[2] for a in range(n))
         assert full > 1e-7  # the perturbation shows, not round-off
-        monkeypatch.setattr(applications, "_pair_factor_batch", moved)
+        monkeypatch.setattr(applications, "r_matrix", moved)
         ratios = probed_ratios(monkeypatch, lambda: check_trace_power_guess(
             cfg, k).details["nonscalar_residual"], full)
         assert 0.5 <= min(ratios) and max(ratios) <= 2
@@ -427,6 +425,34 @@ class TestPerturbedResidualTracksTheDenseOne:
         monkeypatch.setattr(applications, "classical_closed_form", moved)
         ratios = probed_ratios(monkeypatch, lambda: check_hbar_order_relation(
             spec, n, pts).residual, full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_unitarity(self, monkeypatch, N):
+        # the residual of the dense product: its non-scalar part, or its
+        # trace / N^2 against the expected coefficient.  At N = 2 the four
+        # probe columns span all of D = 4, and over these 50 Gaussian blocks
+        # the probed residual reads 0.26-1.6x the dense one
+        spec, z = belavin_spec(N), 0.41 + 0.23j
+        moved = nudged(r_matrix, 0)
+        _, coeff, nonscalar = is_scalar_operator(unitarity_product(spec, z, moved))
+        expected = check_unitarity(spec, z).details["expected"]
+        full = max(nonscalar, abs(coeff - expected) / max(abs(expected), 1.0))
+        assert full > 1e-8
+        monkeypatch.setattr(identities, "r_matrix", moved)
+        ratios = probed_ratios(monkeypatch,
+                               lambda: check_unitarity(spec, z).residual, full)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_skew_symmetry(self, monkeypatch, N):
+        spec, z = belavin_spec(N), 0.36 + 0.21j
+        moved = nudged(r_matrix, 0)
+        full = frobenius_distance(*skew_symmetry_sides(spec, z, moved))
+        assert full > 1e-8
+        monkeypatch.setattr(identities, "r_matrix", moved)
+        ratios = probed_ratios(monkeypatch,
+                               lambda: check_skew_symmetry(spec, z).residual, full)
         assert 0.5 <= min(ratios) and max(ratios) <= 2
 
     # the three-site checks apply both sides to the probe block through
@@ -532,7 +558,7 @@ class TestReach:
 
 def test_size_cap_raises_before_any_work(monkeypatch):
     calls = []
-    monkeypatch.setattr(identities, "r_matrix",
+    monkeypatch.setattr(applications, "r_matrix",
                         lambda *a: calls.append(a) or r_matrix(*a))
     monkeypatch.setattr(applications, "classical_closed_form",
                         lambda *a: calls.append(a) or classical_closed_form(*a))

@@ -15,6 +15,7 @@ import pytest
 
 from rmx import (
     CalogeroConfig,
+    applications,
     LatticeParams,
     PoleProximity,
     RMatrixSpec,
@@ -241,7 +242,7 @@ class TestOneCallPerCheck:
         assert np.size(calls[0][1]) == 6
 
     def test_one_r_matrix_call_per_trace_power(self, monkeypatch):
-        calls = counting(monkeypatch, identities, "r_matrix")
+        calls = counting(monkeypatch, applications, "r_matrix")
         config = CalogeroConfig(rspec=belavin(2), momenta=(0.3, 0.5, 0.7),
                                 positions=PTS)
         assert check_trace_power_guess(config, 3).passed

@@ -218,9 +218,8 @@ class TestRunSuites:
         assert ids == sorted(ids)
 
     def test_basic_error_records_carry_their_order(self, monkeypatch):
-        # unitarity is a request of the part's unitarity batch, and same-site
-        # an order-1 request of its cyclic batch
-        monkeypatch.setattr(cli, "_unitarity_batch", refuse_each)
+        # same-site and unitarity are order-1 and order-2 requests of the
+        # part's cyclic batch
         monkeypatch.setattr(cli, "check_cyclic_batch", refuse_each)
         rep = run_suites(suite="rmatrix-basic", kind="rational", samples=1,
                          n_max=3)
@@ -487,10 +486,10 @@ def _load_gate():
 
 GATE = _load_gate()
 
-# the batch entries of the probed checks other than the cyclic sums, by
-# their cli names, and the case types that request them
+# the batch entries of the probed checks of the rmatrix-basic and
+# applications parts, by their cli names, and the case types that request them
 BATCH_ENTRIES = {
-    "_unitarity_batch": ("unitarity",),
+    "check_cyclic_batch": ("same-site", "unitarity"),
     "_skew_symmetry_batch": ("skew-symmetry",),
     "_qybe_batch": ("qybe",),
     "_aybe_batch": ("aybe",),
@@ -545,9 +544,38 @@ class TestCheckBatches:
         # four samples of each case type; trace-power has two
         assert sorted(calls) == sorted((name, 4 * len(types))
                                        for name, types in BATCH_ENTRIES.items())
-        # one plan run for the samples of qybe, aybe, deriv-hbar, each trace
-        # power and hbar-order; kzb-flatness runs one per sample
-        assert sorted(runs) == sorted([4, 4, 4, 12, 12, 4] + [1] * 4)
+        # one plan run for the samples of unitarity, skew-symmetry, qybe,
+        # aybe, deriv-hbar, each trace power and hbar-order; kzb-flatness
+        # runs one per sample
+        assert sorted(runs) == sorted([4, 4, 4, 4, 4, 12, 12, 4] + [1] * 4)
+
+    @pytest.mark.parametrize("kind", ["rational", "elliptic"])
+    def test_one_factor_build_per_cyclic_batch(self, monkeypatch, kind):
+        # the same-site (n = 1) and unitarity (n = 2) samples of a part are
+        # one cyclic batch, whose unitarity factors take one r_matrix call
+        builds, batches = [], []
+        build, entry = identities.r_matrix, cli.check_cyclic_batch
+        monkeypatch.setattr(identities, "r_matrix", lambda spec, z, hbar=None: (
+            builds.append(np.shape(z)) or build(spec, z, hbar)))
+
+        def spy(requests):
+            start = len(builds)
+            out = entry(requests)
+            batches.append((sorted(request[1] for request in requests), builds[start:]))
+            return out
+
+        monkeypatch.setattr(cli, "check_cyclic_batch", spy)
+        run_suites(suite="rmatrix-basic", kind=kind, samples=4)
+        assert batches == [([1] * 4 + [2] * 4, [(4, 2)])]
+
+    def test_a_ladder_builds_its_factors_once_per_order(self, monkeypatch):
+        # the order-n and outer-n cases of each n share one r_matrix call
+        builds, build = [], identities.r_matrix
+        monkeypatch.setattr(identities, "r_matrix", lambda spec, z, hbar=None: (
+            builds.append(np.shape(z)) or build(spec, z, hbar)))
+        rep = run_suites(suite="nth-order", kind="elliptic", site_dim=2, n_max=7, samples=1)
+        assert rep["summary"]["executed"] == 10
+        assert builds == [(2, n * (n - 1)) for n in range(3, 8)]
 
     @pytest.mark.parametrize("kind", ["rational", "elliptic"])
     @pytest.mark.parametrize("case, module, name", [
@@ -556,7 +584,7 @@ class TestCheckBatches:
         ("rmatrix-basic/{}/qybe/s0", identities, "r_matrix"),
         ("rmatrix-basic/{}/aybe/s1", identities, "r_matrix"),
         ("rmatrix-basic/{}/deriv-hbar/s2", rmatrix, "r_matrix"),
-        ("applications/{}/trace-power-k3/s1", identities, "r_matrix"),
+        ("applications/{}/trace-power-k3/s1", applications, "r_matrix"),
         ("applications/{}/hbar-order/s0", applications, "classical_closed_form")])
     def test_an_error_fails_its_own_case(self, monkeypatch, kind, case, module,
                                          name):

@@ -42,7 +42,9 @@ from rmx import (
     weierstrass_p,
 )
 
-from dense_oracle import canonical_cyclic_apply, cyclic_orderings, embed_two_site
+from dense_oracle import (
+    canonical_cyclic_apply, cyclic_orderings, embed_two_site, pair_factors, unitarity_product,
+)
 
 RA = LatticeParams(kind="rational")
 EL = LatticeParams(kind="elliptic", tau=1j)
@@ -125,7 +127,7 @@ class TestLegOrderDP:
 
     @pytest.mark.parametrize("N, n", SIZES)
     def test_matches_canonical_dp_bit_for_bit(self, N, n):
-        factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+        factors = pair_factors(belavin_spec(N), n, ladder_points(n))
         D = N ** n
         eye = np.eye(D, dtype=complex)
         # the probe block and uneven column blocks of the identity
@@ -140,7 +142,7 @@ class TestLegOrderDP:
     @pytest.mark.parametrize("N, n", [(1, 6), (2, 3), (2, 5), (2, 7), (3, 4)])
     def test_every_pass_size_matches_bit_for_bit(self, monkeypatch, N, n):
         # passes of 1..n slabs give the bits of the canonical DP's passes
-        factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+        factors = pair_factors(belavin_spec(N), n, ladder_points(n))
         x = identities._probe_block(N ** n)
         starts = list(reversed(range(n)))
         want = canonical_cyclic_apply(slabs_of(factors, starts), n, x)
@@ -253,7 +255,7 @@ class TestSplitPlanes:
     def test_complex_operand_matches_dense_sum(self, N, n):
         # a complex x fills both planes of the first state
         for spec, pts in ((yang_spec(N), YANG_PTS_5), (belavin_spec(N), EL_PTS_5)):
-            factors = identities._pair_factors(spec, n, pts[:n])
+            factors = pair_factors(spec, n, pts[:n])
             x = np.eye(N ** n) * (1 + 2j)
             got = cyclic_apply(slabs_of(factors, range(n)), n, x)
             for a in range(n):
@@ -289,7 +291,7 @@ class TestWorkspace:
         kept = []
         # (2, 8) grows the workspace; the passes after it fit in it
         for N, n in ((2, 5), (2, 8), (2, 5), (3, 5), (2, 7)):
-            factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+            factors = pair_factors(belavin_spec(N), n, ladder_points(n))
             x = identities._probe_block(N ** n)
             starts = list(reversed(range(n)))
             slabs = slabs_of(factors, starts)
@@ -325,7 +327,7 @@ class TestWorkspace:
         monkeypatch.setattr(tensor_ops, "_workspace", tensor_ops._Workspace())
         cases = []
         for N, n in ((2, 5), (2, 7), (3, 4), (2, 6)):
-            factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+            factors = pair_factors(belavin_spec(N), n, ladder_points(n))
             x = identities._probe_block(N ** n)
             starts = list(range(n))
             cases.append((factors, n, starts, x,
@@ -396,7 +398,7 @@ class TestWorkspace:
         assert space.buffer.nbytes <= tensor_ops._WORKSPACE_BYTES
         buffer, views = space.buffer, dict(space.views)
         n = 10
-        factors = identities._pair_factors(belavin_spec(2), n, ladder_points(n))
+        factors = pair_factors(belavin_spec(2), n, ladder_points(n))
         x = identities._probe_block(2 ** n)
         slabs = slabs_of(factors, [0])
         got = cyclic_apply(slabs, n, x)
@@ -449,7 +451,7 @@ class TestProbeJobs:
 
     @pytest.mark.parametrize("N, n", [(1, 5), (2, 4), (2, 6), (3, 4)])
     def test_dp_job_matches_canonical_dp(self, N, n):
-        factors = identities._pair_factors(belavin_spec(N), n, ladder_points(n))
+        factors = pair_factors(belavin_spec(N), n, ladder_points(n))
         slabs = slabs_of(factors, range(n))
         (got,) = tensor_ops._probe_jobs([(identities._dp_plan(n), slabs)])
         x = tensor_ops._probe_block(N ** n)
@@ -466,7 +468,7 @@ class TestJointDP:
                                       (3, 4), (4, 4)])
     def test_each_sum_is_its_sum_alone(self, monkeypatch, N, n):
         shifted = [p + 0.05 + 0.02j for p in ladder_points(n)]
-        sets = [(identities._pair_factors(spec, n, pts), starts)
+        sets = [(pair_factors(spec, n, pts), starts)
                 for spec, pts, starts in (
                     (belavin_spec(N), ladder_points(n), [0]),
                     (yang_spec(N), ladder_points(n), list(reversed(range(n)))),
@@ -484,7 +486,7 @@ class TestJointDP:
 
     def test_each_check_reads_its_own_sums(self):
         spec, n = belavin_spec(2), 5
-        factors = identities._pair_factors(spec, n, EL_PTS_5)
+        factors = pair_factors(spec, n, EL_PTS_5)
         x = identities._probe_block(2 ** n)
         sums = canonical_cyclic_apply(slabs_of(factors, range(n)), n, x)
         coeffs = [tensor_ops._probe_scalar(x, s)[0] for s in sums]
@@ -523,7 +525,7 @@ class TestJointDP:
             (math.isqrt(len(slabs[0][0][0])), plan.n, len(slabs))) or run(plan, slabs, x))
         got = check_cyclic_batch(requests)
         # one DP for each (N, n), over the slabs of all its requests
-        assert runs == [(2, 4, 1 + 4), (2, 3, 1), (2, 5, 5), (3, 4, 1)]
+        assert runs == [(2, 4, 1 + 4), (2, 3, 1), (2, 5, 5), (2, 2, 1), (3, 4, 1)]
         for i, ((spec, n, pts, outer, tol), out) in enumerate(zip(requests, got)):
             try:
                 if outer is None:
@@ -605,8 +607,8 @@ class TestComplexArguments:
     def test_a_malformed_argument_fails_only_its_request(self):
         spec = belavin_spec()
         for batch, good, bad, error in (
-                (identities._unitarity_batch, (spec, 0.3 + 0.2j, None), (spec, "x", None),
-                 UsageError),
+                (check_cyclic_batch, (spec, 2, [0.3 + 0.2j, 0], 1, None),
+                 (spec, 2, ["x", 0], 1, None), UsageError),
                 (identities._skew_symmetry_batch, (spec, 0.3 + 0.2j, None),
                  (spec, ARRAY, None), DimensionMismatch),
                 (identities._qybe_batch, (spec, EL_PTS_3, None),
@@ -690,6 +692,16 @@ class TestVerdict:
 
 
 class TestUnitarity:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_coefficient_is_the_dense_trace(self, N):
+        # the order-2 DP's probed coefficient against trace / D of the dense
+        # product R_12(z) P R(-z) P
+        z = 0.41 + 0.23j
+        for spec in (yang_spec(N), belavin_spec(N)):
+            want = np.trace(unitarity_product(spec, z)) / N ** 2
+            got = check_unitarity(spec, z).details["coefficient"]
+            assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_elliptic(self):
         for N in (2, 3):
             rep = check_unitarity(belavin_spec(N=N), 0.41 + 0.23j)
@@ -707,13 +719,15 @@ class TestUnitarity:
         coeff = rep.details["coefficient"]
         assert abs(coeff - want) < 1e-13 * (1 + abs(want))
 
-    def test_second_order_delegates_to_unitarity(self):
+    def test_unitarity_delegates_to_second_order(self):
         spec = belavin_spec()
         p0, p1 = 0.61 + 0.33j, 0.2 + 0.1j
         via_n = check_nth_order(spec, 2, [p0, p1])
         direct = check_unitarity(spec, p0 - p1)
-        assert via_n.name == "order-2 (unitarity)"
+        assert via_n.name == "order-2 (unitarity)" and direct.name == "unitarity"
         assert via_n.residual == direct.residual
+        assert direct.details == via_n.details
+        assert direct.details["algorithm"] == "subset-dp-probe"
 
 
 class TestNthOrder:
@@ -815,7 +829,7 @@ def dense_n3():
 def cyclic_sums(spec, n, points, starts):
     """The whole cyclic product sums from the 0-based outer sites ``starts``:
     the lockstep subset DP of the checks run on the identity."""
-    factors = identities._pair_factors(spec, n, points)
+    factors = pair_factors(spec, n, points)
     eye = np.eye(spec.site_dim ** n, dtype=complex)
     return cyclic_apply(slabs_of(factors, starts), n, eye)
 
@@ -852,7 +866,7 @@ class TestCyclicProductSumOracle:
         # columns of the whole sum
         spec = belavin_spec(3)
         for n, pts in ((4, EL_PTS_4), (5, EL_PTS_5)):
-            factors = identities._pair_factors(spec, n, pts)
+            factors = pair_factors(spec, n, pts)
             eye = np.eye(3 ** n, dtype=complex)
             got = np.hstack([
                 cyclic_apply([(factors, 1)], n, eye[:, lo:lo + width])[0]
@@ -939,13 +953,11 @@ class TestCyclicProductSumOracle:
                                hbar=0.21 + 0.13j)
             D = N ** n
             if n == 2:
-                # the order-2 check is unitarity, which runs no DP; run the
-                # DP on the probe block as the checks of n >= 3 do
-                factors = identities._pair_factors(spec, n, pts)
-                x = identities._probe_block(D)
-                runs = {starts: lambda starts=starts: cyclic_apply(
-                            slabs_of(factors, range(starts)), n, x)
-                        for starts in (1, 2)}
+                # the order-2 check, unitarity, from one and from both outer
+                # sites; it has no outer check
+                runs = {1: lambda: check_nth_order(spec, n, pts).passed,
+                        2: lambda: all(check_cyclic_batch(
+                            [(spec, n, pts, 1, None), (spec, n, pts, 2, None)]))}
             else:
                 # one batch runs the slab of an order-n check and the n slabs
                 # of an outer check
@@ -979,9 +991,24 @@ class TestCyclicProductSumOracle:
 
     def test_bad_site_counts(self):
         with pytest.raises(DimensionMismatch):
-            identities._pair_factors(yang_spec(), 1, YANG_PTS_3[:1])
+            pair_factors(yang_spec(), 1, YANG_PTS_3[:1])
         with pytest.raises(IndexOutOfRange):
             check_nth_order(yang_spec(), 3, YANG_PTS_3, outer=4)
+
+    def test_outer_is_screened_at_every_order(self):
+        # n = 1 and 2 had ignored outer and passed
+        spec, pts = belavin_spec(), [0.61 + 0.33j, 0.2 + 0.1j]
+        with pytest.raises(IndexOutOfRange, match=r"^outer index 5 not in 1\.\.2$"):
+            check_nth_order(spec, 2, pts, outer=5)
+        with pytest.raises(IndexOutOfRange, match=r"^outer index 7 not in 1\.\.1$"):
+            check_nth_order(spec, 1, pts[:1], outer=7)
+        # outer = 2 sums R_21 R_12 from the second site
+        x = identities._probe_block(4)
+        for outer in (1, 2):
+            y = cyclic_apply(slabs_of(pair_factors(spec, 2, pts), [outer - 1]), 2, x)[0]
+            rep = check_nth_order(spec, 2, pts, outer=outer)
+            assert rep.passed
+            assert rep.details["coefficient"] == tensor_ops._probe_scalar(x, y)[0]
 
 
 def gaussian_probes(dim, seed):
@@ -999,6 +1026,20 @@ def perturbed(factors, eps):
     out = dict(factors)
     out[1, 2] = op + eps * np.linalg.norm(op) / np.linalg.norm(shift) * shift
     return out
+
+
+def perturbing(n, eps):
+    """r_matrix with the factor R_{2,3} of each n-site build moved as in
+    :func:`perturbed`: the n(n-1) pair differences of a check come as one
+    row, in the pair order of ``identities._pair_differences``."""
+    k = [(i, j) for i in range(n) for j in range(n) if i != j].index((1, 2))
+
+    def build(spec, z, hbar=None):
+        ops = r_matrix(spec, z, hbar)
+        for row in ops:
+            row[k] = perturbed({(1, 2): row[k]}, eps)[1, 2]
+        return ops
+    return build
 
 
 PROBE_CASES = [(2, 4, EL_PTS_4), (2, 6, EL_PTS_5 + [0.57 + 0.38j]),
@@ -1022,12 +1063,10 @@ class TestProbedCheck:
     def test_probed_residual_tracks_the_full_one(self, monkeypatch, N, n, pts,
                                                  eps):
         spec = belavin_spec(N)
-        pair = identities._pair_factors
-        factors = perturbed(pair(spec, n, pts), eps)
+        factors = perturbed(pair_factors(spec, n, pts), eps)
         _, _, full = is_scalar_operator(dense_sum_of_factors(factors, N, n, 1))
         assert full > 0.1 * eps  # the perturbation shows, not round-off
-        monkeypatch.setattr(identities, "_pair_factors",
-                            lambda *a: perturbed(pair(*a), eps))
+        monkeypatch.setattr(identities, "r_matrix", perturbing(n, eps))
         ratios = []
         for seed in range(50):
             for module in (identities, tensor_ops):
@@ -1179,8 +1218,9 @@ class TestBatchCores:
         zs = [0.43 + 0.21j, 0.37 - 0.12j, 0.29 + 0.33j, 0.51 + 0.08j, 0.0, 0.61 + 0.2j]
         requests = [(spec, z, tol) for spec, z, tol
                     in zip(MIXED_SPECS, zs, [None, None, 1e-30, None, None, None])]
-        assert_batch_is_lone(identities._unitarity_batch, lambda s, z, t: (
-            check_unitarity(s, z, tolerance=t)), requests)
+        assert_batch_is_lone(check_cyclic_batch, lambda s, n, p, o, t: (
+            check_nth_order(s, n, p, o, tolerance=t)),
+            [(spec, 2, [z, 0], 1, tol) for spec, z, tol in requests])
         assert_batch_is_lone(identities._skew_symmetry_batch, lambda s, z, t: (
             check_skew_symmetry(s, z, tolerance=t)), requests)
 

@@ -51,3 +51,23 @@ def test_a_changed_tolerance_trips_the_gate(tmp_path):
     assert out.returncode == 1, out.stdout + out.stderr
     assert "passed True -> False" in out.stdout or "passed False -> True" in out.stdout
     assert out.stdout.rstrip().endswith("gate: TRIPPED")
+
+
+def test_a_dropped_details_key_is_named(tmp_path):
+    # a record whose residual did not move still names the details keys it
+    # lost; that alone does not trip the gate
+    mutant = tmp_path / "mutant"
+    shutil.copytree(ROOT / "src", mutant / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    identities = mutant / "src" / "rmx" / "identities.py"
+    text = identities.read_text()
+    old = 'algorithm="lockstep-subset-dp-probe", probes=x.shape[1])'
+    assert text.count(old) == 1
+    identities.write_text(text.replace(old, 'algorithm="lockstep-subset-dp-probe")'))
+    out = gate(tmp_path, mutant)
+    assert out.returncode == 0, out.stdout + out.stderr
+    # this tree has the key the mutant dropped
+    assert ("  nth-rational nth-order/rational/outer-3: details keys added: probes; "
+            "removed: none") in out.stdout.splitlines()
+    assert "  nth-rational: 1 of" in out.stdout
+    assert out.stdout.rstrip().endswith("gate: passed")

@@ -400,6 +400,29 @@ class TestComplexArguments:
                 classical_expansion(spec, None)
 
 
+# every public function of this module that converts a z or hbar argument to
+# an array; a value numpy cannot make complex had raised numpy's bare
+# ValueError or TypeError
+MALFORMED = {
+    "r_matrix-yang": (lambda: r_matrix(yang_spec(), "x"), "z"),
+    "r_matrix-belavin": (lambda: r_matrix(belavin_spec(), "x"), "z"),
+    "r_matrix-hbar": (lambda: r_matrix(belavin_spec(), 0.3, ["x"]), "hbar"),
+    "yang_r": (lambda: yang_r(0.3, "x", 2), "hbar"),
+    "validate_hbar": (lambda: belavin_spec().validate_hbar("x"), "hbar"),
+    "same_site_closed_form": (lambda: same_site_closed_form(belavin_spec(), "x"), "z"),
+    "same_site_closed_form-yang": (lambda: same_site_closed_form(yang_spec(), ["x"]), "z"),
+    "r_same_site": (lambda: r_same_site(yang_spec(), "x"), "z"),
+    "classical_closed_form": (lambda: classical_closed_form(belavin_spec(), "x"), "z"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_argument_is_a_usage_error(case):
+    call, name = MALFORMED[case]
+    with pytest.raises(UsageError, match=f"^{name} must be complex, got "):
+        call()
+
+
 class TestClassicalExpansion:
     def test_yang_closed_form(self):
         spec = yang_spec(2, hbar=0.6)

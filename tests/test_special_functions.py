@@ -168,6 +168,26 @@ class TestTheta:
         assert LatticeParams(kind="rational", tau=complex(0.3, np.inf))
 
 
+# every public function of this module that converts an argument to an
+# array; a value numpy cannot make complex had raised numpy's bare ValueError
+MALFORMED = {
+    "theta": (lambda: theta("x", EL), "z"),
+    "eisenstein_e1": (lambda: eisenstein_e1("x", RA), "z"),
+    "weierstrass_p": (lambda: weierstrass_p(["x"], EL), "z"),
+    "kronecker_phi": (lambda: kronecker_phi("x", 0.2, EL), "eta"),
+    "kronecker_phi-z": (lambda: kronecker_phi(0.2, "x", TR), "z"),
+    "kronecker_phi_deta": (lambda: kronecker_phi_deta(0.2, "x", EL), "z"),
+    "lattice_distance": (lambda: EL.lattice_distance("x"), "z"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_argument_is_a_usage_error(case):
+    call, name = MALFORMED[case]
+    with pytest.raises(UsageError, match=f"^{name} must be complex, got "):
+        call()
+
+
 class TestThetaCancellation:
     """theta either matches mpmath or raises SeriesNotConverged.
 

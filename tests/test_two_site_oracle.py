@@ -28,7 +28,9 @@ from rmx import (
     check_nth_order,
     check_outer_index_independence,
     check_qybe,
+    check_skew_symmetry,
     check_trace_power_guess,
+    check_unitarity,
     classical_closed_form,
     frobenius_distance,
     identities,
@@ -47,6 +49,8 @@ from dense_oracle import (
     lax_rmatrix,
     probe_fit,
     qybe_sides,
+    skew_symmetry_sides,
+    unitarity_product,
 )
 
 RA = LatticeParams(kind="rational")
@@ -88,7 +92,7 @@ def shifted(monkeypatch):
         r, m = classical_closed_form(spec, z)
         return r + shift(spec.site_dim, 2), m + shift(spec.site_dim, 3)
 
-    for module in (identities, rmatrix):
+    for module in (identities, rmatrix, applications):
         monkeypatch.setattr(module, "r_matrix", shifted_r)
     for module in (rmatrix, applications):
         monkeypatch.setattr(module, "classical_closed_form", shifted_classical)
@@ -101,8 +105,23 @@ def agree(got, want):
 
 @pytest.mark.parametrize("N, spec, pts, eta", CASES, ids=CASE_IDS)
 class TestResidualsMatchDenseFormulas:
-    # the three-site checks apply both sides to the probe block X; the
-    # dense sides are multiplied by X the same way
+    # the checks apply both sides to the probe block X; the dense sides are
+    # multiplied by X the same way
+
+    def test_unitarity(self, shifted, N, spec, pts, eta):
+        # the order-2 sum's probed coefficient and non-scalar residual
+        z = pts[0] - pts[1]
+        x = tensor_ops._probe_block(N ** 2)
+        coeff, nonscalar = probe_fit(x, unitarity_product(spec, z, shifted[0]) @ x)
+        rep = check_unitarity(spec, z)
+        assert agree(rep.details["coefficient"], coeff)
+        assert agree(rep.details["nonscalar_residual"], nonscalar)
+
+    def test_skew_symmetry(self, shifted, N, spec, pts, eta):
+        lhs, rhs = skew_symmetry_sides(spec, pts[0] - pts[1], shifted[0])
+        x = tensor_ops._probe_block(N ** 2)
+        want = frobenius_distance(lhs @ x, rhs @ x)
+        assert agree(check_skew_symmetry(spec, pts[0] - pts[1]).residual, want)
 
     def test_qybe(self, shifted, N, spec, pts, eta):
         lhs, rhs = qybe_sides(spec, pts[:3], shifted[0])
@@ -194,6 +213,9 @@ def belavin(N=2):
 MISROUTED = {
     "qybe": lambda: check_qybe(belavin(), EL_PTS[:3]),
     "aybe": lambda: check_aybe(belavin(), EL_PTS[:3], 0.07 + 0.04j),
+    # skew symmetry has no such case: its factors R(z, hbar) and
+    # -R(-z, -hbar) are equal, and so are P R P and R for this family
+    "unitarity": lambda: check_unitarity(belavin(), 0.41 + 0.23j),
     "nth-order": lambda: check_nth_order(belavin(), 4, EL_PTS),
     "outer-independence": lambda: check_outer_index_independence(belavin(), 4, EL_PTS),
     "kzb-flatness": lambda: check_kzb_flatness(belavin(), EL_PTS[:3],

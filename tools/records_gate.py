@@ -14,7 +14,9 @@ Against another tree the gate prints which sweeps are byte-identical, every
 change of verdict (passed, skipped), reason, case list or exit code, and
 each moved residual with its ratio, this tree's over the other's, both
 sides floored at the double-precision epsilon so that a move between 0 and
-round-off does not count.  It ends with the worst ratio, the count of moves
+round-off does not count.  For each sweep it also names the ``details`` keys
+that its moved records of one case type (the case id without its sample)
+added or removed.  It ends with the worst ratio, the count of moves
 above 10x and the verdict of the gate.  The exit code is 1 when a verdict,
 reason, case list or exit code changed or a residual moved by more than
 10x, else 0.
@@ -107,12 +109,16 @@ def compare(ours, theirs):
             lines.append(f"  {name}: case list changed ({len(ids_b)} -> {len(ids)} records)")
             trips = True
             continue
-        moved = 0
+        moved, keys = 0, {}
         for a, b in zip(records, records_b):
             if a == b:
                 continue
             moved += 1
             case = f"{name} {a['case_id']}"
+            new, old = (set(r.get("details") or ()) for r in (a, b))
+            added, removed = keys.setdefault(a["case_id"].rsplit("/", 1)[0], (set(), set()))
+            added |= new - old
+            removed |= old - new
             for key in ("passed", "skipped", "reason"):
                 if a[key] != b[key]:
                     lines.append(f"  {case}: {key} {b[key]!r} -> {a[key]!r}")
@@ -122,6 +128,11 @@ def compare(ours, theirs):
                 moves.append((max(ratio, 1 / ratio), case))
                 lines.append(f"  {case}: residual {b['residual']:.3e} -> "
                              f"{a['residual']:.3e} ({ratio:.3g}x floored)")
+        for kind, (added, removed) in keys.items():
+            if added or removed:
+                lines.append(f"  {name} {kind}: details keys added: "
+                             f"{', '.join(sorted(added)) or 'none'}; removed: "
+                             f"{', '.join(sorted(removed)) or 'none'}")
         lines.append(f"  {name}: {moved} of {len(records)} records moved")
     above = [case for ratio, case in moves if ratio > LIMIT]
     trips = trips or bool(above)
