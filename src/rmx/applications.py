@@ -41,7 +41,7 @@ Every check here applies its operators to the probe block X of
 plan of the contraction code of ``tensor_ops``, a job of its ``_probe_jobs``.
 The trace-power and hbar-order checks are their batch entries
 (:func:`_trace_power_batch`, :func:`_hbar_order_batch`) run on one request,
-as in ``identities``.
+as in ``identities``; an entry raises the first RmxError it meets.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch, QuadratureNotConverged, SeriesNotConverged, UsageError, _alone,
-    _as_complex, _as_index, _each,
+    _as_complex, _as_count, _as_index,
 )
 from .identities import _pair_differences, _verdict
 from .rmatrix import (
@@ -123,25 +123,20 @@ def lax_krichever(config):
 
 
 def _lax_matrices(configs):
-    """lax_krichever of each config, or the RmxError it raises alone, from
-    one kronecker_phi call."""
-    def diffs(config):
-        zs = config.positions
-        pairs = itertools.permutations(range(config.n_particles), 2)
-        return config.rspec, np.array([zs[a] - zs[b] for a, b in pairs]), None
-
-    phis = _stacked(lambda spec, z, hbar: kronecker_phi(
-        spec.site_dim * (spec.hbar if hbar is None else hbar), z, spec.lattice),
-        _each(diffs, configs))
-
-    def lax(config, phis):
-        out = np.diag(np.array(config.momenta, dtype=complex))
-        pairs = itertools.permutations(range(config.n_particles), 2)
-        for (a, b), phi in zip(pairs, phis.tolist()):
-            out[a, b] = config.coupling * config.rspec.site_dim * phi
-        return out
-
-    return _each(lax, configs, phis)
+    """lax_krichever of each config, from one kronecker_phi call; the first
+    RmxError met is raised."""
+    pairs = [list(itertools.permutations(range(c.n_particles), 2)) for c in configs]
+    phis = _stacked(lambda spec, z, hbar: kronecker_phi(spec.site_dim * hbar, z,
+                                                        spec.lattice),
+                    [(c.rspec, np.array([c.positions[a] - c.positions[b] for a, b in ab]),
+                      None) for c, ab in zip(configs, pairs)])
+    out = []
+    for config, ab, phi in zip(configs, pairs, phis):
+        lax = np.diag(np.array(config.momenta, dtype=complex))
+        for (a, b), value in zip(ab, phi.tolist()):
+            lax[a, b] = config.coupling * config.rspec.site_dim * value
+        out.append(lax)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -184,33 +179,26 @@ def check_trace_power_guess(config, power, tolerance=None):
 
 def _trace_power_batch(requests):
     """check_trace_power_guess on each request (config, power, tolerance):
-    its report, or the RmxError it raises alone.  The factors of all
+    its report; the first RmxError met is raised.  The factors of all
     requests come from one r_matrix call and their scalar Lax matrices from
     one kronecker_phi call.  A request's job has the blocks L_bc as its table
     and one slab per particle a; each (L^k)_aa X is read by _probe_scalar."""
-    def screen(config, power, tolerance):
-        power = _as_index("power", power)
-        if power < 1:
-            raise UsageError(f"power must be >= 1, got {power}")
-        return _pair_differences(config.rspec, config.n_particles, config.positions)
+    configs = [config for config, _, _ in requests]
+    powers = [_as_count("power", power, 1) for _, power, _ in requests]
+    screened = [_pair_differences(c.rspec, c.n_particles, c.positions) for c in configs]
+    factors = _stacked(r_matrix, [(c.rspec, diffs, None)
+                                  for c, (_, diffs) in zip(configs, screened)])
+    scalars = _lax_matrices(configs)
 
-    screened = _each(screen, *zip(*requests))
-    factors = _stacked(r_matrix, _each(lambda request, screened: (
-        request[0].rspec, screened[1], None), requests, screened))
-    scalars = _lax_matrices(_each(lambda request, _: request[0], requests, factors))
-
-    def job(request, screened, ops):
+    def job(config, power, pairs, ops):
         # the blocks L_bc, keyed (b, c), and one slab per particle a
-        config, n = request[0], request[0].n_particles
-        table = dict(zip(screened[0], config.coupling * ops))
+        n = config.n_particles
+        table = dict(zip(pairs, config.coupling * ops))
         eye = np.eye(config.rspec.site_dim ** 2)
         table.update({(a, a): p * eye for a, p in enumerate(config.momenta)})
-        return _lax_plan(n, _as_index("power", request[1])), [(table, a) for a in range(n)]
+        return _lax_plan(n, power), [(table, a) for a in range(n)]
 
-    outputs = _probe_jobs(_each(job, requests, screened, factors))
-
-    def report(request, outputs, scalar):
-        config, power, tolerance = request[0], _as_index("power", request[1]), request[2]
+    def report(config, power, tolerance, outputs, scalar):
         spec, n = config.rspec, config.n_particles
         x = _probe_block(spec.site_dim ** n)
         coeffs, nonscalars = zip(*(_probe_scalar(x, y) for y in outputs[0]))
@@ -228,7 +216,10 @@ def _trace_power_batch(requests):
                         nonscalar_residual=nonscalar, trace_residual=trace_resid,
                         extended_guess=power < n)
 
-    return _each(report, requests, outputs, scalars)
+    outputs = _probe_jobs([job(c, k, pairs, ops) for c, k, (pairs, _), ops
+                           in zip(configs, powers, screened, factors)])
+    return [report(c, k, tolerance, out, scalar) for c, k, (_, _, tolerance), out, scalar
+            in zip(configs, powers, requests, outputs, scalars)]
 
 
 # [r_p, m_q] X = r_p m_q X - m_q r_p X summed over the pairs (p, q) of
@@ -321,7 +312,7 @@ def check_hbar_order_relation(spec, n, points, tolerance=None):
 
 def _hbar_order_batch(requests):
     """check_hbar_order_relation on each request (spec, n, points,
-    tolerance): its report, or the RmxError it raises alone.  The closed
+    tolerance): its report; the first RmxError met is raised.  The closed
     forms of all requests come from one classical_closed_form call, and the
     requests of one N and n run as the slabs of one plan."""
     def screen(spec, n, points, tolerance):
@@ -330,19 +321,19 @@ def _hbar_order_batch(requests):
             raise DimensionMismatch("the relation needs n >= 3 sites")
         return (n, *_pair_differences(spec, n, points))
 
-    screened = _each(screen, *zip(*requests))
+    screened = [screen(*request) for request in requests]
     rms = _stacked(lambda spec, z, _: classical_closed_form(spec, z),
-                   _each(lambda request, s: (request[0], s[2], None), requests, screened))
+                   [(request[0], diffs, None) for request, (_, _, diffs)
+                    in zip(requests, screened)])
 
-    def job(screened, rm):
-        n, pairs, _ = screened
+    def job(n, pairs, rm):
         table = {}
         for (i, j), r, m in zip(pairs, *rm):
             table["r", i + 1, j + 1], table["m", i + 1, j + 1] = r, -(n - 2) * m
         return _hbar_order_plan(n), [(table, 0)]
 
-    def report(request, screened, rm, sides):
-        spec, tolerance, n, N = request[0], request[3], screened[0], request[0].site_dim
+    def report(spec, tolerance, n, rm, sides):
+        N = spec.site_dim
         lhs, rhs = sides[:, 0]
         # the anticommutators cancel pairwise, so condition on their size,
         # not on the (possibly zero) right-hand side; acting on n sites
@@ -355,5 +346,6 @@ def _hbar_order_batch(requests):
                         lhs_norm=float(np.linalg.norm(lhs)),
                         rhs_norm=float(np.linalg.norm(rhs)))
 
-    sides = _probe_jobs(_each(job, screened, rms))
-    return _each(report, requests, screened, rms, sides)
+    sides = _probe_jobs([job(n, pairs, rm) for (n, pairs, _), rm in zip(screened, rms)])
+    return [report(request[0], request[3], n, rm, s)
+            for request, (n, _, _), rm, s in zip(requests, screened, rms, sides)]

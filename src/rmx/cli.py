@@ -27,7 +27,7 @@ from .applications import (
     _trace_power_batch,
     check_kzb_flatness,
 )
-from .errors import BudgetExceeded, RmxError, UsageError, _as_count, _each, _joint
+from .errors import BudgetExceeded, RmxError, UsageError, _as_count, _joint
 from .identities import (
     _aybe_batch,
     _qybe_batch,
@@ -276,9 +276,8 @@ def _deriv_hbar_batch(requests):
     """The deriv-hbar reports of requests (spec, z_a, z_b, tolerance), from
     one run of ``rmatrix._hbar_derivatives``."""
     outs = _hbar_derivatives([(spec, z_a, z_b, None) for spec, z_a, z_b, _ in requests])
-    return _each(lambda request, out: _verdict(
-        "deriv-hbar", out.structural_residual, request[3], request[0].kind,
-        request[0].site_dim, 3), requests, outs)
+    return [_verdict("deriv-hbar", out.structural_residual, request[3], request[0].kind,
+                     request[0].site_dim, 3) for request, out in zip(requests, outs)]
 
 
 def _deriv_hbar(d):
@@ -318,7 +317,8 @@ class _Case(NamedTuple):
 # are (spec, n, points, outer, tolerance), for same-site, unitarity and the
 # order-n and outer-n cases, and the private cores of the other probed checks
 # (_skew_symmetry_batch, _qybe_batch, _aybe_batch, _deriv_hbar_batch,
-# _trace_power_batch and _hbar_order_batch).
+# _trace_power_batch and _hbar_order_batch), which raise the first RmxError
+# they meet.
 # The run functions name the entries and the checks by their module-global
 # names, so that code rebinding ``cli.<name>`` (a tracer, a test double)
 # sees every call.
@@ -410,8 +410,9 @@ def _sweep(opts):
                                   _Draw(rng, lat, None, p, h, case.n, tols.get(case.tol)))
                         for head, (_, case), rng, p, h
                         in zip(heads, cases, rngs, pts, hbars)]
-            # each batch entry runs once, on all of the part's requests to it;
-            # the reports stand as they are
+            # each batch entry runs once, on all of the part's requests to it,
+            # or on each alone if it raises; the reports and errors stand as
+            # they are
             outs = _joint(lambda group: group[0][0]([request for _, request in group])
                           if isinstance(group[0], tuple) else group,
                           [out for out, _ in outcomes],

@@ -4,6 +4,11 @@ Every exception raised by rmx derives from :class:`RmxError`, so callers can
 catch the whole family with one clause.  Each class additionally inherits the
 closest builtin (ValueError, IndexError, ArithmeticError) to stay friendly to
 generic error handling.
+
+The helpers at the end serve the batch entries of the checks: an entry
+takes a list of requests, returns one value per request and raises the
+first RmxError it meets, and :func:`_joint` alone reruns a group that
+raised one item at a time, so that an error fails only its own request.
 """
 
 import operator
@@ -117,50 +122,36 @@ def _as_count(name, value, low):
     return value
 
 
-# A batch entry takes a list of requests and returns, for each, its value or
-# the RmxError that request meets alone.  The helpers below carry each
-# request's error through the stages of an entry.
-
 def _alone(batch, request):
-    """The value of ``batch`` on one request; the RmxError it meets is raised."""
+    """The value of ``batch`` on one request."""
     (out,) = batch([request])
-    if isinstance(out, RmxError):
-        raise out
     return out
 
 
-def _each(fn, *columns):
-    """fn(*row) for each row of the zipped ``columns``, or the RmxError fn
-    raises; a row holding an RmxError gets that error, and fn is not called."""
-    out = []
-    for row in zip(*columns):
-        value = next((v for v in row if isinstance(v, RmxError)), None)
-        if value is None:
-            try:
-                value = fn(*row)
-            except RmxError as exc:
-                value = exc
-        out.append(value)
+def _grouped(build, items, key):
+    """One value per item: build(group), a list of one value per item of the
+    group, with one call per group of the items of equal ``key(item)``.  An
+    RmxError that a call raises propagates."""
+    out, groups = list(items), {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    for idx in groups.values():
+        for i, value in zip(idx, build([items[i] for i in idx])):
+            out[i] = value
     return out
 
 
 def _joint(build, items, key):
-    """One value per item: build(group), a list of one value per item of the
-    group, with one call per group of the items of equal ``key(item)``.  An
-    item that is an RmxError stays as it is.  If a group's call raises an
-    RmxError, build runs on each of its items alone, and each item gets its
-    value or the RmxError it meets alone."""
-    out, groups = list(items), {}
-    for i, item in enumerate(items):
-        if not isinstance(item, RmxError):
-            groups.setdefault(key(item), []).append(i)
-    for idx in groups.values():
-        group = [items[i] for i in idx]
+    """:func:`_grouped`, except that a group whose call raises an RmxError
+    runs build on each of its items alone, and each item gets its value or
+    the RmxError it meets alone."""
+    def isolating(group):
         try:
-            values = build(group)
+            return build(group)
         except RmxError as exc:
-            values = [exc] if len(group) == 1 else _each(lambda item: build([item])[0],
-                                                         group)
-        for i, value in zip(idx, values):
-            out[i] = value
-    return out
+            if len(group) == 1:
+                return [exc]
+            # through _joint, not isolating itself: a closure that refers to
+            # itself is a reference cycle, freed only by the garbage collector
+            return [_joint(build, [item], key)[0] for item in group]
+    return _grouped(isolating, items, key)

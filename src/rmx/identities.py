@@ -26,15 +26,17 @@ with one slab (factors, a) per sum from outer site a.
 :func:`check_cyclic_batch` runs many checks, such as every same-site,
 unitarity, order-n and outer-n case of a ``rmx verify`` part, with one
 r_matrix call for the factors of all and one ``_probe_jobs`` call, one DP
-per N and n.  Unitarity, the order-n checks and outer-index independence
-are that entry run on one request.
+per N and n.  Its core :func:`_cyclic_batch` raises the first RmxError it
+meets, and ``errors._joint`` reruns a batch that raised one request at a
+time.  Unitarity, the order-n checks and outer-index independence are
+that core run on one request.
 
 QYBE, AYBE and skew symmetry are plans of the same code, with private batch
 entries of the same kind (:func:`_qybe_batch`, :func:`_aybe_batch`,
 :func:`_skew_symmetry_batch`): one r_matrix call builds the factors of all
 their requests, each request keeping its own hbar, one plan run takes the
-probes of all, and each request gets its report or the RmxError it raises
-alone.  Each public check is its entry run on one request.
+probes of all, and the first RmxError met is raised.  Each public check is
+its entry run on one request.
 
 Each check returns an :class:`IdentityReport` carrying the measured
 residual, the tolerance it was judged against, and diagnostic details.
@@ -53,12 +55,13 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     PoleProximity,
+    UsageError,
     ZeroArgument,
     _alone,
     _as_complex,
     _as_count,
     _as_index,
-    _each,
+    _joint,
 )
 from .special_functions import scalar_cyclic_sum, weierstrass_p
 from .rmatrix import _stacked, r_matrix, r_same_site, same_site_closed_form
@@ -101,8 +104,14 @@ def default_tolerance(kind, N=1, n=3):
     Rational and trigonometric data stay near machine precision; the
     elliptic family loses digits through the theta quotients, more so at
     larger N and deeper n (higher wp derivatives on the right-hand side).
+    The kind is one of the labels yang, rational, trigonometric, elliptic
+    and belavin, or its enum member; any other is a :class:`UsageError`.
     """
-    label = kind.value if hasattr(kind, "value") else str(kind)
+    label = getattr(kind, "value", kind)
+    if not isinstance(label, str) or label not in (
+            "yang", "rational", "trigonometric", "elliptic", "belavin"):
+        raise UsageError(f"unknown kind {kind!r}, pick from yang, rational, "
+                         "trigonometric, elliptic or belavin")
     if label in ("yang", "rational"):
         return 1e-13
     if label == "trigonometric":
@@ -181,7 +190,7 @@ def check_unitarity(spec, z, *, tolerance=None):
     This is the order-2 cyclic sum, :func:`check_cyclic_batch` run on one
     request at the points (z, 0).
     """
-    report = _alone(check_cyclic_batch, (spec, 2, [_as_complex("z", z), 0], 1, tolerance))
+    report = _alone(_cyclic_batch, (spec, 2, [_as_complex("z", z), 0], 1, tolerance))
     report.name = "unitarity"
     return report
 
@@ -200,7 +209,7 @@ def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
     """
     # an outer of None would request the outer-independence check
     n, outer = _as_index("n", n), _as_index("outer", outer)
-    return _alone(check_cyclic_batch, (spec, n, points, outer, tolerance))
+    return _alone(_cyclic_batch, (spec, n, points, outer, tolerance))
 
 
 def check_outer_index_independence(spec, n, points, *, tolerance=None):
@@ -210,7 +219,7 @@ def check_outer_index_independence(spec, n, points, *, tolerance=None):
     lockstep by one subset DP; the coefficients are <X, S_a X> / <X, X>.
     This is :func:`check_cyclic_batch` run on one request.
     """
-    return _alone(check_cyclic_batch, (spec, n, points, None, tolerance))
+    return _alone(_cyclic_batch, (spec, n, points, None, tolerance))
 
 
 def check_cyclic_batch(requests):
@@ -221,75 +230,85 @@ def check_cyclic_batch(requests):
     arguments of :func:`check_nth_order`, or, with outer None, those of
     :func:`check_outer_index_independence`.  Returns, for each request in
     order, its :class:`IdentityReport`, or the :class:`RmxError` that its
-    check raises alone, which fails that request only.
+    check raises alone, which fails that request only; a request that is
+    not such a 5-tuple is a :class:`UsageError`.  This is
+    :func:`_cyclic_batch` run through ``errors._joint``: if the batch
+    raises, each request runs alone.
+    """
+    return _joint(_cyclic_batch, requests, lambda _: None)
 
-    Each check runs in stages, which raise in the order the check alone
-    raises.  Its head (:func:`_cyclic_head`) checks the arguments and
-    computes wp^(n-2)(N hbar); n = 1 ends there.  One r_matrix call builds
-    the factors of all requests.  Each half then computes the rest of the
-    right-hand side and the scalar cross-check, and gives its job.  One
-    ``_probe_jobs`` call runs the jobs of all requests, one DP per N and n,
-    and each report is read off its sums.  A slab's sum does not depend on
-    the slabs run beside it, so every report equals that of the check run
+
+def _cyclic_batch(requests):
+    """The report of each request of :func:`check_cyclic_batch`; the first
+    RmxError met is raised.
+
+    Each request's head (:func:`_cyclic_head`) checks its arguments and
+    computes wp^(n-2)(N hbar) before any R-matrix is built; n = 1 ends
+    there.  One r_matrix call builds the factors of all requests, one
+    ``_probe_jobs`` call runs the jobs of all, one DP per N and n, and each
+    report, with the rest of the right-hand side and the scalar
+    cross-check, is read off its sums.  A slab's sum does not depend on the
+    slabs run beside it, so every report equals that of the check run
     alone.
     """
-    heads = _each(_cyclic_head, *zip(*requests))
-    built = [head for head in heads if isinstance(head, tuple)]
-    ops = _stacked(r_matrix, [(spec, diffs, None) for spec, diffs, _ in built])
-    halves = _each(lambda head, ops: head[2](ops), built, ops)
-    sums = _probe_jobs(_each(lambda half: half[0], halves))
-    reports = iter(_each(lambda half, sums: half[1](sums[0]), halves, sums))
+    heads = [_cyclic_head(request) for request in requests]
+    rows = [head for head in heads if isinstance(head, tuple)]
+    ops = _stacked(r_matrix, [(spec, diffs, None) for spec, diffs, _, _ in rows])
+    sums = _probe_jobs([job(op) for (_, _, job, _), op in zip(rows, ops)])
+    reports = iter([finish(s[0]) for (_, _, _, finish), s in zip(rows, sums)])
     return [next(reports) if isinstance(head, tuple) else head for head in heads]
 
 
-def _cyclic_head(spec, n, points, outer, tolerance):
+def _cyclic_head(request):
     """A request of check_cyclic_batch up to its factors: the report at
     n = 1, else (spec, the differences z_i - z_j of _pair_differences, the
-    half: the function of their R-matrices that gives the job of the sums
-    and the function of the probed sums that gives the report)."""
+    function of their R-matrices that gives the job of the sums, the
+    function of the probed sums that gives the report)."""
+    sequence = isinstance(request, (tuple, list))
+    if not sequence or len(request) != 5:
+        raise UsageError("a cyclic-sum request is (spec, n, points, outer, tolerance), got "
+                         + (f"{len(request)} fields" if sequence else repr(request)))
+    spec, n, points, outer, tolerance = request
     N, n = spec.site_dim, _as_index("n", n)
     if outer is None:
         if n < 3:
             raise DimensionMismatch("outer index independence needs n >= 3")
         pairs, diffs = _pair_differences(spec, n, points)
+        outers = range(n)
 
-        def finish_outer(sums):
+        def finish(sums):
             x = _probe_block(N ** n)
             residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
             coeffs = [_probe_scalar(x, s)[0] for s in sums]
             return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,
                             N, n, coefficients=coeffs,
                             algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
+    else:
+        outer = _as_index("outer", outer)
+        if n == 1:
+            if outer != 1:
+                raise IndexOutOfRange(f"outer index {outer} not in 1..1")
+            if len(points) != 1:
+                raise DimensionMismatch(f"n = 1 takes one point, got {len(points)}")
+            z = _as_complex("a point", points[0])
+            mat = r_same_site(spec, z)
+            closed = same_site_closed_form(spec, z)
+            residual = frobenius_distance(mat, closed * np.eye(N))
+            return _verdict("same-site", residual, tolerance, spec.kind, N, 2,
+                            closed_form=closed)
 
-        return spec, diffs, lambda ops: (
-            (_dp_plan(n), [(dict(zip(pairs, ops)), a) for a in range(n)]), finish_outer)
-
-    outer = _as_index("outer", outer)
-    if n == 1:
-        if outer != 1:
-            raise IndexOutOfRange(f"outer index {outer} not in 1..1")
-        if len(points) != 1:
-            raise DimensionMismatch(f"n = 1 takes one point, got {len(points)}")
-        z = _as_complex("a point", points[0])
-        mat = r_same_site(spec, z)
-        closed = same_site_closed_form(spec, z)
-        residual = frobenius_distance(mat, closed * np.eye(N))
-        return _verdict("same-site", residual, tolerance, spec.kind, N, 2,
-                        closed_form=closed)
-
-    # the right-hand side first: a wp order above MAX_WP_DERIV_ORDER raises
-    # before any R-matrix is built
-    eta = N * spec.hbar
-    wp = weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
-    pairs, diffs = _pair_differences(spec, n, points, outer)
-
-    def half(ops):
-        # unitarity subtracts wp(z_1 - z_2), the same for either outer site
-        expected = (-N) ** n * (wp - weierstrass_p(diffs[0], spec.lattice) if n == 2
-                                else wp)
-        scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
+        # the right-hand side first: a wp order above MAX_WP_DERIV_ORDER
+        # raises before any R-matrix is built
+        eta = N * spec.hbar
+        wp = weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
+        pairs, diffs = _pair_differences(spec, n, points, outer)
+        outers = [outer - 1]
 
         def finish(sums):
+            # unitarity subtracts wp(z_1 - z_2), the same for either outer site
+            expected = (-N) ** n * (wp - weierstrass_p(diffs[0], spec.lattice) if n == 2
+                                    else wp)
+            scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
             (y,) = sums
             x = _probe_block(N ** n)
             coeff, nonscalar = _probe_scalar(x, y)
@@ -302,9 +321,8 @@ def _cyclic_head(spec, n, points, outer, tolerance):
                             scalar_cross_residual=cross, orderings=math.factorial(n - 1),
                             algorithm="subset-dp-probe", probes=x.shape[1])
 
-        return (_dp_plan(n), [(dict(zip(pairs, ops)), outer - 1)]), finish
-
-    return spec, diffs, half
+    return spec, diffs, lambda ops: (
+        _dp_plan(n), [(dict(zip(pairs, ops)), a) for a in outers]), finish
 
 
 # R_12 R_13 R_23 X and R_23 R_13 R_12 X
@@ -324,8 +342,8 @@ def check_qybe(spec, points, *, tolerance=None):
 
 
 def _qybe_batch(requests):
-    """check_qybe on each request (spec, points, tolerance): its report, or
-    the RmxError it raises alone.  The factors of all requests come from one
+    """check_qybe on each request (spec, points, tolerance): its report; the
+    first RmxError met is raised.  The factors of all requests come from one
     r_matrix call, and both sides of each run as slabs of one plan."""
     def diffs(spec, points, tolerance):
         if len(points) != 3:
@@ -333,12 +351,10 @@ def _qybe_batch(requests):
         z1, z2, z3 = (_as_complex("a point", p) for p in points)
         return spec, np.array([z1 - z2, z1 - z3, z2 - z3]), None
 
-    ops = _stacked(r_matrix, _each(diffs, *zip(*requests)))
-    sides = _probe_jobs(_each(lambda ops: (_QYBE, [(dict(zip(_QYBE_FACTORS, ops)), 0)]),
-                              ops))
-    return _each(lambda request, sides: _verdict(
-        "qybe", frobenius_distance(*sides[:, 0]), request[2], request[0].kind,
-        request[0].site_dim, 3), requests, sides)
+    ops = _stacked(r_matrix, [diffs(*request) for request in requests])
+    sides = _probe_jobs([(_QYBE, [(dict(zip(_QYBE_FACTORS, op)), 0)]) for op in ops])
+    return [_verdict("qybe", frobenius_distance(*s[:, 0]), tolerance, spec.kind,
+                     spec.site_dim, 3) for (spec, _, tolerance), s in zip(requests, sides)]
 
 
 # R^hbar_ac R^eta_cb X and R^eta_ab R^(hbar-eta)_ac X + R^(eta-hbar)_cb R^hbar_ab X
@@ -371,8 +387,8 @@ def check_aybe(spec, points, second_hbar, *, tolerance=None):
 
 def _aybe_batch(requests):
     """check_aybe on each request (spec, points, second_hbar, tolerance):
-    its report, or the RmxError it raises alone, with the one r_matrix call
-    and the one plan run of :func:`_qybe_batch`."""
+    its report, with the one r_matrix call, the one plan run and the raising
+    of :func:`_qybe_batch`."""
     def factors(spec, points, second_hbar, tolerance):
         if len(points) != 3:
             raise DimensionMismatch(f"AYBE takes three points, got {len(points)}")
@@ -389,12 +405,10 @@ def _aybe_batch(requests):
         return (spec, np.array([ac, cb, ab, ac, cb, ab]),
                 np.array([hbar, eta, eta, hbar - eta, eta - hbar, hbar]))
 
-    ops = _stacked(r_matrix, _each(factors, *zip(*requests)))
-    sides = _probe_jobs(_each(lambda ops: (_AYBE, [(dict(zip(_AYBE_FACTORS, ops)), 0)]),
-                              ops))
-    return _each(lambda request, sides: _verdict(
-        "aybe", frobenius_distance(*sides[:, 0]), request[3], request[0].kind,
-        request[0].site_dim, 3), requests, sides)
+    ops = _stacked(r_matrix, [factors(*request) for request in requests])
+    sides = _probe_jobs([(_AYBE, [(dict(zip(_AYBE_FACTORS, op)), 0)]) for op in ops])
+    return [_verdict("aybe", frobenius_distance(*s[:, 0]), request[3], request[0].kind,
+                     request[0].site_dim, 3) for request, s in zip(requests, sides)]
 
 
 # R(z, hbar) X and -P R(-z, -hbar) P X, the second factor on the legs (2, 1)
@@ -410,15 +424,14 @@ def check_skew_symmetry(spec, z, *, tolerance=None):
 
 def _skew_symmetry_batch(requests):
     """check_skew_symmetry on each request (spec, z, tolerance): its report,
-    or the RmxError it raises alone, with the one r_matrix call and the one
-    plan run of :func:`_qybe_batch`."""
+    with the one r_matrix call, the one plan run and the raising of
+    :func:`_qybe_batch`."""
     def parts(spec, z, _):
         z = _as_complex("z", z)
         return spec, np.array([z, -z]), np.array([spec.hbar, -spec.hbar])
 
-    ops = _stacked(r_matrix, _each(parts, *zip(*requests)))
-    sides = _probe_jobs(_each(lambda ops: (
-        _SKEW, [(dict(zip(_SKEW_FACTORS, (ops[0], -ops[1]))), 0)]), ops))
-    return _each(lambda request, sides: _verdict(
-        "skew-symmetry", frobenius_distance(*sides[:, 0]), request[2], request[0].kind,
-        request[0].site_dim, 2), requests, sides)
+    ops = _stacked(r_matrix, [parts(*request) for request in requests])
+    sides = _probe_jobs([(_SKEW, [(dict(zip(_SKEW_FACTORS, (op[0], -op[1]))), 0)])
+                         for op in ops])
+    return [_verdict("skew-symmetry", frobenius_distance(*s[:, 0]), tolerance, spec.kind,
+                     spec.site_dim, 2) for (spec, _, tolerance), s in zip(requests, sides)]

@@ -50,8 +50,7 @@ from .errors import (
     _as_complex,
     _as_count,
     _as_index,
-    _each,
-    _joint,
+    _grouped,
 )
 from .special_functions import (
     FunctionKind,
@@ -385,16 +384,16 @@ def _deriv_hbar_matrix(spec, z, hbar):
 def _stacked(call, parts):
     """For each part (spec, z, hbar), a 1-d array z and an array hbar along
     it or None for spec.hbar, the value of call(spec, z, hbar), an array or
-    a tuple of arrays along z; a part that is an RmxError is passed on.  The
-    parts of one family, N, lattice and length of z, with or without hbar,
-    take one call, on their z as rows and their hbar as a column or as
-    rows."""
+    a tuple of arrays along z.  The parts of one family, N, lattice and
+    length of z, with or without hbar, take one call, on their z as rows and
+    their hbar as a column or as rows; an RmxError that a call raises
+    propagates."""
     def build(group):
         out = call(group[0][0], np.stack([z for _, z, _ in group]),
                    np.array([[s.hbar] if h is None else h for s, _, h in group]))
         return list(zip(*out)) if isinstance(out, tuple) else list(out)
-    return _joint(build, parts, lambda p: (p[0].kind, p[0].site_dim, p[0].lattice,
-                                           len(p[1]), p[2] is None))
+    return _grouped(build, parts, lambda p: (p[0].kind, p[0].site_dim, p[0].lattice,
+                                             len(p[1]), p[2] is None))
 
 
 # dR_ab X and R_ab r_ac X + r_cb R_ab X - R_ac R_cb X at the sites
@@ -426,7 +425,7 @@ def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
 
 def _hbar_derivatives(requests):
     """r_deriv_hbar on each request (spec, z_a, z_b, aux_point): its
-    HbarDerivative, or the RmxError it raises alone.  The derivative
+    HbarDerivative; the first RmxError met is raised.  The derivative
     matrices, the R-matrices and the closed forms of r are one joint call
     each, and the structural identities run as the slabs of one plan."""
     def points(spec, z_a, z_b, aux_point):
@@ -434,14 +433,13 @@ def _hbar_derivatives(requests):
         z_c = (z_a + z_b) / 2 + 0.1566 + 0.0873j if aux_point is None else aux_point
         return z_a, z_b, _as_complex("aux_point", z_c)
 
-    specs, pts = [spec for spec, *_ in requests], _each(points, *zip(*requests))
-    derivs = _stacked(_deriv_hbar_matrix, _each(
-        lambda spec, p: (spec, np.array([p[0] - p[1]]), None), specs, pts))
-    ops = _stacked(r_matrix, _each(lambda spec, _, p: (
-        spec, np.array([p[0] - p[1], p[0] - p[2], p[2] - p[1]]), None), specs, derivs, pts))
-    cls = _stacked(lambda spec, z, _: classical_closed_form(spec, z), _each(
-        lambda spec, _, p: (spec, np.array([p[0] - p[2], p[2] - p[1]]), None),
-        specs, ops, pts))
+    specs, pts = [spec for spec, *_ in requests], [points(*request) for request in requests]
+    derivs = _stacked(_deriv_hbar_matrix, [(spec, np.array([a - b]), None)
+                                           for spec, (a, b, _) in zip(specs, pts)])
+    ops = _stacked(r_matrix, [(spec, np.array([a - b, a - c, c - b]), None)
+                              for spec, (a, b, c) in zip(specs, pts)])
+    cls = _stacked(lambda spec, z, _: classical_closed_form(spec, z), [
+        (spec, np.array([a - c, c - b]), None) for spec, (a, b, c) in zip(specs, pts)])
 
     def table(deriv, ops, cl):
         r_ab, r_ac, r_cb = ops
@@ -449,9 +447,9 @@ def _hbar_derivatives(requests):
                    ("r", 3, 2): cl[0][1], ("-R", 1, 3): -r_ac, ("R", 3, 2): r_cb}
         return _DERIV_HBAR, [(factors, 0)]
 
-    sides = _probe_jobs(_each(table, derivs, ops, cls))
-    return _each(lambda d, s: HbarDerivative(d[0], frobenius_distance(*s[:, 0])),
-                 derivs, sides)
+    sides = _probe_jobs([table(*parts) for parts in zip(derivs, ops, cls)])
+    return [HbarDerivative(d[0], frobenius_distance(*s[:, 0]))
+            for d, s in zip(derivs, sides)]
 
 
 # ---------------------------------------------------------------------------

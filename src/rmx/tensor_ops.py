@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeCapExceeded, _alone, _as_count, _joint
+from .errors import DimensionMismatch, SizeCapExceeded, _alone, _as_count, _grouped
 
 __all__ = [
     "SIZE_CAP",
@@ -322,14 +322,14 @@ def _slab(plan, table, a):
 
 def _probe_jobs(jobs):
     """The outputs of each job (plan, slabs) on the probe block, an
-    (outputs, slabs, D, m) array; a job that is an RmxError is passed on.
-    The jobs of one plan and N run as the slabs of one :func:`_run`."""
+    (outputs, slabs, D, m) array.  The jobs of one plan and N run as the
+    slabs of one :func:`_run`."""
     def run(group):
         plan = group[0][0]
         slabs = [_slab(plan, *slab) for _, slabs in group for slab in slabs]
         outs = _run(plan, slabs, _probe_block(math.isqrt(len(slabs[0][0][0])) ** plan.n))
         return np.split(outs, np.cumsum([len(slabs) for _, slabs in group[:-1]]), axis=1)
-    return _joint(run, jobs, lambda job: (job[0], len(next(iter(job[1][0][0].values())))))
+    return _grouped(run, jobs, lambda job: (job[0], len(next(iter(job[1][0][0].values())))))
 
 
 def _probe_scalar(x, y):

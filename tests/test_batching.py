@@ -15,7 +15,10 @@ import pytest
 
 from rmx import (
     CalogeroConfig,
+    RmxError,
+    UsageError,
     applications,
+    errors,
     LatticeParams,
     PoleProximity,
     RMatrixSpec,
@@ -264,3 +267,47 @@ class TestOneCallPerCheck:
                    / max(np.linalg.norm(coeffs[0][j]),
                          np.linalg.norm(coeffs[1][j]), 1.0) for j in (-1, 0, 1))
         assert pair.extraction_residual == pytest.approx(want, rel=1e-12, abs=1e-30)
+
+
+class TestGroupedAndJoint:
+    """errors._grouped makes one build call per key group and lets an error
+    propagate; errors._joint reruns a group that raised one item at a time."""
+
+    ITEMS = [3, -4, 5, 6, 7, 8]
+
+    @staticmethod
+    def build(calls):
+        """A build that records its groups and raises on a negative item."""
+        def build(group):
+            calls.append(group)
+            if min(group) < 0:
+                raise UsageError(f"negative item in {group}")
+            return [10 * item for item in group]
+        return build
+
+    @pytest.mark.parametrize("grouping", [errors._grouped, errors._joint])
+    def test_one_call_per_group_when_nothing_fails(self, grouping):
+        calls = []
+        out = grouping(self.build(calls), [3, 4, 5, 6], lambda item: item % 2)
+        assert out == [30, 40, 50, 60]
+        assert calls == [[3, 5], [4, 6]]
+
+    def test_grouped_raises_without_isolating(self):
+        calls = []
+        with pytest.raises(UsageError, match=r"^negative item in \[-4, 6, 8\]$"):
+            errors._grouped(self.build(calls), self.ITEMS, lambda item: item % 2)
+        assert calls == [[3, 5, 7], [-4, 6, 8]]
+
+    def test_joint_makes_one_call_per_item_after_one_fails(self):
+        calls = []
+        out = errors._joint(self.build(calls), self.ITEMS, lambda item: item % 2)
+        assert calls == [[3, 5, 7], [-4, 6, 8], [-4], [6], [8]]
+        assert [type(v) for v in out] == [int, UsageError, int, int, int, int]
+        assert str(out[1]) == "negative item in [-4]"
+        assert [v for v in out if not isinstance(v, RmxError)] == [30, 50, 60, 70, 80]
+
+    def test_joint_passes_on_other_exceptions(self):
+        def build(group):
+            raise KeyError("not an RmxError")
+        with pytest.raises(KeyError):
+            errors._joint(build, [1, 2], lambda _: None)

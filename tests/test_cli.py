@@ -59,8 +59,8 @@ def small(**kw):
 
 
 def refuse_each(requests):
-    """A batch entry that fails every request it is given."""
-    return [DimensionMismatch("refused") for _ in requests]
+    """A batch entry that raises on every request it is given."""
+    raise DimensionMismatch("refused")
 
 
 def n_max_cost(N, n_max):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmx import applications, identities, rmatrix, tensor_ops
+from rmx import applications, cli, errors, identities, rmatrix, tensor_ops
 from rmx import (
     CalogeroConfig,
     DegenerateArguments,
@@ -437,10 +438,19 @@ class TestProbeJobs:
         monkeypatch.undo()
         assert [len(slabs) for _, slabs in jobs] == [1, 4, 1, 3, 1]
         assert [a for _, slabs in jobs[:3] for _, a in slabs] == [2, 0, 1, 2, 3, 1]
-        error, runs, run = UsageError("passed on"), [], tensor_ops._run
+        error, runs, run = UsageError("kept apart"), [], tensor_ops._run
         monkeypatch.setattr(tensor_ops, "_run", lambda plan, slabs, x: (
             runs.append(len(slabs)) or run(plan, slabs, x)))
-        joint = tensor_ops._probe_jobs(jobs[:2] + [error] + jobs[2:])
+
+        def probe(group):  # an error among the jobs is raised, as an entry raises it
+            for job in group:
+                if isinstance(job, RmxError):
+                    raise job
+            return tensor_ops._probe_jobs(group)
+
+        # errors._joint keeps the error's group from the jobs' group
+        joint = errors._joint(probe, jobs[:2] + [error] + jobs[2:],
+                              lambda job: job is error)
         monkeypatch.undo()
         # the two DP jobs at N = 2 share one plan run
         assert runs == [5, 1, 3, 1]
@@ -523,9 +533,17 @@ class TestJointDP:
         run = tensor_ops._run
         monkeypatch.setattr(tensor_ops, "_run", lambda plan, slabs, x: runs.append(
             (math.isqrt(len(slabs[0][0][0])), plan.n, len(slabs))) or run(plan, slabs, x))
-        got = check_cyclic_batch(requests)
-        # one DP for each (N, n), over the slabs of all its requests
+        # the core raises the first error it meets, in a head, before any DP;
+        # on the requests that raise none it runs one DP for each (N, n),
+        # over the slabs of all its requests
+        with pytest.raises(UnsupportedDerivOrder):
+            identities._cyclic_batch(requests)
+        joint = identities._cyclic_batch([r for i, r in enumerate(requests)
+                                          if i not in errors])
         assert runs == [(2, 4, 1 + 4), (2, 3, 1), (2, 5, 5), (2, 2, 1), (3, 4, 1)]
+        # check_cyclic_batch gives each request its lone outcome
+        got = check_cyclic_batch(requests)
+        assert [out for i, out in enumerate(got) if i not in errors] == joint
         for i, ((spec, n, pts, outer, tol), out) in enumerate(zip(requests, got)):
             try:
                 if outer is None:
@@ -563,8 +581,25 @@ class TestJointDP:
         with pytest.raises(PoleProximity, match="forced"):
             check_nth_order(specs[1], 4, EL_PTS_4)
 
+    def test_a_malformed_request_fails_only_itself(self):
+        # a request of four or six fields is a UsageError naming its length,
+        # and one that is not a tuple or list names itself
+        good = (belavin_spec(), 3, EL_PTS_3, 1, None)
+        got = check_cyclic_batch([good, good[:4], good + (None,), None, "abcde", good])
+        assert got[0] == got[5] == check_nth_order(*good[:4])
+        for out, what in zip(got[1:5], ("4 fields", "6 fields", "None", "'abcde'")):
+            assert type(out) is UsageError
+            assert str(out) == ("a cyclic-sum request is (spec, n, points, outer, "
+                                f"tolerance), got {what}")
+
 
 ARRAY = np.array([0.3, 0.4])
+
+
+def isolated(entry):
+    """A batch entry run through errors._joint: each request gets its value
+    or the RmxError it meets alone."""
+    return lambda requests: errors._joint(entry, requests, lambda _: None)
 
 
 class TestComplexArguments:
@@ -609,11 +644,11 @@ class TestComplexArguments:
         for batch, good, bad, error in (
                 (check_cyclic_batch, (spec, 2, [0.3 + 0.2j, 0], 1, None),
                  (spec, 2, ["x", 0], 1, None), UsageError),
-                (identities._skew_symmetry_batch, (spec, 0.3 + 0.2j, None),
+                (isolated(identities._skew_symmetry_batch), (spec, 0.3 + 0.2j, None),
                  (spec, ARRAY, None), DimensionMismatch),
-                (identities._qybe_batch, (spec, EL_PTS_3, None),
+                (isolated(identities._qybe_batch), (spec, EL_PTS_3, None),
                  (spec, [ARRAY] + EL_PTS_3[1:], None), DimensionMismatch),
-                (identities._aybe_batch, (spec, EL_PTS_3, 0.05 + 0.02j, None),
+                (isolated(identities._aybe_batch), (spec, EL_PTS_3, 0.05 + 0.02j, None),
                  (spec, EL_PTS_3, [0.05], None), DimensionMismatch),
                 (check_cyclic_batch, (spec, 4, EL_PTS_4, 1, None),
                  (spec, 4, EL_PTS_3 + [ARRAY], 1, None), DimensionMismatch)):
@@ -633,6 +668,13 @@ class TestDefaultTolerance:
 
     def test_accepts_enum(self):
         assert default_tolerance(RMatrixKind.YANG) == 1e-13
+        assert default_tolerance(EL.kind, 3, 5) == 5e-9
+
+    @pytest.mark.parametrize("kind", ["foo", "Yang", None, 1e-9])
+    def test_an_unknown_kind_is_a_usage_error(self, kind):
+        with pytest.raises(UsageError, match=rf"^unknown kind {re.escape(repr(kind))}, "
+                                             "pick from yang, rational, "):
+            default_tolerance(kind, 2, 3)
 
 
 class TestReport:
@@ -1189,14 +1231,27 @@ def lone_outcome(check, request):
 
 
 def assert_batch_is_lone(batch, check, requests):
-    """batch(requests) gives each request its lone check's error, type and
-    text, or its report: the same name and verdict, and a residual within
-    10x of the lone one, both floored at eps."""
+    """The batch entry ``batch`` raises one of the errors that the lone
+    checks of requests raise.  On the requests whose checks raise none it
+    gives each its lone report, and through errors._joint each request gets
+    its lone outcome (:func:`assert_outcomes_are_lone`)."""
+    lones = [lone_outcome(check, request) for request in requests]
+    with pytest.raises(RmxError) as info:
+        batch(requests)
+    assert (type(info.value), str(info.value)) in {
+        (type(lone), str(lone)) for lone in lones if isinstance(lone, RmxError)}
+    good = [i for i, lone in enumerate(lones) if not isinstance(lone, RmxError)]
+    assert_outcomes_are_lone(batch([requests[i] for i in good]), [lones[i] for i in good])
+    assert_outcomes_are_lone(isolated(batch)(requests), lones)
+
+
+def assert_outcomes_are_lone(outs, lones):
+    """Each out is its lone outcome's error, type and text, or its report:
+    the same name and verdict, and a residual within 10x of the lone one,
+    both floored at eps."""
     eps = np.finfo(float).eps
-    outs = batch(requests)
-    assert len(outs) == len(requests)
-    for request, out in zip(requests, outs):
-        lone = lone_outcome(check, request)
+    assert len(outs) == len(lones)
+    for out, lone in zip(outs, lones):
         if isinstance(lone, RmxError):
             assert (type(out), str(out)) == (type(lone), str(lone))
             continue
@@ -1212,13 +1267,15 @@ MIXED_SPECS = [yang_spec(2), belavin_spec(2), yang_spec(3), belavin_spec(3),
 
 class TestBatchCores:
     """The batch core of each probed check on a mixed batch: families, N,
-    hbar, tolerances and arguments that raise, in one list."""
+    hbar, tolerances and arguments that raise, in one list.  The core raises,
+    runs the requests that raise nothing jointly, and through errors._joint
+    gives each request its lone outcome."""
 
     def test_unitarity_and_skew_symmetry(self):
         zs = [0.43 + 0.21j, 0.37 - 0.12j, 0.29 + 0.33j, 0.51 + 0.08j, 0.0, 0.61 + 0.2j]
         requests = [(spec, z, tol) for spec, z, tol
                     in zip(MIXED_SPECS, zs, [None, None, 1e-30, None, None, None])]
-        assert_batch_is_lone(check_cyclic_batch, lambda s, n, p, o, t: (
+        assert_batch_is_lone(identities._cyclic_batch, lambda s, n, p, o, t: (
             check_nth_order(s, n, p, o, tolerance=t)),
             [(spec, 2, [z, 0], 1, tol) for spec, z, tol in requests])
         assert_batch_is_lone(identities._skew_symmetry_batch, lambda s, z, t: (
@@ -1249,10 +1306,11 @@ class TestBatchCores:
         assert_batch_is_lone(
             lambda reqs: [report(o) for o in rmatrix._hbar_derivatives(reqs)],
             lambda *r: report(rmatrix.r_deriv_hbar(*r)), requests)
-        for request, out in zip(requests, rmatrix._hbar_derivatives(requests)):
-            if not isinstance(out, RmxError):
-                lone = rmatrix.r_deriv_hbar(*request).matrix
-                assert np.allclose(out.matrix, lone, rtol=1e-14, atol=0)
+        good = [request for request in requests
+                if not isinstance(lone_outcome(rmatrix.r_deriv_hbar, request), RmxError)]
+        for request, out in zip(good, rmatrix._hbar_derivatives(good)):
+            lone = rmatrix.r_deriv_hbar(*request).matrix
+            assert np.allclose(out.matrix, lone, rtol=1e-14, atol=0)
 
     def test_trace_powers_and_hbar_order(self):
         momenta = (0.21 - 0.11j, -0.34 + 0.07j, 0.55 + 0.19j, -0.12 + 0.31j)
@@ -1268,3 +1326,43 @@ class TestBatchCores:
             MIXED_SPECS, [YANG_PTS_4, EL_PTS_4] * 3, [3, 3, 4, 3, 2, 4])]
         assert_batch_is_lone(applications._hbar_order_batch, lambda s, n, p, t: (
             check_hbar_order_relation(s, n, p, tolerance=t)), requests)
+
+    def test_every_entry_raises_on_a_mixed_batch(self):
+        # a good and a bad request to each of the nine batch entries
+        spec, yang = belavin_spec(2), yang_spec(2)
+        config = CalogeroConfig(rspec=spec, momenta=(0.5, 0.7, 0.9), positions=EL_PTS_3)
+        coincident = dataclasses.replace(config, positions=EL_PTS_3[:2] + EL_PTS_3[:1])
+        cases = [
+            (identities._cyclic_batch, (spec, 4, EL_PTS_4, 1, None),
+             (spec, 4, EL_PTS_3, 1, None)),
+            (identities._qybe_batch, (yang, YANG_PTS_3, None),
+             (yang, YANG_PTS_3[:2], None)),
+            (identities._aybe_batch, (spec, EL_PTS_3, 0.05 + 0.02j, None),
+             (spec, EL_PTS_3, spec.hbar, None)),
+            (identities._skew_symmetry_batch, (yang, 0.3 + 0.2j, None), (yang, 0.0, None)),
+            (rmatrix._hbar_derivatives, (spec, 0.3, 0.1, None), (spec, 0.3, ARRAY, None)),
+            (cli._deriv_hbar_batch, (spec, 0.3, 0.1, None), (spec, 0.3, ARRAY, None)),
+            (applications._trace_power_batch, (config, 2, None), (config, 0, None)),
+            (applications._hbar_order_batch, (spec, 3, EL_PTS_3, None),
+             (spec, 2, EL_PTS_3[:2], None)),
+            (applications._lax_matrices, config, coincident),
+        ]
+        for entry, good, bad in cases:
+            with pytest.raises(RmxError) as lone:
+                errors._alone(entry, bad)
+            want = (type(lone.value), str(lone.value))
+            with pytest.raises(RmxError) as info:
+                entry([good, bad, good])
+            assert (type(info.value), str(info.value)) == want, entry.__name__
+            got = isolated(entry)([good, bad, good])
+            assert (type(got[1]), str(got[1])) == want
+            lone = errors._alone(entry, good)
+            assert same(got[0], lone) and same(got[2], lone), entry.__name__
+
+
+def same(a, b):
+    """a and b hold the same values, arrays compared entry by entry."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(x, y) for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b

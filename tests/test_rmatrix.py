@@ -16,6 +16,7 @@ from rmx import (
     ZeroArgument,
     classical_closed_form,
     classical_expansion,
+    errors,
     kronecker_phi,
     permutation_operator,
     r_deriv_hbar,
@@ -381,7 +382,9 @@ class TestComplexArguments:
         with pytest.raises(DimensionMismatch, match=r"^z_a must be a scalar, got shape \(2,\)"):
             r_deriv_hbar(belavin_spec(), np.array([0.3, 0.4]), 0.1)
         good, bad = (yang_spec(), 0.9, 0.1, None), (yang_spec(), 0.9, [0.1, 0.2], None)
-        got = rmatrix._hbar_derivatives([good, bad, good])
+        with pytest.raises(DimensionMismatch, match="^z_b must be a scalar"):
+            rmatrix._hbar_derivatives([good, bad, good])
+        got = errors._joint(rmatrix._hbar_derivatives, [good, bad, good], lambda _: None)
         assert type(got[1]) is DimensionMismatch
         assert got[0].structural_residual == got[2].structural_residual == (
             r_deriv_hbar(*good[:3]).structural_residual)
