@@ -39,9 +39,9 @@ anticommutator relation
 Every check here applies its operators to the probe block X of
 ``tensor_ops._probe_block`` and forms no N**n x N**n matrix: each is one
 plan of the contraction code of ``tensor_ops``, a job of its ``_probe_jobs``.
-The trace-power and hbar-order checks are their batch entries
-(:func:`_trace_power_batch`, :func:`_hbar_order_batch`) run on one request,
-as in ``identities``; an entry raises the first RmxError it meets.
+Each check is its batch entry (:func:`_trace_power_batch`,
+:func:`_kzb_batch`, :func:`_hbar_order_batch`) run on one request, as in
+``identities``; an entry raises the first RmxError it meets.
 """
 
 from __future__ import annotations
@@ -58,15 +58,16 @@ from .errors import (
 )
 from .identities import _pair_differences, _verdict
 from .rmatrix import (
-    _default_radius,
+    _checked,
     _contour,
+    _default_radius,
     _laurent_coefficients,
     _stacked,
     classical_closed_form,
     r_matrix,
 )
 from .special_functions import kronecker_phi
-from .tensor_ops import _plan, _plan_sides, _probe, _probe_block, _probe_jobs, _probe_scalar
+from .tensor_ops import _plan, _plan_sides, _probe_block, _probe_jobs, _probe_scalar
 
 __all__ = [
     "CalogeroConfig",
@@ -118,25 +119,15 @@ class CalogeroConfig:
 
 
 def lax_krichever(config):
-    """Scalar n x n Lax matrix with the same-site R-matrix value off-diagonal."""
-    return _alone(_lax_matrices, config)
-
-
-def _lax_matrices(configs):
-    """lax_krichever of each config, from one kronecker_phi call; the first
-    RmxError met is raised."""
-    pairs = [list(itertools.permutations(range(c.n_particles), 2)) for c in configs]
-    phis = _stacked(lambda spec, z, hbar: kronecker_phi(spec.site_dim * hbar, z,
-                                                        spec.lattice),
-                    [(c.rspec, np.array([c.positions[a] - c.positions[b] for a, b in ab]),
-                      None) for c, ab in zip(configs, pairs)])
-    out = []
-    for config, ab, phi in zip(configs, pairs, phis):
-        lax = np.diag(np.array(config.momenta, dtype=complex))
-        for (a, b), value in zip(ab, phi.tolist()):
-            lax[a, b] = config.coupling * config.rspec.site_dim * value
-        out.append(lax)
-    return out
+    """Scalar n x n Lax matrix with the same-site R-matrix value off-diagonal,
+    its N phi(N hbar, z_a - z_b) from one kronecker_phi call."""
+    spec, pairs = config.rspec, list(itertools.permutations(range(config.n_particles), 2))
+    phis = kronecker_phi(spec.site_dim * spec.hbar, np.array(
+        [config.positions[a] - config.positions[b] for a, b in pairs]), spec.lattice)
+    lax = np.diag(np.array(config.momenta, dtype=complex))
+    for (a, b), value in zip(pairs, phis.tolist()):
+        lax[a, b] = config.coupling * spec.site_dim * value
+    return lax
 
 
 @lru_cache(maxsize=32)
@@ -180,15 +171,15 @@ def check_trace_power_guess(config, power, tolerance=None):
 def _trace_power_batch(requests):
     """check_trace_power_guess on each request (config, power, tolerance):
     its report; the first RmxError met is raised.  The factors of all
-    requests come from one r_matrix call and their scalar Lax matrices from
-    one kronecker_phi call.  A request's job has the blocks L_bc as its table
+    requests come from one r_matrix call, and the scalar Lax matrices from
+    lax_krichever.  A request's job has the blocks L_bc as its table
     and one slab per particle a; each (L^k)_aa X is read by _probe_scalar."""
     configs = [config for config, _, _ in requests]
     powers = [_as_count("power", power, 1) for _, power, _ in requests]
     screened = [_pair_differences(c.rspec, c.n_particles, c.positions) for c in configs]
     factors = _stacked(r_matrix, [(c.rspec, diffs, None)
                                   for c, (_, diffs) in zip(configs, screened)])
-    scalars = _lax_matrices(configs)
+    scalars = [lax_krichever(config) for config in configs]
 
     def job(config, power, pairs, ops):
         # the blocks L_bc, keyed (b, c), and one slab per particle a
@@ -201,8 +192,8 @@ def _trace_power_batch(requests):
     def report(config, power, tolerance, outputs, scalar):
         spec, n = config.rspec, config.n_particles
         x = _probe_block(spec.site_dim ** n)
-        coeffs, nonscalars = zip(*(_probe_scalar(x, y) for y in outputs[0]))
-        coeffs, nonscalar = list(coeffs), max(nonscalars)
+        coeffs, nonscalars = _probe_scalar(x, outputs[0])
+        coeffs, nonscalar = coeffs.tolist(), float(nonscalars.max())
         scalar = np.linalg.matrix_power(scalar, power)
         diag = np.array([scalar[a, a] for a in range(n)])
         scale = max(1.0, float(np.max(np.abs(diag))))
@@ -249,36 +240,50 @@ def check_kzb_flatness(
     nodes, so the residual decreases as the node count grows;
     ``use_closed_form=True`` bypasses quadrature entirely.
     """
-    if len(points) != 3:
-        raise DimensionMismatch(f"flatness takes three points, got {len(points)}")
-    if not use_closed_form:
-        quadrature_points = _as_index("quadrature_points", quadrature_points)
-        if quadrature_points < 2:
-            raise QuadratureNotConverged("need at least 2 quadrature points")
-    z = [_as_complex("a point", p) for p in points]
+    return _alone(_kzb_batch, (_checked(spec), points, quadrature_points, contour_radius,
+                               tolerance, use_closed_form))
+
+
+def _kzb_batch(requests):
+    """check_kzb_flatness on each request (spec, points, quadrature_points,
+    contour_radius, tolerance, use_closed_form); the first RmxError met is
+    raised.  R at the nodes of all is one r_matrix call, their jobs one run."""
     pairs = ((1, 2), (1, 3), (2, 3))
-    zs = np.array([z[i - 1] - z[j - 1] for i, j in pairs])
-    if use_closed_form:
-        rm = dict(zip(pairs, zip(*classical_closed_form(spec, zs))))
-    else:
+
+    def screen(spec, points, quadrature_points, contour_radius, _, use_closed_form):
+        # (spec, z at each pair, None), or z as a column and the nodes as a row
+        if len(points) != 3:
+            raise DimensionMismatch(f"flatness takes three points, got {len(points)}")
+        if not use_closed_form:
+            quadrature_points = _as_index("quadrature_points", quadrature_points)
+            if quadrature_points < 2:
+                raise QuadratureNotConverged("need at least 2 quadrature points")
+        z = [_as_complex("a point", p) for p in points]
+        zs = np.array([z[i - 1] - z[j - 1] for i, j in pairs])
+        if use_closed_form:
+            return spec, zs, None
         if contour_radius is None:
             contour_radius = _default_radius(spec, zs)
-        # R at every pair and contour node from one r_matrix call
-        nodes, vals = _contour(spec, zs[:, None], contour_radius, quadrature_points)
-        coeffs = [_laurent_coefficients(nodes, v) for v in vals]
-        rm = {p: (c[0], c[1]) for p, c in zip(pairs, coeffs)}
+        return spec, zs[:, None], _contour(spec, contour_radius, quadrature_points)[None]
 
-    table = {}
-    for (a, b), (r, m) in rm.items():
-        table["r", a, b], table["m", a, b], table["-m", a, b] = r, m, -m
-    (lhs,) = _probe(_KZB, table)
-    r_norm = max(np.linalg.norm(rm[p][0]) for p in rm)
-    m_norm = max(np.linalg.norm(rm[p][1]) for p in rm)
-    scale = max(1.0, r_norm * m_norm)
-    residual = float(np.linalg.norm(lhs)) / scale
-    return _verdict("kzb-flatness", residual, tolerance, spec.kind, spec.site_dim, 3,
-                    r_norm=float(r_norm), m_norm=float(m_norm),
-                    quadrature_points=None if use_closed_form else quadrature_points)
+    parts = [screen(*request) for request in requests]
+    quad = iter(_stacked(r_matrix, [part for part in parts if part[2] is not None]))
+    rms = [dict(zip(pairs, zip(*classical_closed_form(spec, z)) if nodes is None else [
+        (c[0], c[1]) for c in (_laurent_coefficients(nodes[0], v) for v in next(quad))]))
+        for spec, z, nodes in parts]
+    outputs = _probe_jobs([(_KZB, [({(tag, *p): v for p, (r, m) in rm.items()
+                                     for tag, v in (("r", r), ("m", m), ("-m", -m))}, 0)])
+                           for rm in rms])
+    reports = []
+    for (spec, _, k, _, tolerance, closed_form), rm, out in zip(requests, rms, outputs):
+        r_norm = max(np.linalg.norm(r) for r, _ in rm.values())
+        m_norm = max(np.linalg.norm(m) for _, m in rm.values())
+        residual = float(np.linalg.norm(out[0, 0])) / max(1.0, r_norm * m_norm)
+        reports.append(_verdict(
+            "kzb-flatness", residual, tolerance, spec.kind, spec.site_dim, 3,
+            r_norm=float(r_norm), m_norm=float(m_norm),
+            quadrature_points=None if closed_form else _as_index("quadrature_points", k)))
+    return reports
 
 
 @lru_cache(maxsize=32)
@@ -307,7 +312,7 @@ def check_hbar_order_relation(spec, n, points, tolerance=None):
     ||X|| = sqrt(D).  The arguments pass the screen of the n-site checks
     before any coefficient is built.
     """
-    return _alone(_hbar_order_batch, (spec, n, points, tolerance))
+    return _alone(_hbar_order_batch, (_checked(spec), n, points, tolerance))
 
 
 def _hbar_order_batch(requests):

@@ -5,6 +5,9 @@ across the requested suites and kinds, prints one line per case and can
 write a machine-readable JSON report.  Exit code 0 means every executed
 case passed, 1 that at least one failed, 2 that the request itself was
 unusable (bad flags, config file problems, budget or size cap exceeded).
+Each (suite, kind) part draws its cases together and runs every case type
+as one call of its batch entry; ``errors._joint`` keeps an error to its
+own case.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 from .applications import (
     CalogeroConfig,
     _hbar_order_batch,
+    _kzb_batch,
     _trace_power_batch,
-    check_kzb_flatness,
 )
 from .errors import BudgetExceeded, RmxError, UsageError, _as_count, _joint
 from .identities import (
@@ -36,15 +39,15 @@ from .identities import (
     check_cyclic_batch,
     cyclic_sum_cost,
 )
-from .rmatrix import RMatrixSpec, _hbar_derivatives, classical_expansion
+from .rmatrix import RMatrixSpec, _at_hbars, _classical_expansions, _hbar_derivatives
 from .special_functions import (
     FunctionKind,
     MAX_WP_DERIV_ORDER,
     LatticeParams,
     _MAX_IM_TAU,
+    _fay_checks,
+    _scalar_cyclic_sums,
     _wp,
-    fay_check,
-    scalar_cyclic_sum,
     weierstrass_p,
 )
 from .tensor_ops import _check_cap
@@ -216,60 +219,60 @@ def _at_points(d):
     return {"points": [_c2d(p) for p in d.pts], "hbar": _c2d(d.hbar)}
 
 
-def _scalar_cyclic(d):
-    eta, lat, n = d.hbar, d.lat, d.n
-    total = scalar_cyclic_sum(n, 1, eta, d.pts, lat)
-    if n == 2:
-        expected = weierstrass_p(eta, lat) - weierstrass_p(d.pts[0] - d.pts[1], lat)
-    else:
-        expected = (-1.0) ** n * weierstrass_p(eta, lat, deriv_order=n - 2)
-    residual = abs(total - expected) / max(abs(expected), 1.0)
-    report = _verdict("scalar-cyclic", residual, d.tol, lat.kind, 1, n,
-                      total=total, expected=expected)
-    return report, {"eta": _c2d(eta), "points": [_c2d(p) for p in d.pts]}
+def _scalar_cyclic_batch(requests):
+    """The scalar-cyclic reports of requests (eta, lattice, points,
+    tolerance), their sums from one ``_scalar_cyclic_sums`` call."""
+    sums = _scalar_cyclic_sums([(len(pts), 1, eta, pts, lat)
+                                for eta, lat, pts, _ in requests])
+    reports = []
+    for (eta, lat, pts, tol), total in zip(requests, sums):
+        n = len(pts)
+        expected = (weierstrass_p(eta, lat) - weierstrass_p(pts[0] - pts[1], lat) if n == 2
+                    else (-1.0) ** n * weierstrass_p(eta, lat, deriv_order=n - 2))
+        residual = abs(total - expected) / max(abs(expected), 1.0)
+        reports.append(_verdict("scalar-cyclic", residual, tol, lat.kind, 1, n,
+                                total=total, expected=expected))
+    return reports
 
 
-def _eta(d, N):
-    """One more value drawn from the case's stream as its hbar was."""
-    (eta,) = _sample_hbar([d.rng], d.lat, N, [0])
-    if isinstance(eta, RmxError):
-        raise eta
-    return eta
+def _fay_batch(requests):
+    """The fay reports of requests (hbar, eta, z, w, lattice, tolerance)."""
+    residuals = _fay_checks([request[:5] for request in requests])
+    return [_verdict("fay", residual, request[5], request[4].kind, 1, 3)
+            for request, residual in zip(requests, residuals)]
 
 
 def _fay(d, degenerate):
-    eta = d.hbar
-    if not degenerate:
-        eta = _eta(d, 1)
-        while abs(eta - d.hbar) < 1e-3:
-            eta = _eta(d, 1)
-    z, w = d.pts
-    residual = fay_check(d.hbar, eta, z, w, d.lat)
-    report = _verdict("fay", residual, d.tol, d.lat.kind, 1, 3)
-    return report, {"hbar": _c2d(d.hbar), "eta": _c2d(eta), "z": _c2d(z),
-                    "w": _c2d(w), "degenerate": degenerate}
+    def make(eta):
+        z, w = d.pts
+        return (_fay_batch, (d.hbar, eta, z, w, d.lat, d.tol)), {
+            "hbar": _c2d(d.hbar), "eta": _c2d(eta), "z": _c2d(z), "w": _c2d(w),
+            "degenerate": degenerate}
+    # the generic case draws eta again while it lies within 1e-3 of hbar
+    return make(d.hbar) if degenerate else (
+        None, lambda eta: None if abs(eta - d.hbar) < 1e-3 else make(eta))
 
 
 def _aybe(d):
-    spec = d.spec
-    eta = _eta(d, spec.site_dim)
-    for _ in range(100):
+    def make(eta):  # eta is drawn again while the spec refuses hbar - eta
         try:
-            spec.validate_hbar(spec.hbar - eta)
-            break
+            d.spec.validate_hbar(d.spec.hbar - eta)
         except RmxError:
-            eta = _eta(d, spec.site_dim)
-    return (_aybe_batch, (spec, d.pts, eta, d.tol)), dict(_at_points(d), eta=_c2d(eta))
+            return None
+        params = dict(_at_points(d), eta=_c2d(eta))
+        return (_aybe_batch, (d.spec, d.pts, eta, d.tol)), params
+    return None, make
 
 
-def _classical(d):
-    pair = classical_expansion(d.spec, d.pts[0])
-    residual = max(pair.hbar_inverse_residual, pair.analytic_residual)
-    report = _verdict("classical", residual, d.tol, d.spec.kind, d.spec.site_dim, 2,
-                      hbar_inverse_residual=pair.hbar_inverse_residual,
-                      extraction_residual=pair.extraction_residual,
-                      analytic_residual=pair.analytic_residual)
-    return report, _at_z(d, d.pts[0])
+def _classical_batch(requests):
+    """The classical reports of requests (spec, z, tolerance)."""
+    pairs = _classical_expansions([(spec, z, 32, None) for spec, z, _ in requests])
+    return [_verdict("classical", max(p.hbar_inverse_residual, p.analytic_residual), tol,
+                     spec.kind, spec.site_dim, 2,
+                     hbar_inverse_residual=p.hbar_inverse_residual,
+                     extraction_residual=p.extraction_residual,
+                     analytic_residual=p.analytic_residual)
+            for (spec, _, tol), p in zip(requests, pairs)]
 
 
 def _deriv_hbar_batch(requests):
@@ -307,23 +310,22 @@ class _Case(NamedTuple):
     screen: int | None  # wp derivative order the hbar draw screens
     n: int | None       # the member of the identity hierarchy tested
     tol: str            # the key of --tol.<name>
-    run: Callable       # _Draw -> (IdentityReport or (entry, request), params)
+    run: Callable       # _Draw -> ((entry, request), params), or (None, make)
     samples: int | None = None  # cap on the samples drawn
 
 
-# A run function returns a report, or a request to a batch entry as the pair
-# (entry, request); a part runs each entry once, on all of its requests,
-# after its other cases.  The entries are check_cyclic_batch, whose requests
-# are (spec, n, points, outer, tolerance), for same-site, unitarity and the
-# order-n and outer-n cases, and the private cores of the other probed checks
-# (_skew_symmetry_batch, _qybe_batch, _aybe_batch, _deriv_hbar_batch,
-# _trace_power_batch and _hbar_order_batch), which raise the first RmxError
-# they meet.
-# The run functions name the entries and the checks by their module-global
-# names, so that code rebinding ``cli.<name>`` (a tracer, a test double)
-# sees every call.
+# A run function returns a request to a batch entry as the pair (entry,
+# request), and the case's params, or (None, make) to have _second_draws
+# draw it an eta.  A part runs each entry once, on all of its requests: the
+# entries are check_cyclic_batch, for same-site, unitarity, order-n and
+# outer-n, and the *_batch cores of the other checks, which raise the first
+# RmxError they meet.  The run functions name the entries and the checks by
+# their module-global names, so that code rebinding ``cli.<name>`` (a tracer,
+# a test double) sees every call.
 _CASES = {
-    "cyclic-n{n}": _Case("scalar", None, None, 2, "scalar-cyclic", _scalar_cyclic),
+    "cyclic-n{n}": _Case("scalar", None, None, 2, "scalar-cyclic", lambda d: (
+        (_scalar_cyclic_batch, (d.hbar, d.lat, d.pts, d.tol)),
+        {"eta": _c2d(d.hbar), "points": [_c2d(p) for p in d.pts]})),
     "fay": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, False)),
     "fay-degenerate": _Case("scalar", 2, 0, None, "fay", lambda d: _fay(d, True)),
     "unitarity": _Case("rmatrix-basic", 2, 0, 2, "unitarity", lambda d: (
@@ -336,7 +338,8 @@ _CASES = {
     "aybe": _Case("rmatrix-basic", 3, 0, None, "aybe", _aybe),
     "same-site": _Case("rmatrix-basic", 1, 0, 1, "same-site", lambda d: (
         (check_cyclic_batch, (d.spec, 1, d.pts, 1, d.tol)), _at_z(d, d.pts[0]))),
-    "classical": _Case("rmatrix-basic", 1, 0, None, "classical", _classical),
+    "classical": _Case("rmatrix-basic", 1, 0, None, "classical", lambda d: (
+        (_classical_batch, (d.spec, d.pts[0], d.tol)), _at_z(d, d.pts[0]))),
     "deriv-hbar": _Case("rmatrix-basic", 2, 0, None, "deriv-hbar", _deriv_hbar),
     "order-{n}": _Case("nth-order", None, None, 3, "nth-order", lambda d: (
         (check_cyclic_batch, (d.spec, d.n, d.pts, 1, d.tol)), _at_points(d))),
@@ -349,7 +352,7 @@ _CASES = {
     "trace-power-k3": _Case("applications", 3, 2, None, "trace-power",
                             lambda d: _trace_power(d, 3), APPLICATION_SAMPLE_CAP),
     "kzb-flatness": _Case("applications", 3, 2, None, "kzb-flatness", lambda d: (
-        check_kzb_flatness(d.spec, d.pts, tolerance=d.tol), _at_points(d)),
+        (_kzb_batch, (d.spec, d.pts, 32, None, d.tol, False)), _at_points(d)),
         APPLICATION_SAMPLE_CAP),
     "hbar-order": _Case("applications", 3, 2, None, "hbar-order", lambda d: (
         (_hbar_order_batch, (d.spec, len(d.pts), d.pts, d.tol)), _at_points(d)),
@@ -404,40 +407,55 @@ def _sweep(opts):
                                      [cases[i][1].screen for i in todo])
                 for i, h in zip(todo, drawn):
                     hbars[i] = h
+            specs = [None] * len(cases)
+            live = [i for i, h in enumerate(hbars) if isinstance(h, complex)]
+            if family is not None and live:
+                # one spec, copied to the part's other hbars: one validate_hbar
+                # call checks them all, not one RMatrixSpec check each
+                try:
+                    for i, spec in zip(live, _at_hbars(RMatrixSpec(
+                            kind=family, site_dim=N, lattice=lat, hbar=hbars[live[0]]),
+                            [hbars[i] for i in live])):
+                        specs[i] = spec
+                except RmxError as exc:
+                    specs = [exc] * len(cases)
             tols = opts["tol_overrides"]
-            heads = [(cid, suite, kind, family, case.n, N) for cid, case in cases]
-            outcomes = [_run_case(head, case.run,
-                                  _Draw(rng, lat, None, p, h, case.n, tols.get(case.tol)))
-                        for head, (_, case), rng, p, h
-                        in zip(heads, cases, rngs, pts, hbars)]
+            outcomes = [_run_case(case.run, _Draw(rng, lat, spec, p, h, case.n,
+                                                  tols.get(case.tol)))
+                        for (_, case), rng, spec, p, h
+                        in zip(cases, rngs, specs, pts, hbars)]
+            _second_draws(outcomes, rngs, lat, N)
             # each batch entry runs once, on all of the part's requests to it,
-            # or on each alone if it raises; the reports and errors stand as
-            # they are
-            outs = _joint(lambda group: group[0][0]([request for _, request in group])
-                          if isinstance(group[0], tuple) else group,
-                          [out for out, _ in outcomes],
-                          lambda out: out[0] if isinstance(out, tuple) else None)
-            records += [_case_record(head, out, params)
-                        for head, out, (_, params) in zip(heads, outs, outcomes)]
+            # or on each alone if it raises
+            outs = _joint(lambda group: group[0][0]([request for _, request in group]),
+                          [out for out, _ in outcomes], lambda out: out[0])
+            records += [_case_record((cid, suite, kind, family, case.n, N), out, params)
+                        for (cid, case), out, (_, params) in zip(cases, outs, outcomes)]
     return records
 
 
-def _run_case(head, run, draw):
-    """(outcome, params) of one case, given its record head (case_id, suite,
-    kind, family, n, N), its run function and its draw, whose points or hbar
-    may be the RmxError their sampler met.  The outcome is what the run
-    function returns, a report or a batch entry and its request, or the
-    RmxError the case met."""
-    _, _, _, family, _, N = head
+def _run_case(run, draw):
+    """run(draw), or for an RmxError of the draw or of run the outcome
+    (list, error), which the entry ``list`` returns as it is."""
     try:
-        for value in (draw.pts, draw.hbar):
+        for value in (draw.pts, draw.hbar, draw.spec):
             if isinstance(value, RmxError):
                 raise value
-        spec = None if family is None else RMatrixSpec(
-            kind=family, site_dim=N, lattice=draw.lat, hbar=draw.hbar)
-        return run(draw._replace(spec=spec))
+        return run(draw)
     except RmxError as exc:
-        return exc, None
+        return (list, exc), None
+
+
+def _second_draws(outcomes, rngs, lat, N):
+    """Replace each outcome (None, make) by make(eta), eta drawn as the hbar
+    was, in rounds of one _sample_hbar call; make returns None to redraw."""
+    pending = [i for i, (out, _) in enumerate(outcomes) if out is None]
+    while pending:
+        etas = _sample_hbar([rngs[i] for i in pending], lat, N, [0] * len(pending))
+        for i, eta in zip(pending, etas):
+            outcomes[i] = (((list, eta), None) if isinstance(eta, RmxError)
+                           else outcomes[i][1](eta) or outcomes[i])
+        pending = [i for i in pending if outcomes[i][0] is None]
 
 
 def _case_record(head, outcome, params):

@@ -25,11 +25,12 @@ over the sites, a plan of ``tensor_ops`` (:func:`_dp_plan`, cached per n)
 with one slab (factors, a) per sum from outer site a.
 :func:`check_cyclic_batch` runs many checks, such as every same-site,
 unitarity, order-n and outer-n case of a ``rmx verify`` part, with one
-r_matrix call for the factors of all and one ``_probe_jobs`` call, one DP
+r_matrix call for the factors of all, one weierstrass_p call per lattice
+and order for their right-hand sides and one ``_probe_jobs`` call, one DP
 per N and n.  Its core :func:`_cyclic_batch` raises the first RmxError it
 meets, and ``errors._joint`` reruns a batch that raised one request at a
-time.  Unitarity, the order-n checks and outer-index independence are
-that core run on one request.
+time.  Unitarity, the order-n checks and outer-index independence are that
+core run on one request.
 
 QYBE, AYBE and skew symmetry are plans of the same code, with private batch
 entries of the same kind (:func:`_qybe_batch`, :func:`_aybe_batch`,
@@ -55,16 +56,18 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     PoleProximity,
+    UnsupportedDerivOrder,
     UsageError,
     ZeroArgument,
     _alone,
     _as_complex,
     _as_count,
     _as_index,
+    _grouped,
     _joint,
 )
-from .special_functions import scalar_cyclic_sum, weierstrass_p
-from .rmatrix import _stacked, r_matrix, r_same_site, same_site_closed_form
+from .special_functions import MAX_WP_DERIV_ORDER, _scalar_cyclic_sums, weierstrass_p
+from .rmatrix import _checked, _stacked, r_matrix, r_same_site, same_site_closed_form
 from .tensor_ops import (
     _PROBES, _check_cap, _plan, _plan_sides, _probe_block, _probe_jobs, _probe_scalar,
     frobenius_distance,
@@ -190,7 +193,8 @@ def check_unitarity(spec, z, *, tolerance=None):
     This is the order-2 cyclic sum, :func:`check_cyclic_batch` run on one
     request at the points (z, 0).
     """
-    report = _alone(_cyclic_batch, (spec, 2, [_as_complex("z", z), 0], 1, tolerance))
+    report = _alone(_cyclic_batch, (_checked(spec), 2, [_as_complex("z", z), 0], 1,
+                                    tolerance))
     report.name = "unitarity"
     return report
 
@@ -209,7 +213,7 @@ def check_nth_order(spec, n, points, outer=1, *, tolerance=None):
     """
     # an outer of None would request the outer-independence check
     n, outer = _as_index("n", n), _as_index("outer", outer)
-    return _alone(_cyclic_batch, (spec, n, points, outer, tolerance))
+    return _alone(_cyclic_batch, (_checked(spec), n, points, outer, tolerance))
 
 
 def check_outer_index_independence(spec, n, points, *, tolerance=None):
@@ -219,7 +223,7 @@ def check_outer_index_independence(spec, n, points, *, tolerance=None):
     lockstep by one subset DP; the coefficients are <X, S_a X> / <X, X>.
     This is :func:`check_cyclic_batch` run on one request.
     """
-    return _alone(_cyclic_batch, (spec, n, points, None, tolerance))
+    return _alone(_cyclic_batch, (_checked(spec), n, points, None, tolerance))
 
 
 def check_cyclic_batch(requests):
@@ -231,98 +235,106 @@ def check_cyclic_batch(requests):
     :func:`check_outer_index_independence`.  Returns, for each request in
     order, its :class:`IdentityReport`, or the :class:`RmxError` that its
     check raises alone, which fails that request only; a request that is
-    not such a 5-tuple is a :class:`UsageError`.  This is
-    :func:`_cyclic_batch` run through ``errors._joint``: if the batch
-    raises, each request runs alone.
+    not such a 5-tuple, or whose spec is not an RMatrixSpec, is a
+    :class:`UsageError`.  This is :func:`_cyclic_batch` run through
+    ``errors._joint``: if the batch raises, each request runs alone.
     """
-    return _joint(_cyclic_batch, requests, lambda _: None)
+    def screened(request):
+        sequence = isinstance(request, (tuple, list))
+        if not sequence or len(request) != 5:
+            raise UsageError(
+                "a cyclic-sum request is (spec, n, points, outer, tolerance), got "
+                + (f"{len(request)} fields" if sequence else repr(request)))
+        _checked(request[0])
+        return request
+
+    return _joint(lambda group: _cyclic_batch(list(map(screened, group))), requests,
+                  lambda _: None)
 
 
 def _cyclic_batch(requests):
     """The report of each request of :func:`check_cyclic_batch`; the first
-    RmxError met is raised.
-
-    Each request's head (:func:`_cyclic_head`) checks its arguments and
-    computes wp^(n-2)(N hbar) before any R-matrix is built; n = 1 ends
-    there.  One r_matrix call builds the factors of all requests, one
-    ``_probe_jobs`` call runs the jobs of all, one DP per N and n, and each
-    report, with the rest of the right-hand side and the scalar
-    cross-check, is read off its sums.  A slab's sum does not depend on the
-    slabs run beside it, so every report equals that of the check run
-    alone.
-    """
-    heads = [_cyclic_head(request) for request in requests]
-    rows = [head for head in heads if isinstance(head, tuple)]
-    ops = _stacked(r_matrix, [(spec, diffs, None) for spec, diffs, _, _ in rows])
-    sums = _probe_jobs([job(op) for (_, _, job, _), op in zip(rows, ops)])
-    reports = iter([finish(s[0]) for (_, _, _, finish), s in zip(rows, sums)])
+    RmxError met is raised.  After the heads (:func:`_cyclic_head`), and
+    before any R-matrix, one weierstrass_p call per lattice and order gives
+    every wp^(n-2)(N hbar), and wp(z_1 - z_2) at n = 2; then one r_matrix
+    call builds all factors, one ``_probe_jobs`` call runs one DP per N and
+    n, and one ``special_functions._scalar_cyclic_sums`` call gives every
+    scalar cross-check.  A slab's sum does not depend on the slabs run
+    beside it."""
+    heads = [_cyclic_head(*request) for request in requests]
+    rows = [(request, *head) for request, head in zip(requests, heads)
+            if isinstance(head, tuple)]
+    # a lone value goes in as a scalar, which numpy rounds as the lone check did
+    wps = iter(_grouped(
+        lambda group: np.ravel(weierstrass_p(
+            group[0][1] if len(group) == 1 else np.array([z for _, z, _ in group]),
+            group[0][0], deriv_order=group[0][2])).tolist(),
+        [(request[0].lattice, z, order) for request, *_, rhs in rows for z, order in rhs],
+        lambda arg: (arg[0], arg[2])))
+    rhs = [[next(wps) for _ in row[4]] for row in rows]
+    ops = _stacked(r_matrix, [(request[0], diffs, None) for request, _, diffs, *_ in rows])
+    sums = _probe_jobs([(_dp_plan(len(request[2])),
+                         [(dict(zip(pairs, op)), a) for a in outers])
+                        for (request, pairs, _, outers, _), op in zip(rows, ops)])
+    scalar = iter(_scalar_cyclic_sums([
+        (n, outer, spec.site_dim * spec.hbar, points, spec.lattice)
+        for (spec, n, points, outer, _), *_ in rows if outer is not None]))
+    reports = iter([_cyclic_report(*request, s[0], wp, next(scalar) if wp else None)
+                    for (request, *_), s, wp in zip(rows, sums, rhs)])
     return [next(reports) if isinstance(head, tuple) else head for head in heads]
 
 
-def _cyclic_head(request):
+def _cyclic_head(spec, n, points, outer, tolerance):
     """A request of check_cyclic_batch up to its factors: the report at
-    n = 1, else (spec, the differences z_i - z_j of _pair_differences, the
-    function of their R-matrices that gives the job of the sums, the
-    function of the probed sums that gives the report)."""
-    sequence = isinstance(request, (tuple, list))
-    if not sequence or len(request) != 5:
-        raise UsageError("a cyclic-sum request is (spec, n, points, outer, tolerance), got "
-                         + (f"{len(request)} fields" if sequence else repr(request)))
-    spec, n, points, outer, tolerance = request
+    n = 1, else the pairs and differences of _pair_differences, the 0-based
+    outer sites and the (argument, order) of each wp of the right-hand side."""
     N, n = spec.site_dim, _as_index("n", n)
     if outer is None:
         if n < 3:
             raise DimensionMismatch("outer index independence needs n >= 3")
-        pairs, diffs = _pair_differences(spec, n, points)
-        outers = range(n)
+        return (*_pair_differences(spec, n, points), range(n), [])
+    outer = _as_index("outer", outer)
+    if n == 1:
+        if outer != 1:
+            raise IndexOutOfRange(f"outer index {outer} not in 1..1")
+        if len(points) != 1:
+            raise DimensionMismatch(f"n = 1 takes one point, got {len(points)}")
+        z = _as_complex("a point", points[0])
+        mat = r_same_site(spec, z)
+        closed = same_site_closed_form(spec, z)
+        residual = frobenius_distance(mat, closed * np.eye(N))
+        return _verdict("same-site", residual, tolerance, spec.kind, N, 2,
+                        closed_form=closed)
+    if n - 2 > MAX_WP_DERIV_ORDER:  # before the points, as the lone wp call was
+        raise UnsupportedDerivOrder(
+            f"wp derivative order must be in [0, {MAX_WP_DERIV_ORDER}], got {n - 2}")
+    pairs, diffs = _pair_differences(spec, n, points, outer)
+    # unitarity subtracts wp(z_1 - z_2), the same for either outer site
+    return pairs, diffs, [outer - 1], [(N * spec.hbar, n - 2)] + (
+        [(diffs[0], 0)] if n == 2 else [])
 
-        def finish(sums):
-            x = _probe_block(N ** n)
-            residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
-            coeffs = [_probe_scalar(x, s)[0] for s in sums]
-            return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind,
-                            N, n, coefficients=coeffs,
-                            algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
-    else:
-        outer = _as_index("outer", outer)
-        if n == 1:
-            if outer != 1:
-                raise IndexOutOfRange(f"outer index {outer} not in 1..1")
-            if len(points) != 1:
-                raise DimensionMismatch(f"n = 1 takes one point, got {len(points)}")
-            z = _as_complex("a point", points[0])
-            mat = r_same_site(spec, z)
-            closed = same_site_closed_form(spec, z)
-            residual = frobenius_distance(mat, closed * np.eye(N))
-            return _verdict("same-site", residual, tolerance, spec.kind, N, 2,
-                            closed_form=closed)
 
-        # the right-hand side first: a wp order above MAX_WP_DERIV_ORDER
-        # raises before any R-matrix is built
-        eta = N * spec.hbar
-        wp = weierstrass_p(eta, spec.lattice, deriv_order=n - 2)
-        pairs, diffs = _pair_differences(spec, n, points, outer)
-        outers = [outer - 1]
-
-        def finish(sums):
-            # unitarity subtracts wp(z_1 - z_2), the same for either outer site
-            expected = (-N) ** n * (wp - weierstrass_p(diffs[0], spec.lattice) if n == 2
-                                    else wp)
-            scalar_sum = scalar_cyclic_sum(n, outer, eta, points, spec.lattice)
-            (y,) = sums
-            x = _probe_block(N ** n)
-            coeff, nonscalar = _probe_scalar(x, y)
-            coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
-            residual = max(nonscalar, coeff_resid)
-            cross = abs(coeff - N ** n * scalar_sum) / max(abs(coeff), 1.0)
-            return _verdict("order-2 (unitarity)" if n == 2 else f"order-{n}", residual,
-                            tolerance, spec.kind, N, n, coefficient=coeff,
-                            expected=expected, nonscalar_residual=nonscalar,
-                            scalar_cross_residual=cross, orderings=math.factorial(n - 1),
-                            algorithm="subset-dp-probe", probes=x.shape[1])
-
-    return spec, diffs, lambda ops: (
-        _dp_plan(n), [(dict(zip(pairs, ops)), a) for a in outers]), finish
+def _cyclic_report(spec, n, points, outer, tolerance, sums, wp, scalar_sum):
+    """The report of a request of check_cyclic_batch from its probed sums,
+    the wp values of its right-hand side and its scalar cyclic sum."""
+    N, n = spec.site_dim, len(points)
+    x = _probe_block(N ** n)
+    coeffs, nonscalars = _probe_scalar(x, sums)
+    if outer is None:
+        residual = max(frobenius_distance(sums[0], s) for s in sums[1:])
+        return _verdict(f"outer-independence-{n}", residual, tolerance, spec.kind, N, n,
+                        coefficients=coeffs.tolist(),
+                        algorithm="lockstep-subset-dp-probe", probes=x.shape[1])
+    expected = (-N) ** n * (wp[0] - wp[1] if n == 2 else wp[0])
+    coeff, nonscalar = complex(coeffs[0]), float(nonscalars[0])
+    coeff_resid = abs(coeff - expected) / max(abs(expected), 1.0)
+    residual = max(nonscalar, coeff_resid)
+    cross = abs(coeff - N ** n * scalar_sum) / max(abs(coeff), 1.0)
+    return _verdict("order-2 (unitarity)" if n == 2 else f"order-{n}", residual,
+                    tolerance, spec.kind, N, n, coefficient=coeff,
+                    expected=expected, nonscalar_residual=nonscalar,
+                    scalar_cross_residual=cross, orderings=math.factorial(n - 1),
+                    algorithm="subset-dp-probe", probes=x.shape[1])
 
 
 # R_12 R_13 R_23 X and R_23 R_13 R_12 X
@@ -338,7 +350,7 @@ def check_qybe(spec, points, *, tolerance=None):
     checked as the relative distance of the two sides applied to the probe
     block X, one plan of ``tensor_ops``.
     """
-    return _alone(_qybe_batch, (spec, points, tolerance))
+    return _alone(_qybe_batch, (_checked(spec), points, tolerance))
 
 
 def _qybe_batch(requests):
@@ -382,7 +394,7 @@ def check_aybe(spec, points, second_hbar, *, tolerance=None):
         If hbar - eta (or eta itself) sits on or near the pole set, where
         the right-hand side degenerates.
     """
-    return _alone(_aybe_batch, (spec, points, second_hbar, tolerance))
+    return _alone(_aybe_batch, (_checked(spec), points, second_hbar, tolerance))
 
 
 def _aybe_batch(requests):
@@ -419,7 +431,7 @@ _SKEW = _plan_sides(2, [[[("r", 1, 2)]], [[("-r", 2, 1)]]])
 def check_skew_symmetry(spec, z, *, tolerance=None):
     """Skew symmetry: R(z, hbar) = -P R(-z, -hbar) P, both sides applied to
     the probe block X as in :func:`check_qybe`."""
-    return _alone(_skew_symmetry_batch, (spec, z, tolerance))
+    return _alone(_skew_symmetry_batch, (_checked(spec), z, tolerance))
 
 
 def _skew_symmetry_batch(requests):

@@ -24,11 +24,14 @@ Also here: the classical limit (coefficients of the expansion
 contour quadrature and cross-checked against closed forms), the hbar
 derivative with its three-site structural identity, and the same-site
 degeneration of R, which collapses to a scalar with closed form
-:math:`N \phi(N\hbar, z/N)`.
+:math:`N \phi(N\hbar, z/N)`.  The hbar derivative and the classical
+expansion are batch entries run on one request, as in ``identities``; a
+batch builds its R-matrices with one r_matrix call (:func:`_stacked`).
 """
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -128,6 +131,23 @@ class RMatrixSpec:
             _check_yang_argument("hbar", hbar)
             return
         _off_lattice(self.lattice, ("hbar", hbar), ("N*hbar", self.site_dim * hbar))
+
+
+def _checked(spec):
+    """``spec``; anything else is a UsageError naming its type."""
+    if not isinstance(spec, RMatrixSpec):
+        raise UsageError(f"spec must be an RMatrixSpec, got {type(spec).__name__}")
+    return spec
+
+
+def _at_hbars(spec, hbars):
+    """spec at each of hbars, checked by one validate_hbar call: copies of
+    spec, so each other field is as its __post_init__ normalised it."""
+    spec.validate_hbar(np.array(hbars))
+    copies = [copy.copy(spec) for _ in hbars]
+    for c, hbar in zip(copies, hbars):
+        object.__setattr__(c, "hbar", _as_complex("hbar", hbar))
+    return copies
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +402,18 @@ def _deriv_hbar_matrix(spec, z, hbar):
 
 
 def _stacked(call, parts):
-    """For each part (spec, z, hbar), a 1-d array z and an array hbar along
-    it or None for spec.hbar, the value of call(spec, z, hbar), an array or
-    a tuple of arrays along z.  The parts of one family, N, lattice and
-    length of z, with or without hbar, take one call, on their z as rows and
-    their hbar as a column or as rows; an RmxError that a call raises
-    propagates."""
+    """For each part (spec, z, hbar), an array z and an array hbar that
+    broadcasts against it, or None for spec.hbar with a 1-d z, the value of
+    call(spec, z, hbar), an array or a tuple of arrays.  The parts of one
+    family, N, lattice and shapes of z and hbar take one call, on their z
+    and hbar stacked as rows (spec.hbar as a column); an RmxError that a
+    call raises propagates."""
     def build(group):
         out = call(group[0][0], np.stack([z for _, z, _ in group]),
                    np.array([[s.hbar] if h is None else h for s, _, h in group]))
         return list(zip(*out)) if isinstance(out, tuple) else list(out)
     return _grouped(build, parts, lambda p: (p[0].kind, p[0].site_dim, p[0].lattice,
-                                             len(p[1]), p[2] is None))
+                                             np.shape(p[1]), np.shape(p[2])))
 
 
 # dR_ab X and R_ab r_ac X + r_cb R_ab X - R_ac R_cb X at the sites
@@ -420,7 +440,7 @@ def r_deriv_hbar(spec, z_a, z_b, aux_point=None):
     -------
     HbarDerivative
     """
-    return _alone(_hbar_derivatives, (spec, z_a, z_b, aux_point))
+    return _alone(_hbar_derivatives, (_checked(spec), z_a, z_b, aux_point))
 
 
 def _hbar_derivatives(requests):
@@ -503,9 +523,8 @@ def classical_closed_form(spec, z):
     return r, m
 
 
-def _contour(spec, z, radius, points):
-    """The hbar contour nodes around 0, and R at z and every node from one
-    r_matrix call (z broadcasts against the nodes).
+def _contour(spec, radius, points):
+    """The ``points`` hbar contour nodes on the circle of ``radius`` around 0.
 
     A radius that is not a real number raises UsageError.  Raises
     ContourHitsPole unless 0 < radius < inf and, on the elliptic family,
@@ -525,8 +544,7 @@ def _contour(spec, z, radius, points):
                 f"contour radius {radius} reaches the hbar pole "
                 f"at distance {nearest:.6g}"
             )
-    nodes = radius * np.exp(2j * np.pi * np.arange(points) / points)
-    return nodes, r_matrix(spec, z, nodes)
+    return radius * np.exp(2j * np.pi * np.arange(points) / points)
 
 
 def _laurent_coefficients(nodes, vals):
@@ -566,34 +584,37 @@ def classical_expansion(spec, z, quadrature_points=32, contour_radius=None):
     QuadratureNotConverged
         If doubling the node count still moves the coefficients.
     """
-    z = _as_complex("z", z)
-    if contour_radius is None:
-        contour_radius = _default_radius(spec, z)
-    quadrature_points = _as_index("quadrature_points", quadrature_points)
-    if quadrature_points < 8:
-        raise QuadratureNotConverged("need at least 8 quadrature points")
+    return _alone(_classical_expansions, (_checked(spec), z, quadrature_points,
+                                          contour_radius))
 
-    # the coarse nodes are every other fine node: evaluate R once
-    nodes, vals = _contour(spec, z, contour_radius, 2 * quadrature_points)
-    coarse = _laurent_coefficients(nodes[::2], vals[::2])
-    fine = _laurent_coefficients(nodes, vals)
-    extraction = max(frobenius_distance(coarse[j], fine[j]) for j in (-1, 0, 1))
-    if extraction > _REFINE_TOL:
-        raise QuadratureNotConverged(
-            f"coefficient change {extraction:.3e} under node doubling "
-            f"exceeds {_REFINE_TOL}"
-        )
 
-    dim = spec.site_dim ** 2
-    pole_resid = frobenius_distance(fine[-1], np.eye(dim, dtype=complex))
-    r_an, m_an = classical_closed_form(spec, z)
-    analytic = max(
-        frobenius_distance(fine[0], r_an), frobenius_distance(fine[1], m_an)
-    )
-    return ClassicalPair(
-        r=fine[0],
-        m=fine[1],
-        hbar_inverse_residual=pole_resid,
-        extraction_residual=extraction,
-        analytic_residual=analytic,
-    )
+def _classical_expansions(requests):
+    """classical_expansion of each request (spec, z, quadrature_points,
+    contour_radius); the first RmxError met is raised.  R at the contour
+    nodes of all is one call, and so are their closed forms."""
+    def contour(spec, z, points, radius):
+        z = _as_complex("z", z)
+        if radius is None:
+            radius = _default_radius(spec, z)
+        points = _as_index("quadrature_points", points)
+        if points < 8:
+            raise QuadratureNotConverged("need at least 8 quadrature points")
+        # the coarse nodes are every other fine node: evaluate R once
+        return spec, np.array([z]), _contour(spec, radius, 2 * points)
+
+    parts = [contour(*request) for request in requests]
+    fines = []
+    for (_, _, nodes), vals in zip(parts, _stacked(r_matrix, parts)):
+        coarse, fine = (_laurent_coefficients(nodes[::k], vals[::k]) for k in (2, 1))
+        extraction = max(frobenius_distance(coarse[j], fine[j]) for j in (-1, 0, 1))
+        if extraction > _REFINE_TOL:
+            raise QuadratureNotConverged(f"coefficient change {extraction:.3e} under node "
+                                         f"doubling exceeds {_REFINE_TOL}")
+        fines.append((fine, extraction))
+    closed = _stacked(lambda spec, z, _: classical_closed_form(spec, z),
+                      [(spec, z, None) for spec, z, _ in parts])
+    return [ClassicalPair(fine[0], fine[1],
+                          frobenius_distance(fine[-1], np.eye(len(fine[0]), dtype=complex)),
+                          extraction, max(frobenius_distance(fine[0], r_an[0]),
+                                          frobenius_distance(fine[1], m_an[0])))
+            for (fine, extraction), (r_an, m_an) in zip(fines, closed)]

@@ -41,7 +41,9 @@ The rational kind replaces these by :math:`1/z`, :math:`1/z^2`,
 
 All evaluation routines accept scalars or numpy arrays (broadcasting) and
 reject arguments within ``EXCLUSION_RADIUS`` of a pole of the defining
-expression, raising :class:`~rmx.errors.PoleProximity`.
+expression, raising :class:`~rmx.errors.PoleProximity`.  :func:`fay_check`
+and :func:`scalar_cyclic_sum` are batch entries, as in ``identities``, run on
+one request: a batch takes one kronecker_phi call per lattice.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ from .errors import (
     PoleProximity,
     SeriesNotConverged,
     UnsupportedDerivOrder,
+    _alone,
     _as_array,
     _as_complex,
     _as_index,
+    _grouped,
 )
 
 __all__ = [
@@ -289,7 +293,12 @@ def _theta_derivs(z, params, max_order):
     with np.errstate(over="ignore", invalid="ignore"):
         ep = np.exp(expo[:, None] + iu[:, None] * flat)
         em = np.exp(expo[:, None] - iu[:, None] * flat)
-        terms = np.concatenate([ep - em, ep + em])
+        # [e+ - e-; e+ + e-] written in place, and e+- dropped: a batch of
+        # many arguments holds fewer arrays of K x its size at once
+        terms = np.empty((2 * K, flat.shape[1]), dtype=complex)
+        np.subtract(ep, em, out=terms[:K])
+        np.add(ep, em, out=terms[K:])
+        del ep, em
         sums = w @ terms
         if not np.isfinite(sums).all():
             raise SeriesNotConverged(
@@ -590,26 +599,37 @@ def fay_check(hbar, eta, z, w, params):
     DegenerateArguments
         If ``hbar - eta`` is within the exclusion radius but not exactly zero.
     """
-    hbar, eta, z, w = map(_as_complex, ("hbar", "eta", "z", "w"), (hbar, eta, z, w))
-    if eta == hbar:
-        phi_z, phi_w, phi_zw = kronecker_phi(eta, [z, w, z + w], params).tolist()
-        e1 = eisenstein_e1([eta, z, w, z + w + eta], params).tolist()
-        lhs = phi_z * phi_w
-        rhs = phi_zw * (e1[0] + e1[1] + e1[2] - e1[3])
-        return abs(lhs - rhs)
-    if params.lattice_distance(hbar - eta) < EXCLUSION_RADIUS:
-        raise DegenerateArguments(
-            f"hbar - eta = {hbar - eta} is inside the exclusion radius; "
-            "pass eta == hbar exactly to select the degenerate form"
-        )
-    p = kronecker_phi(
-        [hbar, eta, hbar - eta, eta, eta - hbar, hbar],
-        [z, w, z, z + w, w, z + w],
-        params,
-    ).tolist()
-    lhs = p[0] * p[1]
-    rhs = p[2] * p[3] + p[4] * p[5]
-    return abs(lhs - rhs)
+    return _alone(_fay_checks, (hbar, eta, z, w, params))
+
+
+def _fay_checks(requests):
+    """fay_check of each request (hbar, eta, z, w, params); the first
+    RmxError met is raised.  The requests of one lattice take one call each
+    of lattice_distance (on hbar - eta), kronecker_phi and eisenstein_e1."""
+    def slots(hbar, eta, z, w, params):
+        hbar, eta, z, w = map(_as_complex, ("hbar", "eta", "z", "w"), (hbar, eta, z, w))
+        if eta == hbar:
+            return params, [], [eta] * 3, [z, w, z + w], [eta, z, w, z + w + eta]
+        return (params, [hbar - eta], [hbar, eta, hbar - eta, eta, eta - hbar, hbar],
+                [z, w, z, z + w, w, z + w], [])
+
+    def build(group):
+        gaps, etas, zs, e1s = ([v for s in group for v in s[k]] for k in (1, 2, 3, 4))
+        near = (group[0][0].lattice_distance(np.array(gaps)) < EXCLUSION_RADIUS).tolist()
+        if True in near:
+            raise DegenerateArguments(
+                f"hbar - eta = {gaps[near.index(True)]} is inside the exclusion radius; "
+                "pass eta == hbar exactly to select the degenerate form")
+        p = iter(kronecker_phi(np.array(etas), np.array(zs), group[0][0]).tolist())
+        e = iter(eisenstein_e1(np.array(e1s), group[0][0]).tolist())
+        out = []
+        for _, _, phis, _, e1 in group:
+            q, r = [next(p) for _ in phis], [next(e) for _ in e1]
+            out.append(abs(q[0] * q[1] - (q[2] * (r[0] + r[1] + r[2] - r[3]) if r
+                                          else q[2] * q[3] + q[4] * q[5])))
+        return out
+
+    return _grouped(build, [slots(*request) for request in requests], lambda s: s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -645,22 +665,40 @@ def scalar_cyclic_sum(n, a, eta, points, params):
         Pairwise differences must be off-lattice.
     params : LatticeParams
     """
-    n, a = _as_index("n", n), _as_index("a", a)
-    if n < 2 or not 1 <= a <= n:
-        raise IndexOutOfRange(f"cyclic sum needs n >= 2, 1 <= a <= n; got n={n}, a={a}")
-    if len(points) != n:
-        raise DimensionMismatch(f"expected {n} points, got {len(points)}")
-    pts = np.array([_as_complex("a point", p) for p in points])
-    off = ~np.eye(n, dtype=bool)
-    phi = np.zeros((n, n), dtype=complex)
-    phi[off] = kronecker_phi(_as_complex("eta", eta), (pts[:, None] - pts)[off], params)
-    phi = phi.tolist()  # phi[i][j] = phi(eta, z_i - z_j)
-    ends = [[0j] * n for _ in range(1 << n)]
-    ends[1 << a - 1][a - 1] = 1
-    for mask in range(1 << a - 1, 1 << n):
-        for j, v in enumerate(ends[mask]):
-            if v:  # zero unless mask holds a and j
-                for k in range(n):
-                    if not mask >> k & 1:
-                        ends[mask | 1 << k][k] += v * phi[j][k]
-    return sum(v * phi[k][a - 1] for k, v in enumerate(ends[-1]) if v)
+    return _alone(_scalar_cyclic_sums, (n, a, eta, points, params))
+
+
+def _scalar_cyclic_sums(requests):
+    """scalar_cyclic_sum of each request (n, a, eta, points, params); the
+    first RmxError met is raised.  The phi values of the requests of one
+    lattice come from one kronecker_phi call, then each runs the DP alone."""
+    def screen(n, a, eta, points, params):
+        n, a = _as_index("n", n), _as_index("a", a)
+        if n < 2 or not 1 <= a <= n:
+            raise IndexOutOfRange(f"cyclic sum needs n >= 2, 1 <= a <= n; got n={n}, a={a}")
+        if len(points) != n:
+            raise DimensionMismatch(f"expected {n} points, got {len(points)}")
+        pts = np.array([_as_complex("a point", p) for p in points])
+        diffs = (pts[:, None] - pts)[~np.eye(n, dtype=bool)]
+        return params, n, a, np.full(len(diffs), _as_complex("eta", eta)), diffs
+
+    def phis(group):  # one kronecker_phi call, split into the requests' values
+        flat = kronecker_phi(*(np.concatenate([s[k] for s in group]) for k in (3, 4)),
+                             group[0][0])
+        return np.split(flat, np.cumsum([len(s[4]) for s in group])[:-1])
+
+    screened = [screen(*request) for request in requests]
+    out = []
+    for (_, n, a, _, _), values in zip(screened, _grouped(phis, screened, lambda s: s[0])):
+        values = iter(values.tolist())  # phi[i][j] = phi(eta, z_i - z_j)
+        phi = [[next(values) if i != j else 0j for j in range(n)] for i in range(n)]
+        ends = [[0j] * n for _ in range(1 << n)]
+        ends[1 << a - 1][a - 1] = 1
+        for mask in range(1 << a - 1, 1 << n):
+            for j, v in enumerate(ends[mask]):
+                if v:  # zero unless mask holds a and j
+                    for k in range(n):
+                        if not mask >> k & 1:
+                            ends[mask | 1 << k][k] += v * phi[j][k]
+        out.append(sum(v * phi[k][a - 1] for k, v in enumerate(ends[-1]) if v))
+    return out

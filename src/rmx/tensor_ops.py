@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeCapExceeded, _alone, _as_count, _grouped
+from .errors import DimensionMismatch, SizeCapExceeded, _as_count, _grouped
 
 __all__ = [
     "SIZE_CAP",
@@ -308,12 +308,6 @@ def _probe_block(dim):
     return x
 
 
-def _probe(plan, table):
-    """The output states of ``plan`` on the probe block, for one slab of the
-    factors ``table`` keyed as in the plan."""
-    return _alone(_probe_jobs, (plan, [(table, 0)]))[:, 0]
-
-
 def _slab(plan, table, a):
     """The :func:`_run` slab of the slab (table, a) of a job of ``plan``."""
     return [table[(key[0] + a) % plan.n, (key[1] + a) % plan.n] if a else table[key]
@@ -332,13 +326,19 @@ def _probe_jobs(jobs):
     return _grouped(run, jobs, lambda job: (job[0], len(next(iter(job[1][0][0].values())))))
 
 
-def _probe_scalar(x, y):
-    """How far Y = S X is from c X: the coefficient c = <X, Y> / <X, X> (a
-    Hutchinson trace estimate of tr(S) / D) and the non-scalar residual
-    ||Y - c X|| / max(||Y||, 1), both on the scale of ||S||_F for the probe
-    block X of :func:`_probe_block`."""
-    coeff = complex(np.vdot(x, y) / np.vdot(x, x))
-    return coeff, float(np.linalg.norm(y - coeff * x) / max(np.linalg.norm(y), 1.0))
+def _probe_scalar(x, ys):
+    """How far each Y = S X of the stack ``ys`` is from c X, as arrays: the
+    coefficient c = <X, Y> / <X, X> (a Hutchinson trace estimate of tr(S) / D)
+    and the non-scalar residual ||Y - c X|| / max(||Y||, 1), on the scale of
+    ||S||_F for the probe block X of :func:`_probe_block`."""
+    flat, ys = x.reshape(1, -1), ys.reshape(len(ys), -1, 1)
+    coeffs = (flat @ ys)[:, 0, 0] / np.vdot(x, x)
+    rest = ys - coeffs[:, None, None] * flat.T
+
+    def norms(a):  # a dot product per plane and slab: they round as np.linalg.norm
+        return np.sqrt((a.real.swapaxes(1, 2) @ a.real
+                        + a.imag.swapaxes(1, 2) @ a.imag)[:, 0, 0])
+    return coeffs, norms(rest) / np.maximum(norms(ys), 1.0)
 
 
 def is_scalar_operator(matrix, tol=1e-10):

@@ -15,9 +15,13 @@ subset DP of the n-site checks runs in real arithmetic on split real and
 imaginary planes and keeps its states in the leg order its matmuls leave
 them in; ``canonical_cyclic_apply`` is the same DP, split factors
 ``split_factor`` included, with every state copied back to site order after
-each step, and must agree with it bit for bit.
+each step, and must agree with it bit for bit.  ``round_off_equal``
+compares elliptic reports and records up to round-off: one theta series
+serves the wp values of all requests of a batch, sized for the largest, so
+a batch of other requests rounds them otherwise.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -291,3 +295,37 @@ def canonical_cyclic_apply(slabs, n, x):
                                .transpose(*((i - a) % n for i in range(n)), n)
                                .reshape(x.shape))
     return sums
+
+
+# the round-off a residual may show: a residual is a distance already
+# divided by a scale of at least 1, so the round-off of the values it
+# compares moves it by a few units of 1 in their last place
+RESIDUAL_ROUND_OFF = 16 * np.finfo(float).eps
+
+
+def round_off_equal(got, want, rel=1e-13, key=""):
+    """Whether reports, records or their parts agree up to round-off: each
+    number or array within ``rel`` of the other relative to its own norm,
+    and a residual (a value whose key ends in "residual") within
+    RESIDUAL_ROUND_OFF of the other.  rel = 0 asks for equal values."""
+    if dataclasses.is_dataclass(got) and dataclasses.is_dataclass(want):
+        got, want = vars(got), vars(want)
+    if isinstance(got, dict) and isinstance(want, dict):
+        if got.keys() == want.keys() == {"re", "im"}:  # a complex of a record
+            got, want = complex(got["re"], got["im"]), complex(want["re"], want["im"])
+        else:
+            return got.keys() == want.keys() and all(
+                round_off_equal(got[k], want[k], rel, k) for k in got)
+    if isinstance(got, (list, tuple)) and isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(
+            round_off_equal(a, b, rel, key) for a, b in zip(got, want))
+    if isinstance(got, (float, complex, np.ndarray)) and isinstance(
+            want, (float, complex, np.ndarray)):
+        if np.shape(got) != np.shape(want):
+            return False
+        diff = np.linalg.norm(np.subtract(got, want))
+        if key.endswith("residual") and rel:
+            return bool(diff <= RESIDUAL_ROUND_OFF)
+        return bool(diff <= rel * max(np.linalg.norm(got), np.linalg.norm(want)))
+    return type(got) is type(want) and got == want
+

@@ -497,7 +497,7 @@ class TestPerturbedResidualTracksTheDenseOne:
 
         def moved(*args):
             r, m = classical_closed_form(*args)
-            m[2] = nudge(m[2], 1e-6)
+            m[..., 2, :, :] = nudge(m[..., 2, :, :], 1e-6)
             return r, m
 
         lhs, scale = kzb_flatness_sides(spec, pts, moved)

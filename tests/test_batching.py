@@ -25,19 +25,26 @@ from rmx import (
     ZeroArgument,
     check_aybe,
     check_qybe,
+    check_kzb_flatness,
     check_trace_power_guess,
     classical_closed_form,
     classical_expansion,
+    cli,
     eisenstein_e1,
+    fay_check,
     identities,
     kronecker_phi,
     kronecker_phi_deta,
     permutation_operator,
     r_matrix,
     rmatrix,
+    run_suites,
+    scalar_cyclic_sum,
     special_functions,
     weierstrass_p,
 )
+
+from dense_oracle import round_off_equal
 
 RA = LatticeParams(kind="rational")
 TR = LatticeParams(kind="trigonometric")
@@ -261,8 +268,8 @@ class TestOneCallPerCheck:
         assert np.size(calls[0][2]) == 64
         # the coarse sums are those of a direct evaluation at 32 nodes
         radius = rmatrix._default_radius(s, 0.44 + 0.19j)
-        coeffs = [rmatrix._laurent_coefficients(
-            *rmatrix._contour(s, 0.44 + 0.19j, radius, p)) for p in (32, 64)]
+        coeffs = [rmatrix._laurent_coefficients(nodes, r_matrix(s, 0.44 + 0.19j, nodes))
+                  for nodes in (rmatrix._contour(s, radius, p) for p in (32, 64))]
         want = max(np.linalg.norm(coeffs[0][j] - coeffs[1][j])
                    / max(np.linalg.norm(coeffs[0][j]),
                          np.linalg.norm(coeffs[1][j]), 1.0) for j in (-1, 0, 1))
@@ -306,8 +313,104 @@ class TestGroupedAndJoint:
         assert str(out[1]) == "negative item in [-4]"
         assert [v for v in out if not isinstance(v, RmxError)] == [30, 50, 60, 70, 80]
 
+    def test_each_failing_item_gets_its_lone_error(self):
+        calls = []
+        out = errors._joint(self.build(calls), [1, -2, 3, -4, 5, 6, -7, 8], lambda _: None)
+        assert [str(v) for v in out if isinstance(v, RmxError)] == [
+            f"negative item in [{v}]" for v in (-2, -4, -7)]
+        assert [v for v in out if not isinstance(v, RmxError)] == [10, 30, 50, 60, 80]
+
     def test_joint_passes_on_other_exceptions(self):
         def build(group):
             raise KeyError("not an RmxError")
         with pytest.raises(KeyError):
             errors._joint(build, [1, 2], lambda _: None)
+
+
+PTS5 = PTS + [0.47 + 0.23j, 0.83 + 0.07j]
+
+
+class TestLockstepEntries:
+    """The entries of scalar-cyclic, fay, classical and kzb-flatness give a
+    mixed batch what each request gives alone: bit for bit where a request's
+    arithmetic is its lone one (the rational and trigonometric kinds and
+    Yang), up to round-off (``dense_oracle.round_off_equal``) in the
+    elliptic kind, whose theta series a batch sizes for all of its
+    requests."""
+
+    @staticmethod
+    def assert_lone(entry, lone, requests, elliptic):
+        for request, got, rel in zip(requests, entry(requests),
+                                     [1e-13 if e else 0.0 for e in elliptic]):
+            assert round_off_equal(got, lone(*request), rel), request
+
+    def test_scalar_cyclic(self):
+        requests = [(n, a, eta, PTS5[:n], lat) for lat in (RA, TR, EL, ELS)
+                    for n, a, eta in ((2, 1, 0.21 + 0.13j), (3, 2, 0.17 - 0.09j),
+                                      (4, 4, 0.21 + 0.13j), (5, 3, 0.11 + 0.05j))]
+        self.assert_lone(special_functions._scalar_cyclic_sums, scalar_cyclic_sum, requests,
+                         [r[4].kind.value == "elliptic" for r in requests])
+
+    def test_fay(self):
+        requests = [(0.31 + 0.07j, eta, 0.41 + 0.11j, 0.23 + 0.33j, lat)
+                    for lat in (RA, TR, EL, ELS) for eta in (0.31 + 0.07j, 0.17 + 0.12j)]
+        self.assert_lone(special_functions._fay_checks, fay_check, requests,
+                         [r[4].kind.value == "elliptic" for r in requests])
+
+    def test_classical(self):
+        requests = [(spec(family, N), z, points, radius)
+                    for family in ("yang", "belavin") for N in (1, 2, 3)
+                    for z, points, radius in ((0.44 + 0.19j, 32, None),
+                                              (0.31 - 0.12j, 16, None), (0.52 + 0.1j, 32, 0.02))]
+        self.assert_lone(rmatrix._classical_expansions, classical_expansion, requests,
+                         [r[0].kind.value == "belavin" for r in requests])
+
+    def test_kzb_flatness(self):
+        requests = [(spec(family, N), PTS, points, None, None, closed)
+                    for family in ("yang", "belavin") for N in (2, 3)
+                    for points, closed in ((32, False), (16, False), (32, True))]
+        self.assert_lone(applications._kzb_batch, check_kzb_flatness, requests,
+                         [r[0].kind.value == "belavin" for r in requests])
+
+
+class TestOneCallPerPart:
+    """A rmx verify part calls each of these once for all of its samples."""
+
+    @pytest.mark.parametrize("kind", ["rational", "trigonometric", "elliptic"])
+    def test_one_kronecker_phi_call_per_scalar_entry(self, monkeypatch, kind):
+        calls = counting(monkeypatch, special_functions, "kronecker_phi")
+        rep = run_suites(suite="scalar", kind=kind, samples=4)
+        assert rep["summary"]["failed"] == 0
+        # one for the cyclic sums of every order, one for the fay cases
+        assert len(calls) == 2
+        assert [np.size(args[1]) for args in calls] == [4 * (2 + 6 + 12), 4 * (6 + 3)]
+
+    @pytest.mark.parametrize("kind", ["rational", "elliptic"])
+    def test_one_contour_r_matrix_call_per_part(self, monkeypatch, kind):
+        # classical's contour nodes at its z, and kzb-flatness's at its three
+        # pairs; the other r_matrix calls take the spec's hbar as a column
+        for suite, owner, z, nodes in (("rmatrix-basic", rmatrix, (4, 1), (4, 64)),
+                                       ("applications", applications, (4, 3, 1), (4, 1, 32))):
+            calls = counting(monkeypatch, owner, "r_matrix")
+            run_suites(suite=suite, kind=kind, samples=4)
+            contours = [args for args in calls if np.shape(args[2])[-1] != 1]
+            assert [(np.shape(a[1]), np.shape(a[2])) for a in contours] == [(z, nodes)]
+
+    @pytest.mark.parametrize("suite, second", [
+        ("scalar", [4]), ("rmatrix-basic", [4]), ("nth-order", []), ("applications", [])])
+    def test_one_sample_hbar_call_for_the_second_draws(self, monkeypatch, suite, second):
+        # the first draws of every case, then fay's generic eta or AYBE's eta
+        calls = []
+        sample = cli._sample_hbar
+        monkeypatch.setattr(cli, "_sample_hbar", lambda rngs, *args: (
+            calls.append(len(rngs)) or sample(rngs, *args)))
+        rep = run_suites(suite=suite, kind="elliptic", samples=4)
+        assert calls == [rep["summary"]["executed"]] + second
+
+    def test_theta_series_per_default_sweep(self, monkeypatch):
+        run_suites()
+        calls = counting(monkeypatch, special_functions, "_theta_derivs")
+        run_suites()
+        # 91 when scalar-cyclic, fay, classical and kzb-flatness ran per case
+        # and each cyclic request made its own wp calls
+        assert len(calls) == 55

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,8 @@ from rmx import (
     tensor_ops,
 )
 from rmx.cli import DEFAULT_BUDGET, _parse_complex, main
+
+from dense_oracle import round_off_equal
 
 
 # every tolerance name, in epilog order, and the case types whose tolerance it
@@ -409,6 +412,34 @@ class TestDraws:
             else:
                 assert a == b
 
+    def test_a_refused_second_draw_is_drawn_again(self, monkeypatch):
+        # the spec refuses hbar - eta for the first eta of one AYBE case: the
+        # case takes the next eta of its stream, as a lone redraw does
+        target, opts = "rmatrix-basic/elliptic/aybe/s1", dict(
+            suite="rmatrix-basic", kind="elliptic", samples=2)
+        rng = np.random.default_rng([12345, zlib.crc32(target.encode())])
+        lat = rmx.LatticeParams("elliptic", 1j)
+        cli._sample_points([rng], lat, [3])
+        (hbar,), (first,), (second,) = (cli._sample_hbar([rng], lat, 2, [0]) for _ in range(3))
+        base = run_suites(**opts)["records"]
+        validate, refused = rmatrix.RMatrixSpec.validate_hbar, []
+
+        def refusing(spec, value):
+            if np.ndim(value) == 0 and value == hbar - first and not refused:
+                refused.append(value)
+                raise rmx.PoleProximity("forced")
+            return validate(spec, value)
+
+        monkeypatch.setattr(rmatrix.RMatrixSpec, "validate_hbar", refusing)
+        forced = run_suites(**opts)["records"]
+        assert refused
+        for a, b in zip(base, forced):
+            if a["case_id"] == target:
+                assert a["params"]["eta"] == cli._c2d(first)
+                assert b["params"]["eta"] == cli._c2d(second) and b["passed"]
+            else:
+                assert a == b
+
     def test_default_sweep_draws_are_pinned(self):
         # the inputs every case drew, whatever its check made of them
         records = run_suites()["records"]
@@ -416,6 +447,18 @@ class TestDraws:
                             sort_keys=True)
         assert hashlib.sha256(params.encode()).hexdigest() == (
             "7d40fb28f108d382ba69e22f27f734b5bf09662403acaa795d7e7299890442a1")
+
+
+def same_records(got, want):
+    """Equal records, except that the residual and details of an elliptic
+    record may differ by the round-off of the wp values that a batch shares
+    (``dense_oracle.round_off_equal``)."""
+    def rest(record):
+        return {k: v for k, v in record.items() if k not in ("residual", "details")}
+    return len(got) == len(want) and all(
+        a == b if a["kind"] != "elliptic" else rest(a) == rest(b) and round_off_equal(
+            {k: a[k] for k in ("residual", "details")},
+            {k: b[k] for k in ("residual", "details")}) for a, b in zip(got, want))
 
 
 def lone_batch(requests):
@@ -438,9 +481,9 @@ class TestCyclicBatch:
 
     def test_records_equal_lone_checks(self, monkeypatch):
         opts = dict(site_dim=3, n_max=5, samples=2)
-        joint = json.dumps(run_suites(**opts)["records"])
+        joint = run_suites(**opts)["records"]
         monkeypatch.setattr(cli, "check_cyclic_batch", lone_batch)
-        assert json.dumps(run_suites(**opts)["records"]) == joint
+        assert same_records(run_suites(**opts)["records"], joint)
 
     @pytest.mark.parametrize("kind, case, how", [
         ("rational", "order-4/s1", "wp"), ("elliptic", "order-5/s2", "wp"),
@@ -470,7 +513,7 @@ class TestCyclicBatch:
                 assert (b["passed"], b["reason"]) == (
                     False, "SeriesNotConverged: forced")
             else:
-                assert a == b
+                assert same_records([a], [b])
         monkeypatch.setattr(cli, "check_cyclic_batch", lone_batch)
         assert json.dumps(run_suites(**opts)["records"]) == json.dumps(forced)
 
@@ -493,8 +536,10 @@ BATCH_ENTRIES = {
     "_skew_symmetry_batch": ("skew-symmetry",),
     "_qybe_batch": ("qybe",),
     "_aybe_batch": ("aybe",),
+    "_classical_batch": ("classical",),
     "_deriv_hbar_batch": ("deriv-hbar",),
     "_trace_power_batch": ("trace-power-k2", "trace-power-k3"),
+    "_kzb_batch": ("kzb-flatness",),
     "_hbar_order_batch": ("hbar-order",),
 }
 
@@ -545,9 +590,8 @@ class TestCheckBatches:
         assert sorted(calls) == sorted((name, 4 * len(types))
                                        for name, types in BATCH_ENTRIES.items())
         # one plan run for the samples of unitarity, skew-symmetry, qybe,
-        # aybe, deriv-hbar, each trace power and hbar-order; kzb-flatness
-        # runs one per sample
-        assert sorted(runs) == sorted([4, 4, 4, 4, 4, 12, 12, 4] + [1] * 4)
+        # aybe, deriv-hbar, each trace power, kzb-flatness and hbar-order
+        assert sorted(runs) == sorted([4, 4, 4, 4, 4, 12, 12, 4, 4])
 
     @pytest.mark.parametrize("kind", ["rational", "elliptic"])
     def test_one_factor_build_per_cyclic_batch(self, monkeypatch, kind):
@@ -583,8 +627,10 @@ class TestCheckBatches:
         ("rmatrix-basic/{}/skew-symmetry/s2", identities, "r_matrix"),
         ("rmatrix-basic/{}/qybe/s0", identities, "r_matrix"),
         ("rmatrix-basic/{}/aybe/s1", identities, "r_matrix"),
+        ("rmatrix-basic/{}/classical/s1", rmatrix, "r_matrix"),
         ("rmatrix-basic/{}/deriv-hbar/s2", rmatrix, "r_matrix"),
         ("applications/{}/trace-power-k3/s1", applications, "r_matrix"),
+        ("applications/{}/kzb-flatness/s2", applications, "r_matrix"),
         ("applications/{}/hbar-order/s0", applications, "classical_closed_form")])
     def test_an_error_fails_its_own_case(self, monkeypatch, kind, case, module,
                                          name):

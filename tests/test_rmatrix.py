@@ -395,6 +395,19 @@ class TestComplexArguments:
         with pytest.raises(UsageError, match="^hbar must be a complex number, got 'x'"):
             RMatrixSpec(kind="belavin", site_dim=2, lattice=EL, hbar="x")
 
+    def test_spec_copies_at_hbars_equal_checked_specs(self):
+        for kind, lat in (("yang", RA), ("belavin", EL), ("belavin", ELG)):
+            first = RMatrixSpec(kind=kind, site_dim=3, lattice=lat, hbar=0.11 + 0.07j)
+            hbars = [0.13 + 0.05j, 0.21 + 0.02j, 0.09 + 0.1j]
+            copies = rmatrix._at_hbars(first, hbars)
+            assert copies == [RMatrixSpec(kind=kind, site_dim=3, lattice=lat, hbar=h)
+                              for h in hbars]
+            assert [type(c.hbar) for c in copies] == [complex] * 3
+            assert first.hbar == 0.11 + 0.07j
+        # one hbar on the lattice fails the check of all
+        with pytest.raises(PoleProximity, match="^N\\*hbar"):
+            rmatrix._at_hbars(belavin_spec(), [0.1 + 0.1j, 1 / 2])
+
     def test_classical_expansion_takes_a_scalar(self):
         for spec in (yang_spec(), belavin_spec()):
             with pytest.raises(DimensionMismatch, match=r"^z must be a scalar, got shape \(2,\)"):
@@ -536,7 +549,8 @@ class TestClassicalExpansion:
         # the node sums agree with a Python loop of complex products in
         # node order to within the rounding bound of a k-term sum
         spec = belavin_spec(N=N)
-        nodes, vals = rmatrix._contour(spec, 0.44 + 0.19j, 0.025, 32)
+        nodes = rmatrix._contour(spec, 0.025, 32)
+        vals = r_matrix(spec, 0.44 + 0.19j, nodes)
         got = rmatrix._laurent_coefficients(nodes, vals)
         for j in (-1, 0, 1):
             weights = (nodes ** (-j)).tolist()

@@ -12,7 +12,7 @@ from rmx import (
     is_scalar_operator,
     permutation_operator,
 )
-from rmx.tensor_ops import _plan, _plan_sides, _probe, _probe_block, _probe_scalar, _run
+from rmx.tensor_ops import _plan, _plan_sides, _probe_block, _probe_jobs, _probe_scalar, _run
 
 from dense_oracle import embed_two_site
 
@@ -153,7 +153,8 @@ class TestApplyTwoSiteOracle:
         rng = np.random.default_rng(31)
         x, y, w = (random_op(rng, (4, 4)) for _ in range(3))
         plan = _plan_sides(3, [[[("x", 1, 2), ("y", 3, 1), ("w", 2, 3)]]])
-        (got,) = _probe(plan, {("x", 1, 2): x, ("y", 3, 1): y, ("w", 2, 3): w})
+        table = {("x", 1, 2): x, ("y", 3, 1): y, ("w", 2, 3): w}
+        ((got,),) = _probe_jobs([(plan, [(table, 0)])])[0]
         want = (embed_two_site(x, 1, 2, 2, 3) @ embed_two_site(y, 3, 1, 2, 3)
                 @ embed_two_site(w, 2, 3, 2, 3) @ _probe_block(8))
         assert got.shape == (8, 4)
@@ -189,7 +190,7 @@ class TestScalarDetection:
 class TestProbeScalar:
     def test_scalar_operator_reads_exactly(self):
         x = _probe_block(16)
-        coeff, resid = _probe_scalar(x, (2.5 - 1j) * x)
+        (coeff,), (resid,) = _probe_scalar(x, (2.5 - 1j) * x[None])
         assert abs(coeff - (2.5 - 1j)) < 1e-15
         assert resid < 1e-15
 
@@ -198,7 +199,7 @@ class TestProbeScalar:
         # the probe estimate, the residual the scaled remainder
         x = _probe_block(2)
         y = np.diag([1.0, 2.0]) @ x
-        coeff, resid = _probe_scalar(x, y)
+        (coeff,), (resid,) = _probe_scalar(x, y[None])
         want = np.sum(x * y) / np.sum(x * x)
         assert abs(coeff - want) < 1e-15
         assert abs(resid - np.linalg.norm(y - want * x)
@@ -208,7 +209,7 @@ class TestProbeScalar:
     def test_small_products_use_absolute_floor(self):
         x = _probe_block(4)
         y = 1e-9 * np.ones((4, 4))
-        assert _probe_scalar(x, y)[1] < 1e-8
+        assert _probe_scalar(x, y[None])[1][0] < 1e-8
 
 
 class TestFrobeniusDistance:
